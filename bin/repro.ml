@@ -96,8 +96,8 @@ let scale_arg =
          ~doc:"Workload scale factor (1.0 = the full reduced-size \
                configuration; default 0.25 -- the one repo-wide constant \
                every bare surface shares, CLI and wire protocol alike). \
-               Since the interned engine, $(b,--scale 1.0) is routine; \
-               see EXPERIMENTS.md.")
+               $(b,--scale 1.0) regenerates the paper's figures; see \
+               EXPERIMENTS.md.")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic input seed.")
@@ -105,13 +105,6 @@ let seed_arg =
 let iterations_arg =
   Arg.(value & opt (some int) None & info [ "i"; "iterations" ] ~docv:"N"
          ~doc:"Override the workload's compute-iteration count.")
-
-let legacy_engine_arg =
-  Arg.(value & flag & info [ "legacy-engine" ]
-         ~doc:"Measure on the legacy (pre-interning) emission engine. \
-               Results are byte-identical to the default interned engine; \
-               the flag exists as the measurable baseline for A/B speedup \
-               runs, and the two engines cache separately.")
 
 let intra_arg =
   Arg.(value & flag & info [ "intra" ]
@@ -155,14 +148,14 @@ let csv_arg =
    plain-data description the serve protocol carries — so the CLI, the
    daemon and the bench resolve names and defaults identically. *)
 
-let spec_of ?alloc ?pages ?(legacy = false) ?(intra = false) ?prealloc_mb
+let spec_of ?alloc ?pages ?(intra = false) ?prealloc_mb
     ~workload ~technique ~scale ~seed ~iterations () =
   (* Resolve --alloc/--pages here so a typo exits 2 with the valid-name
      list, and the spec carries the canonical name. *)
   let alloc = Option.map (fun s -> A.name (resolve_alloc s)) alloc in
   let pages = Option.map canonical_pages pages in
-  X.Request.Spec.make ?alloc ?pages ?iterations ?prealloc_mb
-    ~intern:(not legacy) ~intra ~scale ~seed ~workload ~technique ()
+  X.Request.Spec.make ?alloc ?pages ?iterations ?prealloc_mb ~intra ~scale
+    ~seed ~workload ~technique ()
 
 let resolve_spec spec =
   match X.Request.Spec.resolve spec with
@@ -274,11 +267,10 @@ let run_cmd =
     Arg.(value & opt string "shard" & info [ "t"; "technique" ] ~docv:"TECH"
            ~doc:"cuda | con | shard | coal | tp | tp-hw | tp/cuda.")
   in
-  let run w t alloc pages scale seed iterations legacy intra prealloc timeline
-      window =
+  let run w t alloc pages scale seed iterations intra prealloc timeline window =
     let job =
       resolve_spec
-        (spec_of ?alloc ?pages ~legacy ~intra ?prealloc_mb:prealloc
+        (spec_of ?alloc ?pages ~intra ?prealloc_mb:prealloc
            ~workload:w ~technique:t ~scale ~seed ~iterations ())
     in
     let p =
@@ -296,8 +288,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under one technique and print its profile.")
     Term.(const run $ workload $ technique $ alloc_arg $ pages_arg $ scale_arg
-          $ seed_arg $ iterations_arg $ legacy_engine_arg $ intra_arg
-          $ prealloc_arg $ timeline_arg $ window_arg)
+          $ seed_arg $ iterations_arg $ intra_arg $ prealloc_arg
+          $ timeline_arg $ window_arg)
 
 (* --- profile --------------------------------------------------------------- *)
 
@@ -938,23 +930,21 @@ let print_outcome_rows rows =
    allocators plus the DYNA column, matching [Sweep.default_columns] so
    figure/table regeneration hits the same cache entries. --alloc FAMILY
    instead runs every technique over that one family. *)
-let sweep_specs ?alloc ?pages ?(legacy = false) ?(intra = false) ?prealloc_mb
-    ~scale () =
+let sweep_specs ?alloc ?pages ?(intra = false) ?prealloc_mb ~scale () =
   let workloads = List.map W.Registry.qualified_name W.Registry.all in
   let techniques = List.map X.Request.technique_to_string T.all_paper in
   let pages = Option.map canonical_pages pages in
-  let intern = not legacy in
   match alloc with
   | Some name ->
     let alloc = A.name (resolve_alloc name) in
     X.Request.Spec.matrix ~workloads ~techniques
       ~base:
-        (X.Request.Spec.make ~alloc ?pages ?prealloc_mb ~intern ~intra ~scale
+        (X.Request.Spec.make ~alloc ?pages ?prealloc_mb ~intra ~scale
            ~workload:"" ~technique:"" ())
   | None ->
     let base =
-      X.Request.Spec.make ?pages ?prealloc_mb ~intern ~intra ~scale
-        ~workload:"" ~technique:"" ()
+      X.Request.Spec.make ?pages ?prealloc_mb ~intra ~scale ~workload:""
+        ~technique:"" ()
     in
     List.concat_map
       (fun workload ->
@@ -974,8 +964,8 @@ let sweep_cmd =
     Arg.(value & flag & info [ "clear-cache" ]
            ~doc:"Drop every cached result before sweeping.")
   in
-  let run alloc pages scale legacy intra prealloc j no_cache cache_dir clear
-      quiet json =
+  let run alloc pages scale intra prealloc j no_cache cache_dir clear quiet
+      json =
     let cache = not no_cache in
     let dir = Option.value cache_dir ~default:(X.Cache.default_dir ()) in
     if clear then
@@ -983,7 +973,7 @@ let sweep_cmd =
         (X.Cache.clear ~dir) dir;
     let jobs =
       List.map resolve_spec
-        (sweep_specs ?alloc ?pages ~legacy ~intra ?prealloc_mb:prealloc ~scale ())
+        (sweep_specs ?alloc ?pages ~intra ?prealloc_mb:prealloc ~scale ())
     in
     let t0 = Unix.gettimeofday () in
     let outcomes = X.Executor.run ~jobs:j ~cache ~cache_dir:dir jobs in
@@ -1037,9 +1027,9 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:"Run the full job matrix (the five paper columns plus DYNA) \
              and print per-job status, wall time and cache hits.")
-    Term.(const run $ sweep_alloc $ pages_arg $ scale_arg $ legacy_engine_arg
-          $ intra_arg $ prealloc_arg $ jobs_arg $ no_cache_arg $ cache_dir_arg
-          $ clear $ quiet_arg $ json_arg)
+    Term.(const run $ sweep_alloc $ pages_arg $ scale_arg $ intra_arg
+          $ prealloc_arg $ jobs_arg $ no_cache_arg $ cache_dir_arg $ clear
+          $ quiet_arg $ json_arg)
 
 (* --- serve / submit / ctl --------------------------------------------------- *)
 
@@ -1155,13 +1145,13 @@ let submit_cmd =
     Arg.(value & flag & info [ "all" ]
            ~doc:"Submit the full 11x5 matrix ($(b,repro sweep)'s job list).")
   in
-  let run socket ws ts alloc pages all scale seed iterations legacy intra
-      prealloc no_cache quiet json =
+  let run socket ws ts alloc pages all scale seed iterations intra prealloc
+      no_cache quiet json =
     let specs =
       if all then begin
         if ws <> [] || ts <> [] then
           cli_error "pass either --all or -w/-t, not both";
-        sweep_specs ?alloc ?pages ~legacy ~intra ?prealloc_mb:prealloc ~scale ()
+        sweep_specs ?alloc ?pages ~intra ?prealloc_mb:prealloc ~scale ()
       end
       else if ws = [] then
         cli_error "nothing to submit: pass -w NAME (repeatable) or --all"
@@ -1174,9 +1164,8 @@ let submit_cmd =
         let pages = Option.map canonical_pages pages in
         X.Request.Spec.matrix ~workloads:ws ~techniques:ts
           ~base:
-            (X.Request.Spec.make ?alloc ?pages ~scale ~seed ?iterations
-               ~intern:(not legacy) ~intra ?prealloc_mb:prealloc
-               ~workload:"" ~technique:"" ())
+            (X.Request.Spec.make ?alloc ?pages ~scale ~seed ?iterations ~intra
+               ?prealloc_mb:prealloc ~workload:"" ~technique:"" ())
     in
     (* Resolve locally first: a typo fails here with the usual message
        instead of as a daemon-side batch rejection — and the spec goes
@@ -1264,8 +1253,7 @@ let submit_cmd =
              in-process.")
     Term.(const run $ socket_arg $ workloads $ techniques $ alloc_arg
           $ pages_arg $ all $ scale_arg $ seed_arg $ iterations_arg
-          $ legacy_engine_arg $ intra_arg $ prealloc_arg
-          $ no_cache_arg $ quiet_arg $ json_arg)
+          $ intra_arg $ prealloc_arg $ no_cache_arg $ quiet_arg $ json_arg)
 
 let ctl_cmd =
   let action =

@@ -29,12 +29,11 @@ let reset_counters t =
   t.thread_vcalls <- 0
 
 (* Group lanes by resolved target and run each target's body over its
-   subset: SIMT divergence on the (in)direct branch. On the fused engine
-   a target-converged warp — the common case at well-behaved call
-   sites — skips the grouping machinery entirely: same ctrl/call
-   emission on the full warp, and the body gets [objs] itself (bodies
-   only read their receiver array, so skipping the defensive copy is
-   unobservable). *)
+   subset: SIMT divergence on the (in)direct branch. A target-converged
+   warp — the common case at well-behaved call sites — skips the
+   grouping machinery entirely: same ctrl/call emission on the full
+   warp, and the body gets [objs] itself (bodies only read their
+   receiver array, so skipping the defensive copy is unobservable). *)
 let branch_and_execute t env ~indirect ~objs impl_ids =
   let ctx = env.Env.ctx in
   (match t.san with
@@ -44,7 +43,7 @@ let branch_and_execute t env ~indirect ~objs impl_ids =
    | None -> ());
   let n = Array.length impl_ids in
   let k0 = impl_ids.(0) in
-  let uniform = ref (Warp_ctx.fused ctx) in
+  let uniform = ref true in
   let i = ref 1 in
   while !uniform && !i < n do
     if impl_ids.(!i) <> k0 then uniform := false;
@@ -66,11 +65,9 @@ let branch_and_execute t env ~indirect ~objs impl_ids =
 (* The contemporary CUDA sequence (Fig. 1a): A, B, the constant-memory
    indirection, C. Also used by SharedOA and by COAL's converged sites.
 
-   Each style has a fused variant keyed on [Warp_ctx.fused]: per-lane
-   addresses go through the warp's scratch buffer ([load_into]), and
-   loaded values are rewritten in place instead of mapped into fresh
-   arrays. Same addresses, same emission order, same resolved targets —
-   traces are byte-identical; only the intermediate allocations go. *)
+   Every style computes per-lane addresses into the warp's scratch
+   buffer ([load_into]) and rewrites loaded values in place instead of
+   mapping them into fresh arrays. *)
 let cuda_style t env ~objs ~slot =
   let ctx = env.Env.ctx in
   let header_word =
@@ -78,41 +75,27 @@ let cuda_style t env ~objs ~slot =
     | Some w -> w
     | None -> invalid_arg "Dispatch: technique has no vtable header"
   in
-  if Warp_ctx.fused ctx then begin
-    let n = Array.length objs in
-    let buf = Warp_ctx.addr_scratch ctx n in
-    for i = 0 to n - 1 do
-      buf.(i) <- Object_model.header_addr t.om ~ptr:objs.(i) ~word:header_word
-    done;
-    let vtables =
-      Warp_ctx.load_into ctx ~label:Label.Vtable_load ~blocking:true
-        ~addrs:buf ~n
-    in
-    for i = 0 to n - 1 do
-      buf.(i) <- Vtable_space.slot_addr ~vtable:vtables.(i) ~slot
-    done;
-    let encoded =
-      Warp_ctx.load_into ctx ~label:Label.Vfunc_load ~blocking:true
-        ~addrs:buf ~n
-    in
-    Warp_ctx.const_load ctx ~label:Label.Const_indirect;
-    for i = 0 to n - 1 do
-      encoded.(i) <- Registry.decode_impl_id encoded.(i)
-    done;
-    branch_and_execute t env ~indirect:true ~objs encoded
-  end
-  else begin
-    let vt_addrs =
-      Array.map (fun ptr -> Object_model.header_addr t.om ~ptr ~word:header_word) objs
-    in
-    let vtables = Warp_ctx.load ctx ~label:Label.Vtable_load vt_addrs in
-    let fn_addrs =
-      Array.map (fun vtable -> Vtable_space.slot_addr ~vtable ~slot) vtables
-    in
-    let encoded = Warp_ctx.load ctx ~label:Label.Vfunc_load fn_addrs in
-    Warp_ctx.const_load ctx ~label:Label.Const_indirect;
-    branch_and_execute t env ~indirect:true ~objs (Array.map Registry.decode_impl_id encoded)
-  end
+  let n = Array.length objs in
+  let buf = Warp_ctx.addr_scratch ctx n in
+  for i = 0 to n - 1 do
+    buf.(i) <- Object_model.header_addr t.om ~ptr:objs.(i) ~word:header_word
+  done;
+  let vtables =
+    Warp_ctx.load_into ctx ~label:Label.Vtable_load ~blocking:true
+      ~addrs:buf ~n
+  in
+  for i = 0 to n - 1 do
+    buf.(i) <- Vtable_space.slot_addr ~vtable:vtables.(i) ~slot
+  done;
+  let encoded =
+    Warp_ctx.load_into ctx ~label:Label.Vfunc_load ~blocking:true
+      ~addrs:buf ~n
+  in
+  Warp_ctx.const_load ctx ~label:Label.Const_indirect;
+  for i = 0 to n - 1 do
+    encoded.(i) <- Registry.decode_impl_id encoded.(i)
+  done;
+  branch_and_execute t env ~indirect:true ~objs encoded
 
 let concord t env ~objs ~slot =
   let ctx = env.Env.ctx in
@@ -123,31 +106,22 @@ let concord t env ~objs ~slot =
       failwith "Dispatch.concord: corrupt type tag";
     Registry.impl_of_slot (Registry.find_type t.registry type_id) ~slot
   in
-  if Warp_ctx.fused ctx then begin
-    let n = Array.length objs in
-    let buf = Warp_ctx.addr_scratch ctx n in
-    for i = 0 to n - 1 do
-      buf.(i) <- Object_model.header_addr t.om ~ptr:objs.(i) ~word:0
-    done;
-    let tags =
-      Warp_ctx.load_into ctx ~label:Label.Concord_tag ~blocking:true
-        ~addrs:buf ~n
-    in
-    Warp_ctx.compute ctx ~n:(max 1 n_types) ~label:Label.Concord_switch;
-    for i = 0 to n - 1 do
-      tags.(i) <- impl_of_tag tags.(i)
-    done;
-    branch_and_execute t env ~indirect:false ~objs tags
-  end
-  else begin
-    let tag_addrs = Array.map (fun ptr -> Object_model.header_addr t.om ~ptr ~word:0) objs in
-    let tags = Warp_ctx.load ctx ~label:Label.Concord_tag tag_addrs in
-    (* The compiler-expanded switch: a compare/branch per program type, all
-       executed by the warp before the taken targets serialize. *)
-    Warp_ctx.compute ctx ~n:(max 1 n_types) ~label:Label.Concord_switch;
-    let impl_ids = Array.map impl_of_tag tags in
-    branch_and_execute t env ~indirect:false ~objs impl_ids
-  end
+  let n = Array.length objs in
+  let buf = Warp_ctx.addr_scratch ctx n in
+  for i = 0 to n - 1 do
+    buf.(i) <- Object_model.header_addr t.om ~ptr:objs.(i) ~word:0
+  done;
+  let tags =
+    Warp_ctx.load_into ctx ~label:Label.Concord_tag ~blocking:true
+      ~addrs:buf ~n
+  in
+  (* The compiler-expanded switch: a compare/branch per program type, all
+     executed by the warp before the taken targets serialize. *)
+  Warp_ctx.compute ctx ~n:(max 1 n_types) ~label:Label.Concord_switch;
+  for i = 0 to n - 1 do
+    tags.(i) <- impl_of_tag tags.(i)
+  done;
+  branch_and_execute t env ~indirect:false ~objs tags
 
 let coal t env ~objs ~slot =
   let ctx = env.Env.ctx in
@@ -170,36 +144,22 @@ let type_pointer t env ~objs ~slot =
   (* SHR to recover the tag, ADD onto vTablesStartAddr (Fig. 5b lines
      1-2); a dependent ALU chain. *)
   Warp_ctx.compute ctx ~n:2 ~blocking:true ~label:Label.Tp_dispatch;
-  if Warp_ctx.fused ctx then begin
-    let n = Array.length objs in
-    let buf = Warp_ctx.addr_scratch ctx n in
-    for i = 0 to n - 1 do
-      let vtable =
-        Vtable_space.vtable_of_tag t.vtspace ~tag:(Vaddr.tag_of objs.(i))
-      in
-      buf.(i) <- Vtable_space.slot_addr ~vtable ~slot
-    done;
-    let encoded =
-      Warp_ctx.load_into ctx ~label:Label.Vfunc_load ~blocking:true
-        ~addrs:buf ~n
+  let n = Array.length objs in
+  let buf = Warp_ctx.addr_scratch ctx n in
+  for i = 0 to n - 1 do
+    let vtable =
+      Vtable_space.vtable_of_tag t.vtspace ~tag:(Vaddr.tag_of objs.(i))
     in
-    for i = 0 to n - 1 do
-      encoded.(i) <- Registry.decode_impl_id encoded.(i)
-    done;
-    branch_and_execute t env ~indirect:true ~objs encoded
-  end
-  else begin
-    let fn_addrs =
-      Array.map
-        (fun ptr ->
-          let vtable = Vtable_space.vtable_of_tag t.vtspace ~tag:(Vaddr.tag_of ptr) in
-          Vtable_space.slot_addr ~vtable ~slot)
-        objs
-    in
-    let encoded = Warp_ctx.load ctx ~label:Label.Vfunc_load fn_addrs in
-    branch_and_execute t env ~indirect:true ~objs
-      (Array.map Registry.decode_impl_id encoded)
-  end
+    buf.(i) <- Vtable_space.slot_addr ~vtable ~slot
+  done;
+  let encoded =
+    Warp_ctx.load_into ctx ~label:Label.Vfunc_load ~blocking:true
+      ~addrs:buf ~n
+  in
+  for i = 0 to n - 1 do
+    encoded.(i) <- Registry.decode_impl_id encoded.(i)
+  done;
+  branch_and_execute t env ~indirect:true ~objs encoded
 
 let check_objs objs =
   if Array.length objs = 0 then invalid_arg "Dispatch.vcall: no receivers"

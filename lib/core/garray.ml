@@ -20,37 +20,23 @@ let addr t i =
   if i < 0 || i >= t.len then invalid_arg "Garray.addr: index out of bounds";
   t.base + (i * Vaddr.word_bytes)
 
-(* On the interned engine the per-lane addresses go through the warp's
-   reusable scratch buffer, so only the loaded-values array is allocated;
-   same addresses, same emission, same heap cells — byte-identical to the
-   legacy path below it. *)
+(* The per-lane addresses go through the warp's reusable scratch buffer,
+   so only the loaded-values array is allocated. *)
+let fill_addrs t ctx idxs =
+  let n = Array.length idxs in
+  let buf = Repro_gpu.Warp_ctx.addr_scratch ctx n in
+  for i = 0 to n - 1 do
+    buf.(i) <- addr t idxs.(i)
+  done;
+  buf
+
 let load t ctx ~idxs =
-  if Repro_gpu.Warp_ctx.fused ctx then begin
-    let n = Array.length idxs in
-    let buf = Repro_gpu.Warp_ctx.addr_scratch ctx n in
-    for i = 0 to n - 1 do
-      buf.(i) <- addr t idxs.(i)
-    done;
-    Repro_gpu.Warp_ctx.load_into ctx ~label:Repro_gpu.Label.Body
-      ~blocking:true ~addrs:buf ~n
-  end
-  else
-    let addrs = Array.map (addr t) idxs in
-    Repro_gpu.Warp_ctx.load ctx ~label:Repro_gpu.Label.Body addrs
+  Repro_gpu.Warp_ctx.load_into ctx ~label:Repro_gpu.Label.Body ~blocking:true
+    ~addrs:(fill_addrs t ctx idxs) ~n:(Array.length idxs)
 
 let store t ctx ~idxs values =
-  if Repro_gpu.Warp_ctx.fused ctx then begin
-    let n = Array.length idxs in
-    let buf = Repro_gpu.Warp_ctx.addr_scratch ctx n in
-    for i = 0 to n - 1 do
-      buf.(i) <- addr t idxs.(i)
-    done;
-    Repro_gpu.Warp_ctx.store_from ctx ~label:Repro_gpu.Label.Body ~addrs:buf
-      ~n values
-  end
-  else
-    let addrs = Array.map (addr t) idxs in
-    Repro_gpu.Warp_ctx.store ctx ~label:Repro_gpu.Label.Body addrs values
+  Repro_gpu.Warp_ctx.store_from ctx ~label:Repro_gpu.Label.Body
+    ~addrs:(fill_addrs t ctx idxs) ~n:(Array.length idxs) values
 
 let get t heap i = Repro_mem.Page_store.load heap (addr t i)
 

@@ -13,13 +13,9 @@ type t = {
   (* Allocator layout hook: maps (canonical object base, byte offset into
      the canonical AoS image) to the storage address. None = identity. *)
   mutable remap : (obj:int -> off:int -> int) option;
-  (* Interned-engine fast path: field accesses compute their per-lane
-     addresses into [scratch] and emit through [Warp_ctx.load_into]/
-     [store_from], so only the returned value array is allocated. Same
-     addresses, same emission order, same heap reads — byte-identical to
-     the legacy path, which stays below it for the measurable baseline
-     (and for sanitized runs, which want exact-width address arrays). *)
-  mutable fused : bool;
+  (* Field accesses compute their per-lane addresses into [scratch] and
+     emit through [Warp_ctx.load_into]/[store_from], so only the returned
+     value array is allocated. *)
   mutable scratch : int array;
 }
 
@@ -36,13 +32,10 @@ let create technique =
     strip_in_software = Technique.strips_in_software technique;
     last_stripped = [||];
     remap = None;
-    fused = false;
     scratch = [||];
   }
 
 let set_addr_hook t hook = t.remap <- hook
-
-let set_fused t b = t.fused <- b
 
 let technique t = t.technique
 
@@ -99,31 +92,19 @@ let fill_field_addrs t ~objs ~field =
 
 let field_load t ctx ~objs ~field =
   charge_strip t ctx objs;
-  if t.fused then begin
-    let n = fill_field_addrs t ~objs ~field in
-    let out =
-      Warp_ctx.load_into ~width:field_bytes ctx ~label:Label.Body
-        ~blocking:true ~addrs:t.scratch ~n
-    in
-    for i = 0 to n - 1 do out.(i) <- sign_extend out.(i) done;
-    out
-  end
-  else begin
-    let addrs = Array.map (fun ptr -> field_addr t ~ptr ~field) objs in
-    Array.map sign_extend (Warp_ctx.load ~width:field_bytes ctx ~label:Label.Body addrs)
-  end
+  let n = fill_field_addrs t ~objs ~field in
+  let out =
+    Warp_ctx.load_into ~width:field_bytes ctx ~label:Label.Body
+      ~blocking:true ~addrs:t.scratch ~n
+  in
+  for i = 0 to n - 1 do out.(i) <- sign_extend out.(i) done;
+  out
 
 let field_store t ctx ~objs ~field values =
   charge_strip t ctx objs;
-  if t.fused then begin
-    let n = fill_field_addrs t ~objs ~field in
-    Warp_ctx.store_from ~width:field_bytes ctx ~label:Label.Body
-      ~addrs:t.scratch ~n values
-  end
-  else begin
-    let addrs = Array.map (fun ptr -> field_addr t ~ptr ~field) objs in
-    Warp_ctx.store ~width:field_bytes ctx ~label:Label.Body addrs values
-  end
+  let n = fill_field_addrs t ~objs ~field in
+  Warp_ctx.store_from ~width:field_bytes ctx ~label:Label.Body
+    ~addrs:t.scratch ~n values
 
 let field_load_host t heap ~ptr ~field =
   sign_extend

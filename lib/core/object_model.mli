@@ -28,15 +28,6 @@ val set_addr_hook : t -> (obj:int -> off:int -> int) option -> unit
     [block_base + per-field array + slot] instead of [obj + off].
     [None] (the default) is the identity AoS layout. *)
 
-val set_fused : t -> bool -> unit
-(** Enable the interned-engine fast path for {!field_load}/{!field_store}:
-    per-lane addresses go through a reusable scratch buffer and the fused
-    [Warp_ctx.load_into]/[store_from] entry points, allocating only the
-    returned value array. Emission order, addresses and heap effects are
-    identical to the legacy path, so results are byte-identical; off by
-    default (the runtime turns it on with [Engine.intern] on unsanitized
-    runs). *)
-
 val technique : t -> Technique.t
 
 val header_words : t -> int

@@ -42,10 +42,6 @@ let create ?config ?(engine = Repro_gpu.Engine.default) ?prealloc_mb
   let registry = Registry.create ~heap in
   let vtspace = Vtable_space.create ?encoding:vt_encoding ~heap ~space () in
   let om = Object_model.create technique in
-  (* The fused emission path wants raw scratch buffers; sanitized runs
-     keep the legacy exact-width-array path the checker was written
-     against. *)
-  Object_model.set_fused om (engine.Repro_gpu.Engine.intern && san = None);
   let shadow = Option.map Repro_san.Checker.shadow san in
   let alloc_family =
     match alloc with

@@ -24,10 +24,8 @@ val create :
   technique:Technique.t ->
   unit -> t
 (** [engine] selects the simulation engine (default
-    {!Repro_gpu.Engine.default}): [intern] turns on interned trace
-    emission plus the object model's fused field path (byte-identical
-    results; sanitized runs keep the legacy field path), [intra] the
-    sliced intra-launch parallel replay. [prealloc_mb] is a pure
+    {!Repro_gpu.Engine.default}): [intra] turns on the sliced
+    intra-launch parallel replay. [prealloc_mb] is a pure
     capacity hint — the expected heap footprint in MiB, used to pre-size
     the page store so paper-scale runs skip its rehash storms.
 

@@ -7,7 +7,7 @@ type outcome = {
   cached : bool;
 }
 
-let default_jobs () = Pool.available_workers ()
+let default_jobs () = Repro_util.Pool.available_workers ()
 
 let timed job =
   let t0 = Unix.gettimeofday () in
@@ -72,7 +72,7 @@ let run ?(jobs = 1) ?(cache = false) ?cache_dir ?(progress = fun _ -> ())
     progress job;
     timed job
   in
-  let measured = Pool.map ~jobs ~f:measure miss_idx in
+  let measured = Repro_util.Pool.map ~jobs ~f:measure miss_idx in
   let fresh = Hashtbl.create (Array.length miss_idx) in
   Array.iteri
     (fun k i ->

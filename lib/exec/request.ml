@@ -43,7 +43,6 @@ module Spec = struct
     iterations : int option;
     chunk_objs : int option;
     pages : string option;
-    intern : bool;
     intra : bool;
     prealloc_mb : int option;
   }
@@ -55,14 +54,14 @@ module Spec = struct
   let default_seed = 42
 
   let make ?alloc ?(scale = default_scale) ?(seed = default_seed) ?iterations
-      ?chunk_objs ?pages ?(intern = true) ?(intra = false) ?prealloc_mb
+      ?chunk_objs ?pages ?(intra = false) ?prealloc_mb
       ~workload ~technique () =
     (* "none" (the CLI's explicit default) and omission are the same run;
        canonicalize so the job key and cache agree — the [alloc]
        canonicalization below plays the same trick. *)
     let pages = match pages with Some "none" -> None | p -> p in
     { workload; technique; alloc; scale; seed; iterations; chunk_objs; pages;
-      intern; intra; prealloc_mb }
+      intra; prealloc_mb }
 
   let of_job (job : Job.t) =
     let p = job.Job.params in
@@ -75,7 +74,6 @@ module Spec = struct
       iterations = p.W.Workload.iterations;
       chunk_objs = p.W.Workload.chunk_objs;
       pages = Option.map Repro_vm.Policy.name p.W.Workload.pages;
-      intern = p.W.Workload.intern;
       intra = p.W.Workload.intra;
       prealloc_mb = p.W.Workload.prealloc_mb;
     }
@@ -123,7 +121,6 @@ module Spec = struct
               iterations = t.iterations;
               chunk_objs = t.chunk_objs;
               pages;
-              intern = t.intern;
               intra = t.intra;
               prealloc_mb = t.prealloc_mb;
             }))
@@ -167,9 +164,8 @@ module Spec = struct
       @ (match t.pages with
          | Some p -> [ ("pages", J.String p) ]
          | None -> [])
-      (* Engine fields ride the wire only off their defaults, so default
-         jobs encode exactly as they did under schema v1. *)
-      @ (if t.intern then [] else [ ("intern", J.Bool false) ])
+      (* [intra] rides the wire only off its default, so default jobs
+         encode exactly as they did under schema v1. *)
       @ (if t.intra then [ ("intra", J.Bool true) ] else [])
       @
       match t.prealloc_mb with
@@ -211,7 +207,6 @@ module Spec = struct
         (match D.field_opt "pages" pages_decoder j with
          | Some "none" -> None
          | p -> p);
-      intern = D.field_default "intern" D.bool true j;
       intra = D.field_default "intra" D.bool false j;
       prealloc_mb = D.field_opt "prealloc_mb" D.int j;
     }
@@ -222,7 +217,6 @@ module Spec = struct
     let extras =
       (match t.alloc with Some a -> [ "alloc=" ^ a ] | None -> [])
       @ (match t.pages with Some p -> [ "pages=" ^ p ] | None -> [])
-      @ (if t.intern then [] else [ "legacy-engine" ])
       @ if t.intra then [ "intra" ] else []
     in
     match extras with

@@ -13,7 +13,7 @@
 
     Wire form: one JSON object per line (LF-terminated, no newlines
     inside). Requests carry [{"v": 2, "type": ...}]; see PROTOCOL.md for
-    the full message reference. (v2 added the engine fields [intern]/
+    the full message reference. (v2 added the engine fields
     [intra]/[prealloc_mb] and aligned the absent-[scale] default with
     [repro sweep]'s 0.25 — under v1 a bare submit silently ran scale
     1.0.) *)
@@ -52,9 +52,6 @@ module Spec : sig
             [None] = no address translation. Never the string ["none"] —
             constructors canonicalize it away so the job key and cache
             agree with the omitted form. *)
-    intern : bool;
-        (** Interned emission engine; [false] selects the legacy
-            baseline engine. Byte-identical results either way. *)
     intra : bool;
         (** Intra-launch sharded parallel timing (a distinct,
             deterministic timing model). *)
@@ -75,15 +72,14 @@ module Spec : sig
     ?iterations:int ->
     ?chunk_objs:int ->
     ?pages:string ->
-    ?intern:bool ->
     ?intra:bool ->
     ?prealloc_mb:int ->
     workload:string ->
     technique:string ->
     unit ->
     t
-  (** Defaults: [scale] {!default_scale}, [seed 42], [intern true],
-      [intra false], no overrides. *)
+  (** Defaults: [scale] {!default_scale}, [seed 42], [intra false], no
+      overrides. *)
 
   val of_job : Job.t -> t
   (** The spec that {!resolve}s back to an equal job (same {!Job.key}).

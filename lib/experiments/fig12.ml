@@ -38,7 +38,7 @@ let sweep ?(j = 1) ~configs () =
          configs)
   in
   let raw =
-    Repro_exec.Pool.map ~jobs:j
+    Repro_util.Pool.map ~jobs:j
       ~f:(fun (name, variant, n_objects, n_types) ->
         let cycles, _result = W.Ubench.run ~n_objects ~n_types variant in
         (name, n_objects, n_types, cycles))

@@ -27,7 +27,7 @@ let default_scale = W.Workload.default_scale
 
 let exec ?(scale = default_scale) ?iterations ?(j = 1) ?(cache = false)
     ?cache_dir ?(progress = fun _ -> ()) ?(workloads = W.Registry.all)
-    ?(columns = default_columns) ?pages ?(intern = true) ?(intra = false)
+    ?(columns = default_columns) ?pages ?(intra = false)
     ?prealloc_mb () =
   let params c =
     {
@@ -35,7 +35,6 @@ let exec ?(scale = default_scale) ?iterations ?(j = 1) ?(cache = false)
       W.Workload.scale;
       iterations;
       pages;
-      intern;
       intra;
       prealloc_mb;
       (* Default families stay [None] so the job key (and cache entry) is

@@ -47,7 +47,6 @@ val exec :
   ?workloads:Repro_workloads.Workload.t list ->
   ?columns:column list ->
   ?pages:Repro_vm.Policy.t ->
-  ?intern:bool ->
   ?intra:bool ->
   ?prealloc_mb:int ->
   unit -> t
@@ -60,10 +59,8 @@ val exec :
     failed job (after all jobs finished), or on a cross-column
     functional mismatch.
 
-    [intern] (default [true]) selects the interned emission engine;
-    [false] is the legacy baseline (byte-identical results, slower —
-    what [bench/scale_bench.exe] measures against). [intra] (default
-    [false]) opts into the sliced intra-launch parallel timing model.
+    [intra] (default [false]) opts into the sliced intra-launch
+    parallel timing model.
     [prealloc_mb] pre-sizes each runtime's page store (a pure capacity
     hint). *)
 

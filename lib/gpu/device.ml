@@ -5,7 +5,7 @@ type t = {
   mem_path : Mem_path.t;
   mutable shards : Mem_path.t array; (* per-SM memory slices; [||] until the
                                         first sharded launch, then persistent *)
-  scratch : Trace.t; (* reusable emission trace for the interned engine *)
+  scratch : Trace.t; (* reusable per-warp emission trace *)
   stats : Stats.t;
   san : Repro_san.Checker.t option;
   tel : Telemetry.t option;
@@ -87,42 +87,29 @@ let launch t ~n_threads kernel =
   if n_threads <= 0 then invalid_arg "Device.launch: n_threads must be positive";
   let warp_size = t.cfg.Config.warp_size in
   let n_warps = Repro_util.Mathx.ceil_div n_threads warp_size in
+  (* Every warp emits into the device's scratch trace, then seals
+     through a per-launch pool that hash-conses identical instruction
+     streams (addresses stay per-warp). *)
+  let pool = Trace.Intern.create () in
   let traces =
-    if t.engine.Engine.intern then begin
-      (* Interned emission: every warp emits into the device's scratch
-         trace, then seals through a per-launch pool that hash-conses
-         identical instruction streams (addresses stay per-warp). *)
-      let pool = Trace.Intern.create () in
-      let traces =
-        Array.init n_warps (fun warp_id ->
-            let first = warp_id * warp_size in
-            let width = min warp_size (n_threads - first) in
-            let lanes = Array.init width (fun lane -> first + lane) in
-            Trace.reset t.scratch;
-            let ctx =
-              Warp_ctx.create ?san:t.san ~fused:(t.san = None)
-                ~trace:t.scratch ~heap:t.heap ~warp_id ~lanes ()
-            in
-            kernel ctx;
-            Trace.Intern.seal pool t.scratch)
-      in
-      t.sealed_streams <- t.sealed_streams + Trace.Intern.sealed pool;
-      t.unique_streams <- t.unique_streams + Trace.Intern.unique pool;
-      t.sealed_stream_instrs <-
-        t.sealed_stream_instrs + Trace.Intern.sealed_instrs pool;
-      t.unique_stream_instrs <-
-        t.unique_stream_instrs + Trace.Intern.unique_instrs pool;
-      traces
-    end
-    else
-      Array.init n_warps (fun warp_id ->
-          let first = warp_id * warp_size in
-          let width = min warp_size (n_threads - first) in
-          let lanes = Array.init width (fun lane -> first + lane) in
-          let ctx = Warp_ctx.create ?san:t.san ~heap:t.heap ~warp_id ~lanes () in
-          kernel ctx;
-          Warp_ctx.trace ctx)
+    Array.init n_warps (fun warp_id ->
+        let first = warp_id * warp_size in
+        let width = min warp_size (n_threads - first) in
+        let lanes = Array.init width (fun lane -> first + lane) in
+        Trace.reset t.scratch;
+        let ctx =
+          Warp_ctx.create ?san:t.san ~trace:t.scratch ~heap:t.heap ~warp_id
+            ~lanes ()
+        in
+        kernel ctx;
+        Trace.Intern.seal pool t.scratch)
   in
+  t.sealed_streams <- t.sealed_streams + Trace.Intern.sealed pool;
+  t.unique_streams <- t.unique_streams + Trace.Intern.unique pool;
+  t.sealed_stream_instrs <-
+    t.sealed_stream_instrs + Trace.Intern.sealed_instrs pool;
+  t.unique_stream_instrs <-
+    t.unique_stream_instrs + Trace.Intern.unique_instrs pool;
   (* Each launch counts into its own [Stats.t] which is then folded into
      the cumulative totals, so the per-kernel deltas of [kernel_timeline]
      sum (bit-for-bit, including the float counters) to [stats]. *)
@@ -143,13 +130,12 @@ let launch t ~n_threads kernel =
        if use_sharded t then
          Sm.run_sharded t.cfg ~shards:(shards t)
            ~jobs:(Engine.resolve_jobs t.engine) ~stats:launch_stats ~traces
-       else if t.engine.Engine.intern && Mem_path.plain t.mem_path then
-         (* The interned engine's replay path: byte-identical to Sm.run
-            (the fused loop replicates its event order and float
-            sequence), so the legacy engine below stays the measurable
-            A/B baseline. *)
+       else if Mem_path.plain t.mem_path then
          Sm.run_fused t.cfg t.mem_path ~stats:launch_stats ~traces
-       else Sm.run t.cfg t.mem_path ~stats:launch_stats ~traces
+       else
+         (* A translation model is attached: the reference loop prices
+            the TLB walks. *)
+         Sm.run t.cfg t.mem_path ~stats:launch_stats ~traces
      in
      Stats.add_cycles launch_stats cycles;
      san_delta ()

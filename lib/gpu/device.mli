@@ -18,15 +18,15 @@ val create :
     contexts and folds the checker's per-launch violation delta into that
     launch's counters (so the timeline invariant below still holds).
 
-    [engine] selects the simulation engine (default {!Engine.default}:
-    interned emission on, sharded timing off). With [engine.intern],
-    phase 1 emits every warp through one reusable scratch trace and
-    hash-conses identical instruction streams per launch — stats stay
-    byte-identical. With [engine.intra], phase 2 replays each SM against
-    a private memory-system slice over the Domain pool (deterministic,
-    [jobs]-independent, but a documented model deviation); launches with
-    telemetry or an attached translation model fall back to the
-    sequential loop.
+    Phase 1 emits every warp through one reusable scratch trace and
+    hash-conses identical instruction streams per launch. Phase 2 replays
+    with {!Sm.run_fused}, or with {!Sm.run} when telemetry or a
+    translation model is attached. [engine] (default {!Engine.default})
+    selects sharded timing: with [engine.intra], phase 2 replays each SM
+    against a private memory-system slice over the Domain pool
+    (deterministic, [jobs]-independent, but a documented model
+    deviation); launches with telemetry or an attached translation model
+    fall back to the sequential loop.
 
     [telemetry] opts into cycle-resolved instrumentation, allocated once
     here: windowed counter sampling ({!window_timeline}) and/or the
@@ -41,11 +41,10 @@ val interning_tallies : t -> int * int * int * int
 (** [(sealed, unique, sealed_instrs, unique_instrs)] — warp instruction
     streams sealed through the interning pools since the last
     {!reset_stats}, how many were distinct, and the dynamic warp
-    instructions behind each. All zero when the legacy engine is
-    selected (or nothing launched). *)
+    instructions behind each. All zero before the first launch. *)
 
 val dedup_ratio : t -> float
-(** [sealed /. unique] streams ([1.] before any interned launch) — the
+(** [sealed /. unique] streams ([1.] before any launch) — the
     interning compression factor. *)
 
 val heap : t -> Repro_mem.Page_store.t

@@ -1,12 +1,9 @@
 type t = {
-  intern : bool;
   intra : bool;
   intra_jobs : int;
 }
 
-let default = { intern = true; intra = false; intra_jobs = 0 }
-
-let legacy = { default with intern = false }
+let default = { intra = false; intra_jobs = 0 }
 
 let resolve_jobs t =
   if t.intra_jobs > 0 then t.intra_jobs

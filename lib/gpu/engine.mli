@@ -1,17 +1,5 @@
-(** Simulation-engine configuration.
-
-    Two independent switches over the two phases of a run, plus one
-    runtime knob:
-
-    - [intern] — the interned emission engine (phase 1): per-warp
-      instruction streams are emitted into a reusable scratch trace and
-      hash-consed per launch ({!Trace.Intern}), and the object model's
-      field access path fuses address generation, emission and the heap
-      read into allocation-free loops. Storage and speed only: the
-      emitted traces are structurally identical to the legacy path's, so
-      replay timing and stats are byte-identical. On by default;
-      [intern = false] is the legacy engine kept as the measurable
-      baseline (and for memory-behaviour A/B runs).
+(** Simulation-engine configuration: one switch over the timing phase,
+    plus one runtime knob.
 
     - [intra] — intra-launch sharded timing (phase 2): each SM replays
       independently against a private slice of the memory system
@@ -27,15 +15,11 @@
       [Repro_util.Pool.available_workers ()]. Never affects results. *)
 
 type t = {
-  intern : bool;      (** interned emission engine (default [true]) *)
   intra : bool;       (** sliced intra-launch parallel timing (default [false]) *)
   intra_jobs : int;   (** domains for [intra]; [<= 0] = auto. Results-neutral. *)
 }
 
 val default : t
-
-val legacy : t
-(** [default] with [intern = false]: the pre-interning engine. *)
 
 val resolve_jobs : t -> int
 (** [intra_jobs] with the auto default applied. *)

@@ -7,12 +7,13 @@
    the only allocations are per-warp (activation list, heap growth),
    constant for a fixed launch shape regardless of trace length.
 
-   Telemetry keeps that discipline: the plain drain loop below is
-   untouched when no [Telemetry.t] is passed, and the instrumented twin
-   only adds a float-array compare per pop (the sampler's boundary
-   mailbox) plus direct int/float-array stores into the event ring —
-   recording never boxes. The loops are written out twice rather than
-   parameterized so the off path carries no telemetry branches at all. *)
+   Telemetry keeps that discipline: it only adds a float-array compare
+   per pop (the sampler's boundary mailbox) plus direct int/float-array
+   stores into the event ring — recording never boxes. Without telemetry
+   the boundary mailbox holds infinity and there is no ring.
+
+   This is the reference loop: it serves telemetry and address
+   translation. Plain launches replay through [run_fused] below. *)
 
 (* Bit-identical to [Float.max] on this domain (non-NaN, no negative
    zero): simulated times only grow from 0 by positive increments. *)
@@ -57,172 +58,115 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
     let const_lat = float_of_int cfg.const_latency in
     let call_ind_lat = float_of_int cfg.call_indirect_latency in
     let call_dir_lat = float_of_int cfg.call_direct_latency in
-    (match telemetry with
-     | None ->
-       let stalls = Stats.stall_accumulator stats in
-       let rec drain () =
-         let w = Event_heap.pop events in
-         if w >= 0 then begin
-           let ready = kc.(0) in
-           let tr = traces.(w) in
-           let pc = pcs.(w) in
-           let sm = w mod cfg.n_sms in
-           if pc >= Trace.length tr then begin
-             (* Warp retires; its slot frees for a pending warp. *)
-             if ready > finish.(0) then finish.(0) <- ready;
-             activate sm ready
-           end
-           else begin
-             pcs.(w) <- pc + 1;
-             let op = Trace.op tr pc in
-             let lbl = Trace.label_index tr pc in
-             let rep = Trace.repeat tr pc in
-             Stats.count_classified stats
-               (if op = Trace.op_compute then `Compute
-                else if op = Trace.op_ctrl || op >= Trace.op_call_indirect then `Ctrl
-                else `Mem)
-               rep;
-             let issue_time = fmax ready issue_clock.(sm) in
-             let slots = float_of_int rep *. issue_cost in
-             issue_clock.(sm) <- issue_time +. slots;
-             let next_ready =
-               if op = Trace.op_load then begin
-                 io.(0) <- issue_time;
-                 Mem_path.load_soa mem_path ~stats ~label_idx:lbl ~sm
-                   ~arena:(Trace.arena tr) ~off:(Trace.addr_off tr pc)
-                   ~len:(Trace.active tr pc);
-                 if Trace.is_blocking tr pc then io.(1) else issue_time +. slots
-               end
-               else if op = Trace.op_store then begin
-                 io.(0) <- issue_time;
-                 Mem_path.store_soa mem_path ~stats ~sm ~arena:(Trace.arena tr)
-                   ~off:(Trace.addr_off tr pc) ~len:(Trace.active tr pc);
-                 issue_time +. slots
-               end
-               else if op = Trace.op_compute then
-                 if Trace.is_blocking tr pc then
-                   (* A dependent ALU chain: each op waits on the previous. *)
-                   issue_time +. float_of_int (rep * cfg.compute_latency)
-                 else issue_time +. slots
-               else if op = Trace.op_ctrl then issue_time +. ctrl_lat
-               else if op = Trace.op_const_load then issue_time +. const_lat
-               else if op = Trace.op_call_indirect then issue_time +. call_ind_lat
-               else issue_time +. call_dir_lat
-             in
-             let stall = next_ready -. issue_time -. slots in
-             if stall > 0. then stalls.(lbl) <- stalls.(lbl) +. stall;
-             kc.(0) <- next_ready;
-             Event_heap.push events w
-           end;
-           drain ()
-         end
-       in
-       drain ()
-     | Some tel ->
-       let sampler = tel.Telemetry.sampler in
-       let ring = tel.Telemetry.ring in
-       (* With sampling on, counters flow into the open window's row;
-          [cur]/[stalls] are refs so the rare boundary crossing can swap
-          them (a pointer store, no allocation). The infinity mailbox
-          makes the per-pop compare uniform when sampling is off. *)
-       let bcell =
-         match sampler with
-         | Some s -> Telemetry.Sampler.boundary_cell s
-         | None -> Array.make 1 infinity
-       in
-       let cur =
-         ref
-           (match sampler with
-            | Some s -> Telemetry.Sampler.current s
-            | None -> stats)
-       in
-       let stalls = ref (Stats.stall_accumulator !cur) in
-       let rec drain () =
-         let w = Event_heap.pop events in
-         if w >= 0 then begin
-           let ready = kc.(0) in
-           if ready >= bcell.(0) then begin
-             match sampler with
-             | Some s ->
-               Telemetry.Sampler.advance s ~now:ready;
-               let row = Telemetry.Sampler.current s in
-               cur := row;
-               stalls := Stats.stall_accumulator row
-             | None -> ()
-           end;
-           let tr = traces.(w) in
-           let pc = pcs.(w) in
-           let sm = w mod cfg.n_sms in
-           if pc >= Trace.length tr then begin
-             if ready > finish.(0) then finish.(0) <- ready;
-             activate sm ready
-           end
-           else begin
-             pcs.(w) <- pc + 1;
-             let op = Trace.op tr pc in
-             let lbl = Trace.label_index tr pc in
-             let rep = Trace.repeat tr pc in
-             let st = !cur in
-             Stats.count_classified st
-               (if op = Trace.op_compute then `Compute
-                else if op = Trace.op_ctrl || op >= Trace.op_call_indirect then `Ctrl
-                else `Mem)
-               rep;
-             let issue_time = fmax ready issue_clock.(sm) in
-             let slots = float_of_int rep *. issue_cost in
-             issue_clock.(sm) <- issue_time +. slots;
-             let next_ready =
-               if op = Trace.op_load then begin
-                 io.(0) <- issue_time;
-                 Mem_path.load_soa mem_path ~stats:st ~label_idx:lbl ~sm
-                   ~arena:(Trace.arena tr) ~off:(Trace.addr_off tr pc)
-                   ~len:(Trace.active tr pc);
-                 if Trace.is_blocking tr pc then io.(1) else issue_time +. slots
-               end
-               else if op = Trace.op_store then begin
-                 io.(0) <- issue_time;
-                 Mem_path.store_soa mem_path ~stats:st ~sm ~arena:(Trace.arena tr)
-                   ~off:(Trace.addr_off tr pc) ~len:(Trace.active tr pc);
-                 issue_time +. slots
-               end
-               else if op = Trace.op_compute then
-                 if Trace.is_blocking tr pc then
-                   issue_time +. float_of_int (rep * cfg.compute_latency)
-                 else issue_time +. slots
-               else if op = Trace.op_ctrl then issue_time +. ctrl_lat
-               else if op = Trace.op_const_load then issue_time +. const_lat
-               else if op = Trace.op_call_indirect then issue_time +. call_ind_lat
-               else issue_time +. call_dir_lat
-             in
-             let stall = next_ready -. issue_time -. slots in
-             if stall > 0. then begin
-               let sa = !stalls in
-               sa.(lbl) <- sa.(lbl) +. stall;
-               match ring with
-               | Some r ->
-                 (* Stall span, written field by field (a helper taking
-                    ts/dur floats would box them per event). *)
-                 let i = r.Telemetry.Ring.head in
-                 r.Telemetry.Ring.kind.(i) <- Telemetry.Ring.kind_stall;
-                 r.Telemetry.Ring.track.(i) <- sm;
-                 r.Telemetry.Ring.arg_a.(i) <- lbl;
-                 r.Telemetry.Ring.arg_b.(i) <- w;
-                 let t0 = r.Telemetry.Ring.cells.(0) +. issue_time +. slots in
-                 r.Telemetry.Ring.ts.(i) <- t0;
-                 r.Telemetry.Ring.dur.(i) <- stall;
-                 let e = t0 +. stall in
-                 if e > r.Telemetry.Ring.cells.(1) then
-                   r.Telemetry.Ring.cells.(1) <- e;
-                 Telemetry.Ring.bump r
-               | None -> ()
-             end;
-             kc.(0) <- next_ready;
-             Event_heap.push events w
-           end;
-           drain ()
-         end
-       in
-       drain ());
+    let sampler, ring =
+      match telemetry with
+      | Some tel -> (tel.Telemetry.sampler, tel.Telemetry.ring)
+      | None -> (None, None)
+    in
+    (* With sampling on, counters flow into the open window's row;
+       [cur]/[stalls] are refs so the rare boundary crossing can swap
+       them (a pointer store, no allocation). The infinity mailbox
+       makes the per-pop compare uniform when sampling is off. *)
+    let bcell =
+      match sampler with
+      | Some s -> Telemetry.Sampler.boundary_cell s
+      | None -> Array.make 1 infinity
+    in
+    let cur =
+      ref
+        (match sampler with
+         | Some s -> Telemetry.Sampler.current s
+         | None -> stats)
+    in
+    let stalls = ref (Stats.stall_accumulator !cur) in
+    let rec drain () =
+      let w = Event_heap.pop events in
+      if w >= 0 then begin
+        let ready = kc.(0) in
+        if ready >= bcell.(0) then begin
+          match sampler with
+          | Some s ->
+            Telemetry.Sampler.advance s ~now:ready;
+            let row = Telemetry.Sampler.current s in
+            cur := row;
+            stalls := Stats.stall_accumulator row
+          | None -> ()
+        end;
+        let tr = traces.(w) in
+        let pc = pcs.(w) in
+        let sm = w mod cfg.n_sms in
+        if pc >= Trace.length tr then begin
+          (* Warp retires; its slot frees for a pending warp. *)
+          if ready > finish.(0) then finish.(0) <- ready;
+          activate sm ready
+        end
+        else begin
+          pcs.(w) <- pc + 1;
+          let op = Trace.op tr pc in
+          let lbl = Trace.label_index tr pc in
+          let rep = Trace.repeat tr pc in
+          let st = !cur in
+          Stats.count_classified st
+            (if op = Trace.op_compute then `Compute
+             else if op = Trace.op_ctrl || op >= Trace.op_call_indirect then `Ctrl
+             else `Mem)
+            rep;
+          let issue_time = fmax ready issue_clock.(sm) in
+          let slots = float_of_int rep *. issue_cost in
+          issue_clock.(sm) <- issue_time +. slots;
+          let next_ready =
+            if op = Trace.op_load then begin
+              io.(0) <- issue_time;
+              Mem_path.load_soa mem_path ~stats:st ~label_idx:lbl ~sm
+                ~arena:(Trace.arena tr) ~off:(Trace.addr_off tr pc)
+                ~len:(Trace.active tr pc);
+              if Trace.is_blocking tr pc then io.(1) else issue_time +. slots
+            end
+            else if op = Trace.op_store then begin
+              io.(0) <- issue_time;
+              Mem_path.store_soa mem_path ~stats:st ~sm ~arena:(Trace.arena tr)
+                ~off:(Trace.addr_off tr pc) ~len:(Trace.active tr pc);
+              issue_time +. slots
+            end
+            else if op = Trace.op_compute then
+              if Trace.is_blocking tr pc then
+                (* A dependent ALU chain: each op waits on the previous. *)
+                issue_time +. float_of_int (rep * cfg.compute_latency)
+              else issue_time +. slots
+            else if op = Trace.op_ctrl then issue_time +. ctrl_lat
+            else if op = Trace.op_const_load then issue_time +. const_lat
+            else if op = Trace.op_call_indirect then issue_time +. call_ind_lat
+            else issue_time +. call_dir_lat
+          in
+          let stall = next_ready -. issue_time -. slots in
+          if stall > 0. then begin
+            let sa = !stalls in
+            sa.(lbl) <- sa.(lbl) +. stall;
+            match ring with
+            | Some r ->
+              (* Stall span, written field by field (a helper taking
+                 ts/dur floats would box them per event). *)
+              let i = r.Telemetry.Ring.head in
+              r.Telemetry.Ring.kind.(i) <- Telemetry.Ring.kind_stall;
+              r.Telemetry.Ring.track.(i) <- sm;
+              r.Telemetry.Ring.arg_a.(i) <- lbl;
+              r.Telemetry.Ring.arg_b.(i) <- w;
+              let t0 = r.Telemetry.Ring.cells.(0) +. issue_time +. slots in
+              r.Telemetry.Ring.ts.(i) <- t0;
+              r.Telemetry.Ring.dur.(i) <- stall;
+              let e = t0 +. stall in
+              if e > r.Telemetry.Ring.cells.(1) then
+                r.Telemetry.Ring.cells.(1) <- e;
+              Telemetry.Ring.bump r
+            | None -> ()
+          end;
+          kc.(0) <- next_ready;
+          Event_heap.push events w
+        end;
+        drain ()
+      end
+    in
+    drain ();
     finish.(0)
   end
 
@@ -272,7 +216,7 @@ let access_raw (tags : int array) (valid : int array) (stamps : int array)
 (* The fused replay twin of [run]: same event order, same float
    operations in the same sequence, so the launch it times is
    byte-identical in cycles and counters — verified by the qcheck
-   equivalence test and the legacy-engine sweep diff. What changes is
+   equivalence test. What changes is
    only mechanics (this build has no flambda, so every cross-module
    call in [run]'s per-instruction path is a real call):
 
@@ -292,9 +236,9 @@ let access_raw (tags : int array) (valid : int array) (stamps : int array)
      [Stats.bump_replay_counters]; integer adds are exact, so the
      totals match per-instruction counting bit for bit.
 
-   The precondition mirrors the engine gate in [Device]: no telemetry
-   and no address translation ([Mem_path.plain]); [run] remains the
-   reference path for those and for the legacy engine. *)
+   The precondition mirrors the gate in [Device]: no telemetry and no
+   address translation ([Mem_path.plain]); [run] remains the reference
+   path for those. *)
 let run_fused (cfg : Config.t) mem_path ~stats ~traces =
   Config.validate cfg;
   if not (Mem_path.plain mem_path) then
@@ -616,7 +560,7 @@ let run_sharded (cfg : Config.t) ~shards ~jobs ~stats ~traces =
       Repro_util.Pool.map ~jobs
         ~f:(fun s ->
           let st = Stats.create () in
-          let cyc = run scfg shards.(s) ~stats:st ~traces:shard_traces.(s) in
+          let cyc = run_fused scfg shards.(s) ~stats:st ~traces:shard_traces.(s) in
           (cyc, st))
         (Array.init n_sms (fun s -> s))
     in

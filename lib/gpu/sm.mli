@@ -24,8 +24,8 @@ val run :
     get the launch totals — bit-exact by construction). When it carries
     a ring, warp stall intervals are recorded as events (memory-system
     events come from {!Mem_path}, whose ring must be set separately).
-    Without [telemetry] the loop is the untouched zero-allocation replay
-    path. *)
+    This is the reference loop for telemetry and address translation;
+    plain launches replay through {!run_fused}. *)
 
 val run_fused :
   Config.t -> Mem_path.t -> stats:Stats.t -> traces:Trace.t array -> float
@@ -35,18 +35,19 @@ val run_fused :
     (trace accessors, [Cache.access], the [Mem_path] hierarchy walk,
     the event heap) inlined over state hoisted once per launch, and
     scalar counters flushed to [stats] in one exact integer add per
-    launch. This is the interned engine's replay path ([Engine.intern],
-    gated in [Device]); [run] remains the reference for the legacy
-    engine, telemetry and address translation. Raises [Invalid_argument]
-    unless the memory path is plain (no ring, no vm). *)
+    launch. [Device] replays every plain launch here; [run] remains the
+    reference for telemetry and address translation. Raises
+    [Invalid_argument] unless the memory path is plain (no ring, no
+    vm). *)
 
 val run_sharded :
   Config.t -> shards:Mem_path.t array -> jobs:int -> stats:Stats.t ->
   traces:Trace.t array -> float
 (** Intra-launch sharded timing: SM [s] replays its warps ([s, s+n_sms,
     ...], the sequential engine's dealing, in the same order) against
-    [shards.(s)], a memory path built from {!Config.slice} — its own L1
-    plus a private [1/n_sms] slice of L2 capacity and L2/DRAM bandwidth.
+    [shards.(s)] with {!run_fused}. Each shard is a plain memory path
+    built from {!Config.slice} — its own L1 plus a private [1/n_sms]
+    slice of L2 capacity and L2/DRAM bandwidth.
     Shards are independent, so they replay on up to [jobs] domains; the
     per-SM stats are merged into [stats] in SM order and the returned
     completion time is the slowest shard's. The result is deterministic

@@ -139,10 +139,6 @@ let emit_call_direct t ~label ~active =
 
 (* --- replay accessors (no bounds logic beyond the array checks) -------- *)
 
-let check t i label =
-  if i < 0 || i >= t.len then
-    invalid_arg ("Trace." ^ label ^ ": index out of bounds")
-
 let op t i = t.op.(i)
 let label_index t i = t.lbl.(i)
 let active t i = t.act.(i)
@@ -153,46 +149,6 @@ let addr_off t i = t.aoff.(i)
 let arena t = t.addrs
 (* The current arena array. Further emission may replace it (growth), so
    fetch it again after any emit; during replay the trace is frozen. *)
-
-(* --- compatibility view ----------------------------------------------- *)
-
-let get t i : Instr.t =
-  check t i "get";
-  let label = Label.of_index t.lbl.(i) in
-  let blocking = t.blk.(i) <> 0 in
-  let active = t.act.(i) in
-  let payload () = Array.sub t.addrs t.aoff.(i) active in
-  let kind : Instr.kind =
-    match t.op.(i) with
-    | 0 -> Instr.Load (payload ())
-    | 1 -> Instr.Store (payload ())
-    | 2 -> Instr.Compute t.rep.(i)
-    | 3 -> Instr.Ctrl t.rep.(i)
-    | 4 -> Instr.Const_load
-    | 5 -> Instr.Call_indirect
-    | _ -> Instr.Call_direct
-  in
-  { Instr.label; kind; blocking; active }
-
-let emit t (i : Instr.t) =
-  match i.Instr.kind with
-  | Instr.Load addrs ->
-    ignore (emit_load t ~label:i.Instr.label ~blocking:i.Instr.blocking addrs)
-  | Instr.Store addrs -> ignore (emit_store t ~label:i.Instr.label addrs)
-  | Instr.Compute n ->
-    emit_compute t ~label:i.Instr.label ~n ~blocking:i.Instr.blocking
-      ~active:i.Instr.active
-  | Instr.Ctrl n -> emit_ctrl t ~label:i.Instr.label ~n ~active:i.Instr.active
-  | Instr.Const_load -> emit_const_load t ~label:i.Instr.label ~active:i.Instr.active
-  | Instr.Call_indirect ->
-    emit_call_indirect t ~label:i.Instr.label ~active:i.Instr.active
-  | Instr.Call_direct ->
-    emit_call_direct t ~label:i.Instr.label ~active:i.Instr.active
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (get t i)
-  done
 
 (* --- interning ---------------------------------------------------------
 

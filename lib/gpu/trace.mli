@@ -7,12 +7,7 @@
     through the [emit_*] functions (amortized-doubling growth, tag bits
     stripped as addresses enter the arena); the timing phase replays by
     index through the int-returning accessors without touching the minor
-    heap.
-
-    {!get}/{!iter} provide a compatibility view that materializes boxed
-    {!Instr.t} records for consumers that want pattern matching
-    ([Instr.class_of]-style inspection, tests); they allocate and are not
-    for the replay path. *)
+    heap. *)
 
 type t
 
@@ -53,8 +48,8 @@ val emit_load : t -> label:Label.t -> blocking:bool -> int array -> int
 
 val emit_load_n : t -> label:Label.t -> blocking:bool -> int array -> int -> int
 (** [emit_load_n t ~label ~blocking buf n] is {!emit_load} over
-    [buf.(0 .. n-1)] — the scratch-buffer form used by the fused emission
-    fast path, where [buf] may be wider than the warp. *)
+    [buf.(0 .. n-1)] — the scratch-buffer form used by [Warp_ctx.load_into],
+    where [buf] may be wider than the warp. *)
 
 val emit_store : t -> label:Label.t -> int array -> int
 (** Same for a (non-blocking) global store. *)
@@ -98,19 +93,6 @@ val arena : t -> int array
 (** The current address arena. Emission may replace the array (growth), so
     re-fetch after any [emit_*]; during replay the trace is frozen and the
     array is stable. *)
-
-(** {1 Compatibility view} *)
-
-val emit : t -> Instr.t -> unit
-(** Decompose a boxed instruction into the SoA arrays (legacy emission;
-    load/store payloads are canonicalized like {!emit_load}). *)
-
-val get : t -> int -> Instr.t
-(** Materialize record [i] as a boxed {!Instr.t} (allocates; memory
-    payloads are fresh copies of the arena slice). *)
-
-val iter : (Instr.t -> unit) -> t -> unit
-(** Materializing iteration over {!get}. *)
 
 (** {1 Interning}
 

@@ -6,13 +6,9 @@ type t = {
   warp_id : int;
   lanes : int array;
   san : Repro_san.Checker.t option;
-  (* Interned-engine emission: callers with a fused fast path (Garray,
-     Dispatch, the divergence machinery below) key on this flag, compute
-     per-lane addresses into [ascratch] and emit through [load_into]/
-     [store_from] instead of building intermediate arrays. The flag is
-     never set on sanitized runs (those want exact-width address
-     arrays), so the legacy paths double as the sanitizer's. *)
-  fused : bool;
+  (* Per-warp address buffer: callers (Garray, Dispatch) compute per-lane
+     addresses into it and emit through [load_into]/[store_from] instead
+     of building intermediate arrays. *)
   mutable ascratch : int array;
   (* Cached identity index maps ([|0; ...; n-1|]) per width, handed to
      divergence bodies when a branch is warp-uniform. Bodies treat the
@@ -21,12 +17,10 @@ type t = {
   mutable idents : int array array;
 }
 
-let create ?san ?(fused = false) ?trace ~heap ~warp_id ~lanes () =
+let create ?san ?trace ~heap ~warp_id ~lanes () =
   if Array.length lanes = 0 then invalid_arg "Warp_ctx.create: empty warp";
   let trace = match trace with Some t -> t | None -> Trace.create () in
-  { heap; trace; warp_id; lanes; san; fused; ascratch = [||]; idents = [||] }
-
-let fused t = t.fused
+  { heap; trace; warp_id; lanes; san; ascratch = [||]; idents = [||] }
 
 let addr_scratch t n =
   if Array.length t.ascratch < n then t.ascratch <- Array.make (max 32 n) 0;
@@ -84,12 +78,11 @@ let load ?(width = 8) t ~label addrs = do_load t ~width ~blocking:true ~label ad
 let load_nonblocking ?(width = 8) t ~label addrs =
   do_load t ~width ~blocking:false ~label addrs
 
-(* Scratch-buffer entry points for the interned emission engine: the
-   caller (the object model's fused field path) computes canonical
-   per-lane addresses into a reusable buffer that may be wider than the
-   warp, so only the returned value array is allocated. The sanitizer
-   needs an exact-width array; that copy only happens on sanitized runs,
-   which take the legacy path anyway. *)
+(* Scratch-buffer entry points: the caller (the object model's field
+   path, Garray, Dispatch) computes canonical per-lane addresses into a
+   reusable buffer that may be wider than the warp, so only the returned
+   value array is allocated. The sanitizer needs an exact-width array;
+   that copy only happens on sanitized runs. *)
 let sanitize_buf t ~label ~width addrs n =
   match t.san with
   | None -> ()
@@ -142,7 +135,8 @@ let gather idxs a = Array.map (fun i -> a.(i)) idxs
 let scatter idxs dst src = Array.iteri (fun k i -> dst.(i) <- src.(k)) idxs
 
 (* Distinct keys in first-occurrence order, with the member indices of each
-   group. Warps are at most 32 lanes wide so association lists are fine. *)
+   group: the specification [diverge] is tested against. Warps are at
+   most 32 lanes wide so association lists are fine. *)
 let group_by_key keys =
   let groups = ref [] in
   Array.iteri
@@ -153,14 +147,15 @@ let group_by_key keys =
     keys;
   List.rev_map (fun (key, members) -> (key, List.rev !members)) !groups
 
-(* Fused divergence: the same groups in the same first-occurrence order
-   with the same member order as [group_by_key], built with array scans
-   instead of association lists. The warp-uniform case — the common one
-   at converged call sites — emits on [t] itself with a cached identity
-   index map, allocating nothing. Emission order and active counts are
-   identical to the legacy path, so traces (and therefore timing) are
-   byte-identical. *)
-let diverge_fused t ~label ~keys body =
+(* The same groups in the same first-occurrence order with the same
+   member order as [group_by_key], built with array scans instead of
+   association lists. One control instruction decides the branch; each
+   extra executed subset costs a reconvergence-stack push, also modelled
+   as a control op. The warp-uniform case — the common one at converged
+   call sites — emits on [t] itself with a cached identity index map,
+   allocating nothing. *)
+let diverge t ~label ~keys body =
+  check_width t keys "diverge";
   let n = Array.length keys in
   let k0 = keys.(0) in
   let uniform = ref true in
@@ -209,39 +204,9 @@ let diverge_fused t ~label ~keys body =
     done
   end
 
-let diverge t ~label ~keys body =
-  check_width t keys "diverge";
-  if t.fused then diverge_fused t ~label ~keys body
-  else
-    let groups = group_by_key keys in
-    (* One control instruction decides the branch; each extra executed
-       subset costs a reconvergence-stack push, also modelled as a
-       control op. *)
-    List.iter
-      (fun (key, members) ->
-        let idxs = Array.of_list members in
-        let sub = { t with lanes = gather idxs t.lanes } in
-        ctrl sub ~label;
-        body ~key sub idxs)
-      groups
-
 let if_ t ~label ~pred then_ else_ =
-  let body ~key sub idxs =
-    if key = 1 then then_ sub idxs
-    else match else_ with Some f -> f sub idxs | None -> ()
-  in
-  if t.fused then begin
-    if Array.length pred <> n_active t then
-      invalid_arg "Warp_ctx.if_: per-lane array width mismatch";
-    let n = Array.length pred in
-    let keys = Array.make n 0 in
-    for i = 0 to n - 1 do
-      if pred.(i) then keys.(i) <- 1
-    done;
-    diverge_fused t ~label ~keys body
-  end
-  else begin
-    check_width t (Array.map (fun b -> if b then 1 else 0) pred) "if_";
-    let keys = Array.map (fun b -> if b then 1 else 0) pred in
-    diverge t ~label ~keys body
-  end
+  check_width t pred "if_";
+  let keys = Array.map (fun b -> if b then 1 else 0) pred in
+  diverge t ~label ~keys (fun ~key sub idxs ->
+      if key = 1 then then_ sub idxs
+      else match else_ with Some f -> f sub idxs | None -> ())

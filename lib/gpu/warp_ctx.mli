@@ -19,25 +19,17 @@
 type t
 
 val create :
-  ?san:Repro_san.Checker.t -> ?fused:bool -> ?trace:Trace.t ->
+  ?san:Repro_san.Checker.t -> ?trace:Trace.t ->
   heap:Repro_mem.Page_store.t -> warp_id:int -> lanes:int array -> unit -> t
 (** Used by the device launch path; [lanes] are the global thread ids of
     the active lanes (≤ warp size, non-empty). When [san] is given, every
-    {!load} and {!store} reports its raw (pre-strip) per-lane addresses to
-    the sanitizer before the heap sees them. [trace] lets the interned
-    emission engine pass a reusable scratch trace (default: a fresh
-    one); [fused] (default false) turns on the interned engine's fused
-    emission paths here and in callers that key on {!fused} — traces are
-    byte-identical either way. *)
-
-val fused : t -> bool
-(** True on interned-engine, unsanitized runs: callers with a fused
-    emission path (scratch-buffer addresses, {!load_into}/{!store_from})
-    should take it. *)
+    load and store reports its raw per-lane addresses to the sanitizer
+    before the heap sees them. [trace] lets the device pass its reusable
+    scratch trace (default: a fresh one). *)
 
 val addr_scratch : t -> int -> int array
 (** A reusable per-warp address buffer of at least the given size, for
-    fused callers to fill and hand to {!load_into}/{!store_from}. Only
+    callers to fill and hand to {!load_into}/{!store_from}. Only
     valid until the next [addr_scratch] caller; never held across a
     kernel-body call. *)
 
@@ -69,7 +61,7 @@ val load_into :
 (** [load_into t ~label ~blocking ~addrs ~n] is {!load} over
     [addrs.(0 .. n-1)], where [addrs] is a caller-owned scratch buffer
     that may be wider than the warp ([n] must equal {!n_active}). The
-    fused fast path of the object model: only the returned value array is
+    object model's field path: only the returned value array is
     allocated. *)
 
 val store_from :
@@ -90,8 +82,8 @@ val call_direct : t -> label:Label.t -> unit
 
 val group_by_key : int array -> (int * int list) list
 (** Distinct keys in first-occurrence order with the member indices of
-    each group — the reference grouping the fused divergence path must
-    match; exposed for tests and probes. *)
+    each group — the reference grouping {!diverge} must match; exposed
+    for its test. *)
 
 val diverge :
   t -> label:Label.t -> keys:int array -> (key:int -> t -> int array -> unit) -> unit

@@ -130,7 +130,7 @@ let store_byte_width t addr ~width v =
     end
   end
 
-(* Batched lane loops for the interned engine's fused emission paths: one
+(* Batched lane loops for the emission path ([Warp_ctx.load_into]): one
    call per warp instruction instead of one cross-module call per lane,
    with the page memo, alignment checks and width decode in a single
    loop. Semantics (including the exceptions raised and their messages)

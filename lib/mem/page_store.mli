@@ -41,7 +41,7 @@ val store_byte_width : t -> int -> width:int -> int -> unit
 val load_batch : t -> int array -> off:int -> n:int -> width:int -> int array -> unit
 (** [load_batch t addrs ~off ~n ~width out] fills [out.(0..n-1)] with
     {!load_byte_width} of [addrs.(off..off+n-1)] in one call — the warp
-    instruction granularity the interned engine's fused emission uses,
+    instruction granularity the device's emission path uses,
     avoiding a cross-module call per lane. Element semantics (values and
     the exceptions raised) match {!load_byte_width} exactly. *)
 

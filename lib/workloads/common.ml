@@ -11,8 +11,7 @@ let intra_jobs () =
 
 let create_runtime (p : Workload.params) =
   let engine =
-    { Repro_gpu.Engine.intern = p.Workload.intern; intra = p.Workload.intra;
-      intra_jobs = intra_jobs () }
+    { Repro_gpu.Engine.intra = p.Workload.intra; intra_jobs = intra_jobs () }
   in
   R.Runtime.create ?config:p.Workload.config ~engine
     ?prealloc_mb:p.Workload.prealloc_mb ?chunk_objs:p.Workload.chunk_objs

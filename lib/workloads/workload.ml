@@ -9,7 +9,6 @@ type params = {
   san : Repro_san.Checker.t option;
   telemetry : Repro_gpu.Telemetry.config option;
   pages : Repro_vm.Policy.t option;
-  intern : bool;
   intra : bool;
   prealloc_mb : int option;
 }
@@ -18,14 +17,13 @@ type params = {
    job-construction surface — `repro sweep`, `repro submit`/the wire
    decoder's absent-field default, and the CLI's -s help — so a bare
    sweep and a bare submit are the same run. 0.25 of the reduced config
-   keeps the default CI-cheap; pass --scale 1.0 for paper-scale runs
-   (routine since the interned engine). *)
+   keeps the default CI-cheap; pass --scale 1.0 for paper-scale runs. *)
 let default_scale = 0.25
 
 let default_params technique =
   { technique; alloc = None; scale = 1.0; config = None; chunk_objs = None;
     iterations = None; seed = 42; san = None; telemetry = None; pages = None;
-    intern = true; intra = false; prealloc_mb = None }
+    intra = false; prealloc_mb = None }
 
 type instance = {
   rt : Repro_core.Runtime.t;

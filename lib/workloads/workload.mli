@@ -30,11 +30,6 @@ type params = {
       (** Address-translation page-size policy; [None] (the default)
           models no translation — the timing is exactly the
           untranslated model's. *)
-  intern : bool;
-      (** Interned emission engine ([Repro_gpu.Engine.t.intern]; default
-          [true]). Results are byte-identical either way; [false] is the
-          legacy engine kept as the measurable baseline. In job keys so
-          an A/B pair caches separately. *)
   intra : bool;
       (** Intra-launch sharded parallel timing (default [false]). A
           different — deterministic, jobs-independent — timing model, so

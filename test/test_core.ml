@@ -78,10 +78,12 @@ let test_object_model_strip_charge () =
     let om = Object_model.create technique in
     let ctx = Warp_ctx.create ~heap ~warp_id:0 ~lanes:[| 0 |] () in
     ignore (Object_model.field_load om ctx ~objs:[| 4096 |] ~field:0);
+    let trace = Warp_ctx.trace ctx in
     let strips = ref 0 in
-    Trace.iter
-      (fun i -> if i.Instr.label = Label.Tp_strip then incr strips)
-      (Warp_ctx.trace ctx);
+    for i = 0 to Trace.length trace - 1 do
+      if Trace.label_index trace i = Label.to_index Label.Tp_strip then
+        incr strips
+    done;
     !strips
   in
   check Alcotest.int "prototype masks" 1 (count_strips T.type_pointer);
@@ -572,14 +574,15 @@ let test_range_table_lookup_emit () =
   check (Alcotest.array Alcotest.int) "impl per lane"
     [| expect_t0; expect_t1; expect_t0 |] impls;
   (* The emitted walk must be labelled as COAL lookup plus one vFunc load. *)
+  let trace = Warp_ctx.trace ctx in
   let coal_loads = ref 0 and vfunc_loads = ref 0 in
-  Trace.iter
-    (fun i ->
-      match (i.Instr.label, i.Instr.kind) with
-      | Label.Coal_lookup, Instr.Load _ -> incr coal_loads
-      | Label.Vfunc_load, Instr.Load _ -> incr vfunc_loads
-      | _ -> ())
-    (Warp_ctx.trace ctx);
+  for i = 0 to Trace.length trace - 1 do
+    if Trace.op trace i = Trace.op_load then
+      match Label.of_index (Trace.label_index trace i) with
+      | Label.Coal_lookup -> incr coal_loads
+      | Label.Vfunc_load -> incr vfunc_loads
+      | _ -> ()
+  done;
   check Alcotest.int "walk loads = 2*depth + leaf check" 3 !coal_loads;
   check Alcotest.int "one vfunc load" 1 !vfunc_loads
 
@@ -670,15 +673,16 @@ let dispatch_trace technique =
   (Option.get !captured, log)
 
 let labels_of trace =
-  let labels = ref [] in
-  Trace.iter (fun i -> labels := i.Instr.label :: !labels) trace;
-  List.rev !labels
+  List.init (Trace.length trace) (fun i ->
+      Label.of_index (Trace.label_index trace i))
 
 let has_label trace l = List.mem l (labels_of trace)
 
-let count_kind trace pred =
+let count_op trace op =
   let n = ref 0 in
-  Trace.iter (fun i -> if pred i then incr n) trace;
+  for i = 0 to Trace.length trace - 1 do
+    if Trace.op trace i = op then incr n
+  done;
   !n
 
 let test_dispatch_cuda_sequence () =
@@ -687,7 +691,7 @@ let test_dispatch_cuda_sequence () =
   check Alcotest.bool "B load" true (has_label trace Label.Vfunc_load);
   check Alcotest.bool "const indirection" true (has_label trace Label.Const_indirect);
   check Alcotest.int "two divergent groups -> two indirect calls" 2
-    (count_kind trace (fun i -> i.Instr.kind = Instr.Call_indirect));
+    (count_op trace Trace.op_call_indirect);
   check Alcotest.int "both bodies ran" 2 (List.length !log);
   check Alcotest.bool "A got two lanes" true (List.mem (`A 2) !log);
   check Alcotest.bool "B got one lane" true (List.mem (`B 1) !log)
@@ -699,9 +703,9 @@ let test_dispatch_concord_sequence () =
   check Alcotest.bool "no vtable load" false (has_label trace Label.Vtable_load);
   check Alcotest.bool "no const" false (has_label trace Label.Const_indirect);
   check Alcotest.int "direct calls" 2
-    (count_kind trace (fun i -> i.Instr.kind = Instr.Call_direct));
+    (count_op trace Trace.op_call_direct);
   check Alcotest.int "no indirect calls" 0
-    (count_kind trace (fun i -> i.Instr.kind = Instr.Call_indirect))
+    (count_op trace Trace.op_call_indirect)
 
 let test_dispatch_coal_sequence () =
   let trace, _ = dispatch_trace T.Coal in
@@ -709,7 +713,7 @@ let test_dispatch_coal_sequence () =
   check Alcotest.bool "no object vtable load" false (has_label trace Label.Vtable_load);
   check Alcotest.bool "leaf vfunc load" true (has_label trace Label.Vfunc_load);
   check Alcotest.int "indirect calls" 2
-    (count_kind trace (fun i -> i.Instr.kind = Instr.Call_indirect))
+    (count_op trace Trace.op_call_indirect)
 
 let test_dispatch_tp_sequence () =
   let trace, _ = dispatch_trace T.type_pointer in
@@ -885,20 +889,27 @@ let prop_random_programs_technique_invariant =
         (fun t -> run t = base)
         [ T.Concord; T.Shared_oa; T.Coal; T.type_pointer; T.type_pointer_on_cuda ])
 
+(* [diverge] is the only divergence path, so it must produce exactly the
+   reference grouping: the same keys in first-occurrence order, each with
+   its parent indices in lane order. [uniform] forces warp-uniform keys,
+   which [diverge] serves on the undivided context. *)
 let prop_diverge_group_count =
   QCheck.Test.make ~name:"dispatch serializes one group per distinct target" ~count:100
-    QCheck.(list_of_size (Gen.int_range 1 32) (int_bound 3))
-    (fun keys ->
+    QCheck.(pair bool (list_of_size (Gen.int_range 1 32) (int_bound 3)))
+    (fun (uniform, keys) ->
+      let keys =
+        Array.of_list (if uniform then List.map (fun _ -> List.hd keys) keys else keys)
+      in
       let heap = Page_store.create () in
       let ctx =
-        Warp_ctx.create ~heap ~warp_id:0
-          ~lanes:(Array.init (List.length keys) Fun.id)
-          ()
+        Warp_ctx.create ~heap ~warp_id:0 ~lanes:(Array.init (Array.length keys) Fun.id) ()
       in
-      let groups = ref 0 in
-      Warp_ctx.diverge ctx ~label:Label.Call ~keys:(Array.of_list keys)
-        (fun ~key:_ _ _ -> incr groups);
-      !groups = List.length (List.sort_uniq compare keys))
+      let groups = ref [] in
+      Warp_ctx.diverge ctx ~label:Label.Call ~keys (fun ~key _ idxs ->
+          groups := (key, Array.to_list idxs) :: !groups);
+      let groups = List.rev !groups in
+      List.length groups = List.length (List.sort_uniq compare (Array.to_list keys))
+      && groups = Warp_ctx.group_by_key keys)
 
 let suite =
   [

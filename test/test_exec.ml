@@ -22,8 +22,8 @@ let fingerprint (r : W.Harness.run) =
 let test_pool_preserves_order () =
   let inputs = Array.init 100 (fun i -> i) in
   let f i = (i * i) + 1 in
-  let serial = X.Pool.map ~jobs:1 ~f inputs in
-  let parallel = X.Pool.map ~jobs:4 ~f inputs in
+  let serial = Repro_util.Pool.map ~jobs:1 ~f inputs in
+  let parallel = Repro_util.Pool.map ~jobs:4 ~f inputs in
   check Alcotest.bool "same results in input order" true (serial = parallel);
   Array.iteri
     (fun i result -> check Alcotest.bool "slot i holds f i" true (result = Ok (f i)))
@@ -32,7 +32,7 @@ let test_pool_preserves_order () =
 let test_pool_captures_exceptions () =
   let inputs = Array.init 10 (fun i -> i) in
   let f i = if i mod 3 = 0 then failwith "boom" else i in
-  let results = X.Pool.map ~jobs:4 ~f inputs in
+  let results = Repro_util.Pool.map ~jobs:4 ~f inputs in
   Array.iteri
     (fun i result ->
       if i mod 3 = 0 then

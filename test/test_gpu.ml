@@ -363,21 +363,20 @@ let test_trace_soa_roundtrip () =
   check Alcotest.bool "blocking" true (Trace.is_blocking t 0);
   check Alcotest.int "repeat of compute" 3 (Trace.repeat t 1);
   check Alcotest.int "instruction total" 4 (Trace.instruction_total t);
-  (* The compatibility view materializes equivalent Instr.t records. *)
-  (match (Trace.get t 0).Instr.kind with
-   | Instr.Load a -> check (Alcotest.array Alcotest.int) "compat payload" [| 64; 128 |] a
-   | _ -> Alcotest.fail "expected a load");
-  check Alcotest.int "compat compute count" 3
-    (Instr.instruction_count (Trace.get t 1))
+  (* A memory record's payload is its arena slice; others have none. *)
+  check Alcotest.int "payload offset" off (Trace.addr_off t 0);
+  check Alcotest.int "payload width" 2 (Trace.active t 0);
+  check Alcotest.int "compute has no payload" (-1) (Trace.addr_off t 1)
 
-let test_trace_compat_emit () =
+let test_trace_emit_opcodes () =
   let t = Trace.create () in
-  Trace.emit t (Instr.load ~label:Label.Vtable_load [| 256 |]);
-  Trace.emit t (Instr.ctrl ~n:2 ~label:Label.Body 7);
-  let got = ref [] in
-  Trace.iter (fun i -> got := Instr.class_of i :: !got) t;
+  ignore (Trace.emit_load t ~label:Label.Vtable_load ~blocking:true [| 256 |]);
+  Trace.emit_ctrl t ~label:Label.Body ~n:2 ~active:7;
   check Alcotest.int "length" 2 (Trace.length t);
-  check Alcotest.bool "classes preserved" true (List.rev !got = [ `Mem; `Ctrl ])
+  check (Alcotest.list Alcotest.int) "opcodes preserved"
+    [ Trace.op_load; Trace.op_ctrl ] [ Trace.op t 0; Trace.op t 1 ];
+  check Alcotest.int "ctrl repeat" 2 (Trace.repeat t 1);
+  check Alcotest.int "ctrl active lanes" 7 (Trace.active t 1)
 
 (* The event heap must implement exactly the ordering contract of
    Repro_util.Heap — (key, insertion sequence) lexicographic — because
@@ -630,7 +629,7 @@ let suite =
     Alcotest.test_case "stall attribution" `Quick test_sm_blocking_latency_attribution;
     Alcotest.test_case "latency hiding" `Quick test_more_warps_hide_latency;
     Alcotest.test_case "trace SoA roundtrip" `Quick test_trace_soa_roundtrip;
-    Alcotest.test_case "trace compat emit/iter" `Quick test_trace_compat_emit;
+    Alcotest.test_case "trace emit records opcodes" `Quick test_trace_emit_opcodes;
     Alcotest.test_case "replay allocates nothing per instruction" `Quick
       test_replay_zero_allocation;
     Alcotest.test_case "fused replay allocates nothing per instruction" `Quick

@@ -293,6 +293,26 @@ let test_schema_version_checked () =
     check Alcotest.bool ("version in: " ^ msg) true
       (contains ~sub:"unsupported schema version 9" msg)
 
+(* The removed [intern] field decodes like any unknown field: ignored,
+   leaving the same spec (and so the same job key) as omitting it. *)
+let test_removed_intern_field_ignored () =
+  let decode line =
+    match X.Request.of_line line with
+    | Ok (X.Request.Query spec) -> spec
+    | Ok _ -> Alcotest.fail "expected a query"
+    | Error msg -> Alcotest.failf "%s does not decode: %s" line msg
+  in
+  let plain = decode {|{"v":2,"type":"query","job":{"workload":"GOL","technique":"tp"}}|} in
+  List.iter
+    (fun v ->
+      let line =
+        Printf.sprintf
+          {|{"v":2,"type":"query","job":{"workload":"GOL","technique":"tp","intern":%s}}|} v
+      in
+      check Alcotest.bool ("intern " ^ v ^ " ignored") true
+        (X.Request.Spec.equal plain (decode line)))
+    [ "false"; "true" ]
+
 (* --- spec resolution ------------------------------------------------------- *)
 
 let test_spec_resolution () =
@@ -702,6 +722,8 @@ let suite =
       test_decode_errors_name_field;
     Alcotest.test_case "schema version checked" `Quick
       test_schema_version_checked;
+    Alcotest.test_case "removed intern field is ignored" `Quick
+      test_removed_intern_field_ignored;
     Alcotest.test_case "spec resolution" `Quick test_spec_resolution;
     Alcotest.test_case "dedup: two clients, one execution" `Quick
       test_dedup_single_execution;
