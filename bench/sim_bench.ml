@@ -22,9 +22,12 @@
    wall time is unaffected (every warp still replays -- its addresses
    are private); the ratio gates the emission-side win.
 
-   Replays here re-run [Sm.run] on traces recorded once, so their cache
-   state differs from a real multi-iteration run — the numbers measure
-   engine speed, not workload figures (bench/main.exe does those). *)
+   Each column times the loop [Device] replays that kind of launch
+   through: the plain and vm columns [Sm.run_fused], the tracer column
+   [Sm.run] with an event ring. Replays re-run traces recorded once, so
+   their cache state differs from a real multi-iteration run — the
+   numbers measure engine speed, not workload figures (bench/main.exe
+   does those). *)
 
 module G = Repro_gpu
 module R = Repro_core
@@ -103,7 +106,7 @@ let time_replay ~job ~cfg ~vm ?(dedup = 1.) launches =
   let replay_once () =
     let cycles = ref 0. in
     List.iter
-      (fun traces -> cycles := !cycles +. G.Sm.run cfg mp ~stats ~traces)
+      (fun traces -> cycles := !cycles +. G.Sm.run_fused cfg mp ~stats ~traces)
       launches;
     !cycles
   in
@@ -149,7 +152,7 @@ let time_replay ~job ~cfg ~vm ?(dedup = 1.) launches =
   let vm_stats = G.Stats.create () in
   let replay_vm () =
     List.iter
-      (fun traces -> ignore (G.Sm.run cfg vm_mp ~stats:vm_stats ~traces))
+      (fun traces -> ignore (G.Sm.run_fused cfg vm_mp ~stats:vm_stats ~traces))
       launches
   in
   replay_vm ();

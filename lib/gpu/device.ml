@@ -77,8 +77,9 @@ let shards t =
   t.shards
 
 (* The sharded engine has no telemetry instrumentation, and a translation
-   model is attached to the shared [mem_path] only — both fall back to
-   the sequential loop. A 1-SM config has nothing to shard. *)
+   model is attached to the shared [mem_path] only — both replay on the
+   shared path instead: [Sm.run_fused] for a translated launch, [Sm.run]
+   for telemetry. A 1-SM config has nothing to shard. *)
 let use_sharded t =
   t.engine.Engine.intra && t.cfg.Config.n_sms > 1 && t.tel = None
   && Mem_path.vm t.mem_path = None
@@ -130,12 +131,7 @@ let launch t ~n_threads kernel =
        if use_sharded t then
          Sm.run_sharded t.cfg ~shards:(shards t)
            ~jobs:(Engine.resolve_jobs t.engine) ~stats:launch_stats ~traces
-       else if Mem_path.plain t.mem_path then
-         Sm.run_fused t.cfg t.mem_path ~stats:launch_stats ~traces
-       else
-         (* A translation model is attached: the reference loop prices
-            the TLB walks. *)
-         Sm.run t.cfg t.mem_path ~stats:launch_stats ~traces
+       else Sm.run_fused t.cfg t.mem_path ~stats:launch_stats ~traces
      in
      Stats.add_cycles launch_stats cycles;
      san_delta ()

@@ -4,7 +4,8 @@
     grid into warps and runs the kernel body once per warp through
     {!Warp_ctx}, mutating the simulated heap and recording instruction
     traces — values never depend on timing, so traces are exact. Phase 2
-    ({!Sm.run}) replays the traces through the timing model. Kernels must
+    ({!Sm.run_fused}, or {!Sm.run} under telemetry) replays the traces
+    through the timing model. Kernels must
     be data-race-free across warps within a launch (the usual CUDA
     contract); phase 1 executes warps in grid order. *)
 
@@ -20,13 +21,13 @@ val create :
 
     Phase 1 emits every warp through one reusable scratch trace and
     hash-conses identical instruction streams per launch. Phase 2 replays
-    with {!Sm.run_fused}, or with {!Sm.run} when telemetry or a
-    translation model is attached. [engine] (default {!Engine.default})
+    with {!Sm.run_fused}, translated or not, or with {!Sm.run} when
+    telemetry is attached. [engine] (default {!Engine.default})
     selects sharded timing: with [engine.intra], phase 2 replays each SM
     against a private memory-system slice over the Domain pool
     (deterministic, [jobs]-independent, but a documented model
     deviation); launches with telemetry or an attached translation model
-    fall back to the sequential loop.
+    replay on the shared memory path instead.
 
     [telemetry] opts into cycle-resolved instrumentation, allocated once
     here: windowed counter sampling ({!window_timeline}) and/or the

@@ -82,7 +82,17 @@ let io t = t.io
 
 let set_ring t ring = t.ring <- ring
 
+let ring t = t.ring
+
+(* The replay loops index the vm's per-SM L1 TLBs by SM unchecked, so a
+   model sized for another SM count than this hierarchy is refused. *)
 let set_vm t vm =
+  (match vm with
+   | Some v when Repro_vm.Vm.n_sms v <> t.cfg.n_sms ->
+     invalid_arg
+       (Printf.sprintf "Mem_path.set_vm: vm has %d SMs, the memory path %d"
+          (Repro_vm.Vm.n_sms v) t.cfg.n_sms)
+   | Some _ | None -> ());
   t.vm <- vm;
   match vm with
   | None -> Array.fill t.vm_lat 0 (Array.length t.vm_lat) 0.
@@ -346,11 +356,6 @@ let reset t =
 
 let l1_probe t ~sm ~sector = Cache.probe t.l1s.(sm) ~sector
 
-(* True when neither telemetry recording nor address translation is
-   attached: the precondition for the fused replay loop, whose inlined
-   hierarchy walk reproduces exactly the [None]/[None] branches above. *)
-let plain t = t.ring = None && t.vm = None
-
 (* Raw state for the fused replay loop (same contract as {!Cache.Raw}):
    hoisted once per launch, then the per-access path is direct array
    arithmetic. *)
@@ -370,4 +375,5 @@ module Raw = struct
   let l2_lat t = t.l2_lat
   let dram_lat t = t.dram_lat
   let n_over_l1 t = t.n_over_l1
+  let vm_lat t = t.vm_lat
 end

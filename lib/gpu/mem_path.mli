@@ -30,6 +30,8 @@ val set_ring : t -> Telemetry.Ring.t option -> unit
     DRAM transactions — with direct array stores, so the replay path
     stays allocation-free. Timing is unaffected. *)
 
+val ring : t -> Telemetry.Ring.t option
+
 val set_vm : t -> Repro_vm.Vm.t option -> unit
 (** Attach (or detach) an address-translation model. When set, every
     coalesced sector is looked up in the TLB hierarchy before the L1
@@ -39,7 +41,9 @@ val set_vm : t -> Repro_vm.Vm.t option -> unit
     cached in a per-code float table at attach time, so the per-sector
     path stays allocation-free. [None] (the default) leaves the entry
     points on the exact pre-translation code path — byte-identical
-    output and no extra per-sector work. *)
+    output and no extra per-sector work. Raises [Invalid_argument] when
+    the model's {!Repro_vm.Vm.n_sms} differs from the configured
+    [n_sms]: its per-SM L1 TLBs are indexed by SM unchecked. *)
 
 val vm : t -> Repro_vm.Vm.t option
 
@@ -87,11 +91,6 @@ val reset : t -> unit
 val l1_probe : t -> sm:int -> sector:int -> bool
 (** Test hook. *)
 
-val plain : t -> bool
-(** No telemetry ring and no translation model attached — the
-    precondition for {!Sm.run_fused}, whose inlined walk reproduces the
-    plain branches of {!load_soa}/{!store_soa} exactly. *)
-
 (** Raw timing state for the fused replay loop, hoisted once per launch
     (same contract as {!Cache.Raw}: read/accumulate exactly as the entry
     points above do, never otherwise). *)
@@ -115,4 +114,8 @@ module Raw : sig
   val l2_lat : t -> float
   val dram_lat : t -> float
   val n_over_l1 : t -> float array
+
+  val vm_lat : t -> float array
+  (** Cycles charged per {!Repro_vm.Vm.lookup} code, filled by
+      {!set_vm}. *)
 end

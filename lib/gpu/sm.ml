@@ -12,8 +12,9 @@
    stores into the event ring — recording never boxes. Without telemetry
    the boundary mailbox holds infinity and there is no ring.
 
-   This is the reference loop: it serves telemetry and address
-   translation. Plain launches replay through [run_fused] below. *)
+   This is the telemetry loop and the reference: [Device] replays every
+   telemetry-off launch, translated or not, through [run_fused] below,
+   and the equivalence tests hold [run_fused] to this loop. *)
 
 (* Bit-identical to [Float.max] on this domain (non-NaN, no negative
    zero): simulated times only grow from 0 by positive increments. *)
@@ -213,6 +214,231 @@ let access_raw (tags : int array) (valid : int array) (stamps : int array)
     false
   end
 
+(* [Tlb.access] over raw arrays: same set indexing, same tick bump, same
+   first-match scan, and on a miss the same fill of the set's first
+   minimum-stamp way. *)
+let tlb_access_raw (tags : int array) (stamps : int array) (tick : int array)
+    mask ways key =
+  let base = (key land mask) * ways in
+  let now = tick.(0) + 1 in
+  tick.(0) <- now;
+  let way = ref 0 in
+  while !way < ways && Array.unsafe_get tags (base + !way) <> key do
+    incr way
+  done;
+  if !way < ways then begin
+    Array.unsafe_set stamps (base + !way) now;
+    true
+  end
+  else begin
+    let best = ref base in
+    for k = 1 to ways - 1 do
+      if Array.unsafe_get stamps (base + k) < Array.unsafe_get stamps !best
+      then best := base + k
+    done;
+    Array.unsafe_set tags !best key;
+    Array.unsafe_set stamps !best now;
+    false
+  end
+
+(* Translation state for one fused launch, hoisted from the attached
+   [Vm.t] plus the data-hierarchy state the translated sector walks need.
+   Built once per launch; [None] in the loop keeps plain launches off
+   every line below. *)
+type xlat = {
+  (* Page table ([Page_table.Raw]). *)
+  sbase : int array;
+  slimit : int array;
+  pshift : int array;
+  plevels : int array;
+  last : int array;
+  (* Per-SM L1 TLBs and the shared L2 TLB ([Tlb.Raw]). *)
+  t1_tags : int array array;
+  t1_stamps : int array array;
+  t1_tick : int array array;
+  t1_mask : int;
+  t1_ways : int;
+  t2_tags : int array;
+  t2_stamps : int array;
+  t2_tick : int array;
+  t2_mask : int;
+  t2_ways : int;
+  vm_lat : float array;  (* cycles per lookup code *)
+  (* The data hierarchy, as the plain loop hoists it. *)
+  scratch : int array;
+  l1_next_free : float array;
+  clk : float array;
+  c1_tags : int array array;
+  c1_valid : int array array;
+  c1_stamps : int array array;
+  c1_clock : int array array;
+  c1_ways : int;
+  c1_sshift : int;
+  c1_smask : int;
+  c1_setmask : int;
+  c2_tags : int array;
+  c2_valid : int array;
+  c2_stamps : int array;
+  c2_clock : int array;
+  c2_ways : int;
+  c2_sshift : int;
+  c2_smask : int;
+  c2_setmask : int;
+  inv_l1_tp : float;
+  inv_l2_tp : float;
+  inv_dram_cost : float;
+  dram_pair_cost : float;
+  l1_lat : float;
+  l2_lat : float;
+  dram_lat : float;
+  (* io.(0): the access's LSU start time in; a load's completion out. *)
+  io : float array;
+  (* Counters, flushed to [Stats] once per launch. *)
+  mutable l1h : int;
+  mutable l1m : int;
+  mutable l2h : int;
+  mutable l2m : int;
+  mutable dram : int;
+  mutable tlb_l1h : int;
+  mutable tlb_l2h : int;
+  mutable walks : int;
+  (* walk.(0): running [tlb_walk_cycles], seeded from the launch's
+     stats so the float adds are the reference's, in its order. *)
+  walk : float array;
+}
+
+(* [Vm.lookup] inlined: [Page_table.find] (one-entry hint, then binary
+   search), [Page_table.key], then the SM's L1 TLB and the L2 TLB. *)
+let translate x sm sector =
+  let sbase = x.sbase and slimit = x.slimit in
+  let n = Array.length sbase in
+  let last = x.last.(0) in
+  let i =
+    if
+      last < n
+      && sector >= Array.unsafe_get sbase last
+      && sector < Array.unsafe_get slimit last
+    then last
+    else begin
+      let lo = ref 0 and hi = ref n and found = ref (-1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if sector < Array.unsafe_get sbase mid then hi := mid
+        else if sector >= Array.unsafe_get slimit mid then lo := mid + 1
+        else begin
+          found := mid;
+          lo := !hi
+        end
+      done;
+      if !found >= 0 then x.last.(0) <- !found;
+      !found
+    end
+  in
+  if i < 0 then Repro_vm.Vm.walk_base + Repro_vm.Page_table.max_levels
+  else begin
+    let key =
+      (i lsl Repro_vm.Page_table.span_key_shift)
+      lor ((sector - Array.unsafe_get sbase i) lsr Array.unsafe_get x.pshift i)
+    in
+    if
+      tlb_access_raw (Array.unsafe_get x.t1_tags sm)
+        (Array.unsafe_get x.t1_stamps sm) (Array.unsafe_get x.t1_tick sm)
+        x.t1_mask x.t1_ways key
+    then Repro_vm.Vm.hit_l1
+    else if
+      tlb_access_raw x.t2_tags x.t2_stamps x.t2_tick x.t2_mask x.t2_ways key
+    then Repro_vm.Vm.hit_l2
+    else Repro_vm.Vm.walk_base + Array.unsafe_get x.plevels i
+  end
+
+(* Count one lookup outcome ([Mem_path]'s per-code [Stats] calls). *)
+let[@inline] count_lookup x code =
+  if code = Repro_vm.Vm.hit_l1 then x.tlb_l1h <- x.tlb_l1h + 1
+  else if code = Repro_vm.Vm.hit_l2 then x.tlb_l2h <- x.tlb_l2h + 1
+  else begin
+    x.walks <- x.walks + 1;
+    x.walk.(0) <- x.walk.(0) +. Array.unsafe_get x.vm_lat code
+  end
+
+(* The [Some vm] sector walk of [Mem_path.load_soa] over the [n]
+   coalesced sectors in [x.scratch]: translate, delay the sector's L1
+   issue by the lookup latency, then the plain hierarchy walk. Called
+   once per translated load so the plain loop's body stays as it was. *)
+let load_translated x sm n =
+  let t0 = x.io.(0) in
+  let l1t = Array.unsafe_get x.c1_tags sm in
+  let l1v = Array.unsafe_get x.c1_valid sm in
+  let l1st = Array.unsafe_get x.c1_stamps sm in
+  let l1ck = Array.unsafe_get x.c1_clock sm in
+  let l1_next_free = x.l1_next_free and clk = x.clk and io = x.io in
+  for i = 0 to n - 1 do
+    let sector = Array.unsafe_get x.scratch i in
+    let code = translate x sm sector in
+    count_lookup x code;
+    let tx = Array.unsafe_get x.vm_lat code in
+    let a = t0 +. tx in
+    let lnf = Array.unsafe_get l1_next_free sm in
+    let t1 = if a >= lnf then a else lnf in
+    Array.unsafe_set l1_next_free sm (t1 +. x.inv_l1_tp);
+    if
+      access_raw l1t l1v l1st l1ck x.c1_ways x.c1_sshift x.c1_smask
+        x.c1_setmask sector
+    then begin
+      x.l1h <- x.l1h + 1;
+      let c = t1 +. x.l1_lat in
+      if c > io.(0) then io.(0) <- c
+    end
+    else begin
+      x.l1m <- x.l1m + 1;
+      let a = t1 +. x.l1_lat in
+      let t2 = if a >= clk.(0) then a else clk.(0) in
+      clk.(0) <- t2 +. x.inv_l2_tp;
+      if
+        access_raw x.c2_tags x.c2_valid x.c2_stamps x.c2_clock x.c2_ways
+          x.c2_sshift x.c2_smask x.c2_setmask sector
+      then begin
+        x.l2h <- x.l2h + 1;
+        let c = t2 +. x.l2_lat in
+        if c > io.(0) then io.(0) <- c
+      end
+      else begin
+        x.l2m <- x.l2m + 1;
+        x.dram <- x.dram + 2;
+        ignore
+          (access_raw x.c2_tags x.c2_valid x.c2_stamps x.c2_clock x.c2_ways
+             x.c2_sshift x.c2_smask x.c2_setmask (sector lxor 1));
+        let b = t2 +. x.l2_lat in
+        let t3 = if b >= clk.(1) then b else clk.(1) in
+        clk.(1) <- t3 +. x.dram_pair_cost;
+        let c = t3 +. x.dram_lat in
+        if c > io.(0) then io.(0) <- c
+      end
+    end
+  done
+
+(* The [Some vm] sector walk of [Mem_path.store_soa]: the lookup latency
+   delays the sector's L2 arbitration. *)
+let store_translated x sm n =
+  let t0 = x.io.(0) in
+  let clk = x.clk in
+  for i = 0 to n - 1 do
+    let sector = Array.unsafe_get x.scratch i in
+    let code = translate x sm sector in
+    count_lookup x code;
+    let a = t0 +. Array.unsafe_get x.vm_lat code in
+    let t2 = if a >= clk.(0) then a else clk.(0) in
+    clk.(0) <- t2 +. x.inv_l2_tp;
+    if
+      not
+        (access_raw x.c2_tags x.c2_valid x.c2_stamps x.c2_clock x.c2_ways
+           x.c2_sshift x.c2_smask x.c2_setmask sector)
+    then begin
+      x.dram <- x.dram + 1;
+      let t3 = if t2 >= clk.(1) then t2 else clk.(1) in
+      clk.(1) <- t3 +. x.inv_dram_cost
+    end
+  done
+
 (* The fused replay twin of [run]: same event order, same float
    operations in the same sequence, so the launch it times is
    byte-identical in cycles and counters — verified by the qcheck
@@ -234,15 +460,21 @@ let access_raw (tags : int array) (valid : int array) (stamps : int array)
    - int counters (instruction classes, transactions, hits, DRAM
      sectors) accumulate in locals and flush once per launch through
      [Stats.bump_replay_counters]; integer adds are exact, so the
-     totals match per-instruction counting bit for bit.
+     totals match per-instruction counting bit for bit;
+   - with a translation model attached, the page table and both TLB
+     levels are hoisted too ([xlat]), and each memory instruction picks
+     its sector walk once: [load_translated]/[store_translated] (the
+     [Some vm] branches of [Mem_path], with [Vm.lookup] inlined) or the
+     plain walk written out below. Walk cycles accumulate in a float
+     cell seeded from the launch's stats, so the float adds match
+     per-walk [Stats.count_tlb_walk] in value and order.
 
-   The precondition mirrors the gate in [Device]: no telemetry and no
-   address translation ([Mem_path.plain]); [run] remains the reference
-   path for those. *)
+   The precondition mirrors the gate in [Device]: no telemetry ring;
+   [run] remains the loop for telemetry. *)
 let run_fused (cfg : Config.t) mem_path ~stats ~traces =
   Config.validate cfg;
-  if not (Mem_path.plain mem_path) then
-    invalid_arg "Sm.run_fused: mem path has telemetry or translation attached";
+  if Option.is_some (Mem_path.ring mem_path) then
+    invalid_arg "Sm.run_fused: mem path has a telemetry ring attached";
   let n_warps = Array.length traces in
   if n_warps = 0 then 0.
   else begin
@@ -304,6 +536,69 @@ let run_fused (cfg : Config.t) mem_path ~stats ~traces =
     (* Load completion mailbox (io.(1)'s role) and kernel finish time. *)
     let compl_ = Array.make 1 0. in
     let finish = Array.make 1 0. in
+    let xl =
+      match Mem_path.vm mem_path with
+      | None -> None
+      | Some vm ->
+        let module V = Repro_vm in
+        let table = V.Vm.table vm in
+        let l1t = V.Vm.l1_tlbs vm and l2t = V.Vm.l2_tlb vm in
+        Some
+          {
+            sbase = V.Page_table.Raw.sbase table;
+            slimit = V.Page_table.Raw.slimit table;
+            pshift = V.Page_table.Raw.shift table;
+            plevels = V.Page_table.Raw.levels table;
+            last = V.Page_table.Raw.last table;
+            t1_tags = Array.map V.Tlb.Raw.tags l1t;
+            t1_stamps = Array.map V.Tlb.Raw.stamps l1t;
+            t1_tick = Array.map V.Tlb.Raw.tick l1t;
+            t1_mask = V.Tlb.Raw.mask l1t.(0);
+            t1_ways = V.Tlb.Raw.ways l1t.(0);
+            t2_tags = V.Tlb.Raw.tags l2t;
+            t2_stamps = V.Tlb.Raw.stamps l2t;
+            t2_tick = V.Tlb.Raw.tick l2t;
+            t2_mask = V.Tlb.Raw.mask l2t;
+            t2_ways = V.Tlb.Raw.ways l2t;
+            vm_lat = Mem_path.Raw.vm_lat mem_path;
+            scratch;
+            l1_next_free;
+            clk;
+            c1_tags = l1_tags;
+            c1_valid = l1_valid;
+            c1_stamps = l1_stamps;
+            c1_clock = l1_clock;
+            c1_ways = l1_ways;
+            c1_sshift = l1_sshift;
+            c1_smask = l1_smask;
+            c1_setmask = l1_setmask;
+            c2_tags = l2_tags;
+            c2_valid = l2_valid;
+            c2_stamps = l2_stamps;
+            c2_clock = l2_clock;
+            c2_ways = l2_ways;
+            c2_sshift = l2_sshift;
+            c2_smask = l2_smask;
+            c2_setmask = l2_setmask;
+            inv_l1_tp;
+            inv_l2_tp;
+            inv_dram_cost;
+            dram_pair_cost;
+            l1_lat;
+            l2_lat;
+            dram_lat;
+            io = compl_;
+            l1h = 0;
+            l1m = 0;
+            l2h = 0;
+            l2m = 0;
+            dram = 0;
+            tlb_l1h = 0;
+            tlb_l2h = 0;
+            walks = 0;
+            walk = Array.make 1 (Stats.tlb_walk_cycles stats);
+          }
+    in
     (* The replace-top heap. Capacity [n_warps] suffices: every pop is
        followed by at most one push, and the initial activations push at
        most one entry per warp. 4-ary with a hole sift (save the root
@@ -434,50 +729,53 @@ let run_fused (cfg : Config.t) mem_path ~stats ~traces =
             Array.unsafe_set lsu_next_free sm
               (t0 +. if inv_lsu_tp >= occ then inv_lsu_tp else occ);
             compl_.(0) <- t0;
-            let l1t = Array.unsafe_get l1_tags sm in
-            let l1v = Array.unsafe_get l1_valid sm in
-            let l1st = Array.unsafe_get l1_stamps sm in
-            let l1ck = Array.unsafe_get l1_clock sm in
-            for i = 0 to n - 1 do
-              let sector = Array.unsafe_get scratch i in
-              let lnf = Array.unsafe_get l1_next_free sm in
-              let t1 = if t0 >= lnf then t0 else lnf in
-              Array.unsafe_set l1_next_free sm (t1 +. inv_l1_tp);
-              if
-                access_raw l1t l1v l1st l1ck l1_ways l1_sshift l1_smask
-                  l1_setmask sector
-              then begin
-                incr l1h;
-                let c = t1 +. l1_lat in
-                if c > compl_.(0) then compl_.(0) <- c
-              end
-              else begin
-                incr l1m;
-                let a = t1 +. l1_lat in
-                let t2 = if a >= clk.(0) then a else clk.(0) in
-                clk.(0) <- t2 +. inv_l2_tp;
-                if
-                  access_raw l2_tags l2_valid l2_stamps l2_clock l2_ways
-                    l2_sshift l2_smask l2_setmask sector
-                then begin
-                  incr l2h;
-                  let c = t2 +. l2_lat in
-                  if c > compl_.(0) then compl_.(0) <- c
-                end
-                else begin
-                  incr l2m;
-                  dram := !dram + 2;
-                  ignore
-                    (access_raw l2_tags l2_valid l2_stamps l2_clock l2_ways
-                       l2_sshift l2_smask l2_setmask (sector lxor 1));
-                  let b = t2 +. l2_lat in
-                  let t3 = if b >= clk.(1) then b else clk.(1) in
-                  clk.(1) <- t3 +. dram_pair_cost;
-                  let c = t3 +. dram_lat in
-                  if c > compl_.(0) then compl_.(0) <- c
-                end
-              end
-            done;
+            (match xl with
+             | Some x -> load_translated x sm n
+             | None ->
+               let l1t = Array.unsafe_get l1_tags sm in
+               let l1v = Array.unsafe_get l1_valid sm in
+               let l1st = Array.unsafe_get l1_stamps sm in
+               let l1ck = Array.unsafe_get l1_clock sm in
+               for i = 0 to n - 1 do
+                 let sector = Array.unsafe_get scratch i in
+                 let lnf = Array.unsafe_get l1_next_free sm in
+                 let t1 = if t0 >= lnf then t0 else lnf in
+                 Array.unsafe_set l1_next_free sm (t1 +. inv_l1_tp);
+                 if
+                   access_raw l1t l1v l1st l1ck l1_ways l1_sshift l1_smask
+                     l1_setmask sector
+                 then begin
+                   incr l1h;
+                   let c = t1 +. l1_lat in
+                   if c > compl_.(0) then compl_.(0) <- c
+                 end
+                 else begin
+                   incr l1m;
+                   let a = t1 +. l1_lat in
+                   let t2 = if a >= clk.(0) then a else clk.(0) in
+                   clk.(0) <- t2 +. inv_l2_tp;
+                   if
+                     access_raw l2_tags l2_valid l2_stamps l2_clock l2_ways
+                       l2_sshift l2_smask l2_setmask sector
+                   then begin
+                     incr l2h;
+                     let c = t2 +. l2_lat in
+                     if c > compl_.(0) then compl_.(0) <- c
+                   end
+                   else begin
+                     incr l2m;
+                     dram := !dram + 2;
+                     ignore
+                       (access_raw l2_tags l2_valid l2_stamps l2_clock l2_ways
+                          l2_sshift l2_smask l2_setmask (sector lxor 1));
+                     let b = t2 +. l2_lat in
+                     let t3 = if b >= clk.(1) then b else clk.(1) in
+                     clk.(1) <- t3 +. dram_pair_cost;
+                     let c = t3 +. dram_lat in
+                     if c > compl_.(0) then compl_.(0) <- c
+                   end
+                 end
+               done);
             if Array.unsafe_get (Array.unsafe_get blks w) pc <> 0 then
               compl_.(0)
             else issue_time +. slots
@@ -493,20 +791,25 @@ let run_fused (cfg : Config.t) mem_path ~stats ~traces =
             let occ = Array.unsafe_get n_over_l1 n in
             Array.unsafe_set lsu_next_free sm
               (t0 +. if inv_lsu_tp >= occ then inv_lsu_tp else occ);
-            for i = 0 to n - 1 do
-              let sector = Array.unsafe_get scratch i in
-              let t2 = if t0 >= clk.(0) then t0 else clk.(0) in
-              clk.(0) <- t2 +. inv_l2_tp;
-              if
-                not
-                  (access_raw l2_tags l2_valid l2_stamps l2_clock l2_ways
-                     l2_sshift l2_smask l2_setmask sector)
-              then begin
-                incr dram;
-                let t3 = if t2 >= clk.(1) then t2 else clk.(1) in
-                clk.(1) <- t3 +. inv_dram_cost
-              end
-            done;
+            (match xl with
+             | Some x ->
+               compl_.(0) <- t0;
+               store_translated x sm n
+             | None ->
+               for i = 0 to n - 1 do
+                 let sector = Array.unsafe_get scratch i in
+                 let t2 = if t0 >= clk.(0) then t0 else clk.(0) in
+                 clk.(0) <- t2 +. inv_l2_tp;
+                 if
+                   not
+                     (access_raw l2_tags l2_valid l2_stamps l2_clock l2_ways
+                        l2_sshift l2_smask l2_setmask sector)
+                 then begin
+                   incr dram;
+                   let t3 = if t2 >= clk.(1) then t2 else clk.(1) in
+                   clk.(1) <- t3 +. inv_dram_cost
+                 end
+               done);
             issue_time +. slots
           end
           else if op = Trace.op_compute then
@@ -526,9 +829,18 @@ let run_fused (cfg : Config.t) mem_path ~stats ~traces =
         sift_down_root ()
       end
     done;
-    Stats.bump_replay_counters stats ~mem:!n_mem ~compute:!n_comp
-      ~ctrl:!n_ctrl ~load_trans:!ld_tr ~store_trans:!st_tr ~l1_hits:!l1h
-      ~l1_misses:!l1m ~l2_hits:!l2h ~l2_misses:!l2m ~dram_sectors:!dram;
+    (match xl with
+     | None ->
+       Stats.bump_replay_counters stats ~mem:!n_mem ~compute:!n_comp
+         ~ctrl:!n_ctrl ~load_trans:!ld_tr ~store_trans:!st_tr ~l1_hits:!l1h
+         ~l1_misses:!l1m ~l2_hits:!l2h ~l2_misses:!l2m ~dram_sectors:!dram
+     | Some x ->
+       (* A translated launch counts every sector walk in [x]. *)
+       Stats.bump_replay_counters stats ~mem:!n_mem ~compute:!n_comp
+         ~ctrl:!n_ctrl ~load_trans:!ld_tr ~store_trans:!st_tr ~l1_hits:x.l1h
+         ~l1_misses:x.l1m ~l2_hits:x.l2h ~l2_misses:x.l2m ~dram_sectors:x.dram;
+       Stats.bump_tlb_counters stats ~l1_hits:x.tlb_l1h ~l2_hits:x.tlb_l2h
+         ~walks:x.walks ~walk_cycles_total:x.walk.(0));
     finish.(0)
   end
 

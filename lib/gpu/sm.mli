@@ -24,8 +24,8 @@ val run :
     get the launch totals — bit-exact by construction). When it carries
     a ring, warp stall intervals are recorded as events (memory-system
     events come from {!Mem_path}, whose ring must be set separately).
-    This is the reference loop for telemetry and address translation;
-    plain launches replay through {!run_fused}. *)
+    This is the telemetry loop and the reference {!run_fused} is tested
+    against; every telemetry-off launch replays through {!run_fused}. *)
 
 val run_fused :
   Config.t -> Mem_path.t -> stats:Stats.t -> traces:Trace.t array -> float
@@ -35,10 +35,13 @@ val run_fused :
     (trace accessors, [Cache.access], the [Mem_path] hierarchy walk,
     the event heap) inlined over state hoisted once per launch, and
     scalar counters flushed to [stats] in one exact integer add per
-    launch. [Device] replays every plain launch here; [run] remains the
-    reference for telemetry and address translation. Raises
-    [Invalid_argument] unless the memory path is plain (no ring, no
-    vm). *)
+    launch. A translation model attached to the memory path is priced
+    exactly as {!Mem_path.load_soa}/{!Mem_path.store_soa} price it, with
+    the page-table and TLB lookups inlined over state hoisted once per
+    launch. [Device] replays every telemetry-off launch here; [run]
+    remains the telemetry loop and the reference. Raises
+    [Invalid_argument] when a telemetry ring is attached to the memory
+    path. *)
 
 val run_sharded :
   Config.t -> shards:Mem_path.t array -> jobs:int -> stats:Stats.t ->

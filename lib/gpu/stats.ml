@@ -169,6 +169,12 @@ let bump_replay_counters t ~mem ~compute ~ctrl ~load_trans ~store_trans
   t.l2_misses <- t.l2_misses + l2_misses;
   t.dram_sectors <- t.dram_sectors + dram_sectors
 
+let bump_tlb_counters t ~l1_hits ~l2_hits ~walks ~walk_cycles_total =
+  t.tlb_l1_hits <- t.tlb_l1_hits + l1_hits;
+  t.tlb_l2_hits <- t.tlb_l2_hits + l2_hits;
+  t.tlb_walks <- t.tlb_walks + walks;
+  t.tlb_walk_cycles <- walk_cycles_total
+
 let add_cycles t c = t.cycles <- t.cycles +. c
 
 let cycles t = t.cycles

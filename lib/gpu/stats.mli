@@ -74,6 +74,14 @@ val bump_replay_counters :
     one call; exactly equivalent to the per-instruction [count_*]
     sequence it replaces. *)
 
+val bump_tlb_counters :
+  t -> l1_hits:int -> l2_hits:int -> walks:int -> walk_cycles_total:float ->
+  unit
+(** The translated fused loop's flush: adds the TLB hit and walk counts
+    and {e replaces} the walk-cycle total with [walk_cycles_total], which
+    the loop accumulated walk by walk from {!tlb_walk_cycles} — the same
+    float adds in the same order as per-walk {!count_tlb_walk}. *)
+
 val add_cycles : t -> float -> unit
 
 val count_san_violations : t -> int array -> unit

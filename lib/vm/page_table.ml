@@ -46,7 +46,7 @@ type t = {
   levels : int array; (* walk depth charged on a full miss *)
   owner : int array;  (* promoted spans: owning type_id; -1 otherwise *)
   phys : int array;   (* modelled physical base address (bytes) *)
-  mutable last : int; (* one-entry lookup cache *)
+  last : int array;  (* last.(0): one-entry lookup cache *)
   total_pages : int;
   large_spans : int;
 }
@@ -158,7 +158,7 @@ let build ?(promote_min_bytes = default_promote_min_bytes) ~policy ~arenas
     levels;
     owner;
     phys;
-    last = 0;
+    last = Array.make 1 0;
     total_pages = !total_pages;
     large_spans = !large_spans;
   }
@@ -172,7 +172,7 @@ let large_spans t = t.large_spans
    neither allocates. *)
 let find t sector =
   let n = Array.length t.sbase in
-  let last = t.last in
+  let last = t.last.(0) in
   if
     last < n
     && sector >= Array.unsafe_get t.sbase last
@@ -189,7 +189,7 @@ let find t sector =
       end
     in
     let i = go 0 n in
-    if i >= 0 then t.last <- i;
+    if i >= 0 then t.last.(0) <- i;
     i
   end
 
@@ -198,6 +198,15 @@ let key t i sector =
   lor ((sector - Array.unsafe_get t.sbase i) lsr Array.unsafe_get t.shift i)
 
 let levels_of (t : t) i = Array.unsafe_get t.levels i
+
+(* Raw columns for the fused replay loop, which inlines [find]/[key]. *)
+module Raw = struct
+  let sbase t = t.sbase
+  let slimit t = t.slimit
+  let shift t = t.shift
+  let levels (t : t) = t.levels
+  let last t = t.last
+end
 
 let span_info (t : t) i =
   if i < 0 || i >= Array.length t.sbase then

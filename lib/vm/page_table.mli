@@ -60,6 +60,23 @@ val key : t -> int -> int -> int
 val levels_of : t -> int -> int
 (** Walk depth of the span's pages. *)
 
+(** Raw span columns for the GPU's fused replay loop, which inlines
+    {!find} and {!key} over them: spans are sorted by [sbase]; span [i]
+    covers sectors [\[sbase.(i), slimit.(i))] with pages of
+    [1 lsl shift.(i)] sectors and walks [levels.(i)] levels; [last.(0)]
+    is the one-entry hint {!find} tries first and updates on a hit.
+    Read-only apart from [last]. *)
+module Raw : sig
+  val sbase : t -> int array
+  val slimit : t -> int array
+  val shift : t -> int array
+  val levels : t -> int array
+  val last : t -> int array
+end
+
+val span_key_shift : int
+(** Bits reserved for the in-span page offset in a {!key}. *)
+
 val span_info : t -> int -> int * int * int
 (** [(base, limit, owner)] of a span, in bytes. *)
 

@@ -5,14 +5,15 @@
    registers) but keyed on page identities rather than paired sectors:
    there is no fill granularity below an entry. Tag -1 marks an invalid
    way; page keys are non-negative, and an invalid way's zero stamp makes
-   the LRU scan fill invalid ways first. *)
+   the LRU scan fill invalid ways first. The LRU tick is a one-cell int
+   array (as [Cache]'s clock is) so the fused replay loop can hoist it. *)
 
 type t = {
   ways : int;
   mask : int; (* sets - 1 *)
   tags : int array;
   stamps : int array;
-  mutable tick : int;
+  tick : int array; (* tick.(0): the LRU clock *)
 }
 
 let create ~sets ~ways =
@@ -24,7 +25,7 @@ let create ~sets ~ways =
     mask = sets - 1;
     tags = Array.make (sets * ways) (-1);
     stamps = Array.make (sets * ways) 0;
-    tick = 0;
+    tick = Array.make 1 0;
   }
 
 let entries t = (t.mask + 1) * t.ways
@@ -44,10 +45,11 @@ let rec lru_way stamps base w ways best best_stamp =
 
 let access t ~key =
   let base = (key land t.mask) * t.ways in
-  t.tick <- t.tick + 1;
+  let tick = t.tick.(0) + 1 in
+  t.tick.(0) <- tick;
   let w = scan_ways t.tags key base 0 t.ways in
   if w >= 0 then begin
-    Array.unsafe_set t.stamps (base + w) t.tick;
+    Array.unsafe_set t.stamps (base + w) tick;
     true
   end
   else begin
@@ -55,7 +57,7 @@ let access t ~key =
       lru_way t.stamps base 1 t.ways 0 (Array.unsafe_get t.stamps base)
     in
     Array.unsafe_set t.tags (base + v) key;
-    Array.unsafe_set t.stamps (base + v) t.tick;
+    Array.unsafe_set t.stamps (base + v) tick;
     false
   end
 
@@ -66,4 +68,13 @@ let probe t ~key =
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  t.tick <- 0
+  t.tick.(0) <- 0
+
+(* Raw state for the fused replay loop, which inlines [access] over it. *)
+module Raw = struct
+  let tags t = t.tags
+  let stamps t = t.stamps
+  let tick t = t.tick
+  let mask t = t.mask
+  let ways t = t.ways
+end

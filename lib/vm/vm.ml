@@ -93,5 +93,7 @@ let flush t =
   Tlb.flush t.l2
 
 let table t = t.table
+let l1_tlbs t = t.l1s
+let l2_tlb t = t.l2
 let config t = t.cfg
 let n_sms t = Array.length t.l1s

@@ -13,6 +13,9 @@ module Sm = Repro_gpu.Sm
 module Device = Repro_gpu.Device
 module Telemetry = Repro_gpu.Telemetry
 module Page_store = Repro_mem.Page_store
+module Vm = Repro_vm.Vm
+module Page_table = Repro_vm.Page_table
+module Policy = Repro_vm.Policy
 
 let check = Alcotest.check
 
@@ -494,6 +497,27 @@ let traces_of_ops ops =
         ops;
       Warp_ctx.trace ctx)
 
+(* A page table over the low megabyte that [traces_of_ops] and
+   [canned_traces] address, with holes left unmapped (every access there
+   walks) and, under [Coalesce], two promoted spans on large pages. *)
+let test_vm policy =
+  let table =
+    Page_table.build ~policy
+      ~arenas:[ (0, 0x30000); (0x40000, 0x50000); (0xA0000, 0x40000) ]
+      ~promoted:
+        [ (0x40000, 0x60000, 1); (0x60000, 0x90000, 1); (0xA0000, 0xB0000, 2) ]
+      ()
+  in
+  Vm.create ~n_sms:cfg.Config.n_sms ~table ()
+
+let mem_path_with_vm vm =
+  let mp = Mem_path.create cfg in
+  Mem_path.set_vm mp vm;
+  mp
+
+(* Plain and under every page policy (unmapped holes included), over
+   two launches on the same paths: the second starts with flushed L1
+   caches and TLBs and the first launch's L2 and L2 TLB. *)
 let prop_fused_replay_identical =
   QCheck.Test.make
     ~name:"run_fused is byte-identical to run (cycles and every counter)"
@@ -501,14 +525,23 @@ let prop_fused_replay_identical =
     QCheck.(
       list_of_size (Gen.int_range 1 80) (pair (int_bound 5) (int_bound 0xFFFF)))
     (fun ops ->
-      let traces = traces_of_ops ops in
-      let s1 = Stats.create () and s2 = Stats.create () in
-      let c1 = Sm.run cfg (Mem_path.create cfg) ~stats:s1 ~traces in
-      let c2 = Sm.run_fused cfg (Mem_path.create cfg) ~stats:s2 ~traces in
-      c1 = c2 && Stats.to_raw s1 = Stats.to_raw s2)
+      let launches = [ traces_of_ops ops; traces_of_ops (List.rev ops) ] in
+      List.for_all
+        (fun policy ->
+          let replay run =
+            let mp = mem_path_with_vm (Option.map test_vm policy) in
+            let stats = Stats.create () in
+            let cycles =
+              List.map (fun traces -> run cfg mp ~stats ~traces) launches
+            in
+            Marshal.to_string (cycles, Stats.to_raw stats) [ Marshal.No_sharing ]
+          in
+          replay (fun cfg mp ~stats ~traces -> Sm.run cfg mp ~stats ~traces)
+          = replay Sm.run_fused)
+        (None :: List.map Option.some Policy.all))
 
-let replay_minor_words_fused traces =
-  let mp = Mem_path.create cfg in
+let replay_minor_words_fused ?vm traces =
+  let mp = mem_path_with_vm vm in
   let stats = Stats.create () in
   ignore (Sm.run_fused cfg mp ~stats ~traces);
   let w0 = Gc.minor_words () in
@@ -517,15 +550,45 @@ let replay_minor_words_fused traces =
 
 let test_fused_replay_zero_allocation () =
   (* The fused loop must hold the same invariant as [Sm.run]: per-launch
-     setup may allocate, per-instruction work may not. *)
-  let short = replay_minor_words_fused (canned_traces ~n_warps:8 ~n_instrs:300) in
-  let long = replay_minor_words_fused (canned_traces ~n_warps:8 ~n_instrs:3000) in
-  check Alcotest.bool
-    (Printf.sprintf
-       "fused allocation independent of trace length (short=%.0f long=%.0f)"
-       short long)
-    true
-    (long <= short +. 256.)
+     setup may allocate, per-instruction work may not — translated or
+     not. ([Sm.run] boxes a float per page walk; the fused loop keeps
+     walk cycles in a float cell.) *)
+  List.iter
+    (fun (name, vm) ->
+      let short =
+        replay_minor_words_fused ?vm:(vm ())
+          (canned_traces ~n_warps:8 ~n_instrs:300)
+      in
+      let long =
+        replay_minor_words_fused ?vm:(vm ())
+          (canned_traces ~n_warps:8 ~n_instrs:3000)
+      in
+      check Alcotest.bool
+        (Printf.sprintf
+           "%s fused allocation independent of trace length (short=%.0f \
+            long=%.0f)"
+           name short long)
+        true
+        (long <= short +. 256.))
+    [
+      ("plain", fun () -> None);
+      ("translated", fun () -> Some (test_vm Policy.Flat_4k));
+    ]
+
+let test_set_vm_checks_n_sms () =
+  (* The replay loops index the vm's per-SM L1 TLBs by SM unchecked. *)
+  let table = Vm.table (test_vm Policy.Flat_4k) in
+  List.iter
+    (fun n_sms ->
+      let vm = Vm.create ~n_sms ~table () in
+      check Alcotest.bool
+        (Printf.sprintf "a %d-SM vm on a %d-SM path is refused" n_sms
+           cfg.Config.n_sms)
+        true
+        (match Mem_path.set_vm (Mem_path.create cfg) (Some vm) with
+         | () -> false
+         | exception Invalid_argument _ -> true))
+    [ cfg.Config.n_sms - 1; cfg.Config.n_sms + 1 ]
 
 let test_sharded_jobs_byte_identical () =
   (* Intra-launch sharding deals warps to per-SM memory slices; the
@@ -634,6 +697,8 @@ let suite =
       test_replay_zero_allocation;
     Alcotest.test_case "fused replay allocates nothing per instruction" `Quick
       test_fused_replay_zero_allocation;
+    Alcotest.test_case "set_vm refuses a vm of another SM count" `Quick
+      test_set_vm_checks_n_sms;
     Alcotest.test_case "sharded timing jobs-count invariant" `Quick
       test_sharded_jobs_byte_identical;
     Alcotest.test_case "tracer-on replay allocates nothing per instruction"
