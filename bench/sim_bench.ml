@@ -4,9 +4,10 @@
    DYNA column (CUDA dispatch over DynaSOAr SoA blocks) — this runs the
    functional phase once with trace retention on, then re-times the
    retained traces through a fresh memory hierarchy several times,
-   reporting simulated instructions and cycles per wall-second and minor
-   words allocated per replayed instruction (the zero-allocation
-   invariant makes the last ~0). A synthetic canned-trace job with a
+   reporting simulated instructions and cycles per wall-second and the
+   minor words a replay allocates, split into a per-launch figure and a
+   per-instruction figure (the zero-allocation invariant makes the
+   per-instruction figure ~0). A synthetic canned-trace job with a
    fixed instruction mix is included as a machine-independent reference
    point across commits.
 
@@ -22,9 +23,13 @@
    wall time is unaffected (every warp still replays -- its addresses
    are private); the ratio gates the emission-side win.
 
-   Each column times the loop [Device] replays that kind of launch
-   through: the plain and vm columns [Sm.run_fused], the tracer column
-   [Sm.run] with an event ring. Replays re-run traces recorded once, so
+   Every column times [Sm.run], the one replay loop: the plain column
+   with telemetry off, the tracer column with an event ring, the vm
+   column with the job's page table attached. The tracer overhead
+   therefore prices recording alone. Per-launch words come from
+   replaying the same launch shapes with every warp's trace emptied;
+   per-instruction words are the rest of the plain passes' allocation
+   divided by the instructions replayed. Replays re-run traces recorded once, so
    their cache state differs from a real multi-iteration run — the
    numbers measure engine speed, not workload figures (bench/main.exe
    does those). *)
@@ -68,6 +73,7 @@ type result = {
   cycles : float;       (* simulated cycles per replay pass *)
   wall_s : float;       (* for [reps] passes *)
   minor_words : float;  (* for [reps] passes *)
+  launch_words : float; (* the same passes' launch shapes, traces emptied *)
   tel_wall_s : float;   (* same passes with the event tracer on *)
   vm_wall_s : float;    (* same passes with address translation on *)
   dedup : float;        (* phase-1 interning ratio: warps / unique streams *)
@@ -76,7 +82,10 @@ type result = {
 let minstr_per_s r = float_of_int (r.instrs * reps) /. r.wall_s /. 1e6
 let tel_minstr_per_s r = float_of_int (r.instrs * reps) /. r.tel_wall_s /. 1e6
 let mcyc_per_s r = r.cycles *. float_of_int reps /. r.wall_s /. 1e6
-let words_per_instr r = r.minor_words /. float_of_int (r.instrs * reps)
+let words_per_instr r =
+  (r.minor_words -. r.launch_words) /. float_of_int (r.instrs * reps)
+
+let words_per_launch r = r.launch_words /. float_of_int (r.launches * reps)
 
 let tracer_overhead_pct r =
   if r.wall_s <= 0. then 0.
@@ -87,6 +96,8 @@ let tracer_overhead_pct r =
 let vm_overhead_pct r =
   if r.wall_s <= 0. then 0.
   else 100. *. (r.vm_wall_s -. r.wall_s) /. r.wall_s
+
+let no_instrs = G.Trace.create ()
 
 (* Replay [launches] through a fresh hierarchy [reps] times; one untimed
    warm-up pass first so code and data are hot. Then the same passes
@@ -106,7 +117,7 @@ let time_replay ~job ~cfg ~vm ?(dedup = 1.) launches =
   let replay_once () =
     let cycles = ref 0. in
     List.iter
-      (fun traces -> cycles := !cycles +. G.Sm.run_fused cfg mp ~stats ~traces)
+      (fun traces -> cycles := !cycles +. G.Sm.run cfg mp ~stats ~traces)
       launches;
     !cycles
   in
@@ -119,6 +130,21 @@ let time_replay ~job ~cfg ~vm ?(dedup = 1.) launches =
   done;
   let wall_s = Unix.gettimeofday () -. t0 in
   let minor_words = Gc.minor_words () -. w0 in
+  (* The same launches with every warp's trace emptied: what a replay
+     allocates for the launch shape alone. *)
+  let shapes = List.map (Array.map (fun _ -> no_instrs)) launches in
+  let shape_mp = G.Mem_path.create cfg in
+  let replay_shapes () =
+    List.iter
+      (fun traces -> ignore (G.Sm.run cfg shape_mp ~stats ~traces))
+      shapes
+  in
+  replay_shapes ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    replay_shapes ()
+  done;
+  let launch_words = Gc.minor_words () -. w0 in
   (* Tracer-on passes: ring-only config (no windowing), fresh hierarchy
      so cache behaviour matches the plain passes. *)
   let tel =
@@ -128,7 +154,6 @@ let time_replay ~job ~cfg ~vm ?(dedup = 1.) launches =
   in
   let ring = Option.get tel.G.Telemetry.ring in
   let tel_mp = G.Mem_path.create cfg in
-  G.Mem_path.set_ring tel_mp (Some ring);
   let tel_stats = G.Stats.create () in
   let replay_tel () =
     G.Telemetry.Ring.begin_launch ring ~base:0.;
@@ -152,7 +177,7 @@ let time_replay ~job ~cfg ~vm ?(dedup = 1.) launches =
   let vm_stats = G.Stats.create () in
   let replay_vm () =
     List.iter
-      (fun traces -> ignore (G.Sm.run_fused cfg vm_mp ~stats:vm_stats ~traces))
+      (fun traces -> ignore (G.Sm.run cfg vm_mp ~stats:vm_stats ~traces))
       launches
   in
   replay_vm ();
@@ -163,7 +188,7 @@ let time_replay ~job ~cfg ~vm ?(dedup = 1.) launches =
   done;
   let vm_wall_s = Unix.gettimeofday () -. t0 in
   { job; launches = List.length launches; instrs; cycles; wall_s; minor_words;
-    tel_wall_s; vm_wall_s; dedup }
+    launch_words; tel_wall_s; vm_wall_s; dedup }
 
 let workload_job ?alloc (w : W.Workload.t) technique =
   (* Built with translation on so the runtime assembles the job's real
@@ -256,6 +281,7 @@ let result_json r =
       ("minstr_per_s", O.Json.Float (minstr_per_s r));
       ("mcycles_per_s", O.Json.Float (mcyc_per_s r));
       ("minor_words_per_instr", O.Json.Float (words_per_instr r));
+      ("minor_words_per_launch", O.Json.Float (words_per_launch r));
       ("tracer_wall_s", O.Json.Float r.tel_wall_s);
       ("tracer_minstr_per_s", O.Json.Float (tel_minstr_per_s r));
       ("tracer_overhead_pct", O.Json.Float (tracer_overhead_pct r));
@@ -266,15 +292,17 @@ let result_json r =
 
 let () =
   Printf.printf "sim_bench: scale=%g reps=%d\n%!" scale reps;
-  Printf.printf "%-18s %10s %9s %9s %9s %12s %9s %6s %6s %7s\n" "job" "instrs"
-    "Minstr/s" "Mcyc/s" "wall(s)" "words/instr" "tracer" "ovh%" "vm%" "dedup";
+  Printf.printf "%-18s %10s %9s %9s %9s %12s %12s %9s %6s %6s %7s\n" "job"
+    "instrs" "Minstr/s" "Mcyc/s" "wall(s)" "words/instr" "words/launch"
+    "tracer" "ovh%" "vm%" "dedup";
   let results = ref [] in
   let emit r =
     results := r :: !results;
     Printf.printf
-      "%-18s %10d %9.2f %9.2f %9.3f %12.3f %9.2f %+6.1f %+6.1f %6.1fx\n%!"
+      "%-18s %10d %9.2f %9.2f %9.3f %12.3f %12.0f %9.2f %+6.1f %+6.1f %6.1fx\n%!"
       r.job r.instrs (minstr_per_s r) (mcyc_per_s r) r.wall_s
-      (words_per_instr r) (tel_minstr_per_s r) (tracer_overhead_pct r)
+      (words_per_instr r) (words_per_launch r) (tel_minstr_per_s r)
+      (tracer_overhead_pct r)
       (vm_overhead_pct r) r.dedup
   in
   emit (canned_job ());
@@ -290,6 +318,18 @@ let () =
   in
   let total_wall = List.fold_left (fun a r -> a +. r.wall_s) 0. results in
   let total_words = List.fold_left (fun a r -> a +. r.minor_words) 0. results in
+  let total_launch_words =
+    List.fold_left (fun a r -> a +. r.launch_words) 0. results
+  in
+  let total_launches =
+    List.fold_left (fun a r -> a + (r.launches * reps)) 0 results
+  in
+  let agg_words_per_instr =
+    (total_words -. total_launch_words) /. float_of_int total_instrs
+  in
+  let agg_words_per_launch =
+    total_launch_words /. float_of_int total_launches
+  in
   let total_tel_wall =
     List.fold_left (fun a r -> a +. r.tel_wall_s) 0. results
   in
@@ -306,11 +346,10 @@ let () =
     else 0.
   in
   Printf.printf
-    "aggregate: %.2f Minstr/s over %d jobs, %.3f minor words/instr, \
-     tracer overhead %+.1f%%, translation overhead %+.1f%%\n%!"
+    "aggregate: %.2f Minstr/s over %d jobs, %.3f minor words/instr + %.0f \
+     per launch, tracer overhead %+.1f%%, translation overhead %+.1f%%\n%!"
     (float_of_int total_instrs /. total_wall /. 1e6)
-    (List.length results)
-    (total_words /. float_of_int total_instrs)
+    (List.length results) agg_words_per_instr agg_words_per_launch
     agg_overhead agg_vm_overhead;
   let json =
     O.Json.Obj
@@ -322,8 +361,8 @@ let () =
             [
               ( "minstr_per_s",
                 O.Json.Float (float_of_int total_instrs /. total_wall /. 1e6) );
-              ( "minor_words_per_instr",
-                O.Json.Float (total_words /. float_of_int total_instrs) );
+              ("minor_words_per_instr", O.Json.Float agg_words_per_instr);
+              ("minor_words_per_launch", O.Json.Float agg_words_per_launch);
               ("tracer_overhead_pct", O.Json.Float agg_overhead);
               ("vm_overhead_pct", O.Json.Float agg_vm_overhead);
             ] );

@@ -710,6 +710,11 @@ let run ?runner cfg =
        | Some m -> m.Svc.bytes_in <- m.Svc.bytes_in + n
        | None -> ());
       let n_sessions () = Hashtbl.length sessions in
+      let lines, oversized =
+        match Session.feed session (Bytes.sub_string buf 0 n) with
+        | Ok lines -> (lines, false)
+        | Error lines -> (lines, true)
+      in
       List.iter
         (fun line ->
           if String.trim line <> "" then
@@ -747,7 +752,17 @@ let run ?runner cfg =
                 Session.send session (Response.Error { message });
                 finish_request t ~trace ~t0
             end)
-        (Session.feed session (Bytes.sub_string buf 0 n))
+        lines;
+      if oversized then begin
+        Session.send session
+          (Response.Error
+             {
+               message =
+                 Printf.sprintf "request line exceeds %d bytes"
+                   Session.max_line_bytes;
+             });
+        reap t session
+      end
     | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> reap t session
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   in

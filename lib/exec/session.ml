@@ -30,23 +30,42 @@ let create ?on_send ~id fd =
     closed = false;
   }
 
+let max_line_bytes = 1 lsl 20
+
+let strip_cr line =
+  let n = String.length line in
+  if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+
+(* Only the new bytes are scanned: a line's head waits in [buf] and is
+   joined once its newline arrives, so a line trickled in byte by byte
+   costs linear time, and the pending bytes never exceed the cap. *)
 let feed t chunk =
-  Buffer.add_string t.buf chunk;
-  let data = Buffer.contents t.buf in
-  let lines = ref [] in
-  let start = ref 0 in
-  String.iteri
-    (fun i c ->
-      if c = '\n' then begin
-        let len = i - !start in
-        let len = if len > 0 && data.[i - 1] = '\r' then len - 1 else len in
-        lines := String.sub data !start len :: !lines;
-        start := i + 1
-      end)
-    data;
-  Buffer.clear t.buf;
-  Buffer.add_substring t.buf data !start (String.length data - !start);
-  List.rev !lines
+  let n = String.length chunk in
+  let rec go start acc =
+    match String.index_from_opt chunk start '\n' with
+    | Some i ->
+      let line =
+        if Buffer.length t.buf = 0 then String.sub chunk start (i - start)
+        else begin
+          Buffer.add_substring t.buf chunk start (i - start);
+          let line = Buffer.contents t.buf in
+          Buffer.clear t.buf;
+          line
+        end
+      in
+      if String.length line > max_line_bytes then overflow acc
+      else go (i + 1) (strip_cr line :: acc)
+    | None ->
+      if Buffer.length t.buf + (n - start) > max_line_bytes then overflow acc
+      else begin
+        Buffer.add_substring t.buf chunk start (n - start);
+        Ok (List.rev acc)
+      end
+  and overflow acc =
+    Buffer.reset t.buf;
+    Error (List.rev acc)
+  in
+  go 0 []
 
 let send t response =
   if not t.closed then begin

@@ -39,9 +39,18 @@ val create :
   ?on_send:(bytes:int -> t0:float -> dur:float -> unit) ->
   id:int -> Unix.file_descr -> t
 
-val feed : t -> string -> string list
+val max_line_bytes : int
+(** The longest request line accepted: 1 MiB (1 048 576 bytes) before
+    its newline. A fixed protocol limit (PROTOCOL.md), not a setting. *)
+
+val feed : t -> string -> (string list, string list) result
 (** Append received bytes and return the complete lines they finish, in
-    order, stripped of their newline (and any ['\r']). *)
+    order, stripped of their newline (and any ['\r']). Only the new
+    bytes are scanned. [Error lines] when a line exceeds
+    {!max_line_bytes} — as soon as the pending bytes pass the cap,
+    without waiting for the newline: [lines] are the complete lines
+    before it, the pending bytes are dropped, and the caller answers
+    with an error and closes the session. *)
 
 val send : t -> Response.t -> unit
 (** Write one response line. A write failure (client went away mid-write)

@@ -25,7 +25,7 @@ let log2 n =
 
 type t = {
   geom : geometry;
-  sets : int;
+  ways : int;
   (* Sector -> (line, sector-in-line) is a shift/mask pair: geometry
      validation forces the sector count per line (and the set count) to a
      power of two, so no div/mod survives on the lookup path. *)
@@ -38,10 +38,7 @@ type t = {
   tags : int array;
   valid : int array;
   stamps : int array;
-  (* A 1-cell array rather than a mutable int field so the fused replay
-     loop (Sm.run_fused) can hoist it once and bump it with direct array
-     stores. *)
-  clock : int array;
+  mutable clock : int;
 }
 
 let create geom =
@@ -50,83 +47,72 @@ let create geom =
   let sectors_per_line = geom.line_bytes / Repro_mem.Vaddr.sector_bytes in
   {
     geom;
-    sets;
+    ways = geom.ways;
     sector_shift = log2 sectors_per_line;
     sector_mask = sectors_per_line - 1;
     set_mask = sets - 1;
     tags = Array.make slots (-1);
     valid = Array.make slots 0;
     stamps = Array.make slots 0;
-    clock = Array.make 1 0;
+    clock = 0;
   }
 
 let geometry_of t = t.geom
 
-(* Way holding [line] in [set], as a slot index; -1 when absent. Returning
-   an int rather than an option keeps the lookup allocation-free; the scan
-   is a top-level recursion because a local [let rec] capturing its
-   environment would allocate a closure per lookup. *)
-let rec scan_ways (tags : int array) base ways line way =
-  if way >= ways then -1
-  else if tags.(base + way) = line then base + way
-  else scan_ways tags base ways line (way + 1)
+(* Slot holding [line] in the set starting at [base]; -1 when absent.
+   Returning an int rather than an option keeps the lookup
+   allocation-free, and a loop (not a local [let rec], which would
+   allocate a closure per lookup) lets [access] inline the scan. *)
+let[@inline] scan_ways (tags : int array) base ways line =
+  let slot = ref (-1) and way = ref 0 in
+  while !slot < 0 && !way < ways do
+    if Array.unsafe_get tags (base + !way) = line then slot := base + !way
+    else incr way
+  done;
+  !slot
 
-let find_slot t ~set ~line =
-  scan_ways t.tags (set * t.geom.ways) t.geom.ways line 0
-
-let lru_slot t ~set =
-  let base = set * t.geom.ways in
+(* The set's LRU slot: the minimum stamp, first-found on ties (invalid
+   ways carry stamp 0, so they fill before any eviction). *)
+let[@inline] lru_slot (stamps : int array) base ways =
   let best = ref base in
-  for way = 1 to t.geom.ways - 1 do
-    if t.stamps.(base + way) < t.stamps.(!best) then best := base + way
+  for k = base + 1 to base + ways - 1 do
+    if Array.unsafe_get stamps k < Array.unsafe_get stamps !best then best := k
   done;
   !best
 
+(* Every index below is [base + way] with [way < ways] and [base] a set
+   start, so the unsafe accesses stay inside the slot arrays. *)
 let access t ~sector =
   let line = sector lsr t.sector_shift in
-  let set = line land t.set_mask in
-  t.clock.(0) <- t.clock.(0) + 1;
+  let ways = t.ways in
+  let base = (line land t.set_mask) * ways in
+  let now = t.clock + 1 in
+  t.clock <- now;
   let bit = 1 lsl (sector land t.sector_mask) in
-  let slot = find_slot t ~set ~line in
+  let slot = scan_ways t.tags base ways line in
   if slot >= 0 then begin
-    t.stamps.(slot) <- t.clock.(0);
-    if t.valid.(slot) land bit <> 0 then `Hit
+    Array.unsafe_set t.stamps slot now;
+    let v = Array.unsafe_get t.valid slot in
+    if v land bit <> 0 then `Hit
     else begin
-      t.valid.(slot) <- t.valid.(slot) lor bit;
+      Array.unsafe_set t.valid slot (v lor bit);
       `Miss
     end
   end
   else begin
-    let slot = lru_slot t ~set in
-    t.tags.(slot) <- line;
-    t.valid.(slot) <- bit;
-    t.stamps.(slot) <- t.clock.(0);
+    let slot = lru_slot t.stamps base ways in
+    Array.unsafe_set t.tags slot line;
+    Array.unsafe_set t.valid slot bit;
+    Array.unsafe_set t.stamps slot now;
     `Miss
   end
 
 let probe t ~sector =
   let line = sector lsr t.sector_shift in
-  let set = line land t.set_mask in
-  let slot = find_slot t ~set ~line in
+  let slot = scan_ways t.tags ((line land t.set_mask) * t.ways) t.ways line in
   slot >= 0 && t.valid.(slot) land (1 lsl (sector land t.sector_mask)) <> 0
 
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.valid 0 (Array.length t.valid) 0;
   Array.fill t.stamps 0 (Array.length t.stamps) 0
-
-(* Raw state for the fused replay loop: with these hoisted into locals,
-   an [access]-equivalent lookup is pure array arithmetic with no
-   cross-module call (this build has no flambda, so [Cache.access] would
-   otherwise be a real call per sector). The fused loop must reproduce
-   [access] exactly; it is the only sanctioned consumer. *)
-module Raw = struct
-  let tags t = t.tags
-  let valid t = t.valid
-  let stamps t = t.stamps
-  let clock_cell t = t.clock
-  let ways t = t.geom.ways
-  let sector_shift t = t.sector_shift
-  let sector_mask t = t.sector_mask
-  let set_mask t = t.set_mask
-end

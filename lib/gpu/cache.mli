@@ -35,25 +35,3 @@ val flush : t -> unit
 (** Invalidate everything (kernel-launch boundary for the L1). *)
 
 val geometry_of : t -> geometry
-
-(** Raw tag-state access for the fused replay loop ({!Sm}); hoisted once
-    per launch so the per-sector lookup is call-free. Mutating these
-    outside an exact [access] re-implementation breaks the model. *)
-module Raw : sig
-  val tags : t -> int array
-  (** Resident line per slot; -1 invalid. *)
-
-  val valid : t -> int array
-  (** Per-slot valid-sector bitmask. *)
-
-  val stamps : t -> int array
-  (** Per-slot LRU stamps. *)
-
-  val clock_cell : t -> int array
-  (** 1-cell LRU clock. *)
-
-  val ways : t -> int
-  val sector_shift : t -> int
-  val sector_mask : t -> int
-  val set_mask : t -> int
-end

@@ -6,19 +6,15 @@
     load (32 lanes, 32 different objects) costs up to 32 transactions,
     while 32 lanes reading the same range-table node cost one. *)
 
-val sectors_into : buf:int array -> int array -> off:int -> len:int -> int
-(** [sectors_into ~buf addrs ~off ~len] writes the distinct ascending
-    sector ids of [addrs.(off .. off+len-1)] into [buf.(0 ..)] and returns
-    how many it wrote (1..len). Allocation-free: a monomorphic insertion
-    sort with inline deduplication over a caller-owned scratch buffer of at
-    least [len] entries. Tag bits on the addresses are ignored. This is
-    the replay-path coalescer; {!sectors} is the naive reference. *)
-
 val sectors_into_unsafe : buf:int array -> int array -> off:int -> len:int -> int
-(** {!sectors_into} with the per-element bounds checks elided. Only for
-    callers whose [off]/[len] come from trace columns (in range by
-    construction) and whose [buf] holds at least [len] entries — the
-    fused replay loop. Results are identical to {!sectors_into}. *)
+(** [sectors_into_unsafe ~buf addrs ~off ~len] writes the distinct
+    ascending sector ids of [addrs.(off .. off+len-1)] into [buf.(0 ..)]
+    and returns how many it wrote (1..len). Allocation-free: a
+    monomorphic insertion sort with inline deduplication. Per-element
+    bounds checks are elided, so [off]/[len] must lie inside [addrs] (the
+    replay loop takes them from trace columns, in range by construction)
+    and [buf] must hold at least [len] entries. Tag bits on the
+    addresses are ignored. {!sectors} is the naive reference. *)
 
 val sectors : int array -> int array
 (** [sectors addrs] is the sorted array of distinct 32 B sector indices

@@ -31,15 +31,11 @@ let create ?(config = Config.default) ?(engine = Engine.default) ?san
     | Some c when Telemetry.config_enabled c -> Some (Telemetry.create c)
     | Some _ | None -> None
   in
-  let mem_path = Mem_path.create config in
-  (match tel with
-   | Some { Telemetry.ring = Some ring; _ } -> Mem_path.set_ring mem_path (Some ring)
-   | Some _ | None -> ());
   {
     cfg = config;
     engine;
     heap;
-    mem_path;
+    mem_path = Mem_path.create config;
     shards = [||];
     scratch = Trace.create ~capacity:256 ();
     stats = Stats.create ();
@@ -78,8 +74,8 @@ let shards t =
 
 (* The sharded engine has no telemetry instrumentation, and a translation
    model is attached to the shared [mem_path] only — both replay on the
-   shared path instead: [Sm.run_fused] for a translated launch, [Sm.run]
-   for telemetry. A 1-SM config has nothing to shard. *)
+   shared path through [Sm.run] instead. A 1-SM config has nothing to
+   shard. *)
 let use_sharded t =
   t.engine.Engine.intra && t.cfg.Config.n_sms > 1 && t.tel = None
   && Mem_path.vm t.mem_path = None
@@ -125,65 +121,58 @@ let launch t ~n_threads kernel =
       Stats.count_san_violations launch_stats
         (Repro_san.Checker.take_kernel_delta san)
   in
-  (match t.tel with
+  (* Launches concatenate on one absolute time axis whose origin is the
+     cumulative cycle count so far. *)
+  let base = Stats.cycles t.stats in
+  let ring, sampler =
+    match t.tel with
+    | Some tel -> (tel.Telemetry.ring, tel.Telemetry.sampler)
+    | None -> (None, None)
+  in
+  Option.iter (fun ring -> Telemetry.Ring.begin_launch ring ~base) ring;
+  Option.iter Telemetry.Sampler.begin_launch sampler;
+  let cycles =
+    if use_sharded t then
+      Sm.run_sharded t.cfg ~shards:(shards t)
+        ~jobs:(Engine.resolve_jobs t.engine) ~stats:launch_stats ~traces
+    else Sm.run ?telemetry:t.tel t.cfg t.mem_path ~stats:launch_stats ~traces
+  in
+  Option.iter
+    (fun ring ->
+      (* The span covers trailing write-through DRAM drain the ring may
+         have recorded past the last warp's retirement. *)
+      let dur = fmax cycles (Telemetry.Ring.max_end ring -. base) in
+      t.spans <- { Telemetry.index = t.launches; start = base; dur } :: t.spans)
+    ring;
+  (match sampler with
    | None ->
-     let cycles =
-       if use_sharded t then
-         Sm.run_sharded t.cfg ~shards:(shards t)
-           ~jobs:(Engine.resolve_jobs t.engine) ~stats:launch_stats ~traces
-       else Sm.run_fused t.cfg t.mem_path ~stats:launch_stats ~traces
-     in
+     (* Counters went straight into [launch_stats]. *)
      Stats.add_cycles launch_stats cycles;
-     san_delta ()
-   | Some tel ->
-     (* Launches concatenate on one absolute time axis whose origin is
-        the cumulative cycle count so far. *)
-     let base = Stats.cycles t.stats in
-     (match tel.Telemetry.ring with
-      | Some ring -> Telemetry.Ring.begin_launch ring ~base
-      | None -> ());
-     (match tel.Telemetry.sampler with
-      | Some sampler -> Telemetry.Sampler.begin_launch sampler
-      | None -> ());
-     let cycles = Sm.run ~telemetry:tel t.cfg t.mem_path ~stats:launch_stats ~traces in
-     (match tel.Telemetry.ring with
-      | Some ring ->
-        (* The span covers trailing write-through DRAM drain the ring
-           may have recorded past the last warp's retirement. *)
-        let dur = fmax cycles (Telemetry.Ring.max_end ring -. base) in
-        t.spans <- { Telemetry.index = t.launches; start = base; dur } :: t.spans
-      | None -> ());
-     (match tel.Telemetry.sampler with
-      | None ->
-        (* Ring only: counters went straight into [launch_stats]. *)
-        Stats.add_cycles launch_stats cycles;
-        san_delta ();
-        (match tel.Telemetry.ring with
-         | Some ring ->
-           Stats.count_trace_dropped launch_stats (Telemetry.Ring.take_dropped ring)
-         | None -> ())
-      | Some sampler ->
-        (* Windowed: the engine counted into per-window rows. Fold them
-           in order into the launch delta — the identical association a
-           plain run performs, so totals (cycles included, see
-           [Sampler.finish_launch]) match a telemetry-off run bit-for-bit
-           on every integer counter and on cycles. Launch-scoped counts
-           with no cycle of their own (sanitizer delta, ring drops) land
-           in the last window. *)
-        Telemetry.Sampler.finish_launch sampler ~cycles;
-        let rows = Telemetry.Sampler.take sampler in
-        let last = rows.(Array.length rows - 1) in
-        (match t.san with
-         | None -> ()
-         | Some san ->
-           Stats.count_san_violations last
-             (Repro_san.Checker.take_kernel_delta san));
-        (match tel.Telemetry.ring with
-         | Some ring ->
-           Stats.count_trace_dropped last (Telemetry.Ring.take_dropped ring)
-         | None -> ());
-        Array.iter (fun row -> Stats.add launch_stats row) rows;
-        t.windows <- rows :: t.windows));
+     san_delta ();
+     Option.iter
+       (fun ring ->
+         Stats.count_trace_dropped launch_stats (Telemetry.Ring.take_dropped ring))
+       ring
+   | Some sampler ->
+     (* Windowed: the engine counted into per-window rows. Fold them in
+        order into the launch delta — the identical association a plain
+        run performs, so totals (cycles included, see
+        [Sampler.finish_launch]) match a telemetry-off run bit-for-bit
+        on every integer counter and on cycles. Launch-scoped counts with
+        no cycle of their own (sanitizer delta, ring drops) land in the
+        last window. *)
+     Telemetry.Sampler.finish_launch sampler ~cycles;
+     let rows = Telemetry.Sampler.take sampler in
+     let last = rows.(Array.length rows - 1) in
+     (match t.san with
+      | None -> ()
+      | Some san ->
+        Stats.count_san_violations last (Repro_san.Checker.take_kernel_delta san));
+     Option.iter
+       (fun ring -> Stats.count_trace_dropped last (Telemetry.Ring.take_dropped ring))
+       ring;
+     Array.iter (fun row -> Stats.add launch_stats row) rows;
+     t.windows <- rows :: t.windows);
   Stats.add t.stats launch_stats;
   t.timeline <- launch_stats :: t.timeline;
   t.launches <- t.launches + 1;

@@ -15,40 +15,31 @@ val run :
   Config.t -> Mem_path.t -> stats:Stats.t -> traces:Trace.t array -> float
 (** Simulate one kernel launch whose warp [i] executes [traces.(i)] on SM
     [i mod n_sms]; returns the completion time in cycles (0. for an empty
-    launch). Counters (instructions, transactions, hits, stalls) are
-    accumulated into [stats]; the caller adds the returned cycles.
+    launch). Counters (instructions, transactions, hits, stalls, TLB
+    outcomes) are accumulated into [stats]; the caller adds the returned
+    cycles. DESIGN.md §4 states the arithmetic; [test/ref_model.ml] is an
+    independent implementation of it that this loop is tested against.
 
-    When [telemetry] carries a sampler the caller must bracket the run
-    with [Sampler.begin_launch]/[finish_launch]; counters then flow into
-    the sampler's per-window rows instead of [stats] (fold the rows to
-    get the launch totals — bit-exact by construction). When it carries
-    a ring, warp stall intervals are recorded as events (memory-system
-    events come from {!Mem_path}, whose ring must be set separately).
-    This is the telemetry loop and the reference {!run_fused} is tested
-    against; every telemetry-off launch replays through {!run_fused}. *)
+    This is the only replay loop. Telemetry hooks are specialised once
+    per launch: when [telemetry] carries a sampler the caller must
+    bracket the run with [Sampler.begin_launch]/[finish_launch], and
+    counters then flow into the sampler's per-window rows instead of
+    [stats] (fold the rows to get the launch totals — bit-exact by
+    construction). When it carries a ring, warp stall intervals and
+    every sector transaction (TLB walks, L1, L2, DRAM) are recorded as
+    events. Allocation-free per instruction in every mode. *)
 
 val run_fused :
   Config.t -> Mem_path.t -> stats:Stats.t -> traces:Trace.t array -> float
-(** [run]'s fused twin: the same event order and the same float
-    operations in the same sequence — cycles and every counter are
-    byte-identical to [run]'s — with the per-instruction call chain
-    (trace accessors, [Cache.access], the [Mem_path] hierarchy walk,
-    the event heap) inlined over state hoisted once per launch, and
-    scalar counters flushed to [stats] in one exact integer add per
-    launch. A translation model attached to the memory path is priced
-    exactly as {!Mem_path.load_soa}/{!Mem_path.store_soa} price it, with
-    the page-table and TLB lookups inlined over state hoisted once per
-    launch. [Device] replays every telemetry-off launch here; [run]
-    remains the telemetry loop and the reference. Raises
-    [Invalid_argument] when a telemetry ring is attached to the memory
-    path. *)
+(** [run] without telemetry, under the name the benchmark harness
+    ([bench/perf]) still calls. *)
 
 val run_sharded :
   Config.t -> shards:Mem_path.t array -> jobs:int -> stats:Stats.t ->
   traces:Trace.t array -> float
 (** Intra-launch sharded timing: SM [s] replays its warps ([s, s+n_sms,
     ...], the sequential engine's dealing, in the same order) against
-    [shards.(s)] with {!run_fused}. Each shard is a plain memory path
+    [shards.(s)] with {!run}. Each shard is a plain memory path
     built from {!Config.slice} — its own L1 plus a private [1/n_sms]
     slice of L2 capacity and L2/DRAM bandwidth.
     Shards are independent, so they replay on up to [jobs] domains; the

@@ -153,9 +153,9 @@ let stall_accumulator t = t.stalls
 
 let load_transactions_accumulator t = t.load_transactions_by_label
 
-(* One flush per replayed launch from the fused loop's local counters;
-   integer adds, so the totals are exactly what per-instruction counting
-   would have produced. *)
+(* One flush per replayed launch (or sampling window) from the replay
+   loop's local counters; integer adds, so the totals are exactly what
+   per-instruction counting would have produced. *)
 let bump_replay_counters t ~mem ~compute ~ctrl ~load_trans ~store_trans
     ~l1_hits ~l1_misses ~l2_hits ~l2_misses ~dram_sectors =
   t.mem_instrs <- t.mem_instrs + mem;

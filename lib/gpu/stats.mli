@@ -62,7 +62,7 @@ val stall_accumulator : t -> float array
 
 val load_transactions_accumulator : t -> int array
 (** The raw per-label load-transaction array, same contract as
-    {!stall_accumulator}: hoisted by the fused replay loop. *)
+    {!stall_accumulator}: hoisted by the replay loop. *)
 
 val bump_replay_counters :
   t ->
@@ -70,14 +70,14 @@ val bump_replay_counters :
   load_trans:int -> store_trans:int ->
   l1_hits:int -> l1_misses:int -> l2_hits:int -> l2_misses:int ->
   dram_sectors:int -> unit
-(** Flush the fused replay loop's locally-accumulated integer counters in
-    one call; exactly equivalent to the per-instruction [count_*]
-    sequence it replaces. *)
+(** Flush the replay loop's locally-accumulated integer counters in one
+    call; exactly equivalent to the per-instruction [count_*] sequence it
+    replaces. *)
 
 val bump_tlb_counters :
   t -> l1_hits:int -> l2_hits:int -> walks:int -> walk_cycles_total:float ->
   unit
-(** The translated fused loop's flush: adds the TLB hit and walk counts
+(** The replay loop's TLB flush: adds the TLB hit and walk counts
     and {e replaces} the walk-cycle total with [walk_cycles_total], which
     the loop accumulated walk by walk from {!tlb_walk_cycles} — the same
     float adds in the same order as per-walk {!count_tlb_walk}. *)

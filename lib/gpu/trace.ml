@@ -247,7 +247,7 @@ end
 
 let shares_columns a b = a.op == b.op
 
-(* Column views for the fused replay loop: hoisted once per launch so the
+(* Column views for the replay loop: hoisted once per launch so the
    per-instruction reads are direct (unsafe) array loads instead of
    cross-module calls. Only the first [length] records (and the first
    [arena_length] arena cells) are live. *)

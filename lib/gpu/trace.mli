@@ -137,7 +137,7 @@ val shares_columns : t -> t -> bool
 val arena_length : t -> int
 (** Live prefix of {!arena}. *)
 
-(** Column views for the fused replay loop ({!Sm.run_fused}): hoisted
+(** Column views for the replay loop ({!Sm.run}): hoisted
     once per launch so per-instruction reads are direct array loads (no
     flambda, so the per-record accessors above are real calls). Only the
     first {!length} entries are live; never mutate through these. *)

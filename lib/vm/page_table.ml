@@ -170,42 +170,54 @@ let large_spans t = t.large_spans
 (* Span containing [sector], or -1. Replay-hot: the one-entry cache
    catches the streaming case, the binary search everything else;
    neither allocates. *)
-let find t sector =
-  let n = Array.length t.sbase in
-  let last = t.last.(0) in
-  if
-    last < n
-    && sector >= Array.unsafe_get t.sbase last
-    && sector < Array.unsafe_get t.slimit last
-  then last
-  else begin
-    let rec go lo hi =
-      if lo >= hi then -1
-      else begin
-        let mid = (lo + hi) / 2 in
-        if sector < Array.unsafe_get t.sbase mid then go lo mid
-        else if sector >= Array.unsafe_get t.slimit mid then go (mid + 1) hi
-        else mid
-      end
-    in
-    let i = go 0 n in
-    if i >= 0 then t.last.(0) <- i;
-    i
-  end
-
 let key t i sector =
   (i lsl span_key_shift)
   lor ((sector - Array.unsafe_get t.sbase i) lsr Array.unsafe_get t.shift i)
 
+(* The one span search: the one-entry hint, then a binary search. A loop
+   rather than a local [let rec], which would capture [sector] and
+   allocate a closure per hint miss on the replay path; it returns the
+   page key directly so a translation costs one call here. *)
+let page_key t sector =
+  let sbase = t.sbase and slimit = t.slimit in
+  let n = Array.length sbase in
+  let last = t.last.(0) in
+  let i =
+    if
+      last < n
+      && sector >= Array.unsafe_get sbase last
+      && sector < Array.unsafe_get slimit last
+    then last
+    else begin
+      let lo = ref 0 and hi = ref n and found = ref (-1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if sector < Array.unsafe_get sbase mid then hi := mid
+        else if sector >= Array.unsafe_get slimit mid then lo := mid + 1
+        else begin
+          found := mid;
+          lo := !hi
+        end
+      done;
+      if !found >= 0 then t.last.(0) <- !found;
+      !found
+    end
+  in
+  if i < 0 then -1 else key t i sector
+
+let span_of_key k = k lsr span_key_shift
+
+let find t sector =
+  let k = page_key t sector in
+  if k < 0 then -1 else span_of_key k
+
 let levels_of (t : t) i = Array.unsafe_get t.levels i
 
-(* Raw columns for the fused replay loop, which inlines [find]/[key]. *)
 module Raw = struct
   let sbase t = t.sbase
   let slimit t = t.slimit
   let shift t = t.shift
   let levels (t : t) = t.levels
-  let last t = t.last
 end
 
 let span_info (t : t) i =

@@ -53,29 +53,31 @@ val find : t -> int -> int
 (** Span index containing the given {e sector}, or -1 when unmapped.
     Allocation-free (one-entry cache + binary search). *)
 
-val key : t -> int -> int -> int
-(** [key t span sector]: the page identity used as TLB tag. Only valid
-    when [find] returned [span] for [sector]. *)
+val page_key : t -> int -> int
+(** [page_key t sector]: the page identity used as TLB tag,
+    [(find t sector lsl span_key_shift) lor page_offset], or -1 when the
+    sector is unmapped — the replay path's one call per translation.
+    Allocation-free. *)
+
+val span_of_key : int -> int
+(** The span index a {!page_key} was built from. *)
 
 val levels_of : t -> int -> int
 (** Walk depth of the span's pages. *)
 
-(** Raw span columns for the GPU's fused replay loop, which inlines
-    {!find} and {!key} over them: spans are sorted by [sbase]; span [i]
-    covers sectors [\[sbase.(i), slimit.(i))] with pages of
-    [1 lsl shift.(i)] sectors and walks [levels.(i)] levels; [last.(0)]
-    is the one-entry hint {!find} tries first and updates on a hit.
-    Read-only apart from [last]. *)
+(** Raw span columns, read-only, for checking {!page_key} against an
+    independent search: spans are sorted by [sbase]; span [i] covers
+    sectors [\[sbase.(i), slimit.(i))] with pages of [1 lsl shift.(i)]
+    sectors and walks [levels.(i)] levels. *)
 module Raw : sig
   val sbase : t -> int array
   val slimit : t -> int array
   val shift : t -> int array
   val levels : t -> int array
-  val last : t -> int array
 end
 
 val span_key_shift : int
-(** Bits reserved for the in-span page offset in a {!key}. *)
+(** Bits reserved for the in-span page offset in a {!page_key}. *)
 
 val span_info : t -> int -> int * int * int
 (** [(base, limit, owner)] of a span, in bytes. *)
@@ -83,4 +85,4 @@ val span_info : t -> int -> int * int * int
 val translate : t -> addr:int -> page option
 (** Full translation of a (possibly tagged) virtual address; [None] when
     no mapping covers it. For tests and the sanitizer — the replay path
-    uses {!find}/{!key}. *)
+    uses {!page_key}. *)

@@ -70,14 +70,12 @@ let walk_base = 2
 let max_code = walk_base + Page_table.max_levels
 
 let lookup t ~sm ~sector =
-  let i = Page_table.find t.table sector in
-  if i < 0 then walk_base + Page_table.max_levels
-  else begin
-    let key = Page_table.key t.table i sector in
-    if Tlb.access (Array.unsafe_get t.l1s sm) ~key then hit_l1
-    else if Tlb.access t.l2 ~key then hit_l2
-    else walk_base + Page_table.levels_of t.table i
-  end
+  let key = Page_table.page_key t.table sector in
+  if key < 0 then walk_base + Page_table.max_levels
+  else if Tlb.access (Array.unsafe_get t.l1s sm) ~key then hit_l1
+  else if Tlb.access t.l2 ~key then hit_l2
+  else
+    walk_base + Page_table.levels_of t.table (Page_table.span_of_key key)
 
 let latency_of_code t code =
   if code <= hit_l1 then 0.
@@ -93,7 +91,5 @@ let flush t =
   Tlb.flush t.l2
 
 let table t = t.table
-let l1_tlbs t = t.l1s
-let l2_tlb t = t.l2
 let config t = t.cfg
 let n_sms t = Array.length t.l1s

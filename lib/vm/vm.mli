@@ -52,13 +52,5 @@ val flush : t -> unit
 
 val table : t -> Page_table.t
 
-val l1_tlbs : t -> Tlb.t array
-(** The per-SM L1 TLBs, indexed by SM ({!n_sms} of them). *)
-
-val l2_tlb : t -> Tlb.t
-(** The shared L2 TLB. {!lookup} tries the SM's L1 TLB, then this one,
-    before charging a walk; the fused replay loop inlines that sequence
-    over the two levels' {!Tlb.Raw} state. *)
-
 val config : t -> config
 val n_sms : t -> int

@@ -77,13 +77,17 @@ let prop_coalesce_scratch_equiv =
           addrs
       in
       let len = List.length addrs in
-      (* Embed the lane addresses at a nonzero arena offset. *)
-      let arena = Array.make (pad + len) 0 in
+      (* Embed the lane addresses at a nonzero arena offset, with slack
+         after them so an overrun would read a nonzero sector. *)
+      let arena = Array.make (pad + len + 4) 0x7FFF_FFE0 in
       List.iteri (fun i a -> arena.(pad + i) <- a) tagged;
       let buf = Array.make len (-1) in
-      let n = Coalesce.sectors_into ~buf arena ~off:pad ~len in
+      let n = Coalesce.sectors_into_unsafe ~buf arena ~off:pad ~len in
       Array.sub buf 0 n = Coalesce.sectors (Array.of_list addrs))
 
+(* The unchecked coalescer, run on a window of a larger arena, must agree
+   with the bounds-checked [Coalesce.sectors] on that window alone, and
+   must neither write [buf] past its count nor touch the arena. *)
 let prop_coalesce_unsafe_equiv =
   QCheck.Test.make ~name:"unchecked coalescer matches checked coalescer"
     ~count:500
@@ -93,10 +97,39 @@ let prop_coalesce_unsafe_equiv =
       let len = List.length addrs in
       let arena = Array.make (pad + len) 0 in
       List.iteri (fun i a -> arena.(pad + i) <- a) addrs;
-      let buf = Array.make len (-1) and buf' = Array.make len (-1) in
-      let n = Coalesce.sectors_into ~buf arena ~off:pad ~len in
-      let n' = Coalesce.sectors_into_unsafe ~buf:buf' arena ~off:pad ~len in
-      n = n' && Array.sub buf 0 n = Array.sub buf' 0 n')
+      let before = Array.copy arena in
+      let buf = Array.make len (-1) in
+      let n = Coalesce.sectors_into_unsafe ~buf arena ~off:pad ~len in
+      let checked = Coalesce.sectors (Array.sub arena pad len) in
+      n = Array.length checked
+      && Array.sub buf 0 n = checked
+      && Array.for_all (fun x -> x = -1) (Array.sub buf n (len - n))
+      && arena = before)
+
+(* Metamorphic: the coalesced sectors are a set, so permuting the lanes
+   of a warp cannot change them. *)
+let prop_coalesce_lane_permutation =
+  QCheck.Test.make ~name:"coalesced sectors ignore lane order" ~count:300
+    QCheck.(
+      pair (list_of_size (Gen.int_range 1 32) (int_bound 100_000)) (int_bound 1000))
+    (fun (addrs, seed) ->
+      let lanes = Array.of_list addrs in
+      let perm = Array.copy lanes in
+      let rng = Random.State.make [| seed |] in
+      for i = Array.length perm - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let t = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- t
+      done;
+      let coalesce a =
+        let buf = Array.make (Array.length a) (-1) in
+        let n =
+          Coalesce.sectors_into_unsafe ~buf a ~off:0 ~len:(Array.length a)
+        in
+        Array.sub buf 0 n
+      in
+      coalesce lanes = coalesce perm)
 
 (* --- cache ------------------------------------------------------------ *)
 
@@ -151,15 +184,54 @@ let prop_cache_hits_bounded =
       in
       hits < List.length sectors (* the first access is always a miss *))
 
+(* Metamorphic LRU inclusion: with the set count fixed, every sector a
+   k-way cache holds an (k+1)-way cache holds too, so on the same
+   sequence the wider cache never misses where the narrower one hits. *)
+let prop_cache_lru_inclusion =
+  QCheck.Test.make ~name:"more ways never lose a hit (LRU inclusion)"
+    ~count:200
+    QCheck.(
+      pair (int_range 1 4) (list_of_size (Gen.int_range 1 300) (int_bound 96)))
+    (fun (ways, sectors) ->
+      (* 4 sets of 128 B lines at either associativity. *)
+      let make w =
+        Cache.create (Cache.geometry ~size_bytes:(512 * w) ~line_bytes:128 ~ways:w)
+      in
+      let narrow = make ways and wide = make (ways + 1) in
+      List.for_all
+        (fun sector ->
+          let n = Cache.access narrow ~sector in
+          let w = Cache.access wide ~sector in
+          n = `Miss || w = `Hit)
+        sectors)
+
 (* --- mem path --------------------------------------------------------- *)
 
 let cfg = Config.default
 
+(* One launch of [loads.(w)] (a list of blocking loads, each a lane
+   address array) as warp [w], on the path [mp]; returns the cycles. *)
+let run_loads mp ~stats loads =
+  let traces =
+    Array.map
+      (fun addrs_list ->
+        let t = Trace.create () in
+        List.iter
+          (fun addrs ->
+            ignore (Trace.emit_load t ~label:Label.Body ~blocking:true addrs))
+          addrs_list;
+        t)
+      loads
+  in
+  Sm.run cfg mp ~stats ~traces
+
 let test_mem_path_latencies () =
-  let mp = Mem_path.create cfg in
   let stats = Stats.create () in
-  let t_miss = Mem_path.load mp ~stats ~sm:0 ~start:0. ~label:Label.Body ~addrs:[| 0 |] in
-  let t_hit = Mem_path.load mp ~stats ~sm:0 ~start:t_miss ~label:Label.Body ~addrs:[| 0 |] in
+  let t_miss = run_loads (Mem_path.create cfg) ~stats [| [ [| 0 |] ] |] in
+  let stats = Stats.create () in
+  let t_hit =
+    run_loads (Mem_path.create cfg) ~stats [| [ [| 0 |]; [| 0 |] ] |]
+  in
   check Alcotest.bool "miss goes to DRAM" true
     (t_miss >= float_of_int (cfg.Config.l1_latency + cfg.Config.l2_latency + cfg.Config.dram_latency));
   check Alcotest.bool "hit is L1-latency fast" true
@@ -171,36 +243,39 @@ let test_mem_path_latencies () =
 let test_mem_path_l1_private_per_sm () =
   let mp = Mem_path.create cfg in
   let stats = Stats.create () in
-  ignore (Mem_path.load mp ~stats ~sm:0 ~start:0. ~label:Label.Body ~addrs:[| 0 |]);
+  ignore (run_loads mp ~stats [| [ [| 0 |] ] |]);
   check Alcotest.bool "sm0 has it" true (Mem_path.l1_probe mp ~sm:0 ~sector:0);
   check Alcotest.bool "sm1 does not" false (Mem_path.l1_probe mp ~sm:1 ~sector:0)
 
 let test_mem_path_bandwidth_serializes () =
-  let mp = Mem_path.create cfg in
-  let stats = Stats.create () in
   let diverged = Array.init 32 (fun i -> i * 4096) in
-  let t1 = Mem_path.load mp ~stats ~sm:0 ~start:0. ~label:Label.Body ~addrs:diverged in
   let diverged2 = Array.init 32 (fun i -> (i + 64) * 4096) in
-  let t2 = Mem_path.load mp ~stats ~sm:1 ~start:0. ~label:Label.Body ~addrs:diverged2 in
-  (* Both warps miss to DRAM; shared DRAM bandwidth must push the second
-     warp's completion past the first's. *)
-  check Alcotest.bool "shared dram contention" true (t2 > t1);
+  let alone =
+    run_loads (Mem_path.create cfg) ~stats:(Stats.create ()) [| [ diverged ] |]
+  in
+  let stats = Stats.create () in
+  let both =
+    run_loads (Mem_path.create cfg) ~stats [| [ diverged ]; [ diverged2 ] |]
+  in
+  (* Both warps miss to DRAM from different SMs; shared DRAM bandwidth
+     must push the pair's completion past one warp's alone. *)
+  check Alcotest.bool "shared dram contention" true (both > alone);
   check Alcotest.int "dram sectors (64B fills)" 128 (Stats.dram_sectors stats)
 
 let test_mem_path_begin_kernel_flushes_l1_not_l2 () =
   let mp = Mem_path.create cfg in
   let stats = Stats.create () in
-  ignore (Mem_path.load mp ~stats ~sm:0 ~start:0. ~label:Label.Body ~addrs:[| 0 |]);
+  ignore (run_loads mp ~stats [| [ [| 0 |] ] |]);
   Mem_path.begin_kernel mp;
   check Alcotest.bool "l1 flushed" false (Mem_path.l1_probe mp ~sm:0 ~sector:0);
   (* The 64 B DRAM fill installed the pair sector in L2 as well. *)
   let stats2 = Stats.create () in
-  ignore (Mem_path.load mp ~stats:stats2 ~sm:0 ~start:0. ~label:Label.Body ~addrs:[| 0 |]);
+  ignore (run_loads mp ~stats:stats2 [| [ [| 0 |] ] |]);
   (* L2 still warm: the reload must be an L2 hit, not a DRAM access. *)
   check Alcotest.int "no new dram sector" 0 (Stats.dram_sectors stats2);
   Mem_path.reset mp;
   let stats3 = Stats.create () in
-  ignore (Mem_path.load mp ~stats:stats3 ~sm:0 ~start:0. ~label:Label.Body ~addrs:[| 0 |]);
+  ignore (run_loads mp ~stats:stats3 [| [ [| 0 |] ] |]);
   check Alcotest.int "reset clears l2 too" 2 (Stats.dram_sectors stats3)
 
 (* --- warp ctx / device ------------------------------------------------ *)
@@ -381,35 +456,6 @@ let test_trace_emit_opcodes () =
   check Alcotest.int "ctrl repeat" 2 (Trace.repeat t 1);
   check Alcotest.int "ctrl active lanes" 7 (Trace.active t 1)
 
-(* The event heap must implement exactly the ordering contract of
-   Repro_util.Heap — (key, insertion sequence) lexicographic — because
-   Sm.run's replay schedule, and therefore every figure, depends on the
-   FIFO tie-break. Keys are drawn from a tiny set to force ties. *)
-let prop_event_heap_matches_util_heap =
-  QCheck.Test.make ~name:"event heap ordering matches util heap" ~count:300
-    QCheck.(list (int_bound 3))
-    (fun keys ->
-      let eh = Repro_gpu.Event_heap.create () in
-      let kc = Repro_gpu.Event_heap.key_cell eh in
-      let uh = Repro_util.Heap.create () in
-      List.iteri
-        (fun i k ->
-          let key = float_of_int k in
-          kc.(0) <- key;
-          Repro_gpu.Event_heap.push eh i;
-          Repro_util.Heap.push uh ~key i)
-        keys;
-      let rec drain acc =
-        let v = Repro_gpu.Event_heap.pop eh in
-        if v < 0 then List.rev acc else drain ((kc.(0), v) :: acc)
-      in
-      let rec drain_u acc =
-        match Repro_util.Heap.pop uh with
-        | None -> List.rev acc
-        | Some (k, v) -> drain_u ((k, v) :: acc)
-      in
-      drain [] = drain_u [])
-
 (* --- zero-allocation replay ------------------------------------------- *)
 
 let canned_traces ~n_warps ~n_instrs =
@@ -435,51 +481,108 @@ let canned_traces ~n_warps ~n_instrs =
       done;
       Warp_ctx.trace ctx)
 
-let replay_minor_words traces =
+(* A page table over the low megabyte that [traces_of_ops] and
+   [canned_traces] address, with holes left unmapped (every access there
+   walks) and, under [Coalesce], two promoted spans on large pages. *)
+let test_table policy =
+  Page_table.build ~policy
+    ~arenas:[ (0, 0x30000); (0x40000, 0x50000); (0xA0000, 0x40000) ]
+    ~promoted:
+      [ (0x40000, 0x60000, 1); (0x60000, 0x90000, 1); (0xA0000, 0xB0000, 2) ]
+    ()
+
+let test_vm policy = Vm.create ~n_sms:cfg.Config.n_sms ~table:(test_table policy) ()
+
+let telemetry_of ~ring ~window =
+  if ring || window <> None then
+    Some (Telemetry.create { Telemetry.window; trace = ring; trace_capacity = 4096 })
+  else None
+
+(* Minor words of the second of two replays of [traces] (the first warms
+   code paths and growable state). *)
+let replay_minor_words ?vm ?telemetry traces =
   let mp = Mem_path.create cfg in
+  Mem_path.set_vm mp vm;
   let stats = Stats.create () in
-  (* One warm replay so code paths and growable state are initialized. *)
-  ignore (Sm.run cfg mp ~stats ~traces);
+  let run () =
+    Option.iter
+      (fun tel ->
+        Option.iter
+          (fun r -> Telemetry.Ring.begin_launch r ~base:0.)
+          tel.Telemetry.ring)
+      telemetry;
+    ignore (Sm.run ?telemetry cfg mp ~stats ~traces)
+  in
+  run ();
   let w0 = Gc.minor_words () in
-  ignore (Sm.run cfg mp ~stats ~traces);
+  run ();
   Gc.minor_words () -. w0
 
-let test_replay_zero_allocation () =
-  (* The timing phase must allocate a per-run constant (activation lists,
-     event-heap setup) and nothing per instruction: replaying 10x the
-     instructions may not allocate more than a small fixed slack over the
-     short trace. This is the invariant DESIGN.md documents; any boxed
-     float, closure or record sneaking into Sm.run/Mem_path/Coalesce/
-     Cache breaks it loudly. *)
-  let short = replay_minor_words (canned_traces ~n_warps:8 ~n_instrs:300) in
-  let long = replay_minor_words (canned_traces ~n_warps:8 ~n_instrs:3000) in
+(* The timing phase must allocate a per-launch constant (column views,
+   activation lists, the event heap) and nothing per instruction:
+   replaying 10x the instructions may not allocate more than a small
+   fixed slack over the short trace. This is the invariant DESIGN.md
+   documents; any boxed float, closure or record sneaking into the loop,
+   the coalescer, the caches or the translation path breaks it loudly. *)
+let check_zero_allocation name ~vm ?(telemetry = fun () -> None) () =
+  let short =
+    replay_minor_words ?vm:(vm ()) ?telemetry:(telemetry ())
+      (canned_traces ~n_warps:8 ~n_instrs:300)
+  in
+  let long =
+    replay_minor_words ?vm:(vm ()) ?telemetry:(telemetry ())
+      (canned_traces ~n_warps:8 ~n_instrs:3000)
+  in
   check Alcotest.bool
     (Printf.sprintf
-       "allocation independent of trace length (short=%.0f long=%.0f)" short
-       long)
+       "%s allocation independent of trace length (short=%.0f long=%.0f)" name
+       short long)
     true
     (long <= short +. 256.)
 
-(* --- fused replay twin ------------------------------------------------ *)
+let test_replay_zero_allocation () =
+  check_zero_allocation "plain" ~vm:(fun () -> None) ()
+
+let test_fused_replay_zero_allocation () =
+  (* Translated launches take the out-of-line sector walk, which calls
+     [Vm.lookup] per sector. *)
+  check_zero_allocation "translated"
+    ~vm:(fun () -> Some (test_vm Policy.Flat_4k))
+    ()
+
+let test_replay_zero_allocation_traced () =
+  (* Recording an event is six array stores plus a bump, so enabling the
+     tracer must not cost an allocation per instruction either, even when
+     the ring wraps and drops. Ring-only: windowed sampling owns one Stats
+     row per window, a deliberate per-window allocation. *)
+  List.iter
+    (fun (name, vm) ->
+      check_zero_allocation name ~vm
+        ~telemetry:(fun () -> telemetry_of ~ring:true ~window:None)
+        ())
+    [
+      ("tracer-on", fun () -> None);
+      ("tracer-on translated", fun () -> Some (test_vm Policy.Coalesce));
+    ]
+
+(* --- the replay loop against the reference model ---------------------- *)
 
 (* Random warp programs over the full instruction vocabulary — converged
-   and per-lane-diverged loads, stores, compute bursts, ctrl, indirect
-   calls — across mixed warp widths (full, partial, single-lane). The
-   space [Sm.run_fused] must replay byte-identically to [Sm.run]. *)
+   and per-lane-diverged loads, non-blocking loads, stores, dependent and
+   independent compute, ctrl, constant loads, indirect and direct calls —
+   across mixed warp widths (full, partial, single-lane). *)
 let traces_of_ops ops =
   let heap = Page_store.create () in
   let widths = [| 32; 17; 32; 5 |] in
   Array.init (Array.length widths) (fun warp_id ->
       let lanes = Array.init widths.(warp_id) (fun l -> (warp_id * 32) + l) in
       let ctx = Warp_ctx.create ~heap ~warp_id ~lanes () in
+      let dense base = Array.map (fun l -> base + (8 * (l land 31))) lanes in
       List.iter
         (fun (op, r) ->
           let base = (r * 8) land 0xFFFF8 in
           match op with
-          | 0 ->
-            ignore
-              (Warp_ctx.load ctx ~label:Label.Body
-                 (Array.map (fun l -> base + (8 * (l land 31))) lanes))
+          | 0 -> ignore (Warp_ctx.load ctx ~label:Label.Body (dense base))
           | 1 ->
             (* One sector per lane: the diverged vTable pattern. *)
             ignore
@@ -488,96 +591,146 @@ let traces_of_ops ops =
                     (fun l -> (base + (4096 * (l land 31))) land 0xFFFFF8)
                     lanes))
           | 2 ->
-            Warp_ctx.store ctx ~label:Label.Body
-              (Array.map (fun l -> base + (8 * (l land 31))) lanes)
+            Warp_ctx.store ctx ~label:Label.Body (dense base)
               (Array.map (fun l -> l + 1) lanes)
           | 3 -> Warp_ctx.compute ctx ~n:(1 + (r mod 4)) ~label:Label.Body
           | 4 -> Warp_ctx.ctrl ctx ~label:Label.Body
-          | _ -> Warp_ctx.call_indirect ctx ~label:Label.Call)
+          | 5 -> Warp_ctx.call_indirect ctx ~label:Label.Call
+          | 6 ->
+            ignore (Warp_ctx.load_nonblocking ctx ~label:Label.Body (dense base))
+          | 7 ->
+            Warp_ctx.compute ctx ~n:(1 + (r mod 3)) ~blocking:false
+              ~label:Label.Body
+          | 8 -> Warp_ctx.const_load ctx ~label:Label.Const_indirect
+          | _ -> Warp_ctx.call_direct ctx ~label:Label.Body)
         ops;
       Warp_ctx.trace ctx)
 
-(* A page table over the low megabyte that [traces_of_ops] and
-   [canned_traces] address, with holes left unmapped (every access there
-   walks) and, under [Coalesce], two promoted spans on large pages. *)
-let test_vm policy =
-  let table =
-    Page_table.build ~policy
-      ~arenas:[ (0, 0x30000); (0x40000, 0x50000); (0xA0000, 0x40000) ]
-      ~promoted:
-        [ (0x40000, 0x60000, 1); (0x60000, 0x90000, 1); (0xA0000, 0xB0000, 2) ]
-      ()
-  in
-  Vm.create ~n_sms:cfg.Config.n_sms ~table ()
+(* Tiny machines where every set, way and SM boundary is exercised: one
+   or two SMs, one or two resident warps, 1-2-way L1s of two sets, a
+   1-2-way L2 of four sets, and TLBs of two sets. *)
+let tiny_cfg ~n_sms ~warps ~l1_ways ~l2_ways =
+  {
+    cfg with
+    Config.n_sms;
+    max_warps_per_sm = warps;
+    l1_geometry =
+      Cache.geometry ~size_bytes:(256 * l1_ways) ~line_bytes:128 ~ways:l1_ways;
+    l2_geometry =
+      Cache.geometry ~size_bytes:(512 * l2_ways) ~line_bytes:128 ~ways:l2_ways;
+  }
 
-let mem_path_with_vm vm =
+let tiny_vm_config =
+  { Vm.default_config with l1_sets = 2; l1_ways = 1; l2_sets = 2; l2_ways = 2 }
+
+let machines =
+  [|
+    (cfg, Vm.default_config);
+    (tiny_cfg ~n_sms:1 ~warps:1 ~l1_ways:1 ~l2_ways:1, tiny_vm_config);
+    (tiny_cfg ~n_sms:1 ~warps:2 ~l1_ways:2 ~l2_ways:1, tiny_vm_config);
+    (tiny_cfg ~n_sms:2 ~warps:1 ~l1_ways:1 ~l2_ways:2, tiny_vm_config);
+    (tiny_cfg ~n_sms:2 ~warps:2 ~l1_ways:2 ~l2_ways:2, tiny_vm_config);
+  |]
+
+(* Everything a replay produces, marshalled so floats compare bit for
+   bit: per-launch cycles and window rows, the accumulated stats, and
+   the ring's events. Launches share one hierarchy and one time axis, as
+   on a device. *)
+let replay_sm (cfg, vcfg) ~policy ~ring ~window launches =
   let mp = Mem_path.create cfg in
-  Mem_path.set_vm mp vm;
-  mp
+  Mem_path.set_vm mp
+    (Option.map
+       (fun p ->
+         Vm.create ~config:vcfg ~n_sms:cfg.Config.n_sms ~table:(test_table p) ())
+       policy);
+  let telemetry = telemetry_of ~ring ~window in
+  let stats = Stats.create () in
+  let base = ref 0. in
+  let per_launch =
+    List.map
+      (fun traces ->
+        Option.iter
+          (fun tel ->
+            Option.iter
+              (fun r -> Telemetry.Ring.begin_launch r ~base:!base)
+              tel.Telemetry.ring;
+            Option.iter Telemetry.Sampler.begin_launch tel.Telemetry.sampler)
+          telemetry;
+        let cycles = Sm.run ?telemetry cfg mp ~stats ~traces in
+        base := !base +. cycles;
+        let rows =
+          match telemetry with
+          | Some { Telemetry.sampler = Some s; _ } ->
+            Telemetry.Sampler.finish_launch s ~cycles;
+            Array.to_list (Array.map Stats.to_raw (Telemetry.Sampler.take s))
+          | Some _ | None -> []
+        in
+        (cycles, rows))
+      launches
+  in
+  let events =
+    match telemetry with
+    | Some { Telemetry.ring = Some r; _ } ->
+      Array.to_list (Telemetry.Ring.to_events r)
+    | Some _ | None -> []
+  in
+  Marshal.to_string (per_launch, Stats.to_raw stats, events) [ Marshal.No_sharing ]
 
-(* Plain and under every page policy (unmapped holes included), over
-   two launches on the same paths: the second starts with flushed L1
-   caches and TLBs and the first launch's L2 and L2 TLB. *)
-let prop_fused_replay_identical =
+let replay_ref (cfg, vcfg) ~policy ~ring ~window launches =
+  let m =
+    Ref_model.create ~vm:(Option.map (fun p -> (test_table p, vcfg)) policy) cfg
+  in
+  let stats = Stats.create () in
+  let base = ref 0. in
+  let events = ref [] in
+  let per_launch =
+    List.map
+      (fun traces ->
+        let cycles, rows, evs =
+          Ref_model.launch m ~window ~base:!base ~stats traces
+        in
+        base := !base +. cycles;
+        events := !events @ evs;
+        (cycles, List.map Stats.to_raw rows))
+      launches
+  in
+  (* The ring keeps the most recent [trace_capacity] events. *)
+  let events =
+    if not ring then []
+    else
+      let n = List.length !events in
+      List.filteri (fun i _ -> i >= n - 4096) !events
+  in
+  Marshal.to_string (per_launch, Stats.to_raw stats, events) [ Marshal.No_sharing ]
+
+(* Two launches (the second starts with flushed L1s and L1 TLBs and the
+   first launch's L2 and L2 TLB) on a random machine, with no vm and
+   under every page policy (unmapped holes included), with telemetry
+   off, ring-only, sampler-only and both: [Sm.run] must agree with the
+   reference model bit for bit. *)
+let prop_run_matches_reference =
   QCheck.Test.make
-    ~name:"run_fused is byte-identical to run (cycles and every counter)"
-    ~count:60
+    ~name:"Sm.run matches the reference model (cycles, stats, windows, events)"
+    ~count:100
     QCheck.(
-      list_of_size (Gen.int_range 1 80) (pair (int_bound 5) (int_bound 0xFFFF)))
-    (fun ops ->
+      pair
+        (int_bound (Array.length machines - 1))
+        (list_of_size (Gen.int_range 1 60) (pair (int_bound 9) (int_bound 0xFFFF))))
+    (fun (mi, ops) ->
+      let machine = machines.(mi) in
       let launches = [ traces_of_ops ops; traces_of_ops (List.rev ops) ] in
       List.for_all
         (fun policy ->
-          let replay run =
-            let mp = mem_path_with_vm (Option.map test_vm policy) in
-            let stats = Stats.create () in
-            let cycles =
-              List.map (fun traces -> run cfg mp ~stats ~traces) launches
-            in
-            Marshal.to_string (cycles, Stats.to_raw stats) [ Marshal.No_sharing ]
-          in
-          replay (fun cfg mp ~stats ~traces -> Sm.run cfg mp ~stats ~traces)
-          = replay Sm.run_fused)
+          List.for_all
+            (fun (ring, window) ->
+              replay_sm machine ~policy ~ring ~window launches
+              = replay_ref machine ~policy ~ring ~window launches)
+            [ (false, None); (true, None); (false, Some 256); (true, Some 256) ])
         (None :: List.map Option.some Policy.all))
 
-let replay_minor_words_fused ?vm traces =
-  let mp = mem_path_with_vm vm in
-  let stats = Stats.create () in
-  ignore (Sm.run_fused cfg mp ~stats ~traces);
-  let w0 = Gc.minor_words () in
-  ignore (Sm.run_fused cfg mp ~stats ~traces);
-  Gc.minor_words () -. w0
-
-let test_fused_replay_zero_allocation () =
-  (* The fused loop must hold the same invariant as [Sm.run]: per-launch
-     setup may allocate, per-instruction work may not — translated or
-     not. ([Sm.run] boxes a float per page walk; the fused loop keeps
-     walk cycles in a float cell.) *)
-  List.iter
-    (fun (name, vm) ->
-      let short =
-        replay_minor_words_fused ?vm:(vm ())
-          (canned_traces ~n_warps:8 ~n_instrs:300)
-      in
-      let long =
-        replay_minor_words_fused ?vm:(vm ())
-          (canned_traces ~n_warps:8 ~n_instrs:3000)
-      in
-      check Alcotest.bool
-        (Printf.sprintf
-           "%s fused allocation independent of trace length (short=%.0f \
-            long=%.0f)"
-           name short long)
-        true
-        (long <= short +. 256.))
-    [
-      ("plain", fun () -> None);
-      ("translated", fun () -> Some (test_vm Policy.Flat_4k));
-    ]
-
 let test_set_vm_checks_n_sms () =
-  (* The replay loops index the vm's per-SM L1 TLBs by SM unchecked. *)
-  let table = Vm.table (test_vm Policy.Flat_4k) in
+  (* The replay loop indexes the vm's per-SM L1 TLBs by SM unchecked. *)
+  let table = test_table Policy.Flat_4k in
   List.iter
     (fun n_sms ->
       let vm = Vm.create ~n_sms ~table () in
@@ -606,41 +759,6 @@ let test_sharded_jobs_byte_identical () =
   let c4, r4 = run 4 in
   check Alcotest.bool "cycles identical for -j 1 vs -j 4" true (c1 = c4);
   check Alcotest.bool "stats byte-identical for -j 1 vs -j 4" true (r1 = r4)
-
-let replay_minor_words_traced traces =
-  (* Ring-only config: windowed sampling owns one Stats row per window
-     (a deliberate per-window allocation), so the per-instruction
-     invariant is pinned on the event tracer alone. *)
-  let tel =
-    Telemetry.create
-      { Telemetry.window = None; trace = true; trace_capacity = 4096 }
-  in
-  let ring = Option.get tel.Telemetry.ring in
-  let mp = Mem_path.create cfg in
-  Mem_path.set_ring mp (Some ring);
-  let stats = Stats.create () in
-  Telemetry.Ring.begin_launch ring ~base:0.;
-  ignore (Sm.run ~telemetry:tel cfg mp ~stats ~traces);
-  let w0 = Gc.minor_words () in
-  ignore (Sm.run ~telemetry:tel cfg mp ~stats ~traces);
-  Gc.minor_words () -. w0
-
-let test_replay_zero_allocation_traced () =
-  (* Recording an event is six array stores plus a bump — enabling the
-     tracer must not cost an allocation per instruction either, even
-     when the ring wraps and drops. *)
-  let short =
-    replay_minor_words_traced (canned_traces ~n_warps:8 ~n_instrs:300)
-  in
-  let long =
-    replay_minor_words_traced (canned_traces ~n_warps:8 ~n_instrs:3000)
-  in
-  check Alcotest.bool
-    (Printf.sprintf
-       "tracer-on allocation independent of trace length (short=%.0f long=%.0f)"
-       short long)
-    true
-    (long <= short +. 256.)
 
 let test_ring_drop_oldest () =
   let r = Telemetry.Ring.create ~capacity:4 in
@@ -707,7 +825,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_coalesce_bounds;
     QCheck_alcotest.to_alcotest prop_coalesce_scratch_equiv;
     QCheck_alcotest.to_alcotest prop_coalesce_unsafe_equiv;
-    QCheck_alcotest.to_alcotest prop_fused_replay_identical;
-    QCheck_alcotest.to_alcotest prop_event_heap_matches_util_heap;
+    QCheck_alcotest.to_alcotest prop_coalesce_lane_permutation;
+    QCheck_alcotest.to_alcotest prop_run_matches_reference;
     QCheck_alcotest.to_alcotest prop_cache_hits_bounded;
+    QCheck_alcotest.to_alcotest prop_cache_lru_inclusion;
   ]

@@ -573,6 +573,68 @@ let test_batch_error_reporting () =
        | _ -> Alcotest.fail "connection died after a rejected batch");
       X.Server.Client.close c)
 
+(* --- line framing ------------------------------------------------------------ *)
+
+(* Framing is a function of the byte stream alone: any split into chunks
+   yields the lines one [feed] of the whole stream yields. *)
+let prop_feed_chunking =
+  QCheck.Test.make ~count:300 ~name:"feed: any chunking frames the same lines"
+    QCheck.(
+      pair
+        (string_gen_of_size (Gen.int_bound 200) (Gen.oneofl [ 'a'; 'b'; '\r'; '\n' ]))
+        (list (int_bound 40)))
+    (fun (stream, cuts) ->
+      let lines session chunks =
+        List.concat_map
+          (fun chunk ->
+            match X.Session.feed session chunk with
+            | Ok lines -> lines
+            | Error _ -> [ "<overflow>" ])
+          chunks
+      in
+      let chunks =
+        let rec split pos = function
+          | _ when pos >= String.length stream -> []
+          | [] -> [ String.sub stream pos (String.length stream - pos) ]
+          | c :: rest ->
+            let len = min c (String.length stream - pos) in
+            String.sub stream pos len :: split (pos + len) rest
+        in
+        split 0 cuts
+      in
+      lines (X.Session.create ~id:0 Unix.stdin) [ stream ]
+      = lines (X.Session.create ~id:1 Unix.stdin) chunks)
+
+(* A line longer than the cap is answered with an error and a close as
+   soon as its bytes pass the cap, newline or not; the daemon serves the
+   next client as before. *)
+let test_oversized_line_rejected () =
+  with_server ~workers:1 (fun socket ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let line = Bytes.make (X.Session.max_line_bytes + 1) 'x' in
+      let rec write_all off =
+        if off < Bytes.length line then
+          write_all (off + Unix.write fd line off (Bytes.length line - off))
+      in
+      write_all 0;
+      let ic = Unix.in_channel_of_descr fd in
+      (match X.Response.of_line (input_line ic) with
+       | Ok (X.Response.Error { message }) ->
+         check Alcotest.bool ("names the cap: " ^ message) true
+           (contains ~sub:(string_of_int X.Session.max_line_bytes) message)
+       | Ok _ -> Alcotest.fail "oversized line was accepted"
+       | Error msg -> Alcotest.failf "undecodable reply: %s" msg);
+      check Alcotest.bool "session closed" true
+        (match input_line ic with _ -> false | exception End_of_file -> true);
+      close_in ic;
+      let c = client socket in
+      X.Server.Client.send c X.Request.Ping;
+      (match X.Server.Client.recv c with
+       | Ok X.Response.Pong -> ()
+       | _ -> Alcotest.fail "daemon stopped serving after an oversized line");
+      X.Server.Client.close c)
+
 (* --- observability: the daemon's own account of itself -------------------- *)
 
 (* Off by default: a stats response from an obs-off daemon carries no
@@ -737,6 +799,9 @@ let suite =
       test_daemon_byte_identical;
     Alcotest.test_case "batch errors name the job; connection survives" `Quick
       test_batch_error_reporting;
+    QCheck_alcotest.to_alcotest prop_feed_chunking;
+    Alcotest.test_case "oversized request line is rejected and closed" `Quick
+      test_oversized_line_rejected;
     Alcotest.test_case "stats wire form unchanged with obs off" `Quick
       test_stats_byte_compat_obs_off;
     Alcotest.test_case "health round-trips on a live daemon" `Quick

@@ -135,8 +135,8 @@ let prop_heap_sorted =
 (* The full ordering contract: pops come out sorted by (key, insertion
    sequence) lexicographically, i.e. exactly a stable sort of the pushed
    values by key. Keys are drawn from a tiny set so ties are common —
-   the FIFO tie-break is what Sm.run's warp schedule and the sweep
-   executor's determinism rest on. *)
+   the FIFO tie-break is the contract Sm.run's warp schedule follows
+   (DESIGN.md §4) and the sweep executor's determinism rests on. *)
 let prop_heap_lexicographic =
   QCheck.Test.make ~name:"heap pop order is lexicographic in (key, seq)"
     ~count:300
