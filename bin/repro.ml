@@ -8,7 +8,12 @@
      repro figure 6                     regenerate a figure (1b, 6..12b)
      repro table 2                      regenerate a table (1 or 2)
      repro sweep                        the full job matrix, with timings
+     repro check --all                  sanitizer + cross-technique dispatch oracle
      repro init                         the Sec. 8.2 allocation comparison
+     repro ablation                     TypePointer mode and encoding ablations
+     repro serve                        the sweep daemon (PROTOCOL.md)
+     repro submit -w TRAF               send a job batch to the daemon
+     repro ctl stats                    poke the daemon (ping, stats, query, ...)
 
    Measurement commands take -j N (parallel sweep over N domains; the
    output is byte-identical at any N) and cache results on disk so that
@@ -106,20 +111,6 @@ let iterations_arg =
   Arg.(value & opt (some int) None & info [ "i"; "iterations" ] ~docv:"N"
          ~doc:"Override the workload's compute-iteration count.")
 
-let intra_arg =
-  Arg.(value & flag & info [ "intra" ]
-         ~doc:"Shard each launch's timed replay across the Domain pool \
-               (the sliced intra-launch timing model: deterministic and \
-               worker-count-independent, but a different model from the \
-               sequential shared-L2 replay; see DESIGN.md). Worker count \
-               comes from \\$REPRO_INTRA_JOBS (0/unset = one per core).")
-
-let prealloc_arg =
-  Arg.(value & opt (some int) None & info [ "prealloc" ] ~docv:"MB"
-         ~doc:"Pre-size the simulated heap's page store for an expected \
-               footprint of $(docv) MiB. A pure capacity hint: never \
-               changes results and is excluded from cache keys.")
-
 let jobs_arg =
   Arg.(value & opt int (X.Executor.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Measure on $(docv) worker domains (default: the number of \
@@ -148,14 +139,23 @@ let csv_arg =
    plain-data description the serve protocol carries — so the CLI, the
    daemon and the bench resolve names and defaults identically. *)
 
-let spec_of ?alloc ?pages ?(intra = false) ?prealloc_mb
-    ~workload ~technique ~scale ~seed ~iterations () =
-  (* Resolve --alloc/--pages here so a typo exits 2 with the valid-name
-     list, and the spec carries the canonical name. *)
-  let alloc = Option.map (fun s -> A.name (resolve_alloc s)) alloc in
-  let pages = Option.map canonical_pages pages in
-  X.Request.Spec.make ?alloc ?pages ?iterations ?prealloc_mb ~intra ~scale
-    ~seed ~workload ~technique ()
+let canonical_alloc s = A.name (resolve_alloc s)
+
+(* --alloc/--pages/--scale/--seed/--iterations, shared by every command
+   that builds jobs one spec at a time. The flags are resolved once, when
+   the command line is evaluated, so a typo exits 2 with the valid-name
+   list and every spec carries the canonical names; the workload and
+   technique come later, from each command's own flags. *)
+let spec_term =
+  let make alloc pages scale seed iterations =
+    let alloc = Option.map canonical_alloc alloc in
+    let pages = Option.map canonical_pages pages in
+    fun ~workload ~technique ->
+      X.Request.Spec.make ?alloc ?pages ?iterations ~scale ~seed ~workload
+        ~technique ()
+  in
+  Term.(const make $ alloc_arg $ pages_arg $ scale_arg $ seed_arg
+        $ iterations_arg)
 
 let resolve_spec spec =
   match X.Request.Spec.resolve spec with
@@ -267,12 +267,8 @@ let run_cmd =
     Arg.(value & opt string "shard" & info [ "t"; "technique" ] ~docv:"TECH"
            ~doc:"cuda | con | shard | coal | tp | tp-hw | tp/cuda.")
   in
-  let run w t alloc pages scale seed iterations intra prealloc timeline window =
-    let job =
-      resolve_spec
-        (spec_of ?alloc ?pages ~intra ?prealloc_mb:prealloc
-           ~workload:w ~technique:t ~scale ~seed ~iterations ())
-    in
+  let run w t spec timeline window =
+    let job = resolve_spec (spec ~workload:w ~technique:t) in
     let p =
       { job.X.Job.params with
         W.Workload.telemetry = sampling_config timeline window }
@@ -287,9 +283,8 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under one technique and print its profile.")
-    Term.(const run $ workload $ technique $ alloc_arg $ pages_arg $ scale_arg
-          $ seed_arg $ iterations_arg $ intra_arg $ prealloc_arg
-          $ timeline_arg $ window_arg)
+    Term.(const run $ workload $ technique $ spec_term $ timeline_arg
+          $ window_arg)
 
 (* --- profile --------------------------------------------------------------- *)
 
@@ -302,11 +297,8 @@ let profile_cmd =
     Arg.(value & opt string "shard" & info [ "t"; "technique" ] ~docv:"TECH"
            ~doc:"cuda | con | shard | coal | tp | tp-hw | tp/cuda.")
   in
-  let run w t alloc pages scale seed iterations timeline window json csv =
-    let job =
-      resolve_spec
-        (spec_of ?alloc ?pages ~workload:w ~technique:t ~scale ~seed ~iterations ())
-    in
+  let run w t spec timeline window json csv =
+    let job = resolve_spec (spec ~workload:w ~technique:t) in
     let p =
       { job.X.Job.params with
         W.Workload.telemetry = sampling_config timeline window }
@@ -383,9 +375,8 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Run one workload under one technique and print its per-kernel \
              counter timeline (the simulator's nvprof).")
-    Term.(const run $ workload $ technique $ alloc_arg $ pages_arg $ scale_arg
-          $ seed_arg $ iterations_arg $ timeline_arg $ window_arg $ json_arg
-          $ csv_arg)
+    Term.(const run $ workload $ technique $ spec_term $ timeline_arg
+          $ window_arg $ json_arg $ csv_arg)
 
 (* --- trace ----------------------------------------------------------------- *)
 
@@ -411,11 +402,8 @@ let trace_cmd =
   let sanitize name =
     String.map (fun c -> if c = '/' || c = ' ' then '_' else c) name
   in
-  let run w t alloc pages scale seed iterations window capacity out =
-    let job =
-      resolve_spec
-        (spec_of ?alloc ?pages ~workload:w ~technique:t ~scale ~seed ~iterations ())
-    in
+  let run w t spec window capacity out =
+    let job = resolve_spec (spec ~workload:w ~technique:t) in
     let column = X.Job.column_name job in
     if capacity <= 0 then cli_error "capacity must be positive, got %d" capacity;
     let p =
@@ -476,8 +464,8 @@ let trace_cmd =
              and export a Chrome trace-event JSON (Perfetto-loadable): one \
              track per SM (stall intervals, L1), plus L2, DRAM, kernel \
              spans and windowed counter tracks.")
-    Term.(const run $ workload $ technique $ alloc_arg $ pages_arg $ scale_arg
-          $ seed_arg $ iterations_arg $ window_arg $ capacity $ out)
+    Term.(const run $ workload $ technique $ spec_term $ window_arg $ capacity
+          $ out)
 
 (* --- compare --------------------------------------------------------------- *)
 
@@ -487,7 +475,9 @@ let compare_cmd =
   in
   let run w scale seed iterations json =
     let base =
-      params_of (spec_of ~workload:w ~technique:"shard" ~scale ~seed ~iterations ())
+      params_of
+        (X.Request.Spec.make ?iterations ~scale ~seed ~workload:w
+           ~technique:"shard" ())
     in
     let w = resolve_workload w in
     let runs = W.Harness.run_techniques w base T.all_paper in
@@ -837,7 +827,7 @@ let check_cmd =
                  dead, $(b,range) skews COAL's range-table leaves. The \
                  matching detector must fire, so the command exits 1.")
   in
-  let run w t alloc pages all mutate scale seed iterations j json =
+  let run w t spec all mutate j json =
     let workloads =
       match (w, all) with
       | Some _, true -> cli_error "pass either -w NAME or --all, not both"
@@ -861,12 +851,12 @@ let check_cmd =
               (String.concat ", " Repro_san.Mutation.names))
         mutate
     in
-    let params =
-      params_of
-        (spec_of ?alloc ?pages
-           ~workload:(W.Registry.qualified_name (List.hd workloads))
-           ~technique:"cuda" ~scale ~seed ~iterations ())
+    let spec =
+      spec ~workload:(W.Registry.qualified_name (List.hd workloads))
+        ~technique:"cuda"
     in
+    let scale = spec.X.Request.Spec.scale in
+    let params = params_of spec in
     let reports = X.Check.run ~jobs:j ?mutation ~techniques ~params workloads in
     List.iter (Format.printf "%a@." X.Check.pp_report) reports;
     let clean = X.Check.all_clean reports in
@@ -885,8 +875,8 @@ let check_cmd =
        ~doc:"Run the shadow-heap sanitizer and the cross-technique \
              dispatch oracle: every access checked against the shadow \
              map, every dispatch compared with the CUDA reference.")
-    Term.(const run $ workload $ technique $ alloc_arg $ pages_arg $ all
-          $ mutate $ scale_arg $ seed_arg $ iterations_arg $ jobs_arg $ json_arg)
+    Term.(const run $ workload $ technique $ spec_term $ all $ mutate
+          $ jobs_arg $ json_arg)
 
 (* --- sweep ----------------------------------------------------------------- *)
 
@@ -926,54 +916,29 @@ let print_outcome_rows rows =
           wall_s "-" msg)
     rows
 
-(* The sweep job matrix. Default: the five paper techniques on their own
-   allocators plus the DYNA column, matching [Sweep.default_columns] so
-   figure/table regeneration hits the same cache entries. --alloc FAMILY
-   instead runs every technique over that one family. *)
-let sweep_specs ?alloc ?pages ?(intra = false) ?prealloc_mb ~scale () =
-  let workloads = List.map W.Registry.qualified_name W.Registry.all in
-  let techniques = List.map X.Request.technique_to_string T.all_paper in
-  let pages = Option.map canonical_pages pages in
-  match alloc with
-  | Some name ->
-    let alloc = A.name (resolve_alloc name) in
-    X.Request.Spec.matrix ~workloads ~techniques
-      ~base:
-        (X.Request.Spec.make ~alloc ?pages ?prealloc_mb ~intra ~scale
-           ~workload:"" ~technique:"" ())
-  | None ->
-    let base =
-      X.Request.Spec.make ?pages ?prealloc_mb ~intra ~scale ~workload:""
-        ~technique:"" ()
-    in
-    List.concat_map
-      (fun workload ->
-        List.map
-          (fun technique -> { base with X.Request.Spec.workload; technique })
-          techniques
-        @ [
-            { base with
-              X.Request.Spec.workload;
-              technique = X.Request.technique_to_string T.Cuda;
-              alloc = Some (A.name A.Dyna_soa) };
-          ])
-      workloads
-
 let sweep_cmd =
   let clear =
     Arg.(value & flag & info [ "clear-cache" ]
            ~doc:"Drop every cached result before sweeping.")
   in
-  let run alloc pages scale intra prealloc j no_cache cache_dir clear quiet
-      json =
+  let run alloc pages scale j no_cache cache_dir clear quiet json =
     let cache = not no_cache in
     let dir = Option.value cache_dir ~default:(X.Cache.default_dir ()) in
     if clear then
       Printf.eprintf "cleared %d cached result(s) from %s\n%!"
         (X.Cache.clear ~dir) dir;
+    (* Default: the five paper techniques on their own allocators plus
+       the DYNA column, matching [Sweep.default_columns] so figure/table
+       regeneration hits the same cache entries. --alloc FAMILY instead
+       runs every technique over that one family. *)
     let jobs =
       List.map resolve_spec
-        (sweep_specs ?alloc ?pages ~intra ?prealloc_mb:prealloc ~scale ())
+        (X.Request.Spec.sweep_matrix
+           ~base:
+             (X.Request.Spec.make
+                ?pages:(Option.map canonical_pages pages)
+                ?alloc:(Option.map canonical_alloc alloc)
+                ~scale ~workload:"" ~technique:"" ()))
     in
     let t0 = Unix.gettimeofday () in
     let outcomes = X.Executor.run ~jobs:j ~cache ~cache_dir:dir jobs in
@@ -1027,9 +992,8 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:"Run the full job matrix (the five paper columns plus DYNA) \
              and print per-job status, wall time and cache hits.")
-    Term.(const run $ sweep_alloc $ pages_arg $ scale_arg $ intra_arg
-          $ prealloc_arg $ jobs_arg $ no_cache_arg $ cache_dir_arg $ clear
-          $ quiet_arg $ json_arg)
+    Term.(const run $ sweep_alloc $ pages_arg $ scale_arg $ jobs_arg
+          $ no_cache_arg $ cache_dir_arg $ clear $ quiet_arg $ json_arg)
 
 (* --- serve / submit / ctl --------------------------------------------------- *)
 
@@ -1145,13 +1109,14 @@ let submit_cmd =
     Arg.(value & flag & info [ "all" ]
            ~doc:"Submit the full 11x5 matrix ($(b,repro sweep)'s job list).")
   in
-  let run socket ws ts alloc pages all scale seed iterations intra prealloc
-      no_cache quiet json =
+  let run socket ws ts spec all no_cache quiet json =
+    let base = spec ~workload:"" ~technique:"" in
+    let scale = base.X.Request.Spec.scale in
     let specs =
       if all then begin
         if ws <> [] || ts <> [] then
           cli_error "pass either --all or -w/-t, not both";
-        sweep_specs ?alloc ?pages ~intra ?prealloc_mb:prealloc ~scale ()
+        X.Request.Spec.sweep_matrix ~base
       end
       else if ws = [] then
         cli_error "nothing to submit: pass -w NAME (repeatable) or --all"
@@ -1160,12 +1125,7 @@ let submit_cmd =
           if ts = [] then List.map X.Request.technique_to_string T.all_paper
           else ts
         in
-        let alloc = Option.map (fun s -> A.name (resolve_alloc s)) alloc in
-        let pages = Option.map canonical_pages pages in
-        X.Request.Spec.matrix ~workloads:ws ~techniques:ts
-          ~base:
-            (X.Request.Spec.make ?alloc ?pages ~scale ~seed ?iterations ~intra
-               ?prealloc_mb:prealloc ~workload:"" ~technique:"" ())
+        X.Request.Spec.matrix ~workloads:ws ~techniques:ts ~base
     in
     (* Resolve locally first: a typo fails here with the usual message
        instead of as a daemon-side batch rejection — and the spec goes
@@ -1251,9 +1211,8 @@ let submit_cmd =
              stream per-job progress, and print the sweep-style table. \
              Results are byte-identical to running the same jobs \
              in-process.")
-    Term.(const run $ socket_arg $ workloads $ techniques $ alloc_arg
-          $ pages_arg $ all $ scale_arg $ seed_arg $ iterations_arg
-          $ intra_arg $ prealloc_arg $ no_cache_arg $ quiet_arg $ json_arg)
+    Term.(const run $ socket_arg $ workloads $ techniques $ spec_term $ all
+          $ no_cache_arg $ quiet_arg $ json_arg)
 
 let ctl_cmd =
   let action =
@@ -1283,12 +1242,10 @@ let ctl_cmd =
     Arg.(value & flag & info [ "all" ]
            ~doc:"With $(b,invalidate): drop the daemon's whole result cache.")
   in
-  let run socket action w t alloc pages scale seed iterations all as_json out
-      =
+  let run socket action w t spec all as_json out =
     let spec_for verb =
       match w with
-      | Some workload ->
-        spec_of ?alloc ?pages ~workload ~technique:t ~scale ~seed ~iterations ()
+      | Some workload -> spec ~workload ~technique:t
       | None -> cli_error "%s needs -w NAME (and -t TECH)" verb
     in
     let client = connect socket in
@@ -1402,9 +1359,8 @@ let ctl_cmd =
        ~doc:"Poke a running $(b,repro serve) daemon: liveness and health, \
              scheduler counters and per-stage latency histograms, request \
              traces, cache probes and invalidation, shutdown.")
-    Term.(const run $ socket_arg $ action $ workload $ technique $ alloc_arg
-          $ pages_arg $ scale_arg $ seed_arg $ iterations_arg $ all
-          $ as_json $ out)
+    Term.(const run $ socket_arg $ action $ workload $ technique $ spec_term
+          $ all $ as_json $ out)
 
 let () =
   let doc = "Reproduction of 'Judging a Type by Its Pointer' (ASPLOS '21)." in

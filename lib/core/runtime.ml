@@ -23,8 +23,7 @@ type t = {
   mutable vm_dirty : bool;
 }
 
-let create ?config ?(engine = Repro_gpu.Engine.default) ?prealloc_mb
-    ?(chunk_objs = Shared_oa.default_chunk_objs) ?vt_encoding ?san
+let create ?config ?(chunk_objs = Shared_oa.default_chunk_objs) ?vt_encoding ?san
     ?telemetry ?alloc ?pages ~technique () =
   (match san with
    | Some checker
@@ -33,12 +32,9 @@ let create ?config ?(engine = Repro_gpu.Engine.default) ?prealloc_mb
      invalid_arg
        "Runtime.create: sanitizer tags_expected disagrees with the technique"
    | _ -> ());
-  let heap =
-    Page_store.create
-      ?expect_bytes:(Option.map (fun mb -> mb * 1024 * 1024) prealloc_mb) ()
-  in
+  let heap = Page_store.create () in
   let space = Address_space.create () in
-  let device = Device.create ?config ~engine ?san ?telemetry ~heap () in
+  let device = Device.create ?config ?san ?telemetry ~heap () in
   let registry = Registry.create ~heap in
   let vtspace = Vtable_space.create ?encoding:vt_encoding ~heap ~space () in
   let om = Object_model.create technique in

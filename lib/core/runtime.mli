@@ -13,8 +13,6 @@ type t
 
 val create :
   ?config:Repro_gpu.Config.t ->
-  ?engine:Repro_gpu.Engine.t ->
-  ?prealloc_mb:int ->
   ?chunk_objs:int ->
   ?vt_encoding:Vtable_space.encoding ->
   ?san:Repro_san.Checker.t ->
@@ -23,13 +21,7 @@ val create :
   ?pages:Repro_vm.Policy.t ->
   technique:Technique.t ->
   unit -> t
-(** [engine] selects the simulation engine (default
-    {!Repro_gpu.Engine.default}): [intra] turns on the sliced
-    intra-launch parallel replay. [prealloc_mb] is a pure
-    capacity hint — the expected heap footprint in MiB, used to pre-size
-    the page store so paper-scale runs skip its rehash storms.
-
-    [chunk_objs] is SharedOA's initial region size in objects (Fig. 10
+(** [chunk_objs] is SharedOA's initial region size in objects (Fig. 10
     sweeps it). [san] attaches a sanitizer to the whole runtime: the
     allocator feeds its shadow heap, the device checks every access, the
     dispatcher records resolved targets, and a seeded [Skew_range]

@@ -40,13 +40,10 @@ let technique_id = function
       (match mode with T.Prototype -> "proto" | T.Hw_mmu -> "hw")
       (if on_cuda_alloc then "cuda" else "shared_oa")
 
-(* [prealloc_mb] is deliberately absent: a capacity hint changes no
-   result, so runs with and without it share cache entries. [intra] is a
-   different timing model and is identity-critical. *)
 let key t =
   let p = t.params in
   Printf.sprintf
-    "%s|%s|alloc=%s|scale=%.6g|seed=%d|iters=%s|chunk=%s|config=%s|san=%s|telemetry=%s|pages=%s|intra=%b"
+    "%s|%s|alloc=%s|scale=%.6g|seed=%d|iters=%s|chunk=%s|config=%s|san=%s|telemetry=%s|pages=%s"
     (workload_name t) (technique_id t.technique)
     (match p.W.Workload.alloc with
      | None -> "default"
@@ -71,7 +68,6 @@ let key t =
     (match p.W.Workload.pages with
      | None -> "none"
      | Some policy -> Repro_vm.Policy.name policy)
-    p.W.Workload.intra
 
 (* Bump whenever [Harness.run] (or anything Marshal reaches through it)
    changes shape: old cache entries become unreachable, not corrupt. *)

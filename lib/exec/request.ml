@@ -43,8 +43,6 @@ module Spec = struct
     iterations : int option;
     chunk_objs : int option;
     pages : string option;
-    intra : bool;
-    prealloc_mb : int option;
   }
 
   (* One constant for every surface: a bare submit and a bare sweep are
@@ -54,14 +52,12 @@ module Spec = struct
   let default_seed = 42
 
   let make ?alloc ?(scale = default_scale) ?(seed = default_seed) ?iterations
-      ?chunk_objs ?pages ?(intra = false) ?prealloc_mb
-      ~workload ~technique () =
+      ?chunk_objs ?pages ~workload ~technique () =
     (* "none" (the CLI's explicit default) and omission are the same run;
        canonicalize so the job key and cache agree — the [alloc]
        canonicalization below plays the same trick. *)
     let pages = match pages with Some "none" -> None | p -> p in
-    { workload; technique; alloc; scale; seed; iterations; chunk_objs; pages;
-      intra; prealloc_mb }
+    { workload; technique; alloc; scale; seed; iterations; chunk_objs; pages }
 
   let of_job (job : Job.t) =
     let p = job.Job.params in
@@ -74,8 +70,6 @@ module Spec = struct
       iterations = p.W.Workload.iterations;
       chunk_objs = p.W.Workload.chunk_objs;
       pages = Option.map Repro_vm.Policy.name p.W.Workload.pages;
-      intra = p.W.Workload.intra;
-      prealloc_mb = p.W.Workload.prealloc_mb;
     }
 
   let alloc_of_string s =
@@ -121,8 +115,6 @@ module Spec = struct
               iterations = t.iterations;
               chunk_objs = t.chunk_objs;
               pages;
-              intra = t.intra;
-              prealloc_mb = t.prealloc_mb;
             }))
 
   let resolve t =
@@ -145,6 +137,23 @@ module Spec = struct
           techniques)
       workloads
 
+  let sweep_matrix ~base =
+    let workloads = List.map W.Registry.qualified_name W.Registry.all in
+    let techniques = List.map technique_to_string T.all_paper in
+    match base.alloc with
+    | Some _ -> matrix ~workloads ~techniques ~base
+    | None ->
+      let dyna =
+        { base with
+          technique = technique_to_string T.Cuda;
+          alloc = Some Repro_core.Alloc_family.(name Dyna_soa) }
+      in
+      List.concat_map
+        (fun workload ->
+          List.map (fun technique -> { base with workload; technique }) techniques
+          @ [ { dyna with workload } ])
+        workloads
+
   let to_json t =
     J.Obj
       ([
@@ -161,15 +170,9 @@ module Spec = struct
       @ (match t.chunk_objs with
          | Some c -> [ ("chunk_objs", J.Int c) ]
          | None -> [])
-      @ (match t.pages with
-         | Some p -> [ ("pages", J.String p) ]
-         | None -> [])
-      (* [intra] rides the wire only off its default, so default jobs
-         encode exactly as they did under schema v1. *)
-      @ (if t.intra then [ ("intra", J.Bool true) ] else [])
       @
-      match t.prealloc_mb with
-      | Some mb -> [ ("prealloc_mb", J.Int mb) ]
+      match t.pages with
+      | Some p -> [ ("pages", J.String p) ]
       | None -> [])
 
   (* Validate at decode time so a bad family reports its JSON path
@@ -194,7 +197,15 @@ module Spec = struct
            (String.concat ", " Repro_vm.Policy.cli_names)
            s)
 
+  (* The removed sliced intra-launch model: answering [intra: true]
+     with the shared-L2 result would return another model's numbers, so
+     it is an error; [intra: false] decodes as if absent, like the
+     removed heap-size hint and [intern]. *)
+  let removed_intra_decoder j =
+    if D.bool j then D.fail "the sliced intra-launch model was removed"
+
   let decoder j =
+    ignore (D.field_opt "intra" removed_intra_decoder j);
     {
       workload = D.field "workload" D.string j;
       technique = D.field "technique" D.string j;
@@ -207,8 +218,6 @@ module Spec = struct
         (match D.field_opt "pages" pages_decoder j with
          | Some "none" -> None
          | p -> p);
-      intra = D.field_default "intra" D.bool false j;
-      prealloc_mb = D.field_opt "prealloc_mb" D.int j;
     }
 
   let equal a b = a = b
@@ -216,8 +225,7 @@ module Spec = struct
   let label t =
     let extras =
       (match t.alloc with Some a -> [ "alloc=" ^ a ] | None -> [])
-      @ (match t.pages with Some p -> [ "pages=" ^ p ] | None -> [])
-      @ if t.intra then [ "intra" ] else []
+      @ match t.pages with Some p -> [ "pages=" ^ p ] | None -> []
     in
     match extras with
     | [] -> Printf.sprintf "%s [%s]" t.workload t.technique

@@ -13,10 +13,9 @@
 
     Wire form: one JSON object per line (LF-terminated, no newlines
     inside). Requests carry [{"v": 2, "type": ...}]; see PROTOCOL.md for
-    the full message reference. (v2 added the engine fields
-    [intra]/[prealloc_mb] and aligned the absent-[scale] default with
-    [repro sweep]'s 0.25 — under v1 a bare submit silently ran scale
-    1.0.) *)
+    the full message reference. (v2 aligned the absent-[scale] default
+    with [repro sweep]'s 0.25 — under v1 a bare submit silently ran
+    scale 1.0.) *)
 
 val schema_version : int
 (** The protocol generation this build speaks. Bump on any change to the
@@ -52,12 +51,6 @@ module Spec : sig
             [None] = no address translation. Never the string ["none"] —
             constructors canonicalize it away so the job key and cache
             agree with the omitted form. *)
-    intra : bool;
-        (** Intra-launch sharded parallel timing (a distinct,
-            deterministic timing model). *)
-    prealloc_mb : int option;
-        (** Heap pre-sizing hint (MiB); results-neutral and excluded
-            from {!Job.key}. *)
   }
 
   val default_scale : float
@@ -72,14 +65,11 @@ module Spec : sig
     ?iterations:int ->
     ?chunk_objs:int ->
     ?pages:string ->
-    ?intra:bool ->
-    ?prealloc_mb:int ->
     workload:string ->
     technique:string ->
     unit ->
     t
-  (** Defaults: [scale] {!default_scale}, [seed 42], [intra false], no
-      overrides. *)
+  (** Defaults: [scale] {!default_scale}, [seed 42], no overrides. *)
 
   val of_job : Job.t -> t
   (** The spec that {!resolve}s back to an equal job (same {!Job.key}).
@@ -100,11 +90,22 @@ module Spec : sig
     workloads:string list -> techniques:string list -> base:t -> t list
   (** Workload-major cross product, [base] supplying the numbers. *)
 
+  val sweep_matrix : base:t -> t list
+  (** [repro sweep]'s job list over every registered workload, [base]
+      supplying everything but the workload and technique. With
+      [base.alloc] unset: the five paper techniques on their own
+      allocators plus a CUDA column on the DynaSOAr family (66 jobs, the
+      same jobs as the default figure sweep). With it set: every paper
+      technique over that one family (55 jobs). *)
+
   val to_json : t -> Repro_obs.Json.t
 
   val decoder : t Repro_obs.Json.Decode.decoder
   (** Requires [workload] and [technique]; the numeric fields default as
-      in {!make}. *)
+      in {!make}. Fields of removed features: [intra: true] fails (the
+      sliced intra-launch model is gone, and answering with the shared-L2
+      result would return another model's numbers); [intra: false], the
+      removed heap-size hint and [intern] decode as if absent. *)
 
   val equal : t -> t -> bool
 

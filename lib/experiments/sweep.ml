@@ -27,16 +27,13 @@ let default_scale = W.Workload.default_scale
 
 let exec ?(scale = default_scale) ?iterations ?(j = 1) ?(cache = false)
     ?cache_dir ?(progress = fun _ -> ()) ?(workloads = W.Registry.all)
-    ?(columns = default_columns) ?pages ?(intra = false)
-    ?prealloc_mb () =
+    ?(columns = default_columns) ?pages () =
   let params c =
     {
       (W.Workload.default_params c.technique) with
       W.Workload.scale;
       iterations;
       pages;
-      intra;
-      prealloc_mb;
       (* Default families stay [None] so the job key (and cache entry) is
          the same whether the run came from a technique-only or a
          column-aware surface. *)

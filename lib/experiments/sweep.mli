@@ -47,8 +47,6 @@ val exec :
   ?workloads:Repro_workloads.Workload.t list ->
   ?columns:column list ->
   ?pages:Repro_vm.Policy.t ->
-  ?intra:bool ->
-  ?prealloc_mb:int ->
   unit -> t
 (** Defaults: scale {!default_scale} (fast but representative; see
     EXPERIMENTS.md),
@@ -57,12 +55,7 @@ val exec :
     job's label as it starts measuring; with [j > 1] it may fire
     concurrently from worker domains. Raises [Failure] naming every
     failed job (after all jobs finished), or on a cross-column
-    functional mismatch.
-
-    [intra] (default [false]) opts into the sliced intra-launch
-    parallel timing model.
-    [prealloc_mb] pre-sizes each runtime's page store (a pure capacity
-    hint). *)
+    functional mismatch. *)
 
 val outcomes : t -> Repro_exec.Executor.outcome list
 (** Per-job scheduling detail (wall time, cache hits), in matrix order —

@@ -51,33 +51,6 @@ let v100_like =
     dram_sector_throughput = 20.0;
   }
 
-(* Largest power of two <= n (n >= 1). *)
-let rec pow2_floor n = if n land (n - 1) = 0 then n else pow2_floor (n land (n - 1))
-
-(* The per-SM slice of the memory system used by intra-launch sharded
-   timing: one SM, its own L1 (unchanged — L1s are per-SM already), a
-   private 1/n_sms slice of the L2 (rounded down to a power-of-two set
-   count, as the lookup path requires) and 1/n_sms of the L2 and DRAM
-   sector bandwidth. Latencies are per-access and stay as they are. *)
-let slice t =
-  if t.n_sms = 1 then t
-  else begin
-    let g = t.l2_geometry in
-    let sets = g.Cache.size_bytes / (g.Cache.line_bytes * g.Cache.ways) in
-    let slice_sets = pow2_floor (max 1 (sets / t.n_sms)) in
-    let shards = float_of_int t.n_sms in
-    {
-      t with
-      n_sms = 1;
-      l2_geometry =
-        Cache.geometry
-          ~size_bytes:(slice_sets * g.Cache.line_bytes * g.Cache.ways)
-          ~line_bytes:g.Cache.line_bytes ~ways:g.Cache.ways;
-      l2_sector_throughput = t.l2_sector_throughput /. shards;
-      dram_sector_throughput = t.dram_sector_throughput /. shards;
-    }
-  end
-
 let validate t =
   let positive name v = if v <= 0 then invalid_arg ("Config: " ^ name ^ " must be positive") in
   let positive_f name v =

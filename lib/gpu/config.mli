@@ -39,11 +39,4 @@ val validate : t -> unit
 (** Raises [Invalid_argument] when a field is non-positive or the warp
     size is not a multiple of the sector/word ratio assumptions. *)
 
-val slice : t -> t
-(** The per-SM shard of this machine used by intra-launch sharded timing
-    ({!Engine.t}[.intra]): [n_sms = 1], the same L1, a private
-    [1/n_sms] slice of the L2 (set count rounded down to a power of two)
-    and [1/n_sms] of the L2/DRAM sector bandwidth. [slice t = t] when
-    [t.n_sms = 1]. *)
-
 val pp : Format.formatter -> t -> unit

@@ -1,10 +1,7 @@
 type t = {
   cfg : Config.t;
-  engine : Engine.t;
   heap : Repro_mem.Page_store.t;
   mem_path : Mem_path.t;
-  mutable shards : Mem_path.t array; (* per-SM memory slices; [||] until the
-                                        first sharded launch, then persistent *)
   scratch : Trace.t; (* reusable per-warp emission trace *)
   stats : Stats.t;
   san : Repro_san.Checker.t option;
@@ -23,8 +20,7 @@ type t = {
 
 let fmax (a : float) (b : float) = if a >= b then a else b
 
-let create ?(config = Config.default) ?(engine = Engine.default) ?san
-    ?telemetry ~heap () =
+let create ?(config = Config.default) ?san ?telemetry ~heap () =
   Config.validate config;
   let tel =
     match telemetry with
@@ -33,10 +29,8 @@ let create ?(config = Config.default) ?(engine = Engine.default) ?san
   in
   {
     cfg = config;
-    engine;
     heap;
     mem_path = Mem_path.create config;
-    shards = [||];
     scratch = Trace.create ~capacity:256 ();
     stats = Stats.create ();
     san;
@@ -53,8 +47,6 @@ let create ?(config = Config.default) ?(engine = Engine.default) ?san
     kept = [];
   }
 
-let engine t = t.engine
-
 let config t = t.cfg
 
 let heap t = t.heap
@@ -62,23 +54,6 @@ let heap t = t.heap
 let set_vm t vm = Mem_path.set_vm t.mem_path vm
 
 let vm t = Mem_path.vm t.mem_path
-
-(* Phase 2 shards on demand: one sliced memory path per SM, persistent
-   across launches so the L2 slices keep their tag state exactly like
-   the sequential L2 does. *)
-let shards t =
-  if Array.length t.shards = 0 then
-    t.shards <-
-      Array.init t.cfg.Config.n_sms (fun _ -> Mem_path.create (Config.slice t.cfg));
-  t.shards
-
-(* The sharded engine has no telemetry instrumentation, and a translation
-   model is attached to the shared [mem_path] only — both replay on the
-   shared path through [Sm.run] instead. A 1-SM config has nothing to
-   shard. *)
-let use_sharded t =
-  t.engine.Engine.intra && t.cfg.Config.n_sms > 1 && t.tel = None
-  && Mem_path.vm t.mem_path = None
 
 let launch t ~n_threads kernel =
   if n_threads <= 0 then invalid_arg "Device.launch: n_threads must be positive";
@@ -132,10 +107,7 @@ let launch t ~n_threads kernel =
   Option.iter (fun ring -> Telemetry.Ring.begin_launch ring ~base) ring;
   Option.iter Telemetry.Sampler.begin_launch sampler;
   let cycles =
-    if use_sharded t then
-      Sm.run_sharded t.cfg ~shards:(shards t)
-        ~jobs:(Engine.resolve_jobs t.engine) ~stats:launch_stats ~traces
-    else Sm.run ?telemetry:t.tel t.cfg t.mem_path ~stats:launch_stats ~traces
+    Sm.run ?telemetry:t.tel t.cfg t.mem_path ~stats:launch_stats ~traces
   in
   Option.iter
     (fun ring ->
@@ -222,7 +194,6 @@ let dedup_ratio t =
 let reset_stats t =
   Stats.reset t.stats;
   Mem_path.reset t.mem_path;
-  Array.iter Mem_path.reset t.shards;
   t.sealed_streams <- 0;
   t.unique_streams <- 0;
   t.sealed_stream_instrs <- 0;

@@ -11,7 +11,7 @@
 type t
 
 val create :
-  ?config:Config.t -> ?engine:Engine.t -> ?san:Repro_san.Checker.t ->
+  ?config:Config.t -> ?san:Repro_san.Checker.t ->
   ?telemetry:Telemetry.config ->
   heap:Repro_mem.Page_store.t -> unit -> t
 (** When [san] is given, every launch threads it through the warp
@@ -21,12 +21,6 @@ val create :
     Phase 1 emits every warp through one reusable scratch trace and
     hash-conses identical instruction streams per launch. Phase 2 replays
     with {!Sm.run}, translated or not, with telemetry or without.
-    [engine] (default {!Engine.default})
-    selects sharded timing: with [engine.intra], phase 2 replays each SM
-    against a private memory-system slice over the Domain pool
-    (deterministic, [jobs]-independent, but a documented model
-    deviation); launches with telemetry or an attached translation model
-    replay on the shared memory path instead.
 
     [telemetry] opts into cycle-resolved instrumentation, allocated once
     here: windowed counter sampling ({!window_timeline}) and/or the
@@ -34,8 +28,6 @@ val create :
     default, or {!Telemetry.off}) leaves the replay path untouched. *)
 
 val config : t -> Config.t
-
-val engine : t -> Engine.t
 
 val interning_tallies : t -> int * int * int * int
 (** [(sealed, unique, sealed_instrs, unique_instrs)] — warp instruction

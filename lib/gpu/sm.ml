@@ -557,46 +557,3 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
 
 (* Kept under its old name because the benchmark harness calls it. *)
 let run_fused cfg mem_path ~stats ~traces = run cfg mem_path ~stats ~traces
-
-(* Intra-launch sharded timing: each SM replays its own warps against a
-   private slice of the memory system ([Config.slice] — own L1 as
-   before, 1/n_sms of the L2 and of the L2/DRAM bandwidth), so the
-   shards are fully independent and replay in parallel over the Domain
-   pool. Per-SM stats are merged in SM order and the launch finishes at
-   the slowest shard, making the result deterministic and independent of
-   [jobs]. Warp dealing and intra-SM scheduling are exactly the
-   sequential engine's (shard [s] gets warps [s, s+n_sms, ...] in
-   order), so the only modelling difference is the statically-sliced L2
-   and bandwidth. *)
-let run_sharded (cfg : Config.t) ~shards ~jobs ~stats ~traces =
-  Config.validate cfg;
-  let n_sms = cfg.n_sms in
-  if Array.length shards <> n_sms then
-    invalid_arg "Sm.run_sharded: shard count does not match n_sms";
-  let n_warps = Array.length traces in
-  if n_warps = 0 then 0.
-  else begin
-    let scfg = Config.slice cfg in
-    let shard_traces =
-      Array.init n_sms (fun s ->
-          let cnt = (n_warps - s + n_sms - 1) / n_sms in
-          Array.init cnt (fun k -> traces.(s + (k * n_sms))))
-    in
-    let results =
-      Repro_util.Pool.map ~jobs
-        ~f:(fun s ->
-          let st = Stats.create () in
-          let cyc = run scfg shards.(s) ~stats:st ~traces:shard_traces.(s) in
-          (cyc, st))
-        (Array.init n_sms (fun s -> s))
-    in
-    let finish = Array.make 1 0. in
-    Array.iter
-      (function
-        | Ok (cyc, st) ->
-          Stats.add stats st;
-          if cyc > finish.(0) then finish.(0) <- cyc
-        | Error e -> raise e)
-      results;
-    finish.(0)
-  end

@@ -33,21 +33,3 @@ val run_fused :
   Config.t -> Mem_path.t -> stats:Stats.t -> traces:Trace.t array -> float
 (** [run] without telemetry, under the name the benchmark harness
     ([bench/perf]) still calls. *)
-
-val run_sharded :
-  Config.t -> shards:Mem_path.t array -> jobs:int -> stats:Stats.t ->
-  traces:Trace.t array -> float
-(** Intra-launch sharded timing: SM [s] replays its warps ([s, s+n_sms,
-    ...], the sequential engine's dealing, in the same order) against
-    [shards.(s)] with {!run}. Each shard is a plain memory path
-    built from {!Config.slice} — its own L1 plus a private [1/n_sms]
-    slice of L2 capacity and L2/DRAM bandwidth.
-    Shards are independent, so they replay on up to [jobs] domains; the
-    per-SM stats are merged into [stats] in SM order and the returned
-    completion time is the slowest shard's. The result is deterministic
-    and byte-identical for every [jobs] value, but the statically-sliced
-    memory system is a (documented) modelling deviation from the
-    shared-L2 sequential engine, which is why the sharded engine is
-    opt-in and recorded in job keys. [shards] must have length [n_sms]
-    and persists across launches (the L2 slices keep their tag state,
-    like the sequential L2). *)

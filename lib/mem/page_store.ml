@@ -24,16 +24,8 @@ type t = {
 
 let half_mask = 0xFFFF_FFFF
 
-let create ?expect_bytes () =
-  (* Pre-sizing the bucket array avoids the rehash storms a
-     paper-scale (tens of millions of objects) run would otherwise pay
-     while materializing hundreds of thousands of pages. *)
-  let buckets =
-    match expect_bytes with
-    | None -> 1024
-    | Some b -> max 1024 ((max 0 b + page_bytes - 1) / page_bytes)
-  in
-  { pages = Hashtbl.create buckets; last_page = min_int; last_cells = [||] }
+let create () =
+  { pages = Hashtbl.create 1024; last_page = min_int; last_cells = [||] }
 
 let check_addr addr label =
   if not (Vaddr.is_canonical addr) then

@@ -10,12 +10,8 @@
 
 type t
 
-val create : ?expect_bytes:int -> unit -> t
-(** [create ?expect_bytes ()] makes an empty store. [expect_bytes] is a
-    capacity hint (the anticipated materialized footprint): the page
-    table's bucket array is pre-sized so a paper-scale run does not pay
-    rehash storms while faulting in hundreds of thousands of pages.
-    Purely an allocation hint — contents and results are unaffected. *)
+val create : unit -> t
+(** An empty store. *)
 
 val page_bytes : int
 (** Page size in bytes (4096). *)

@@ -8,7 +8,7 @@
     kept, so merged totals fold without loss and quantiles can clamp
     their bucket bounds to the true extremes.
 
-    {!record} touches only preallocated arrays — zero minor-heap
+    {!record} touches only arrays allocated up front — zero minor-heap
     allocation per sample, the same discipline as the telemetry ring
     (PR 5) — so a histogram can sit on the daemon's request path. *)
 

@@ -156,7 +156,7 @@ module Ring = struct
     dur : float;
   }
 
-  (* SoA, like Telemetry.Ring: the component arrays are preallocated at
+  (* SoA, like Telemetry.Ring: the component arrays are allocated once at
      [create] so [record] writes fields in place and allocates nothing
      (float array stores are unboxed). *)
   type t = {

@@ -27,7 +27,7 @@ val validate : Json.t -> (unit, string) result
 (** {2 Span ring} — the serve daemon's request-stage spans.
 
     A bounded, drop-oldest ring of named spans, the service-side
-    counterpart of {!Repro_gpu.Telemetry}'s event ring: preallocated
+    counterpart of {!Repro_gpu.Telemetry}'s event ring: pre-sized
     flat arrays (one per span component), so {!Ring.record} allocates
     nothing on the request path; overflow overwrites the oldest span and
     is tallied, never grows. Writers from the daemon's event thread and

@@ -1,20 +1,8 @@
 module R = Repro_core
 module Warp_ctx = Repro_gpu.Warp_ctx
 
-(* How many domains shard an intra-launch replay. A runtime knob, not a
-   job parameter: sharded results are identical at any job count, so it
-   never belongs in keys or on the wire. 0 = one domain per core. *)
-let intra_jobs () =
-  match Sys.getenv_opt "REPRO_INTRA_JOBS" with
-  | Some s -> (try int_of_string (String.trim s) with _ -> 0)
-  | None -> 0
-
 let create_runtime (p : Workload.params) =
-  let engine =
-    { Repro_gpu.Engine.intra = p.Workload.intra; intra_jobs = intra_jobs () }
-  in
-  R.Runtime.create ?config:p.Workload.config ~engine
-    ?prealloc_mb:p.Workload.prealloc_mb ?chunk_objs:p.Workload.chunk_objs
+  R.Runtime.create ?config:p.Workload.config ?chunk_objs:p.Workload.chunk_objs
     ?san:p.Workload.san ?telemetry:p.Workload.telemetry
     ?alloc:p.Workload.alloc ?pages:p.Workload.pages
     ~technique:p.Workload.technique ()

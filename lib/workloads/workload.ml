@@ -9,8 +9,6 @@ type params = {
   san : Repro_san.Checker.t option;
   telemetry : Repro_gpu.Telemetry.config option;
   pages : Repro_vm.Policy.t option;
-  intra : bool;
-  prealloc_mb : int option;
 }
 
 (* The repo-wide default sweep scale. One constant shared by every
@@ -22,8 +20,7 @@ let default_scale = 0.25
 
 let default_params technique =
   { technique; alloc = None; scale = 1.0; config = None; chunk_objs = None;
-    iterations = None; seed = 42; san = None; telemetry = None; pages = None;
-    intra = false; prealloc_mb = None }
+    iterations = None; seed = 42; san = None; telemetry = None; pages = None }
 
 type instance = {
   rt : Repro_core.Runtime.t;

@@ -30,14 +30,6 @@ type params = {
       (** Address-translation page-size policy; [None] (the default)
           models no translation — the timing is exactly the
           untranslated model's. *)
-  intra : bool;
-      (** Intra-launch sharded parallel timing (default [false]). A
-          different — deterministic, jobs-independent — timing model, so
-          it is part of the job identity. *)
-  prealloc_mb : int option;
-      (** Expected heap footprint (MiB): pre-sizes the page store.
-          Purely a capacity hint; never affects results and is excluded
-          from job keys. *)
 }
 
 val default_params : Repro_core.Technique.t -> params

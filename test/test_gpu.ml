@@ -743,23 +743,6 @@ let test_set_vm_checks_n_sms () =
          | exception Invalid_argument _ -> true))
     [ cfg.Config.n_sms - 1; cfg.Config.n_sms + 1 ]
 
-let test_sharded_jobs_byte_identical () =
-  (* Intra-launch sharding deals warps to per-SM memory slices; the
-     domain count may change scheduling but never results. *)
-  let traces = canned_traces ~n_warps:8 ~n_instrs:500 in
-  let run jobs =
-    let shards =
-      Array.init cfg.Config.n_sms (fun _ -> Mem_path.create (Config.slice cfg))
-    in
-    let stats = Stats.create () in
-    let cycles = Sm.run_sharded cfg ~shards ~jobs ~stats ~traces in
-    (cycles, Stats.to_raw stats)
-  in
-  let c1, r1 = run 1 in
-  let c4, r4 = run 4 in
-  check Alcotest.bool "cycles identical for -j 1 vs -j 4" true (c1 = c4);
-  check Alcotest.bool "stats byte-identical for -j 1 vs -j 4" true (r1 = r4)
-
 let test_ring_drop_oldest () =
   let r = Telemetry.Ring.create ~capacity:4 in
   Telemetry.Ring.begin_launch r ~base:0.;
@@ -817,8 +800,6 @@ let suite =
       test_fused_replay_zero_allocation;
     Alcotest.test_case "set_vm refuses a vm of another SM count" `Quick
       test_set_vm_checks_n_sms;
-    Alcotest.test_case "sharded timing jobs-count invariant" `Quick
-      test_sharded_jobs_byte_identical;
     Alcotest.test_case "tracer-on replay allocates nothing per instruction"
       `Quick test_replay_zero_allocation_traced;
     Alcotest.test_case "ring drop-oldest spill" `Quick test_ring_drop_oldest;

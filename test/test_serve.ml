@@ -272,6 +272,15 @@ let test_decode_errors_name_field () =
     (contains ~sub:"jobs[0].alloc" err);
   check Alcotest.bool ("alloc families listed in: " ^ err) true
     (contains ~sub:"expected one of cuda, shared-oa, dyna" err);
+  (* [intra: true] asked for the removed sliced-L2 model; answering it
+     with the shared-L2 result would hand back another model's numbers. *)
+  let err =
+    decode_error
+      {|{"v":2,"type":"submit","id":"b","jobs":[{"workload":"GOL","technique":"tp","intra":true}]}|}
+  in
+  check Alcotest.bool ("intra path in: " ^ err) true
+    (contains ~sub:"jobs[0].intra: the sliced intra-launch model was removed"
+       err);
   let err = decode_error {|{"v":2,"type":"query","job":{"technique":"tp"}}|} in
   check Alcotest.bool ("path in: " ^ err) true
     (contains ~sub:"job.workload" err);
@@ -293,8 +302,10 @@ let test_schema_version_checked () =
     check Alcotest.bool ("version in: " ^ msg) true
       (contains ~sub:"unsupported schema version 9" msg)
 
-(* The removed [intern] field decodes like any unknown field: ignored,
-   leaving the same spec (and so the same job key) as omitting it. *)
+(* Fields of removed features that changed no result ([intern], the
+   [prealloc_mb] heap hint, and [intra] off) decode like any unknown
+   field: ignored, leaving the same spec (and so the same job key) as
+   omitting them. *)
 let test_removed_intern_field_ignored () =
   let decode line =
     match X.Request.of_line line with
@@ -304,14 +315,45 @@ let test_removed_intern_field_ignored () =
   in
   let plain = decode {|{"v":2,"type":"query","job":{"workload":"GOL","technique":"tp"}}|} in
   List.iter
-    (fun v ->
+    (fun field ->
       let line =
         Printf.sprintf
-          {|{"v":2,"type":"query","job":{"workload":"GOL","technique":"tp","intern":%s}}|} v
+          {|{"v":2,"type":"query","job":{"workload":"GOL","technique":"tp",%s}}|}
+          field
       in
-      check Alcotest.bool ("intern " ^ v ^ " ignored") true
+      check Alcotest.bool (field ^ " ignored") true
         (X.Request.Spec.equal plain (decode line)))
-    [ "false"; "true" ]
+    [ {|"intern":false|}; {|"intern":true|}; {|"intra":false|};
+      {|"prealloc_mb":64|} ]
+
+(* [repro sweep]'s (and [submit --all]'s) job list: 11 workloads x the
+   five paper techniques plus the DYNA column, or x5 over one family
+   with --alloc; every job keeps the base spec's numbers. *)
+let test_sweep_matrix () =
+  let base =
+    X.Request.Spec.make ~scale:0.02 ~seed:7 ~iterations:1 ~workload:""
+      ~technique:"" ()
+  in
+  let default = X.Request.Spec.sweep_matrix ~base in
+  let one_family =
+    X.Request.Spec.sweep_matrix ~base:{ base with X.Request.Spec.alloc = Some "shared-oa" }
+  in
+  check Alcotest.int "default matrix: 11 x (5 + DYNA)" 66 (List.length default);
+  check Alcotest.int "--alloc matrix: 11 x 5" 55 (List.length one_family);
+  check Alcotest.int "one DYNA column per workload" 11
+    (List.length
+       (List.filter (fun s -> s.X.Request.Spec.alloc = Some "dyna") default));
+  List.iter
+    (fun (s : X.Request.Spec.t) ->
+      check Alcotest.int (X.Request.Spec.label s ^ " seed") 7 s.X.Request.Spec.seed;
+      check Alcotest.(option int) (X.Request.Spec.label s ^ " iterations")
+        (Some 1) s.X.Request.Spec.iterations;
+      check (Alcotest.float 0.) (X.Request.Spec.label s ^ " scale") 0.02
+        s.X.Request.Spec.scale;
+      match X.Request.Spec.resolve s with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg)
+    (default @ one_family)
 
 (* --- spec resolution ------------------------------------------------------- *)
 
@@ -786,6 +828,8 @@ let suite =
       test_schema_version_checked;
     Alcotest.test_case "removed intern field is ignored" `Quick
       test_removed_intern_field_ignored;
+    Alcotest.test_case "sweep matrix keeps the base spec" `Quick
+      test_sweep_matrix;
     Alcotest.test_case "spec resolution" `Quick test_spec_resolution;
     Alcotest.test_case "dedup: two clients, one execution" `Quick
       test_dedup_single_execution;
