@@ -1278,16 +1278,14 @@ let ctl_cmd =
          (match s.X.Response.svc with
           | None -> ()
           | Some svc ->
-            Printf.printf
-              "requests=%d slow=%d responses=%d decode_errors=%d \
-               bytes_in=%d bytes_out=%d stampede_avoided=%d \
-               worker_busy=%.2fs\n"
-              svc.O.Svc_metrics.s_requests svc.O.Svc_metrics.s_slow_requests
-              svc.O.Svc_metrics.s_responses
-              svc.O.Svc_metrics.s_decode_errors svc.O.Svc_metrics.s_bytes_in
-              svc.O.Svc_metrics.s_bytes_out
-              svc.O.Svc_metrics.s_stampede_avoided
-              svc.O.Svc_metrics.s_worker_busy_s);
+            let module S = O.Svc_metrics in
+            List.map
+              (fun m ->
+                match S.value m svc with
+                | S.Int i -> Printf.sprintf "%s=%d" (S.name m) i
+                | S.Float f -> Printf.sprintf "%s=%.2f" (S.name m) f)
+              S.all
+            |> String.concat " " |> print_endline);
          (match s.X.Response.stages with
           | [] -> ()
           | stages ->

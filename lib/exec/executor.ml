@@ -9,40 +9,27 @@ type outcome = {
 
 let default_jobs () = Repro_util.Pool.available_workers ()
 
-let timed job =
+let timed ?(runner = fun job -> Ok (Job.run job)) job =
   let t0 = Unix.gettimeofday () in
-  let result = try Ok (Job.run job) with e -> Error (Printexc.to_string e) in
+  let result = try runner job with e -> Error (Printexc.to_string e) in
   (result, Unix.gettimeofday () -. t0)
 
-let measure ?span ?runner ~cache ~dir job =
-  (* [span] timestamps only when present, so the un-instrumented path is
-     exactly the historical one (no extra clock reads, no allocation). *)
+let measure ?runner ~clock ~span ~cache ~dir job =
   let hit =
     if not cache then None
-    else
-      match span with
-      | None -> Cache.lookup ~dir job
-      | Some emit ->
-        let t0 = Unix.gettimeofday () in
-        let hit = Cache.lookup ~dir job in
-        emit ~stage:"cache_probe" ~t0 ~dur:(Unix.gettimeofday () -. t0);
-        hit
+    else begin
+      let t0 = clock () in
+      let hit = Cache.lookup ~dir job in
+      span ~stage:"cache_probe" ~t0 ~dur:(clock () -. t0);
+      hit
+    end
   in
   match hit with
   | Some run -> { job; result = Ok run; wall_s = 0.; cached = true }
   | None ->
-    let t0 = match span with Some _ -> Unix.gettimeofday () | None -> 0. in
-    let result, wall_s =
-      match runner with
-      | None -> timed job
-      | Some f ->
-        let r0 = Unix.gettimeofday () in
-        let result = try f job with e -> Error (Printexc.to_string e) in
-        (result, Unix.gettimeofday () -. r0)
-    in
-    (match span with
-     | None -> ()
-     | Some emit -> emit ~stage:"run" ~t0 ~dur:wall_s);
+    let t0 = clock () in
+    let result, wall_s = timed ?runner job in
+    span ~stage:"run" ~t0 ~dur:wall_s;
     (if cache then
        match result with
        | Ok run -> Cache.store ~dir job run

@@ -40,28 +40,34 @@ val run :
     domains concurrently, so keep it to an atomic write such as a single
     [eprintf]. *)
 
-val timed : Job.t -> (Repro_workloads.Harness.run, string) result * float
-(** Run one job on the calling domain, catching its exception text, and
-    measure its wall time — the single measurement step both {!run} and
-    the serve daemon's workers ({!Server}) are built on. *)
+val timed :
+  ?runner:(Job.t -> (Repro_workloads.Harness.run, string) result) ->
+  Job.t ->
+  (Repro_workloads.Harness.run, string) result * float
+(** Run one job on the calling domain through [runner] (default
+    {!Job.run}), catching its exception text, and measure its wall time
+    — the single measurement step both {!run} and the serve daemon's
+    workers ({!Server}) are built on. *)
 
 val measure :
-  ?span:(stage:string -> t0:float -> dur:float -> unit) ->
   ?runner:(Job.t -> (Repro_workloads.Harness.run, string) result) ->
+  clock:(unit -> float) ->
+  span:(stage:string -> t0:float -> dur:float -> unit) ->
   cache:bool ->
   dir:string ->
   Job.t ->
   outcome
 (** One job through the full cache protocol: serve a hit if [cache],
-    else measure ([runner] defaults to {!timed}'s body; tests inject
-    fakes) and write the result back. This is the daemon's per-job step;
-    {!run} keeps its batch shape (hits served up front, misses pooled)
-    for the CLI sweep.
+    else measure it with {!timed} (tests inject [runner] fakes) and
+    write the result back. This is the daemon's per-job step; {!run}
+    keeps its batch shape (hits served up front, misses pooled) for the
+    CLI sweep.
 
-    [span] is the daemon's tracing hook: it fires with stage
-    ["cache_probe"] (when [cache]) and ["run"] (on a miss), [t0] in
-    [Unix.gettimeofday] time. When absent, no clocks are read beyond the
-    historical wall-time measurement and nothing is allocated. *)
+    [span] fires with stage ["cache_probe"] (when [cache]) and ["run"]
+    (on a miss), [t0] read from [clock]. The daemon passes its
+    observability clock, which is {!Repro_obs.Svc_metrics.null_clock}
+    when observability is off; the outcome's [wall_s] always comes from
+    {!timed}. *)
 
 val ok_exn : outcome -> Repro_workloads.Harness.run
 (** The run, or [Failure] with the job label and captured error. *)

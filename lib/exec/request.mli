@@ -126,7 +126,7 @@ type t =
       (** Drop one cached entry, or with [None] the whole cache. *)
   | Stats
       (** Scheduler counters (dedup hits, queue depth, ...) — and, when
-          the daemon runs with metrics on, the {!Repro_obs.Svc_metrics}
+          the daemon runs with observability on, the {!Repro_obs.Svc_metrics}
           snapshot and per-stage latency histograms. *)
   | Health
       (** One-line liveness probe: uptime, schema version, worker count,

@@ -274,8 +274,8 @@ type server_stats = {
   queued : int;
   running : int;
   uptime_s : float;
-  (* Present only when the daemon runs with metrics on — additive
-     optional fields, so the envelope version stays put and a metrics-off
+  (* Present only when the daemon runs with observability on — additive
+     optional fields, so the envelope version stays put and an obs-off
      daemon's stats line is byte-identical to the pre-observability one. *)
   svc : Svc.snapshot option;
   stages : (string * H.t) list;

@@ -35,12 +35,12 @@ type server_stats = {
   uptime_s : float;
   svc : Repro_obs.Svc_metrics.snapshot option;
       (** Full service-metrics snapshot — only when the daemon runs with
-          metrics on. Additive optional wire field: a metrics-off
+          observability on. Additive optional wire field: an obs-off
           daemon's stats line is byte-identical to the pre-observability
           form, and the schema version stays put. *)
   stages : (string * Repro_obs.Hist.t) list;
       (** Per-stage latency histograms ({!Repro_obs.Svc_metrics.stage_names}
-          order); [[]] when metrics are off. *)
+          order); [[]] when observability is off. *)
 }
 
 type health = {

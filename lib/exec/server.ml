@@ -6,19 +6,19 @@ module Tracer = Repro_obs.Tracer
 
 type obs = {
   log : Log.t;
-  metrics : Svc.t option;
+  clock : unit -> float;
   spans : Tracer.Ring.t option;
   slow_s : float;
 }
 
 let obs_off =
-  { log = Log.null; metrics = None; spans = None; slow_s = infinity }
+  { log = Log.null; clock = Svc.null_clock; spans = None; slow_s = infinity }
 
 let obs_default ?(log = Log.null) ?(slow_s = 0.25) ?(trace_capacity = 4096) ()
     =
   {
     log;
-    metrics = Some (Svc.create ());
+    clock = Unix.gettimeofday;
     spans =
       (if trace_capacity > 0 then
          Some (Tracer.Ring.create ~capacity:trace_capacity)
@@ -39,15 +39,6 @@ let default_socket () =
   | Some s when s <> "" -> s
   | _ -> "_repro_serve.sock"
 
-let default_config () =
-  {
-    socket_path = default_socket ();
-    workers = Executor.default_jobs ();
-    cache = true;
-    cache_dir = Cache.default_dir ();
-    obs = obs_off;
-  }
-
 type job_runner = Job.t -> (W.Harness.run, string) result
 
 (* --- Scheduler state ------------------------------------------------------
@@ -62,7 +53,7 @@ type waiter = {
   w_batch : Session.batch;
   w_index : int;
   w_deduped : bool;
-  w_attached_at : float;  (* dedup_wait span start; 0. when obs is off *)
+  w_attached_at : float;  (* dedup_wait span start *)
 }
 
 type entry = {
@@ -70,7 +61,7 @@ type entry = {
   e_job : Job.t;
   e_cache : bool;
   e_trace : int;          (* trace id of the creating submit request *)
-  e_enqueued_at : float;  (* queued span start; 0. when obs is off *)
+  e_enqueued_at : float;  (* queued span start *)
   mutable e_state : [ `Queued | `Running | `Done | `Cancelled ];
   mutable e_waiters : waiter list;  (* newest first *)
 }
@@ -91,18 +82,12 @@ type t = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   mutable stopping : bool;
-  mutable submitted : int;
-  mutable executed : int;
-  mutable dedup_hits : int;
-  mutable cache_hits : int;
   mutable running_count : int;
   started_at : float;
-  (* Observability. [obs_on] is precomputed so every instrumentation
-     site is one load+branch when the daemon runs bare — the PR 4/5
-     zero-allocation request path survives unchanged. Trace ids are
-     assigned by the event thread only; [cur_trace] is the request it is
-     currently servicing (attributes encode spans from Session.send). *)
-  obs_on : bool;
+  metrics : Svc.t;
+  (* Trace ids are assigned by the event thread only; [cur_trace] is the
+     request it is currently servicing (attributes encode spans in
+     [send]). *)
   mutable next_trace : int;
   mutable cur_trace : int;
 }
@@ -119,23 +104,23 @@ let push_event t ev =
 
 (* --- Observability taps ---------------------------------------------------
 
-   Span timestamps ride the ring relative to server start. Stage
-   histograms have two ownership classes: decode/dedup_wait/encode/
-   request are written by the event thread only (no lock), queued/
-   cache_probe/run by workers under [t.mutex] — [server_stats] snapshots
-   under the same mutex from the event thread, so both classes read
-   consistently. *)
+   One path whether observability is on or off: with it off the clock is
+   [Svc.null_clock] (every duration is 0, no syscall), there is no span
+   ring and the log is [Log.null]. Span timestamps ride the ring
+   relative to server start. Stage histograms have two ownership
+   classes: decode/dedup_wait/encode/request are written by the event
+   thread only (no lock), queued/cache_probe/run by workers under
+   [t.mutex] — [server_stats] snapshots under the same mutex from the
+   event thread, so both classes read consistently. *)
 
-let span t ~name ~track ~trace ~t0 ~dur =
-  match t.cfg.obs.spans with
-  | None -> ()
-  | Some ring ->
-    Tracer.Ring.record ring ~name ~track ~trace ~ts:(t0 -. t.started_at) ~dur
+let now t = t.cfg.obs.clock ()
 
-let record_stage t name dur =
-  match t.cfg.obs.metrics with
-  | None -> ()
-  | Some m -> Hist.record (Svc.stage m name) dur
+let stage t ~name ~track ~trace ~t0 ~dur =
+  (match t.cfg.obs.spans with
+   | None -> ()
+   | Some ring ->
+     Tracer.Ring.record ring ~name ~track ~trace ~ts:(t0 -. t.started_at) ~dur);
+  Hist.record (Svc.stage t.metrics name) dur
 
 (* Close the books on one request line: the end-to-end span, the
    "request" histogram — whose count therefore equals request lines
@@ -143,19 +128,29 @@ let record_stage t name dur =
    only: synchronous requests at the end of [handle_request], a submit
    at its [Batch_done]. *)
 let finish_request t ~trace ~t0 =
-  if t.obs_on then begin
-    let dur = Unix.gettimeofday () -. t0 in
-    span t ~name:"request" ~track:0 ~trace ~t0 ~dur;
-    record_stage t "request" dur;
-    (match t.cfg.obs.metrics with
-     | None -> ()
-     | Some m ->
-       m.Svc.requests <- m.Svc.requests + 1;
-       if dur >= t.cfg.obs.slow_s then
-         m.Svc.slow_requests <- m.Svc.slow_requests + 1);
-    if dur >= t.cfg.obs.slow_s && Log.enabled t.cfg.obs.log Warn then
+  let dur = now t -. t0 in
+  stage t ~name:"request" ~track:0 ~trace ~t0 ~dur;
+  Svc.incr t.metrics Svc.requests;
+  if dur >= t.cfg.obs.slow_s then begin
+    Svc.incr t.metrics Svc.slow_requests;
+    if Log.enabled t.cfg.obs.log Warn then
       Log.log t.cfg.obs.log Warn "request.slow"
         [ ("trace", Log.Int trace); ("dur_s", Log.Float dur) ]
+  end
+
+(* Encode and write one response; the encode stage, response count and
+   bytes out are charged to [cur_trace]. Event thread only. *)
+let send t session response =
+  if not session.Session.closed then begin
+    let t0 = now t in
+    let line = Response.to_line response in
+    let dur = now t -. t0 in
+    Session.send session line;
+    if not session.Session.closed then begin
+      stage t ~name:"encode" ~track:0 ~trace:t.cur_trace ~t0 ~dur;
+      Svc.incr t.metrics Svc.responses;
+      Svc.add t.metrics Svc.bytes_out (String.length line + 1)
+    end
   end
 
 (* Fair pick: walk the round-robin list; the first session with a live
@@ -209,31 +204,19 @@ let worker_loop t widx () =
     | Some e ->
       e.e_state <- `Running;
       t.running_count <- t.running_count + 1;
-      if t.obs_on then begin
-        let d = Unix.gettimeofday () -. e.e_enqueued_at in
-        span t ~name:"queued" ~track ~trace:e.e_trace ~t0:e.e_enqueued_at
-          ~dur:d;
-        record_stage t "queued" d  (* t.mutex held *)
-      end;
+      let m0 = now t in
+      stage t ~name:"queued" ~track ~trace:e.e_trace ~t0:e.e_enqueued_at
+        ~dur:(m0 -. e.e_enqueued_at);
       push_event t (Started e.e_waiters);
       Mutex.unlock t.mutex;
-      let exec_span =
-        if t.cfg.obs.spans = None && t.cfg.obs.metrics = None then None
-        else
-          Some
-            (fun ~stage ~t0 ~dur ->
-              span t ~name:stage ~track ~trace:e.e_trace ~t0 ~dur;
-              match t.cfg.obs.metrics with
-              | None -> ()
-              | Some m ->
-                Mutex.lock t.mutex;
-                Hist.record (Svc.stage m stage) dur;
-                Mutex.unlock t.mutex)
+      let span ~stage:name ~t0 ~dur =
+        Mutex.lock t.mutex;
+        stage t ~name ~track ~trace:e.e_trace ~t0 ~dur;
+        Mutex.unlock t.mutex
       in
-      let m0 = if t.obs_on then Unix.gettimeofday () else 0. in
       let outcome =
-        Executor.measure ?span:exec_span ?runner:t.runner ~cache:e.e_cache
-          ~dir:t.cfg.cache_dir e.e_job
+        Executor.measure ?runner:t.runner ~clock:t.cfg.obs.clock ~span
+          ~cache:e.e_cache ~dir:t.cfg.cache_dir e.e_job
       in
       if Log.enabled t.cfg.obs.log Info then
         Log.log t.cfg.obs.log Info "job.done"
@@ -247,15 +230,13 @@ let worker_loop t widx () =
       e.e_state <- `Done;
       t.running_count <- t.running_count - 1;
       Hashtbl.remove t.inflight e.e_key;
-      if outcome.Executor.cached then t.cache_hits <- t.cache_hits + 1
-      else t.executed <- t.executed + 1;
-      (match t.cfg.obs.metrics with
-       | None -> ()
-       | Some m ->
-         m.Svc.worker_busy_s <-
-           m.Svc.worker_busy_s +. (Unix.gettimeofday () -. m0);
-         if e.e_cache && not outcome.Executor.cached then
-           m.Svc.cache_misses <- m.Svc.cache_misses + 1);
+      let m = t.metrics in
+      if outcome.Executor.cached then Svc.incr m Svc.cache_hits
+      else begin
+        Svc.incr m Svc.jobs_executed;
+        if e.e_cache then Svc.incr m Svc.cache_misses
+      end;
+      Svc.add_float m Svc.worker_busy_s (now t -. m0);
       push_event t (Finished (e.e_waiters, outcome));
       Mutex.unlock t.mutex;
       next ()
@@ -275,17 +256,14 @@ let queue_for t sid =
 
 let finish_job t (w : waiter) outcome =
   if not w.w_session.Session.closed then begin
-    if t.obs_on && w.w_deduped then begin
-      let d = Unix.gettimeofday () -. w.w_attached_at in
-      span t ~name:"dedup_wait" ~track:0 ~trace:w.w_batch.Session.trace
-        ~t0:w.w_attached_at ~dur:d;
-      record_stage t "dedup_wait" d
-    end;
-    Session.send w.w_session
+    if w.w_deduped then
+      stage t ~name:"dedup_wait" ~track:0 ~trace:w.w_batch.Session.trace
+        ~t0:w.w_attached_at ~dur:(now t -. w.w_attached_at);
+    send t w.w_session
       (Response.Job_done
          { id = w.w_batch.Session.batch_id; index = w.w_index; outcome });
     if Session.record_done w.w_session w.w_batch outcome then begin
-      Session.send w.w_session
+      send t w.w_session
         (Response.Batch_done
            {
              id = w.w_batch.Session.batch_id;
@@ -312,8 +290,8 @@ let drain_events t =
         List.iter
           (fun w ->
             if not w.w_session.Session.closed then begin
-              if t.obs_on then t.cur_trace <- w.w_batch.Session.trace;
-              Session.send w.w_session
+              t.cur_trace <- w.w_batch.Session.trace;
+              send t w.w_session
                 (Response.Running
                    { id = w.w_batch.Session.batch_id; index = w.w_index })
             end)
@@ -321,51 +299,47 @@ let drain_events t =
       | Finished (waiters, exec_outcome) ->
         List.iter
           (fun w ->
-            if t.obs_on then t.cur_trace <- w.w_batch.Session.trace;
+            t.cur_trace <- w.w_batch.Session.trace;
             finish_job t w
               (Response.outcome_of_executor ~deduped:w.w_deduped exec_outcome))
           waiters)
     pending
 
+let queued t =
+  Hashtbl.fold
+    (fun _ e n -> if e.e_state = `Queued then n + 1 else n)
+    t.inflight 0
+
+(* The one place that asks whether observability is on: under the null
+   clock the stats answer keeps its pre-observability wire form. *)
 let server_stats t ~sessions =
+  let m = t.metrics in
   Mutex.lock t.mutex;
-  let queued =
-    Hashtbl.fold
-      (fun _ e n -> if e.e_state = `Queued then n + 1 else n)
-      t.inflight 0
-  in
-  let svc, stages =
-    match t.cfg.obs.metrics with
-    | None -> (None, [])
-    | Some m ->
-      (* The scheduler's own counters stay the source of truth for the
-         four job counters; mirror them into the registry at snapshot
-         time instead of double-counting at every increment site. *)
-      m.Svc.submitted <- t.submitted;
-      m.Svc.executed <- t.executed;
-      m.Svc.dedup_hits <- t.dedup_hits;
-      m.Svc.cache_hits <- t.cache_hits;
-      ( Some
-          (Svc.snapshot m ~sessions ~queue_depth:queued
-             ~inflight:(Hashtbl.length t.inflight) ~running:t.running_count),
-        List.map (fun n -> (n, Hist.copy (Svc.stage m n))) Svc.stage_names )
-  in
-  let s =
-    {
-      Response.sessions;
-      submitted = t.submitted;
-      executed = t.executed;
-      dedup_hits = t.dedup_hits;
-      cache_hits = t.cache_hits;
-      queued;
-      running = t.running_count;
-      uptime_s = Unix.gettimeofday () -. t.started_at;
-      svc;
-      stages;
-    }
+  Svc.set m Svc.sessions sessions;
+  Svc.set m Svc.queue_depth (queued t);
+  Svc.set m Svc.inflight (Hashtbl.length t.inflight);
+  Svc.set m Svc.jobs_running t.running_count;
+  let snap = Svc.snapshot m in
+  let reported = t.cfg.obs.clock != Svc.null_clock in
+  let stages =
+    if reported then
+      List.map (fun n -> (n, Hist.copy (Svc.stage m n))) Svc.stage_names
+    else []
   in
   Mutex.unlock t.mutex;
-  s
+  let get metric = Svc.count metric snap in
+  {
+    Response.sessions;
+    submitted = get Svc.jobs_submitted;
+    executed = get Svc.jobs_executed;
+    dedup_hits = get Svc.dedup_hits;
+    cache_hits = get Svc.cache_hits;
+    queued = get Svc.queue_depth;
+    running = get Svc.jobs_running;
+    uptime_s = Unix.gettimeofday () -. t.started_at;
+    svc = (if reported then Some snap else None);
+    stages;
+  }
 
 (* Returns [true] when the request already saw its terminal response
    (rejected or empty batch); a scheduled batch finishes at
@@ -385,14 +359,14 @@ let handle_submit t session ~trace ~t0 ~id ~cache ~specs =
     List.find_map (function Error m -> Some m | Ok _ -> None) resolved
   with
   | Some message ->
-    Session.send session (Response.Error { message });
+    send t session (Response.Error { message });
     true
   | None ->
     let jobs = List.map (function Ok j -> j | Error _ -> assert false) resolved in
     let total = List.length jobs in
-    Session.send session (Response.Ack { id; jobs = total });
+    send t session (Response.Ack { id; jobs = total });
     if total = 0 then begin
-      Session.send session
+      send t session
         (Response.Batch_done
            {
              id;
@@ -409,13 +383,13 @@ let handle_submit t session ~trace ~t0 ~id ~cache ~specs =
       let batch = Session.begin_batch session ~id ~total in
       batch.Session.trace <- trace;
       batch.Session.started_at <- t0;
-      let enq = if t.obs_on then Unix.gettimeofday () else 0. in
+      let enq = now t in
       let announce_running = ref [] in
       Mutex.lock t.mutex;
       List.iteri
         (fun index job ->
           let key = Job.key job in
-          t.submitted <- t.submitted + 1;
+          Svc.incr t.metrics Svc.jobs_submitted;
           match Hashtbl.find_opt t.inflight key with
           | Some e when e.e_state = `Queued || e.e_state = `Running ->
             let w =
@@ -423,14 +397,11 @@ let handle_submit t session ~trace ~t0 ~id ~cache ~specs =
                 w_deduped = true; w_attached_at = enq }
             in
             e.e_waiters <- w :: e.e_waiters;
-            t.dedup_hits <- t.dedup_hits + 1;
+            Svc.incr t.metrics Svc.dedup_hits;
             (* A dedup hit on a cache-enabled entry is exactly a
                stampede avoided: without the in-flight table this
                submission would race the cold cache. *)
-            (match t.cfg.obs.metrics with
-             | Some m when e.e_cache ->
-               m.Svc.stampede_avoided <- m.Svc.stampede_avoided + 1
-             | _ -> ());
+            if e.e_cache then Svc.incr t.metrics Svc.stampede_avoided;
             if e.e_state = `Running then
               announce_running := (id, index) :: !announce_running
           | _ ->
@@ -456,7 +427,7 @@ let handle_submit t session ~trace ~t0 ~id ~cache ~specs =
          notice immediately (the Started event fired before they attached). *)
       List.iter
         (fun (id, index) ->
-          Session.send session (Response.Running { id; index }))
+          send t session (Response.Running { id; index }))
         (List.rev !announce_running);
       false
     end
@@ -465,21 +436,17 @@ let handle_request t session ~sessions ~trace ~t0 req =
   let finished =
     match req with
     | Request.Ping ->
-      Session.send session Response.Pong;
+      send t session Response.Pong;
       true
     | Request.Stats ->
-      Session.send session (Response.Server_stats (server_stats t ~sessions));
+      send t session (Response.Server_stats (server_stats t ~sessions));
       true
     | Request.Health ->
       Mutex.lock t.mutex;
-      let queued =
-        Hashtbl.fold
-          (fun _ e n -> if e.e_state = `Queued then n + 1 else n)
-          t.inflight 0
-      in
+      let queued = queued t in
       let running = t.running_count in
       Mutex.unlock t.mutex;
-      Session.send session
+      send t session
         (Response.Health
            {
              h_uptime_s = Unix.gettimeofday () -. t.started_at;
@@ -493,7 +460,7 @@ let handle_request t session ~sessions ~trace ~t0 req =
     | Request.Trace_dump ->
       (match t.cfg.obs.spans with
        | None ->
-         Session.send session
+         send t session
            (Response.Error { message = "tracing is disabled on this server" })
        | Some ring ->
          let spans = Tracer.Ring.dump ring in
@@ -502,7 +469,7 @@ let handle_request t session ~sessions ~trace ~t0 req =
            :: List.init (max 1 t.cfg.workers) (fun i ->
                   (i + 1, Printf.sprintf "worker %d" (i + 1)))
          in
-         Session.send session
+         send t session
            (Response.Trace_dump
               {
                 spans = List.length spans;
@@ -512,35 +479,35 @@ let handle_request t session ~sessions ~trace ~t0 req =
       true
     | Request.Query spec ->
       (match Request.Spec.resolve spec with
-       | Error message -> Session.send session (Response.Error { message })
+       | Error message -> send t session (Response.Error { message })
        | Ok job ->
          let run =
            if t.cfg.cache then Cache.lookup ~dir:t.cfg.cache_dir job else None
          in
-         Session.send session (Response.Queried { hit = run <> None; run }));
+         send t session (Response.Queried { hit = run <> None; run }));
       true
     | Request.Invalidate (Some spec) ->
       (match Request.Spec.resolve spec with
-       | Error message -> Session.send session (Response.Error { message })
+       | Error message -> send t session (Response.Error { message })
        | Ok job ->
          let removed =
            if Cache.invalidate ~dir:t.cfg.cache_dir job then 1 else 0
          in
-         Session.send session (Response.Invalidated { removed }));
+         send t session (Response.Invalidated { removed }));
       true
     | Request.Submit { id; cache; specs } ->
       if t.stopping then begin
-        Session.send session
+        send t session
           (Response.Error { message = "server is shutting down" });
         true
       end
       else handle_submit t session ~trace ~t0 ~id ~cache ~specs
     | Request.Invalidate None ->
-      Session.send session
+      send t session
         (Response.Invalidated { removed = Cache.clear ~dir:t.cfg.cache_dir });
       true
     | Request.Shutdown ->
-      Session.send session Response.Bye;
+      send t session Response.Bye;
       Mutex.lock t.mutex;
       t.stopping <- true;
       Condition.broadcast t.cond;
@@ -634,15 +601,9 @@ let run ?runner cfg =
       wake_r;
       wake_w;
       stopping = false;
-      submitted = 0;
-      executed = 0;
-      dedup_hits = 0;
-      cache_hits = 0;
       running_count = 0;
       started_at = Unix.gettimeofday ();
-      obs_on =
-        (cfg.obs.metrics <> None || cfg.obs.spans <> None
-         || Log.enabled cfg.obs.log Error);
+      metrics = Svc.create ();
       next_trace = 1;
       cur_trace = 0;
     }
@@ -656,22 +617,6 @@ let run ?runner cfg =
       ];
   let workers =
     Array.init (max 1 cfg.workers) (fun i -> Domain.spawn (worker_loop t i))
-  in
-  (* Session.send tap: encode time, response count, bytes out. Runs on
-     the event thread only, so [cur_trace] is the request (or batch)
-     whose response is being written. *)
-  let on_send =
-    if cfg.obs.spans = None && cfg.obs.metrics = None then None
-    else
-      Some
-        (fun ~bytes ~t0 ~dur ->
-          span t ~name:"encode" ~track:0 ~trace:t.cur_trace ~t0 ~dur;
-          match cfg.obs.metrics with
-          | None -> ()
-          | Some m ->
-            m.Svc.responses <- m.Svc.responses + 1;
-            m.Svc.bytes_out <- m.Svc.bytes_out + bytes;
-            Hist.record (Svc.stage m "encode") dur)
   in
   let sessions : (Unix.file_descr, Session.t) Hashtbl.t = Hashtbl.create 8 in
   let next_session_id = ref 0 in
@@ -691,7 +636,7 @@ let run ?runner cfg =
     | fd, _ ->
       let id = !next_session_id in
       incr next_session_id;
-      let session = Session.create ?on_send ~id fd in
+      let session = Session.create ~id fd in
       Hashtbl.replace sessions fd session;
       if Log.enabled cfg.obs.log Info then
         Log.log cfg.obs.log Info "session.connect"
@@ -706,10 +651,7 @@ let run ?runner cfg =
     match Unix.read session.Session.fd buf 0 65536 with
     | 0 -> reap t session
     | n ->
-      (match cfg.obs.metrics with
-       | Some m -> m.Svc.bytes_in <- m.Svc.bytes_in + n
-       | None -> ());
-      let n_sessions () = Hashtbl.length sessions in
+      Svc.add t.metrics Svc.bytes_in n;
       let lines, oversized =
         match Session.feed session (Bytes.sub_string buf 0 n) with
         | Ok lines -> (lines, false)
@@ -717,44 +659,28 @@ let run ?runner cfg =
       in
       List.iter
         (fun line ->
-          if String.trim line <> "" then
-            if not t.obs_on then
-              (* The historical request path, byte for byte: no clock
-                 reads, no trace ids, no allocation beyond decoding. *)
-              match Request.of_line line with
-              | Ok req ->
-                handle_request t session ~sessions:(n_sessions ()) ~trace:0
-                  ~t0:0. req
-              | Error message ->
-                Session.send session (Response.Error { message })
-            else begin
-              let t0 = Unix.gettimeofday () in
-              let trace = t.next_trace in
-              t.next_trace <- trace + 1;
-              t.cur_trace <- trace;
-              match Request.of_line line with
-              | Ok req ->
-                let d = Unix.gettimeofday () -. t0 in
-                span t ~name:"decode" ~track:0 ~trace ~t0 ~dur:d;
-                record_stage t "decode" d;
-                handle_request t session ~sessions:(n_sessions ()) ~trace ~t0
-                  req
-              | Error message ->
-                let d = Unix.gettimeofday () -. t0 in
-                span t ~name:"decode" ~track:0 ~trace ~t0 ~dur:d;
-                record_stage t "decode" d;
-                (match cfg.obs.metrics with
-                 | Some m -> m.Svc.decode_errors <- m.Svc.decode_errors + 1
-                 | None -> ());
-                if Log.enabled cfg.obs.log Warn then
-                  Log.log cfg.obs.log Warn "request.decode_error"
-                    [ ("trace", Log.Int trace); ("error", Log.Str message) ];
-                Session.send session (Response.Error { message });
-                finish_request t ~trace ~t0
-            end)
+          if String.trim line <> "" then begin
+            let t0 = now t in
+            let trace = t.next_trace in
+            t.next_trace <- trace + 1;
+            t.cur_trace <- trace;
+            let req = Request.of_line line in
+            stage t ~name:"decode" ~track:0 ~trace ~t0 ~dur:(now t -. t0);
+            match req with
+            | Ok req ->
+              handle_request t session ~sessions:(Hashtbl.length sessions)
+                ~trace ~t0 req
+            | Error message ->
+              Svc.incr t.metrics Svc.decode_errors;
+              if Log.enabled cfg.obs.log Warn then
+                Log.log cfg.obs.log Warn "request.decode_error"
+                  [ ("trace", Log.Int trace); ("error", Log.Str message) ];
+              send t session (Response.Error { message });
+              finish_request t ~trace ~t0
+          end)
         lines;
       if oversized then begin
-        Session.send session
+        send t session
           (Response.Error
              {
                message =
@@ -767,13 +693,13 @@ let run ?runner cfg =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   in
   while not t.stopping do
-    (* Reap sessions whose sends failed since last turn. *)
-    Hashtbl.iter
-      (fun _ s -> if s.Session.closed then reap t s)
-      (Hashtbl.copy sessions);
-    Hashtbl.iter
-      (fun fd s -> if s.Session.closed then Hashtbl.remove sessions fd)
-      (Hashtbl.copy sessions);
+    (* Reap sessions closed since last turn (EOF, or a failed send). *)
+    Hashtbl.fold
+      (fun fd s acc -> if s.Session.closed then (fd, s) :: acc else acc)
+      sessions []
+    |> List.iter (fun (fd, s) ->
+           reap t s;
+           Hashtbl.remove sessions fd);
     let client_fds =
       Hashtbl.fold (fun fd _ acc -> fd :: acc) sessions []
     in

@@ -27,18 +27,26 @@
     state is therefore lock-free; scheduler state is guarded by one
     mutex. *)
 
-(** Observability knobs. With {!obs_off} (the default config) the daemon
-    runs the historical request path: no clock reads, no trace ids, zero
-    minor-heap allocation beyond decoding, and byte-identical responses
-    — the PR 4/5 discipline. Any enabled piece turns on per-request
-    trace ids and the six per-stage spans (decode, queued, dedup_wait,
-    cache_probe, run, encode) plus the end-to-end request record. *)
+(** Observability knobs. On and off share one request path; what
+    differs is data. {!obs_off} ([repro serve --no-obs]) is the null
+    clock ({!Repro_obs.Svc_metrics.null_clock}: every stage lasts 0 s,
+    no clock syscall, no allocation), no span ring and {!Repro_obs.Log.null}.
+    The service counters and stage histograms are kept either way, but
+    a daemon on the null clock leaves [svc] and [stages] out of its
+    stats answer, so that answer — like every other response — is
+    byte-identical to the pre-observability wire form. With a real
+    clock every request line gets a trace id, six per-stage spans
+    (decode, queued, dedup_wait, cache_probe, run, encode) and the
+    end-to-end request record. *)
 type obs = {
   log : Repro_obs.Log.t;  (** {!Repro_obs.Log.null} = silent. *)
-  metrics : Repro_obs.Svc_metrics.t option;
-      (** Counters + stage histograms, reported by [Stats]. *)
+  clock : unit -> float;
+      (** Times every stage: [Unix.gettimeofday], or
+          {!Repro_obs.Svc_metrics.null_clock} to turn timing and the
+          [svc]/[stages] stats fields off. *)
   spans : Repro_obs.Tracer.Ring.t option;
-      (** Span ring behind [Trace_dump]; bounded, drop-oldest. *)
+      (** Span ring behind [Trace_dump]; bounded, drop-oldest. [None]
+          answers [Trace_dump] with an error. *)
   slow_s : float;
       (** Requests at or above this many seconds count as slow and are
           logged at [Warn]. [infinity] = never. *)
@@ -48,7 +56,7 @@ val obs_off : obs
 
 val obs_default :
   ?log:Repro_obs.Log.t -> ?slow_s:float -> ?trace_capacity:int -> unit -> obs
-(** Metrics on, a fresh span ring ([trace_capacity] spans, default 4096;
+(** The wall clock, a fresh span ring ([trace_capacity] spans, default 4096;
     [0] disables tracing), slow threshold 0.25 s — what [repro serve]
     runs unless told otherwise. *)
 
@@ -62,10 +70,6 @@ type config = {
 
 val default_socket : unit -> string
 (** [$REPRO_SOCKET] if set, else ["_repro_serve.sock"]. *)
-
-val default_config : unit -> config
-(** Default socket, {!Executor.default_jobs} workers, cache on in
-    {!Cache.default_dir}, observability off ({!obs_off}). *)
 
 type job_runner = Job.t -> (Repro_workloads.Harness.run, string) result
 (** Tests inject counting/sleeping fakes; the default runs

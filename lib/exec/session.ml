@@ -16,17 +16,15 @@ type t = {
   fd : Unix.file_descr;
   buf : Buffer.t;
   batches : (string, batch) Hashtbl.t;
-  on_send : (bytes:int -> t0:float -> dur:float -> unit) option;
   mutable closed : bool;
 }
 
-let create ?on_send ~id fd =
+let create ~id fd =
   {
     id;
     fd;
     buf = Buffer.create 1024;
     batches = Hashtbl.create 4;
-    on_send;
     closed = false;
   }
 
@@ -67,16 +65,9 @@ let feed t chunk =
   in
   go 0 []
 
-let send t response =
+let send t line =
   if not t.closed then begin
-    let t0 =
-      match t.on_send with Some _ -> Unix.gettimeofday () | None -> 0.
-    in
-    let line = Response.to_line response ^ "\n" in
-    let dur =
-      match t.on_send with Some _ -> Unix.gettimeofday () -. t0 | None -> 0.
-    in
-    let bytes = Bytes.unsafe_of_string line in
+    let bytes = Bytes.unsafe_of_string (line ^ "\n") in
     let len = Bytes.length bytes in
     let rec write_all off =
       if off < len then begin
@@ -84,10 +75,7 @@ let send t response =
         write_all (off + n)
       end
     in
-    (try write_all 0 with Unix.Unix_error _ | Sys_error _ -> t.closed <- true);
-    match t.on_send with
-    | Some hook when not t.closed -> hook ~bytes:len ~t0 ~dur
-    | _ -> ()
+    try write_all 0 with Unix.Unix_error _ | Sys_error _ -> t.closed <- true
   end
 
 let begin_batch t ~id ~total =

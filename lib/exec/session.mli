@@ -16,11 +16,11 @@ type batch = {
   mutable failed : int;
   mutable wall_s : float;
   mutable trace : int;
-      (** Trace id of the submit request that opened the batch (0 when
-          the daemon runs without observability). *)
+      (** Trace id of the submit request that opened the batch. *)
   mutable started_at : float;
-      (** [Unix.gettimeofday] at submit decode — the end-to-end request
-          span for a batch closes at [Batch_done] (0 when off). *)
+      (** The daemon's clock at submit decode — the end-to-end request
+          span for a batch closes at [Batch_done] (0 under the null
+          clock). *)
 }
 
 type t = {
@@ -28,16 +28,10 @@ type t = {
   fd : Unix.file_descr;
   buf : Buffer.t;       (** Bytes received but not yet newline-framed. *)
   batches : (string, batch) Hashtbl.t;  (** In-flight batches by id. *)
-  on_send : (bytes:int -> t0:float -> dur:float -> unit) option;
-      (** Observability tap on {!send}: bytes written and encode time
-          ([t0] start, [dur] seconds spent in [Response.to_line]). [None]
-          keeps {!send} on its historical path — no clock reads. *)
   mutable closed : bool;
 }
 
-val create :
-  ?on_send:(bytes:int -> t0:float -> dur:float -> unit) ->
-  id:int -> Unix.file_descr -> t
+val create : id:int -> Unix.file_descr -> t
 
 val max_line_bytes : int
 (** The longest request line accepted: 1 MiB (1 048 576 bytes) before
@@ -52,8 +46,8 @@ val feed : t -> string -> (string list, string list) result
     before it, the pending bytes are dropped, and the caller answers
     with an error and closes the session. *)
 
-val send : t -> Response.t -> unit
-(** Write one response line. A write failure (client went away mid-write)
+val send : t -> string -> unit
+(** Write one encoded response line and its newline. A write failure (client went away mid-write)
     marks the session {!closed}; the daemon reaps it on its next loop
     turn. No-op on an already-closed session. *)
 

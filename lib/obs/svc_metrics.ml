@@ -1,106 +1,3 @@
-type t = {
-  mutable submitted : int;
-  mutable executed : int;
-  mutable dedup_hits : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable stampede_avoided : int;
-  mutable requests : int;
-  mutable slow_requests : int;
-  mutable responses : int;
-  mutable decode_errors : int;
-  mutable bytes_in : int;
-  mutable bytes_out : int;
-  mutable worker_busy_s : float;
-  stages : (string * Hist.t) list;
-}
-
-let stage_names =
-  [ "decode"; "queued"; "dedup_wait"; "cache_probe"; "run"; "encode";
-    "request" ]
-
-let create () =
-  {
-    submitted = 0;
-    executed = 0;
-    dedup_hits = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    stampede_avoided = 0;
-    requests = 0;
-    slow_requests = 0;
-    responses = 0;
-    decode_errors = 0;
-    bytes_in = 0;
-    bytes_out = 0;
-    worker_busy_s = 0.;
-    stages = List.map (fun n -> (n, Hist.create ())) stage_names;
-  }
-
-let stage t name = List.assoc name t.stages
-
-type snapshot = {
-  s_submitted : int;
-  s_executed : int;
-  s_dedup_hits : int;
-  s_cache_hits : int;
-  s_cache_misses : int;
-  s_stampede_avoided : int;
-  s_requests : int;
-  s_slow_requests : int;
-  s_responses : int;
-  s_decode_errors : int;
-  s_bytes_in : int;
-  s_bytes_out : int;
-  s_worker_busy_s : float;
-  s_sessions : int;
-  s_queue_depth : int;
-  s_inflight : int;
-  s_running : int;
-}
-
-let snapshot t ~sessions ~queue_depth ~inflight ~running =
-  {
-    s_submitted = t.submitted;
-    s_executed = t.executed;
-    s_dedup_hits = t.dedup_hits;
-    s_cache_hits = t.cache_hits;
-    s_cache_misses = t.cache_misses;
-    s_stampede_avoided = t.stampede_avoided;
-    s_requests = t.requests;
-    s_slow_requests = t.slow_requests;
-    s_responses = t.responses;
-    s_decode_errors = t.decode_errors;
-    s_bytes_in = t.bytes_in;
-    s_bytes_out = t.bytes_out;
-    s_worker_busy_s = t.worker_busy_s;
-    s_sessions = sessions;
-    s_queue_depth = queue_depth;
-    s_inflight = inflight;
-    s_running = running;
-  }
-
-let zero =
-  {
-    s_submitted = 0;
-    s_executed = 0;
-    s_dedup_hits = 0;
-    s_cache_hits = 0;
-    s_cache_misses = 0;
-    s_stampede_avoided = 0;
-    s_requests = 0;
-    s_slow_requests = 0;
-    s_responses = 0;
-    s_decode_errors = 0;
-    s_bytes_in = 0;
-    s_bytes_out = 0;
-    s_worker_busy_s = 0.;
-    s_sessions = 0;
-    s_queue_depth = 0;
-    s_inflight = 0;
-    s_running = 0;
-  }
-
 type kind = Counter | Gauge
 type value = Int of int | Float of float
 
@@ -108,79 +5,94 @@ type metric = {
   m_name : string;
   m_kind : kind;
   m_units : string;
-  m_value : snapshot -> value;
+  m_slot : int;     (* index into the value array *)
+  m_float : bool;   (* reads back as [Float], else as [Int] *)
 }
 
 let name m = m.m_name
 let kind m = m.m_kind
 let units m = m.m_units
-let value m s = m.m_value s
 
-let counter name units f =
-  { m_name = name; m_kind = Counter; m_units = units; m_value = (fun s -> Int (f s)) }
+(* Declaration order is registry order, slot order and wire order. *)
+let declared = ref []
 
-let gauge name units f =
-  { m_name = name; m_kind = Gauge; m_units = units; m_value = (fun s -> Int (f s)) }
+let declare ?(float = false) kind name units =
+  let m =
+    { m_name = name; m_kind = kind; m_units = units;
+      m_slot = List.length !declared; m_float = float }
+  in
+  declared := m :: !declared;
+  m
 
-(* One entry per snapshot field, in field order — the coverage test
-   pins [List.length all] to the snapshot's field count. *)
-let all =
-  [
-    counter "jobs.submitted" "jobs" (fun s -> s.s_submitted);
-    counter "jobs.executed" "jobs" (fun s -> s.s_executed);
-    counter "dedup.hits" "jobs" (fun s -> s.s_dedup_hits);
-    counter "cache.hits" "jobs" (fun s -> s.s_cache_hits);
-    counter "cache.misses" "jobs" (fun s -> s.s_cache_misses);
-    counter "cache.stampede_avoided" "jobs" (fun s -> s.s_stampede_avoided);
-    counter "requests.total" "requests" (fun s -> s.s_requests);
-    counter "requests.slow" "requests" (fun s -> s.s_slow_requests);
-    counter "responses.total" "responses" (fun s -> s.s_responses);
-    counter "decode.errors" "requests" (fun s -> s.s_decode_errors);
-    counter "bytes.in" "bytes" (fun s -> s.s_bytes_in);
-    counter "bytes.out" "bytes" (fun s -> s.s_bytes_out);
-    {
-      m_name = "worker.busy_s";
-      m_kind = Counter;
-      m_units = "seconds";
-      m_value = (fun s -> Float s.s_worker_busy_s);
-    };
-    gauge "sessions" "clients" (fun s -> s.s_sessions);
-    gauge "queue.depth" "jobs" (fun s -> s.s_queue_depth);
-    gauge "inflight.size" "jobs" (fun s -> s.s_inflight);
-    gauge "jobs.running" "jobs" (fun s -> s.s_running);
-  ]
+let jobs_submitted = declare Counter "jobs.submitted" "jobs"
+let jobs_executed = declare Counter "jobs.executed" "jobs"
+let dedup_hits = declare Counter "dedup.hits" "jobs"
+let cache_hits = declare Counter "cache.hits" "jobs"
+let cache_misses = declare Counter "cache.misses" "jobs"
+let stampede_avoided = declare Counter "cache.stampede_avoided" "jobs"
+let requests = declare Counter "requests.total" "requests"
+let slow_requests = declare Counter "requests.slow" "requests"
+let responses = declare Counter "responses.total" "responses"
+let decode_errors = declare Counter "decode.errors" "requests"
+let bytes_in = declare Counter "bytes.in" "bytes"
+let bytes_out = declare Counter "bytes.out" "bytes"
+let worker_busy_s = declare ~float:true Counter "worker.busy_s" "seconds"
+let sessions = declare Gauge "sessions" "clients"
+let queue_depth = declare Gauge "queue.depth" "jobs"
+let inflight = declare Gauge "inflight.size" "jobs"
+let jobs_running = declare Gauge "jobs.running" "jobs"
 
+let all = List.rev !declared
 let find n = List.find_opt (fun m -> m.m_name = n) all
+
+(* Every value lives unboxed in one float array (integers are exact up
+   to 2^53), so a bump is a load, an add and a store. *)
+type snapshot = float array
+
+let zero = Array.make (List.length all) 0.
+
+let stage_names =
+  [ "decode"; "queued"; "dedup_wait"; "cache_probe"; "run"; "encode";
+    "request" ]
+
+type t = { values : float array; stages : (string * Hist.t) list }
+
+let create () =
+  {
+    values = Array.copy zero;
+    stages = List.map (fun n -> (n, Hist.create ())) stage_names;
+  }
+
+let stage t name = List.assoc name t.stages
+let add t m n = t.values.(m.m_slot) <- t.values.(m.m_slot) +. float_of_int n
+let incr t m = add t m 1
+let add_float t m x = t.values.(m.m_slot) <- t.values.(m.m_slot) +. x
+let set t m n = t.values.(m.m_slot) <- float_of_int n
+let snapshot t = Array.copy t.values
+
+let value m s =
+  let v = s.(m.m_slot) in
+  if m.m_float then Float v else Int (int_of_float v)
+
+let count m s = int_of_float s.(m.m_slot)
+
+let null_clock () = 0.
 
 let to_json s =
   Json.Obj
     (List.map
        (fun m ->
          ( m.m_name,
-           match m.m_value s with
-           | Int i -> Json.Int i
-           | Float f -> Json.Float f ))
+           match value m s with Int i -> Json.Int i | Float f -> Json.Float f ))
        all)
 
 let decoder j =
   let open Json.Decode in
-  let i n = field_default n int 0 j in
-  {
-    s_submitted = i "jobs.submitted";
-    s_executed = i "jobs.executed";
-    s_dedup_hits = i "dedup.hits";
-    s_cache_hits = i "cache.hits";
-    s_cache_misses = i "cache.misses";
-    s_stampede_avoided = i "cache.stampede_avoided";
-    s_requests = i "requests.total";
-    s_slow_requests = i "requests.slow";
-    s_responses = i "responses.total";
-    s_decode_errors = i "decode.errors";
-    s_bytes_in = i "bytes.in";
-    s_bytes_out = i "bytes.out";
-    s_worker_busy_s = field_default "worker.busy_s" float 0. j;
-    s_sessions = i "sessions";
-    s_queue_depth = i "queue.depth";
-    s_inflight = i "inflight.size";
-    s_running = i "jobs.running";
-  }
+  let s = Array.copy zero in
+  List.iter
+    (fun m ->
+      s.(m.m_slot) <-
+        (if m.m_float then field_default m.m_name float 0. j
+         else float_of_int (field_default m.m_name int 0 j)))
+    all;
+  s

@@ -1,76 +1,14 @@
 (** Service-level metrics for the serve daemon, in the style of
-    {!Metric}: every counter the scheduler keeps is an enumerable
-    registry entry with a stable dotted id, a kind, and an extractor
-    over an immutable {!snapshot} — so [ctl stats], its JSON export and
-    the tests all read one surface, and a counter added to {!t} without
-    a registry entry fails the coverage test.
+    {!Metric}: every counter the daemon keeps is a registry entry with a
+    stable dotted id, a kind, units and a storage slot, declared exactly
+    once — so [ctl stats], its JSON export and the tests all read one
+    surface, and a new counter is one new line.
 
-    {!t} is the live mutable state (incremented by the daemon's event
-    thread and workers under the scheduler mutex); {!snapshot} freezes
-    it together with the instantaneous gauges the server derives from
-    its scheduler tables. Alongside the counters, {!t} owns one
-    {!Hist} per request stage ({!stage_names}), so stage latencies ride
-    the same snapshot discipline. *)
-
-type t = {
-  mutable submitted : int;      (** job submissions accepted *)
-  mutable executed : int;       (** jobs measured on a worker *)
-  mutable dedup_hits : int;     (** submissions attached to an in-flight job *)
-  mutable cache_hits : int;     (** submissions served from the result cache *)
-  mutable cache_misses : int;   (** cache-enabled executions that had to run *)
-  mutable stampede_avoided : int;
-      (** dedup hits on cache-enabled entries: submissions that would
-          have raced a cold cache without the in-flight table *)
-  mutable requests : int;       (** request lines answered to completion *)
-  mutable slow_requests : int;  (** requests above the slow threshold *)
-  mutable responses : int;      (** response lines written *)
-  mutable decode_errors : int;  (** request lines that failed to decode *)
-  mutable bytes_in : int;
-  mutable bytes_out : int;
-  mutable worker_busy_s : float;  (** summed execution wall time *)
-  stages : (string * Hist.t) list;  (** one histogram per {!stage_names} *)
-}
-
-val create : unit -> t
-
-val stage_names : string list
-(** [["decode"; "queued"; "dedup_wait"; "cache_probe"; "run"; "encode";
-    "request"]] — the life of a request, decode to final response;
-    ["request"] is end-to-end and counts once per request line. *)
-
-val stage : t -> string -> Hist.t
-(** The histogram for one of {!stage_names}; raises [Not_found] on any
-    other name. *)
-
-(** {2 Snapshots} *)
-
-type snapshot = {
-  s_submitted : int;
-  s_executed : int;
-  s_dedup_hits : int;
-  s_cache_hits : int;
-  s_cache_misses : int;
-  s_stampede_avoided : int;
-  s_requests : int;
-  s_slow_requests : int;
-  s_responses : int;
-  s_decode_errors : int;
-  s_bytes_in : int;
-  s_bytes_out : int;
-  s_worker_busy_s : float;
-  s_sessions : int;     (** gauge: connected clients *)
-  s_queue_depth : int;  (** gauge: jobs queued across all sessions *)
-  s_inflight : int;     (** gauge: in-flight table size *)
-  s_running : int;      (** gauge: jobs on workers *)
-}
-
-val snapshot :
-  t -> sessions:int -> queue_depth:int -> inflight:int -> running:int ->
-  snapshot
-(** Freeze the counters; the four gauges are instantaneous scheduler
-    facts only the server can derive, so it passes them in. *)
-
-val zero : snapshot
+    {!t} is the live state: one unboxed value per entry, bumped by the
+    daemon's event thread and workers, plus one {!Hist} per request stage
+    ({!stage_names}). The daemon always keeps one, observability on or
+    off, and it is the only owner of the job counters. A {!snapshot} is a
+    copy of the values that shares nothing with the live state. *)
 
 (** {2 The registry} *)
 
@@ -84,13 +22,76 @@ val name : metric -> string
 
 val kind : metric -> kind
 val units : metric -> string
-val value : metric -> snapshot -> value
+
+val jobs_submitted : metric  (* job submissions accepted *)
+val jobs_executed : metric   (* jobs measured on a worker *)
+val dedup_hits : metric      (* submissions attached to an in-flight job *)
+val cache_hits : metric      (* submissions served from the result cache *)
+val cache_misses : metric    (* cache-enabled executions that had to run *)
+
+val stampede_avoided : metric
+(** Dedup hits on cache-enabled entries: submissions that would have
+    raced a cold cache without the in-flight table. *)
+
+val requests : metric        (* request lines answered to completion *)
+val slow_requests : metric   (* requests at or above the slow threshold *)
+val responses : metric       (* response lines written *)
+val decode_errors : metric   (* request lines that failed to decode *)
+val bytes_in : metric
+val bytes_out : metric
+val worker_busy_s : metric   (* summed execution wall time; a [Float] *)
+val sessions : metric        (* gauge: connected clients *)
+val queue_depth : metric     (* gauge: jobs queued across all sessions *)
+val inflight : metric        (* gauge: in-flight table size *)
+val jobs_running : metric    (* gauge: jobs on workers *)
 
 val all : metric list
-(** One entry per {!snapshot} field; the coverage test pins the
-    length to the field count. *)
+(** Every entry above, in declaration order — the order of
+    {!to_json}'s keys. *)
 
 val find : string -> metric option
+
+(** {2 Live state} *)
+
+type t
+
+val create : unit -> t
+(** Every value zero, every stage histogram empty. *)
+
+val add : t -> metric -> int -> unit
+val incr : t -> metric -> unit
+val add_float : t -> metric -> float -> unit
+
+val set : t -> metric -> int -> unit
+(** Overwrite a gauge. All four updates are allocation-free. *)
+
+val stage_names : string list
+(** [["decode"; "queued"; "dedup_wait"; "cache_probe"; "run"; "encode";
+    "request"]] — the life of a request, decode to final response;
+    ["request"] is end-to-end and counts once per request line. *)
+
+val stage : t -> string -> Hist.t
+(** The histogram for one of {!stage_names}; raises [Not_found] on any
+    other name. *)
+
+val null_clock : unit -> float
+(** The daemon's clock when observability is off: always [0.], no
+    syscall, no allocation. *)
+
+(** {2 Snapshots} *)
+
+type snapshot
+
+val snapshot : t -> snapshot
+(** Copy every value; the live state may keep counting. *)
+
+val zero : snapshot
+(** Every value zero. *)
+
+val value : metric -> snapshot -> value
+
+val count : metric -> snapshot -> int
+(** The value as an integer ([Float] values truncate). *)
 
 (** {2 Wire form} — carried inside the [server_stats] response. *)
 

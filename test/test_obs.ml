@@ -563,11 +563,31 @@ let test_hist_json_round_trip () =
 module Svc = O.Svc_metrics
 
 let test_svc_registry_covers_snapshot () =
-  (* Same discipline as the Stats registry above: a counter added to the
-     snapshot without a registry entry fails this count. *)
-  let fields = Obj.size (Obj.repr Svc.zero) in
-  check Alcotest.int "one metric per snapshot field" fields
-    (List.length Svc.all);
+  (* A snapshot holds exactly the registry's values: bumping one entry
+     moves that entry alone, and the wire form has one key per entry, in
+     registry order. *)
+  List.iter
+    (fun m ->
+      let live = Svc.create () in
+      (match Svc.kind m with
+       | Svc.Counter -> Svc.incr live m
+       | Svc.Gauge -> Svc.set live m 1);
+      let s = Svc.snapshot live in
+      List.iter
+        (fun m' ->
+          check Alcotest.bool
+            (Printf.sprintf "bumping %s moves %s" (Svc.name m) (Svc.name m'))
+            (m == m')
+            (Svc.value m' s <> Svc.value m' Svc.zero))
+        Svc.all)
+    Svc.all;
+  let ids =
+    match Svc.to_json Svc.zero with
+    | Json.Obj kvs -> List.map fst kvs
+    | _ -> Alcotest.fail "snapshot JSON is not an object"
+  in
+  check (Alcotest.list Alcotest.string) "one key per metric, registry order"
+    (List.map Svc.name Svc.all) ids;
   let names = List.map Svc.name Svc.all in
   check Alcotest.int "no duplicate ids" (List.length names)
     (List.length (List.sort_uniq compare names));
@@ -579,20 +599,18 @@ let test_svc_registry_covers_snapshot () =
 
 let sample_svc_snapshot () =
   let m = Svc.create () in
-  m.Svc.submitted <- 11;
-  m.Svc.executed <- 7;
-  m.Svc.dedup_hits <- 3;
-  m.Svc.cache_hits <- 2;
-  m.Svc.cache_misses <- 5;
-  m.Svc.stampede_avoided <- 1;
-  m.Svc.requests <- 20;
-  m.Svc.slow_requests <- 2;
-  m.Svc.responses <- 31;
-  m.Svc.decode_errors <- 1;
-  m.Svc.bytes_in <- 4096;
-  m.Svc.bytes_out <- 8192;
-  m.Svc.worker_busy_s <- 2.5;
-  Svc.snapshot m ~sessions:3 ~queue_depth:4 ~inflight:5 ~running:2
+  List.iter
+    (fun (metric, n) -> Svc.add m metric n)
+    [ (Svc.jobs_submitted, 11); (Svc.jobs_executed, 7); (Svc.dedup_hits, 3);
+      (Svc.cache_hits, 2); (Svc.cache_misses, 5); (Svc.stampede_avoided, 1);
+      (Svc.requests, 20); (Svc.slow_requests, 2); (Svc.responses, 31);
+      (Svc.decode_errors, 1); (Svc.bytes_in, 4096); (Svc.bytes_out, 8192) ];
+  Svc.add_float m Svc.worker_busy_s 2.5;
+  List.iter
+    (fun (gauge, n) -> Svc.set m gauge n)
+    [ (Svc.sessions, 3); (Svc.queue_depth, 4); (Svc.inflight, 5);
+      (Svc.jobs_running, 2) ];
+  Svc.snapshot m
 
 let test_svc_values_and_json () =
   let s = sample_svc_snapshot () in
@@ -707,16 +725,19 @@ let test_span_ring () =
 (* --- the request-path allocation discipline ------------------------------- *)
 
 let test_obs_zero_allocation () =
-  (* The PR 5 invariant extended to the service layer: the three
-     primitives that sit on the daemon's request path allocate nothing
-     per event — Hist.record, Ring.record, and a log call on the null
-     logger. 10k iterations may not allocate more than a constant slack
-     over 0 (a per-event box would show up as >= 20k words). *)
+  (* The replay's zero-allocation invariant extended to the service
+     layer: the primitives that sit on the daemon's request path
+     allocate nothing per event — Hist.record, Ring.record, a log call
+     on the null logger, the null clock and a service-counter bump. 10k
+     iterations may not allocate more than a constant slack over 0 (a
+     per-event box would show up as >= 20k words). *)
   let h = Hist.create () in
   let ring = O.Tracer.Ring.create ~capacity:64 in
   Hist.record h 0.001;
   O.Tracer.Ring.record ring ~name:"warm" ~track:0 ~trace:0 ~ts:0. ~dur:0.;
   O.Log.log O.Log.null O.Log.Error "warm" [];
+  let svc = Svc.create () in
+  Svc.incr svc Svc.requests;
   let words f =
     let w0 = Gc.minor_words () in
     f ();
@@ -736,9 +757,29 @@ let test_obs_zero_allocation () =
           O.Log.log O.Log.null O.Log.Error "e" []
         done)
   in
+  let clock = Sys.opaque_identity Svc.null_clock in
+  let clock_w =
+    words (fun () ->
+        for _ = 1 to 10_000 do
+          ignore (Sys.opaque_identity (clock ()))
+        done)
+  in
+  let bump_w =
+    words (fun () ->
+        for _ = 1 to 10_000 do
+          Svc.incr svc Svc.requests;
+          Svc.add svc Svc.bytes_out 512
+        done)
+  in
   check Alcotest.bool
     (Printf.sprintf "Hist.record allocates nothing (%.0f words)" hist_w)
     true (hist_w <= 256.);
+  check Alcotest.bool
+    (Printf.sprintf "null clock allocates nothing (%.0f words)" clock_w)
+    true (clock_w <= 256.);
+  check Alcotest.bool
+    (Printf.sprintf "counter bump allocates nothing (%.0f words)" bump_w)
+    true (bump_w <= 256.);
   check Alcotest.bool
     (Printf.sprintf "Ring.record allocates nothing (%.0f words)" ring_w)
     true (ring_w <= 256.);

@@ -141,26 +141,23 @@ let sample_outcome ~cached ~deduped result =
    round-trip: distinct values in every field class (plain counter,
    float counter, gauges, a populated histogram). *)
 let sample_svc () =
-  let m = O.Svc_metrics.create () in
-  m.O.Svc_metrics.submitted <- 10;
-  m.O.Svc_metrics.executed <- 3;
-  m.O.Svc_metrics.dedup_hits <- 4;
-  m.O.Svc_metrics.cache_hits <- 3;
-  m.O.Svc_metrics.cache_misses <- 2;
-  m.O.Svc_metrics.stampede_avoided <- 1;
-  m.O.Svc_metrics.requests <- 12;
-  m.O.Svc_metrics.slow_requests <- 1;
-  m.O.Svc_metrics.responses <- 20;
-  m.O.Svc_metrics.decode_errors <- 2;
-  m.O.Svc_metrics.bytes_in <- 4096;
-  m.O.Svc_metrics.bytes_out <- 16384;
-  m.O.Svc_metrics.worker_busy_s <- 1.75;
-  O.Hist.record (O.Svc_metrics.stage m "request") 0.004;
-  O.Hist.record (O.Svc_metrics.stage m "request") 0.250;
-  O.Hist.record (O.Svc_metrics.stage m "run") 0.051;
-  let svc =
-    O.Svc_metrics.snapshot m ~sessions:2 ~queue_depth:1 ~inflight:3 ~running:2
-  in
+  let module S = O.Svc_metrics in
+  let m = S.create () in
+  List.iter
+    (fun (metric, n) -> S.add m metric n)
+    [ (S.jobs_submitted, 10); (S.jobs_executed, 3); (S.dedup_hits, 4);
+      (S.cache_hits, 3); (S.cache_misses, 2); (S.stampede_avoided, 1);
+      (S.requests, 12); (S.slow_requests, 1); (S.responses, 20);
+      (S.decode_errors, 2); (S.bytes_in, 4096); (S.bytes_out, 16384) ];
+  S.add_float m S.worker_busy_s 1.75;
+  List.iter
+    (fun (gauge, n) -> S.set m gauge n)
+    [ (S.sessions, 2); (S.queue_depth, 1); (S.inflight, 3);
+      (S.jobs_running, 2) ];
+  O.Hist.record (S.stage m "request") 0.004;
+  O.Hist.record (S.stage m "request") 0.250;
+  O.Hist.record (S.stage m "run") 0.051;
+  let svc = S.snapshot m in
   let stages =
     List.map
       (fun n -> (n, O.Hist.copy (O.Svc_metrics.stage m n)))
@@ -738,7 +735,7 @@ let test_request_histogram_counts_requests () =
         | None -> Alcotest.fail "metrics on but no svc snapshot"
       in
       check Alcotest.int "3 requests completed before this probe" 3
-        svc.O.Svc_metrics.s_requests;
+        (O.Svc_metrics.count O.Svc_metrics.requests svc);
       let hist name =
         match List.assoc_opt name s.X.Response.stages with
         | Some h -> h
@@ -813,6 +810,94 @@ let test_trace_dump_disabled () =
        | _ -> Alcotest.fail "connection died after trace-dump error");
       X.Server.Client.close c)
 
+(* --- one request path, two configurations ------------------------------- *)
+
+let both_obs () =
+  [ ("obs off", X.Server.obs_off); ("obs on", X.Server.obs_default ()) ]
+
+(* Responses up to and including the first one [last] accepts. *)
+let recv_through c last =
+  let rec go acc =
+    match X.Server.Client.recv c with
+    | Error msg -> Alcotest.failf "recv failed: %s" msg
+    | Ok r when last r -> List.rev (r :: acc)
+    | Ok r -> go (r :: acc)
+  in
+  go []
+
+let is_batch_done = function X.Response.Batch_done _ -> true | _ -> false
+
+(* A worker exception is the job's failure, not the daemon's: the job
+   reports the exception text, the batch counts it, and the connection
+   keeps serving. *)
+let test_raising_runner () =
+  let runner _ = failwith "runner exploded" in
+  List.iter
+    (fun (label, obs) ->
+      with_server ~runner ~obs (fun socket ->
+          let c = client socket in
+          submit c ~id:"boom" [ spec_traf ];
+          let answers = recv_through c is_batch_done in
+          (match
+             List.find_map
+               (function
+                 | X.Response.Job_done { outcome; _ } -> Some outcome
+                 | _ -> None)
+               answers
+           with
+           | Some { X.Response.result = Error msg; _ } ->
+             check Alcotest.bool (label ^ ": error names the exception: " ^ msg)
+               true
+               (contains ~sub:"runner exploded" msg)
+           | Some _ -> Alcotest.failf "%s: a raising runner succeeded" label
+           | None -> Alcotest.failf "%s: no job_done" label);
+          (match List.rev answers with
+           | X.Response.Batch_done { failed; _ } :: _ ->
+             check Alcotest.int (label ^ ": batch counts the failure") 1 failed
+           | _ -> Alcotest.failf "%s: no batch_done" label);
+          X.Server.Client.send c X.Request.Ping;
+          (match X.Server.Client.recv c with
+           | Ok X.Response.Pong -> ()
+           | _ -> Alcotest.failf "%s: daemon stopped answering" label);
+          X.Server.Client.close c))
+    (both_obs ())
+
+(* The same script against an obs-off and an obs-on daemon: the answers
+   agree byte for byte once the measured wall times are zeroed. *)
+let test_obs_on_off_same_answers () =
+  let zero_wall = function
+    | X.Response.Job_done r ->
+      X.Response.Job_done
+        { r with outcome = { r.outcome with X.Response.wall_s = 0. } }
+    | X.Response.Batch_done r -> X.Response.Batch_done { r with wall_s = 0. }
+    | r -> r
+  in
+  let script (_, obs) =
+    let runner, _ = counting_runner () in
+    with_server ~runner ~cache:true ~obs (fun socket ->
+        let c = client socket in
+        let ask req last =
+          X.Server.Client.send c req;
+          recv_through c last
+        in
+        let answers =
+          ask X.Request.Ping (fun _ -> true)
+          @ ask
+              (X.Request.Submit { id = "s"; cache = true; specs = [ spec_traf ] })
+              is_batch_done
+          @ ask (X.Request.Query spec_traf) (fun _ -> true)
+          @ ask (X.Request.Invalidate (Some spec_traf)) (fun _ -> true)
+        in
+        X.Server.Client.close c;
+        List.map (fun r -> X.Response.to_line (zero_wall r)) answers)
+  in
+  match List.map script (both_obs ()) with
+  | [ off; on ] ->
+    check Alcotest.int "pong, ack, running, job_done, batch_done, queried, \
+                        invalidated" 7 (List.length off);
+    check (Alcotest.list Alcotest.string) "same answers" off on
+  | _ -> assert false
+
 let suite =
   [
     Alcotest.test_case "technique codec is total" `Quick
@@ -856,4 +941,9 @@ let suite =
       test_trace_dump_live;
     Alcotest.test_case "trace-dump errors cleanly when disabled" `Quick
       test_trace_dump_disabled;
+    Alcotest.test_case
+      "a raising runner fails its job and the daemon keeps serving" `Quick
+      test_raising_runner;
+    Alcotest.test_case "obs on and off answer a request script identically"
+      `Quick test_obs_on_off_same_answers;
   ]
