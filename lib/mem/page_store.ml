@@ -10,237 +10,247 @@ let page_words = page_bytes / Vaddr.word_bytes
    stores at word width.
 
    This store is the innermost loop of the functional phase (one lookup
-   per lane per memory instruction), so the addressing is shift/mask
-   (addresses are canonical, hence non-negative), page lookups go through
-   [Hashtbl.find] + [Not_found] rather than [find_opt] (whose [Some]
-   would be a minor allocation per lane), and a one-entry page memo
-   short-circuits the hashtable for the common case of consecutive lanes
-   landing on the same 4 KB page. *)
+   per lane per memory instruction), so a page is found by its number
+   alone: a three-level radix directory, 12 bits of the 36-bit page
+   number per level, the shape of a GPU page table. A lookup is three
+   array reads and no hashing. Absent levels all point at one shared
+   empty level ([no_mid], [no_leaf], [no_page]), so a lookup never
+   branches on absence until it reaches the page, and an untouched page
+   costs nothing. A one-entry page memo short-circuits the directory for
+   the common case of consecutive lanes landing on the same 4 KB page.
+
+   The page number indexes the directory unmasked, so a tagged address
+   must never reach it: masking would alias it onto the canonical page.
+   Every access, at every width, checks canonicality before the lookup. *)
+let level_bits = 12
+let level_size = 1 lsl level_bits
+let level_mask = level_size - 1
+
+let () = assert (page_bits + (3 * level_bits) = Vaddr.va_bits)
+
+let no_page : int array = [||]
+let no_leaf : int array array = Array.make level_size no_page
+let no_mid : int array array array = Array.make level_size no_leaf
+
 type t = {
-  pages : (int, int array) Hashtbl.t;
-  mutable last_page : int;          (* memo key; [min_int] = empty *)
-  mutable last_cells : int array;   (* memo value, valid iff key set *)
+  dir : int array array array array;  (* dir.(top).(mid).(leaf) = cells *)
+  mutable pages : int;                (* materialized pages *)
+  mutable last_page : int;            (* memo key; [min_int] = empty *)
+  mutable last_cells : int array;     (* memo value, valid iff key set *)
 }
 
 let half_mask = 0xFFFF_FFFF
 
 let create () =
-  { pages = Hashtbl.create 1024; last_page = min_int; last_cells = [||] }
+  { dir = Array.make level_size no_mid; pages = 0; last_page = min_int;
+    last_cells = no_page }
+
+let check_canonical addr label =
+  if not (Vaddr.is_canonical addr) then
+    invalid_arg ("Page_store." ^ label ^ ": tagged address reached the store")
 
 let check_addr addr label =
-  if not (Vaddr.is_canonical addr) then
-    invalid_arg ("Page_store." ^ label ^ ": tagged address reached the store");
+  check_canonical addr label;
   if addr land (Vaddr.word_bytes - 1) <> 0 then
     invalid_arg ("Page_store." ^ label ^ ": misaligned address")
 
 let page_of addr = addr lsr page_bits
 
-(* The memoized lookup: raises [Not_found] on an untouched page (the
-   zero-fill case), which the callers turn into a load of 0. The memo is
-   only ever set to a live table entry, so hits can skip the table. *)
-let cells_of_page t key =
-  if key = t.last_page then t.last_cells
-  else begin
-    let cells = Hashtbl.find t.pages key in
-    t.last_page <- key;
-    t.last_cells <- cells;
-    cells
-  end
+let top_of key = key lsr (2 * level_bits)
+let mid_of key = (key lsr level_bits) land level_mask
+let leaf_of key = key land level_mask
+
+(* The directory walk behind a memo miss. [find_page] raises
+   [Not_found] on an untouched page (the zero-fill case), which loads
+   turn into 0; [materialize] allocates whatever levels the page lacks.
+   Both set the memo, and only ever to a materialized page, so a memo hit
+   can skip the directory. The top-level read stays bounds-checked: it is
+   the one index a non-canonical key could push out of range. *)
+let remember t key cells =
+  t.last_page <- key;
+  t.last_cells <- cells;
+  cells
+
+let find_page t key =
+  let cells =
+    Array.unsafe_get
+      (Array.unsafe_get t.dir.(top_of key) (mid_of key))
+      (leaf_of key)
+  in
+  if cells == no_page then raise_notrace Not_found;
+  remember t key cells
 
 let materialize t key =
-  if key = t.last_page then t.last_cells
-  else
-    match Hashtbl.find t.pages key with
-    | cells ->
-      t.last_page <- key;
-      t.last_cells <- cells;
-      cells
-    | exception Not_found ->
-      let cells = Array.make (page_words * 2) 0 in
-      Hashtbl.add t.pages key cells;
-      t.last_page <- key;
-      t.last_cells <- cells;
-      cells
+  let mid =
+    let m = t.dir.(top_of key) in
+    if m != no_mid then m
+    else begin
+      let m = Array.make level_size no_leaf in
+      t.dir.(top_of key) <- m;
+      m
+    end
+  in
+  let leaf =
+    let l = Array.unsafe_get mid (mid_of key) in
+    if l != no_leaf then l
+    else begin
+      let l = Array.make level_size no_page in
+      Array.unsafe_set mid (mid_of key) l;
+      l
+    end
+  in
+  let cells =
+    let c = Array.unsafe_get leaf (leaf_of key) in
+    if c != no_page then c
+    else begin
+      let c = Array.make (page_words * 2) 0 in
+      Array.unsafe_set leaf (leaf_of key) c;
+      t.pages <- t.pages + 1;
+      c
+    end
+  in
+  remember t key cells
 
-(* Index of the 32-bit half-cell containing byte [addr]. *)
+(* Index of the 32-bit half-cell containing byte [addr]; in range of a
+   page's cells by construction (masked with the page mask). *)
 let cell_index addr = (addr land (page_bytes - 1)) lsr 2
 
+(* The [width]-byte field at [addr] in its page's [cells], zero-extended.
+   [read]/[write] are the only cell accesses, shared by every width and by
+   the scalar and batched entry points. *)
+let[@inline] read cells addr width =
+  let i = cell_index addr in
+  if width = 8 then
+    (Array.unsafe_get cells (i + 1) lsl 32) lor Array.unsafe_get cells i
+  else begin
+    let half = Array.unsafe_get cells i in
+    if width = 4 then half
+    else (half lsr ((addr land 3) * 8)) land ((1 lsl (width * 8)) - 1)
+  end
+
+let[@inline] write cells addr width v =
+  let i = cell_index addr in
+  if width = 8 then begin
+    Array.unsafe_set cells i (v land half_mask);
+    Array.unsafe_set cells (i + 1) ((v lsr 32) land half_mask)
+  end
+  else if width = 4 then Array.unsafe_set cells i (v land half_mask)
+  else begin
+    let shift = (addr land 3) * 8 in
+    let mask = ((1 lsl (width * 8)) - 1) lsl shift in
+    Array.unsafe_set cells i
+      ((Array.unsafe_get cells i land lnot mask lor ((v lsl shift) land mask))
+       land half_mask)
+  end
+
+(* A checked access's page lookup: the memo, then the directory. *)
+let[@inline] load_field t addr width =
+  let key = page_of addr in
+  if key = t.last_page then read t.last_cells addr width
+  else
+    match find_page t key with
+    | exception Not_found -> 0
+    | cells -> read cells addr width
+
+let[@inline] store_field t addr width v =
+  let key = page_of addr in
+  write (if key = t.last_page then t.last_cells else materialize t key) addr width v
+
+let check_word_value v =
+  if v < 0 then invalid_arg "Page_store.store: negative 64-bit stores are unsupported"
+
+(* True iff an access's checks would fail: tag bits present
+   (non-canonical, including negative) or not naturally aligned. One
+   mask-and-compare on the fast path; the checks behind it then raise.
+   For a byte-width access ([field_error]) they raise in the same order
+   at every width: field alignment first, then canonicality under the
+   word op's name (which width 8 has always reported). *)
+let[@inline] needs_slow_path addr width =
+  (addr land lnot Vaddr.va_mask <> 0) || (addr land (width - 1) <> 0)
+
 let load t addr =
-  check_addr addr "load";
-  match cells_of_page t (page_of addr) with
-  | exception Not_found -> 0
-  | cells ->
-    let i = cell_index addr in
-    (cells.(i + 1) lsl 32) lor cells.(i)
+  if needs_slow_path addr 8 then check_addr addr "load";
+  load_field t addr 8
 
 let store t addr v =
-  check_addr addr "store";
-  if v < 0 then invalid_arg "Page_store.store: negative 64-bit stores are unsupported";
-  let cells = materialize t (page_of addr) in
-  let i = cell_index addr in
-  cells.(i) <- v land half_mask;
-  cells.(i + 1) <- (v lsr 32) land half_mask
+  if needs_slow_path addr 8 then check_addr addr "store";
+  check_word_value v;
+  store_field t addr 8 v
 
-let check_width width label =
-  match width with
-  | 1 | 2 | 4 | 8 -> ()
-  | _ -> invalid_arg ("Page_store." ^ label ^ ": width must be 1, 2, 4 or 8")
+let width_error label =
+  invalid_arg ("Page_store." ^ label ^ ": width must be 1, 2, 4 or 8")
+
+let[@inline] check_width width label =
+  match width with 1 | 2 | 4 | 8 -> () | _ -> width_error label
 
 let check_field_alignment addr width label =
   if addr land (width - 1) <> 0 then
     invalid_arg ("Page_store." ^ label ^ ": misaligned field")
 
+let field_error addr width ~load =
+  check_field_alignment addr width
+    (if load then "load_byte_width" else "store_byte_width");
+  check_canonical addr (if load then "load" else "store")
+
 let load_byte_width t addr ~width =
   check_width width "load_byte_width";
-  check_field_alignment addr width "load_byte_width";
-  if width = 8 then load t addr
-  else begin
-    match cells_of_page t (page_of addr) with
-    | exception Not_found -> 0
-    | cells ->
-      let half = cells.(cell_index addr) in
-      if width = 4 then half
-      else begin
-        let shift = (addr land 3) * 8 in
-        let mask = (1 lsl (width * 8)) - 1 in
-        (half lsr shift) land mask
-      end
-  end
+  if needs_slow_path addr width then field_error addr width ~load:true;
+  load_field t addr width
 
 let store_byte_width t addr ~width v =
   check_width width "store_byte_width";
-  check_field_alignment addr width "store_byte_width";
-  if width = 8 then store t addr v
-  else begin
-    let cells = materialize t (page_of addr) in
-    let i = cell_index addr in
-    if width = 4 then cells.(i) <- v land half_mask
-    else begin
-      let shift = (addr land 3) * 8 in
-      let mask = ((1 lsl (width * 8)) - 1) lsl shift in
-      cells.(i) <- (cells.(i) land lnot mask lor ((v lsl shift) land mask)) land half_mask
-    end
-  end
+  if needs_slow_path addr width then field_error addr width ~load:false;
+  if width = 8 then check_word_value v;
+  store_field t addr width v
 
 (* Batched lane loops for the emission path ([Warp_ctx.load_into]): one
-   call per warp instruction instead of one cross-module call per lane,
-   with the page memo, alignment checks and width decode in a single
-   loop. Semantics (including the exceptions raised and their messages)
-   are exactly [load_byte_width]/[store_byte_width] per element; the
-   checks are hand-inlined (one mask-and-compare per lane on the fast
-   path) and the scratch/out accesses are unchecked — [addrs.(off ..
-   off+n-1)] and [out/values.(0 .. n-1)] are in range by the caller's
-   contract, and cell indices are in range by construction (masked with
-   the page mask). *)
-let va_hi_mask = Vaddr.va_mask
-
-(* True iff any per-element word check would fail: tag bits present
-   (non-canonical, including negative) or not naturally aligned. *)
-let needs_slow_path addr width =
-  (addr land lnot va_hi_mask <> 0) || (addr land (width - 1) <> 0)
-
-let slow_checks addr width label =
-  (* Off the fast path: re-raise with exactly the per-element checks. *)
-  check_field_alignment addr width
-    (if label then "load_byte_width" else "store_byte_width");
-  check_addr addr (if label then "load" else "store")
-
+   call per warp instruction instead of one cross-module call per lane.
+   Element semantics (values, the exceptions raised and their messages,
+   partial writes before one) are exactly
+   [load_byte_width]/[store_byte_width]'s. The scratch/out accesses are
+   unchecked: [addrs.(off .. off+n-1)] and [out/values.(0 .. n-1)] are in
+   range by the caller's contract. *)
 let load_batch t addrs ~off ~n ~width out =
   check_width width "load_byte_width";
-  if width = 8 then
-    for k = 0 to n - 1 do
-      let addr = Array.unsafe_get addrs (off + k) in
-      if needs_slow_path addr 8 then slow_checks addr 8 true;
-      let key = addr lsr page_bits in
-      let v =
-        if key = t.last_page then begin
-          let cells = t.last_cells in
-          let i = (addr land (page_bytes - 1)) lsr 2 in
-          (Array.unsafe_get cells (i + 1) lsl 32) lor Array.unsafe_get cells i
-        end
-        else
-          match cells_of_page t key with
-          | exception Not_found -> 0
-          | cells ->
-            let i = cell_index addr in
-            (cells.(i + 1) lsl 32) lor cells.(i)
-      in
-      Array.unsafe_set out k v
-    done
-  else
-    for k = 0 to n - 1 do
-      let addr = Array.unsafe_get addrs (off + k) in
-      check_field_alignment addr width "load_byte_width";
-      let key = addr lsr page_bits in
-      let v =
-        if key = t.last_page then begin
-          let half =
-            Array.unsafe_get t.last_cells ((addr land (page_bytes - 1)) lsr 2)
-          in
-          if width = 4 then half
-          else begin
-            let shift = (addr land 3) * 8 in
-            let mask = (1 lsl (width * 8)) - 1 in
-            (half lsr shift) land mask
-          end
-        end
-        else
-          match cells_of_page t key with
-          | exception Not_found -> 0
-          | cells ->
-            let half = cells.(cell_index addr) in
-            if width = 4 then half
-            else begin
-              let shift = (addr land 3) * 8 in
-              let mask = (1 lsl (width * 8)) - 1 in
-              (half lsr shift) land mask
-            end
-      in
-      Array.unsafe_set out k v
-    done
+  for k = 0 to n - 1 do
+    let addr = Array.unsafe_get addrs (off + k) in
+    if needs_slow_path addr width then field_error addr width ~load:true;
+    Array.unsafe_set out k (load_field t addr width)
+  done
 
 let store_batch t addrs ~off ~n ~width values =
   check_width width "store_byte_width";
-  if width = 8 then
-    for k = 0 to n - 1 do
-      let addr = Array.unsafe_get addrs (off + k) in
-      let v = Array.unsafe_get values k in
-      if needs_slow_path addr 8 then slow_checks addr 8 false;
-      if v < 0 then
-        invalid_arg "Page_store.store: negative 64-bit stores are unsupported";
-      let cells = materialize t (addr lsr page_bits) in
-      let i = (addr land (page_bytes - 1)) lsr 2 in
-      Array.unsafe_set cells i (v land half_mask);
-      Array.unsafe_set cells (i + 1) ((v lsr 32) land half_mask)
-    done
-  else
-    for k = 0 to n - 1 do
-      let addr = Array.unsafe_get addrs (off + k) in
-      check_field_alignment addr width "store_byte_width";
-      let cells = materialize t (addr lsr page_bits) in
-      let i = (addr land (page_bytes - 1)) lsr 2 in
-      if width = 4 then
-        Array.unsafe_set cells i (Array.unsafe_get values k land half_mask)
-      else begin
-        let shift = (addr land 3) * 8 in
-        let mask = ((1 lsl (width * 8)) - 1) lsl shift in
-        Array.unsafe_set cells i
-          ((Array.unsafe_get cells i land lnot mask
-            lor ((Array.unsafe_get values k lsl shift) land mask))
-           land half_mask)
-      end
-    done
+  for k = 0 to n - 1 do
+    let addr = Array.unsafe_get addrs (off + k) in
+    let v = Array.unsafe_get values k in
+    if needs_slow_path addr width then field_error addr width ~load:false;
+    if width = 8 then check_word_value v;
+    store_field t addr width v
+  done
 
-let touched_pages t = Hashtbl.length t.pages
+let touched_pages t = t.pages
 
 let footprint_bytes t = touched_pages t * page_bytes
 
 let iter_words t f =
-  Hashtbl.iter
-    (fun page cells ->
-      let base = page * page_bytes in
-      for w = 0 to page_words - 1 do
-        let v = (cells.((2 * w) + 1) lsl 32) lor cells.(2 * w) in
-        if v <> 0 then f (base + (w * Vaddr.word_bytes)) v
-      done)
-    t.pages
+  Array.iteri
+    (fun top mid ->
+      if mid != no_mid then
+        Array.iteri
+          (fun m leaf ->
+            if leaf != no_leaf then
+              Array.iteri
+                (fun l cells ->
+                  if cells != no_page then begin
+                    let key =
+                      (((top lsl level_bits) lor m) lsl level_bits) lor l
+                    in
+                    let base = key * page_bytes in
+                    for w = 0 to page_words - 1 do
+                      let v = read cells (w * Vaddr.word_bytes) 8 in
+                      if v <> 0 then f (base + (w * Vaddr.word_bytes)) v
+                    done
+                  end)
+                leaf)
+          mid)
+    t.dir

@@ -28,7 +28,9 @@ val store : t -> int -> int -> unit
 
 val load_byte_width : t -> int -> width:int -> int
 (** [load_byte_width t addr ~width] reads a naturally-aligned [width]-byte
-    field (1, 2, 4 or 8) zero-extended. Used by compact object layouts. *)
+    field (1, 2, 4 or 8) zero-extended. Used by compact object layouts.
+    Raises [Invalid_argument] on a misaligned field or, at every width, a
+    tagged address. *)
 
 val store_byte_width : t -> int -> width:int -> int -> unit
 (** Write counterpart of {!load_byte_width}; values are truncated to

@@ -44,6 +44,11 @@ let test_vaddr_sectors () =
     (Invalid_argument "Vaddr.word_index: misaligned address") (fun () ->
       ignore (Vaddr.word_index 12))
 
+let words_of t =
+  let acc = ref [] in
+  Page_store.iter_words t (fun a v -> acc := (a, v) :: !acc);
+  List.sort compare !acc
+
 let test_page_store_roundtrip () =
   let s = Page_store.create () in
   check Alcotest.int "default zero" 0 (Page_store.load s 4096);
@@ -72,11 +77,43 @@ let test_page_store_byte_width () =
     (Invalid_argument "Page_store.load_byte_width: misaligned field") (fun () ->
       ignore (Page_store.load_byte_width s 98 ~width:4))
 
+(* A tagged address must raise at every width, scalar and batched, and
+   before the page lookup: the radix directory indexes by the unmasked
+   page number, so a masked index would alias the canonical page and an
+   unmasked one would reach past the 48-bit space. *)
 let test_page_store_rejects_tagged () =
   let s = Page_store.create () in
   Alcotest.check_raises "tagged load"
     (Invalid_argument "Page_store.load: tagged address reached the store") (fun () ->
-      ignore (Page_store.load s (Vaddr.with_tag 64 ~tag:3)))
+      ignore (Page_store.load s (Vaddr.with_tag 64 ~tag:3)));
+  let canonical = 0x1000_0000 in
+  Page_store.store_byte_width s canonical ~width:4 0xBEEF;
+  let tagged = Vaddr.with_tag canonical ~tag:7 in
+  let before = words_of s in
+  List.iter
+    (fun width ->
+      Alcotest.check_raises
+        (Printf.sprintf "tagged %d-byte load" width)
+        (Invalid_argument "Page_store.load: tagged address reached the store")
+        (fun () -> ignore (Page_store.load_byte_width s tagged ~width));
+      Alcotest.check_raises
+        (Printf.sprintf "tagged %d-byte store" width)
+        (Invalid_argument "Page_store.store: tagged address reached the store")
+        (fun () -> Page_store.store_byte_width s tagged ~width 0x55);
+      let addrs = [| 0; tagged |] and out = [| -1 |] in
+      Alcotest.check_raises
+        (Printf.sprintf "tagged %d-byte load_batch" width)
+        (Invalid_argument "Page_store.load: tagged address reached the store")
+        (fun () -> Page_store.load_batch s addrs ~off:1 ~n:1 ~width out);
+      Alcotest.check_raises
+        (Printf.sprintf "tagged %d-byte store_batch" width)
+        (Invalid_argument "Page_store.store: tagged address reached the store")
+        (fun () -> Page_store.store_batch s addrs ~off:1 ~n:1 ~width [| 0x55 |]))
+    [ 1; 2; 4; 8 ];
+  check Alcotest.int "one page touched" 1 (Page_store.touched_pages s);
+  check Alcotest.(list (pair int int)) "contents unchanged" before (words_of s);
+  check Alcotest.int "canonical field intact" 0xBEEF
+    (Page_store.load_byte_width s canonical ~width:4)
 
 let test_page_store_iter_words () =
   let s = Page_store.create () in
@@ -230,11 +267,6 @@ let prop_load_batch_equiv =
       in
       batch = scalar)
 
-let words_of t =
-  let acc = ref [] in
-  Page_store.iter_words t (fun a v -> acc := (a, v) :: !acc);
-  List.sort compare !acc
-
 let prop_store_batch_equiv =
   QCheck.Test.make ~name:"store_batch matches per-element store_byte_width"
     ~count:400 gen_batch
@@ -261,6 +293,161 @@ let prop_store_batch_equiv =
          interrupted the loop part-way. *)
       batch = scalar && words_of t1 = words_of t2)
 
+(* --- the radix directory against a reference model ---------------------- *)
+
+(* A byte-granular model of the store: a map from byte address to byte.
+   Word values are rebuilt the way the store rebuilds them (two 32-bit
+   halves shifted into an OCaml int), so even a word whose top bits a
+   narrow store set reads back identically. *)
+module Bytes_model = Map.Make (Int)
+
+let model_store m addr width v =
+  let m = ref m in
+  for b = 0 to width - 1 do
+    m := Bytes_model.add (addr + b) ((v lsr (8 * b)) land 0xFF) !m
+  done;
+  !m
+
+let model_load m addr width =
+  let v = ref 0 in
+  for b = width - 1 downto 0 do
+    let byte = Option.value ~default:0 (Bytes_model.find_opt (addr + b) m) in
+    v := (!v lsl 8) lor byte
+  done;
+  !v
+
+let model_words m =
+  let words =
+    Bytes_model.fold (fun a _ acc -> (a land lnot 7) :: acc) m []
+    |> List.sort_uniq compare
+  in
+  List.filter_map
+    (fun a ->
+      let v = model_load m a 8 in
+      if v <> 0 then Some (a, v) else None)
+    words
+
+let page_number_bits = Vaddr.va_bits - 12
+let last_canonical_page = (1 lsl page_number_bits) - 1
+
+(* Pages that stress the directory: page 0, the last canonical page,
+   two pages differing only in their top-level index, two differing only
+   in their mid-level index, and a random canonical page. *)
+let gen_pages =
+  QCheck.Gen.(
+    map
+      (fun ((t1, t2), (m1, m2), (leaf, r)) ->
+        let page t m = (t lsl 24) lor (m lsl 12) lor leaf in
+        [| 0; last_canonical_page; page t1 m1; page t2 m1; page t1 m2;
+           r |])
+      (triple
+         (pair (int_bound 4095) (int_bound 4095))
+         (pair (int_bound 4095) (int_bound 4095))
+         (pair (int_bound 4095) (int_bound last_canonical_page))))
+
+type dir_op = { is_store : bool; page : int; offset : int; width : int; value : int }
+
+let gen_dir_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 80)
+      (map
+         (fun ((is_store, page), (offset, wexp), value) ->
+           let width = 1 lsl wexp in
+           { is_store; page; offset = offset land lnot (width - 1); width;
+             value = (if width = 8 then abs value else value) })
+         (triple (pair bool (int_bound 5)) (pair (int_bound 4095) (int_bound 3))
+            int)))
+
+let print_dir_case (pages, ops) =
+  Printf.sprintf "pages [%s]; ops [%s]"
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "0x%x") pages)))
+    (String.concat "; "
+       (List.map
+          (fun o ->
+            Printf.sprintf "%s p%d+%d w%d %d"
+              (if o.is_store then "store" else "load")
+              o.page o.offset o.width o.value)
+          ops))
+
+let prop_directory_model =
+  QCheck.Test.make ~name:"page directory matches a byte-map model" ~count:300
+    (QCheck.make ~print:print_dir_case QCheck.Gen.(pair gen_pages gen_dir_ops))
+    (fun (pages, ops) ->
+      let t = Page_store.create () in
+      let model, touched =
+        List.fold_left
+          (fun (model, touched) o ->
+            let addr = (pages.(o.page) * Page_store.page_bytes) + o.offset in
+            if o.is_store then begin
+              Page_store.store_byte_width t addr ~width:o.width o.value;
+              (model_store model addr o.width o.value,
+               if List.mem pages.(o.page) touched then touched
+               else pages.(o.page) :: touched)
+            end
+            else begin
+              let got = Page_store.load_byte_width t addr ~width:o.width in
+              let want = model_load model addr o.width in
+              if got <> want then
+                QCheck.Test.fail_reportf "load 0x%x w%d: got %d, model %d" addr
+                  o.width got want;
+              (model, touched)
+            end)
+          (Bytes_model.empty, []) ops
+      in
+      Page_store.touched_pages t = List.length touched
+      && words_of t = model_words model)
+
+(* The functional phase's per-lane path: after warm-up, a 32-lane load
+   and store over a column mixing memo hits, memo misses across pages
+   (including pages in distinct top- and mid-level subtrees) and, for
+   loads, never-touched pages must allocate nothing. *)
+let test_batch_allocates_nothing () =
+  let t = Page_store.create () in
+  let page_a = 0x10 and page_b = (3 lsl 24) lor 0x10 and page_c = 5 lsl 12 in
+  let untouched = 0x7_0000 in
+  let addr page lane = (page * Page_store.page_bytes) + (lane * 8) in
+  let stored =
+    Array.init 32 (fun lane ->
+        match lane mod 8 with
+        | 0 | 1 | 2 | 3 -> addr page_a lane (* runs of memo hits *)
+        | 4 -> addr page_b lane
+        | 5 -> addr page_c lane
+        | _ -> addr page_a lane)
+  in
+  let loaded =
+    Array.mapi
+      (fun lane a -> if lane mod 7 = 6 then addr untouched lane else a)
+      stored
+  in
+  let off = 3 in
+  let column a =
+    let arena = Array.make (off + 32) 0 in
+    Array.blit a 0 arena off 32;
+    arena
+  in
+  let stored = column stored and loaded = column loaded in
+  let values = Array.init 32 (fun i -> (i * 2654435761) land 0xFFFF_FFFF) in
+  let out = Array.make 32 0 in
+  let widths = [| 8; 4; 2; 1 |] in
+  let run () =
+    for i = 0 to Array.length widths - 1 do
+      let width = widths.(i) in
+      Page_store.store_batch t stored ~off ~n:32 ~width values;
+      Page_store.load_batch t loaded ~off ~n:32 ~width out
+    done
+  in
+  run ();
+  let pages = Page_store.touched_pages t in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    run ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "warm-up touched every stored page" 3 pages;
+  check Alcotest.int "no page materialized after warm-up" pages
+    (Page_store.touched_pages t);
+  check (Alcotest.float 0.) "minor words of 1000 batch rounds" 0. words
+
 let suite =
   [
     Alcotest.test_case "vaddr constants" `Quick test_vaddr_constants;
@@ -271,6 +458,8 @@ let suite =
     Alcotest.test_case "page store byte widths" `Quick test_page_store_byte_width;
     Alcotest.test_case "page store rejects tags" `Quick test_page_store_rejects_tagged;
     Alcotest.test_case "page store iter words" `Quick test_page_store_iter_words;
+    Alcotest.test_case "page store batches allocate nothing" `Quick
+      test_batch_allocates_nothing;
     Alcotest.test_case "address space reservations" `Quick test_address_space_reservations;
     Alcotest.test_case "address space null guard" `Quick test_address_space_null_guard;
     QCheck_alcotest.to_alcotest prop_tag_roundtrip;
@@ -282,4 +471,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_store_load;
     QCheck_alcotest.to_alcotest prop_load_batch_equiv;
     QCheck_alcotest.to_alcotest prop_store_batch_equiv;
+    QCheck_alcotest.to_alcotest prop_directory_model;
   ]
