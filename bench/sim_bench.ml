@@ -156,7 +156,7 @@ let time_replay ~job ~cfg ~vm ?(dedup = 1.) launches =
   let tel_mp = G.Mem_path.create cfg in
   let tel_stats = G.Stats.create () in
   let replay_tel () =
-    G.Telemetry.Ring.begin_launch ring ~base:0.;
+    Repro_util.Event_ring.begin_launch ring ~base:0.;
     List.iter
       (fun traces ->
         ignore (G.Sm.run ~telemetry:tel cfg tel_mp ~stats:tel_stats ~traces))

@@ -1033,11 +1033,15 @@ let serve_cmd =
   in
   let trace_capacity =
     Arg.(value & opt int 4096 & info [ "trace-capacity" ] ~docv:"N"
-           ~doc:"Span-ring capacity for $(b,repro ctl trace-dump) \
-                 (drop-oldest; 0 disables tracing).")
+           ~doc:"Event-ring capacity for $(b,repro ctl trace-dump), in \
+                 spans (drop-oldest; 0 disables tracing) — the same ring \
+                 $(b,repro trace --capacity) sizes.")
   in
   let run socket j no_cache cache_dir no_obs log_file log_level slow_ms
       trace_capacity =
+    if trace_capacity < 0 then
+      cli_error "trace-capacity must be >= 0 (0 disables tracing), got %d"
+        trace_capacity;
     let obs =
       if no_obs then begin
         if log_file <> None || log_level <> None then

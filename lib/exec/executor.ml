@@ -14,27 +14,26 @@ let timed ?(runner = fun job -> Ok (Job.run job)) job =
   let result = try runner job with e -> Error (Printexc.to_string e) in
   (result, Unix.gettimeofday () -. t0)
 
-let measure ?runner ~clock ~span ~cache ~dir job =
-  let hit =
-    if not cache then None
+let measure ?runner ~clock ~cache ~dir job =
+  let probe, hit =
+    if not cache then ([], None)
     else begin
       let t0 = clock () in
       let hit = Cache.lookup ~dir job in
-      span ~stage:"cache_probe" ~t0 ~dur:(clock () -. t0);
-      hit
+      ([ (Repro_obs.Svc_metrics.Cache_probe, t0, clock () -. t0) ], hit)
     end
   in
   match hit with
-  | Some run -> { job; result = Ok run; wall_s = 0.; cached = true }
+  | Some run -> ({ job; result = Ok run; wall_s = 0.; cached = true }, probe)
   | None ->
     let t0 = clock () in
     let result, wall_s = timed ?runner job in
-    span ~stage:"run" ~t0 ~dur:wall_s;
     (if cache then
        match result with
        | Ok run -> Cache.store ~dir job run
        | Error _ -> ());
-    { job; result; wall_s; cached = false }
+    ( { job; result; wall_s; cached = false },
+      probe @ [ (Repro_obs.Svc_metrics.Run, t0, wall_s) ] )
 
 let run ?(jobs = 1) ?(cache = false) ?cache_dir ?(progress = fun _ -> ())
     job_list =

@@ -52,22 +52,22 @@ val timed :
 val measure :
   ?runner:(Job.t -> (Repro_workloads.Harness.run, string) result) ->
   clock:(unit -> float) ->
-  span:(stage:string -> t0:float -> dur:float -> unit) ->
   cache:bool ->
   dir:string ->
   Job.t ->
-  outcome
+  outcome * (Repro_obs.Svc_metrics.stage * float * float) list
 (** One job through the full cache protocol: serve a hit if [cache],
     else measure it with {!timed} (tests inject [runner] fakes) and
     write the result back. This is the daemon's per-job step; {!run}
     keeps its batch shape (hits served up front, misses pooled) for the
     CLI sweep.
 
-    [span] fires with stage ["cache_probe"] (when [cache]) and ["run"]
-    (on a miss), [t0] read from [clock]. The daemon passes its
-    observability clock, which is {!Repro_obs.Svc_metrics.null_clock}
-    when observability is off; the outcome's [wall_s] always comes from
-    {!timed}. *)
+    Alongside the outcome come the stages it timed, in order, as
+    [(stage, t0, dur)]: [Cache_probe] (when [cache]) and [Run] (on a
+    miss), [t0] read from [clock]. The daemon passes its observability
+    clock, which is {!Repro_obs.Svc_metrics.null_clock} when
+    observability is off; the outcome's [wall_s] (and the [Run]
+    duration) always come from {!timed}. *)
 
 val ok_exn : outcome -> Repro_workloads.Harness.run
 (** The run, or [Failure] with the job label and captured error. *)

@@ -77,10 +77,26 @@ module Spec = struct
     | Ok fam -> Ok fam
     | Error msg -> Error msg
 
+  (* The numbers every job needs in range; a scale of -1, 0 or 1e400
+     would otherwise run (under a fresh cache key each) as whatever the
+     workloads' clamps make of it, and iterations < 1 measures nothing. *)
+  let check_ranges t =
+    let positive name = function
+      | Some n when n < 1 -> Some (Printf.sprintf "%s must be >= 1, got %d" name n)
+      | _ -> None
+    in
+    if not (Float.is_finite t.scale && t.scale > 0.) then
+      Some (Printf.sprintf "scale must be finite and > 0, got %g" t.scale)
+    else
+      match positive "iterations" t.iterations with
+      | Some _ as e -> e
+      | None -> positive "chunk_objs" t.chunk_objs
+
   let to_params t =
-    match technique_of_string t.technique with
-    | Error _ as e -> e
-    | Ok technique -> (
+    match (check_ranges t, technique_of_string t.technique) with
+    | Some msg, _ -> Error msg
+    | None, (Error _ as e) -> e
+    | None, Ok technique -> (
       let alloc =
         match t.alloc with
         | None -> Ok None

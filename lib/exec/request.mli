@@ -78,9 +78,11 @@ module Spec : sig
 
   val to_params :
     t -> (Repro_workloads.Workload.params, string) result
-  (** Resolve the technique and allocator-family names and build
-      measurement params (no sanitizer, no telemetry). [Error] names the
-      bad field. *)
+  (** Range-check the numbers — [scale] finite and > 0, [iterations]
+      and [chunk_objs] >= 1 when given — then resolve the technique and
+      allocator-family names and build measurement params (no sanitizer,
+      no telemetry). [Error] names the bad field. Every spec the CLI or
+      the wire resolves passes through here. *)
 
   val resolve : t -> (Job.t, string) result
   (** Resolve both names. [Error] reads like ["unknown workload \"GOLF\";

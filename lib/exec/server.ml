@@ -3,11 +3,12 @@ module Log = Repro_obs.Log
 module Hist = Repro_obs.Hist
 module Svc = Repro_obs.Svc_metrics
 module Tracer = Repro_obs.Tracer
+module Event_ring = Repro_util.Event_ring
 
 type obs = {
   log : Log.t;
   clock : unit -> float;
-  spans : Tracer.Ring.t option;
+  spans : Event_ring.t option;
   slow_s : float;
 }
 
@@ -16,12 +17,15 @@ let obs_off =
 
 let obs_default ?(log = Log.null) ?(slow_s = 0.25) ?(trace_capacity = 4096) ()
     =
+  if trace_capacity < 0 then
+    invalid_arg
+      (Printf.sprintf "trace capacity must be >= 0, got %d" trace_capacity);
   {
     log;
     clock = Unix.gettimeofday;
     spans =
       (if trace_capacity > 0 then
-         Some (Tracer.Ring.create ~capacity:trace_capacity)
+         Some (Event_ring.create ~capacity:trace_capacity)
        else None);
     slow_s;
   }
@@ -46,7 +50,7 @@ type job_runner = Job.t -> (W.Harness.run, string) result
    Guarded by [mutex]; workers and the event thread are the only
    parties. Waiter lists reference sessions, but workers never touch
    them — they snapshot the list under the lock and ship it to the event
-   thread inside an event. *)
+   thread inside an event, together with their stage timings. *)
 
 type waiter = {
   w_session : Session.t;
@@ -68,7 +72,16 @@ type entry = {
 
 type event =
   | Started of waiter list
-  | Finished of waiter list * Executor.outcome
+  | Finished of {
+      entry : entry;
+      waiters : waiter list;
+      track : int;  (* the worker's span track *)
+      stages : (Svc.stage * float * float) list;
+          (* queued, cache_probe, run as the worker timed them: stage,
+             start on the obs clock, duration *)
+      outcome : Executor.outcome;
+      busy_s : float;
+    }
 
 type t = {
   cfg : config;
@@ -106,21 +119,22 @@ let push_event t ev =
 
    One path whether observability is on or off: with it off the clock is
    [Svc.null_clock] (every duration is 0, no syscall), there is no span
-   ring and the log is [Log.null]. Span timestamps ride the ring
-   relative to server start. Stage histograms have two ownership
-   classes: decode/dedup_wait/encode/request are written by the event
-   thread only (no lock), queued/cache_probe/run by workers under
-   [t.mutex] — [server_stats] snapshots under the same mutex from the
-   event thread, so both classes read consistently. *)
+   ring and the log is [Log.null]. Span timestamps ride the ring in
+   seconds relative to server start; a span's kind is its stage index.
+   The event thread is the only writer of spans, stage histograms and
+   service counters — workers time their stages and hand the timings
+   over inside [Finished] — so neither the ring nor the metrics take a
+   lock. *)
 
 let now t = t.cfg.obs.clock ()
 
-let stage t ~name ~track ~trace ~t0 ~dur =
+let stage t s ~track ~trace ~t0 ~dur =
   (match t.cfg.obs.spans with
    | None -> ()
    | Some ring ->
-     Tracer.Ring.record ring ~name ~track ~trace ~ts:(t0 -. t.started_at) ~dur);
-  Hist.record (Svc.stage t.metrics name) dur
+     Event_ring.record ring ~kind:(Svc.stage_index s) ~track ~a:trace ~b:0
+       ~ts:(t0 -. t.started_at) ~dur);
+  Hist.record (Svc.stage_hist t.metrics s) dur
 
 (* Close the books on one request line: the end-to-end span, the
    "request" histogram — whose count therefore equals request lines
@@ -129,7 +143,7 @@ let stage t ~name ~track ~trace ~t0 ~dur =
    at its [Batch_done]. *)
 let finish_request t ~trace ~t0 =
   let dur = now t -. t0 in
-  stage t ~name:"request" ~track:0 ~trace ~t0 ~dur;
+  stage t Svc.Request ~track:0 ~trace ~t0 ~dur;
   Svc.incr t.metrics Svc.requests;
   if dur >= t.cfg.obs.slow_s then begin
     Svc.incr t.metrics Svc.slow_requests;
@@ -147,7 +161,7 @@ let send t session response =
     let dur = now t -. t0 in
     Session.send session line;
     if not session.Session.closed then begin
-      stage t ~name:"encode" ~track:0 ~trace:t.cur_trace ~t0 ~dur;
+      stage t Svc.Encode ~track:0 ~trace:t.cur_trace ~t0 ~dur;
       Svc.incr t.metrics Svc.responses;
       Svc.add t.metrics Svc.bytes_out (String.length line + 1)
     end
@@ -205,17 +219,11 @@ let worker_loop t widx () =
       e.e_state <- `Running;
       t.running_count <- t.running_count + 1;
       let m0 = now t in
-      stage t ~name:"queued" ~track ~trace:e.e_trace ~t0:e.e_enqueued_at
-        ~dur:(m0 -. e.e_enqueued_at);
       push_event t (Started e.e_waiters);
       Mutex.unlock t.mutex;
-      let span ~stage:name ~t0 ~dur =
-        Mutex.lock t.mutex;
-        stage t ~name ~track ~trace:e.e_trace ~t0 ~dur;
-        Mutex.unlock t.mutex
-      in
-      let outcome =
-        Executor.measure ?runner:t.runner ~clock:t.cfg.obs.clock ~span
+      let queued = (Svc.Queued, e.e_enqueued_at, m0 -. e.e_enqueued_at) in
+      let outcome, stages =
+        Executor.measure ?runner:t.runner ~clock:t.cfg.obs.clock
           ~cache:e.e_cache ~dir:t.cfg.cache_dir e.e_job
       in
       if Log.enabled t.cfg.obs.log Info then
@@ -226,18 +234,15 @@ let worker_loop t widx () =
             ("wall_s", Log.Float outcome.Executor.wall_s);
             ("cached", Log.Bool outcome.Executor.cached);
           ];
+      let busy_s = now t -. m0 in
       Mutex.lock t.mutex;
       e.e_state <- `Done;
       t.running_count <- t.running_count - 1;
       Hashtbl.remove t.inflight e.e_key;
-      let m = t.metrics in
-      if outcome.Executor.cached then Svc.incr m Svc.cache_hits
-      else begin
-        Svc.incr m Svc.jobs_executed;
-        if e.e_cache then Svc.incr m Svc.cache_misses
-      end;
-      Svc.add_float m Svc.worker_busy_s (now t -. m0);
-      push_event t (Finished (e.e_waiters, outcome));
+      push_event t
+        (Finished
+           { entry = e; waiters = e.e_waiters; track; stages = queued :: stages;
+             outcome; busy_s });
       Mutex.unlock t.mutex;
       next ()
   in
@@ -257,7 +262,7 @@ let queue_for t sid =
 let finish_job t (w : waiter) outcome =
   if not w.w_session.Session.closed then begin
     if w.w_deduped then
-      stage t ~name:"dedup_wait" ~track:0 ~trace:w.w_batch.Session.trace
+      stage t Svc.Dedup_wait ~track:0 ~trace:w.w_batch.Session.trace
         ~t0:w.w_attached_at ~dur:(now t -. w.w_attached_at);
     send t w.w_session
       (Response.Job_done
@@ -296,7 +301,18 @@ let drain_events t =
                    { id = w.w_batch.Session.batch_id; index = w.w_index })
             end)
           waiters
-      | Finished (waiters, exec_outcome) ->
+      | Finished { entry = e; waiters; track; stages; outcome = exec_outcome;
+                   busy_s } ->
+        List.iter
+          (fun (s, t0, dur) -> stage t s ~track ~trace:e.e_trace ~t0 ~dur)
+          stages;
+        let m = t.metrics in
+        if exec_outcome.Executor.cached then Svc.incr m Svc.cache_hits
+        else begin
+          Svc.incr m Svc.jobs_executed;
+          if e.e_cache then Svc.incr m Svc.cache_misses
+        end;
+        Svc.add_float m Svc.worker_busy_s busy_s;
         List.iter
           (fun w ->
             t.cur_trace <- w.w_batch.Session.trace;
@@ -314,11 +330,12 @@ let queued t =
    clock the stats answer keeps its pre-observability wire form. *)
 let server_stats t ~sessions =
   let m = t.metrics in
-  Mutex.lock t.mutex;
   Svc.set m Svc.sessions sessions;
+  Mutex.lock t.mutex;
   Svc.set m Svc.queue_depth (queued t);
   Svc.set m Svc.inflight (Hashtbl.length t.inflight);
   Svc.set m Svc.jobs_running t.running_count;
+  Mutex.unlock t.mutex;
   let snap = Svc.snapshot m in
   let reported = t.cfg.obs.clock != Svc.null_clock in
   let stages =
@@ -326,7 +343,6 @@ let server_stats t ~sessions =
       List.map (fun n -> (n, Hist.copy (Svc.stage m n))) Svc.stage_names
     else []
   in
-  Mutex.unlock t.mutex;
   let get metric = Svc.count metric snap in
   {
     Response.sessions;
@@ -463,18 +479,25 @@ let handle_request t session ~sessions ~trace ~t0 req =
          send t session
            (Response.Error { message = "tracing is disabled on this server" })
        | Some ring ->
-         let spans = Tracer.Ring.dump ring in
          let tracks =
            (0, "events")
            :: List.init (max 1 t.cfg.workers) (fun i ->
                   (i + 1, Printf.sprintf "worker %d" (i + 1)))
          in
+         let describe (e : Event_ring.event) =
+           ( Svc.stage_name e.kind,
+             e.track,
+             [ ("trace", Repro_obs.Json.Int e.arg_a) ] )
+         in
          send t session
            (Response.Trace_dump
               {
-                spans = List.length spans;
-                dropped = Tracer.Ring.dropped ring;
-                trace = Tracer.spans_to_json ~tracks spans;
+                spans = Event_ring.length ring;
+                dropped = Event_ring.all_dropped ring;
+                trace =
+                  Tracer.chrome ~tracks ~describe ~scale:1e6
+                    ~meta:[ ("displayTimeUnit", Repro_obs.Json.String "ms") ]
+                    (Event_ring.events ring);
               }));
       true
     | Request.Query spec ->
@@ -665,7 +688,7 @@ let run ?runner cfg =
             t.next_trace <- trace + 1;
             t.cur_trace <- trace;
             let req = Request.of_line line in
-            stage t ~name:"decode" ~track:0 ~trace ~t0 ~dur:(now t -. t0);
+            stage t Svc.Decode ~track:0 ~trace ~t0 ~dur:(now t -. t0);
             match req with
             | Ok req ->
               handle_request t session ~sessions:(Hashtbl.length sessions)

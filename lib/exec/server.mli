@@ -23,9 +23,11 @@
 
     Threading model: one event thread owns every socket (reads,
     parses, writes responses); [workers] Domains only execute jobs and
-    hand finished work back through an event queue + wake pipe. Session
-    state is therefore lock-free; scheduler state is guarded by one
-    mutex. *)
+    hand finished work back through an event queue + wake pipe, with
+    the stage timings they took. Session state, the span ring, the
+    service counters and the stage histograms are therefore written by
+    the event thread alone and take no lock; scheduler state is guarded
+    by one mutex. *)
 
 (** Observability knobs. On and off share one request path; what
     differs is data. {!obs_off} ([repro serve --no-obs]) is the null
@@ -44,9 +46,13 @@ type obs = {
       (** Times every stage: [Unix.gettimeofday], or
           {!Repro_obs.Svc_metrics.null_clock} to turn timing and the
           [svc]/[stages] stats fields off. *)
-  spans : Repro_obs.Tracer.Ring.t option;
-      (** Span ring behind [Trace_dump]; bounded, drop-oldest. [None]
-          answers [Trace_dump] with an error. *)
+  spans : Repro_util.Event_ring.t option;
+      (** Event ring behind [Trace_dump]; bounded, drop-oldest. One span
+          per stage: [kind] is its {!Repro_obs.Svc_metrics.stage_index},
+          [track] 0 the event thread and 1..W the workers, [arg_a] the
+          trace id, [ts]/[dur] seconds since server start. Only the
+          event thread writes it. [None] answers [Trace_dump] with an
+          error. *)
   slow_s : float;
       (** Requests at or above this many seconds count as slow and are
           logged at [Warn]. [infinity] = never. *)
@@ -57,8 +63,9 @@ val obs_off : obs
 val obs_default :
   ?log:Repro_obs.Log.t -> ?slow_s:float -> ?trace_capacity:int -> unit -> obs
 (** The wall clock, a fresh span ring ([trace_capacity] spans, default 4096;
-    [0] disables tracing), slow threshold 0.25 s — what [repro serve]
-    runs unless told otherwise. *)
+    [0] disables tracing, a negative capacity raises [Invalid_argument]),
+    slow threshold 0.25 s — what [repro serve] runs unless told
+    otherwise. *)
 
 type config = {
   socket_path : string;

@@ -1,3 +1,5 @@
+module Event_ring = Repro_util.Event_ring
+
 type t = {
   cfg : Config.t;
   heap : Repro_mem.Page_store.t;
@@ -104,7 +106,7 @@ let launch t ~n_threads kernel =
     | Some tel -> (tel.Telemetry.ring, tel.Telemetry.sampler)
     | None -> (None, None)
   in
-  Option.iter (fun ring -> Telemetry.Ring.begin_launch ring ~base) ring;
+  Option.iter (fun ring -> Event_ring.begin_launch ring ~base) ring;
   Option.iter Telemetry.Sampler.begin_launch sampler;
   let cycles =
     Sm.run ?telemetry:t.tel t.cfg t.mem_path ~stats:launch_stats ~traces
@@ -113,7 +115,7 @@ let launch t ~n_threads kernel =
     (fun ring ->
       (* The span covers trailing write-through DRAM drain the ring may
          have recorded past the last warp's retirement. *)
-      let dur = fmax cycles (Telemetry.Ring.max_end ring -. base) in
+      let dur = fmax cycles (Event_ring.max_end ring -. base) in
       t.spans <- { Telemetry.index = t.launches; start = base; dur } :: t.spans)
     ring;
   (match sampler with
@@ -123,7 +125,7 @@ let launch t ~n_threads kernel =
      san_delta ();
      Option.iter
        (fun ring ->
-         Stats.count_trace_dropped launch_stats (Telemetry.Ring.take_dropped ring))
+         Stats.count_trace_dropped launch_stats (Event_ring.take_dropped ring))
        ring
    | Some sampler ->
      (* Windowed: the engine counted into per-window rows. Fold them in
@@ -141,7 +143,7 @@ let launch t ~n_threads kernel =
       | Some san ->
         Stats.count_san_violations last (Repro_san.Checker.take_kernel_delta san));
      Option.iter
-       (fun ring -> Stats.count_trace_dropped last (Telemetry.Ring.take_dropped ring))
+       (fun ring -> Stats.count_trace_dropped last (Event_ring.take_dropped ring))
        ring;
      Array.iter (fun row -> Stats.add launch_stats row) rows;
      t.windows <- rows :: t.windows);
@@ -177,9 +179,9 @@ let telemetry_dump t =
           (match tel.Telemetry.sampler with
            | Some s -> Telemetry.Sampler.window s
            | None -> 0);
-        events = Telemetry.events_of_ring ring;
+        events = Event_ring.events ring;
         kernels = List.rev t.spans;
-        dropped = Telemetry.Ring.all_dropped ring;
+        dropped = Event_ring.all_dropped ring;
       }
   | Some _ | None -> None
 
@@ -204,7 +206,7 @@ let reset_stats t =
   t.launches <- 0;
   t.kept <- [];
   match t.tel with
-  | Some { Telemetry.ring = Some ring; _ } -> Telemetry.Ring.clear ring
+  | Some { Telemetry.ring = Some ring; _ } -> Event_ring.clear ring
   | Some _ | None -> ()
 
 let launches t = t.launches

@@ -22,6 +22,8 @@
    - warp stall events are written to the ring only when one is passed
      through [?telemetry]. *)
 
+module Event_ring = Repro_util.Event_ring
+
 (* Launch-local integer counters, one slot each; flushed into the open
    [Stats] row at every window crossing and at the end of the launch.
    Integer adds are exact, so the totals equal per-event counting. *)
@@ -58,27 +60,27 @@ let flush_counters st (c : int array) (walk_cycles : float array) =
 
 (* One event at the ring head, by direct stores. Local and small, so
    ocamlopt inlines it and the float arguments stay unboxed. *)
-let[@inline] emit (r : Telemetry.Ring.t) kind track a b ts dur =
-  (* [head] < capacity always ([Ring.bump] wraps it), and the six arrays
+let[@inline] emit (r : Event_ring.t) kind track a b ts dur =
+  (* [head] < capacity always ([Event_ring.bump] wraps it), and the six arrays
      share that capacity, so the unsafe stores are in bounds. *)
-  let i = r.Telemetry.Ring.head in
-  Array.unsafe_set r.Telemetry.Ring.kind i kind;
-  Array.unsafe_set r.Telemetry.Ring.track i track;
-  Array.unsafe_set r.Telemetry.Ring.arg_a i a;
-  Array.unsafe_set r.Telemetry.Ring.arg_b i b;
-  let abs_ts = Array.unsafe_get r.Telemetry.Ring.cells 0 +. ts in
-  Array.unsafe_set r.Telemetry.Ring.ts i abs_ts;
-  Array.unsafe_set r.Telemetry.Ring.dur i dur;
+  let i = r.Event_ring.head in
+  Array.unsafe_set r.Event_ring.kind i kind;
+  Array.unsafe_set r.Event_ring.track i track;
+  Array.unsafe_set r.Event_ring.arg_a i a;
+  Array.unsafe_set r.Event_ring.arg_b i b;
+  let abs_ts = Array.unsafe_get r.Event_ring.cells 0 +. ts in
+  Array.unsafe_set r.Event_ring.ts i abs_ts;
+  Array.unsafe_set r.Event_ring.dur i dur;
   let e = abs_ts +. dur in
-  if e > Array.unsafe_get r.Telemetry.Ring.cells 1 then
-    Array.unsafe_set r.Telemetry.Ring.cells 1 e;
-  Telemetry.Ring.bump r
+  if e > Array.unsafe_get r.Event_ring.cells 1 then
+    Array.unsafe_set r.Event_ring.cells 1 e;
+  Event_ring.bump r
 
 (* State of the out-of-line sector walks, built once per launch that
    translates or records events. *)
 type walk = {
   vm : Repro_vm.Vm.t option;
-  ring : Telemetry.Ring.t option;
+  ring : Event_ring.t option;
   vm_lat : float array;  (* cycles per [Vm.lookup] code *)
   scratch : int array;
   l1s : Cache.t array;
@@ -107,7 +109,7 @@ let[@inline] count_lookup w sm sector code t0 tx =
     w.walk_cycles.(0) <- w.walk_cycles.(0) +. tx;
     match w.ring with
     | Some r ->
-      emit r Telemetry.Ring.kind_tlb sm (code - Repro_vm.Vm.walk_base) sector
+      emit r Telemetry.kind_tlb sm (code - Repro_vm.Vm.walk_base) sector
         t0 tx
     | None -> ()
   end
@@ -138,14 +140,14 @@ let load_walk w sm n =
     | `Hit ->
       bump w.counters c_l1_hits 1;
       (match w.ring with
-       | Some r -> emit r Telemetry.Ring.kind_l1 sm 1 sector t1 w.l1_lat
+       | Some r -> emit r Telemetry.kind_l1 sm 1 sector t1 w.l1_lat
        | None -> ());
       let c = t1 +. w.l1_lat in
       if c > compl.(0) then compl.(0) <- c
     | `Miss -> (
       bump w.counters c_l1_misses 1;
       (match w.ring with
-       | Some r -> emit r Telemetry.Ring.kind_l1 sm 0 sector t1 0.
+       | Some r -> emit r Telemetry.kind_l1 sm 0 sector t1 0.
        | None -> ());
       let a = t1 +. w.l1_lat in
       let t2 = if a >= clk.(0) then a else clk.(0) in
@@ -154,14 +156,14 @@ let load_walk w sm n =
       | `Hit ->
         bump w.counters c_l2_hits 1;
         (match w.ring with
-         | Some r -> emit r Telemetry.Ring.kind_l2 sm 1 sector t2 w.l2_lat
+         | Some r -> emit r Telemetry.kind_l2 sm 1 sector t2 w.l2_lat
          | None -> ());
         let c = t2 +. w.l2_lat in
         if c > compl.(0) then compl.(0) <- c
       | `Miss ->
         bump w.counters c_l2_misses 1;
         (match w.ring with
-         | Some r -> emit r Telemetry.Ring.kind_l2 sm 0 sector t2 0.
+         | Some r -> emit r Telemetry.kind_l2 sm 0 sector t2 0.
          | None -> ());
         bump w.counters c_dram 2;
         ignore (Cache.access w.l2 ~sector:(sector lxor 1));
@@ -169,7 +171,7 @@ let load_walk w sm n =
         let t3 = if b >= clk.(1) then b else clk.(1) in
         clk.(1) <- t3 +. w.dram_pair_cost;
         (match w.ring with
-         | Some r -> emit r Telemetry.Ring.kind_dram sm 2 sector t3 w.dram_lat
+         | Some r -> emit r Telemetry.kind_dram sm 2 sector t3 w.dram_lat
          | None -> ());
         let c = t3 +. w.dram_lat in
         if c > compl.(0) then compl.(0) <- c)
@@ -197,17 +199,17 @@ let store_walk w sm n =
     match Cache.access w.l2 ~sector with
     | `Hit -> (
       match w.ring with
-      | Some r -> emit r Telemetry.Ring.kind_l2 sm 3 sector t2 0.
+      | Some r -> emit r Telemetry.kind_l2 sm 3 sector t2 0.
       | None -> ())
     | `Miss ->
       (match w.ring with
-       | Some r -> emit r Telemetry.Ring.kind_l2 sm 2 sector t2 0.
+       | Some r -> emit r Telemetry.kind_l2 sm 2 sector t2 0.
        | None -> ());
       bump w.counters c_dram 1;
       let t3 = if t2 >= clk.(1) then t2 else clk.(1) in
       clk.(1) <- t3 +. w.inv_dram_cost;
       (match w.ring with
-       | Some r -> emit r Telemetry.Ring.kind_dram sm 1 sector t3 0.
+       | Some r -> emit r Telemetry.kind_dram sm 1 sector t3 0.
        | None -> ())
   done
 
@@ -531,18 +533,18 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
             (* Stall span, written field by field: its start is
                (base + issue) + slots, which [emit] would round as
                base + (issue + slots). *)
-            let i = r.Telemetry.Ring.head in
-            r.Telemetry.Ring.kind.(i) <- Telemetry.Ring.kind_stall;
-            r.Telemetry.Ring.track.(i) <- sm;
-            r.Telemetry.Ring.arg_a.(i) <- lbl;
-            r.Telemetry.Ring.arg_b.(i) <- w;
-            let t0 = r.Telemetry.Ring.cells.(0) +. issue_time +. slots in
-            r.Telemetry.Ring.ts.(i) <- t0;
-            r.Telemetry.Ring.dur.(i) <- stall;
+            let i = r.Event_ring.head in
+            r.Event_ring.kind.(i) <- Telemetry.kind_stall;
+            r.Event_ring.track.(i) <- sm;
+            r.Event_ring.arg_a.(i) <- lbl;
+            r.Event_ring.arg_b.(i) <- w;
+            let t0 = r.Event_ring.cells.(0) +. issue_time +. slots in
+            r.Event_ring.ts.(i) <- t0;
+            r.Event_ring.dur.(i) <- stall;
             let e = t0 +. stall in
-            if e > r.Telemetry.Ring.cells.(1) then
-              r.Telemetry.Ring.cells.(1) <- e;
-            Telemetry.Ring.bump r
+            if e > r.Event_ring.cells.(1) then
+              r.Event_ring.cells.(1) <- e;
+            Event_ring.bump r
           | None -> ()
         end;
         hkeys.(0) <- next_ready;

@@ -43,7 +43,7 @@ val count_dram_sector : t -> unit
 
 val count_trace_dropped : t -> int -> unit
 (** Accumulate telemetry ring-buffer drops (events lost to the
-    drop-oldest spill policy; see {!Telemetry.Ring}). *)
+    drop-oldest spill policy; see {!Repro_util.Event_ring}). *)
 
 val count_tlb_l1_hit : t -> unit
 

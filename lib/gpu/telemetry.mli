@@ -1,5 +1,5 @@
-(** Cycle-resolved telemetry: windowed counter sampling and the event
-    ring behind the Chrome-trace exporter.
+(** Cycle-resolved telemetry: windowed counter sampling and the GPU's
+    vocabulary for the event ring behind the Chrome-trace exporter.
 
     Both features are opt-in and sized up front so the replay loop keeps
     its allocation discipline:
@@ -13,17 +13,40 @@
       detaches them; enabling sampling costs one row per window, never
       an allocation per instruction.
 
-    - The {!Ring} is a pre-sized structure-of-arrays buffer of typed
-      events (warp stall intervals by {!Label}, cache and DRAM
-      transactions, all with absolute timestamps). The engine writes
-      fields directly — int and float-array stores only, so recording
-      never boxes or allocates — and when the ring is full it drops the
-      oldest event and counts it (surfaced as the [trace.dropped]
-      metric). [Repro_obs.Tracer] renders a {!dump} of it as Chrome
-      trace-event JSON.
+    - The ring is a {!Repro_util.Event_ring} of typed events (warp stall
+      intervals by {!Label}, cache and DRAM transactions, TLB walks, all
+      with absolute timestamps in cycles), tagged with the kinds below.
+      The engine writes its fields directly, so recording never boxes or
+      allocates; a full ring drops the oldest event and counts it
+      (surfaced as the [trace.dropped] metric). [Repro_obs.Tracer]
+      renders a {!dump} of it as Chrome trace-event JSON.
 
-    This module is deliberately engine-agnostic: [Sm]/[Mem_path]/
-    [Device] hold the hooks; nothing here calls back into them. *)
+    This module is deliberately engine-agnostic: [Sm]/[Device] hold the
+    hooks; nothing here calls back into them. *)
+
+(** {2 Event kinds} — [arg_a]/[arg_b] meaning depends on the kind. *)
+
+val kind_stall : int
+(** A warp stall interval: [track] = SM, [arg_a] = label index,
+    [arg_b] = warp id; [dur] = attributed stall cycles. *)
+
+val kind_l1 : int
+(** One L1 sector access: [track] = SM, [arg_a] = 1 on hit else 0,
+    [arg_b] = sector. *)
+
+val kind_l2 : int
+(** One L2 sector access: [arg_a] bit 0 = hit, bit 1 = store,
+    [arg_b] = sector. *)
+
+val kind_dram : int
+(** A DRAM transaction: [arg_a] = sectors consumed (2 for a load's
+    64 B pair fill, 1 for a write-through store miss), [arg_b] =
+    sector. *)
+
+val kind_tlb : int
+(** A TLB page-walk interval: [track] = SM, [arg_a] = radix levels
+    walked, [arg_b] = sector; [dur] = walk cycles charged. TLB hits
+    are not recorded (they are counted in [Stats]). *)
 
 type config = {
   window : int option;
@@ -86,109 +109,16 @@ module Sampler : sig
       fresh zero rows. Call after {!finish_launch}. *)
 end
 
-module Ring : sig
-  (** Event kinds; [arg_a]/[arg_b] meaning depends on the kind. *)
-
-  val kind_stall : int
-  (** A warp stall interval: [track] = SM, [arg_a] = label index,
-      [arg_b] = warp id; [dur] = attributed stall cycles. *)
-
-  val kind_l1 : int
-  (** One L1 sector access: [track] = SM, [arg_a] = 1 on hit else 0,
-      [arg_b] = sector. *)
-
-  val kind_l2 : int
-  (** One L2 sector access: [arg_a] bit 0 = hit, bit 1 = store,
-      [arg_b] = sector. *)
-
-  val kind_dram : int
-  (** A DRAM transaction: [arg_a] = sectors consumed (2 for a load's
-      64 B pair fill, 1 for a write-through store miss), [arg_b] =
-      sector. *)
-
-  val kind_tlb : int
-  (** A TLB page-walk interval: [track] = SM, [arg_a] = radix levels
-      walked, [arg_b] = sector; [dur] = walk cycles charged. TLB hits
-      are not recorded (they are counted in [Stats]). *)
-
-  (** The fields are public because the replay loop writes them in
-      place: a [record] function taking [ts]/[dur] as arguments would
-      box two floats per event. Writers fill the six arrays at index
-      [head], then call {!bump}. *)
-  type t = {
-    cap : int;
-    kind : int array;
-    track : int array;
-    arg_a : int array;
-    arg_b : int array;
-    ts : float array;   (** Absolute cycles (launch base already added). *)
-    dur : float array;
-    cells : float array;
-    (** [cells.(0)]: the running launch's base time, added to every
-        timestamp so multi-launch traces form one timeline;
-        [cells.(1)]: max event end time seen since [begin_launch]
-        (bounds the kernel span even when store drain outlives the
-        last warp). *)
-    mutable head : int;      (** Next write index. *)
-    mutable len : int;
-    mutable dropped : int;   (** Since the last {!take_dropped}. *)
-    mutable all_dropped : int;
-  }
-
-  val create : capacity:int -> t
-  (** Raises [Invalid_argument] when [capacity <= 0]. *)
-
-  val begin_launch : t -> base:float -> unit
-  (** Set the launch's base time and reset the max-end watermark. *)
-
-  val bump : t -> unit
-  (** Commit the event just written at [head]: advance [head], and
-      either grow [len] or count a drop (the oldest event was
-      overwritten — drop-oldest spill policy). *)
-
-  val record :
-    t -> kind:int -> track:int -> a:int -> b:int -> ts:float -> dur:float ->
-    unit
-  (** Convenience writer for cold paths and tests ([ts] is
-      launch-relative; the base is added). The replay loop inlines the
-      stores instead. *)
-
-  val length : t -> int
-
-  val take_dropped : t -> int
-  (** Drops since the last call (folded into the launch's
-      [trace.dropped] counter), resetting the tally. *)
-
-  val all_dropped : t -> int
-  (** Total drops since creation or {!clear}. *)
-
-  val max_end : t -> float
-
-  val clear : t -> unit
-
-  val to_events : t -> (int * int * int * int * float * float) array
-  (** Buffered events oldest-first as [(kind, track, a, b, ts, dur)]. *)
-end
-
 type t = {
   config : config;
   sampler : Sampler.t option;
-  ring : Ring.t option;
+  ring : Repro_util.Event_ring.t option;
 }
 
 val create : config -> t
 
 (** {2 Dump} — the detached, render-ready view [Repro_obs.Tracer]
     consumes. *)
-
-type event = {
-  kind : int;
-  track : int;
-  arg_a : int;
-  arg_b : int;
-  ts : float;
-  dur : float;
-}
 
 type kernel_span = {
   index : int;   (** Launch index. *)
@@ -201,9 +131,7 @@ type kernel_span = {
 type dump = {
   n_sms : int;
   window : int;  (** Sampling window in cycles; 0 when sampling was off. *)
-  events : event array;  (** Oldest first. *)
+  events : Repro_util.Event_ring.event array;  (** Oldest first. *)
   kernels : kernel_span list;  (** In launch order. *)
   dropped : int;  (** Events lost to the drop-oldest policy. *)
 }
-
-val events_of_ring : Ring.t -> event array

@@ -51,19 +51,36 @@ type snapshot = float array
 
 let zero = Array.make (List.length all) 0.
 
-let stage_names =
-  [ "decode"; "queued"; "dedup_wait"; "cache_probe"; "run"; "encode";
-    "request" ]
+type stage = Decode | Queued | Dedup_wait | Cache_probe | Run | Encode | Request
 
-type t = { values : float array; stages : (string * Hist.t) list }
+let stage_index = function
+  | Decode -> 0
+  | Queued -> 1
+  | Dedup_wait -> 2
+  | Cache_probe -> 3
+  | Run -> 4
+  | Encode -> 5
+  | Request -> 6
+
+let names =
+  [| "decode"; "queued"; "dedup_wait"; "cache_probe"; "run"; "encode";
+     "request" |]
+
+let stage_names = Array.to_list names
+let stage_name i = names.(i)
+
+type t = { values : float array; stages : Hist.t array }
 
 let create () =
-  {
-    values = Array.copy zero;
-    stages = List.map (fun n -> (n, Hist.create ())) stage_names;
-  }
+  { values = Array.copy zero; stages = Array.map (fun _ -> Hist.create ()) names }
 
-let stage t name = List.assoc name t.stages
+let stage_hist t s = t.stages.(stage_index s)
+
+let stage t name =
+  match List.find_index (String.equal name) stage_names with
+  | Some i -> t.stages.(i)
+  | None -> raise Not_found
+
 let add t m n = t.values.(m.m_slot) <- t.values.(m.m_slot) +. float_of_int n
 let incr t m = add t m 1
 let add_float t m x = t.values.(m.m_slot) <- t.values.(m.m_slot) +. x

@@ -4,9 +4,9 @@
     once — so [ctl stats], its JSON export and the tests all read one
     surface, and a new counter is one new line.
 
-    {!t} is the live state: one unboxed value per entry, bumped by the
-    daemon's event thread and workers, plus one {!Hist} per request stage
-    ({!stage_names}). The daemon always keeps one, observability on or
+    {!t} is the live state: one unboxed value per entry plus one {!Hist}
+    per request stage ({!stage_names}), all written by the daemon's
+    event thread alone. The daemon always keeps one, observability on or
     off, and it is the only owner of the job counters. A {!snapshot} is a
     copy of the values that shares nothing with the live state. *)
 
@@ -65,10 +65,23 @@ val add_float : t -> metric -> float -> unit
 val set : t -> metric -> int -> unit
 (** Overwrite a gauge. All four updates are allocation-free. *)
 
+(** The stages of a request's life, decode to final response;
+    [Request] is end-to-end and counts once per request line. *)
+type stage = Decode | Queued | Dedup_wait | Cache_probe | Run | Encode | Request
+
+val stage_index : stage -> int
+(** The stage's position in {!stage_names}: the index of its histogram
+    and the [kind] of its spans in the daemon's event ring. *)
+
 val stage_names : string list
 (** [["decode"; "queued"; "dedup_wait"; "cache_probe"; "run"; "encode";
-    "request"]] — the life of a request, decode to final response;
-    ["request"] is end-to-end and counts once per request line. *)
+    "request"]], in {!stage_index} order. *)
+
+val stage_name : int -> string
+(** The name at an index of {!stage_names}; raises [Invalid_argument]
+    out of range. *)
+
+val stage_hist : t -> stage -> Hist.t
 
 val stage : t -> string -> Hist.t
 (** The histogram for one of {!stage_names}; raises [Not_found] on any

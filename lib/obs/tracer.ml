@@ -1,70 +1,62 @@
+module Event_ring = Repro_util.Event_ring
 module Telemetry = Repro_gpu.Telemetry
 module Label = Repro_gpu.Label
 module Stats = Repro_gpu.Stats
 
-let pid = 1
-
-let complete ~name ~tid ~ts ~dur ?(args = []) () =
+(* One trace event; ["X"] events carry a [dur]. Field order is the
+   files' byte layout. *)
+let event ~ph ~name ~tid ~ts ?dur args =
   Json.Obj
-    ([
-       ("name", Json.String name);
-       ("ph", Json.String "X");
-       ("ts", Json.Float ts);
-       ("dur", Json.Float dur);
-       ("pid", Json.Int pid);
-       ("tid", Json.Int tid);
-     ]
-    @ match args with [] -> [] | args -> [ ("args", Json.Obj args) ])
+    ([ ("name", Json.String name); ("ph", Json.String ph); ("ts", Json.Float ts) ]
+    @ (match dur with Some d -> [ ("dur", Json.Float d) ] | None -> [])
+    @ [ ("pid", Json.Int 1); ("tid", Json.Int tid); ("args", Json.Obj args) ])
 
-let counter ~name ~ts ~value =
-  Json.Obj
-    [
-      ("name", Json.String name);
-      ("ph", Json.String "C");
-      ("ts", Json.Float ts);
-      ("pid", Json.Int pid);
-      ("tid", Json.Int 0);
-      ("args", Json.Obj [ ("value", Json.Float value) ]);
-    ]
+(* {2 The writer} *)
 
-let metadata ~name ~tid ~args =
-  Json.Obj
-    [
-      ("name", Json.String name);
-      ("ph", Json.String "M");
-      ("ts", Json.Float 0.);
-      ("pid", Json.Int pid);
-      ("tid", Json.Int tid);
-      ("args", Json.Obj args);
-    ]
-
-let thread_names n_sms =
-  let thread tid label =
-    metadata ~name:"thread_name" ~tid ~args:[ ("name", Json.String label) ]
+let chrome ~tracks ~describe ~scale ?(counters = []) ~meta events =
+  let names =
+    List.map
+      (fun (tid, label) ->
+        event ~ph:"M" ~name:"thread_name" ~tid ~ts:0.
+          [ ("name", Json.String label) ])
+      tracks
   in
-  List.init n_sms (fun i -> thread i (Printf.sprintf "SM %d" i))
-  @ [
-      thread n_sms "L2";
-      thread (n_sms + 1) "DRAM";
-      thread (n_sms + 2) "kernels";
-      thread (n_sms + 3) "TLB";
-    ]
+  let spans =
+    Array.to_list
+      (Array.map
+         (fun (e : Event_ring.event) ->
+           let name, tid, args = describe e in
+           event ~ph:"X" ~name ~tid ~ts:(e.ts *. scale) ~dur:(e.dur *. scale)
+             args)
+         events)
+  in
+  Json.Obj (("traceEvents", Json.List (names @ spans @ counters)) :: meta)
 
-let event_json n_sms (e : Telemetry.event) =
-  let open Telemetry in
-  if e.kind = Ring.kind_stall then
-    complete
-      ~name:("stall." ^ Label.slug (Label.of_index e.arg_a))
-      ~tid:e.track ~ts:e.ts ~dur:e.dur
-      ~args:[ ("warp", Json.Int e.arg_b) ]
-      ()
-  else if e.kind = Ring.kind_l1 then
-    complete
-      ~name:(if e.arg_a = 1 then "l1.hit" else "l1.miss")
-      ~tid:e.track ~ts:e.ts ~dur:e.dur
-      ~args:[ ("sector", Json.Int e.arg_b) ]
-      ()
-  else if e.kind = Ring.kind_l2 then
+(* {2 The GPU trace} *)
+
+(* Kernel launch spans are not ring events; they ride through the writer
+   under a kind no ring writer uses, ahead of the ring's events. *)
+let kind_kernel = -1
+
+let gpu_tracks n_sms =
+  List.init n_sms (fun i -> (i, Printf.sprintf "SM %d" i))
+  @ [ (n_sms, "L2"); (n_sms + 1, "DRAM"); (n_sms + 2, "kernels");
+      (n_sms + 3, "TLB") ]
+
+let gpu_event n_sms (e : Event_ring.event) =
+  if e.kind = kind_kernel then
+    ( Printf.sprintf "kernel %d" e.arg_a,
+      n_sms + 2,
+      [ ("launch", Json.Int e.arg_a) ] )
+  else if e.kind = Telemetry.kind_stall then
+    ( "stall." ^ Label.slug (Label.of_index e.arg_a),
+      e.track,
+      [ ("warp", Json.Int e.arg_b) ] )
+  else if e.kind = Telemetry.kind_l1 then
+    ( (if e.arg_a = 1 then "l1.hit" else "l1.miss"),
+      e.track,
+      [ ("sector", Json.Int e.arg_b) ] )
+  else if e.kind = Telemetry.kind_l2 then
     let name =
       match e.arg_a with
       | 0 -> "l2.load_miss"
@@ -72,24 +64,19 @@ let event_json n_sms (e : Telemetry.event) =
       | 2 -> "l2.store_miss"
       | _ -> "l2.store_hit"
     in
-    complete ~name ~tid:n_sms ~ts:e.ts ~dur:e.dur
-      ~args:[ ("sector", Json.Int e.arg_b); ("sm", Json.Int e.track) ]
-      ()
-  else if e.kind = Ring.kind_tlb then
-    complete ~name:"tlb.walk" ~tid:(n_sms + 3) ~ts:e.ts ~dur:e.dur
-      ~args:
-        [
-          ("levels", Json.Int e.arg_a);
-          ("sector", Json.Int e.arg_b);
-          ("sm", Json.Int e.track);
-        ]
-      ()
+    (name, n_sms, [ ("sector", Json.Int e.arg_b); ("sm", Json.Int e.track) ])
+  else if e.kind = Telemetry.kind_tlb then
+    ( "tlb.walk",
+      n_sms + 3,
+      [
+        ("levels", Json.Int e.arg_a);
+        ("sector", Json.Int e.arg_b);
+        ("sm", Json.Int e.track);
+      ] )
   else
-    complete
-      ~name:(if e.arg_a >= 2 then "dram.fill" else "dram.store")
-      ~tid:(n_sms + 1) ~ts:e.ts ~dur:e.dur
-      ~args:[ ("sectors", Json.Int e.arg_a); ("sm", Json.Int e.track) ]
-      ()
+    ( (if e.arg_a >= 2 then "dram.fill" else "dram.store"),
+      n_sms + 1,
+      [ ("sectors", Json.Int e.arg_a); ("sm", Json.Int e.track) ] )
 
 let counter_events timeline =
   let quantities =
@@ -108,149 +95,37 @@ let counter_events timeline =
   List.concat_map
     (fun (start, row) ->
       List.map
-        (fun (name, extract) -> counter ~name ~ts:start ~value:(extract row))
+        (fun (name, extract) ->
+          event ~ph:"C" ~name ~tid:0 ~ts:start
+            [ ("value", Json.Float (extract row)) ])
         quantities)
     (Timeline.windows timeline)
 
 let to_json ?timeline ~workload ~technique (dump : Telemetry.dump) =
   let n_sms = dump.n_sms in
-  let kernel_spans =
-    List.map
-      (fun (k : Telemetry.kernel_span) ->
-        complete
-          ~name:(Printf.sprintf "kernel %d" k.index)
-          ~tid:(n_sms + 2) ~ts:k.start ~dur:k.dur
-          ~args:[ ("launch", Json.Int k.index) ]
-          ())
-      dump.kernels
+  let kernels =
+    Array.of_list
+      (List.map
+         (fun (k : Telemetry.kernel_span) ->
+           { Event_ring.kind = kind_kernel; track = n_sms + 2; arg_a = k.index;
+             arg_b = 0; ts = k.start; dur = k.dur })
+         dump.kernels)
   in
-  let events =
-    Array.to_list (Array.map (event_json n_sms) dump.events)
-  in
-  let counters =
-    match timeline with None -> [] | Some t -> counter_events t
-  in
-  Json.Obj
-    [
-      ( "traceEvents",
-        Json.List (thread_names n_sms @ kernel_spans @ events @ counters) );
-      ("displayTimeUnit", Json.String "ns");
-      ( "otherData",
-        Json.Obj
-          [
-            ("workload", Json.String workload);
-            ("technique", Json.String technique);
-            ("window", Json.Int dump.window);
-            ("dropped", Json.Int dump.dropped);
-          ] );
-    ]
-
-(* {2 Span ring} *)
-
-module Ring = struct
-  type span = {
-    name : string;
-    track : int;
-    trace : int;
-    ts : float;
-    dur : float;
-  }
-
-  (* SoA, like Telemetry.Ring: the component arrays are allocated once at
-     [create] so [record] writes fields in place and allocates nothing
-     (float array stores are unboxed). *)
-  type t = {
-    names : string array;
-    tracks : int array;
-    traces : int array;
-    tss : float array;
-    durs : float array;
-    mutable head : int;  (* next write slot *)
-    mutable total : int;  (* spans ever recorded *)
-    mutex : Mutex.t;
-  }
-
-  let create ~capacity =
-    let capacity = max 1 capacity in
-    {
-      names = Array.make capacity "";
-      tracks = Array.make capacity 0;
-      traces = Array.make capacity 0;
-      tss = Array.make capacity 0.;
-      durs = Array.make capacity 0.;
-      head = 0;
-      total = 0;
-      mutex = Mutex.create ();
-    }
-
-  let record t ~name ~track ~trace ~ts ~dur =
-    Mutex.lock t.mutex;
-    let i = t.head in
-    t.names.(i) <- name;
-    t.tracks.(i) <- track;
-    t.traces.(i) <- trace;
-    t.tss.(i) <- ts;
-    t.durs.(i) <- dur;
-    t.head <- (if i + 1 = Array.length t.names then 0 else i + 1);
-    t.total <- t.total + 1;
-    Mutex.unlock t.mutex
-
-  let recorded t =
-    Mutex.lock t.mutex;
-    let n = t.total in
-    Mutex.unlock t.mutex;
-    n
-
-  let dropped t =
-    Mutex.lock t.mutex;
-    let n = max 0 (t.total - Array.length t.names) in
-    Mutex.unlock t.mutex;
-    n
-
-  let dump t =
-    Mutex.lock t.mutex;
-    let cap = Array.length t.names in
-    let live = min t.total cap in
-    (* Oldest-first: when full, the oldest surviving span sits at
-       [head]; otherwise the ring starts at slot 0. *)
-    let start = if t.total >= cap then t.head else 0 in
-    let spans =
-      List.init live (fun k ->
-          let i = (start + k) mod cap in
-          {
-            name = t.names.(i);
-            track = t.tracks.(i);
-            trace = t.traces.(i);
-            ts = t.tss.(i);
-            dur = t.durs.(i);
-          })
-    in
-    Mutex.unlock t.mutex;
-    spans
-end
-
-let spans_to_json ?(tracks = []) spans =
-  let names =
-    List.map
-      (fun (tid, label) ->
-        metadata ~name:"thread_name" ~tid
-          ~args:[ ("name", Json.String label) ])
-      tracks
-  in
-  let events =
-    List.map
-      (fun (s : Ring.span) ->
-        complete ~name:s.name ~tid:s.track ~ts:(s.ts *. 1e6)
-          ~dur:(s.dur *. 1e6)
-          ~args:[ ("trace", Json.Int s.trace) ]
-          ())
-      spans
-  in
-  Json.Obj
-    [
-      ("traceEvents", Json.List (names @ events));
-      ("displayTimeUnit", Json.String "ms");
-    ]
+  chrome ~tracks:(gpu_tracks n_sms) ~describe:(gpu_event n_sms) ~scale:1.
+    ?counters:(Option.map counter_events timeline)
+    ~meta:
+      [
+        ("displayTimeUnit", Json.String "ns");
+        ( "otherData",
+          Json.Obj
+            [
+              ("workload", Json.String workload);
+              ("technique", Json.String technique);
+              ("window", Json.Int dump.window);
+              ("dropped", Json.Int dump.dropped);
+            ] );
+      ]
+    (Array.append kernels dump.events)
 
 (* {2 Validation} *)
 

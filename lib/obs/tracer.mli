@@ -1,13 +1,32 @@
-(** Chrome trace-event exporter: renders a {!Repro_gpu.Telemetry.dump}
-    as JSON loadable in Perfetto or [chrome://tracing].
+(** The Chrome trace-event writer: renders {!Repro_util.Event_ring}
+    events as JSON loadable in Perfetto or [chrome://tracing]. It is the
+    one writer for both rings in the system — the simulator's, through
+    {!to_json}, and the serve daemon's request-stage ring ([ctl
+    trace-dump]) — which differ only in the arguments to {!chrome}. *)
+
+val chrome :
+  tracks:(int * string) list ->
+  describe:(Repro_util.Event_ring.event -> string * int * (string * Json.t) list) ->
+  scale:float ->
+  ?counters:Json.t list ->
+  meta:(string * Json.t) list ->
+  Repro_util.Event_ring.event array ->
+  Json.t
+(** [{traceEvents: [...], meta...}]: an ["M"] thread-name event per
+    [tracks] entry (pairs of thread id and display name), then one ["X"]
+    event per ring event, oldest first — [describe] gives its name,
+    thread id and [args]; its [ts] and [dur] are multiplied by [scale]
+    into the format's microseconds — then [counters] verbatim. [meta]
+    supplies the remaining top-level fields (e.g. [displayTimeUnit]). *)
+
+(** {2 The GPU trace}
 
     Track layout (thread ids within one process): tid [0..n_sms-1] are
     the SMs (stall intervals and L1 accesses), tid [n_sms] is L2, tid
-    [n_sms+1] is DRAM, tid [n_sms+2] carries the kernel launch spans.
-    Thread names are emitted as ["M"] metadata events so Perfetto labels
-    the tracks. When a {!Timeline.t} is supplied, its derived per-window
-    rates are added as ["C"] counter tracks (IPC, hit rates, DRAM
-    sectors per cycle). *)
+    [n_sms+1] is DRAM, tid [n_sms+2] carries the kernel launch spans,
+    tid [n_sms+3] the TLB walks. When a {!Timeline.t} is supplied, its
+    derived per-window rates are added as ["C"] counter tracks (IPC, hit
+    rates, DRAM sectors per cycle). *)
 
 val to_json :
   ?timeline:Timeline.t ->
@@ -23,47 +42,3 @@ val validate : Json.t -> (unit, string) result
     {["X"; "C"; "M"]}, integer [pid]/[tid], a numeric [ts], and — for
     ["X"] phases — a numeric [dur >= 0]. Used by the round-trip tests
     and [repro trace] before writing the file. *)
-
-(** {2 Span ring} — the serve daemon's request-stage spans.
-
-    A bounded, drop-oldest ring of named spans, the service-side
-    counterpart of {!Repro_gpu.Telemetry}'s event ring: pre-sized
-    flat arrays (one per span component), so {!Ring.record} allocates
-    nothing on the request path; overflow overwrites the oldest span and
-    is tallied, never grows. Writers from the daemon's event thread and
-    worker Domains are serialized by an internal mutex. *)
-
-module Ring : sig
-  type span = {
-    name : string;   (** stage, e.g. ["run"] — callers pass literals *)
-    track : int;     (** 0 = event thread, 1..W = worker Domains *)
-    trace : int;     (** request trace id *)
-    ts : float;      (** seconds since server start *)
-    dur : float;     (** seconds *)
-  }
-
-  type t
-
-  val create : capacity:int -> t
-  (** [capacity] is clamped to at least 1. *)
-
-  val record :
-    t -> name:string -> track:int -> trace:int -> ts:float -> dur:float ->
-    unit
-  (** Allocation-free. *)
-
-  val recorded : t -> int
-  (** Spans ever recorded (including overwritten ones). *)
-
-  val dropped : t -> int
-  (** [max 0 (recorded - capacity)]. *)
-
-  val dump : t -> span list
-  (** Surviving spans, oldest first. *)
-end
-
-val spans_to_json : ?tracks:(int * string) list -> Ring.span list -> Json.t
-(** Chrome trace-event JSON (loads in Perfetto, passes {!validate}):
-    one ["X"] event per span — [ts]/[dur] in microseconds, the trace id
-    in [args.trace] — plus ["M"] thread-name metadata for [tracks]
-    (pairs of track id and display name). *)

@@ -18,7 +18,8 @@ module Config = Repro_gpu.Config
 module Label = Repro_gpu.Label
 module Stats = Repro_gpu.Stats
 module Trace = Repro_gpu.Trace
-module Ring = Repro_gpu.Telemetry.Ring
+module Telemetry = Repro_gpu.Telemetry
+module Event_ring = Repro_util.Event_ring
 module Page_table = Repro_vm.Page_table
 module Vm = Repro_vm.Vm
 
@@ -96,9 +97,8 @@ type t = {
   xlat : xlat option;
 }
 
-type event = int * int * int * int * float * float
-(* kind, track, arg_a, arg_b, absolute start, duration — the layout of
-   [Telemetry.Ring.to_events]. *)
+type event = Event_ring.event
+(* Absolute start times, as [Event_ring.events] reports them. *)
 
 (* A cold machine. [vm] is the page table and TLB configuration to
    translate through, or [None] for untranslated replay. *)
@@ -176,7 +176,9 @@ let launch m ~window ~base ~stats traces =
   let l2_free = ref 0. and dram_free = ref 0. in
   let events = ref [] in
   let record kind track a b ts dur =
-    events := (kind, track, a, b, base +. ts, dur) :: !events
+    events :=
+      { Event_ring.kind; track; arg_a = a; arg_b = b; ts = base +. ts; dur }
+      :: !events
   in
   (* Window rows, newest first. *)
   let rows = ref [ Stats.create () ] in
@@ -277,7 +279,7 @@ let launch m ~window ~base ~stats traces =
                  | L2_hit -> Stats.count_tlb_l2_hit st
                  | Walk levels ->
                    Stats.count_tlb_walk st tx;
-                   record Ring.kind_tlb sm levels sector t0 tx);
+                   record Telemetry.kind_tlb sm levels sector t0 tx);
                 t0 +. tx
             in
             if op = Trace.op_load then begin
@@ -290,23 +292,23 @@ let launch m ~window ~base ~stats traces =
                   let l1_lat = float_of_int cfg.Config.l1_latency in
                   if cache_access m.l1s.(sm) sector then begin
                     Stats.count_l1 st ~hit:true;
-                    record Ring.kind_l1 sm 1 sector t1 l1_lat;
+                    record Telemetry.kind_l1 sm 1 sector t1 l1_lat;
                     compl := Float.max !compl (t1 +. l1_lat)
                   end
                   else begin
                     Stats.count_l1 st ~hit:false;
-                    record Ring.kind_l1 sm 0 sector t1 0.;
+                    record Telemetry.kind_l1 sm 0 sector t1 0.;
                     let t2 = Float.max (t1 +. l1_lat) !l2_free in
                     l2_free := t2 +. (1. /. cfg.Config.l2_sector_throughput);
                     let l2_lat = float_of_int cfg.Config.l2_latency in
                     if cache_access m.l2 sector then begin
                       Stats.count_l2 st ~hit:true;
-                      record Ring.kind_l2 sm 1 sector t2 l2_lat;
+                      record Telemetry.kind_l2 sm 1 sector t2 l2_lat;
                       compl := Float.max !compl (t2 +. l2_lat)
                     end
                     else begin
                       Stats.count_l2 st ~hit:false;
-                      record Ring.kind_l2 sm 0 sector t2 0.;
+                      record Telemetry.kind_l2 sm 0 sector t2 0.;
                       (* The 64 B DRAM fill: both sectors of the pair. *)
                       Stats.count_dram_sector st;
                       Stats.count_dram_sector st;
@@ -315,7 +317,7 @@ let launch m ~window ~base ~stats traces =
                       dram_free :=
                         t3 +. (2. /. cfg.Config.dram_sector_throughput);
                       let dram_lat = float_of_int cfg.Config.dram_latency in
-                      record Ring.kind_dram sm 2 sector t3 dram_lat;
+                      record Telemetry.kind_dram sm 2 sector t3 dram_lat;
                       compl := Float.max !compl (t3 +. dram_lat)
                     end
                   end)
@@ -329,13 +331,13 @@ let launch m ~window ~base ~stats traces =
                   let t2 = Float.max (translated sector) !l2_free in
                   l2_free := t2 +. (1. /. cfg.Config.l2_sector_throughput);
                   if cache_access m.l2 sector then
-                    record Ring.kind_l2 sm 3 sector t2 0.
+                    record Telemetry.kind_l2 sm 3 sector t2 0.
                   else begin
-                    record Ring.kind_l2 sm 2 sector t2 0.;
+                    record Telemetry.kind_l2 sm 2 sector t2 0.;
                     Stats.count_dram_sector st;
                     let t3 = Float.max t2 !dram_free in
                     dram_free := t3 +. (1. /. cfg.Config.dram_sector_throughput);
-                    record Ring.kind_dram sm 1 sector t3 0.
+                    record Telemetry.kind_dram sm 1 sector t3 0.
                   end)
                 sectors;
               issue +. slots
@@ -358,7 +360,8 @@ let launch m ~window ~base ~stats traces =
         if stall > 0. then begin
           Stats.attribute_stall st (Label.of_index lbl) stall;
           events :=
-            (Ring.kind_stall, sm, lbl, w, base +. issue +. slots, stall)
+            { Event_ring.kind = Telemetry.kind_stall; track = sm; arg_a = lbl;
+              arg_b = w; ts = base +. issue +. slots; dur = stall }
             :: !events
         end;
         push next_ready w

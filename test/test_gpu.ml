@@ -508,7 +508,7 @@ let replay_minor_words ?vm ?telemetry traces =
     Option.iter
       (fun tel ->
         Option.iter
-          (fun r -> Telemetry.Ring.begin_launch r ~base:0.)
+          (fun r -> Repro_util.Event_ring.begin_launch r ~base:0.)
           tel.Telemetry.ring)
       telemetry;
     ignore (Sm.run ?telemetry cfg mp ~stats ~traces)
@@ -652,7 +652,7 @@ let replay_sm (cfg, vcfg) ~policy ~ring ~window launches =
         Option.iter
           (fun tel ->
             Option.iter
-              (fun r -> Telemetry.Ring.begin_launch r ~base:!base)
+              (fun r -> Repro_util.Event_ring.begin_launch r ~base:!base)
               tel.Telemetry.ring;
             Option.iter Telemetry.Sampler.begin_launch tel.Telemetry.sampler)
           telemetry;
@@ -671,7 +671,7 @@ let replay_sm (cfg, vcfg) ~policy ~ring ~window launches =
   let events =
     match telemetry with
     | Some { Telemetry.ring = Some r; _ } ->
-      Array.to_list (Telemetry.Ring.to_events r)
+      Array.to_list (Repro_util.Event_ring.events r)
     | Some _ | None -> []
   in
   Marshal.to_string (per_launch, Stats.to_raw stats, events) [ Marshal.No_sharing ]
@@ -744,27 +744,27 @@ let test_set_vm_checks_n_sms () =
     [ cfg.Config.n_sms - 1; cfg.Config.n_sms + 1 ]
 
 let test_ring_drop_oldest () =
-  let r = Telemetry.Ring.create ~capacity:4 in
-  Telemetry.Ring.begin_launch r ~base:0.;
+  let module R = Repro_util.Event_ring in
+  let r = R.create ~capacity:4 in
+  R.begin_launch r ~base:0.;
   for i = 0 to 5 do
-    Telemetry.Ring.record r ~kind:Telemetry.Ring.kind_stall ~track:0 ~a:i ~b:i
+    R.record r ~kind:Telemetry.kind_stall ~track:0 ~a:i ~b:i
       ~ts:(float_of_int i) ~dur:1.
   done;
-  check Alcotest.int "len capped at capacity" 4 (Telemetry.Ring.length r);
-  check Alcotest.int "two dropped" 2 (Telemetry.Ring.take_dropped r);
-  check Alcotest.int "take_dropped resets" 0 (Telemetry.Ring.take_dropped r);
-  check Alcotest.int "all_dropped persists" 2 (Telemetry.Ring.all_dropped r);
-  let evs = Telemetry.Ring.to_events r in
+  check Alcotest.int "len capped at capacity" 4 (R.length r);
+  check Alcotest.int "two dropped" 2 (R.take_dropped r);
+  check Alcotest.int "take_dropped resets" 0 (R.take_dropped r);
+  check Alcotest.int "all_dropped persists" 2 (R.all_dropped r);
+  let evs = R.events r in
   check Alcotest.int "four buffered" 4 (Array.length evs);
   (* The two oldest (a = 0, 1) were overwritten; the survivors come out
      oldest-first. *)
   Array.iteri
-    (fun j (_, _, a, _, ts, _) ->
-      check Alcotest.int "survivor payload" (j + 2) a;
-      check Alcotest.bool "survivor timestamp" true (ts = float_of_int (j + 2)))
+    (fun j (e : R.event) ->
+      check Alcotest.int "survivor payload" (j + 2) e.arg_a;
+      check Alcotest.bool "survivor timestamp" true (e.ts = float_of_int (j + 2)))
     evs;
-  check Alcotest.bool "max_end covers last event" true
-    (Telemetry.Ring.max_end r = 6.)
+  check Alcotest.bool "max_end covers last event" true (R.max_end r = 6.)
 
 let suite =
   [

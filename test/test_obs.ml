@@ -345,19 +345,16 @@ let test_trace_events_within_kernel_spans () =
     (List.length r.W.Harness.kernel_stats)
     (List.length spans);
   Array.iter
-    (fun (e : Repro_gpu.Telemetry.event) ->
+    (fun (e : Repro_util.Event_ring.event) ->
       let contained =
         List.exists
           (fun (k : Repro_gpu.Telemetry.kernel_span) ->
-            k.Repro_gpu.Telemetry.start <= e.Repro_gpu.Telemetry.ts
-            && e.Repro_gpu.Telemetry.ts +. e.Repro_gpu.Telemetry.dur
-               <= k.Repro_gpu.Telemetry.start +. k.Repro_gpu.Telemetry.dur)
+            k.start <= e.ts && e.ts +. e.dur <= k.start +. k.dur)
           spans
       in
       if not contained then
         Alcotest.failf "event (kind %d) at ts=%g dur=%g outside every kernel span"
-          e.Repro_gpu.Telemetry.kind e.Repro_gpu.Telemetry.ts
-          e.Repro_gpu.Telemetry.dur)
+          e.kind e.ts e.dur)
     dump.Repro_gpu.Telemetry.events
 
 let test_trace_dropped_counter () =
@@ -702,25 +699,39 @@ let test_log_level_filtering () =
 
 (* --- span ring ------------------------------------------------------------ *)
 
+(* The daemon's use of the one event ring: a span per stage, kind = the
+   stage index, arg_a = the trace id, seconds on the clock. *)
 let test_span_ring () =
-  let ring = O.Tracer.Ring.create ~capacity:4 in
-  check Alcotest.bool "empty dump" true (O.Tracer.Ring.dump ring = []);
+  let module R = Repro_util.Event_ring in
+  let ring = R.create ~capacity:4 in
+  check Alcotest.int "empty dump" 0 (Array.length (R.events ring));
+  let run = Svc.stage_index Svc.Run in
   for i = 1 to 6 do
-    O.Tracer.Ring.record ring ~name:"stage" ~track:0 ~trace:i
-      ~ts:(float_of_int i) ~dur:0.5
+    R.record ring ~kind:run ~track:0 ~a:i ~b:0 ~ts:(float_of_int i) ~dur:0.5
   done;
-  check Alcotest.int "recorded counts overwrites" 6
-    (O.Tracer.Ring.recorded ring);
-  check Alcotest.int "dropped = recorded - capacity" 2
-    (O.Tracer.Ring.dropped ring);
-  let spans = O.Tracer.Ring.dump ring in
-  check Alcotest.int "capacity survivors" 4 (List.length spans);
+  check Alcotest.int "survivors plus drops count every record" 6
+    (R.length ring + R.all_dropped ring);
+  check Alcotest.int "dropped = recorded - capacity" 2 (R.all_dropped ring);
+  let spans = R.events ring in
+  check Alcotest.int "capacity survivors" 4 (Array.length spans);
   check Alcotest.bool "oldest first, newest kept" true
-    (List.map (fun s -> s.O.Tracer.Ring.trace) spans = [ 3; 4; 5; 6 ]);
-  let j = O.Tracer.spans_to_json ~tracks:[ (0, "events") ] spans in
-  match O.Tracer.validate j with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "span trace fails validation: %s" msg
+    (Array.to_list (Array.map (fun (e : R.event) -> e.arg_a) spans)
+     = [ 3; 4; 5; 6 ]);
+  let j =
+    O.Tracer.chrome ~tracks:[ (0, "events") ] ~scale:1e6 ~meta:[]
+      ~describe:(fun (e : R.event) ->
+        (Svc.stage_name e.kind, e.track, [ ("trace", O.Json.Int e.arg_a) ]))
+      spans
+  in
+  (match O.Tracer.validate j with
+   | Ok () -> ()
+   | Error msg -> Alcotest.failf "span trace fails validation: %s" msg);
+  match Option.bind (O.Json.member "traceEvents" j) O.Json.list_opt with
+  | Some (_ :: first :: _) ->
+    check Alcotest.bool "named by stage, microseconds" true
+      (O.Json.member "name" first = Some (O.Json.String "run")
+       && O.Json.member "ts" first = Some (O.Json.Float 3e6))
+  | _ -> Alcotest.fail "no span events"
 
 (* --- the request-path allocation discipline ------------------------------- *)
 
@@ -732,9 +743,9 @@ let test_obs_zero_allocation () =
      iterations may not allocate more than a constant slack over 0 (a
      per-event box would show up as >= 20k words). *)
   let h = Hist.create () in
-  let ring = O.Tracer.Ring.create ~capacity:64 in
+  let ring = Repro_util.Event_ring.create ~capacity:64 in
   Hist.record h 0.001;
-  O.Tracer.Ring.record ring ~name:"warm" ~track:0 ~trace:0 ~ts:0. ~dur:0.;
+  Repro_util.Event_ring.record ring ~kind:0 ~track:0 ~a:0 ~b:0 ~ts:0. ~dur:0.;
   O.Log.log O.Log.null O.Log.Error "warm" [];
   let svc = Svc.create () in
   Svc.incr svc Svc.requests;
@@ -747,8 +758,8 @@ let test_obs_zero_allocation () =
   let ring_w =
     words (fun () ->
         for _ = 1 to 10_000 do
-          O.Tracer.Ring.record ring ~name:"s" ~track:1 ~trace:2 ~ts:0.1
-            ~dur:0.2
+          Repro_util.Event_ring.record ring ~kind:4 ~track:1 ~a:2 ~b:0
+            ~ts:0.1 ~dur:0.2
         done)
   in
   let log_w =

@@ -166,13 +166,19 @@ let sample_svc () =
   (svc, stages)
 
 let sample_trace () =
-  let ring = O.Tracer.Ring.create ~capacity:8 in
-  O.Tracer.Ring.record ring ~name:"decode" ~track:0 ~trace:1 ~ts:0.001
+  let module S = O.Svc_metrics in
+  let module R = Repro_util.Event_ring in
+  let ring = R.create ~capacity:8 in
+  R.record ring ~kind:(S.stage_index S.Decode) ~track:0 ~a:1 ~b:0 ~ts:0.001
     ~dur:0.0002;
-  O.Tracer.Ring.record ring ~name:"run" ~track:1 ~trace:1 ~ts:0.002 ~dur:0.05;
-  O.Tracer.spans_to_json
+  R.record ring ~kind:(S.stage_index S.Run) ~track:1 ~a:1 ~b:0 ~ts:0.002
+    ~dur:0.05;
+  O.Tracer.chrome
     ~tracks:[ (0, "events"); (1, "worker 1") ]
-    (O.Tracer.Ring.dump ring)
+    ~describe:(fun (e : R.event) ->
+      (S.stage_name e.kind, e.track, [ ("trace", J.Int e.arg_a) ]))
+    ~scale:1e6 ~meta:[ ("displayTimeUnit", J.String "ms") ]
+    (R.events ring)
 
 let sample_responses () =
   let run = Lazy.force tiny_run in
@@ -605,11 +611,40 @@ let test_batch_error_reporting () =
             && contains ~sub:{|unknown workload "NOPE"|} message)
        | Ok _ -> Alcotest.fail "bad batch was accepted"
        | Error msg -> Alcotest.failf "recv failed: %s" msg);
+      (* Out-of-range numbers are rejected by [Spec.to_params] with the
+         field named, before anything runs or reaches the cache. The raw
+         lines spell what the encoder cannot (1e400 parses to infinity). *)
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let ic = Unix.in_channel_of_descr fd
+      and oc = Unix.out_channel_of_descr fd in
+      List.iter
+        (fun (field, expect) ->
+          Printf.fprintf oc
+            {|{"v":2,"type":"submit","id":"r","jobs":[{"workload":"TRAF","technique":"tp",%s}]}|}
+            field;
+          output_char oc '\n';
+          flush oc;
+          match X.Response.of_line (input_line ic) with
+          | Ok (X.Response.Error { message }) ->
+            check Alcotest.bool (field ^ " rejected: " ^ message) true
+              (contains ~sub:("jobs[0]: " ^ expect) message)
+          | Ok _ -> Alcotest.failf "%s was accepted" field
+          | Error msg -> Alcotest.failf "undecodable reply: %s" msg)
+        [ ({|"scale":-1|}, "scale must be finite and > 0");
+          ({|"scale":0|}, "scale must be finite and > 0");
+          ({|"scale":1e400|}, "scale must be finite and > 0");
+          ({|"iterations":0|}, "iterations must be >= 1");
+          ({|"iterations":-5|}, "iterations must be >= 1");
+          ({|"chunk_objs":0|}, "chunk_objs must be >= 1") ];
+      close_in ic;
       (* The connection survives a rejected batch. *)
       X.Server.Client.send c X.Request.Ping;
       (match X.Server.Client.recv c with
        | Ok X.Response.Pong -> ()
        | _ -> Alcotest.fail "connection died after a rejected batch");
+      check Alcotest.int "nothing was submitted" 0
+        (server_stats socket).X.Response.submitted;
       X.Server.Client.close c)
 
 (* --- line framing ------------------------------------------------------------ *)
@@ -643,6 +678,86 @@ let prop_feed_chunking =
       in
       lines (X.Session.create ~id:0 Unix.stdin) [ stream ]
       = lines (X.Session.create ~id:1 Unix.stdin) chunks)
+
+(* --- fuzz: the decoder answers every line, never raises ------------------ *)
+
+let decodes_or_errs line =
+  match X.Request.of_line line with Ok _ | Error _ -> true
+
+let prop_of_line_bytes =
+  QCheck.Test.make ~count:1000 ~name:"of_line never raises on arbitrary bytes"
+    QCheck.(
+      oneof
+        [ string;
+          string_gen_of_size (Gen.int_bound 120)
+            (Gen.oneofl
+               [ '{'; '}'; '['; ']'; '"'; ':'; ','; '\\'; 'u'; '0'; '9'; '-';
+                 'e'; '.'; 'v'; 'n'; 't'; ' ' ]) ])
+    decodes_or_errs
+
+(* Every valid request line, cut short or with one byte replaced. *)
+let prop_of_line_mutations =
+  let valid = Array.of_list (List.map X.Request.to_line sample_requests) in
+  QCheck.Test.make ~count:1000
+    ~name:"of_line never raises on truncated or mutated requests"
+    QCheck.(
+      make ~print:Fun.id
+        Gen.(
+          let* line = oneofa valid in
+          let n = String.length line in
+          let* cut = int_bound n in
+          let* i = int_bound (n - 1) in
+          let* c = char in
+          let* truncate = bool in
+          return
+            (if truncate then String.sub line 0 cut
+             else String.mapi (fun j x -> if j = i then c else x) line)))
+    decodes_or_errs
+
+(* Arrays and objects nested as deep as a line may be long. *)
+let nested ~kind depth =
+  match kind with
+  | `Open -> String.make depth '['
+  | `Arrays -> String.make depth '[' ^ String.make depth ']'
+  | `Objects ->
+    let b = Buffer.create ((6 * depth) + 1) in
+    for _ = 1 to depth do Buffer.add_string b {|{"v":|} done;
+    Buffer.add_char b '2';
+    Buffer.add_string b (String.make depth '}');
+    Buffer.contents b
+
+let prop_of_line_nesting =
+  let cap = X.Session.max_line_bytes in
+  QCheck.Test.make ~count:40 ~name:"of_line never raises on deep nesting"
+    QCheck.(
+      make
+        ~print:(fun (k, d) ->
+          Printf.sprintf "%s x%d"
+            (match k with `Open -> "[" | `Arrays -> "[]" | `Objects -> "{}")
+            d)
+        Gen.(
+          let* kind = oneofl [ `Open; `Arrays; `Objects ] in
+          let per_level = match kind with `Open -> 1 | `Arrays -> 2 | `Objects -> 6 in
+          let* depth =
+            oneof [ int_range 1 64; int_range 1 ((cap - 1) / per_level) ]
+          in
+          return (kind, depth)))
+    (fun (kind, depth) -> decodes_or_errs (nested ~kind depth))
+
+(* The extremes, pinned: a full line of open brackets is an error, and so
+   are the deepest closed nests that still fit in a line. *)
+let test_of_line_nesting_at_cap () =
+  let cap = X.Session.max_line_bytes in
+  List.iter
+    (fun (label, line) ->
+      check Alcotest.bool (label ^ " fits in a line") true
+        (String.length line <= cap);
+      match X.Request.of_line line with
+      | Ok _ -> Alcotest.failf "%s decoded as a request" label
+      | Error _ -> ())
+    [ ("1 MiB of [", nested ~kind:`Open cap);
+      ("nested arrays", nested ~kind:`Arrays (cap / 2));
+      ("nested objects", nested ~kind:`Objects ((cap - 1) / 6)) ]
 
 (* A line longer than the cap is answered with an error and a close as
    soon as its bytes pass the cap, newline or not; the daemon serves the
@@ -792,6 +907,135 @@ let test_trace_dump_live () =
        | Error msg -> Alcotest.failf "recv failed: %s" msg);
       X.Server.Client.close c)
 
+(* Overlapping jobs on two workers: every span in the dump names its
+   stage and sits on the right track — the worker stages of each request
+   on the track of the worker that ran its job, everything else on the
+   event thread's — and the stage histograms count exactly the spans. *)
+let test_trace_dump_tracks_workers () =
+  let lock = Mutex.create () in
+  let ran = Hashtbl.create 8 in  (* job key -> domain that ran it *)
+  let run = Lazy.force tiny_run in
+  let runner (job : X.Job.t) =
+    Mutex.lock lock;
+    Hashtbl.replace ran (X.Job.key job) (Domain.self () :> int);
+    Mutex.unlock lock;
+    Thread.delay 0.1;
+    Ok run
+  in
+  let jobs = 4 in
+  with_server ~runner ~workers:2 ~cache:true ~obs:(X.Server.obs_default ())
+    (fun socket ->
+      let c = client socket in
+      (* One submit line per job, all before any answer: request line i
+         gets trace id i, and the jobs overlap on the two workers. *)
+      for i = 1 to jobs do
+        submit c ~id:(string_of_int i) [ spec_n i ]
+      done;
+      let rec await n =
+        if n > 0 then
+          match X.Server.Client.recv c with
+          | Ok (X.Response.Batch_done _) -> await (n - 1)
+          | Ok _ -> await n
+          | Error msg -> Alcotest.failf "recv failed: %s" msg
+      in
+      await jobs;
+      X.Server.Client.send c X.Request.Stats;
+      let stages =
+        match X.Server.Client.recv c with
+        | Ok (X.Response.Server_stats s) -> s.X.Response.stages
+        | _ -> Alcotest.fail "no stats"
+      in
+      X.Server.Client.send c X.Request.Trace_dump;
+      let trace =
+        match X.Server.Client.recv c with
+        | Ok (X.Response.Trace_dump { trace; dropped; _ }) ->
+          check Alcotest.int "nothing dropped" 0 dropped;
+          trace
+        | _ -> Alcotest.fail "no trace dump"
+      in
+      X.Server.Client.close c;
+      let spans =
+        Option.bind (J.member "traceEvents" trace) J.list_opt
+        |> Option.value ~default:[]
+        |> List.filter_map (fun ev ->
+               match
+                 ( J.member "ph" ev, J.member "name" ev, J.member "tid" ev,
+                   Option.bind (J.member "args" ev) (J.member "trace") )
+               with
+               | ( Some (J.String "X"), Some (J.String name), Some (J.Int tid),
+                   Some (J.Int trace) ) ->
+                 Some (name, tid, trace)
+               | _ -> None)
+      in
+      let worker_stage name =
+        List.mem name [ "queued"; "cache_probe"; "run" ]
+      in
+      List.iter
+        (fun (name, tid, trace) ->
+          check Alcotest.bool (name ^ " is a stage") true
+            (List.mem name O.Svc_metrics.stage_names);
+          if worker_stage name then
+            check Alcotest.bool
+              (Printf.sprintf "%s of trace %d on a worker track" name trace)
+              true
+              (tid = 1 || tid = 2)
+          else check Alcotest.int (name ^ " on the event thread") 0 tid)
+        spans;
+      (* The track of each job: all its worker stages agree on it, and
+         two jobs share a track exactly when one domain ran both. *)
+      let track_of trace =
+        match
+          List.sort_uniq compare
+            (List.filter_map
+               (fun (name, tid, t) ->
+                 if t = trace && worker_stage name then Some tid else None)
+               spans)
+        with
+        | [ tid ] -> tid
+        | tids ->
+          Alcotest.failf "trace %d has worker stages on %d tracks" trace
+            (List.length tids)
+      in
+      let domain_of i =
+        match X.Request.Spec.resolve (spec_n i) with
+        | Ok job -> Hashtbl.find ran (X.Job.key job)
+        | Error msg -> Alcotest.fail msg
+      in
+      for i = 1 to jobs do
+        List.iter
+          (fun stage ->
+            check Alcotest.int
+              (Printf.sprintf "trace %d has one %s span" i stage)
+              1
+              (List.length
+                 (List.filter (fun (n, _, t) -> n = stage && t = i) spans)))
+          [ "queued"; "cache_probe"; "run" ];
+        for j = 1 to jobs do
+          check Alcotest.bool
+            (Printf.sprintf "jobs %d and %d: same track iff same worker" i j)
+            (domain_of i = domain_of j)
+            (track_of i = track_of j)
+        done
+      done;
+      check Alcotest.bool "both workers ran jobs" true
+        (List.exists (fun i -> track_of i = 1) (List.init jobs succ)
+         && List.exists (fun i -> track_of i = 2) (List.init jobs succ));
+      (* The stats probe snapshots before its own encode and request
+         records; the dump, one request later, also holds those two and
+         its own decode. Every other stage matches exactly. *)
+      List.iter
+        (fun name ->
+          let spans_named =
+            List.length (List.filter (fun (n, _, _) -> n = name) spans)
+          in
+          let later = if List.mem name [ "decode"; "encode"; "request" ] then 1 else 0 in
+          match List.assoc_opt name stages with
+          | Some h ->
+            check Alcotest.int (name ^ ": histogram counts the spans")
+              spans_named (O.Hist.count h + later)
+          | None -> Alcotest.failf "no %s histogram" name)
+        O.Svc_metrics.stage_names)
+
 (* ...and an obs-off daemon says so instead of returning an empty one. *)
 let test_trace_dump_disabled () =
   with_server (fun socket ->
@@ -929,6 +1173,11 @@ let suite =
     Alcotest.test_case "batch errors name the job; connection survives" `Quick
       test_batch_error_reporting;
     QCheck_alcotest.to_alcotest prop_feed_chunking;
+    QCheck_alcotest.to_alcotest prop_of_line_bytes;
+    QCheck_alcotest.to_alcotest prop_of_line_mutations;
+    QCheck_alcotest.to_alcotest prop_of_line_nesting;
+    Alcotest.test_case "of_line rejects nesting at the line cap" `Quick
+      test_of_line_nesting_at_cap;
     Alcotest.test_case "oversized request line is rejected and closed" `Quick
       test_oversized_line_rejected;
     Alcotest.test_case "stats wire form unchanged with obs off" `Quick
@@ -941,6 +1190,8 @@ let suite =
       test_trace_dump_live;
     Alcotest.test_case "trace-dump errors cleanly when disabled" `Quick
       test_trace_dump_disabled;
+    Alcotest.test_case "trace-dump puts each stage on its worker's track"
+      `Quick test_trace_dump_tracks_workers;
     Alcotest.test_case
       "a raising runner fails its job and the daemon keeps serving" `Quick
       test_raising_runner;

@@ -3,7 +3,6 @@
 module Rng = Repro_util.Rng
 module Mathx = Repro_util.Mathx
 module Vec = Repro_util.Vec
-module Heap = Repro_util.Heap
 
 let check = Alcotest.check
 
@@ -99,62 +98,6 @@ let test_vec_roundtrip () =
   let a = [| 3; 1; 4; 1; 5 |] in
   check (Alcotest.array Alcotest.int) "of/to array" a (Vec.to_array (Vec.of_array a))
 
-let test_heap_orders () =
-  let h = Heap.create () in
-  List.iter (fun (k, v) -> Heap.push h ~key:k v) [ (3., "c"); (1., "a"); (2., "b") ];
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> "" in
-  check Alcotest.string "min first" "a" (pop ());
-  check Alcotest.string "then b" "b" (pop ());
-  check Alcotest.string "then c" "c" (pop ());
-  check Alcotest.bool "empty" true (Heap.is_empty h)
-
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  List.iter (fun v -> Heap.push h ~key:1. v) [ 1; 2; 3 ];
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> -1 in
-  (* Bind sequentially: list literals evaluate right-to-left. *)
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  check (Alcotest.list Alcotest.int) "insertion order on ties" [ 1; 2; 3 ]
-    [ first; second; third ]
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap pops keys in nondecreasing order" ~count:200
-    QCheck.(list (float_bound_exclusive 1000.))
-    (fun keys ->
-      let h = Heap.create () in
-      List.iter (fun k -> Heap.push h ~key:k ()) keys;
-      let rec drain prev =
-        match Heap.pop h with
-        | None -> true
-        | Some (k, ()) -> k >= prev && drain k
-      in
-      drain neg_infinity)
-
-(* The full ordering contract: pops come out sorted by (key, insertion
-   sequence) lexicographically, i.e. exactly a stable sort of the pushed
-   values by key. Keys are drawn from a tiny set so ties are common —
-   the FIFO tie-break is the contract Sm.run's warp schedule follows
-   (DESIGN.md §4) and the sweep executor's determinism rests on. *)
-let prop_heap_lexicographic =
-  QCheck.Test.make ~name:"heap pop order is lexicographic in (key, seq)"
-    ~count:300
-    QCheck.(list (int_bound 4))
-    (fun keys ->
-      let h = Heap.create () in
-      List.iteri (fun i k -> Heap.push h ~key:(float_of_int k) i) keys;
-      let rec drain acc =
-        match Heap.pop h with
-        | None -> List.rev acc
-        | Some (k, v) -> drain ((k, v) :: acc)
-      in
-      let expected =
-        List.mapi (fun i k -> (float_of_int k, i)) keys
-        |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-      in
-      drain [] = expected)
-
 let prop_rng_int_uniform_range =
   QCheck.Test.make ~name:"rng int stays in range" ~count:500
     QCheck.(pair small_nat (int_bound 1000))
@@ -185,10 +128,6 @@ let suite =
     Alcotest.test_case "mathx int helpers" `Quick test_mathx_int_helpers;
     Alcotest.test_case "vec basics" `Quick test_vec_basics;
     Alcotest.test_case "vec roundtrip" `Quick test_vec_roundtrip;
-    Alcotest.test_case "heap orders" `Quick test_heap_orders;
-    Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
-    QCheck_alcotest.to_alcotest prop_heap_sorted;
-    QCheck_alcotest.to_alcotest prop_heap_lexicographic;
     QCheck_alcotest.to_alcotest prop_rng_int_uniform_range;
     QCheck_alcotest.to_alcotest prop_vec_push_get;
   ]
