@@ -71,7 +71,7 @@ let key t =
 
 (* Bump whenever [Harness.run] (or anything Marshal reaches through it)
    changes shape: old cache entries become unreachable, not corrupt. *)
-let schema_version = "repro-exec-v6"
+let schema_version = "repro-exec-v7"
 
 let hash t = Digest.to_hex (Digest.string (schema_version ^ "\n" ^ key t))
 

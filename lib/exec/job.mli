@@ -41,9 +41,14 @@ val key : t -> string
     attached. Equal keys mean the measurement is reproducibly
     identical. *)
 
+val schema_version : string
+(** The result cache's format version. Cache entries are [Marshal]ed
+    {!Repro_workloads.Harness.run}s, so it must change whenever their
+    runtime layout does (a test pins [Stats.t]'s). *)
+
 val hash : t -> string
-(** Hex digest of {!key} plus the cache schema version; the on-disk
-    cache file name. *)
+(** Hex digest of {!key} plus {!schema_version}; the on-disk cache file
+    name. *)
 
 val cacheable : t -> bool
 (** False when [params.config] carries a custom GPU configuration

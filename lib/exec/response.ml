@@ -8,123 +8,20 @@ module Svc = Repro_obs.Svc_metrics
 
 (* --- Stats wire form ------------------------------------------------------
 
-   Scalar counters are plain fields; the two label-indexed arrays and the
-   violation-kind array are objects keyed by slug with zero entries
+   [Stats]' counter table declares the form (see [Json.of_counters]):
+   scalars by wire key, then the two label-indexed families and the
+   violation-kind family as objects keyed by slug with zero entries
    omitted, so the format survives enum reordering and stays readable.
    Ints ride as JSON ints and floats in the shortest-exact form, so a
    decoded snapshot equals the original bit for bit. *)
 
-let label_of_slug =
-  let table = List.map (fun l -> (G.Label.slug l, l)) G.Label.all in
-  fun slug ->
-    match List.assoc_opt slug table with
-    | Some l -> l
-    | None -> D.fail (Printf.sprintf "unknown label slug %S" slug)
-
-let kind_of_slug =
-  let table =
-    List.map
-      (fun k -> (Repro_san.Violation.kind_slug k, k))
-      Repro_san.Violation.kinds
-  in
-  fun slug ->
-    match List.assoc_opt slug table with
-    | Some k -> k
-    | None -> D.fail (Printf.sprintf "unknown violation slug %S" slug)
-
-let slugged_floats slugs index arr =
-  J.Obj
-    (List.filter_map
-       (fun s ->
-         let v = arr.(index s) in
-         if v = 0. then None else Some (s, J.Float v))
-       slugs)
-
-let slugged_ints slugs index arr =
-  J.Obj
-    (List.filter_map
-       (fun s ->
-         let v = arr.(index s) in
-         if v = 0 then None else Some (s, J.Int v))
-       slugs)
-
-let label_slugs = List.map G.Label.slug G.Label.all
-let kind_slugs = List.map Repro_san.Violation.kind_slug Repro_san.Violation.kinds
-
-let stats_to_json stats =
-  let r = G.Stats.to_raw stats in
-  let label_index s = G.Label.to_index (label_of_slug s) in
-  let kind_index s = Repro_san.Violation.kind_index (kind_of_slug s) in
-  J.Obj
-    [
-      ("cycles", J.Float r.G.Stats.cycles);
-      ("mem_instrs", J.Int r.G.Stats.mem_instrs);
-      ("compute_instrs", J.Int r.G.Stats.compute_instrs);
-      ("ctrl_instrs", J.Int r.G.Stats.ctrl_instrs);
-      ("load_transactions", J.Int r.G.Stats.load_transactions);
-      ("store_transactions", J.Int r.G.Stats.store_transactions);
-      ("l1_hits", J.Int r.G.Stats.l1_hits);
-      ("l1_misses", J.Int r.G.Stats.l1_misses);
-      ("l2_hits", J.Int r.G.Stats.l2_hits);
-      ("l2_misses", J.Int r.G.Stats.l2_misses);
-      ("dram_sectors", J.Int r.G.Stats.dram_sectors);
-      ("trace_dropped", J.Int r.G.Stats.trace_dropped);
-      ("tlb_l1_hits", J.Int r.G.Stats.tlb_l1_hits);
-      ("tlb_l2_hits", J.Int r.G.Stats.tlb_l2_hits);
-      ("tlb_walks", J.Int r.G.Stats.tlb_walks);
-      ("tlb_walk_cycles", J.Float r.G.Stats.tlb_walk_cycles);
-      ("stalls", slugged_floats label_slugs label_index r.G.Stats.stalls);
-      ( "load_transactions_by_label",
-        slugged_ints label_slugs label_index
-          r.G.Stats.load_transactions_by_label );
-      ( "san_violations",
-        slugged_ints kind_slugs kind_index r.G.Stats.san_violations );
-    ]
-
-let float_array_by_slug to_index count field j =
-  let arr = Array.make count 0. in
-  List.iter
-    (fun (slug, v) -> arr.(to_index slug) <- v)
-    (D.field_default field (D.obj D.float) [] j);
-  arr
-
-let int_array_by_slug to_index count field j =
-  let arr = Array.make count 0 in
-  List.iter
-    (fun (slug, v) -> arr.(to_index slug) <- v)
-    (D.field_default field (D.obj D.int) [] j);
-  arr
+let stats_to_json (stats : G.Stats.t) =
+  J.of_counters G.Stats.table (stats :> float array)
 
 let stats_decoder j =
-  let label_index s = G.Label.to_index (label_of_slug s) in
-  let kind_index s = Repro_san.Violation.kind_index (kind_of_slug s) in
-  G.Stats.of_raw
-    {
-      G.Stats.cycles = D.field "cycles" D.float j;
-      mem_instrs = D.field "mem_instrs" D.int j;
-      compute_instrs = D.field "compute_instrs" D.int j;
-      ctrl_instrs = D.field "ctrl_instrs" D.int j;
-      load_transactions = D.field "load_transactions" D.int j;
-      store_transactions = D.field "store_transactions" D.int j;
-      l1_hits = D.field "l1_hits" D.int j;
-      l1_misses = D.field "l1_misses" D.int j;
-      l2_hits = D.field "l2_hits" D.int j;
-      l2_misses = D.field "l2_misses" D.int j;
-      dram_sectors = D.field "dram_sectors" D.int j;
-      trace_dropped = D.field "trace_dropped" D.int j;
-      (* Defaulted for leniency toward pre-translation peers. *)
-      tlb_l1_hits = D.field_default "tlb_l1_hits" D.int 0 j;
-      tlb_l2_hits = D.field_default "tlb_l2_hits" D.int 0 j;
-      tlb_walks = D.field_default "tlb_walks" D.int 0 j;
-      tlb_walk_cycles = D.field_default "tlb_walk_cycles" D.float 0. j;
-      stalls = float_array_by_slug label_index G.Label.count "stalls" j;
-      load_transactions_by_label =
-        int_array_by_slug label_index G.Label.count
-          "load_transactions_by_label" j;
-      san_violations =
-        int_array_by_slug kind_index Repro_san.Violation.kind_count
-          "san_violations" j;
-    }
+  let s = G.Stats.create () in
+  D.counters G.Stats.table (s :> float array) j;
+  s
 
 (* --- Harness.run wire form ------------------------------------------------ *)
 

@@ -125,7 +125,8 @@ let launch t ~n_threads kernel =
      san_delta ();
      Option.iter
        (fun ring ->
-         Stats.count_trace_dropped launch_stats (Event_ring.take_dropped ring))
+         Stats.bump launch_stats Stats.Counter.trace_dropped
+           (Event_ring.take_dropped ring))
        ring
    | Some sampler ->
      (* Windowed: the engine counted into per-window rows. Fold them in
@@ -143,7 +144,8 @@ let launch t ~n_threads kernel =
       | Some san ->
         Stats.count_san_violations last (Repro_san.Checker.take_kernel_delta san));
      Option.iter
-       (fun ring -> Stats.count_trace_dropped last (Event_ring.take_dropped ring))
+       (fun ring ->
+         Stats.bump last Stats.Counter.trace_dropped (Event_ring.take_dropped ring))
        ring;
      Array.iter (fun row -> Stats.add launch_stats row) rows;
      t.windows <- rows :: t.windows);

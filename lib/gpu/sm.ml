@@ -24,39 +24,27 @@
 
 module Event_ring = Repro_util.Event_ring
 
-(* Launch-local integer counters, one slot each; flushed into the open
-   [Stats] row at every window crossing and at the end of the launch.
-   Integer adds are exact, so the totals equal per-event counting. *)
-let c_mem = 0
-let c_compute = 1
-let c_ctrl = 2
-let c_load_trans = 3
-let c_store_trans = 4
-let c_l1_hits = 5
-let c_l1_misses = 6
-let c_l2_hits = 7
-let c_l2_misses = 8
-let c_dram = 9
-let c_tlb_l1_hits = 10
-let c_tlb_l2_hits = 11
-let c_tlb_walks = 12
-let n_counters = 13
+module C = Repro_util.Counter_table
+module K = Stats.Counter
 
-let[@inline] bump (c : int array) slot n =
-  Array.unsafe_set c slot (Array.unsafe_get c slot + n)
+(* Launch-local integer counters, indexed by [Stats]' own slots; flushed
+   into the open [Stats] row at every window crossing and at the end of
+   the launch. Integer adds are exact, so the totals equal per-event
+   counting. Float counters (stalls, walk cycles) are not staged: they
+   stream into the open row in event order. *)
+let[@inline] bump (c : int array) (e : C.entry) n =
+  let s = e.C.slot in
+  Array.unsafe_set c s (Array.unsafe_get c s + n)
 
-(* [walk_cycles.(0)] is the row's running [tlb_walk_cycles]: seeded from
-   the row, so the float adds happen in event order within each row. *)
-let flush_counters st (c : int array) (walk_cycles : float array) =
-  Stats.bump_replay_counters st ~mem:c.(c_mem) ~compute:c.(c_compute)
-    ~ctrl:c.(c_ctrl) ~load_trans:c.(c_load_trans)
-    ~store_trans:c.(c_store_trans) ~l1_hits:c.(c_l1_hits)
-    ~l1_misses:c.(c_l1_misses) ~l2_hits:c.(c_l2_hits)
-    ~l2_misses:c.(c_l2_misses) ~dram_sectors:c.(c_dram);
-  Stats.bump_tlb_counters st ~l1_hits:c.(c_tlb_l1_hits)
-    ~l2_hits:c.(c_tlb_l2_hits) ~walks:c.(c_tlb_walks)
-    ~walk_cycles_total:walk_cycles.(0);
-  Array.fill c 0 n_counters 0
+let flush_counters (row : Stats.t) (c : int array) =
+  let v = (row :> float array) in
+  for i = 0 to Array.length c - 1 do
+    let n = c.(i) in
+    if n <> 0 then begin
+      v.(i) <- v.(i) +. float_of_int n;
+      c.(i) <- 0
+    end
+  done
 
 (* One event at the ring head, by direct stores. Local and small, so
    ocamlopt inlines it and the float arguments stay unboxed. *)
@@ -96,17 +84,18 @@ type walk = {
   dram_lat : float;
   compl : float array;  (* compl.(0): LSU start in; load completion out *)
   counters : int array;
-  walk_cycles : float array;
+  cur : Stats.t ref;  (* the open row *)
 }
 
 (* Count one translation; a walk also adds its cycles and, with a ring,
    records a [tlb] event spanning the walk from the LSU start [t0]. *)
 let[@inline] count_lookup w sm sector code t0 tx =
-  if code = Repro_vm.Vm.hit_l1 then bump w.counters c_tlb_l1_hits 1
-  else if code = Repro_vm.Vm.hit_l2 then bump w.counters c_tlb_l2_hits 1
+  if code = Repro_vm.Vm.hit_l1 then bump w.counters K.tlb_l1_hits 1
+  else if code = Repro_vm.Vm.hit_l2 then bump w.counters K.tlb_l2_hits 1
   else begin
-    bump w.counters c_tlb_walks 1;
-    w.walk_cycles.(0) <- w.walk_cycles.(0) +. tx;
+    bump w.counters K.tlb_walks 1;
+    let v = (!(w.cur) :> float array) and s = K.tlb_walk_cycles.C.slot in
+    v.(s) <- v.(s) +. tx;
     match w.ring with
     | Some r ->
       emit r Telemetry.kind_tlb sm (code - Repro_vm.Vm.walk_base) sector
@@ -138,14 +127,14 @@ let load_walk w sm n =
     Array.unsafe_set l1_next_free sm (t1 +. w.inv_l1_tp);
     match Cache.access l1 ~sector with
     | `Hit ->
-      bump w.counters c_l1_hits 1;
+      bump w.counters K.l1_hits 1;
       (match w.ring with
        | Some r -> emit r Telemetry.kind_l1 sm 1 sector t1 w.l1_lat
        | None -> ());
       let c = t1 +. w.l1_lat in
       if c > compl.(0) then compl.(0) <- c
     | `Miss -> (
-      bump w.counters c_l1_misses 1;
+      bump w.counters K.l1_misses 1;
       (match w.ring with
        | Some r -> emit r Telemetry.kind_l1 sm 0 sector t1 0.
        | None -> ());
@@ -154,18 +143,18 @@ let load_walk w sm n =
       clk.(0) <- t2 +. w.inv_l2_tp;
       match Cache.access w.l2 ~sector with
       | `Hit ->
-        bump w.counters c_l2_hits 1;
+        bump w.counters K.l2_hits 1;
         (match w.ring with
          | Some r -> emit r Telemetry.kind_l2 sm 1 sector t2 w.l2_lat
          | None -> ());
         let c = t2 +. w.l2_lat in
         if c > compl.(0) then compl.(0) <- c
       | `Miss ->
-        bump w.counters c_l2_misses 1;
+        bump w.counters K.l2_misses 1;
         (match w.ring with
          | Some r -> emit r Telemetry.kind_l2 sm 0 sector t2 0.
          | None -> ());
-        bump w.counters c_dram 2;
+        bump w.counters K.dram_sectors 2;
         ignore (Cache.access w.l2 ~sector:(sector lxor 1));
         let b = t2 +. w.l2_lat in
         let t3 = if b >= clk.(1) then b else clk.(1) in
@@ -205,7 +194,7 @@ let store_walk w sm n =
       (match w.ring with
        | Some r -> emit r Telemetry.kind_l2 sm 2 sector t2 0.
        | None -> ());
-      bump w.counters c_dram 1;
+      bump w.counters K.dram_sectors 1;
       let t3 = if t2 >= clk.(1) then t2 else clk.(1) in
       clk.(1) <- t3 +. w.inv_dram_cost;
       (match w.ring with
@@ -294,9 +283,8 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
     in
     (* With sampling on, counters flow into the open window's row; the
        infinity cell makes the per-pop compare uniform when it is off.
-       Float stalls and per-label transactions stream straight into the
-       row's accumulators; integer counters stay launch-local until the
-       next flush. *)
+       Float stalls and walk cycles stream straight into the row;
+       integer counters stay launch-local until the next flush. *)
     let bcell =
       match sampler with
       | Some s -> Telemetry.Sampler.boundary_cell s
@@ -308,10 +296,9 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
          | Some s -> Telemetry.Sampler.current s
          | None -> stats)
     in
-    let stalls = ref (Stats.stall_accumulator !cur) in
-    let ld_by_lbl = ref (Stats.load_transactions_accumulator !cur) in
-    let counters = Array.make n_counters 0 in
-    let walk_cycles = Array.make 1 (Stats.tlb_walk_cycles !cur) in
+    let counters = Array.make (C.size Stats.table) 0 in
+    let stall_first = K.stalls.C.first in
+    let ld_first = K.load_transactions_by_label.C.first in
     (* Load completion mailbox and kernel finish time: float-array cells,
        which never box on store. *)
     let compl = Array.make 1 0. in
@@ -339,7 +326,7 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
             dram_lat;
             compl;
             counters;
-            walk_cycles;
+            cur;
           }
     in
     (* The ready queue: a replace-top heap of warp indices keyed by
@@ -384,13 +371,9 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
       if ready >= bcell.(0) then begin
         match sampler with
         | Some s ->
-          flush_counters !cur counters walk_cycles;
+          flush_counters !cur counters;
           Telemetry.Sampler.advance s ~now:ready;
-          let row = Telemetry.Sampler.current s in
-          cur := row;
-          stalls := Stats.stall_accumulator row;
-          ld_by_lbl := Stats.load_transactions_accumulator row;
-          walk_cycles.(0) <- Stats.tlb_walk_cycles row
+          cur := Telemetry.Sampler.current s
         | None -> ()
       end;
       let w = hvals.(0) in
@@ -423,10 +406,10 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
         let op = Array.unsafe_get (Array.unsafe_get ops w) pc in
         let lbl = Array.unsafe_get (Array.unsafe_get lbls w) pc in
         let rep = Array.unsafe_get (Array.unsafe_get reps w) pc in
-        if op = Trace.op_compute then bump counters c_compute rep
+        if op = Trace.op_compute then bump counters K.instructions_compute rep
         else if op = Trace.op_ctrl || op >= Trace.op_call_indirect then
-          bump counters c_ctrl rep
-        else bump counters c_mem rep;
+          bump counters K.instructions_ctrl rep
+        else bump counters K.instructions_mem rep;
         let ic = Array.unsafe_get issue_clock sm in
         let issue_time = if ready >= ic then ready else ic in
         let slots = float_of_int rep *. issue_cost in
@@ -448,9 +431,9 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
               (t0 +. if inv_lsu_tp >= occ then inv_lsu_tp else occ);
             compl.(0) <- t0;
             if op = Trace.op_load then begin
-              bump counters c_load_trans n;
-              let by_lbl = !ld_by_lbl in
-              Array.unsafe_set by_lbl lbl (Array.unsafe_get by_lbl lbl + n);
+              bump counters K.load_transactions n;
+              let i = ld_first + lbl in
+              Array.unsafe_set counters i (Array.unsafe_get counters i + n);
               (match slow with
                | Some w -> load_walk w sm n
                | None ->
@@ -462,25 +445,25 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
                    Array.unsafe_set l1_next_free sm (t1 +. inv_l1_tp);
                    match Cache.access l1 ~sector with
                    | `Hit ->
-                     bump counters c_l1_hits 1;
+                     bump counters K.l1_hits 1;
                      let c = t1 +. l1_lat in
                      if c > compl.(0) then compl.(0) <- c
                    | `Miss -> (
-                     bump counters c_l1_misses 1;
+                     bump counters K.l1_misses 1;
                      let a = t1 +. l1_lat in
                      let t2 = if a >= clk.(0) then a else clk.(0) in
                      clk.(0) <- t2 +. inv_l2_tp;
                      match Cache.access l2 ~sector with
                      | `Hit ->
-                       bump counters c_l2_hits 1;
+                       bump counters K.l2_hits 1;
                        let c = t2 +. l2_lat in
                        if c > compl.(0) then compl.(0) <- c
                      | `Miss ->
                        (* DRAM is read at 64 B granularity (Volta's L2
                           fill size): the missing sector and its pair
                           are both fetched and installed. *)
-                       bump counters c_l2_misses 1;
-                       bump counters c_dram 2;
+                       bump counters K.l2_misses 1;
+                       bump counters K.dram_sectors 2;
                        ignore (Cache.access l2 ~sector:(sector lxor 1));
                        let b = t2 +. l2_lat in
                        let t3 = if b >= clk.(1) then b else clk.(1) in
@@ -493,7 +476,7 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
               else issue_time +. slots
             end
             else begin
-              bump counters c_store_trans n;
+              bump counters K.store_transactions n;
               (match slow with
                | Some w -> store_walk w sm n
                | None ->
@@ -507,7 +490,7 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
                    match Cache.access l2 ~sector with
                    | `Hit -> ()
                    | `Miss ->
-                     bump counters c_dram 1;
+                     bump counters K.dram_sectors 1;
                      let t3 = if t2 >= clk.(1) then t2 else clk.(1) in
                      clk.(1) <- t3 +. inv_dram_cost
                  done);
@@ -526,8 +509,8 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
         in
         let stall = next_ready -. issue_time -. slots in
         if stall > 0. then begin
-          let sa = !stalls in
-          Array.unsafe_set sa lbl (Array.unsafe_get sa lbl +. stall);
+          let sa = (!cur :> float array) and i = stall_first + lbl in
+          Array.unsafe_set sa i (Array.unsafe_get sa i +. stall);
           match ring with
           | Some r ->
             (* Stall span, written field by field: its start is
@@ -553,7 +536,7 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
         sift_down_root hkeys hseqs hvals !hlen
       end
     done;
-    flush_counters !cur counters walk_cycles;
+    flush_counters !cur counters;
     finish.(0)
   end
 

@@ -1,269 +1,135 @@
-type t = {
-  mutable cycles : float;
-  mutable mem_instrs : int;
-  mutable compute_instrs : int;
-  mutable ctrl_instrs : int;
-  mutable load_transactions : int;
-  mutable store_transactions : int;
-  mutable l1_hits : int;
-  mutable l1_misses : int;
-  mutable l2_hits : int;
-  mutable l2_misses : int;
-  mutable dram_sectors : int;
-  mutable trace_dropped : int;
-  (* Address translation (zero when no page policy is active). *)
-  mutable tlb_l1_hits : int;
-  mutable tlb_l2_hits : int;
-  mutable tlb_walks : int;
-  mutable tlb_walk_cycles : float;
-  stalls : float array; (* indexed by Label.to_index *)
-  load_transactions_by_label : int array;
-  san_violations : int array; (* indexed by Repro_san.Violation.kind_index *)
-}
+module C = Repro_util.Counter_table
 
-let create () =
-  {
-    cycles = 0.;
-    mem_instrs = 0;
-    compute_instrs = 0;
-    ctrl_instrs = 0;
-    load_transactions = 0;
-    store_transactions = 0;
-    l1_hits = 0;
-    l1_misses = 0;
-    l2_hits = 0;
-    l2_misses = 0;
-    dram_sectors = 0;
-    trace_dropped = 0;
-    tlb_l1_hits = 0;
-    tlb_l2_hits = 0;
-    tlb_walks = 0;
-    tlb_walk_cycles = 0.;
-    stalls = Array.make Label.count 0.;
-    load_transactions_by_label = Array.make Label.count 0;
-    san_violations = Array.make Repro_san.Violation.kind_count 0;
-  }
+let table = C.create ()
 
-let reset t =
-  t.cycles <- 0.;
-  t.mem_instrs <- 0;
-  t.compute_instrs <- 0;
-  t.ctrl_instrs <- 0;
-  t.load_transactions <- 0;
-  t.store_transactions <- 0;
-  t.l1_hits <- 0;
-  t.l1_misses <- 0;
-  t.l2_hits <- 0;
-  t.l2_misses <- 0;
-  t.dram_sectors <- 0;
-  t.trace_dropped <- 0;
-  t.tlb_l1_hits <- 0;
-  t.tlb_l2_hits <- 0;
-  t.tlb_walks <- 0;
-  t.tlb_walk_cycles <- 0.;
-  Array.fill t.stalls 0 Label.count 0.;
-  Array.fill t.load_transactions_by_label 0 Label.count 0;
-  Array.fill t.san_violations 0 Repro_san.Violation.kind_count 0
+module Counter = struct
+  (* The first twelve are strict on the wire; the four [tlb.*] counters
+     default to zero for peers that predate address translation. *)
+  let strict ?key ?float id units =
+    C.declare table ?key ?float ~strict:true C.Counter id units
+
+  let lenient ?key ?float id units =
+    C.declare table ?key ?float C.Counter id units
+
+  let cycles = strict ~float:true "cycles" "cycles"
+
+  let instructions_mem =
+    strict ~key:"mem_instrs" "instructions.mem" "warp_instructions"
+
+  let instructions_compute =
+    strict ~key:"compute_instrs" "instructions.compute" "warp_instructions"
+
+  let instructions_ctrl =
+    strict ~key:"ctrl_instrs" "instructions.ctrl" "warp_instructions"
+
+  let load_transactions = strict "load_transactions" "sectors"
+  let store_transactions = strict "store_transactions" "sectors"
+  let l1_hits = strict ~key:"l1_hits" "l1.hits" "accesses"
+  let l1_misses = strict ~key:"l1_misses" "l1.misses" "accesses"
+  let l2_hits = strict ~key:"l2_hits" "l2.hits" "accesses"
+  let l2_misses = strict ~key:"l2_misses" "l2.misses" "accesses"
+  let dram_sectors = strict ~key:"dram_sectors" "dram.sectors" "sectors"
+  let trace_dropped = strict ~key:"trace_dropped" "trace.dropped" "events"
+  let tlb_l1_hits = lenient ~key:"tlb_l1_hits" "tlb.l1_hits" "lookups"
+  let tlb_l2_hits = lenient ~key:"tlb_l2_hits" "tlb.l2_hits" "lookups"
+  let tlb_walks = lenient ~key:"tlb_walks" "tlb.walks" "walks"
+
+  let tlb_walk_cycles =
+    lenient ~float:true ~key:"tlb_walk_cycles" "tlb.walk_cycles" "cycles"
+
+  let label_slugs = List.map Label.slug Label.all
+
+  let stalls =
+    C.family table ~float:true ~key:"stalls" "stall_cycles" "cycles" label_slugs
+
+  let load_transactions_by_label =
+    C.family table ~key:"load_transactions_by_label" load_transactions.C.id
+      "sectors" label_slugs
+
+  let san_violations =
+    C.family table "san_violations" "violations"
+      (List.map Repro_san.Violation.kind_slug Repro_san.Violation.kinds)
+
+  let sum es v = List.fold_left (fun acc e -> acc +. v.(e.C.slot)) 0. es
+
+  let instructions_total =
+    C.computed "instructions.total" "warp_instructions"
+      (sum [ instructions_mem; instructions_compute; instructions_ctrl ])
+
+  let rate hits misses v =
+    let h = v.(hits.C.slot) in
+    let total = h +. v.(misses.C.slot) in
+    if total = 0. then 0. else h /. total
+
+  let l1_hit_rate =
+    C.computed ~float:true "l1.hit_rate" "ratio" (rate l1_hits l1_misses)
+
+  let l2_hit_rate =
+    C.computed ~float:true "l2.hit_rate" "ratio" (rate l2_hits l2_misses)
+
+  let stall_cycles_total =
+    C.computed ~float:true "stall_cycles.total" "cycles"
+      (sum (Array.to_list stalls.C.members))
+end
+
+type t = float array
+
+let size = C.size table
+let create () = Array.make size 0.
+let reset t = Array.fill t 0 size 0.
 
 let add acc x =
-  acc.cycles <- acc.cycles +. x.cycles;
-  acc.mem_instrs <- acc.mem_instrs + x.mem_instrs;
-  acc.compute_instrs <- acc.compute_instrs + x.compute_instrs;
-  acc.ctrl_instrs <- acc.ctrl_instrs + x.ctrl_instrs;
-  acc.load_transactions <- acc.load_transactions + x.load_transactions;
-  acc.store_transactions <- acc.store_transactions + x.store_transactions;
-  acc.l1_hits <- acc.l1_hits + x.l1_hits;
-  acc.l1_misses <- acc.l1_misses + x.l1_misses;
-  acc.l2_hits <- acc.l2_hits + x.l2_hits;
-  acc.l2_misses <- acc.l2_misses + x.l2_misses;
-  acc.dram_sectors <- acc.dram_sectors + x.dram_sectors;
-  acc.trace_dropped <- acc.trace_dropped + x.trace_dropped;
-  acc.tlb_l1_hits <- acc.tlb_l1_hits + x.tlb_l1_hits;
-  acc.tlb_l2_hits <- acc.tlb_l2_hits + x.tlb_l2_hits;
-  acc.tlb_walks <- acc.tlb_walks + x.tlb_walks;
-  acc.tlb_walk_cycles <- acc.tlb_walk_cycles +. x.tlb_walk_cycles;
-  Array.iteri (fun i v -> acc.stalls.(i) <- acc.stalls.(i) +. v) x.stalls;
-  Array.iteri
-    (fun i v ->
-      acc.load_transactions_by_label.(i) <- acc.load_transactions_by_label.(i) + v)
-    x.load_transactions_by_label;
-  Array.iteri
-    (fun i v -> acc.san_violations.(i) <- acc.san_violations.(i) + v)
-    x.san_violations
+  for i = 0 to size - 1 do
+    acc.(i) <- acc.(i) +. x.(i)
+  done
 
-let copy t =
-  let c = create () in
-  add c t;
-  c
+let copy = Array.copy
 
-let count_classified t cls n =
-  match cls with
-  | `Mem -> t.mem_instrs <- t.mem_instrs + n
-  | `Compute -> t.compute_instrs <- t.compute_instrs + n
-  | `Ctrl -> t.ctrl_instrs <- t.ctrl_instrs + n
-
-let count_instr t instr =
-  count_classified t (Instr.class_of instr) (Instr.instruction_count instr)
-
-let count_load_transactions_idx t label_index n =
-  t.load_transactions <- t.load_transactions + n;
-  t.load_transactions_by_label.(label_index)
-  <- t.load_transactions_by_label.(label_index) + n
-
-let count_load_transactions t label n =
-  count_load_transactions_idx t (Label.to_index label) n
-
-let count_store_transactions t n = t.store_transactions <- t.store_transactions + n
-
-let count_l1 t ~hit =
-  if hit then t.l1_hits <- t.l1_hits + 1 else t.l1_misses <- t.l1_misses + 1
-
-let count_l2 t ~hit =
-  if hit then t.l2_hits <- t.l2_hits + 1 else t.l2_misses <- t.l2_misses + 1
-
-let count_dram_sector t = t.dram_sectors <- t.dram_sectors + 1
-
-let count_trace_dropped t n = t.trace_dropped <- t.trace_dropped + n
-
-let count_tlb_l1_hit t = t.tlb_l1_hits <- t.tlb_l1_hits + 1
-
-let count_tlb_l2_hit t = t.tlb_l2_hits <- t.tlb_l2_hits + 1
-
-let count_tlb_walk t cycles =
-  t.tlb_walks <- t.tlb_walks + 1;
-  t.tlb_walk_cycles <- t.tlb_walk_cycles +. cycles
+let bump t (e : C.entry) n = t.(e.slot) <- t.(e.slot) +. float_of_int n
+let bump_float t (e : C.entry) x = t.(e.slot) <- t.(e.slot) +. x
+let add_cycles t c = bump_float t Counter.cycles c
 
 let count_san_violations t deltas =
   if Array.length deltas <> Repro_san.Violation.kind_count then
     invalid_arg "Stats.count_san_violations: delta width mismatch";
-  Array.iteri
-    (fun i v -> t.san_violations.(i) <- t.san_violations.(i) + v)
-    deltas
+  Array.iteri (fun i n -> bump t Counter.san_violations.members.(i) n) deltas
 
-let san_violations_for t kind =
-  t.san_violations.(Repro_san.Violation.kind_index kind)
-
-let total_san_violations t = Array.fold_left ( + ) 0 t.san_violations
-
-let attribute_stall t label cycles =
-  let i = Label.to_index label in
-  t.stalls.(i) <- t.stalls.(i) +. cycles
-
-let stall_accumulator t = t.stalls
-
-let load_transactions_accumulator t = t.load_transactions_by_label
-
-(* One flush per replayed launch (or sampling window) from the replay
-   loop's local counters; integer adds, so the totals are exactly what
-   per-instruction counting would have produced. *)
-let bump_replay_counters t ~mem ~compute ~ctrl ~load_trans ~store_trans
-    ~l1_hits ~l1_misses ~l2_hits ~l2_misses ~dram_sectors =
-  t.mem_instrs <- t.mem_instrs + mem;
-  t.compute_instrs <- t.compute_instrs + compute;
-  t.ctrl_instrs <- t.ctrl_instrs + ctrl;
-  t.load_transactions <- t.load_transactions + load_trans;
-  t.store_transactions <- t.store_transactions + store_trans;
-  t.l1_hits <- t.l1_hits + l1_hits;
-  t.l1_misses <- t.l1_misses + l1_misses;
-  t.l2_hits <- t.l2_hits + l2_hits;
-  t.l2_misses <- t.l2_misses + l2_misses;
-  t.dram_sectors <- t.dram_sectors + dram_sectors
-
-let bump_tlb_counters t ~l1_hits ~l2_hits ~walks ~walk_cycles_total =
-  t.tlb_l1_hits <- t.tlb_l1_hits + l1_hits;
-  t.tlb_l2_hits <- t.tlb_l2_hits + l2_hits;
-  t.tlb_walks <- t.tlb_walks + walks;
-  t.tlb_walk_cycles <- walk_cycles_total
-
-let add_cycles t c = t.cycles <- t.cycles +. c
-
-let cycles t = t.cycles
+let get t (e : C.entry) = e.read t
+let count t e = int_of_float (get t e)
+let cycles t = get t Counter.cycles
 
 let instructions t = function
-  | `Mem -> t.mem_instrs
-  | `Compute -> t.compute_instrs
-  | `Ctrl -> t.ctrl_instrs
+  | `Mem -> count t Counter.instructions_mem
+  | `Compute -> count t Counter.instructions_compute
+  | `Ctrl -> count t Counter.instructions_ctrl
 
-let total_instructions t = t.mem_instrs + t.compute_instrs + t.ctrl_instrs
+let total_instructions t = count t Counter.instructions_total
+let load_transactions t = count t Counter.load_transactions
+let l1_hits t = count t Counter.l1_hits
+let l2_hits t = count t Counter.l2_hits
+let l2_misses t = count t Counter.l2_misses
+let l1_accesses t = l1_hits t + count t Counter.l1_misses
+let l1_hit_rate t = get t Counter.l1_hit_rate
+let l2_hit_rate t = get t Counter.l2_hit_rate
+let dram_sectors t = count t Counter.dram_sectors
+let trace_dropped t = count t Counter.trace_dropped
+let tlb_l1_hits t = count t Counter.tlb_l1_hits
+let tlb_l2_hits t = count t Counter.tlb_l2_hits
+let tlb_walks t = count t Counter.tlb_walks
+let tlb_walk_cycles t = get t Counter.tlb_walk_cycles
+let tlb_lookups t = tlb_l1_hits t + tlb_l2_hits t + tlb_walks t
+let stall_cycles t label = get t Counter.stalls.members.(Label.to_index label)
+let total_stall_cycles t = get t Counter.stall_cycles_total
 
-let load_transactions t = t.load_transactions
+let san_violations_for t kind =
+  count t Counter.san_violations.members.(Repro_san.Violation.kind_index kind)
 
-let load_transactions_for t label = t.load_transactions_by_label.(Label.to_index label)
+let total_san_violations t =
+  int_of_float (Counter.sum (Array.to_list Counter.san_violations.members) t)
 
-let store_transactions t = t.store_transactions
-
-let l1_hits t = t.l1_hits
-
-let l1_misses t = t.l1_misses
-
-let l2_hits t = t.l2_hits
-
-let l2_misses t = t.l2_misses
-
-let l1_accesses t = t.l1_hits + t.l1_misses
-
-let hit_rate hits misses =
-  let total = hits + misses in
-  if total = 0 then 0. else float_of_int hits /. float_of_int total
-
-let l1_hit_rate t = hit_rate t.l1_hits t.l1_misses
-
-let l2_hit_rate t = hit_rate t.l2_hits t.l2_misses
-
-let dram_sectors t = t.dram_sectors
-
-let trace_dropped t = t.trace_dropped
-
-let tlb_l1_hits t = t.tlb_l1_hits
-
-let tlb_l2_hits t = t.tlb_l2_hits
-
-let tlb_walks t = t.tlb_walks
-
-let tlb_walk_cycles t = t.tlb_walk_cycles
-
-let tlb_lookups t = t.tlb_l1_hits + t.tlb_l2_hits + t.tlb_walks
-
-let stall_cycles t label = t.stalls.(Label.to_index label)
-
-let total_stall_cycles t = Array.fold_left ( +. ) 0. t.stalls
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>cycles=%.0f instrs(mem/cmp/ctl)=%d/%d/%d ld-trans=%d st-trans=%d \
-     L1=%.1f%% L2=%.1f%% dram=%d"
-    t.cycles t.mem_instrs t.compute_instrs t.ctrl_instrs t.load_transactions
-    t.store_transactions (100. *. l1_hit_rate t) (100. *. l2_hit_rate t)
-    t.dram_sectors;
-  (* Stall attribution, driven by the label enumeration rather than one
-     format string per label (the registry view lives in Repro_obs.Metric). *)
-  let total_stalls = total_stall_cycles t in
-  if total_stalls > 0. then begin
-    Format.fprintf ppf "@,stalls:";
-    List.iter
-      (fun l ->
-        let s = stall_cycles t l in
-        if s > 0. then
-          Format.fprintf ppf " %s=%.1f%%" (Label.slug l) (100. *. s /. total_stalls))
-      Label.all
-  end;
-  if tlb_lookups t > 0 then
-    Format.fprintf ppf "@,tlb: l1=%d l2=%d walks=%d walk-cycles=%.0f"
-      t.tlb_l1_hits t.tlb_l2_hits t.tlb_walks t.tlb_walk_cycles;
-  if total_san_violations t > 0 then begin
-    Format.fprintf ppf "@,san violations:";
-    List.iter
-      (fun k ->
-        let n = san_violations_for t k in
-        if n > 0 then
-          Format.fprintf ppf " %s=%d" (Repro_san.Violation.kind_slug k) n)
-      Repro_san.Violation.kinds
-  end;
-  Format.fprintf ppf "@]"
-
-(* Wire form. [raw] mirrors [t] field-for-field; it is defined last so
-   the record-label inference above keeps resolving to [t]. *)
-
+(* The digest layout: every counter as a plain field. The cell digests
+   in the tests and the benchmark hash its marshalled bytes, so its
+   fields, their order and their types are frozen. *)
 type raw = {
   cycles : float;
   mem_instrs : int;
@@ -286,54 +152,28 @@ type raw = {
   san_violations : int array;
 }
 
-let to_raw (t : t) : raw =
+let to_raw t =
+  let module K = Counter in
+  let n e = count t e in
+  let ints (f : C.family) = Array.map n f.members in
   {
-    cycles = t.cycles;
-    mem_instrs = t.mem_instrs;
-    compute_instrs = t.compute_instrs;
-    ctrl_instrs = t.ctrl_instrs;
-    load_transactions = t.load_transactions;
-    store_transactions = t.store_transactions;
-    l1_hits = t.l1_hits;
-    l1_misses = t.l1_misses;
-    l2_hits = t.l2_hits;
-    l2_misses = t.l2_misses;
-    dram_sectors = t.dram_sectors;
-    trace_dropped = t.trace_dropped;
-    tlb_l1_hits = t.tlb_l1_hits;
-    tlb_l2_hits = t.tlb_l2_hits;
-    tlb_walks = t.tlb_walks;
-    tlb_walk_cycles = t.tlb_walk_cycles;
-    stalls = Array.copy t.stalls;
-    load_transactions_by_label = Array.copy t.load_transactions_by_label;
-    san_violations = Array.copy t.san_violations;
-  }
-
-let of_raw (r : raw) : t =
-  if Array.length r.stalls <> Label.count then
-    invalid_arg "Stats.of_raw: stalls length";
-  if Array.length r.load_transactions_by_label <> Label.count then
-    invalid_arg "Stats.of_raw: load_transactions_by_label length";
-  if Array.length r.san_violations <> Repro_san.Violation.kind_count then
-    invalid_arg "Stats.of_raw: san_violations length";
-  {
-    cycles = r.cycles;
-    mem_instrs = r.mem_instrs;
-    compute_instrs = r.compute_instrs;
-    ctrl_instrs = r.ctrl_instrs;
-    load_transactions = r.load_transactions;
-    store_transactions = r.store_transactions;
-    l1_hits = r.l1_hits;
-    l1_misses = r.l1_misses;
-    l2_hits = r.l2_hits;
-    l2_misses = r.l2_misses;
-    dram_sectors = r.dram_sectors;
-    trace_dropped = r.trace_dropped;
-    tlb_l1_hits = r.tlb_l1_hits;
-    tlb_l2_hits = r.tlb_l2_hits;
-    tlb_walks = r.tlb_walks;
-    tlb_walk_cycles = r.tlb_walk_cycles;
-    stalls = Array.copy r.stalls;
-    load_transactions_by_label = Array.copy r.load_transactions_by_label;
-    san_violations = Array.copy r.san_violations;
+    cycles = get t K.cycles;
+    mem_instrs = n K.instructions_mem;
+    compute_instrs = n K.instructions_compute;
+    ctrl_instrs = n K.instructions_ctrl;
+    load_transactions = n K.load_transactions;
+    store_transactions = n K.store_transactions;
+    l1_hits = n K.l1_hits;
+    l1_misses = n K.l1_misses;
+    l2_hits = n K.l2_hits;
+    l2_misses = n K.l2_misses;
+    dram_sectors = n K.dram_sectors;
+    trace_dropped = n K.trace_dropped;
+    tlb_l1_hits = n K.tlb_l1_hits;
+    tlb_l2_hits = n K.tlb_l2_hits;
+    tlb_walks = n K.tlb_walks;
+    tlb_walk_cycles = get t K.tlb_walk_cycles;
+    stalls = Array.map (get t) K.stalls.members;
+    load_transactions_by_label = ints K.load_transactions_by_label;
+    san_violations = ints K.san_violations;
   }

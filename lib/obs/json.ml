@@ -269,6 +269,25 @@ let float_opt = function
   | Int i -> Some (float_of_int i)
   | _ -> None
 
+(* A counter table's values: one key per scalar, then one slug-keyed
+   object per family with its zero members omitted. *)
+let of_counters table (v : float array) =
+  let module C = Repro_util.Counter_table in
+  let num (e : C.entry) x = if e.float then Float x else Int (int_of_float x) in
+  Obj
+    (List.map
+       (function
+         | C.Scalar e -> (e.key, num e v.(e.slot))
+         | C.Family f ->
+           ( f.family_key,
+             Obj
+               (Array.fold_right
+                  (fun (e : C.entry) acc ->
+                    let x = v.(e.slot) in
+                    if x = 0. then acc else (e.key, num e x) :: acc)
+                  f.members []) ))
+       (C.fields table))
+
 (* Decoders.
 
    Leaves raise [Error_at ([], msg)]; structural combinators catch and
@@ -341,6 +360,28 @@ module Decode = struct
   let const v _ = v
 
   let value j = j
+
+  let counters table (v : float array) j =
+    let module C = Repro_util.Counter_table in
+    let num (e : C.entry) = if e.float then float else map float_of_int int in
+    List.iter
+      (function
+        | C.Scalar e ->
+          v.(e.slot) <-
+            (if e.strict then field e.key (num e) j
+             else field_default e.key (num e) 0. j)
+        | C.Family f ->
+          let members = field_default f.family_key (obj value) [] j in
+          nest f.family_key (fun () ->
+              List.iter
+                (fun (slug, x) ->
+                  match
+                    Array.find_opt (fun (e : C.entry) -> e.key = slug) f.members
+                  with
+                  | Some e -> v.(e.slot) <- nest slug (fun () -> num e x)
+                  | None -> fail (Printf.sprintf "unknown slug %S" slug))
+                members))
+      (C.fields table)
 
   let render_path = function
     | [] -> "$"

@@ -43,6 +43,12 @@ val int_opt : t -> int option
 val float_opt : t -> float option
 (** Accepts [Int] too (JSON numbers without a fraction part). *)
 
+val of_counters : Repro_util.Counter_table.t -> float array -> t
+(** A counter table's values as an object in declaration order: each
+    scalar under its wire key (an [Int] or a [Float], as declared), each
+    family as an object keyed by member slug with zero members omitted.
+    Floats round-trip exactly through {!Decode.counters}. *)
+
 (** {2 Decoders} — structure-directed readers with path-tracked errors.
 
     The wire protocol ({!Repro_exec.Request}/[Response]) decodes client
@@ -91,4 +97,10 @@ module Decode : sig
 
   val value : t decoder
   (** The raw JSON subtree. *)
+
+  val counters : Repro_util.Counter_table.t -> float array -> unit decoder
+  (** Read {!of_counters}' form into the given value array. A strict
+      scalar must be present; any other absent key leaves its slots at
+      zero. A slug outside its family fails with the family's key in
+      the path. *)
 end

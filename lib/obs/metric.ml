@@ -1,215 +1,43 @@
 module Stats = Repro_gpu.Stats
 module Label = Repro_gpu.Label
-module Violation = Repro_san.Violation
+module C = Repro_util.Counter_table
 
-type value = Int of int | Float of float
+type value = C.value = Int of int | Float of float
+type t = C.entry
 
-type t = {
-  name : string;
-  units : string;
-  extract : Stats.t -> value;
-}
+let name (m : t) = m.id
+let units (m : t) = m.units
+let value m stats = C.value m (stats : Stats.t :> float array)
+let to_float (m : t) stats = m.read (stats : Stats.t :> float array)
 
-let name m = m.name
-let units m = m.units
+include Stats.Counter
 
-let value m stats = m.extract stats
-
-let to_float m stats =
-  match m.extract stats with Int i -> float_of_int i | Float f -> f
-
-(* {2 Raw counters: one metric per Stats field} *)
-
-let cycles =
-  { name = "cycles"; units = "cycles"; extract = (fun s -> Float (Stats.cycles s)) }
-
-let instructions_mem =
-  {
-    name = "instructions.mem";
-    units = "warp_instructions";
-    extract = (fun s -> Int (Stats.instructions s `Mem));
-  }
-
-let instructions_compute =
-  {
-    name = "instructions.compute";
-    units = "warp_instructions";
-    extract = (fun s -> Int (Stats.instructions s `Compute));
-  }
-
-let instructions_ctrl =
-  {
-    name = "instructions.ctrl";
-    units = "warp_instructions";
-    extract = (fun s -> Int (Stats.instructions s `Ctrl));
-  }
-
-let load_transactions =
-  {
-    name = "load_transactions";
-    units = "sectors";
-    extract = (fun s -> Int (Stats.load_transactions s));
-  }
-
-let store_transactions =
-  {
-    name = "store_transactions";
-    units = "sectors";
-    extract = (fun s -> Int (Stats.store_transactions s));
-  }
-
-let l1_hits =
-  { name = "l1.hits"; units = "accesses"; extract = (fun s -> Int (Stats.l1_hits s)) }
-
-let l1_misses =
-  {
-    name = "l1.misses";
-    units = "accesses";
-    extract = (fun s -> Int (Stats.l1_misses s));
-  }
-
-let l2_hits =
-  { name = "l2.hits"; units = "accesses"; extract = (fun s -> Int (Stats.l2_hits s)) }
-
-let l2_misses =
-  {
-    name = "l2.misses";
-    units = "accesses";
-    extract = (fun s -> Int (Stats.l2_misses s));
-  }
-
-let dram_sectors =
-  {
-    name = "dram.sectors";
-    units = "sectors";
-    extract = (fun s -> Int (Stats.dram_sectors s));
-  }
-
-let trace_dropped =
-  {
-    name = "trace.dropped";
-    units = "events";
-    extract = (fun s -> Int (Stats.trace_dropped s));
-  }
-
-let tlb_l1_hits =
-  {
-    name = "tlb.l1_hits";
-    units = "lookups";
-    extract = (fun s -> Int (Stats.tlb_l1_hits s));
-  }
-
-let tlb_l2_hits =
-  {
-    name = "tlb.l2_hits";
-    units = "lookups";
-    extract = (fun s -> Int (Stats.tlb_l2_hits s));
-  }
-
-let tlb_walks =
-  {
-    name = "tlb.walks";
-    units = "walks";
-    extract = (fun s -> Int (Stats.tlb_walks s));
-  }
-
-let tlb_walk_cycles =
-  {
-    name = "tlb.walk_cycles";
-    units = "cycles";
-    extract = (fun s -> Float (Stats.tlb_walk_cycles s));
-  }
-
-let tlb = [ tlb_l1_hits; tlb_l2_hits; tlb_walks; tlb_walk_cycles ]
-
-let scalars =
-  [
-    cycles;
-    instructions_mem;
-    instructions_compute;
-    instructions_ctrl;
-    load_transactions;
-    store_transactions;
-    l1_hits;
-    l1_misses;
-    l2_hits;
-    l2_misses;
-    dram_sectors;
-    trace_dropped;
-    tlb_l1_hits;
-    tlb_l2_hits;
-    tlb_walks;
-    tlb_walk_cycles;
-  ]
-
-let stall_cycles label =
-  {
-    name = "stall_cycles." ^ Label.slug label;
-    units = "cycles";
-    extract = (fun s -> Float (Stats.stall_cycles s label));
-  }
+let stall_cycles label = stalls.members.(Label.to_index label)
 
 let load_transactions_for label =
-  {
-    name = "load_transactions." ^ Label.slug label;
-    units = "sectors";
-    extract = (fun s -> Int (Stats.load_transactions_for s label));
-  }
-
-let per_label =
-  List.map stall_cycles Label.all @ List.map load_transactions_for Label.all
+  load_transactions_by_label.members.(Label.to_index label)
 
 let san_violations_for kind =
-  {
-    name = "san_violations." ^ Violation.kind_slug kind;
-    units = "violations";
-    extract = (fun s -> Int (Stats.san_violations_for s kind));
-  }
+  san_violations.members.(Repro_san.Violation.kind_index kind)
 
-let san = List.map san_violations_for Violation.kinds
+let scalars =
+  List.filter_map
+    (function C.Scalar e -> Some e | C.Family _ -> None)
+    (C.fields Stats.table)
 
-let counters = scalars @ per_label @ san
+let per_label =
+  Array.to_list stalls.members @ Array.to_list load_transactions_by_label.members
 
-(* {2 Derived metrics} *)
-
-let instructions_total =
-  {
-    name = "instructions.total";
-    units = "warp_instructions";
-    extract = (fun s -> Int (Stats.total_instructions s));
-  }
-
-let l1_hit_rate =
-  {
-    name = "l1.hit_rate";
-    units = "ratio";
-    extract = (fun s -> Float (Stats.l1_hit_rate s));
-  }
-
-let l2_hit_rate =
-  {
-    name = "l2.hit_rate";
-    units = "ratio";
-    extract = (fun s -> Float (Stats.l2_hit_rate s));
-  }
-
-let stall_cycles_total =
-  {
-    name = "stall_cycles.total";
-    units = "cycles";
-    extract = (fun s -> Float (Stats.total_stall_cycles s));
-  }
-
+let san = Array.to_list san_violations.members
+let counters = C.entries Stats.table
 let derived = [ instructions_total; l1_hit_rate; l2_hit_rate; stall_cycles_total ]
-
 let all = counters @ derived
-
-let find name = List.find_opt (fun m -> m.name = name) all
+let find n = List.find_opt (fun m -> name m = n) all
 
 let json_value = function Int i -> Json.Int i | Float f -> Json.Float f
 
 let to_json ?(metrics = all) stats =
-  Json.Obj (List.map (fun m -> (m.name, json_value (m.extract stats))) metrics)
+  Json.Obj (List.map (fun m -> (name m, json_value (value m stats))) metrics)
 
 (* {2 Rendering} *)
 
@@ -221,27 +49,28 @@ let pp_value ppf = function
 
 let pp_stats ppf stats =
   let width =
-    List.fold_left (fun acc m -> max acc (String.length m.name)) 0 all
+    List.fold_left (fun acc m -> max acc (String.length (name m))) 0 all
   in
   Format.pp_open_vbox ppf 0;
   let first = ref true in
   List.iter
     (fun m ->
-      let v = m.extract stats in
+      let v = value m stats in
       let skip =
         (* Per-label zeros would drown the signal: a run under one
            technique exercises only that technique's labels. Sanitizer
            and telemetry-drop counters likewise only matter when
            something fired. *)
         (match v with Int i -> i = 0 | Float f -> f = 0.)
-        && List.exists
-             (fun pm -> pm.name = m.name)
-             ((trace_dropped :: tlb) @ per_label @ san)
+        && List.memq m
+             ((trace_dropped :: tlb_l1_hits :: tlb_l2_hits :: tlb_walks
+               :: tlb_walk_cycles :: per_label)
+             @ san)
       in
       if not skip then begin
         if not !first then Format.pp_print_cut ppf ();
         first := false;
-        Format.fprintf ppf "%-*s  %a [%s]" width m.name pp_value v m.units
+        Format.fprintf ppf "%-*s  %a [%s]" width (name m) pp_value v (units m)
       end)
     all;
   Format.pp_close_box ppf ()

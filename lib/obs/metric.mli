@@ -1,17 +1,18 @@
 (** The metric registry: every counter {!Repro_gpu.Stats} records, as an
-    enumerable value with a stable name, units, and an extractor.
+    enumerable value with a stable name and units.
 
-    This is the single read surface over the simulator's counters —
-    figures, the profile subcommand, JSON/CSV exports, and the [repro
-    run] breakdown all enumerate or look up metrics here instead of
-    calling per-field getters, so a counter added to [Stats] becomes
-    visible everywhere by registering it once (and the registry-coverage
-    test fails until it is). *)
+    A metric is an entry of [Stats]' counter table
+    ({!Repro_util.Counter_table}), declared once in
+    {!Repro_gpu.Stats.Counter} — the same declaration that gives the
+    counter its slot and its wire key — or one of the four computed
+    views declared next to it. Figures, the profile subcommand, JSON/CSV
+    exports and the [repro run] breakdown all enumerate or look up
+    metrics here instead of calling per-field getters, so a counter
+    added to [Stats] is visible everywhere once declared. *)
 
-type value = Int of int | Float of float
+type value = Repro_util.Counter_table.value = Int of int | Float of float
 
-type t
-(** A named view of one counter (or derived quantity). *)
+type t = Repro_util.Counter_table.entry
 
 val name : t -> string
 (** Stable dotted identifier, e.g. ["l1.hits"], ["stall_cycles.vtable_load"]. *)
@@ -22,42 +23,13 @@ val value : t -> Repro_gpu.Stats.t -> value
 
 val to_float : t -> Repro_gpu.Stats.t -> float
 
-(** {2 Raw scalar counters} — one per scalar [Stats] field. *)
-
-val cycles : t
-val instructions_mem : t
-val instructions_compute : t
-val instructions_ctrl : t
-val load_transactions : t
-val store_transactions : t
-val l1_hits : t
-val l1_misses : t
-val l2_hits : t
-val l2_misses : t
-val dram_sectors : t
-
-val trace_dropped : t
-(** Telemetry events lost to the ring's drop-oldest spill policy
-    (["trace.dropped"]; zero unless tracing is enabled and the ring
-    overflowed). *)
-
-val tlb_l1_hits : t
-val tlb_l2_hits : t
-val tlb_walks : t
-
-val tlb_walk_cycles : t
-(** Cycles spent in modelled page walks (["tlb.walk_cycles"]; all four
-    [tlb.*] metrics are zero unless a run enables address translation
-    with [--pages]). *)
-
-val tlb : t list
-(** The four [tlb.*] metrics above. *)
-
-val scalars : t list
-(** All of the above; the coverage test pins its length to the number of
-    scalar fields in [Stats.t]. *)
-
-(** {2 Per-label counters} — the two [Label]-indexed arrays in [Stats]. *)
+include module type of struct
+  include Repro_gpu.Stats.Counter
+end
+(** One named metric per [Stats] counter (["cycles"],
+    ["instructions.mem"], ..., ["tlb.walk_cycles"]), the three families
+    and the four computed metrics ({!instructions_total},
+    {!l1_hit_rate}, {!l2_hit_rate}, {!stall_cycles_total}). *)
 
 val stall_cycles : Repro_gpu.Label.t -> t
 (** ["stall_cycles.<slug>"]. *)
@@ -65,37 +37,30 @@ val stall_cycles : Repro_gpu.Label.t -> t
 val load_transactions_for : Repro_gpu.Label.t -> t
 (** ["load_transactions.<slug>"]. *)
 
-val per_label : t list
-(** Both families over {!Repro_gpu.Label.all} — [2 * Label.count] metrics. *)
-
-(** {2 Sanitizer counters} — the violation-kind-indexed array in [Stats]. *)
-
 val san_violations_for : Repro_san.Violation.kind -> t
 (** ["san_violations.<slug>"]. *)
+
+val scalars : t list
+(** The table's scalar counters, in declaration order; the coverage
+    test pins their number to the scalar fields of [Stats.to_raw]. *)
+
+val per_label : t list
+(** Both label families over {!Repro_gpu.Label.all} — [2 * Label.count]
+    metrics. *)
 
 val san : t list
 (** The family over {!Repro_san.Violation.kinds}. *)
 
 val counters : t list
-(** [scalars @ per_label @ san]: the additive counters. Summing a metric
-    in this list over per-kernel deltas yields the run total (the
-    {!Profile.consistent} invariant); derived metrics (rates) are not
-    additive and are excluded. *)
-
-(** {2 Derived metrics} — computed from counters, not additive. *)
-
-val instructions_total : t
-
-val l1_hit_rate : t
-(** In [0,1]. *)
-
-val l2_hit_rate : t
-val stall_cycles_total : t
+(** [scalars @ per_label @ san]: every slot of the table, the additive
+    counters. Summing a metric in this list over per-kernel deltas
+    yields the run total (the {!Profile.consistent} invariant). *)
 
 val derived : t list
+(** The four computed metrics; not additive. *)
 
 val all : t list
-(** [counters @ derived]. *)
+(** [counters @ derived]: the key order of every metric JSON export. *)
 
 val find : string -> t option
 (** Look up by {!name} in {!all}. *)
@@ -107,5 +72,6 @@ val pp_value : Format.formatter -> value -> unit
 
 val pp_stats : Format.formatter -> Repro_gpu.Stats.t -> unit
 (** Registry-driven full breakdown: one aligned [name value [units]]
-    line per metric, omitting per-label entries whose value is zero
-    (a run exercises only its own technique's labels). *)
+    line per metric, omitting per-label, sanitizer, TLB and trace-drop
+    entries whose value is zero (a run exercises only its own
+    technique's labels). *)

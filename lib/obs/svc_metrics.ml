@@ -1,55 +1,42 @@
-type kind = Counter | Gauge
-type value = Int of int | Float of float
+module C = Repro_util.Counter_table
 
-type metric = {
-  m_name : string;
-  m_kind : kind;
-  m_units : string;
-  m_slot : int;     (* index into the value array *)
-  m_float : bool;   (* reads back as [Float], else as [Int] *)
-}
+type kind = C.kind = Counter | Gauge
+type value = C.value = Int of int | Float of float
+type metric = C.entry
 
-let name m = m.m_name
-let kind m = m.m_kind
-let units m = m.m_units
+let name (m : metric) = m.id
+let kind (m : metric) = m.kind
+let units (m : metric) = m.units
 
 (* Declaration order is registry order, slot order and wire order. *)
-let declared = ref []
+let table = C.create ()
 
-let declare ?(float = false) kind name units =
-  let m =
-    { m_name = name; m_kind = kind; m_units = units;
-      m_slot = List.length !declared; m_float = float }
-  in
-  declared := m :: !declared;
-  m
+let jobs_submitted = C.declare table Counter "jobs.submitted" "jobs"
+let jobs_executed = C.declare table Counter "jobs.executed" "jobs"
+let dedup_hits = C.declare table Counter "dedup.hits" "jobs"
+let cache_hits = C.declare table Counter "cache.hits" "jobs"
+let cache_misses = C.declare table Counter "cache.misses" "jobs"
+let stampede_avoided = C.declare table Counter "cache.stampede_avoided" "jobs"
+let requests = C.declare table Counter "requests.total" "requests"
+let slow_requests = C.declare table Counter "requests.slow" "requests"
+let responses = C.declare table Counter "responses.total" "responses"
+let decode_errors = C.declare table Counter "decode.errors" "requests"
+let bytes_in = C.declare table Counter "bytes.in" "bytes"
+let bytes_out = C.declare table Counter "bytes.out" "bytes"
+let worker_busy_s = C.declare table ~float:true Counter "worker.busy_s" "seconds"
+let sessions = C.declare table Gauge "sessions" "clients"
+let queue_depth = C.declare table Gauge "queue.depth" "jobs"
+let inflight = C.declare table Gauge "inflight.size" "jobs"
+let jobs_running = C.declare table Gauge "jobs.running" "jobs"
 
-let jobs_submitted = declare Counter "jobs.submitted" "jobs"
-let jobs_executed = declare Counter "jobs.executed" "jobs"
-let dedup_hits = declare Counter "dedup.hits" "jobs"
-let cache_hits = declare Counter "cache.hits" "jobs"
-let cache_misses = declare Counter "cache.misses" "jobs"
-let stampede_avoided = declare Counter "cache.stampede_avoided" "jobs"
-let requests = declare Counter "requests.total" "requests"
-let slow_requests = declare Counter "requests.slow" "requests"
-let responses = declare Counter "responses.total" "responses"
-let decode_errors = declare Counter "decode.errors" "requests"
-let bytes_in = declare Counter "bytes.in" "bytes"
-let bytes_out = declare Counter "bytes.out" "bytes"
-let worker_busy_s = declare ~float:true Counter "worker.busy_s" "seconds"
-let sessions = declare Gauge "sessions" "clients"
-let queue_depth = declare Gauge "queue.depth" "jobs"
-let inflight = declare Gauge "inflight.size" "jobs"
-let jobs_running = declare Gauge "jobs.running" "jobs"
-
-let all = List.rev !declared
-let find n = List.find_opt (fun m -> m.m_name = n) all
+let all = C.entries table
+let find n = List.find_opt (fun m -> name m = n) all
 
 (* Every value lives unboxed in one float array (integers are exact up
    to 2^53), so a bump is a load, an add and a store. *)
 type snapshot = float array
 
-let zero = Array.make (List.length all) 0.
+let zero = C.zero table
 
 type stage = Decode | Queued | Dedup_wait | Cache_probe | Run | Encode | Request
 
@@ -72,7 +59,7 @@ let stage_name i = names.(i)
 type t = { values : float array; stages : Hist.t array }
 
 let create () =
-  { values = Array.copy zero; stages = Array.map (fun _ -> Hist.create ()) names }
+  { values = C.zero table; stages = Array.map (fun _ -> Hist.create ()) names }
 
 let stage_hist t s = t.stages.(stage_index s)
 
@@ -81,35 +68,17 @@ let stage t name =
   | Some i -> t.stages.(i)
   | None -> raise Not_found
 
-let add t m n = t.values.(m.m_slot) <- t.values.(m.m_slot) +. float_of_int n
+let add t (m : metric) n = t.values.(m.slot) <- t.values.(m.slot) +. float_of_int n
 let incr t m = add t m 1
-let add_float t m x = t.values.(m.m_slot) <- t.values.(m.m_slot) +. x
-let set t m n = t.values.(m.m_slot) <- float_of_int n
+let add_float t (m : metric) x = t.values.(m.slot) <- t.values.(m.slot) +. x
+let set t (m : metric) n = t.values.(m.slot) <- float_of_int n
 let snapshot t = Array.copy t.values
-
-let value m s =
-  let v = s.(m.m_slot) in
-  if m.m_float then Float v else Int (int_of_float v)
-
-let count m s = int_of_float s.(m.m_slot)
-
+let value = C.value
+let count m s = int_of_float (m.C.read s)
 let null_clock () = 0.
-
-let to_json s =
-  Json.Obj
-    (List.map
-       (fun m ->
-         ( m.m_name,
-           match value m s with Int i -> Json.Int i | Float f -> Json.Float f ))
-       all)
+let to_json s = Json.of_counters table s
 
 let decoder j =
-  let open Json.Decode in
-  let s = Array.copy zero in
-  List.iter
-    (fun m ->
-      s.(m.m_slot) <-
-        (if m.m_float then field_default m.m_name float 0. j
-         else float_of_int (field_default m.m_name int 0 j)))
-    all;
+  let s = C.zero table in
+  Json.Decode.counters table s j;
   s

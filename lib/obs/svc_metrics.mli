@@ -1,8 +1,9 @@
-(** Service-level metrics for the serve daemon, in the style of
-    {!Metric}: every counter the daemon keeps is a registry entry with a
-    stable dotted id, a kind, units and a storage slot, declared exactly
-    once — so [ctl stats], its JSON export and the tests all read one
-    surface, and a new counter is one new line.
+(** Service-level metrics for the serve daemon: the second
+    {!Repro_util.Counter_table}, next to [Stats]' simulator counters.
+    Every counter the daemon keeps is declared once into it, with a
+    stable dotted id (also its wire key), a kind, units and a slot — so
+    [ctl stats], its JSON export and the tests all read one surface, and
+    a new counter is one new line.
 
     {!t} is the live state: one unboxed value per entry plus one {!Hist}
     per request stage ({!stage_names}), all written by the daemon's
@@ -12,10 +13,10 @@
 
 (** {2 The registry} *)
 
-type kind = Counter | Gauge
-type value = Int of int | Float of float
+type kind = Repro_util.Counter_table.kind = Counter | Gauge
+type value = Repro_util.Counter_table.value = Int of int | Float of float
 
-type metric
+type metric = Repro_util.Counter_table.entry
 
 val name : metric -> string
 (** Stable dotted id, e.g. ["cache.stampede_avoided"]. *)
@@ -113,5 +114,5 @@ val to_json : snapshot -> Json.t
     through {!decoder}. *)
 
 val decoder : snapshot Json.Decode.decoder
-(** Lenient to missing ids (they default to zero), so the form can grow
-    without a schema bump. *)
+(** Lenient to missing ids (no entry is strict; they default to zero),
+    so the form can grow without a schema bump. *)

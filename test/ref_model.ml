@@ -17,6 +17,7 @@
 module Config = Repro_gpu.Config
 module Label = Repro_gpu.Label
 module Stats = Repro_gpu.Stats
+module K = Stats.Counter
 module Trace = Repro_gpu.Trace
 module Telemetry = Repro_gpu.Telemetry
 module Event_ring = Repro_util.Event_ring
@@ -241,13 +242,13 @@ let launch m ~window ~base ~stats traces =
         let st = row () in
         let op = Trace.op tr pc and lbl = Trace.label_index tr pc in
         let rep = Trace.repeat tr pc in
-        Stats.count_classified st
-          (if op = Trace.op_compute then `Compute
+        Stats.bump st
+          (if op = Trace.op_compute then K.instructions_compute
            else if
              op = Trace.op_ctrl || op = Trace.op_call_indirect
              || op = Trace.op_call_direct
-           then `Ctrl
-           else `Mem)
+           then K.instructions_ctrl
+           else K.instructions_mem)
           rep;
         let issue = Float.max ready issue_clock.(sm) in
         let slots = float_of_int rep *. issue_cost in
@@ -275,15 +276,17 @@ let launch m ~window ~base ~stats traces =
               | Some x ->
                 let outcome, tx = translate x ~sm sector in
                 (match outcome with
-                 | L1_hit -> Stats.count_tlb_l1_hit st
-                 | L2_hit -> Stats.count_tlb_l2_hit st
+                 | L1_hit -> Stats.bump st K.tlb_l1_hits 1
+                 | L2_hit -> Stats.bump st K.tlb_l2_hits 1
                  | Walk levels ->
-                   Stats.count_tlb_walk st tx;
+                   Stats.bump st K.tlb_walks 1;
+                   Stats.bump_float st K.tlb_walk_cycles tx;
                    record Telemetry.kind_tlb sm levels sector t0 tx);
                 t0 +. tx
             in
             if op = Trace.op_load then begin
-              Stats.count_load_transactions_idx st lbl n;
+              Stats.bump st K.load_transactions n;
+              Stats.bump st K.load_transactions_by_label.members.(lbl) n;
               let compl = ref t0 in
               List.iter
                 (fun sector ->
@@ -291,27 +294,26 @@ let launch m ~window ~base ~stats traces =
                   l1_free.(sm) <- t1 +. (1. /. cfg.Config.l1_sector_throughput);
                   let l1_lat = float_of_int cfg.Config.l1_latency in
                   if cache_access m.l1s.(sm) sector then begin
-                    Stats.count_l1 st ~hit:true;
+                    Stats.bump st K.l1_hits 1;
                     record Telemetry.kind_l1 sm 1 sector t1 l1_lat;
                     compl := Float.max !compl (t1 +. l1_lat)
                   end
                   else begin
-                    Stats.count_l1 st ~hit:false;
+                    Stats.bump st K.l1_misses 1;
                     record Telemetry.kind_l1 sm 0 sector t1 0.;
                     let t2 = Float.max (t1 +. l1_lat) !l2_free in
                     l2_free := t2 +. (1. /. cfg.Config.l2_sector_throughput);
                     let l2_lat = float_of_int cfg.Config.l2_latency in
                     if cache_access m.l2 sector then begin
-                      Stats.count_l2 st ~hit:true;
+                      Stats.bump st K.l2_hits 1;
                       record Telemetry.kind_l2 sm 1 sector t2 l2_lat;
                       compl := Float.max !compl (t2 +. l2_lat)
                     end
                     else begin
-                      Stats.count_l2 st ~hit:false;
+                      Stats.bump st K.l2_misses 1;
                       record Telemetry.kind_l2 sm 0 sector t2 0.;
                       (* The 64 B DRAM fill: both sectors of the pair. *)
-                      Stats.count_dram_sector st;
-                      Stats.count_dram_sector st;
+                      Stats.bump st K.dram_sectors 2;
                       ignore (cache_access m.l2 (sector lxor 1));
                       let t3 = Float.max (t2 +. l2_lat) !dram_free in
                       dram_free :=
@@ -325,7 +327,7 @@ let launch m ~window ~base ~stats traces =
               if Trace.is_blocking tr pc then !compl else issue +. slots
             end
             else begin
-              Stats.count_store_transactions st n;
+              Stats.bump st K.store_transactions n;
               List.iter
                 (fun sector ->
                   let t2 = Float.max (translated sector) !l2_free in
@@ -334,7 +336,7 @@ let launch m ~window ~base ~stats traces =
                     record Telemetry.kind_l2 sm 3 sector t2 0.
                   else begin
                     record Telemetry.kind_l2 sm 2 sector t2 0.;
-                    Stats.count_dram_sector st;
+                    Stats.bump st K.dram_sectors 1;
                     let t3 = Float.max t2 !dram_free in
                     dram_free := t3 +. (1. /. cfg.Config.dram_sector_throughput);
                     record Telemetry.kind_dram sm 1 sector t3 0.
@@ -358,7 +360,7 @@ let launch m ~window ~base ~stats traces =
         in
         let stall = next_ready -. issue -. slots in
         if stall > 0. then begin
-          Stats.attribute_stall st (Label.of_index lbl) stall;
+          Stats.bump_float st K.stalls.members.(lbl) stall;
           events :=
             { Event_ring.kind = Telemetry.kind_stall; track = sm; arg_a = lbl;
               arg_b = w; ts = base +. issue +. slots; dur = stall }

@@ -76,13 +76,14 @@ let test_json_accessors () =
 (* --- metric registry --------------------------------------------------- *)
 
 let test_registry_covers_stats () =
-  (* Stats.t is a record of scalar counters plus two Label-indexed
-     arrays and one violation-kind-indexed array. If a counter field is
-     added without a registry entry, this count goes stale and the test
-     fails — the registry must stay the complete read surface. *)
-  let stats_fields = Obj.size (Obj.repr (Stats.create ())) in
-  check Alcotest.int "one scalar metric per scalar Stats field"
-    (stats_fields - 3) (List.length Metric.scalars);
+  (* The digest layout [Stats.to_raw] is a record of scalar counters
+     plus two Label-indexed arrays and one violation-kind-indexed array.
+     A scalar declared in the counter table but missing from that
+     record would escape every recorded digest; this count then goes
+     stale and the test fails. *)
+  let raw_fields = Obj.size (Obj.repr (Stats.to_raw (Stats.create ()))) in
+  check Alcotest.int "one scalar metric per scalar digest field"
+    (raw_fields - 3) (List.length Metric.scalars);
   check Alcotest.int "both per-label families over every label"
     (2 * Label.count) (List.length Metric.per_label);
   check Alcotest.int "san family covers every violation kind"
@@ -95,6 +96,31 @@ let test_registry_names_unique () =
     (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* [Metric.all] is the key order of every profile and timeline metrics
+   object, so it is pinned name by name. *)
+let test_registry_order_pinned () =
+  let labels =
+    [ "vtable_load"; "vfunc_load"; "const_indirect"; "call"; "coal_lookup";
+      "tp_dispatch"; "tp_strip"; "concord_tag"; "concord_switch"; "body" ]
+  in
+  let kinds =
+    [ "oob"; "uaf"; "misaligned_vtable"; "non_canonical"; "tag_mismatch";
+      "vm_unmapped"; "vm_owner" ]
+  in
+  let family prefix slugs = List.map (fun s -> prefix ^ "." ^ s) slugs in
+  check (Alcotest.list Alcotest.string) "Metric.all order"
+    ([ "cycles"; "instructions.mem"; "instructions.compute";
+       "instructions.ctrl"; "load_transactions"; "store_transactions";
+       "l1.hits"; "l1.misses"; "l2.hits"; "l2.misses"; "dram.sectors";
+       "trace.dropped"; "tlb.l1_hits"; "tlb.l2_hits"; "tlb.walks";
+       "tlb.walk_cycles" ]
+    @ family "stall_cycles" labels
+    @ family "load_transactions" labels
+    @ family "san_violations" kinds
+    @ [ "instructions.total"; "l1.hit_rate"; "l2.hit_rate";
+        "stall_cycles.total" ])
+    (List.map Metric.name Metric.all)
+
 let test_registry_find () =
   (match Metric.find "l1.hits" with
    | Some m -> check Alcotest.string "find by name" "l1.hits" (Metric.name m)
@@ -105,12 +131,16 @@ let test_registry_find () =
 
 let test_registry_values_match_getters () =
   let s = Stats.create () in
-  Stats.count_load_transactions s Label.Vtable_load 7;
-  Stats.count_store_transactions s 3;
-  Stats.count_l1 s ~hit:true;
-  Stats.count_l1 s ~hit:false;
+  Stats.bump s Metric.load_transactions 7;
+  Stats.bump s (Metric.load_transactions_for Label.Vtable_load) 7;
+  Stats.bump s Metric.store_transactions 3;
+  Stats.bump s Metric.l1_hits 1;
+  Stats.bump s Metric.l1_misses 1;
   Stats.add_cycles s 12.5;
-  Stats.attribute_stall s Label.Call 4.25;
+  Stats.bump_float s (Metric.stall_cycles Label.Call) 4.25;
+  check Alcotest.int "getter load_transactions" 7 (Stats.load_transactions s);
+  check (Alcotest.float 0.) "getter stall_cycles" 4.25
+    (Stats.stall_cycles s Label.Call);
   check Alcotest.bool "load_transactions" true
     (Metric.value Metric.load_transactions s = Metric.Int 7);
   check Alcotest.bool "store_transactions" true
@@ -594,6 +624,17 @@ let test_svc_registry_covers_snapshot () =
    | None -> Alcotest.fail "cache.stampede_avoided not registered");
   check Alcotest.bool "unknown id" true (Svc.find "no.such.metric" = None)
 
+(* [Svc_metrics.all] is the key order of [ctl stats --json]'s [svc]
+   object and of the [ctl stats] text line. *)
+let test_svc_order_pinned () =
+  check (Alcotest.list Alcotest.string) "Svc_metrics.all order"
+    [ "jobs.submitted"; "jobs.executed"; "dedup.hits"; "cache.hits";
+      "cache.misses"; "cache.stampede_avoided"; "requests.total";
+      "requests.slow"; "responses.total"; "decode.errors"; "bytes.in";
+      "bytes.out"; "worker.busy_s"; "sessions"; "queue.depth";
+      "inflight.size"; "jobs.running" ]
+    (List.map Svc.name Svc.all)
+
 let sample_svc_snapshot () =
   let m = Svc.create () in
   List.iter
@@ -807,6 +848,7 @@ let suite =
     Alcotest.test_case "registry covers every Stats field" `Quick
       test_registry_covers_stats;
     Alcotest.test_case "registry names unique" `Quick test_registry_names_unique;
+    Alcotest.test_case "registry order pinned" `Quick test_registry_order_pinned;
     Alcotest.test_case "registry find" `Quick test_registry_find;
     Alcotest.test_case "registry values match getters" `Quick
       test_registry_values_match_getters;
@@ -837,6 +879,7 @@ let suite =
     Alcotest.test_case "hist json round trip" `Quick test_hist_json_round_trip;
     Alcotest.test_case "svc registry covers every snapshot field" `Quick
       test_svc_registry_covers_snapshot;
+    Alcotest.test_case "svc registry order pinned" `Quick test_svc_order_pinned;
     Alcotest.test_case "svc values match getters; json round trip" `Quick
       test_svc_values_and_json;
     Alcotest.test_case "log lines are exact under a fake clock" `Quick

@@ -259,6 +259,123 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+(* --- golden wire fixture -------------------------------------------------- *)
+
+(* A [run] object for TRAF under CUDA with coalesce paging at scale
+   0.01, written by the hand-written stats encoder that the counter
+   table replaced. Its TLB, stall and per-label load counters are all
+   non-zero, so every part of the stats form is exercised. *)
+let fixture_text =
+  lazy
+    (In_channel.with_open_bin "fixtures/run_traf_cuda_coalesce.json"
+       In_channel.input_all)
+
+let fixture () =
+  match J.of_string (Lazy.force fixture_text) with
+  | Ok j -> j
+  | Error msg -> Alcotest.failf "fixture does not parse: %s" msg
+
+let fixture_stats j =
+  match J.member "stats" j with
+  | Some (J.Obj kvs) -> kvs
+  | _ -> Alcotest.fail "fixture has no stats object"
+
+(* The fixture with its top-level [stats] object rewritten by [f]. *)
+let edit_stats f = function
+  | J.Obj kvs ->
+    J.Obj
+      (List.map
+         (fun (k, v) ->
+           match v with
+           | J.Obj s when k = "stats" -> (k, J.Obj (f s))
+           | _ -> (k, v))
+         kvs)
+  | j -> j
+
+let decode_run j =
+  match J.Decode.run X.Response.run_decoder j with
+  | Ok run -> run
+  | Error msg -> Alcotest.failf "run does not decode: %s" msg
+
+let stats_keys =
+  [ "cycles"; "mem_instrs"; "compute_instrs"; "ctrl_instrs";
+    "load_transactions"; "store_transactions"; "l1_hits"; "l1_misses";
+    "l2_hits"; "l2_misses"; "dram_sectors"; "trace_dropped"; "tlb_l1_hits";
+    "tlb_l2_hits"; "tlb_walks"; "tlb_walk_cycles"; "stalls";
+    "load_transactions_by_label"; "san_violations" ]
+
+let test_fixture_roundtrip () =
+  let run = decode_run (fixture ()) in
+  check Alcotest.string "re-encodes to the fixture's bytes"
+    (Lazy.force fixture_text)
+    (J.to_string (X.Response.run_to_json run))
+
+let test_fixture_stats_keys () =
+  check (Alcotest.list Alcotest.string) "fixture stats keys" stats_keys
+    (List.map fst (fixture_stats (fixture ())));
+  let module S = Repro_gpu.Stats in
+  match J.of_counters S.table (S.create () :> float array) with
+  | J.Obj kvs ->
+    check (Alcotest.list Alcotest.string) "encoder stats keys" stats_keys
+      (List.map fst kvs)
+  | _ -> Alcotest.fail "stats do not encode as an object"
+
+let test_fixture_pre_translation_peer () =
+  let module S = Repro_gpu.Stats in
+  let full = (decode_run (fixture ())).W.Harness.stats in
+  check Alcotest.bool "fixture walks pages" true (S.tlb_walks full > 0);
+  let old =
+    (decode_run
+       (edit_stats
+          (List.filter (fun (k, _) -> not (String.starts_with ~prefix:"tlb_" k)))
+          (fixture ())))
+      .W.Harness.stats
+  in
+  check Alcotest.int "tlb_l1_hits" 0 (S.tlb_l1_hits old);
+  check Alcotest.int "tlb_l2_hits" 0 (S.tlb_l2_hits old);
+  check Alcotest.int "tlb_walks" 0 (S.tlb_walks old);
+  check (Alcotest.float 0.) "tlb_walk_cycles" 0. (S.tlb_walk_cycles old);
+  check Alcotest.int "other counters intact" (S.l1_hits full) (S.l1_hits old)
+
+let test_fixture_rejects_bad_stats () =
+  let error j =
+    match J.Decode.run X.Response.run_decoder j with
+    | Ok _ -> Alcotest.fail "expected a decode error"
+    | Error msg -> msg
+  in
+  let msg = error (edit_stats (List.remove_assoc "l1_hits") (fixture ())) in
+  check Alcotest.bool ("names l1_hits: " ^ msg) true (contains ~sub:"l1_hits" msg);
+  (* A slug outside a family is the one way the wire can miss the
+     family's index space. *)
+  List.iter
+    (fun family ->
+      let msg =
+        error
+          (edit_stats
+             (List.map (fun (k, v) ->
+                  if k = family then (k, J.Obj [ ("no_such_slug", J.Int 1) ])
+                  else (k, v)))
+             (fixture ()))
+      in
+      check Alcotest.bool
+        (Printf.sprintf "names %s: %s" family msg)
+        true
+        (contains ~sub:(family ^ ": unknown slug") msg))
+    [ "stalls"; "load_transactions_by_label"; "san_violations" ]
+
+(* The result cache stores [Harness.run], which embeds [Stats.t], with
+   [Marshal], keyed by [Job.schema_version]. Reading an entry at a
+   changed layout is undefined behaviour, not an exception, so a layout
+   change must come with a version bump. *)
+let test_stats_layout_pinned () =
+  check Alcotest.string
+    "Stats.t's marshalled layout changed: bump Job.schema_version, then \
+     update this pin"
+    "repro-exec-v7 9f72d388a70fe15ec5958841fce322c8"
+    (X.Job.schema_version ^ " "
+    ^ Digest.to_hex
+        (Digest.string (Marshal.to_string (Repro_gpu.Stats.create ()) [])))
+
 let test_decode_errors_name_field () =
   let err =
     decode_error
@@ -1153,6 +1270,16 @@ let suite =
       test_run_wire_fidelity;
     Alcotest.test_case "decode errors name the field" `Quick
       test_decode_errors_name_field;
+    Alcotest.test_case "golden run fixture round-trips byte for byte" `Quick
+      test_fixture_roundtrip;
+    Alcotest.test_case "golden run fixture pins the stats keys" `Quick
+      test_fixture_stats_keys;
+    Alcotest.test_case "stats without tlb keys decode as zeros" `Quick
+      test_fixture_pre_translation_peer;
+    Alcotest.test_case "stats decode errors name the field" `Quick
+      test_fixture_rejects_bad_stats;
+    Alcotest.test_case "stats marshalled layout is pinned" `Quick
+      test_stats_layout_pinned;
     Alcotest.test_case "schema version checked" `Quick
       test_schema_version_checked;
     Alcotest.test_case "removed intern field is ignored" `Quick
