@@ -1,11 +1,12 @@
-(* Compares two BENCH_<label>.json trajectory files written by
-   bench/main.exe.
+(* Compares two figure trajectory files, as written by
+   [repro figure ID... --json PATH].
 
    Usage: diff.exe [--ignore-series NAME]... BASELINE CURRENT
 
    The harness is deterministic at a fixed scale, so any change in the
-   series data is a real behavioural change; the volatile metadata
-   ("label", "workers", "generated_unix") is ignored. --ignore-series
+   series data is a real behavioural change; the volatile metadata that
+   older baselines carry ("label", "workers", "generated_unix") is
+   ignored. --ignore-series
    drops every series point named NAME from both files before comparing —
    the gate for "adding column NAME left the existing columns
    byte-identical". Exit 0 when the trajectories match, 1 when they

@@ -12,10 +12,9 @@
    point across commits.
 
    Usage: bench/sim_bench.exe [--scale F] [--reps N] [--out PATH]
-   Flags override the environment:
-     REPRO_SCALE     workload scale factor (default 0.05)
-     REPRO_SIM_REPS  timed replay repetitions per job (default 5)
-     REPRO_SIM_OUT   output JSON path (default SIM_BENCH.json)
+     --scale  workload scale factor (default 0.05)
+     --reps   timed replay repetitions per job (default 5)
+     --out    output JSON path (default SIM_BENCH.json)
 
    The dedup column is phase-1 interning's stream-deduplication ratio
    (warps sealed / unique streams kept): how many identical warp
@@ -31,7 +30,7 @@
    per-instruction words are the rest of the plain passes' allocation
    divided by the instructions replayed. Replays re-run traces recorded once, so
    their cache state differs from a real multi-iteration run — the
-   numbers measure engine speed, not workload figures (bench/main.exe
+   numbers measure engine speed, not workload figures (repro figure
    does those). *)
 
 module G = Repro_gpu
@@ -40,19 +39,10 @@ module W = Repro_workloads
 module O = Repro_obs
 module Rng = Repro_util.Rng
 
-let env_or name ~default ~parse =
-  match Sys.getenv_opt name with
-  | Some s -> (try parse s with _ -> default)
-  | None -> default
-
-(* --scale/--reps/--out beat the REPRO_* environment (kept for the CI
-   recipes that predate the flags). *)
 let scale, reps, out_path =
-  let scale = ref (env_or "REPRO_SCALE" ~default:0.05 ~parse:float_of_string) in
-  let reps =
-    ref (env_or "REPRO_SIM_REPS" ~default:5 ~parse:(fun s -> max 1 (int_of_string s)))
-  in
-  let out = ref (env_or "REPRO_SIM_OUT" ~default:"SIM_BENCH.json" ~parse:Fun.id) in
+  let scale = ref 0.05 in
+  let reps = ref 5 in
+  let out = ref "SIM_BENCH.json" in
   let usage = "sim_bench.exe [--scale F] [--reps N] [--out PATH]" in
   Arg.parse
     [

@@ -5,7 +5,7 @@
      repro profile -w TRAF -t tp        per-kernel counter timeline
      repro trace TRAF tp                Chrome-trace export (Perfetto)
      repro compare -w GOL               one workload under all techniques
-     repro figure 6                     regenerate a figure (1b, 6..12b)
+     repro figure 6 9                   regenerate figures (1b, 6..12b, dram, tlb)
      repro table 2                      regenerate a table (1 or 2)
      repro sweep                        the full job matrix, with timings
      repro check --all                  sanitizer + cross-technique dispatch oracle
@@ -212,13 +212,6 @@ let write_json path json =
 let write_csv path contents =
   O.Sink.write_file ~path contents;
   Printf.eprintf "wrote %s\n%!" path
-
-let series_json ~kind ~which series =
-  O.Json.Obj
-    [
-      (kind, O.Json.String which);
-      ("series", O.Json.List (List.map O.Sink.series_to_json series));
-    ]
 
 let series_csv = function
   | [ s ] -> O.Sink.series_to_csv s
@@ -540,13 +533,13 @@ let sweep_columns alloc =
     if A.is_default T.Cuda fam then paper
     else paper @ [ E.Sweep.column ~alloc:fam T.Cuda ]
 
+let progress label = Printf.eprintf "  %s...\n%!" label
+
 let sweep_of ?alloc ?pages scale j cache cache_dir =
   let pages = Option.bind pages resolve_pages in
   let sweep =
     E.Sweep.exec ~columns:(sweep_columns alloc) ?pages ~scale ~j ~cache
-      ?cache_dir
-      ~progress:(fun label -> Printf.eprintf "  %s...\n%!" label)
-      ()
+      ?cache_dir ~progress ()
   in
   let outcomes = E.Sweep.outcomes sweep in
   let cached = List.length (List.filter (fun o -> o.X.Executor.cached) outcomes) in
@@ -558,9 +551,11 @@ let sweep_of ?alloc ?pages scale j cache cache_dir =
   sweep
 
 let figure_cmd =
-  let which =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FIG"
-           ~doc:"One of: 1b, 6, 7, 8, 9, 10, 11, 12a, 12b, tlb.")
+  let ids =
+    Arg.(non_empty & pos_all string [] & info [] ~docv:"FIG"
+           ~doc:("One or more of: " ^ String.concat ", " E.Figures.ids
+                 ^ ". Several figures share one sweep and print in that \
+                    order."))
   in
   let figure_alloc =
     Arg.(value & opt (some string) None & info [ "alloc" ] ~docv:"FAMILY"
@@ -568,82 +563,50 @@ let figure_cmd =
                  sweep figures (default: dyna). $(b,--alloc cuda) drops the \
                  extra column and renders the paper's original five.")
   in
-  let run which alloc pages scale j no_cache cache_dir json csv =
+  let run ids alloc pages scale j no_cache cache_dir json csv =
+    List.iter
+      (fun id ->
+        match E.Figures.find id with
+        | None ->
+          cli_error "unknown figure %S; valid figures: %s" id
+            (String.concat ", " E.Figures.ids)
+        | Some f ->
+          if alloc <> None && not f.E.Figures.alloc then
+            cli_error "figure %s has a fixed column set; --alloc does not apply"
+              id;
+          if pages <> None && not f.E.Figures.pages then
+            cli_error "figure %s sets its own page policy; --pages does not \
+                       apply" id)
+      ids;
     let cache = not no_cache in
-    let sweep () = sweep_of ?alloc ?pages scale j cache cache_dir in
-    let reject_alloc which =
-      if alloc <> None then
-        cli_error "figure %s has a fixed column set; --alloc does not apply"
-          which
+    let source =
+      { E.Figures.scale; j; cache; cache_dir; progress;
+        columns = sweep_columns alloc;
+        sweep = lazy (sweep_of ?alloc ?pages scale j cache cache_dir) }
     in
-    let reject_pages which reason =
-      if pages <> None then
-        cli_error "figure %s %s; --pages does not apply" which reason
+    let results =
+      List.filter_map
+        (fun f ->
+          if List.mem f.E.Figures.id ids then Some (f, f.E.Figures.series source)
+          else None)
+        E.Figures.all
     in
-    let text, series =
-      match which with
-      | "1b" ->
-        let s = sweep () in
-        (E.Fig1b.render s, [ E.Fig1b.series s ])
-      | "6" ->
-        let s = sweep () in
-        (E.Fig6.render s, [ E.Fig6.series s ])
-      | "7" ->
-        let s = sweep () in
-        (E.Fig7.render s, [ E.Fig7.series s; E.Fig7.breakdown_series s ])
-      | "8" ->
-        let s = sweep () in
-        (E.Fig8.render s, [ E.Fig8.series s ])
-      | "9" ->
-        let s = sweep () in
-        (E.Fig9.render s, [ E.Fig9.series s ])
-      | "10" ->
-        reject_alloc "10";
-        reject_pages "10" "has a fixed configuration";
-        let ps = E.Fig10.run ~scale ~j ~cache ?cache_dir () in
-        (E.Fig10.render ps, [ E.Fig10.series_perf ps; E.Fig10.series_frag ps ])
-      | "11" ->
-        reject_alloc "11";
-        reject_pages "11" "has a fixed configuration";
-        let ps = E.Fig11.points ~scale ~j ~cache ?cache_dir () in
-        (E.Fig11.render ps, [ E.Fig11.series ps ])
-      | "12a" ->
-        reject_alloc "12a";
-        reject_pages "12a" "has a fixed configuration";
-        let ps = E.Fig12.run_object_sweep ~scale ~j () in
-        (E.Fig12.render_object_sweep ps, [ E.Fig12.object_series ps ])
-      | "12b" ->
-        reject_alloc "12b";
-        reject_pages "12b" "has a fixed configuration";
-        let ps = E.Fig12.run_type_sweep ~scale ~j () in
-        (E.Fig12.render_type_sweep ps, [ E.Fig12.type_series ps ])
-      | "tlb" ->
-        (* Sweeps all three policies itself; a single --pages would
-           contradict the comparison. *)
-        reject_pages "tlb" "sweeps every page policy";
-        let t =
-          E.Fig_tlb.run ~columns:(sweep_columns alloc) ~scale ~j ~cache
-            ?cache_dir
-            ~progress:(fun label -> Printf.eprintf "  %s...\n%!" label)
-            ()
-        in
-        (E.Fig_tlb.render t, E.Fig_tlb.series t)
-      | other ->
-        cli_error "unknown figure %S; valid figures: %s" other
-          "1b, 6, 7, 8, 9, 10, 11, 12a, 12b, tlb"
-    in
-    print_string text;
+    print_string
+      (String.concat "\n"
+         (List.map (fun (f, series) -> E.Figures.text f source series) results));
     Option.iter
-      (fun path -> write_json path (series_json ~kind:"figure" ~which series))
+      (fun path -> write_json path (E.Figures.trajectory ~scale results))
       json;
-    Option.iter (fun path -> write_csv path (series_csv series)) csv
+    Option.iter
+      (fun path -> write_csv path (series_csv (List.concat_map snd results)))
+      csv
   in
   Cmd.v
     (Cmd.info "figure"
-       ~doc:"Regenerate one of the paper's figures, or $(b,tlb): the \
-             repo's page-walk-overhead comparison across page-size \
-             policies.")
-    Term.(const run $ which $ figure_alloc $ pages_arg $ scale_arg $ jobs_arg
+       ~doc:"Regenerate the paper's figures, or the repo's companion \
+             series: $(b,dram), DRAM sectors per run, and $(b,tlb), \
+             page-walk overhead across page-size policies.")
+    Term.(const run $ ids $ figure_alloc $ pages_arg $ scale_arg $ jobs_arg
           $ no_cache_arg $ cache_dir_arg $ json_arg $ csv_arg)
 
 let table1_json sweep =

@@ -12,7 +12,3 @@ let series sweep =
     ~title:"DRAM traffic: 32 B sectors consumed (fills and write-through \
             store misses)"
     ~aggregate:"AVG" (points sweep)
-
-let render sweep = Figview.render_table (series sweep)
-
-let csv sweep = Series.csv (series sweep)

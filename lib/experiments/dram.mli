@@ -8,7 +8,3 @@
 val points : Sweep.t -> Repro_report.Series.point list
 
 val series : Sweep.t -> Repro_report.Series.t
-
-val render : Sweep.t -> string
-
-val csv : Sweep.t -> string

@@ -70,19 +70,3 @@ let series_frag ps =
     ~title:"Figure 10b: SharedOA external fragmentation across initial chunk sizes"
     ~aggregate:"AVG"
     (Series.mean_row ~label:"AVG" (points_of (fun p -> p.fragmentation) ps))
-
-let render points =
-  Figview.render_table (series_perf points)
-  ^ "\n"
-  ^ Figview.render_table (series_frag points)
-
-let csv points =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "workload,chunk_objs,perf_vs_cuda,fragmentation\n";
-  List.iter
-    (fun p ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%f,%f\n" p.workload p.chunk_objs p.perf_vs_cuda
-           p.fragmentation))
-    points;
-  Buffer.contents buf

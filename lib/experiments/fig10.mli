@@ -28,7 +28,3 @@ val series_perf : point list -> Repro_report.Series.t
 
 val series_frag : point list -> Repro_report.Series.t
 (** 10b likewise, with an "AVG" mean row appended. *)
-
-val render : point list -> string
-
-val csv : point list -> string

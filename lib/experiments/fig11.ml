@@ -63,7 +63,3 @@ let series points =
       "Figure 11: TypePointer and DynaSOAr-SoA on the default CUDA \
        allocator (simulation), normalized to CUDA"
     ~aggregate:"GM" points
-
-let render points = Figview.render_table (series points)
-
-let csv points = Series.csv (series points)

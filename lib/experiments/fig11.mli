@@ -11,7 +11,3 @@ val points :
 
 val series : Repro_report.Series.point list -> Repro_report.Series.t
 (** {!points} with the figure's name/title/aggregate attached. *)
-
-val render : Repro_report.Series.point list -> string
-
-val csv : Repro_report.Series.point list -> string

@@ -89,18 +89,3 @@ let type_series points =
       "Figure 12b: execution time normalized to BRANCH with 1 type (fixed \
        objects; type scaling)"
     ~group_label:"types" ~x_of:(fun p -> p.n_types) points
-
-let render_object_sweep points = Figview.render_table (object_series points)
-
-let render_type_sweep points = Figview.render_table (type_series points)
-
-let csv points =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "variant,n_objects,n_types,cycles,norm_time\n";
-  List.iter
-    (fun p ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%d,%f,%f\n" p.variant p.n_objects p.n_types p.cycles
-           p.norm_time))
-    points;
-  Buffer.contents buf

@@ -40,9 +40,3 @@ val object_series : point list -> Repro_report.Series.t
 
 val type_series : point list -> Repro_report.Series.t
 (** 12b likewise over type counts. *)
-
-val render_object_sweep : point list -> string
-
-val render_type_sweep : point list -> string
-
-val csv : point list -> string

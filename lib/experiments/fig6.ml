@@ -11,7 +11,3 @@ let series sweep =
   Series.make ~name:"fig6"
     ~title:"Figure 6: performance normalized to SharedOA (higher is better)"
     ~aggregate:"GM" (points sweep)
-
-let render sweep = Figview.render_table (series sweep)
-
-let csv sweep = Series.csv (series sweep)

@@ -7,8 +7,4 @@ val points : Sweep.t -> Repro_report.Series.point list
 
 val series : Sweep.t -> Repro_report.Series.t
 (** {!points} with the figure's name/title/aggregate attached — the one
-    value both {!render} and the JSON/CSV sinks consume. *)
-
-val render : Sweep.t -> string
-
-val csv : Sweep.t -> string
+    value both the text table and the JSON/CSV sinks consume. *)

@@ -81,17 +81,3 @@ let render sweep =
   in
   "Figure 7: warp instructions normalized to SharedOA (breakdown by class)\n"
   ^ Table.render table ^ "AVG total: " ^ avg ^ "\n"
-
-let csv sweep =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "workload,technique,class,value\n";
-  List.iter
-    (fun (workload, rows) ->
-      List.iter
-        (fun (tech, (m, c, k)) ->
-          Buffer.add_string buf (Printf.sprintf "%s,%s,MEM,%f\n" workload tech m);
-          Buffer.add_string buf (Printf.sprintf "%s,%s,COMPUTE,%f\n" workload tech c);
-          Buffer.add_string buf (Printf.sprintf "%s,%s,CTRL,%f\n" workload tech k))
-        rows)
-    (breakdown sweep);
-  Buffer.contents buf

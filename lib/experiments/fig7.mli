@@ -19,6 +19,3 @@ val breakdown :
     that workload's SharedOA total. *)
 
 val render : Sweep.t -> string
-
-val csv : Sweep.t -> string
-(** Long-form rows "workload,technique:class,value". *)

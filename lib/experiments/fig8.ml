@@ -14,7 +14,3 @@ let series sweep =
       "Figure 8: global load transactions normalized to SharedOA (lower is \
        better)"
     ~aggregate:"GM" (points sweep)
-
-let render sweep = Figview.render_table (series sweep)
-
-let csv sweep = Series.csv (series sweep)

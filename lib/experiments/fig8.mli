@@ -5,7 +5,3 @@ val points : Sweep.t -> Repro_report.Series.point list
 
 val series : Sweep.t -> Repro_report.Series.t
 (** {!points} with the figure's name/title/aggregate attached. *)
-
-val render : Sweep.t -> string
-
-val csv : Sweep.t -> string

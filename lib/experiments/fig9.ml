@@ -11,7 +11,3 @@ let series sweep =
   Series.make ~name:"fig9"
     ~title:"Figure 9: L1 cache hit rate (fraction of load sectors)"
     ~aggregate:"AVG" (points sweep)
-
-let render sweep = Figview.render_table (series sweep)
-
-let csv sweep = Series.csv (series sweep)

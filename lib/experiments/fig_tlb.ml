@@ -42,10 +42,3 @@ let series_of t policy =
     ~aggregate:"AVG" (points t policy)
 
 let series t = List.map (fun (policy, _) -> series_of t policy) t
-
-let render t =
-  String.concat "\n"
-    (List.map (fun (policy, _) -> Figview.render_table (series_of t policy)) t)
-
-let csv t =
-  String.concat "\n" (List.map (fun s -> Series.csv s) (series t))

@@ -38,8 +38,3 @@ val points : t -> Repro_vm.Policy.t -> Repro_report.Series.point list
 
 val series : t -> Repro_report.Series.t list
 (** One series per policy, named [tlb.<policy>]. *)
-
-val render : t -> string
-(** One table per policy. *)
-
-val csv : t -> string

@@ -48,14 +48,3 @@ let render sweep =
     (rows sweep);
   "Table 2: workload characteristics (measured at the current scale)\n"
   ^ Table.render table
-
-let csv sweep =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "suite,workload,objects,paper_objects,types,vfuncs,vfunc_pki\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%s,%d,%d,%d,%d,%f\n" r.suite r.workload r.objects
-           r.paper_objects r.types r.vfuncs r.vfunc_pki))
-    (rows sweep);
-  Buffer.contents buf

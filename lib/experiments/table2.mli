@@ -17,5 +17,3 @@ type row = {
 val rows : Sweep.t -> row list
 
 val render : Sweep.t -> string
-
-val csv : Sweep.t -> string

@@ -186,6 +186,48 @@ let test_expectations_present () =
   check (Alcotest.float 1e-9) "fig11 target" 1.18 E.Expectations.fig11_geomean;
   check Alcotest.bool "fig1b share" true (E.Expectations.fig1b_vtable_share > 0.8)
 
+(* The figure table drives [repro figure] and CI's trajectory gate, so
+   its keys must cover the committed baseline and its JSON must read
+   back keyed as requested. *)
+let test_figure_table () =
+  let module J = Repro_obs.Json in
+  let unique l = List.length (List.sort_uniq compare l) = List.length l in
+  let keys = List.map (fun f -> f.E.Figures.key) E.Figures.all in
+  check Alcotest.bool "ids unique" true (unique E.Figures.ids);
+  check Alcotest.bool "keys unique" true (unique keys);
+  let baseline =
+    In_channel.with_open_bin "../BENCH_main.json" In_channel.input_all
+  in
+  (match Result.map (J.member "entries") (J.of_string baseline) with
+   | Ok (Some (J.Obj entries)) ->
+     List.iter
+       (fun (k, _) ->
+         check Alcotest.bool ("baseline key " ^ k ^ " has a figure") true
+           (List.mem k keys))
+       entries
+   | _ -> Alcotest.fail "BENCH_main.json has no entries object");
+  let source =
+    { E.Figures.scale = 0.08; j = 1; cache = false; cache_dir = None;
+      columns = E.Sweep.default_columns; progress = ignore; sweep }
+  in
+  let sweep_fed = List.filter (fun f -> f.E.Figures.pages) E.Figures.all in
+  let json =
+    E.Figures.trajectory ~scale:0.08
+      (List.map (fun f -> (f, f.E.Figures.series source)) sweep_fed)
+  in
+  match J.of_string (J.to_string ~pretty:true json) with
+  | Error msg -> Alcotest.failf "trajectory does not parse: %s" msg
+  | Ok back ->
+    check Alcotest.bool "round-trips" true (back = json);
+    (match J.member "entries" back with
+     | Some (J.Obj entries) ->
+       check
+         Alcotest.(list string)
+         "entries keyed as requested"
+         (List.map (fun f -> f.E.Figures.key) sweep_fed)
+         (List.map fst entries)
+     | _ -> Alcotest.fail "trajectory has no entries object")
+
 let suite =
   [
     Alcotest.test_case "sweep contents" `Slow test_sweep_contents;
@@ -202,4 +244,5 @@ let suite =
     Alcotest.test_case "init speedup" `Quick test_init_speedup;
     Alcotest.test_case "ablation: tag encoding free" `Quick test_ablation_encoding_free;
     Alcotest.test_case "expectations recorded" `Quick test_expectations_present;
+    Alcotest.test_case "figure table" `Slow test_figure_table;
   ]
