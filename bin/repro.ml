@@ -96,20 +96,28 @@ let pages_arg =
                flat-2m | coalesce (default: none -- translation off, the \
                TLB model fully out of the measured path).")
 
+(* A number checked when the command line is evaluated, so a bad value
+   exits 2 before any job runs, with the rule and message every spec gets
+   from [Request.Spec]. *)
+let checked error arg =
+  Term.(const (fun v -> Option.iter (cli_error "%s") (error v); v) $ arg)
+
 let scale_arg =
-  Arg.(value & opt float E.Sweep.default_scale & info [ "s"; "scale" ] ~docv:"SCALE"
-         ~doc:"Workload scale factor (1.0 = the full reduced-size \
-               configuration; default 0.25 -- the one repo-wide constant \
-               every bare surface shares, CLI and wire protocol alike). \
-               $(b,--scale 1.0) regenerates the paper's figures; see \
-               EXPERIMENTS.md.")
+  checked X.Request.Spec.scale_error
+    Arg.(value & opt float E.Sweep.default_scale & info [ "s"; "scale" ] ~docv:"SCALE"
+           ~doc:"Workload scale factor (1.0 = the full reduced-size \
+                 configuration; default 0.25 -- the one repo-wide constant \
+                 every bare surface shares, CLI and wire protocol alike). \
+                 $(b,--scale 1.0) regenerates the paper's figures; see \
+                 EXPERIMENTS.md.")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic input seed.")
 
 let iterations_arg =
-  Arg.(value & opt (some int) None & info [ "i"; "iterations" ] ~docv:"N"
-         ~doc:"Override the workload's compute-iteration count.")
+  checked (fun i -> Option.bind i (X.Request.Spec.count_error "iterations"))
+    Arg.(value & opt (some int) None & info [ "i"; "iterations" ] ~docv:"N"
+           ~doc:"Override the workload's compute-iteration count.")
 
 let jobs_arg =
   Arg.(value & opt int (X.Executor.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N"
@@ -467,25 +475,24 @@ let compare_cmd =
     Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~docv:"NAME")
   in
   let run w scale seed iterations json =
-    let base =
-      params_of
-        (X.Request.Spec.make ?iterations ~scale ~seed ~workload:w
-           ~technique:"shard" ())
-    in
     let w = resolve_workload w in
-    let runs = W.Harness.run_techniques w base T.all_paper in
-    List.iter (fun (_, r) -> print_run r) runs;
-    let base = W.Harness.find runs ~technique:T.Shared_oa in
-    (match base with
-     | Some base ->
-       Printf.printf "runtime normalized to SharedOA (lower is faster):";
-       List.iter
-         (fun (technique, r) ->
-           Printf.printf "  %s=%.2f" (T.name technique)
-             (W.Harness.normalized_cycles ~baseline:base r))
-         runs;
-       print_newline ()
-     | None -> ());
+    let sweep =
+      E.Sweep.exec ~scale ~seed ?iterations ~workloads:[ w ]
+        ~columns:E.Sweep.paper_columns ()
+    in
+    let runs = E.Sweep.runs sweep in
+    List.iter print_run runs;
+    let base =
+      E.Sweep.get sweep ~workload:(W.Registry.qualified_name w)
+        ~technique:T.Shared_oa
+    in
+    Printf.printf "runtime normalized to SharedOA (lower is faster):";
+    List.iter
+      (fun (r : W.Harness.run) ->
+        Printf.printf "  %s=%.2f" (T.name r.W.Harness.technique)
+          (W.Harness.normalized_cycles ~baseline:base r))
+      runs;
+    print_newline ();
     Option.iter
       (fun path ->
         write_json path
@@ -496,17 +503,15 @@ let compare_cmd =
                ( "runs",
                  O.Json.List
                    (List.map
-                      (fun (technique, (r : W.Harness.run)) ->
+                      (fun (r : W.Harness.run) ->
                         O.Json.Obj
                           [
-                            ("technique", O.Json.String (T.name technique));
+                            ( "technique",
+                              O.Json.String (T.name r.W.Harness.technique) );
                             ("cycles", O.Json.Float r.W.Harness.cycles);
                             ( "normalized_to_shard",
-                              match base with
-                              | Some b ->
-                                O.Json.Float
-                                  (W.Harness.normalized_cycles ~baseline:b r)
-                              | None -> O.Json.Null );
+                              O.Json.Float
+                                (W.Harness.normalized_cycles ~baseline:base r) );
                             ("metrics", O.Metric.to_json r.W.Harness.stats);
                           ])
                       runs) );
@@ -525,13 +530,12 @@ let compare_cmd =
    (default: dyna); naming the device heap's own family drops the extra
    column and reproduces the paper's original five. *)
 let sweep_columns alloc =
-  let paper = List.map E.Sweep.column T.all_paper in
   match alloc with
   | None -> E.Sweep.default_columns
   | Some name ->
     let fam = resolve_alloc name in
-    if A.is_default T.Cuda fam then paper
-    else paper @ [ E.Sweep.column ~alloc:fam T.Cuda ]
+    if A.is_default T.Cuda fam then E.Sweep.paper_columns
+    else E.Sweep.paper_columns @ [ E.Sweep.column ~alloc:fam T.Cuda ]
 
 let progress label = Printf.eprintf "  %s...\n%!" label
 
@@ -671,11 +675,14 @@ let table_cmd =
 
 let ablation_cmd =
   let run scale j no_cache cache_dir =
-    let cache = not no_cache in
+    let sweep =
+      E.Sweep.exec ~columns:E.Ablation.tp_columns ~scale ~j
+        ~cache:(not no_cache) ?cache_dir ()
+    in
     print_string
       (E.Ablation.render
          ~title:"TypePointer: silicon prototype vs hardware MMU"
-         (E.Ablation.tp_prototype_vs_hw ~scale ~j ~cache ?cache_dir ()));
+         (E.Ablation.tp_prototype_vs_hw sweep));
     print_string
       (E.Ablation.render ~title:"TypePointer: tag encodings (Sec. 6.2)"
          [ E.Ablation.tp_encoding () ])
@@ -685,8 +692,11 @@ let ablation_cmd =
 
 let init_cmd =
   let run scale j no_cache cache_dir =
-    print_string
-      (E.Init_bench.render (E.Init_bench.run ~scale ~j ~cache:(not no_cache) ?cache_dir ()))
+    let sweep =
+      E.Sweep.exec ~columns:E.Init_bench.columns ~scale ~j
+        ~cache:(not no_cache) ?cache_dir ()
+    in
+    print_string (E.Init_bench.render (E.Init_bench.rows sweep))
   in
   Cmd.v
     (Cmd.info "init" ~doc:"The Sec. 8.2 initialization-cost comparison (SharedOA vs device new).")

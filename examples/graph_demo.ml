@@ -9,6 +9,7 @@ module W = Repro_workloads
 module R = Repro_core
 module T = R.Technique
 module Stats = Repro_gpu.Stats
+module E = Repro_experiments
 
 let () =
   let w = Option.get (W.Registry.find "GraphChi-vE/BFS") in
@@ -16,17 +17,22 @@ let () =
     { (W.Workload.default_params T.Shared_oa) with W.Workload.scale = 0.2 }
   in
   print_endline "BFS over ~2K vertices / 12K polymorphic edges.\n";
-  let runs = W.Harness.run_techniques w params T.all_paper in
-  let base = Option.get (W.Harness.find runs ~technique:T.Shared_oa) in
+  let sweep =
+    E.Sweep.exec ~scale:params.W.Workload.scale ~workloads:[ w ]
+      ~columns:E.Sweep.paper_columns ()
+  in
+  let base =
+    E.Sweep.get sweep ~workload:(W.Registry.qualified_name w) ~technique:T.Shared_oa
+  in
   Printf.printf "%-8s %12s %10s %8s %8s\n" "tech" "cycles" "ld-trans" "L1%" "vs-SHARD";
   List.iter
-    (fun (technique, (r : W.Harness.run)) ->
+    (fun (r : W.Harness.run) ->
       Printf.printf "%-8s %12.0f %10d %7.1f%% %8.2f\n"
-        (T.name technique) r.W.Harness.cycles
+        (T.name r.W.Harness.technique) r.W.Harness.cycles
         (Stats.load_transactions r.W.Harness.stats)
         (100. *. Stats.l1_hit_rate r.W.Harness.stats)
         (base.W.Harness.cycles /. r.W.Harness.cycles))
-    runs;
+    (E.Sweep.runs sweep);
 
   (* Read the levels back from the simulated heap and histogram them:
      the CPU side of unified memory, reading GPU-written objects. *)

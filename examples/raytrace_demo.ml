@@ -6,6 +6,7 @@
 
 module W = Repro_workloads
 module T = Repro_core.Technique
+module E = Repro_experiments
 
 let () =
   let w = Option.get (W.Registry.find "RAY") in
@@ -19,13 +20,18 @@ let () =
     (Repro_core.Runtime.cycles inst.W.Workload.rt);
 
   print_endline "Technique comparison (normalized to SharedOA):";
-  let runs = W.Harness.run_techniques w params T.all_paper in
-  let base = Option.get (W.Harness.find runs ~technique:T.Shared_oa) in
+  let sweep =
+    E.Sweep.exec ~scale:params.W.Workload.scale ~workloads:[ w ]
+      ~columns:E.Sweep.paper_columns ()
+  in
+  let base =
+    E.Sweep.get sweep ~workload:(W.Registry.qualified_name w) ~technique:T.Shared_oa
+  in
   List.iter
-    (fun (technique, (r : W.Harness.run)) ->
-      Printf.printf "  %-6s %.2f\n" (T.name technique)
+    (fun (r : W.Harness.run) ->
+      Printf.printf "  %-6s %.2f\n" (T.name r.W.Harness.technique)
         (base.W.Harness.cycles /. r.W.Harness.cycles))
-    runs;
+    (E.Sweep.runs sweep);
   print_endline
     "\nEvery thread tests the same object per call (converged sites), so\n\
      COAL leaves them un-instrumented and matches SharedOA, while Concord's\n\

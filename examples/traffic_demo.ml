@@ -7,6 +7,7 @@
 module W = Repro_workloads
 module R = Repro_core
 module T = R.Technique
+module E = Repro_experiments
 
 let () =
   let w = Option.get (W.Registry.find "TRAF") in
@@ -39,10 +40,14 @@ let () =
     inst.W.Workload.iterations !cars !active !moving !total_dist;
 
   print_endline "Cost of the same simulation under each technique:";
-  let runs = W.Harness.run_techniques w params T.all_paper in
+  let sweep =
+    E.Sweep.exec ~scale:params.W.Workload.scale
+      ?iterations:params.W.Workload.iterations ~workloads:[ w ]
+      ~columns:E.Sweep.paper_columns ()
+  in
   print_string
     (Repro_report.Chart.bars ~unit_label:" cyc"
        (List.map
-          (fun (technique, (r : W.Harness.run)) ->
-            (T.name technique, r.W.Harness.cycles))
-          runs))
+          (fun (r : W.Harness.run) ->
+            (T.name r.W.Harness.technique, r.W.Harness.cycles))
+          (E.Sweep.runs sweep)))

@@ -10,14 +10,6 @@ type t = {
 let make workload (params : W.Workload.params) =
   { workload; technique = params.W.Workload.technique; params }
 
-let matrix ~techniques ~params workloads =
-  List.concat_map
-    (fun w ->
-      List.map
-        (fun technique -> make w { params with W.Workload.technique })
-        techniques)
-    workloads
-
 let workload_name t = W.Registry.qualified_name t.workload
 
 let column_name t =

@@ -15,14 +15,6 @@ type t = private {
 val make : Repro_workloads.Workload.t -> Repro_workloads.Workload.params -> t
 (** The technique is taken from [params.technique]. *)
 
-val matrix :
-  techniques:Repro_core.Technique.t list ->
-  params:Repro_workloads.Workload.params ->
-  Repro_workloads.Workload.t list ->
-  t list
-(** Workload-major cross product: all techniques of the first workload,
-    then all of the second, ... — the canonical sweep order. *)
-
 val workload_name : t -> string
 (** Qualified ["suite/name"]. *)
 

@@ -80,17 +80,20 @@ module Spec = struct
   (* The numbers every job needs in range; a scale of -1, 0 or 1e400
      would otherwise run (under a fresh cache key each) as whatever the
      workloads' clamps make of it, and iterations < 1 measures nothing. *)
+  let scale_error scale =
+    if Float.is_finite scale && scale > 0. then None
+    else Some (Printf.sprintf "scale must be finite and > 0, got %g" scale)
+
+  let count_error name n =
+    if n < 1 then Some (Printf.sprintf "%s must be >= 1, got %d" name n) else None
+
   let check_ranges t =
-    let positive name = function
-      | Some n when n < 1 -> Some (Printf.sprintf "%s must be >= 1, got %d" name n)
-      | _ -> None
-    in
-    if not (Float.is_finite t.scale && t.scale > 0.) then
-      Some (Printf.sprintf "scale must be finite and > 0, got %g" t.scale)
-    else
-      match positive "iterations" t.iterations with
-      | Some _ as e -> e
-      | None -> positive "chunk_objs" t.chunk_objs
+    List.find_map Fun.id
+      [
+        scale_error t.scale;
+        Option.bind t.iterations (count_error "iterations");
+        Option.bind t.chunk_objs (count_error "chunk_objs");
+      ]
 
   let to_params t =
     match (check_ranges t, technique_of_string t.technique) with

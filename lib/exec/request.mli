@@ -76,6 +76,14 @@ module Spec : sig
       Jobs carrying a custom GPU config, sanitizer, or telemetry lose
       those — specs describe cacheable measurement jobs only. *)
 
+  val scale_error : float -> string option
+  (** [Some msg] unless [scale] is finite and > 0: the rule {!to_params}
+      applies, for front ends that take a scale before any spec exists. *)
+
+  val count_error : string -> int -> string option
+  (** [count_error name n] is [Some msg] naming [name] when [n < 1]: the
+      rule {!to_params} applies to [iterations] and [chunk_objs]. *)
+
   val to_params :
     t -> (Repro_workloads.Workload.params, string) result
   (** Range-check the numbers — [scale] finite and > 0, [iterations]

@@ -14,26 +14,16 @@ let make_row name baseline_cycles variant_cycles =
   { name; baseline_cycles; variant_cycles;
     delta = (variant_cycles /. baseline_cycles) -. 1. }
 
-let tp_prototype_vs_hw ?(scale = Sweep.default_scale) ?(j = 1)
-    ?(cache = false) ?cache_dir () =
-  let params =
-    { (W.Workload.default_params T.type_pointer_hw) with W.Workload.scale }
-  in
-  let jobs =
-    Repro_exec.Job.matrix ~techniques:[ T.type_pointer_hw; T.type_pointer ]
-      ~params W.Registry.all
-  in
-  let outcomes = Repro_exec.Executor.run ~jobs:j ~cache ?cache_dir jobs in
-  List.mapi
-    (fun i w ->
-      let hw = Repro_exec.Executor.ok_exn (List.nth outcomes (2 * i)) in
-      let proto = Repro_exec.Executor.ok_exn (List.nth outcomes ((2 * i) + 1)) in
-      if hw.W.Harness.checksum <> proto.W.Harness.checksum then
-        failwith ("Ablation: functional mismatch on " ^ hw.W.Harness.workload);
-      make_row
-        (Figview.short_group (W.Registry.qualified_name w))
-        hw.W.Harness.cycles proto.W.Harness.cycles)
-    W.Registry.all
+let tp_columns = [ Sweep.column T.type_pointer_hw; Sweep.column T.type_pointer ]
+
+let tp_prototype_vs_hw sweep =
+  List.map
+    (fun workload ->
+      let hw = Sweep.get sweep ~workload ~technique:T.type_pointer_hw in
+      let proto = Sweep.get sweep ~workload ~technique:T.type_pointer in
+      make_row (Figview.short_group workload) hw.W.Harness.cycles
+        proto.W.Harness.cycles)
+    (Sweep.workload_names sweep)
 
 (* The padded-index encoding costs an extra multiply at dispatch; model it
    by running the ubench runtime under each vtable-space encoding. The

@@ -6,9 +6,7 @@
       insignificant" — at the paper's member-access densities);
     - TypePointer's byte-offset tag encoding vs the padded-index encoding
       that scales to 32 K types (Sec. 6.2: costs one extra multiply-add
-      and vTable padding);
-    - COAL's converged-call-site heuristic on vs off (Sec. 5: forcing
-      instrumentation of converged sites should hurt RAY). *)
+      and vTable padding). *)
 
 type row = {
   name : string;
@@ -17,9 +15,13 @@ type row = {
   delta : float;  (** variant/baseline - 1, positive = slower. *)
 }
 
-val tp_prototype_vs_hw :
-  ?scale:float -> ?j:int -> ?cache:bool -> ?cache_dir:string -> unit -> row list
-(** Per workload: TypePointer prototype vs hardware MMU on SharedOA. *)
+val tp_columns : Sweep.column list
+(** TypePointer with the hardware MMU, then the software-mask
+    prototype, both on SharedOA. *)
+
+val tp_prototype_vs_hw : Sweep.t -> row list
+(** One row per workload of a sweep over {!tp_columns}, in sweep order:
+    the prototype's cycles against the hardware MMU's. *)
 
 val tp_encoding : ?n_objects:int -> ?n_types:int -> unit -> row
 (** Microbenchmark: byte-offset vs padded-index tags. *)

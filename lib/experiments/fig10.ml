@@ -11,46 +11,30 @@ type point = {
   fragmentation : float;
 }
 
-let run ?(scale = Sweep.default_scale) ?(j = 1) ?(cache = false) ?cache_dir
-    ?(workloads = W.Registry.all) () =
-  (* Per workload: one CUDA reference job plus one COAL job per chunk
-     size, all independent — a natural fit for the executor. *)
-  let jobs =
-    List.concat_map
-      (fun w ->
-        let params technique chunk_objs =
-          { (W.Workload.default_params technique) with W.Workload.scale; chunk_objs }
-        in
-        Repro_exec.Job.make w (params T.Cuda None)
-        :: List.map
-             (fun chunk -> Repro_exec.Job.make w (params T.Coal (Some chunk)))
-             chunk_sizes)
-      workloads
-  in
-  let outcomes = Repro_exec.Executor.run ~jobs:j ~cache ?cache_dir jobs in
-  let per_workload = 1 + List.length chunk_sizes in
-  List.concat
-    (List.mapi
-       (fun wi w ->
-         let result k =
-           Repro_exec.Executor.ok_exn
-             (List.nth outcomes ((wi * per_workload) + k))
-         in
-         let cuda = result 0 in
-         List.mapi
-           (fun ci chunk ->
-             let coal = result (ci + 1) in
-             if coal.W.Harness.checksum <> cuda.W.Harness.checksum then
-               failwith ("Fig10: functional mismatch on " ^ coal.W.Harness.workload);
-             {
-               workload = Figview.short_group (W.Registry.qualified_name w);
-               chunk_objs = chunk;
-               perf_vs_cuda = cuda.W.Harness.cycles /. coal.W.Harness.cycles;
-               fragmentation =
-                 Repro_core.Allocator.external_fragmentation coal.W.Harness.alloc_stats;
-             })
-           chunk_sizes)
-       workloads)
+let cuda = Sweep.column T.Cuda
+
+let coal chunk_objs = Sweep.column ~chunk_objs T.Coal
+
+(* Per workload: one CUDA reference cell plus one COAL cell per chunk
+   size. *)
+let columns = cuda :: List.map coal chunk_sizes
+
+let points sweep =
+  List.concat_map
+    (fun workload ->
+      let base = Sweep.get_column sweep ~workload ~column:cuda in
+      List.map
+        (fun chunk ->
+          let r = Sweep.get_column sweep ~workload ~column:(coal chunk) in
+          {
+            workload = Figview.short_group workload;
+            chunk_objs = chunk;
+            perf_vs_cuda = base.W.Harness.cycles /. r.W.Harness.cycles;
+            fragmentation =
+              Repro_core.Allocator.external_fragmentation r.W.Harness.alloc_stats;
+          })
+        chunk_sizes)
+    (Sweep.workload_names sweep)
 
 let chunk_label c = if c >= 1024 then Printf.sprintf "%dK" (c / 1024) else string_of_int c
 

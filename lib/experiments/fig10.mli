@@ -17,11 +17,12 @@ type point = {
   fragmentation : float;      (** SharedOA external fragmentation, [0,1]. *)
 }
 
-val run :
-  ?scale:float -> ?j:int -> ?cache:bool -> ?cache_dir:string ->
-  ?workloads:Repro_workloads.Workload.t list -> unit -> point list
-(** [j]/[cache] are threaded to {!Repro_exec.Executor.run}; defaults
-    (serial, no cache) reproduce the historical behaviour exactly. *)
+val columns : Sweep.column list
+(** CUDA, then COAL at each of {!chunk_sizes}. *)
+
+val points : Sweep.t -> point list
+(** Workload-major, chunk sizes ascending, from a sweep over
+    {!columns}. *)
 
 val series_perf : point list -> Repro_report.Series.t
 (** 10a as a series: group = workload, series = chunk-size label. *)

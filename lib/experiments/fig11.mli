@@ -2,12 +2,13 @@
     simulation (hardware MMU; paper GM: +18 % over CUDA without changing
     how objects are allocated). *)
 
-val points :
-  ?scale:float -> ?j:int -> ?cache:bool -> ?cache_dir:string ->
-  ?workloads:Repro_workloads.Workload.t list -> unit ->
-  Repro_report.Series.point list
-(** Per workload: "CUDA" (1.0) and "TP/CUDA" normalized performance,
-    plus the GM row. *)
+val columns : Sweep.column list
+(** CUDA, TP over the CUDA allocator, and CUDA dispatch over the
+    DynaSOAr SoA family. *)
 
-val series : Repro_report.Series.point list -> Repro_report.Series.t
+val points : Sweep.t -> Repro_report.Series.point list
+(** Per workload of a sweep over {!columns}: each column's performance
+    normalized to "CUDA" (1.0), plus the GM row. *)
+
+val series : Sweep.t -> Repro_report.Series.t
 (** {!points} with the figure's name/title/aggregate attached. *)

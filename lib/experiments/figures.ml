@@ -28,6 +28,11 @@ let of_sweep ?render id key f =
 let fixed id key series =
   { id; key; alloc = false; pages = false; render = None; series }
 
+(* A fixed figure's own column list, run under the command's settings. *)
+let own_sweep src columns =
+  Sweep.exec ~scale:src.scale ~j:src.j ~cache:src.cache ?cache_dir:src.cache_dir
+    ~columns ()
+
 let all =
   [
     of_sweep "1b" "fig1b" ~render:Fig1b.render (fun s -> [ Fig1b.series s ]);
@@ -37,15 +42,9 @@ let all =
     of_sweep "8" "fig8" (fun s -> [ Fig8.series s ]);
     of_sweep "9" "fig9" (fun s -> [ Fig9.series s ]);
     fixed "10" "fig10" (fun src ->
-        let ps =
-          Fig10.run ~scale:src.scale ~j:src.j ~cache:src.cache
-            ?cache_dir:src.cache_dir ()
-        in
+        let ps = Fig10.points (own_sweep src Fig10.columns) in
         [ Fig10.series_perf ps; Fig10.series_frag ps ]);
-    fixed "11" "fig11" (fun src ->
-        [ Fig11.series
-            (Fig11.points ~scale:src.scale ~j:src.j ~cache:src.cache
-               ?cache_dir:src.cache_dir ()) ]);
+    fixed "11" "fig11" (fun src -> [ Fig11.series (own_sweep src Fig11.columns) ]);
     fixed "12a" "fig12a" (fun src ->
         [ Fig12.object_series (Fig12.run_object_sweep ~scale:src.scale ~j:src.j ()) ]);
     fixed "12b" "fig12b" (fun src ->

@@ -15,35 +15,26 @@ type row = {
 
 let alloc_cycles (r : W.Harness.run) = r.W.Harness.alloc_stats.Repro_core.Allocator.alloc_cycles
 
-let run ?(scale = Sweep.default_scale) ?(j = 1) ?(cache = false) ?cache_dir
-    ?(workloads = W.Registry.all) () =
-  let params = { (W.Workload.default_params T.Cuda) with W.Workload.scale } in
-  let jobs =
-    List.concat_map
-      (fun w ->
-        [
-          Repro_exec.Job.make w params;
-          Repro_exec.Job.make w { params with W.Workload.technique = T.Shared_oa };
-          Repro_exec.Job.make w { params with W.Workload.alloc = Some A.Dyna_soa };
-        ])
-      workloads
-  in
-  let outcomes = Repro_exec.Executor.run ~jobs:j ~cache ?cache_dir jobs in
-  List.mapi
-    (fun i w ->
-      let cuda = Repro_exec.Executor.ok_exn (List.nth outcomes (3 * i)) in
-      let shared = Repro_exec.Executor.ok_exn (List.nth outcomes ((3 * i) + 1)) in
-      let dyna = Repro_exec.Executor.ok_exn (List.nth outcomes ((3 * i) + 2)) in
+let dyna = Sweep.column ~alloc:A.Dyna_soa T.Cuda
+
+let columns = [ Sweep.column T.Cuda; Sweep.column T.Shared_oa; dyna ]
+
+let rows sweep =
+  List.map
+    (fun workload ->
+      let cuda = Sweep.get sweep ~workload ~technique:T.Cuda in
+      let shared = Sweep.get sweep ~workload ~technique:T.Shared_oa in
+      let soa = Sweep.get_column sweep ~workload ~column:dyna in
       {
-        workload = Figview.short_group (W.Registry.qualified_name w);
+        workload = Figview.short_group workload;
         objects = shared.W.Harness.n_objects;
         cuda_cycles = alloc_cycles cuda;
         shared_oa_cycles = alloc_cycles shared;
-        dyna_cycles = alloc_cycles dyna;
+        dyna_cycles = alloc_cycles soa;
         speedup = alloc_cycles cuda /. alloc_cycles shared;
-        dyna_speedup = alloc_cycles cuda /. alloc_cycles dyna;
+        dyna_speedup = alloc_cycles cuda /. alloc_cycles soa;
       })
-    workloads
+    (Sweep.workload_names sweep)
 
 let geomean_speedup rows = Repro_util.Mathx.geomean (List.map (fun r -> r.speedup) rows)
 

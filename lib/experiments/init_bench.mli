@@ -15,9 +15,13 @@ type row = {
   dyna_speedup : float;  (** DynaSOAr-SoA vs device-side new. *)
 }
 
-val run :
-  ?scale:float -> ?j:int -> ?cache:bool -> ?cache_dir:string ->
-  ?workloads:Repro_workloads.Workload.t list -> unit -> row list
+val columns : Sweep.column list
+(** CUDA, SharedOA, and CUDA dispatch over the DynaSOAr SoA family. *)
+
+val rows : Sweep.t -> row list
+(** One row per workload of a sweep over {!columns}, in sweep order.
+    {!Sweep.exec} has already checked that the three columns agree
+    functionally. *)
 
 val geomean_speedup : row list -> float
 

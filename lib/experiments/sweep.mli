@@ -1,12 +1,16 @@
-(** The shared measurement sweep behind Figures 6–9: every workload under
-    every measured column, run once and reused by all the figure
-    renderers (they are different views of the same profile, as in the
-    paper). Cross-column functional equality is asserted after sweeping.
+(** The one job matrix of the experiments: every workload under every
+    column, run once, checked once, and read by the figures as views.
+    Figs. 1b and 6–9, the tables, [dram] and [tlb] read the default
+    sweep; Figs. 10 and 11, [repro init], the prototype-vs-MMU ablation
+    and [repro compare] each run their own column list through {!exec}.
+    Cross-column functional equality ({!Repro_workloads.Harness.validate_equal})
+    is asserted per workload after sweeping.
 
-    A column is a (technique × allocator family) pair. The default
-    column set is the paper's five techniques under their paper
-    allocators plus "DYNA": CUDA dispatch over the DynaSOAr-style SoA
-    family, the sixth column the repo adds as a comparison platform.
+    A column is a (technique × allocator family) pair, plus the initial
+    SharedOA chunk size for the cells Fig. 10 varies. The default column
+    set is the paper's five techniques under their paper allocators plus
+    "DYNA": CUDA dispatch over the DynaSOAr-style SoA family, the sixth
+    column the repo adds as a comparison platform.
 
     Built on {!Repro_exec}: the sweep is a workload-major job matrix
     handed to the parallel executor. Results come back in matrix order
@@ -17,18 +21,25 @@
 type column = {
   technique : Repro_core.Technique.t;
   alloc : Repro_core.Alloc_family.t;
+  chunk_objs : int option;  (** SharedOA initial region size override. *)
 }
 
 val column :
-  ?alloc:Repro_core.Alloc_family.t -> Repro_core.Technique.t -> column
-(** [alloc] defaults to the technique's paper family. *)
+  ?alloc:Repro_core.Alloc_family.t -> ?chunk_objs:int ->
+  Repro_core.Technique.t -> column
+(** [alloc] defaults to the technique's paper family, [chunk_objs] to
+    the allocator's own. *)
 
 val column_name : column -> string
 (** Display name ({!Repro_core.Alloc_family.column_name}): "CUDA", ...,
     "DYNA". *)
 
+val paper_columns : column list
+(** The paper's five techniques on their paper allocators, in
+    {!Repro_core.Technique.all_paper} order. *)
+
 val default_columns : column list
-(** The paper's five plus DYNA (last). *)
+(** {!paper_columns} plus DYNA (last). *)
 
 type t
 
@@ -40,6 +51,7 @@ val default_scale : float
 val exec :
   ?scale:float ->
   ?iterations:int ->
+  ?seed:int ->
   ?j:int ->
   ?cache:bool ->
   ?cache_dir:string ->
@@ -50,8 +62,9 @@ val exec :
   unit -> t
 (** Defaults: scale {!default_scale} (fast but representative; see
     EXPERIMENTS.md),
-    {!default_columns}, all eleven workloads, serial ([j = 1]), cache
-    off, no address translation ([pages]). [progress] receives each
+    {!default_columns}, all eleven workloads, the workloads' own
+    iteration counts and seed, serial ([j = 1]), cache off, no address
+    translation ([pages]). [progress] receives each
     job's label as it starts measuring; with [j > 1] it may fire
     concurrently from worker domains. Raises [Failure] naming every
     failed job (after all jobs finished), or on a cross-column
@@ -73,8 +86,11 @@ val techniques : t -> Repro_core.Technique.t list
 
 val get_column :
   t -> workload:string -> column:column -> Repro_workloads.Harness.run
-(** Raises [Not_found]. *)
+(** The cell at the workload's and the column's positions in the sweep
+    (a run does not record its chunk size, so cells are found by
+    position, not by their contents). Raises [Not_found]. *)
 
 val get : t -> workload:string -> technique:Repro_core.Technique.t ->
   Repro_workloads.Harness.run
-(** The technique's default-family run. Raises [Not_found]. *)
+(** [get_column] of the technique's default-family column. Raises
+    [Not_found]. *)

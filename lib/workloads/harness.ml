@@ -68,19 +68,6 @@ let validate_equal runs =
                r.checksum r.result))
       rest
 
-let run_techniques w p techniques =
-  let runs =
-    List.map
-      (fun technique -> (technique, run w { p with Workload.technique }))
-      techniques
-  in
-  validate_equal (List.map snd runs);
-  runs
-
-let find runs ~technique =
-  Option.map snd
-    (List.find_opt (fun (t, _) -> R.Technique.equal t technique) runs)
-
 let speedup_vs ~baseline r = baseline.cycles /. r.cycles
 
 let normalized_cycles ~baseline r = r.cycles /. baseline.cycles

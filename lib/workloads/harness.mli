@@ -39,22 +39,11 @@ type run = {
 
 val run : Workload.t -> Workload.params -> run
 
-val run_techniques :
-  Workload.t -> Workload.params -> Repro_core.Technique.t list ->
-  (Repro_core.Technique.t * run) list
-(** Same workload under several techniques (same seed/scale), asserting
-    that checksums and results agree across all of them — the paper's
-    functional validation. Raises [Failure] on a mismatch. Runs are
-    keyed by technique, in argument order; look one up with {!find}. *)
-
-val find :
-  (Repro_core.Technique.t * run) list ->
-  technique:Repro_core.Technique.t -> run option
-
 val validate_equal : run list -> unit
-(** The cross-technique functional check on its own: every run must
-    agree with the first on [checksum] and [result]. Raises [Failure]
-    naming the offending pair. *)
+(** The paper's functional validation: every run of one workload must
+    agree with the first on [checksum] and [result], whatever its
+    technique or allocator. Raises [Failure] naming the offending pair.
+    [Repro_experiments.Sweep.exec] applies it to every workload it runs. *)
 
 val speedup_vs : baseline:run -> run -> float
 (** [cycles baseline / cycles run]: >1 means faster than baseline. *)

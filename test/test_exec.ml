@@ -90,8 +90,12 @@ let small_matrix ~seed ~scale =
   let workloads =
     List.filter_map W.Registry.find [ "GOL"; "TRAF"; "GraphChi-vE/CC" ]
   in
-  X.Job.matrix ~techniques:[ T.Cuda; T.Coal ]
-    ~params:(params ~iterations:1 ~seed ~scale T.Cuda) workloads
+  List.concat_map
+    (fun w ->
+      List.map
+        (fun t -> X.Job.make w (params ~iterations:1 ~seed ~scale t))
+        [ T.Cuda; T.Coal ])
+    workloads
 
 let test_parallel_equals_serial_qcheck () =
   let arb =

@@ -125,9 +125,18 @@ let test_table2_rows () =
       check Alcotest.bool "pki positive" true (r.E.Table2.vfunc_pki > 0.))
     rows
 
+(* The figures that run their own column lists, each over GOL at one
+   scale so their cells can be compared with the default sweep's. *)
+let gol_sweep columns =
+  E.Sweep.exec ~scale:0.05 ~workloads:[ Option.get (W.Registry.find "GOL") ]
+    ~columns ()
+
+let fig10_gol = lazy (gol_sweep E.Fig10.columns)
+
+let init_gol = lazy (gol_sweep E.Init_bench.columns)
+
 let test_fig10_chunk_sweep () =
-  let gol = Option.get (W.Registry.find "GOL") in
-  let points = E.Fig10.run ~scale:0.05 ~workloads:[ gol ] () in
+  let points = E.Fig10.points (Lazy.force fig10_gol) in
   check Alcotest.int "one point per chunk size" (List.length E.Fig10.chunk_sizes)
     (List.length points);
   List.iter
@@ -146,7 +155,10 @@ let test_fig10_chunk_sweep () =
 
 let test_fig11_tp_on_cuda () =
   let ge = Option.get (W.Registry.find "GraphChi-vEN/CC") in
-  let points = E.Fig11.points ~scale:0.08 ~workloads:[ ge ] () in
+  let points =
+    E.Fig11.points
+      (E.Sweep.exec ~scale:0.08 ~workloads:[ ge ] ~columns:E.Fig11.columns ())
+  in
   let v = Repro_report.Series.value points ~group:"GM" ~series:"TP/CUDA" in
   check Alcotest.bool "TypePointer helps without changing the allocator" true (v > 1.0)
 
@@ -170,10 +182,60 @@ let test_fig12_shapes () =
     (at "CUDA" 32768 > at "CUDA" 8192)
 
 let test_init_speedup () =
-  let gol = Option.get (W.Registry.find "GOL") in
-  let rows = E.Init_bench.run ~scale:0.05 ~workloads:[ gol ] () in
+  let rows = E.Init_bench.rows (Lazy.force init_gol) in
   check (Alcotest.float 1e-6) "the 80x initialization gap" 80.
     (E.Init_bench.geomean_speedup rows)
+
+(* A figure's cells are cached under the same keys as the default
+   sweep's cells they share, so regenerating one figure after another
+   measures each cell once; Fig. 10's COAL cells differ by chunk size. *)
+let test_cache_keys () =
+  let keys s =
+    List.combine (E.Sweep.columns s)
+      (List.map
+         (fun (o : Repro_exec.Executor.outcome) ->
+           Repro_exec.Job.key o.Repro_exec.Executor.job)
+         (E.Sweep.outcomes s))
+  in
+  let default = keys (gol_sweep E.Sweep.default_columns) in
+  let cuda = E.Sweep.column T.Cuda
+  and dyna = E.Sweep.column ~alloc:A.Dyna_soa T.Cuda in
+  List.iter
+    (fun (name, s) ->
+      List.iter
+        (fun c ->
+          check Alcotest.string
+            (Printf.sprintf "%s %s key" name (E.Sweep.column_name c))
+            (List.assoc c default) (List.assoc c (keys s)))
+        [ cuda; dyna ])
+    [ ("fig11", gol_sweep E.Fig11.columns); ("init", Lazy.force init_gol) ];
+  let fig10 = keys (Lazy.force fig10_gol) in
+  check Alcotest.string "fig10 CUDA key" (List.assoc cuda default)
+    (List.assoc cuda fig10);
+  List.iter
+    (fun chunk ->
+      let key = List.assoc (E.Sweep.column ~chunk_objs:chunk T.Coal) fig10 in
+      let field = Printf.sprintf "chunk=%d" chunk in
+      check Alcotest.bool (key ^ " carries " ^ field) true
+        (List.mem field (String.split_on_char '|' key)))
+    E.Fig10.chunk_sizes
+
+let test_ablation_prototype_vs_hw () =
+  let workloads = List.filter_map W.Registry.find [ "GOL"; "RAY" ] in
+  let rows =
+    E.Ablation.tp_prototype_vs_hw
+      (E.Sweep.exec ~scale:0.05 ~workloads ~columns:E.Ablation.tp_columns ())
+  in
+  check Alcotest.(list string) "one row per workload, in sweep order"
+    [ "GOL"; "RAY" ]
+    (List.map (fun (r : E.Ablation.row) -> r.E.Ablation.name) rows);
+  List.iter
+    (fun (r : E.Ablation.row) ->
+      check Alcotest.bool (r.E.Ablation.name ^ " cycles positive") true
+        (r.E.Ablation.baseline_cycles > 0. && r.E.Ablation.variant_cycles > 0.);
+      check Alcotest.bool (r.E.Ablation.name ^ " software masks cost little") true
+        (abs_float r.E.Ablation.delta < 0.05))
+    rows
 
 let test_ablation_encoding_free () =
   let row = E.Ablation.tp_encoding ~n_objects:4096 ~n_types:4 () in
@@ -242,7 +304,10 @@ let suite =
     Alcotest.test_case "fig11 tp on cuda" `Slow test_fig11_tp_on_cuda;
     Alcotest.test_case "fig12 shapes" `Slow test_fig12_shapes;
     Alcotest.test_case "init speedup" `Quick test_init_speedup;
+    Alcotest.test_case "cache keys pinned" `Quick test_cache_keys;
     Alcotest.test_case "ablation: tag encoding free" `Quick test_ablation_encoding_free;
+    Alcotest.test_case "ablation: prototype vs hardware MMU" `Quick
+      test_ablation_prototype_vs_hw;
     Alcotest.test_case "expectations recorded" `Quick test_expectations_present;
     Alcotest.test_case "figure table" `Slow test_figure_table;
   ]

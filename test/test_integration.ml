@@ -2,6 +2,7 @@
    paper-level properties that span modules. *)
 
 module W = Repro_workloads
+module E = Repro_experiments
 module R = Repro_core
 module T = R.Technique
 module Warp_ctx = Repro_gpu.Warp_ctx
@@ -84,8 +85,10 @@ let test_cells_match_digests () =
   check Alcotest.int "every recorded cell ran" (List.length Cell_digests.cells) !cells
 
 let test_harness_rejects_functional_mismatch () =
-  let p = W.Workload.default_params T.Shared_oa in
-  match W.Harness.run_techniques treacherous_workload p [ T.Cuda; T.Coal ] with
+  match
+    E.Sweep.exec ~scale:1.0 ~workloads:[ treacherous_workload ]
+      ~columns:[ E.Sweep.column T.Cuda; E.Sweep.column T.Coal ] ()
+  with
   | _ -> Alcotest.fail "expected a functional-mismatch failure"
   | exception Failure msg ->
     check Alcotest.bool "mentions the mismatch" true
@@ -94,10 +97,12 @@ let test_harness_rejects_functional_mismatch () =
 
 let test_harness_speedup_direction () =
   let w = Option.get (W.Registry.find "GEN") in
-  let p = { (W.Workload.default_params T.Shared_oa) with W.Workload.scale = 0.05 } in
-  let runs = W.Harness.run_techniques w p [ T.Cuda; T.Shared_oa ] in
-  match runs with
-  | [ (_, cuda); (_, shard) ] ->
+  let sweep =
+    E.Sweep.exec ~scale:0.05 ~workloads:[ w ]
+      ~columns:[ E.Sweep.column T.Cuda; E.Sweep.column T.Shared_oa ] ()
+  in
+  match E.Sweep.runs sweep with
+  | [ cuda; shard ] ->
     check Alcotest.bool "SharedOA speeds GEN up" true
       (W.Harness.speedup_vs ~baseline:cuda shard > 1.)
   | _ -> Alcotest.fail "expected two runs"

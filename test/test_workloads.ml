@@ -7,6 +7,7 @@ module R = Repro_core
 module Graph = W.Graph
 module Workload = W.Workload
 module Harness = W.Harness
+module E = Repro_experiments
 
 let check = Alcotest.check
 
@@ -91,11 +92,7 @@ let test_workload_determinism () =
 
 let test_cross_technique_equality_all_workloads () =
   (* The paper's functional validation (Sec. 8), on every app. *)
-  List.iter
-    (fun w ->
-      let p = tiny_params ~iterations:2 T.Shared_oa in
-      ignore (Harness.run_techniques w p T.all_paper))
-    W.Registry.all
+  ignore (E.Sweep.exec ~scale:0.03 ~iterations:2 ~columns:E.Sweep.paper_columns ())
 
 let test_bfs_invariants () =
   let inst = instance_of "GraphChi-vE/BFS" T.Shared_oa in
@@ -291,9 +288,10 @@ let test_ubench_branch_is_fastest () =
     (cuda_cycles > branch_cycles)
 
 let test_harness_normalization () =
-  (* The `repro compare` normalization: normalized_cycles is the direct
-     runtime ratio cycles(r)/cycles(baseline) — no double inversion —
-     and the exact reciprocal of speedup_vs. *)
+  (* The normalization `repro compare` prints for each run of its
+     one-workload sweep against the SharedOA run: normalized_cycles is
+     the direct runtime ratio cycles(r)/cycles(baseline) — no double
+     inversion — and the exact reciprocal of speedup_vs. *)
   let w = Option.get (W.Registry.find "GEN") in
   let r = Harness.run w (tiny_params ~iterations:1 T.Shared_oa) in
   let base = { r with Harness.cycles = 100. } in
@@ -309,21 +307,26 @@ let test_harness_normalization () =
     (Harness.normalized_cycles ~baseline:base slow
      *. Harness.speedup_vs ~baseline:base slow)
 
+(* Runs are keyed by their (workload, column) cell: a lookup by
+   technique finds its run, every run carries its column's technique,
+   and a technique the sweep never ran is absent. *)
 let test_harness_find_keyed_runs () =
   let w = Option.get (W.Registry.find "GEN") in
-  let runs =
-    Harness.run_techniques w (tiny_params ~iterations:1 T.Shared_oa)
-      [ T.Cuda; T.Shared_oa ]
-  in
+  let workload = W.Registry.qualified_name w in
+  let columns = [ E.Sweep.column T.Cuda; E.Sweep.column T.Shared_oa ] in
+  let sweep = E.Sweep.exec ~scale:0.03 ~iterations:1 ~workloads:[ w ] ~columns () in
   check Alcotest.bool "finds SHARD" true
-    (Harness.find runs ~technique:T.Shared_oa <> None);
+    (T.equal T.Shared_oa
+       (E.Sweep.get sweep ~workload ~technique:T.Shared_oa).Harness.technique);
   check Alcotest.bool "keys match payloads" true
-    (List.for_all
-       (fun (technique, (r : Harness.run)) ->
-         T.equal technique r.Harness.technique)
-       runs);
-  check Alcotest.bool "absent technique is None" true
-    (Harness.find runs ~technique:T.Coal = None)
+    (List.for_all2
+       (fun (c : E.Sweep.column) (r : Harness.run) ->
+         T.equal c.E.Sweep.technique r.Harness.technique)
+       columns (E.Sweep.runs sweep));
+  check Alcotest.bool "absent technique is Not_found" true
+    (match E.Sweep.get sweep ~workload ~technique:T.Coal with
+     | _ -> false
+     | exception Not_found -> true)
 
 let suite =
   [
