@@ -539,11 +539,11 @@ let sweep_columns alloc =
 
 let progress label = Printf.eprintf "  %s...\n%!" label
 
-let sweep_of ?alloc ?pages scale j cache cache_dir =
+let sweep_of ?alloc ?pages ?memo scale j cache cache_dir =
   let pages = Option.bind pages resolve_pages in
   let sweep =
     E.Sweep.exec ~columns:(sweep_columns alloc) ?pages ~scale ~j ~cache
-      ?cache_dir ~progress ()
+      ?cache_dir ~progress ?memo ()
   in
   let outcomes = E.Sweep.outcomes sweep in
   let cached = List.length (List.filter (fun o -> o.X.Executor.cached) outcomes) in
@@ -583,10 +583,11 @@ let figure_cmd =
                        apply" id)
       ids;
     let cache = not no_cache in
+    let memo = E.Sweep.memo () in
     let source =
-      { E.Figures.scale; j; cache; cache_dir; progress;
+      { E.Figures.scale; j; cache; cache_dir; progress; memo;
         columns = sweep_columns alloc;
-        sweep = lazy (sweep_of ?alloc ?pages scale j cache cache_dir) }
+        sweep = lazy (sweep_of ?alloc ?pages ~memo scale j cache cache_dir) }
     in
     let results =
       List.filter_map

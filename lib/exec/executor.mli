@@ -8,8 +8,11 @@
 
     - {b Deterministic ordering}: [List.nth (run jobs) i] always
       describes [List.nth jobs i].
-    - {b Serial reproducibility}: [~jobs:1] executes on the calling
-      domain in list order — bit-for-bit the historical serial sweep.
+    - {b Serial reproducibility}: [~jobs:1] runs the jobs one after
+      another in list order, bit-for-bit the historical serial sweep.
+      Each job emits on the calling domain; its replay may trail on a
+      helper domain when a core is spare ({!Repro_workloads.Harness.run}),
+      which changes no result.
     - {b Failure isolation}: a raising job becomes [Error] in its own
       outcome; siblings are unaffected.
     - {b Caching}: with [~cache:true], hits are served from disk and

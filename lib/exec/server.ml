@@ -639,7 +639,7 @@ let run ?runner cfg =
         ("cache", Log.Bool cfg.cache);
       ];
   let workers =
-    Array.init (max 1 cfg.workers) (fun i -> Domain.spawn (worker_loop t i))
+    Array.init (max 1 cfg.workers) (fun i -> Repro_util.Pool.spawn (worker_loop t i))
   in
   let sessions : (Unix.file_descr, Session.t) Hashtbl.t = Hashtbl.create 8 in
   let next_session_id = ref 0 in
@@ -745,7 +745,7 @@ let run ?runner cfg =
   Mutex.lock t.mutex;
   Condition.broadcast t.cond;
   Mutex.unlock t.mutex;
-  Array.iter Domain.join workers;
+  Array.iter Repro_util.Pool.join workers;
   drain_events t;
   if Log.enabled cfg.obs.log Info then
     Log.log cfg.obs.log Info "server.stop"

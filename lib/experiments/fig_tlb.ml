@@ -8,14 +8,14 @@ let policies = [ Policy.Flat_4k; Policy.Flat_2m; Policy.Coalesce ]
 type t = (Policy.t * Sweep.t) list
 
 let run ?scale ?iterations ?j ?cache ?cache_dir ?(progress = fun _ -> ())
-    ?workloads ?columns () =
+    ?memo ?workloads ?columns () =
   List.map
     (fun policy ->
       ( policy,
         Sweep.exec ?scale ?iterations ?j ?cache ?cache_dir
           ~progress:(fun label ->
             progress (Printf.sprintf "%s pages=%s" label (Policy.name policy)))
-          ?workloads ?columns ~pages:policy () ))
+          ?memo ?workloads ?columns ~pages:policy () ))
     policies
 
 let walk_overhead_pct (r : W.Harness.run) =

@@ -23,6 +23,7 @@ val run :
   ?cache:bool ->
   ?cache_dir:string ->
   ?progress:(string -> unit) ->
+  ?memo:Sweep.memo ->
   ?workloads:Repro_workloads.Workload.t list ->
   ?columns:Sweep.column list ->
   unit -> t

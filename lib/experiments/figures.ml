@@ -8,6 +8,7 @@ type source = {
   cache_dir : string option;
   columns : Sweep.column list;
   progress : string -> unit;
+  memo : Sweep.memo;
   sweep : Sweep.t Lazy.t;
 }
 
@@ -31,7 +32,7 @@ let fixed id key series =
 (* A fixed figure's own column list, run under the command's settings. *)
 let own_sweep src columns =
   Sweep.exec ~scale:src.scale ~j:src.j ~cache:src.cache ?cache_dir:src.cache_dir
-    ~columns ()
+    ~memo:src.memo ~columns ()
 
 let all =
   [
@@ -59,7 +60,7 @@ let all =
           Fig_tlb.series
             (Fig_tlb.run ~columns:src.columns ~scale:src.scale ~j:src.j
                ~cache:src.cache ?cache_dir:src.cache_dir ~progress:src.progress
-               ()));
+               ~memo:src.memo ()));
     };
   ]
 

@@ -11,6 +11,9 @@ type source = {
   columns : Sweep.column list;
       (** The sweep's columns, as [--alloc] picked them. *)
   progress : string -> unit;
+  memo : Sweep.memo;
+      (** Shared by every sweep the figures run, the shared one
+          included, so a cell two figures read is measured once. *)
   sweep : Sweep.t Lazy.t;
       (** The shared sweep behind Figs. 1b and 6–9, built on first use
           and reused by every figure that reads it. *)

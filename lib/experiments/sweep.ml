@@ -31,8 +31,29 @@ type t = {
 
 let default_scale = W.Workload.default_scale
 
+type memo = (string, X.Executor.outcome) Hashtbl.t
+
+let memo () : memo = Hashtbl.create 64
+
+(* Run only the jobs the memo has not seen, and remember the ones that
+   succeed; a hit is the earlier outcome, under this sweep's job. *)
+let run_memo memo run jobs =
+  let key = X.Job.key in
+  let fresh = Hashtbl.create 16 in
+  List.filter (fun job -> not (Hashtbl.mem memo (key job))) jobs
+  |> run
+  |> List.iter (fun (o : X.Executor.outcome) -> Hashtbl.replace fresh (key o.job) o);
+  List.map
+    (fun job ->
+      match Hashtbl.find_opt fresh (key job) with
+      | Some o ->
+        if Result.is_ok o.X.Executor.result then Hashtbl.replace memo (key job) o;
+        o
+      | None -> { (Hashtbl.find memo (key job)) with X.Executor.job })
+    jobs
+
 let exec ?(scale = default_scale) ?iterations ?seed ?(j = 1) ?(cache = false)
-    ?cache_dir ?(progress = fun _ -> ()) ?(workloads = W.Registry.all)
+    ?cache_dir ?(progress = fun _ -> ()) ?memo ?(workloads = W.Registry.all)
     ?(columns = default_columns) ?pages () =
   let params c =
     let p = W.Workload.default_params c.technique in
@@ -54,10 +75,12 @@ let exec ?(scale = default_scale) ?iterations ?seed ?(j = 1) ?(cache = false)
       (fun w -> List.map (fun c -> X.Job.make w (params c)) columns)
       workloads
   in
-  let outcomes =
+  let run =
     X.Executor.run ~jobs:j ~cache ?cache_dir
       ~progress:(fun job -> progress (X.Job.label job))
-      jobs
+  in
+  let outcomes =
+    match memo with Some m -> run_memo m run jobs | None -> run jobs
   in
   (match X.Executor.errors outcomes with
    | [] -> ()

@@ -48,6 +48,12 @@ val default_scale : float
     bare-sweep scale, shared with the wire protocol's absent-[scale]
     default. *)
 
+type memo
+(** Outcomes already measured in this process, by {!Repro_exec.Job.key}. *)
+
+val memo : unit -> memo
+(** An empty memo. *)
+
 val exec :
   ?scale:float ->
   ?iterations:int ->
@@ -56,6 +62,7 @@ val exec :
   ?cache:bool ->
   ?cache_dir:string ->
   ?progress:(string -> unit) ->
+  ?memo:memo ->
   ?workloads:Repro_workloads.Workload.t list ->
   ?columns:column list ->
   ?pages:Repro_vm.Policy.t ->
@@ -68,7 +75,13 @@ val exec :
     job's label as it starts measuring; with [j > 1] it may fire
     concurrently from worker domains. Raises [Failure] naming every
     failed job (after all jobs finished), or on a cross-column
-    functional mismatch. *)
+    functional mismatch.
+
+    With a [memo], a job whose key it holds is not run again: its
+    outcome is the memo's (the same run, wall time and cache flag), and
+    every successful job this call runs is added to it. One figure
+    command shares one memo, so cells that several figures read are
+    measured once. *)
 
 val outcomes : t -> Repro_exec.Executor.outcome list
 (** Per-job scheduling detail (wall time, cache hits), in matrix order —

@@ -6,7 +6,20 @@
     traces — values never depend on timing, so traces are exact. Phase 2
     ({!Sm.run}) replays the traces through the timing model. Kernels must
     be data-race-free across warps within a launch (the usual CUDA
-    contract); phase 1 executes warps in grid order. *)
+    contract); phase 1 executes warps in grid order.
+
+    Phase 2 never touches the heap, so the two phases can run at once.
+    Inside a {!Repro_util.Pool.Helper.scope} with a core to spare, a
+    launch queues its replay on the scope's helper domain before its
+    first warp is emitted; each sealed warp is then handed over as it is
+    published, and the caller goes on to the next launch. Replays run in
+    launch order through the same {!Sm.run}, so every counter, timeline,
+    window row and ring event is bit-identical to the inline schedule,
+    which is what a launch outside a scope (or with no spare core) does.
+    At most two launches are in flight: one replaying, one being
+    emitted. The readers of replay state ({!stats}, {!kernel_timeline},
+    {!window_timeline}, {!telemetry_dump}, {!launches}) and the writers
+    ({!reset_stats}, {!set_vm}) first wait for queued replays. *)
 
 type t
 
@@ -44,13 +57,20 @@ val heap : t -> Repro_mem.Page_store.t
 val set_vm : t -> Repro_vm.Vm.t option -> unit
 (** Attach (or detach) an address-translation model; see
     [Mem_path.set_vm]. The runtime rebuilds and re-attaches the model
-    when the heap layout changes between launches. *)
+    when the heap layout changes between launches. Waits for queued
+    replays first, so the swap reaches only later launches. *)
 
 val vm : t -> Repro_vm.Vm.t option
 
 val launch : t -> n_threads:int -> (Warp_ctx.t -> unit) -> unit
 (** Run a kernel over a 1-D grid of [n_threads] threads (the last warp may
-    be partial). Raises [Invalid_argument] when [n_threads <= 0]. *)
+    be partial). Raises [Invalid_argument] when [n_threads <= 0]. The
+    heap is updated when [launch] returns; the launch's counters may
+    still be replaying on a helper (see above). A kernel exception
+    propagates after the helper's replay of this launch is abandoned;
+    the device's timing state is then undefined, so an exception should
+    end its use (it ends the enclosing [Harness.run]). An exception
+    inside a helper's replay is re-raised at the next read. *)
 
 val stats : t -> Stats.t
 (** Counters accumulated since creation or the last {!reset_stats},

@@ -1,8 +1,9 @@
 (* The event-driven warp scheduler: one zero-allocation replay loop for
    every launch, with or without telemetry or address translation.
 
-   Per launch, the trace columns, memory-path clocks and precomputed
-   costs are hoisted into locals; per instruction, the loop reads raw
+   Per launch, the memory-path clocks and precomputed costs are hoisted
+   into locals, and each warp's trace columns are read once, when the
+   warp activates; per instruction, the loop reads raw
    columns, coalesces into the path's scratch buffer and walks the
    hierarchy through [Cache.access] (and, when translating, through
    [Vm.lookup]). Nothing on the per-instruction path builds a record,
@@ -20,7 +21,10 @@
      add translation and/or ring events and run only when the launch
      has a vm or a ring;
    - warp stall events are written to the ring only when one is passed
-     through [?telemetry]. *)
+     through [?telemetry];
+   - a streamed launch passes [?await], called before a warp's columns
+     are read, so replay starts while later warps are still being
+     emitted; it runs once per warp, never per instruction. *)
 
 module Event_ring = Repro_util.Event_ring
 
@@ -241,7 +245,7 @@ let sift_down_root (hkeys : float array) (hseqs : int array) (hvals : int array)
   Array.unsafe_set hseqs !i q;
   Array.unsafe_set hvals !i v
 
-let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
+let run ?telemetry ?await (cfg : Config.t) mem_path ~stats ~traces =
   Config.validate cfg;
   let n_warps = Array.length traces in
   if n_warps = 0 then 0.
@@ -250,16 +254,29 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
     let n_sms = cfg.n_sms in
     let issue_clock = Array.make n_sms 0. in
     let pcs = Array.make n_warps 0 in
-    (* Per-warp trace columns. [lens] is the logical length, so an
-       in-bounds [pc] indexes every column safely (unsafe gets). *)
-    let lens = Array.map Trace.length traces in
-    let ops = Array.map Trace.Raw.op_col traces in
-    let lbls = Array.map Trace.Raw.lbl_col traces in
-    let acts = Array.map Trace.Raw.act_col traces in
-    let reps = Array.map Trace.Raw.rep_col traces in
-    let blks = Array.map Trace.Raw.blk_col traces in
-    let aoffs = Array.map Trace.Raw.aoff_col traces in
-    let arenas = Array.map Trace.arena traces in
+    (* Per-warp trace columns, read when the warp activates. [lens] is
+       the logical length, so an in-bounds [pc] indexes every column
+       safely (unsafe gets). *)
+    let lens = Array.make n_warps 0 in
+    let ops = Array.make n_warps [||] in
+    let lbls = Array.make n_warps [||] in
+    let acts = Array.make n_warps [||] in
+    let reps = Array.make n_warps [||] in
+    let blks = Array.make n_warps [||] in
+    let aoffs = Array.make n_warps [||] in
+    let arenas = Array.make n_warps [||] in
+    let activate w =
+      (match await with Some f -> f w | None -> ());
+      let tr = traces.(w) in
+      lens.(w) <- Trace.length tr;
+      ops.(w) <- Trace.Raw.op_col tr;
+      lbls.(w) <- Trace.Raw.lbl_col tr;
+      acts.(w) <- Trace.Raw.act_col tr;
+      reps.(w) <- Trace.Raw.rep_col tr;
+      blks.(w) <- Trace.Raw.blk_col tr;
+      aoffs.(w) <- Trace.Raw.aoff_col tr;
+      arenas.(w) <- Trace.arena tr
+    in
     (* Memory-path state and precomputed costs. *)
     let scratch = Mem_path.Raw.scratch mem_path in
     let l1s = Mem_path.Raw.l1s mem_path in
@@ -353,6 +370,7 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
         | [] -> ()
         | w :: rest ->
           pending.(sm) <- rest;
+          activate w;
           hkeys.(!hlen) <- 0.;
           hseqs.(!hlen) <- !hseq;
           hvals.(!hlen) <- w;
@@ -395,6 +413,7 @@ let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
           end
         | w' :: rest ->
           pending.(sm) <- rest;
+          activate w';
           hkeys.(0) <- ready;
           hseqs.(0) <- !hseq;
           hvals.(0) <- w';

@@ -11,11 +11,18 @@
     which is how the Figure 1b latency breakdown is measured. *)
 
 val run :
-  ?telemetry:Telemetry.t ->
+  ?telemetry:Telemetry.t -> ?await:(int -> unit) ->
   Config.t -> Mem_path.t -> stats:Stats.t -> traces:Trace.t array -> float
 (** Simulate one kernel launch whose warp [i] executes [traces.(i)] on SM
     [i mod n_sms]; returns the completion time in cycles (0. for an empty
-    launch). Counters (instructions, transactions, hits, stalls, TLB
+    launch).
+
+    Warp [i]'s trace is read when the warp activates: in the initial
+    residency deal, or when a retiring warp frees its SM. [await i] is
+    called just before that read; a streamed launch ({!Device.launch}
+    inside a helper scope) returns from it once [traces.(i)] is sealed,
+    so replay runs while later warps are still being emitted. Timing
+    does not depend on when [await] returns. Counters (instructions, transactions, hits, stalls, TLB
     outcomes) are accumulated into [stats]; the caller adds the returned
     cycles. DESIGN.md §4 states the arithmetic; [test/ref_model.ml] is an
     independent implementation of it that this loop is tested against.

@@ -27,9 +27,17 @@ let run (w : Workload.t) (p : Workload.params) =
   let inst = w.Workload.build p in
   let rt = inst.Workload.rt in
   R.Runtime.reset_stats rt;
-  for i = 0 to inst.Workload.iterations - 1 do
-    inst.Workload.run_iteration i
-  done;
+  (* Replay trails emission on the scope's helper; the heap checksum and
+     the result read only the heap, so they overlap the last launch's
+     replay, and the stats reads below come after the scope drained. *)
+  let checksum, result =
+    Repro_util.Pool.Helper.scope (fun () ->
+        for i = 0 to inst.Workload.iterations - 1 do
+          inst.Workload.run_iteration i
+        done;
+        let checksum = R.Runtime.checksum rt in
+        (checksum, inst.Workload.result ()))
+  in
   {
     workload = Registry.qualified_name w;
     technique = p.Workload.technique;
@@ -41,8 +49,8 @@ let run (w : Workload.t) (p : Workload.params) =
     kernel_windows =
       List.map (Array.map snapshot) (R.Runtime.window_timeline rt);
     trace = R.Runtime.telemetry_dump rt;
-    checksum = R.Runtime.checksum rt;
-    result = inst.Workload.result ();
+    checksum;
+    result;
     n_objects = R.Runtime.n_objects rt;
     n_types = R.Registry.type_count (R.Runtime.registry rt);
     n_vfuncs = R.Registry.total_vfunc_slots (R.Runtime.registry rt);

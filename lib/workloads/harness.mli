@@ -3,7 +3,14 @@
 
     Setup (allocation, initialization) is untimed; counters are reset at
     the measurement boundary, then all compute iterations run, exactly as
-    the paper reports kernel time excluding initialization. *)
+    the paper reports kernel time excluding initialization.
+
+    The iterations, the heap checksum and the workload result run inside
+    a {!Repro_util.Pool.Helper.scope}: when the process has a core to
+    spare, each launch replays on a helper domain while the next warps
+    are emitted (see {!Repro_gpu.Device}). The counters are read after
+    the scope has drained and joined its helper, and equal an inline
+    run's bit for bit. *)
 
 type run = {
   workload : string;          (** Qualified name. *)

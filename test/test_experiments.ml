@@ -220,6 +220,30 @@ let test_cache_keys () =
         (List.mem field (String.split_on_char '|' key)))
     E.Fig10.chunk_sizes
 
+(* One memo across sweeps: a job measured once is served to every later
+   sweep that names it, and only new jobs run. *)
+let test_sweep_memo () =
+  let workloads = List.filter_map W.Registry.find [ "GOL" ] in
+  let memo = E.Sweep.memo () in
+  let exec columns =
+    let measured = ref 0 in
+    let s =
+      E.Sweep.exec ~scale:0.03 ~iterations:1 ~workloads ~memo ~columns
+        ~progress:(fun _ -> incr measured) ()
+    in
+    (s, !measured)
+  in
+  let paper, n_paper = exec E.Sweep.paper_columns in
+  let fig11, n_fig11 = exec E.Fig11.columns in
+  let _, n_again = exec E.Fig11.columns in
+  check Alcotest.int "paper columns all measured" 5 n_paper;
+  check Alcotest.int "fig11 measures only its new columns" 2 n_fig11;
+  check Alcotest.int "a repeated sweep measures nothing" 0 n_again;
+  let workload = "Dynasoar/GOL" and column = E.Sweep.column T.Cuda in
+  check Alcotest.bool "the shared cell is the first sweep's run" true
+    (E.Sweep.get_column paper ~workload ~column
+     == E.Sweep.get_column fig11 ~workload ~column)
+
 let test_ablation_prototype_vs_hw () =
   let workloads = List.filter_map W.Registry.find [ "GOL"; "RAY" ] in
   let rows =
@@ -270,7 +294,8 @@ let test_figure_table () =
    | _ -> Alcotest.fail "BENCH_main.json has no entries object");
   let source =
     { E.Figures.scale = 0.08; j = 1; cache = false; cache_dir = None;
-      columns = E.Sweep.default_columns; progress = ignore; sweep }
+      columns = E.Sweep.default_columns; progress = ignore;
+      memo = E.Sweep.memo (); sweep }
   in
   let sweep_fed = List.filter (fun f -> f.E.Figures.pages) E.Figures.all in
   let json =
@@ -305,6 +330,7 @@ let suite =
     Alcotest.test_case "fig12 shapes" `Slow test_fig12_shapes;
     Alcotest.test_case "init speedup" `Quick test_init_speedup;
     Alcotest.test_case "cache keys pinned" `Quick test_cache_keys;
+    Alcotest.test_case "sweep memo measures each job once" `Quick test_sweep_memo;
     Alcotest.test_case "ablation: tag encoding free" `Quick test_ablation_encoding_free;
     Alcotest.test_case "ablation: prototype vs hardware MMU" `Quick
       test_ablation_prototype_vs_hw;

@@ -16,6 +16,7 @@ module Page_store = Repro_mem.Page_store
 module Vm = Repro_vm.Vm
 module Page_table = Repro_vm.Page_table
 module Policy = Repro_vm.Policy
+module Pool = Repro_util.Pool
 
 let check = Alcotest.check
 
@@ -500,10 +501,15 @@ let telemetry_of ~ring ~window =
 
 (* Minor words of the second of two replays of [traces] (the first warms
    code paths and growable state). *)
-let replay_minor_words ?vm ?telemetry traces =
+let replay_minor_words ?vm ?telemetry ?(streamed = false) traces =
   let mp = Mem_path.create cfg in
   Mem_path.set_vm mp vm;
   let stats = Stats.create () in
+  (* Streamed: every warp is awaited through a feed, as a launch replayed
+     on a helper domain is. *)
+  let feed = Pool.Feed.create () in
+  Pool.Feed.publish feed (Array.length traces + 1);
+  let await = if streamed then Some (Pool.Feed.await feed) else None in
   let run () =
     Option.iter
       (fun tel ->
@@ -511,7 +517,7 @@ let replay_minor_words ?vm ?telemetry traces =
           (fun r -> Repro_util.Event_ring.begin_launch r ~base:0.)
           tel.Telemetry.ring)
       telemetry;
-    ignore (Sm.run ?telemetry cfg mp ~stats ~traces)
+    ignore (Sm.run ?telemetry ?await cfg mp ~stats ~traces)
   in
   run ();
   let w0 = Gc.minor_words () in
@@ -524,13 +530,13 @@ let replay_minor_words ?vm ?telemetry traces =
    fixed slack over the short trace. This is the invariant DESIGN.md
    documents; any boxed float, closure or record sneaking into the loop,
    the coalescer, the caches or the translation path breaks it loudly. *)
-let check_zero_allocation name ~vm ?(telemetry = fun () -> None) () =
+let check_zero_allocation ?streamed name ~vm ?(telemetry = fun () -> None) () =
   let short =
-    replay_minor_words ?vm:(vm ()) ?telemetry:(telemetry ())
+    replay_minor_words ?vm:(vm ()) ?telemetry:(telemetry ()) ?streamed
       (canned_traces ~n_warps:8 ~n_instrs:300)
   in
   let long =
-    replay_minor_words ?vm:(vm ()) ?telemetry:(telemetry ())
+    replay_minor_words ?vm:(vm ()) ?telemetry:(telemetry ()) ?streamed
       (canned_traces ~n_warps:8 ~n_instrs:3000)
   in
   check Alcotest.bool
@@ -564,6 +570,70 @@ let test_replay_zero_allocation_traced () =
       ("tracer-on", fun () -> None);
       ("tracer-on translated", fun () -> Some (test_vm Policy.Coalesce));
     ]
+
+let test_streamed_replay_zero_allocation () =
+  (* The await hook runs once per warp activation, never per
+     instruction. *)
+  List.iter
+    (fun (name, vm, ring) ->
+      check_zero_allocation ~streamed:true name ~vm
+        ~telemetry:(fun () -> telemetry_of ~ring ~window:None)
+        ())
+    [
+      ("streamed", (fun () -> None), false);
+      ("streamed translated", (fun () -> Some (test_vm Policy.Flat_4k)), false);
+      ("streamed tracer-on", (fun () -> None), true);
+    ]
+
+(* A kernel that raises while a helper replays the launch behind it:
+   the caller sees the kernel's exception, the helper is joined, and
+   nothing waits on the warps that were never emitted. *)
+let test_device_raise_in_scope () =
+  let heap = Page_store.create () in
+  let device = Device.create ~heap () in
+  let kernel ctx = Warp_ctx.compute ctx ~n:4 ~label:Label.Body in
+  let raised =
+    match
+      Pool.Helper.scope (fun () ->
+          Device.launch device ~n_threads:(32 * 600) kernel;
+          Device.launch device ~n_threads:(32 * 2000) (fun ctx ->
+              if Warp_ctx.warp_id ctx = 1500 then failwith "kernel fault";
+              kernel ctx))
+    with
+    | () -> None
+    | exception Failure m -> Some m
+  in
+  check (Alcotest.option Alcotest.string) "re-raised on the caller"
+    (Some "kernel fault") raised;
+  check Alcotest.int "no live helper" 1 (Pool.live_domains ())
+
+(* A vm swapped between launches reaches only the later launch, even
+   while the earlier one still replays on a helper. *)
+let test_device_set_vm_in_scope () =
+  let run scoped =
+    let heap = Page_store.create () in
+    let device = Device.create ~heap () in
+    let kernel ctx =
+      for k = 1 to 8 do
+        ignore
+          (Warp_ctx.load ctx ~label:Label.Body
+             (Array.map (fun t -> (t * 8 * k * 67) land 0xFFFF8) (Warp_ctx.tids ctx)))
+      done
+    in
+    let go () =
+      Device.set_vm device (Some (test_vm Policy.Flat_4k));
+      Device.launch device ~n_threads:(32 * 1000) kernel;
+      (* Other latencies too: [set_vm] rewrites the memory path's
+         latency table in place. *)
+      let config = { Vm.default_config with Vm.l2_latency = 90.; walk_latency_per_level = 200. } in
+      Device.set_vm device
+        (Some (Vm.create ~config ~n_sms:cfg.Config.n_sms ~table:(test_table Policy.Coalesce) ()));
+      Device.launch device ~n_threads:(32 * 1000) kernel;
+      Stats.to_raw (Device.stats device)
+    in
+    if scoped then Pool.Helper.scope go else go ()
+  in
+  check Alcotest.bool "overlapped equals inline" true (run true = run false)
 
 (* --- the replay loop against the reference model ---------------------- *)
 
@@ -802,6 +872,11 @@ let suite =
       test_set_vm_checks_n_sms;
     Alcotest.test_case "tracer-on replay allocates nothing per instruction"
       `Quick test_replay_zero_allocation_traced;
+    Alcotest.test_case "streamed replay allocates nothing per instruction"
+      `Quick test_streamed_replay_zero_allocation;
+    Alcotest.test_case "kernel raising in a helper scope" `Quick
+      test_device_raise_in_scope;
+    Alcotest.test_case "set_vm in a helper scope" `Quick test_device_set_vm_in_scope;
     Alcotest.test_case "ring drop-oldest spill" `Quick test_ring_drop_oldest;
     QCheck_alcotest.to_alcotest prop_coalesce_bounds;
     QCheck_alcotest.to_alcotest prop_coalesce_scratch_equiv;

@@ -115,6 +115,28 @@ let prop_vec_push_get =
       List.iter (Vec.push v) xs;
       List.mapi (fun i _ -> Vec.get v i) xs = xs)
 
+(* The helper runs jobs in submission order; a job's exception reaches
+   the caller at the scope's drain, and the helper is joined either way. *)
+let test_helper_order_and_failure () =
+  let module Pool = Repro_util.Pool in
+  let log = ref [] and spawned = ref false in
+  (match
+     Pool.Helper.scope (fun () ->
+         match Pool.Helper.current () with
+         | None -> ()
+         | Some h ->
+           spawned := true;
+           for i = 1 to 5 do
+             Pool.Helper.submit h (fun () -> log := i :: !log)
+           done;
+           Pool.Helper.submit h (fun () -> failwith "job"))
+   with
+   | () -> check Alcotest.bool "only a missing helper returns" false !spawned
+   | exception Failure m ->
+     check Alcotest.string "the job's exception" "job" m;
+     check Alcotest.(list int) "submission order" [ 5; 4; 3; 2; 1 ] !log);
+  check Alcotest.int "helper joined" 1 (Pool.live_domains ())
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -128,6 +150,7 @@ let suite =
     Alcotest.test_case "mathx int helpers" `Quick test_mathx_int_helpers;
     Alcotest.test_case "vec basics" `Quick test_vec_basics;
     Alcotest.test_case "vec roundtrip" `Quick test_vec_roundtrip;
+    Alcotest.test_case "helper order and failure" `Quick test_helper_order_and_failure;
     QCheck_alcotest.to_alcotest prop_rng_int_uniform_range;
     QCheck_alcotest.to_alcotest prop_vec_push_get;
   ]

@@ -8,6 +8,8 @@ module Graph = W.Graph
 module Workload = W.Workload
 module Harness = W.Harness
 module E = Repro_experiments
+module Pool = Repro_util.Pool
+module Stats = Repro_gpu.Stats
 
 let check = Alcotest.check
 
@@ -93,6 +95,116 @@ let test_workload_determinism () =
 let test_cross_technique_equality_all_workloads () =
   (* The paper's functional validation (Sec. 8), on every app. *)
   ignore (E.Sweep.exec ~scale:0.03 ~iterations:2 ~columns:E.Sweep.paper_columns ())
+
+(* --- overlapped replay ----------------------------------------------------- *)
+
+(* Everything replay produces for one run, with sampling and the ring on,
+   read inside or outside a helper scope, [first] of the four first (each
+   read must wait for replay on its own); plus the most compute domains
+   seen live after an iteration. *)
+let replay_outputs ?pages ?(first = 0) name ~scoped =
+  let w = Option.get (W.Registry.find name) in
+  let telemetry =
+    { Repro_gpu.Telemetry.window = Some 512; trace = true; trace_capacity = 1 lsl 16 }
+  in
+  let inst =
+    w.Workload.build
+      { (tiny_params T.Cuda) with Workload.telemetry = Some telemetry; pages }
+  in
+  let rt = inst.Workload.rt in
+  R.Runtime.reset_stats rt;
+  let live = ref 0 in
+  let run () =
+    for i = 0 to inst.Workload.iterations - 1 do
+      inst.Workload.run_iteration i;
+      live := max !live (Pool.live_domains ())
+    done;
+    let stats = lazy (Stats.to_raw (R.Runtime.stats rt))
+    and timeline = lazy (List.map Stats.to_raw (R.Runtime.kernel_timeline rt))
+    and windows = lazy (List.map (Array.map Stats.to_raw) (R.Runtime.window_timeline rt))
+    and dump = lazy (R.Runtime.telemetry_dump rt) in
+    (match first with
+     | 0 -> ignore (Lazy.force stats)
+     | 1 -> ignore (Lazy.force timeline)
+     | 2 -> ignore (Lazy.force windows)
+     | _ -> ignore (Lazy.force dump));
+    (Lazy.force stats, Lazy.force timeline, Lazy.force windows, Lazy.force dump)
+  in
+  let out = if scoped then Pool.Helper.scope run else run () in
+  (out, !live)
+
+let test_overlap_invisible () =
+  List.iter
+    (fun (name, pages, first) ->
+      let (stats, timeline, windows, dump), live =
+        replay_outputs ?pages ~first name ~scoped:true
+      in
+      let (stats', timeline', windows', dump'), live' =
+        replay_outputs ?pages name ~scoped:false
+      in
+      let name =
+        Printf.sprintf "%s%s, read %d first" name
+          (if pages = None then "" else " translated")
+          first
+      in
+      let eq what a b = check Alcotest.bool (name ^ ": " ^ what ^ " equal") true (a = b) in
+      eq "stats" stats stats';
+      eq "timeline" timeline timeline';
+      eq "window rows" windows windows';
+      eq "ring events" dump dump';
+      check Alcotest.bool (name ^ ": launches in the timeline") true (List.length timeline > 1);
+      check Alcotest.int (name ^ ": inline takes no helper") 1 live';
+      (* Only a host with a spare core gets a helper. *)
+      check Alcotest.int (name ^ ": overlapped takes a helper")
+        (if Pool.available_workers () > 1 then 2 else 1)
+        live)
+    [
+      ("TRAF", None, 0);
+      ("TRAF", None, 1);
+      ("TRAF", None, 2);
+      ("TRAF", None, 3);
+      ("GOL", None, 0);
+      ("TRAF", Some Repro_vm.Policy.Coalesce, 0);
+    ]
+
+(* Each run opens and closes its own scope; a helper that outlived one
+   would reach OCaml's domain cap well before the last run. *)
+let test_sequential_runs_join_helpers () =
+  let w = Option.get (W.Registry.find "TRAF") in
+  let p = { (tiny_params ~iterations:1 T.Cuda) with Workload.scale = 0.01 } in
+  for _ = 1 to 150 do
+    ignore (Harness.run w p)
+  done;
+  check Alcotest.int "no live helper" 1 (Pool.live_domains ())
+
+(* Pool workers that fill the budget leave no core for a helper. *)
+let test_no_helper_inside_full_pool () =
+  let seen = Atomic.make 0 in
+  let rec note n =
+    let m = Atomic.get seen in
+    if n > m && not (Atomic.compare_and_set seen m n) then note n
+  in
+  let w = Option.get (W.Registry.find "TRAF") in
+  let w =
+    {
+      w with
+      Workload.build =
+        (fun p ->
+          let inst = w.Workload.build p in
+          {
+            inst with
+            Workload.run_iteration =
+              (fun i ->
+                inst.Workload.run_iteration i;
+                note (Pool.live_domains ()));
+          });
+    }
+  in
+  let jobs = Pool.available_workers () in
+  let p = { (tiny_params ~iterations:2 T.Cuda) with Workload.scale = 0.01 } in
+  Pool.map ~jobs ~f:(fun () -> ignore (Harness.run w p)) (Array.make (2 * jobs) ())
+  |> Array.iter (function Ok () -> () | Error e -> raise e);
+  check Alcotest.int "live domains never above the pool" jobs (Atomic.get seen)
 
 let test_bfs_invariants () =
   let inst = instance_of "GraphChi-vE/BFS" T.Shared_oa in
@@ -340,6 +452,11 @@ let suite =
     Alcotest.test_case "workload determinism" `Quick test_workload_determinism;
     Alcotest.test_case "cross-technique equality (all apps)" `Slow
       test_cross_technique_equality_all_workloads;
+    Alcotest.test_case "overlapped replay is invisible" `Quick test_overlap_invisible;
+    Alcotest.test_case "sequential runs join their helpers" `Quick
+      test_sequential_runs_join_helpers;
+    Alcotest.test_case "no helper inside a full pool" `Quick
+      test_no_helper_inside_full_pool;
     Alcotest.test_case "bfs invariants" `Quick test_bfs_invariants;
     Alcotest.test_case "cc invariants" `Quick test_cc_invariants;
     Alcotest.test_case "pr invariants" `Quick test_pr_invariants;
