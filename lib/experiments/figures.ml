@@ -32,7 +32,7 @@ let fixed id key series =
 (* A fixed figure's own column list, run under the command's settings. *)
 let own_sweep src columns =
   Sweep.exec ~scale:src.scale ~j:src.j ~cache:src.cache ?cache_dir:src.cache_dir
-    ~memo:src.memo ~columns ()
+    ~progress:src.progress ~memo:src.memo ~columns ()
 
 let all =
   [

@@ -21,9 +21,10 @@ val set_vm : t -> Repro_vm.Vm.t option -> unit
     ([tlb.*]), walk intervals are recorded in the event ring when one is
     attached, and the lookup latency delays that sector. Latencies are
     cached in a per-code float table at attach time, so the per-sector
-    path stays allocation-free. [None] (the default) keeps the replay on
-    its plain sector walk — byte-identical output and no extra
-    per-sector work. Raises [Invalid_argument] when the model's
+    path stays allocation-free. [None] (the default) makes the replay's
+    sector walks skip the lookup: nothing is counted and no sector is
+    delayed, so the output is byte-identical to a machine without
+    translation. Raises [Invalid_argument] when the model's
     {!Repro_vm.Vm.n_sms} differs from the configured [n_sms]: its per-SM
     L1 TLBs are indexed by SM unchecked. *)
 

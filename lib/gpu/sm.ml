@@ -16,10 +16,12 @@
      the per-pop window check is one float-array compare; at a crossing
      the launch-local counters are flushed into the open row before it
      is sealed;
-   - each memory instruction picks one of two sector walks: the plain
-     walk written out in the loop, or [load_walk]/[store_walk], which
-     add translation and/or ring events and run only when the launch
-     has a vm or a ring;
+   - a memory instruction walks its coalesced sectors through the one
+     load walk or the one store walk written out in the loop; per
+     sector, the walk tests the launch's vm (a translation through
+     [translate] delays the sector) and its ring (each sector
+     transaction is recorded); both are per-launch constants, so the
+     tests predict well;
    - warp stall events are written to the ring only when one is passed
      through [?telemetry];
    - a streamed launch passes [?await], called before a warp's columns
@@ -68,143 +70,31 @@ let[@inline] emit (r : Event_ring.t) kind track a b ts dur =
     Array.unsafe_set r.Event_ring.cells 1 e;
   Event_ring.bump r
 
-(* State of the out-of-line sector walks, built once per launch that
-   translates or records events. *)
-type walk = {
-  vm : Repro_vm.Vm.t option;
-  ring : Event_ring.t option;
-  vm_lat : float array;  (* cycles per [Vm.lookup] code *)
-  scratch : int array;
-  l1s : Cache.t array;
-  l2 : Cache.t;
-  l1_next_free : float array;
-  clk : float array;  (* clk.(0) = L2 next-free, clk.(1) = DRAM next-free *)
-  inv_l1_tp : float;
-  inv_l2_tp : float;
-  inv_dram_cost : float;
-  dram_pair_cost : float;
-  l1_lat : float;
-  l2_lat : float;
-  dram_lat : float;
-  compl : float array;  (* compl.(0): LSU start in; load completion out *)
-  counters : int array;
-  cur : Stats.t ref;  (* the open row *)
-}
-
-(* Count one translation; a walk also adds its cycles and, with a ring,
-   records a [tlb] event spanning the walk from the LSU start [t0]. *)
-let[@inline] count_lookup w sm sector code t0 tx =
-  if code = Repro_vm.Vm.hit_l1 then bump w.counters K.tlb_l1_hits 1
-  else if code = Repro_vm.Vm.hit_l2 then bump w.counters K.tlb_l2_hits 1
-  else begin
-    bump w.counters K.tlb_walks 1;
-    let v = (!(w.cur) :> float array) and s = K.tlb_walk_cycles.C.slot in
-    v.(s) <- v.(s) +. tx;
-    match w.ring with
-    | Some r ->
-      emit r Telemetry.kind_tlb sm (code - Repro_vm.Vm.walk_base) sector
-        t0 tx
-    | None -> ()
-  end
-
-(* The load walk over the [n] coalesced sectors in [w.scratch]: the
-   plain walk of [run], prefixed by a translation whose latency delays
-   the sector's L1 issue, with every sector transaction recorded when a
-   ring is attached. *)
-let load_walk w sm n =
-  let t0 = w.compl.(0) in
-  let l1 = Array.unsafe_get w.l1s sm in
-  let l1_next_free = w.l1_next_free and clk = w.clk and compl = w.compl in
-  for i = 0 to n - 1 do
-    let sector = Array.unsafe_get w.scratch i in
-    let a =
-      match w.vm with
-      | None -> t0
-      | Some vm ->
-        let code = Repro_vm.Vm.lookup vm ~sm ~sector in
-        let tx = Array.unsafe_get w.vm_lat code in
-        count_lookup w sm sector code t0 tx;
-        t0 +. tx
-    in
-    let lnf = Array.unsafe_get l1_next_free sm in
-    let t1 = if a >= lnf then a else lnf in
-    Array.unsafe_set l1_next_free sm (t1 +. w.inv_l1_tp);
-    match Cache.access l1 ~sector with
-    | `Hit ->
-      bump w.counters K.l1_hits 1;
-      (match w.ring with
-       | Some r -> emit r Telemetry.kind_l1 sm 1 sector t1 w.l1_lat
-       | None -> ());
-      let c = t1 +. w.l1_lat in
-      if c > compl.(0) then compl.(0) <- c
-    | `Miss -> (
-      bump w.counters K.l1_misses 1;
-      (match w.ring with
-       | Some r -> emit r Telemetry.kind_l1 sm 0 sector t1 0.
-       | None -> ());
-      let a = t1 +. w.l1_lat in
-      let t2 = if a >= clk.(0) then a else clk.(0) in
-      clk.(0) <- t2 +. w.inv_l2_tp;
-      match Cache.access w.l2 ~sector with
-      | `Hit ->
-        bump w.counters K.l2_hits 1;
-        (match w.ring with
-         | Some r -> emit r Telemetry.kind_l2 sm 1 sector t2 w.l2_lat
-         | None -> ());
-        let c = t2 +. w.l2_lat in
-        if c > compl.(0) then compl.(0) <- c
-      | `Miss ->
-        bump w.counters K.l2_misses 1;
-        (match w.ring with
-         | Some r -> emit r Telemetry.kind_l2 sm 0 sector t2 0.
-         | None -> ());
-        bump w.counters K.dram_sectors 2;
-        ignore (Cache.access w.l2 ~sector:(sector lxor 1));
-        let b = t2 +. w.l2_lat in
-        let t3 = if b >= clk.(1) then b else clk.(1) in
-        clk.(1) <- t3 +. w.dram_pair_cost;
-        (match w.ring with
-         | Some r -> emit r Telemetry.kind_dram sm 2 sector t3 w.dram_lat
-         | None -> ());
-        let c = t3 +. w.dram_lat in
-        if c > compl.(0) then compl.(0) <- c)
-  done
-
-(* The store walk: the translation delays the sector's L2 arbitration
-   (a store cannot reach L2 before its page does). Store events are
-   instants: the warp does not wait on them. *)
-let store_walk w sm n =
-  let t0 = w.compl.(0) in
-  let clk = w.clk in
-  for i = 0 to n - 1 do
-    let sector = Array.unsafe_get w.scratch i in
-    let a =
-      match w.vm with
-      | None -> t0
-      | Some vm ->
-        let code = Repro_vm.Vm.lookup vm ~sm ~sector in
-        let tx = Array.unsafe_get w.vm_lat code in
-        count_lookup w sm sector code t0 tx;
-        t0 +. tx
-    in
-    let t2 = if a >= clk.(0) then a else clk.(0) in
-    clk.(0) <- t2 +. w.inv_l2_tp;
-    match Cache.access w.l2 ~sector with
-    | `Hit -> (
-      match w.ring with
-      | Some r -> emit r Telemetry.kind_l2 sm 3 sector t2 0.
-      | None -> ())
-    | `Miss ->
-      (match w.ring with
-       | Some r -> emit r Telemetry.kind_l2 sm 2 sector t2 0.
-       | None -> ());
-      bump w.counters K.dram_sectors 1;
-      let t3 = if t2 >= clk.(1) then t2 else clk.(1) in
-      clk.(1) <- t3 +. w.inv_dram_cost;
-      (match w.ring with
-       | Some r -> emit r Telemetry.kind_dram sm 1 sector t3 0.
-       | None -> ())
-  done
+(* The time a sector may issue from the LSU start [t0]: [t0] itself
+   without a vm, else [t0] plus the lookup's latency. The lookup is
+   counted; a walk also adds its cycles to the open row and, with a
+   ring, records a [tlb] event spanning the walk from [t0]. Inlined, so
+   the float stays unboxed. *)
+let[@inline] translate vm vm_lat counters (cur : Stats.t ref) ring sm sector
+    t0 =
+  match vm with
+  | None -> t0
+  | Some vm ->
+    let code = Repro_vm.Vm.lookup vm ~sm ~sector in
+    let tx = Array.unsafe_get vm_lat code in
+    if code = Repro_vm.Vm.hit_l1 then bump counters K.tlb_l1_hits 1
+    else if code = Repro_vm.Vm.hit_l2 then bump counters K.tlb_l2_hits 1
+    else begin
+      bump counters K.tlb_walks 1;
+      let v = (!cur :> float array) and s = K.tlb_walk_cycles.C.slot in
+      v.(s) <- v.(s) +. tx;
+      match ring with
+      | Some r ->
+        emit r Telemetry.kind_tlb sm (code - Repro_vm.Vm.walk_base) sector t0
+          tx
+      | None -> ()
+    end;
+    t0 +. tx
 
 (* Restore the heap invariant from the root after its entry was
    replaced. 4-ary with a hole sift (save the root entry, pull
@@ -321,31 +211,7 @@ let run ?telemetry ?await (cfg : Config.t) mem_path ~stats ~traces =
     let compl = Array.make 1 0. in
     let finish = Array.make 1 0. in
     let vm = Mem_path.vm mem_path in
-    let slow =
-      if Option.is_none vm && Option.is_none ring then None
-      else
-        Some
-          {
-            vm;
-            ring;
-            vm_lat = Mem_path.Raw.vm_lat mem_path;
-            scratch;
-            l1s;
-            l2;
-            l1_next_free;
-            clk;
-            inv_l1_tp;
-            inv_l2_tp;
-            inv_dram_cost;
-            dram_pair_cost;
-            l1_lat;
-            l2_lat;
-            dram_lat;
-            compl;
-            counters;
-            cur;
-          }
-    in
+    let vm_lat = Mem_path.Raw.vm_lat mem_path in
     (* The ready queue: a replace-top heap of warp indices keyed by
        (ready time, push sequence). Every pop is followed by at most one
        push (the re-issue or an activation), serviced as one root sift,
@@ -453,66 +319,89 @@ let run ?telemetry ?await (cfg : Config.t) mem_path ~stats ~traces =
               bump counters K.load_transactions n;
               let i = ld_first + lbl in
               Array.unsafe_set counters i (Array.unsafe_get counters i + n);
-              (match slow with
-               | Some w -> load_walk w sm n
-               | None ->
-                 let l1 = Array.unsafe_get l1s sm in
-                 for i = 0 to n - 1 do
-                   let sector = Array.unsafe_get scratch i in
-                   let lnf = Array.unsafe_get l1_next_free sm in
-                   let t1 = if t0 >= lnf then t0 else lnf in
-                   Array.unsafe_set l1_next_free sm (t1 +. inv_l1_tp);
-                   match Cache.access l1 ~sector with
-                   | `Hit ->
-                     bump counters K.l1_hits 1;
-                     let c = t1 +. l1_lat in
-                     if c > compl.(0) then compl.(0) <- c
-                   | `Miss -> (
-                     bump counters K.l1_misses 1;
-                     let a = t1 +. l1_lat in
-                     let t2 = if a >= clk.(0) then a else clk.(0) in
-                     clk.(0) <- t2 +. inv_l2_tp;
-                     match Cache.access l2 ~sector with
-                     | `Hit ->
-                       bump counters K.l2_hits 1;
-                       let c = t2 +. l2_lat in
-                       if c > compl.(0) then compl.(0) <- c
-                     | `Miss ->
-                       (* DRAM is read at 64 B granularity (Volta's L2
-                          fill size): the missing sector and its pair
-                          are both fetched and installed. *)
-                       bump counters K.l2_misses 1;
-                       bump counters K.dram_sectors 2;
-                       ignore (Cache.access l2 ~sector:(sector lxor 1));
-                       let b = t2 +. l2_lat in
-                       let t3 = if b >= clk.(1) then b else clk.(1) in
-                       clk.(1) <- t3 +. dram_pair_cost;
-                       let c = t3 +. dram_lat in
-                       if c > compl.(0) then compl.(0) <- c)
-                 done);
+              (* A translation delays the sector's L1 issue; with a
+                 ring, every sector transaction is recorded. *)
+              let l1 = Array.unsafe_get l1s sm in
+              for i = 0 to n - 1 do
+                let sector = Array.unsafe_get scratch i in
+                let a = translate vm vm_lat counters cur ring sm sector t0 in
+                let lnf = Array.unsafe_get l1_next_free sm in
+                let t1 = if a >= lnf then a else lnf in
+                Array.unsafe_set l1_next_free sm (t1 +. inv_l1_tp);
+                match Cache.access l1 ~sector with
+                | `Hit ->
+                  bump counters K.l1_hits 1;
+                  (match ring with
+                   | Some r -> emit r Telemetry.kind_l1 sm 1 sector t1 l1_lat
+                   | None -> ());
+                  let c = t1 +. l1_lat in
+                  if c > compl.(0) then compl.(0) <- c
+                | `Miss -> (
+                  bump counters K.l1_misses 1;
+                  (match ring with
+                   | Some r -> emit r Telemetry.kind_l1 sm 0 sector t1 0.
+                   | None -> ());
+                  let a = t1 +. l1_lat in
+                  let t2 = if a >= clk.(0) then a else clk.(0) in
+                  clk.(0) <- t2 +. inv_l2_tp;
+                  match Cache.access l2 ~sector with
+                  | `Hit ->
+                    bump counters K.l2_hits 1;
+                    (match ring with
+                     | Some r -> emit r Telemetry.kind_l2 sm 1 sector t2 l2_lat
+                     | None -> ());
+                    let c = t2 +. l2_lat in
+                    if c > compl.(0) then compl.(0) <- c
+                  | `Miss ->
+                    (* DRAM is read at 64 B granularity (Volta's L2 fill
+                       size): the missing sector and its pair are both
+                       fetched and installed. *)
+                    bump counters K.l2_misses 1;
+                    bump counters K.dram_sectors 2;
+                    ignore (Cache.access l2 ~sector:(sector lxor 1));
+                    let b = t2 +. l2_lat in
+                    let t3 = if b >= clk.(1) then b else clk.(1) in
+                    clk.(1) <- t3 +. dram_pair_cost;
+                    (match ring with
+                     | Some r ->
+                       emit r Telemetry.kind_l2 sm 0 sector t2 0.;
+                       emit r Telemetry.kind_dram sm 2 sector t3 dram_lat
+                     | None -> ());
+                    let c = t3 +. dram_lat in
+                    if c > compl.(0) then compl.(0) <- c)
+              done;
               if Array.unsafe_get (Array.unsafe_get blks w) pc <> 0 then
                 compl.(0)
               else issue_time +. slots
             end
             else begin
               bump counters K.store_transactions n;
-              (match slow with
-               | Some w -> store_walk w sm n
-               | None ->
-                 (* Write-through: every store sector takes L2 bandwidth
-                    and is installed there; an L2 miss also takes DRAM
-                    bandwidth. *)
-                 for i = 0 to n - 1 do
-                   let sector = Array.unsafe_get scratch i in
-                   let t2 = if t0 >= clk.(0) then t0 else clk.(0) in
-                   clk.(0) <- t2 +. inv_l2_tp;
-                   match Cache.access l2 ~sector with
-                   | `Hit -> ()
-                   | `Miss ->
-                     bump counters K.dram_sectors 1;
-                     let t3 = if t2 >= clk.(1) then t2 else clk.(1) in
-                     clk.(1) <- t3 +. inv_dram_cost
-                 done);
+              (* Write-through: every store sector takes L2 bandwidth
+                 and is installed there; an L2 miss also takes DRAM
+                 bandwidth. A translation delays the sector's L2
+                 arbitration (a store cannot reach L2 before its page
+                 does). Store events are instants: the warp does not wait
+                 on them. *)
+              for i = 0 to n - 1 do
+                let sector = Array.unsafe_get scratch i in
+                let a = translate vm vm_lat counters cur ring sm sector t0 in
+                let t2 = if a >= clk.(0) then a else clk.(0) in
+                clk.(0) <- t2 +. inv_l2_tp;
+                match Cache.access l2 ~sector with
+                | `Hit -> (
+                  match ring with
+                  | Some r -> emit r Telemetry.kind_l2 sm 3 sector t2 0.
+                  | None -> ())
+                | `Miss -> (
+                  bump counters K.dram_sectors 1;
+                  let t3 = if t2 >= clk.(1) then t2 else clk.(1) in
+                  clk.(1) <- t3 +. inv_dram_cost;
+                  match ring with
+                  | Some r ->
+                    emit r Telemetry.kind_l2 sm 2 sector t2 0.;
+                    emit r Telemetry.kind_dram sm 1 sector t3 0.
+                  | None -> ())
+              done;
               issue_time +. slots
             end
           end

@@ -244,6 +244,36 @@ let test_sweep_memo () =
     (E.Sweep.get_column paper ~workload ~column
      == E.Sweep.get_column fig11 ~workload ~column)
 
+(* A figure that runs its own jobs reports them through the command's
+   progress sink like the shared sweep does. With the shared sweep
+   forced first, Fig. 11's CUDA and DYNA cells are memo hits and only
+   its TP-on-CUDA cells start measuring. *)
+let test_fig11_reports_progress () =
+  let memo = E.Sweep.memo () in
+  let labels = ref [] in
+  let source =
+    { E.Figures.scale = 0.02; j = 1; cache = false; cache_dir = None;
+      columns = E.Sweep.default_columns;
+      progress = (fun l -> labels := l :: !labels);
+      memo;
+      sweep =
+        lazy
+          (E.Sweep.exec ~scale:0.02 ~memo ~columns:E.Sweep.default_columns ())
+    }
+  in
+  ignore (Lazy.force source.E.Figures.sweep);
+  labels := [];
+  let fig11 = Option.get (E.Figures.find "11") in
+  ignore (fig11.E.Figures.series source);
+  let tp = E.Sweep.column_name (E.Sweep.column T.type_pointer_on_cuda) in
+  check Alcotest.int "one label per TP-on-CUDA cell"
+    (List.length W.Registry.all) (List.length !labels);
+  List.iter
+    (fun l ->
+      check Alcotest.bool (l ^ " is a TP-on-CUDA cell") true
+        (String.ends_with ~suffix:(" [" ^ tp ^ "]") l))
+    !labels
+
 let test_ablation_prototype_vs_hw () =
   let workloads = List.filter_map W.Registry.find [ "GOL"; "RAY" ] in
   let rows =
@@ -331,6 +361,8 @@ let suite =
     Alcotest.test_case "init speedup" `Quick test_init_speedup;
     Alcotest.test_case "cache keys pinned" `Quick test_cache_keys;
     Alcotest.test_case "sweep memo measures each job once" `Quick test_sweep_memo;
+    Alcotest.test_case "fig11 reports its own jobs" `Quick
+      test_fig11_reports_progress;
     Alcotest.test_case "ablation: tag encoding free" `Quick test_ablation_encoding_free;
     Alcotest.test_case "ablation: prototype vs hardware MMU" `Quick
       test_ablation_prototype_vs_hw;

@@ -550,8 +550,8 @@ let test_replay_zero_allocation () =
   check_zero_allocation "plain" ~vm:(fun () -> None) ()
 
 let test_fused_replay_zero_allocation () =
-  (* Translated launches take the out-of-line sector walk, which calls
-     [Vm.lookup] per sector. *)
+  (* A translated launch calls [Vm.lookup] per sector from the replay
+     loop's one load walk and one store walk. *)
   check_zero_allocation "translated"
     ~vm:(fun () -> Some (test_vm Policy.Flat_4k))
     ()
@@ -798,6 +798,70 @@ let prop_run_matches_reference =
             [ (false, None); (true, None); (false, Some 256); (true, Some 256) ])
         (None :: List.map Option.some Policy.all))
 
+(* --- tag bits never move the measurement ------------------------------- *)
+
+(* Loads and stores over a heap window that crosses [test_table]'s first
+   arena, the unmapped hole behind it and the first promoted span, each
+   behind a random lane mask. Op [(store, r, mask)] addresses lane [t]
+   at a stride of [1 + r mod 37] words from [r] words in; [tag k t] is
+   the tag lane [t]'s address of op [k] carries. Returns the device's
+   stats and every loaded word. *)
+let tagged_window_run ~vm ~n_threads ops ~tag =
+  let heap = Page_store.create () in
+  let device = Device.create ~heap () in
+  Device.set_vm device vm;
+  let loaded = ref [] in
+  let kernel ctx =
+    List.iteri
+      (fun k (store, r, mask) ->
+        let pred =
+          Array.map (fun t -> (mask lsr (t land 31)) land 1 = 1) (Warp_ctx.tids ctx)
+        in
+        Warp_ctx.if_ ctx ~label:Label.Body ~pred
+          (fun sub _ ->
+            let tids = Warp_ctx.tids sub in
+            let addrs =
+              Array.map
+                (fun t ->
+                  let word = (r + (t * (1 + (r mod 37)))) mod 0x2800 in
+                  Repro_mem.Vaddr.with_tag (0x2E000 + (8 * word)) ~tag:(tag k t))
+                tids
+            in
+            if store then Warp_ctx.store sub ~label:Label.Body addrs tids
+            else loaded := Warp_ctx.load sub ~label:Label.Body addrs :: !loaded)
+          None)
+      ops
+  in
+  Device.launch device ~n_threads kernel;
+  Device.launch device ~n_threads kernel;
+  (Stats.to_raw (Device.stats device), !loaded)
+
+(* The third metamorphic property: with no vm and under a [Coalesce] vm,
+   the same accesses with a random tag on every lane's address give
+   bit-equal cycles and counters (and load the same words) as with
+   canonical addresses, so the hardware-MMU TypePointer's tags are free
+   in the timing model. *)
+let prop_tags_timing_invisible =
+  QCheck.Test.make ~name:"tag bits never change cycles or stats" ~count:50
+    QCheck.(
+      triple (int_bound ((32 * 6) - 1)) int
+        (list_of_size (Gen.int_range 1 24)
+           (triple bool (int_bound 0xFFFF) (int_bound 0xFFFFFFFF))))
+    (fun (n, seed, ops) ->
+      let n_threads = n + 1 in
+      let tag k t =
+        Hashtbl.hash (seed, k, t) mod (Repro_mem.Vaddr.max_tag + 1)
+      in
+      List.for_all
+        (fun vm ->
+          let canonical =
+            tagged_window_run ~vm:(vm ()) ~n_threads ops ~tag:(fun _ _ -> 0)
+          in
+          let tagged = tagged_window_run ~vm:(vm ()) ~n_threads ops ~tag in
+          Marshal.to_string canonical [ Marshal.No_sharing ]
+          = Marshal.to_string tagged [ Marshal.No_sharing ])
+        [ (fun () -> None); (fun () -> Some (test_vm Policy.Coalesce)) ])
+
 let test_set_vm_checks_n_sms () =
   (* The replay loop indexes the vm's per-SM L1 TLBs by SM unchecked. *)
   let table = test_table Policy.Flat_4k in
@@ -883,6 +947,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_coalesce_unsafe_equiv;
     QCheck_alcotest.to_alcotest prop_coalesce_lane_permutation;
     QCheck_alcotest.to_alcotest prop_run_matches_reference;
+    QCheck_alcotest.to_alcotest prop_tags_timing_invisible;
     QCheck_alcotest.to_alcotest prop_cache_hits_bounded;
     QCheck_alcotest.to_alcotest prop_cache_lru_inclusion;
   ]

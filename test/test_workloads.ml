@@ -167,6 +167,59 @@ let test_overlap_invisible () =
       ("TRAF", Some Repro_vm.Policy.Coalesce, 0);
     ]
 
+(* --- telemetry only observes ------------------------------------------------ *)
+
+(* On real workloads, translated or not, the event ring and the window
+   sampler never move the measurement: cycles, the heap checksum and
+   every counter equal the run with telemetry off. The ring holds the
+   whole run, so no event is dropped. *)
+let test_telemetry_invisible () =
+  List.iter
+    (fun (name, pages) ->
+      let w = Option.get (W.Registry.find name) in
+      let run telemetry =
+        Harness.run w
+          { (Workload.default_params T.Cuda) with
+            Workload.scale = 0.02; telemetry; pages }
+      in
+      let off = run None in
+      check Alcotest.bool (name ^ ": walks only when translated") true
+        (Stats.tlb_walks off.Harness.stats > 0 = (pages <> None));
+      List.iter
+        (fun (mode, window, trace) ->
+          let r =
+            run
+              (Some
+                 { Repro_gpu.Telemetry.window; trace; trace_capacity = 1 lsl 18 })
+          in
+          let label =
+            Printf.sprintf "%s pages=%s %s" name
+              (Option.fold ~none:"none" ~some:Repro_vm.Policy.name pages)
+              mode
+          in
+          check Alcotest.bool (label ^ ": cycles bit-equal") true
+            (Int64.equal
+               (Int64.bits_of_float off.Harness.cycles)
+               (Int64.bits_of_float r.Harness.cycles));
+          check Alcotest.int (label ^ ": checksum") off.Harness.checksum
+            r.Harness.checksum;
+          check Alcotest.bool (label ^ ": stats equal") true
+            (Stats.to_raw off.Harness.stats = Stats.to_raw r.Harness.stats);
+          Option.iter
+            (fun (d : Repro_gpu.Telemetry.dump) ->
+              check Alcotest.int (label ^ ": nothing dropped") 0
+                d.Repro_gpu.Telemetry.dropped;
+              check Alcotest.bool (label ^ ": events recorded") true
+                (Array.length d.Repro_gpu.Telemetry.events > 0))
+            r.Harness.trace)
+        [ ("ring", None, true); ("sampler", Some 512, false); ("both", Some 512, true) ])
+    [
+      ("TRAF", None);
+      ("TRAF", Some Repro_vm.Policy.Coalesce);
+      ("GOL", None);
+      ("GOL", Some Repro_vm.Policy.Coalesce);
+    ]
+
 (* Each run opens and closes its own scope; a helper that outlived one
    would reach OCaml's domain cap well before the last run. *)
 let test_sequential_runs_join_helpers () =
@@ -453,6 +506,8 @@ let suite =
     Alcotest.test_case "cross-technique equality (all apps)" `Slow
       test_cross_technique_equality_all_workloads;
     Alcotest.test_case "overlapped replay is invisible" `Quick test_overlap_invisible;
+    Alcotest.test_case "telemetry never moves the measurement" `Quick
+      test_telemetry_invisible;
     Alcotest.test_case "sequential runs join their helpers" `Quick
       test_sequential_runs_join_helpers;
     Alcotest.test_case "no helper inside a full pool" `Quick
