@@ -17,7 +17,13 @@ let column_name t =
   | None -> T.name t.technique
   | Some fam -> Repro_core.Alloc_family.column_name t.technique fam
 
-let label t = Printf.sprintf "%s [%s]" (workload_name t) (column_name t)
+(* Fig. 10's COAL columns differ only in the chunk size, so it is named
+   whenever it is set. *)
+let label t =
+  match t.params.W.Workload.chunk_objs with
+  | None -> Printf.sprintf "%s [%s]" (workload_name t) (column_name t)
+  | Some c ->
+    Printf.sprintf "%s [%s chunk=%d]" (workload_name t) (column_name t) c
 
 (* [T.name] collapses some TypePointer configurations (e.g. prototype
    mode over the CUDA allocator has no paper short name), so the key

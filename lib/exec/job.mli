@@ -24,7 +24,9 @@ val column_name : t -> string
     (see {!Repro_core.Alloc_family.column_name}). *)
 
 val label : t -> string
-(** ["suite/name [COLUMN]"] for progress lines. *)
+(** ["suite/name [COLUMN]"], or ["suite/name [COLUMN chunk=N]"] when
+    [params.chunk_objs] is set, for progress lines, logs and error
+    messages. Not an identity: {!key} names the cache entry. *)
 
 val key : t -> string
 (** A stable, human-readable identity: workload, technique (all tag

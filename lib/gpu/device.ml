@@ -153,7 +153,7 @@ let launch t ~n_threads kernel =
   in
   (* Every warp emits into the device's scratch trace, then seals
      through a per-launch pool that hash-conses identical instruction
-     streams (addresses stay per-warp). *)
+     streams (each warp keeps its own sectors; lanes are dropped). *)
   let pool = Trace.Intern.create () in
   (try
      for warp_id = 0 to n_warps - 1 do

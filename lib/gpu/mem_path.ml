@@ -1,9 +1,8 @@
 (* State of the L1 -> L2 -> DRAM timing path. [Sm.run] walks it: the
    bandwidth clocks live in flat float arrays (mutable boxed-float record
-   fields would re-box on every store), the coalesced sectors go through
-   a reusable scratch buffer, and reciprocal throughputs and latencies
-   are precomputed once at [create] time, so the replay loop reads them
-   without a division or an allocation. *)
+   fields would re-box on every store), and reciprocal throughputs and
+   latencies are precomputed once at [create] time, so the replay loop
+   reads them without a division or an allocation. *)
 
 type t = {
   cfg : Config.t;
@@ -13,8 +12,6 @@ type t = {
   l2 : Cache.t;
   (* clk.(0) = L2 next-free, clk.(1) = DRAM next-free. *)
   clk : float array;
-  (* Coalescer scratch, warp_size entries. *)
-  scratch : int array;
   (* Precomputed per-level costs. Reading a float field never allocates;
      only these are read on the replay path, never written. *)
   inv_l1_tp : float;
@@ -46,7 +43,6 @@ let create (cfg : Config.t) =
     lsu_next_free = Array.make cfg.n_sms 0.;
     l2 = Cache.create cfg.l2_geometry;
     clk = Array.make 2 0.;
-    scratch = Array.make cfg.warp_size 0;
     inv_l1_tp = 1. /. cfg.l1_sector_throughput;
     inv_l2_tp = 1. /. cfg.l2_sector_throughput;
     inv_lsu_tp = 1. /. cfg.lsu_throughput;
@@ -112,7 +108,6 @@ module Raw = struct
   let clk t = t.clk
   let l1_next_free t = t.l1_next_free
   let lsu_next_free t = t.lsu_next_free
-  let scratch t = t.scratch
   let inv_l1_tp t = t.inv_l1_tp
   let inv_l2_tp t = t.inv_l2_tp
   let inv_lsu_tp t = t.inv_lsu_tp

@@ -57,8 +57,6 @@ module Raw : sig
 
   val l1_next_free : t -> float array
   val lsu_next_free : t -> float array
-  val scratch : t -> int array
-  (** Coalescer scratch, [warp_size] entries. *)
 
   val inv_l1_tp : t -> float
   val inv_l2_tp : t -> float

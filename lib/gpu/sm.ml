@@ -2,14 +2,15 @@
    every launch, with or without telemetry or address translation.
 
    Per launch, the memory-path clocks and precomputed costs are hoisted
-   into locals, and each warp's trace columns are read once, when the
-   warp activates; per instruction, the loop reads raw
-   columns, coalesces into the path's scratch buffer and walks the
+   into locals, and each warp's trace columns and sector arena are read
+   once, when the warp activates; per instruction, the loop reads raw
+   columns and, for a memory instruction, the sector list at the warp's
+   sector cursor (coalesced when the trace was emitted), and walks the
    hierarchy through [Cache.access] (and, when translating, through
    [Vm.lookup]). Nothing on the per-instruction path builds a record,
    option, closure or boxed float: the allocations are per launch
-   (column views, the event heap, activation lists) or, with sampling,
-   per window, so they do not grow with trace length.
+   (column views, sector cursors, the event heap, activation lists) or,
+   with sampling, per window, so they do not grow with trace length.
 
    The hooks are specialised once per launch:
    - the sampler's boundary cell holds infinity when sampling is off, so
@@ -146,29 +147,27 @@ let run ?telemetry ?await (cfg : Config.t) mem_path ~stats ~traces =
     let pcs = Array.make n_warps 0 in
     (* Per-warp trace columns, read when the warp activates. [lens] is
        the logical length, so an in-bounds [pc] indexes every column
-       safely (unsafe gets). *)
+       safely (unsafe gets). Records replay in order, so [cursors.(w)]
+       is the sector-arena index of warp [w]'s next memory record: its
+       count, then its sectors, all inside the live prefix. *)
     let lens = Array.make n_warps 0 in
     let ops = Array.make n_warps [||] in
     let lbls = Array.make n_warps [||] in
-    let acts = Array.make n_warps [||] in
     let reps = Array.make n_warps [||] in
     let blks = Array.make n_warps [||] in
-    let aoffs = Array.make n_warps [||] in
-    let arenas = Array.make n_warps [||] in
+    let secs = Array.make n_warps [||] in
+    let cursors = Array.make n_warps 0 in
     let activate w =
       (match await with Some f -> f w | None -> ());
       let tr = traces.(w) in
       lens.(w) <- Trace.length tr;
       ops.(w) <- Trace.Raw.op_col tr;
       lbls.(w) <- Trace.Raw.lbl_col tr;
-      acts.(w) <- Trace.Raw.act_col tr;
       reps.(w) <- Trace.Raw.rep_col tr;
       blks.(w) <- Trace.Raw.blk_col tr;
-      aoffs.(w) <- Trace.Raw.aoff_col tr;
-      arenas.(w) <- Trace.arena tr
+      secs.(w) <- Trace.sector_arena tr
     in
     (* Memory-path state and precomputed costs. *)
-    let scratch = Mem_path.Raw.scratch mem_path in
     let l1s = Mem_path.Raw.l1s mem_path in
     let l2 = Mem_path.Raw.l2 mem_path in
     let l1_next_free = Mem_path.Raw.l1_next_free mem_path in
@@ -301,12 +300,11 @@ let run ?telemetry ?await (cfg : Config.t) mem_path ~stats ~traces =
         Array.unsafe_set issue_clock sm (issue_time +. slots);
         let next_ready =
           if op = Trace.op_load || op = Trace.op_store then begin
-            let n =
-              Coalesce.sectors_into_unsafe ~buf:scratch
-                (Array.unsafe_get arenas w)
-                ~off:(Array.unsafe_get (Array.unsafe_get aoffs w) pc)
-                ~len:(Array.unsafe_get (Array.unsafe_get acts w) pc)
-            in
+            (* The record's sectors are [sa.(c + 1 .. c + n)]. *)
+            let sa = Array.unsafe_get secs w in
+            let c = Array.unsafe_get cursors w in
+            let n = Array.unsafe_get sa c in
+            Array.unsafe_set cursors w (c + 1 + n);
             (* LSU acceptance: the access starts once the SM's LSU is
                free and holds it for max(issue slot, sector drain). *)
             let lf = Array.unsafe_get lsu_next_free sm in
@@ -322,8 +320,8 @@ let run ?telemetry ?await (cfg : Config.t) mem_path ~stats ~traces =
               (* A translation delays the sector's L1 issue; with a
                  ring, every sector transaction is recorded. *)
               let l1 = Array.unsafe_get l1s sm in
-              for i = 0 to n - 1 do
-                let sector = Array.unsafe_get scratch i in
+              for i = c + 1 to c + n do
+                let sector = Array.unsafe_get sa i in
                 let a = translate vm vm_lat counters cur ring sm sector t0 in
                 let lnf = Array.unsafe_get l1_next_free sm in
                 let t1 = if a >= lnf then a else lnf in
@@ -382,8 +380,8 @@ let run ?telemetry ?await (cfg : Config.t) mem_path ~stats ~traces =
                  arbitration (a store cannot reach L2 before its page
                  does). Store events are instants: the warp does not wait
                  on them. *)
-              for i = 0 to n - 1 do
-                let sector = Array.unsafe_get scratch i in
+              for i = c + 1 to c + n do
+                let sector = Array.unsafe_get sa i in
                 let a = translate vm vm_lat counters cur ring sm sector t0 in
                 let t2 = if a >= clk.(0) then a else clk.(0) in
                 clk.(0) <- t2 +. inv_l2_tp;

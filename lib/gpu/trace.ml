@@ -1,10 +1,14 @@
 (* Structure-of-arrays trace storage.
 
    One record per dynamic warp instruction, split across flat parallel int
-   arrays; memory instructions keep their per-lane canonical addresses in a
-   shared arena ([addrs]) addressed by offset/length. The functional phase
-   grows the arrays (amortized doubling); the timing phase replays by index
-   without allocating. *)
+   arrays. A memory instruction is coalesced once, as it is emitted: its
+   distinct ascending 32 B sectors go to the sector arena ([secs]) as a
+   count-prefixed list, [n] then the [n] sectors, in record order. Its
+   canonical per-lane addresses go to the lane arena ([addrs]), which only
+   the functional access reads back; sealing drops it. The functional
+   phase grows the arrays (amortized doubling); the timing phase replays
+   by index, walking each warp's sector arena with a cursor, without
+   allocating. *)
 
 let op_load = 0
 let op_store = 1
@@ -21,9 +25,10 @@ type t = {
   mutable act : int array;       (* active lanes when issued *)
   mutable rep : int array;       (* Instr.instruction_count *)
   mutable blk : int array;       (* blocking flag, 0/1 *)
-  mutable aoff : int array;      (* arena offset; -1 for non-mem records *)
-  mutable addrs : int array;     (* the address arena *)
+  mutable addrs : int array;     (* the lane arena; empty once sealed *)
   mutable addrs_len : int;
+  mutable secs : int array;      (* the sector arena *)
+  mutable secs_len : int;
   mutable instr_total : int;     (* running sum of [rep] *)
 }
 
@@ -36,9 +41,10 @@ let create ?(capacity = 64) () =
     act = Array.make capacity 0;
     rep = Array.make capacity 0;
     blk = Array.make capacity 0;
-    aoff = Array.make capacity (-1);
     addrs = Array.make (4 * capacity) 0;
     addrs_len = 0;
+    secs = Array.make (4 * capacity) 0;
+    secs_len = 0;
     instr_total = 0;
   }
 
@@ -48,35 +54,29 @@ let create ?(capacity = 64) () =
 let reset t =
   t.len <- 0;
   t.addrs_len <- 0;
+  t.secs_len <- 0;
   t.instr_total <- 0
 
 let length t = t.len
 
 let instruction_total t = t.instr_total
 
+(* A copy of [a]'s live prefix [len] in an array of at least [need]
+   cells and at least twice [a]'s size. *)
+let grown a len need =
+  let fresh = Array.make (max (2 * Array.length a) need) 0 in
+  Array.blit a 0 fresh 0 len;
+  fresh
+
 let grow_records t =
-  let cap = 2 * Array.length t.op in
-  let extend a fill =
-    let fresh = Array.make cap fill in
-    Array.blit a 0 fresh 0 t.len;
-    fresh
-  in
-  t.op <- extend t.op 0;
-  t.lbl <- extend t.lbl 0;
-  t.act <- extend t.act 0;
-  t.rep <- extend t.rep 0;
-  t.blk <- extend t.blk 0;
-  t.aoff <- extend t.aoff (-1)
+  let extend a = grown a t.len 0 in
+  t.op <- extend t.op;
+  t.lbl <- extend t.lbl;
+  t.act <- extend t.act;
+  t.rep <- extend t.rep;
+  t.blk <- extend t.blk
 
-let reserve_arena t n =
-  let cap = Array.length t.addrs in
-  if t.addrs_len + n > cap then begin
-    let fresh = Array.make (max (2 * cap) (t.addrs_len + n)) 0 in
-    Array.blit t.addrs 0 fresh 0 t.addrs_len;
-    t.addrs <- fresh
-  end
-
-let push t ~op ~label ~active ~rep ~blocking ~aoff =
+let push t ~op ~label ~active ~rep ~blocking =
   if t.len >= Array.length t.op then grow_records t;
   let i = t.len in
   t.op.(i) <- op;
@@ -84,25 +84,37 @@ let push t ~op ~label ~active ~rep ~blocking ~aoff =
   t.act.(i) <- active;
   t.rep.(i) <- rep;
   t.blk.(i) <- (if blocking then 1 else 0);
-  t.aoff.(i) <- aoff;
   t.len <- i + 1;
   t.instr_total <- t.instr_total + rep
 
 (* Memory emission strips TypePointer tag bits as the addresses land in the
-   arena — the hardware-MMU view, fused with trace recording so no
-   intermediate canonical array is built. The [_n] variants take an
-   explicit lane count so callers can emit straight from a reusable
-   scratch buffer wider than the warp. *)
+   lane arena — the hardware-MMU view, fused with trace recording so no
+   intermediate canonical array is built — then coalesces the stripped
+   lanes into the sector arena, where replay reads them. The lane reads
+   are bounds-checked here, and both arenas are reserved for the worst
+   case ([n] lanes, [1 + n] sector cells), so the coalescer may run
+   unchecked. The [_n] variants take an explicit lane count so callers
+   can emit straight from a reusable scratch buffer wider than the
+   warp. *)
 let emit_mem_n t ~op ~label ~blocking addrs n =
   if n = 0 then invalid_arg "Trace.emit_mem: no active lanes";
-  reserve_arena t n;
   let off = t.addrs_len in
+  if off + n > Array.length t.addrs then t.addrs <- grown t.addrs off (off + n);
   let arena = t.addrs in
   for k = 0 to n - 1 do
     arena.(off + k) <- addrs.(k) land Repro_mem.Vaddr.va_mask
   done;
   t.addrs_len <- off + n;
-  push t ~op ~label ~active:n ~rep:1 ~blocking ~aoff:off;
+  let soff = t.secs_len in
+  if soff + 1 + n > Array.length t.secs then
+    t.secs <- grown t.secs soff (soff + 1 + n);
+  let secs = t.secs in
+  let c =
+    Coalesce.sectors_into_unsafe ~buf:secs ~dst:(soff + 1) arena ~off ~len:n
+  in
+  secs.(soff) <- c;
+  t.secs_len <- soff + 1 + c;
+  push t ~op ~label ~active:n ~rep:1 ~blocking;
   off
 
 let emit_mem t ~op ~label ~blocking addrs =
@@ -122,20 +134,20 @@ let emit_store_n t ~label addrs n =
 
 let emit_compute t ~label ~n ~blocking ~active =
   if n <= 0 then invalid_arg "Trace.emit_compute: n must be positive";
-  push t ~op:op_compute ~label ~active ~rep:n ~blocking ~aoff:(-1)
+  push t ~op:op_compute ~label ~active ~rep:n ~blocking
 
 let emit_ctrl t ~label ~n ~active =
   if n <= 0 then invalid_arg "Trace.emit_ctrl: n must be positive";
-  push t ~op:op_ctrl ~label ~active ~rep:n ~blocking:false ~aoff:(-1)
+  push t ~op:op_ctrl ~label ~active ~rep:n ~blocking:false
 
 let emit_const_load t ~label ~active =
-  push t ~op:op_const_load ~label ~active ~rep:1 ~blocking:true ~aoff:(-1)
+  push t ~op:op_const_load ~label ~active ~rep:1 ~blocking:true
 
 let emit_call_indirect t ~label ~active =
-  push t ~op:op_call_indirect ~label ~active ~rep:1 ~blocking:true ~aoff:(-1)
+  push t ~op:op_call_indirect ~label ~active ~rep:1 ~blocking:true
 
 let emit_call_direct t ~label ~active =
-  push t ~op:op_call_direct ~label ~active ~rep:1 ~blocking:true ~aoff:(-1)
+  push t ~op:op_call_direct ~label ~active ~rep:1 ~blocking:true
 
 (* --- replay accessors (no bounds logic beyond the array checks) -------- *)
 
@@ -144,11 +156,14 @@ let label_index t i = t.lbl.(i)
 let active t i = t.act.(i)
 let repeat t i = t.rep.(i)
 let is_blocking t i = t.blk.(i) <> 0
-let addr_off t i = t.aoff.(i)
 
-let arena t = t.addrs
-(* The current arena array. Further emission may replace it (growth), so
-   fetch it again after any emit; during replay the trace is frozen. *)
+(* The current arena arrays. Further emission may replace them (growth),
+   so fetch them again after any emit; during replay the trace is
+   frozen. *)
+let lane_arena t = t.addrs
+let lane_arena_length t = t.addrs_len
+let sector_arena t = t.secs
+let sector_arena_length t = t.secs_len
 
 (* --- interning ---------------------------------------------------------
 
@@ -156,17 +171,19 @@ let arena t = t.addrs
    type-sharded (or COAL-sorted) range executes the same instruction
    stream, so a launch's [n_warps] traces collapse to a handful of
    distinct column sets. [Intern.seal] hash-conses the record columns
-   (op/lbl/act/rep/blk — and aoff, which is a running sum of the act
-   column over memory records and therefore equal whenever they are):
-   warps with identical streams share one physical set of column arrays.
+   (op/lbl/act/rep/blk): warps with identical streams share one physical
+   set of column arrays.
 
-   The address arena is deliberately NOT interned: two warps with the
-   same instruction stream still touch different objects, and those
-   per-lane addresses are what drive coalescing, cache and TLB state
-   during replay. Each sealed trace therefore carries a private,
-   exact-size arena copy. Replay reads columns through the shared arrays
-   and addresses through the private arena — structurally identical to an
-   un-interned trace, so timing is byte-identical by construction. *)
+   The sector arena is deliberately NOT interned: two warps with the same
+   instruction stream still touch different objects, and those sectors
+   are what drive cache and TLB state during replay. Their counts differ
+   per warp too, so they stay out of the shared columns, and replay finds
+   a record's list by walking the arena in record order. Each sealed
+   trace therefore carries a private, exact-size copy of the sector
+   arena and no lanes: only the functional access read those, and it is
+   over. Replay reads columns through the shared arrays and sectors
+   through the private arena — exactly what it reads from an unsealed
+   trace, so timing is byte-identical by construction. *)
 module Intern = struct
   type pool = {
     tbl : (int, t list ref) Hashtbl.t;  (* stream hash -> representatives *)
@@ -208,7 +225,7 @@ module Intern = struct
 
   let seal pool scratch =
     let n = scratch.len in
-    let addrs = Array.sub scratch.addrs 0 scratch.addrs_len in
+    let secs = Array.sub scratch.secs 0 scratch.secs_len in
     pool.sealed <- pool.sealed + 1;
     pool.sealed_instrs <- pool.sealed_instrs + scratch.instr_total;
     let h = stream_hash scratch in
@@ -224,15 +241,15 @@ module Intern = struct
     | Some r ->
       (* Column hit: share the representative's arrays, private arena. *)
       { len = n; op = r.op; lbl = r.lbl; act = r.act; rep = r.rep;
-        blk = r.blk; aoff = r.aoff; addrs;
-        addrs_len = scratch.addrs_len; instr_total = scratch.instr_total }
+        blk = r.blk; addrs = [||]; addrs_len = 0; secs;
+        secs_len = scratch.secs_len; instr_total = scratch.instr_total }
     | None ->
       let sub a = Array.sub a 0 n in
       let r =
         { len = n; op = sub scratch.op; lbl = sub scratch.lbl;
           act = sub scratch.act; rep = sub scratch.rep;
-          blk = sub scratch.blk; aoff = sub scratch.aoff; addrs;
-          addrs_len = scratch.addrs_len; instr_total = scratch.instr_total }
+          blk = sub scratch.blk; addrs = [||]; addrs_len = 0; secs;
+          secs_len = scratch.secs_len; instr_total = scratch.instr_total }
       in
       bucket := r :: !bucket;
       pool.unique <- pool.unique + 1;
@@ -249,15 +266,10 @@ let shares_columns a b = a.op == b.op
 
 (* Column views for the replay loop: hoisted once per launch so the
    per-instruction reads are direct (unsafe) array loads instead of
-   cross-module calls. Only the first [length] records (and the first
-   [arena_length] arena cells) are live. *)
+   cross-module calls. Only the first [length] records are live. *)
 module Raw = struct
   let op_col t = t.op
   let lbl_col t = t.lbl
-  let act_col t = t.act
   let rep_col t = t.rep
   let blk_col t = t.blk
-  let aoff_col t = t.aoff
 end
-
-let arena_length t = t.addrs_len

@@ -1,13 +1,17 @@
 (** Per-warp dynamic instruction traces (phase-1 output, phase-2 input).
 
     Stored as a structure of arrays: one flat int array per field (opcode,
-    label id, active lanes, repeat count, blocking flag, arena offset) plus
-    a per-trace address arena holding the canonical per-lane byte addresses
-    of every memory instruction back to back. The functional phase appends
-    through the [emit_*] functions (amortized-doubling growth, tag bits
-    stripped as addresses enter the arena); the timing phase replays by
-    index through the int-returning accessors without touching the minor
-    heap. *)
+    label id, active lanes, repeat count, blocking flag) plus two per-trace
+    arenas. A memory instruction is coalesced once, when it is emitted:
+    the {e sector arena} holds, for every memory record in record order,
+    its count of distinct 32 B sectors [n] followed by those [n] sector
+    ids in ascending order. The {e lane arena} holds the record's
+    canonical per-lane byte addresses back to back; only the functional
+    access reads them back, and {!Intern.seal} drops them. The functional
+    phase appends through the [emit_*] functions (amortized-doubling
+    growth, tag bits stripped as addresses enter the lane arena); the
+    timing phase replays by index through the int-returning accessors and
+    a cursor over the sector arena, without touching the minor heap. *)
 
 type t
 
@@ -42,7 +46,8 @@ val op_call_direct : int
 val emit_load : t -> label:Label.t -> blocking:bool -> int array -> int
 (** [emit_load t ~label ~blocking addrs] records one global-load
     instruction, stripping each address's tag bits as it is copied into the
-    arena, and returns the arena offset of the first lane ([Array.length
+    lane arena and appending its coalesced sectors to the sector arena,
+    and returns the lane-arena offset of the first lane ([Array.length
     addrs] consecutive entries). Raises [Invalid_argument] on an empty
     lane set. *)
 
@@ -77,34 +82,44 @@ val label_index : t -> int -> int
 (** The record's {!Label.to_index}. *)
 
 val active : t -> int -> int
-(** Active lane count; for memory records this is also the arena slice
-    length. *)
+(** Active lane count; for memory records this is also the record's
+    lane-arena slice length. *)
 
 val repeat : t -> int -> int
 (** The record's {!Instr.instruction_count}. *)
 
 val is_blocking : t -> int -> bool
 
-val addr_off : t -> int -> int
-(** Arena offset of a memory record's addresses; -1 for non-memory
-    records. *)
+val sector_arena : t -> int array
+(** The current sector arena: per memory record, in record order, a
+    sector count [n >= 1] and then [n] distinct ascending sector ids.
+    Replay walks it with one cursor per warp. Emission may replace the
+    array (growth), so re-fetch after any [emit_*]; during replay the
+    trace is frozen and the array is stable. *)
 
-val arena : t -> int array
-(** The current address arena. Emission may replace the array (growth), so
-    re-fetch after any [emit_*]; during replay the trace is frozen and the
-    array is stable. *)
+val sector_arena_length : t -> int
+(** Live prefix of {!sector_arena}: the sum over memory records of
+    [1 + n]. *)
+
+val lane_arena : t -> int array
+(** The current lane arena, indexed by the offsets [emit_*] return; the
+    functional access reads a record's canonical addresses back from it.
+    Empty in a sealed trace. Re-fetch after any [emit_*]. *)
+
+val lane_arena_length : t -> int
+(** Live prefix of {!lane_arena}; 0 in a sealed trace. *)
 
 (** {1 Interning}
 
     Hash-consing of warp instruction streams. The paper's workloads are
     homogeneous per type, so a launch's traces collapse to a handful of
     distinct record-column sets; sealing a warp's scratch trace through a
-    pool shares the column arrays (op/label/active/repeat/blocking/offset)
-    of every warp with an identical stream. Per-lane addresses are {e
-    never} shared — they differ per warp and drive coalescing, cache and
-    TLB state — so each sealed trace keeps a private exact-size arena.
-    Replay through a sealed trace is structurally identical to replay
-    through a plain one: timing and stats are byte-identical. *)
+    pool shares the column arrays (op/label/active/repeat/blocking) of
+    every warp with an identical stream. Sectors are {e never} shared —
+    they differ per warp and drive cache and TLB state — so each sealed
+    trace keeps a private exact-size copy of the sector arena, and no
+    lanes. Replay through a sealed trace reads what replay through the
+    unsealed one reads: timing and stats are byte-identical. *)
 module Intern : sig
   type pool
 
@@ -114,8 +129,9 @@ module Intern : sig
   val seal : pool -> t -> t
   (** [seal pool scratch] snapshots [scratch] into a frozen trace:
       columns are hash-consed through [pool] (shared physically with any
-      earlier identical stream), the arena is copied exact-size. The
-      scratch is not modified — {!reset} it before the next warp. *)
+      earlier identical stream), the sector arena is copied exact-size and
+      the lane arena is not copied. The scratch is not modified —
+      {!reset} it before the next warp. *)
 
   val sealed : pool -> int
   (** Streams sealed through the pool. *)
@@ -134,9 +150,6 @@ end
 val shares_columns : t -> t -> bool
 (** Physical column-array sharing (interning worked) — test hook. *)
 
-val arena_length : t -> int
-(** Live prefix of {!arena}. *)
-
 (** Column views for the replay loop ({!Sm.run}): hoisted
     once per launch so per-instruction reads are direct array loads (no
     flambda, so the per-record accessors above are real calls). Only the
@@ -144,8 +157,6 @@ val arena_length : t -> int
 module Raw : sig
   val op_col : t -> int array
   val lbl_col : t -> int array
-  val act_col : t -> int array
   val rep_col : t -> int array
   val blk_col : t -> int array
-  val aoff_col : t -> int array
 end

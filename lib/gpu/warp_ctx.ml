@@ -62,14 +62,15 @@ let sanitize t ~label ~width addrs =
       ~access:(san_access_of_label label) ~what:(Label.slug label) ~width
       ~addrs
 
-(* Tag stripping is fused into arena emission ([Trace.emit_mem]); the
-   functional access reads the canonical addresses back from the arena
-   slice just written, so no intermediate stripped array is built. *)
+(* Tag stripping is fused into lane-arena emission ([Trace.emit_mem]);
+   the functional access reads the canonical addresses back from the
+   lane-arena slice just written, so no intermediate stripped array is
+   built. *)
 let do_load t ~width ~blocking ~label addrs =
   check_width t addrs "load";
   sanitize t ~label ~width addrs;
   let off = Trace.emit_load t.trace ~label ~blocking addrs in
-  let arena = Trace.arena t.trace in
+  let arena = Trace.lane_arena t.trace in
   Array.init (Array.length addrs) (fun i ->
       Page_store.load_byte_width t.heap arena.(off + i) ~width)
 
@@ -93,7 +94,7 @@ let load_into ?(width = 8) t ~label ~blocking ~addrs ~n =
     invalid_arg "Warp_ctx.load_into: per-lane buffer width mismatch";
   sanitize_buf t ~label ~width addrs n;
   let off = Trace.emit_load_n t.trace ~label ~blocking addrs n in
-  let arena = Trace.arena t.trace in
+  let arena = Trace.lane_arena t.trace in
   let out = Array.make n 0 in
   Page_store.load_batch t.heap arena ~off ~n ~width out;
   out
@@ -103,7 +104,7 @@ let store_from ?(width = 8) t ~label ~addrs ~n values =
     invalid_arg "Warp_ctx.store_from: per-lane buffer width mismatch";
   sanitize_buf t ~label ~width addrs n;
   let off = Trace.emit_store_n t.trace ~label addrs n in
-  let arena = Trace.arena t.trace in
+  let arena = Trace.lane_arena t.trace in
   Page_store.store_batch t.heap arena ~off ~n ~width values
 
 let store ?(width = 8) t ~label addrs values =
@@ -111,7 +112,7 @@ let store ?(width = 8) t ~label addrs values =
   check_width t values "store";
   sanitize t ~label ~width addrs;
   let off = Trace.emit_store t.trace ~label addrs in
-  let arena = Trace.arena t.trace in
+  let arena = Trace.lane_arena t.trace in
   Array.iteri
     (fun i v -> Page_store.store_byte_width t.heap arena.(off + i) ~width v)
     values

@@ -4,8 +4,10 @@
    It is written from the contract in DESIGN.md §4, not from the replay
    loop, and shares none of the loop's helpers: the ready queue is a
    sorted list, every cache and TLB set is an MRU-first list, the
-   coalescer is a dedup-and-sort over the lane addresses, and the page
-   table's spans are searched linearly. There are no mailboxes, no
+   coalescer is a dedup-and-sort over the lane addresses the test
+   generated (the trace's sector arena, written by the production
+   coalescer at emission, is never read), and the page table's spans are
+   searched linearly. There are no mailboxes, no
    precomputed cost tables and no unchecked array access. Speed is not a
    goal; only the arithmetic has to match, bit for bit.
 
@@ -161,12 +163,17 @@ let coalesce addrs =
   List.sort_uniq compare
     (List.map (fun a -> Repro_mem.Vaddr.strip a / 32) addrs)
 
-(* Replay one launch of at least one warp. With [window], counters go
+(* Replay one launch of at least one warp. [lanes.(w)] lists the lane
+   addresses of warp [w]'s memory records in record order; only the
+   other columns are read from [traces.(w)]. With [window], counters go
    to per-window rows (returned, each assigned its duration); otherwise
    into [stats]. Recorded events carry absolute times from [base]. *)
-let launch m ~window ~base ~stats traces =
+let launch m ~window ~base ~stats ~lanes traces =
   if Array.length traces = 0 then
     invalid_arg "Ref_model.launch: no warps";
+  if Array.length lanes <> Array.length traces then
+    invalid_arg "Ref_model.launch: one lane list per warp";
+  let lanes = Array.copy lanes in
   let cfg = m.cfg in
   let n_sms = cfg.Config.n_sms in
   Array.iter cache_flush m.l1s;
@@ -255,11 +262,12 @@ let launch m ~window ~base ~stats traces =
         issue_clock.(sm) <- issue +. slots;
         let next_ready =
           if op = Trace.op_load || op = Trace.op_store then begin
-            let off = Trace.addr_off tr pc in
             let sectors =
-              coalesce
-                (List.init (Trace.active tr pc) (fun k ->
-                     (Trace.arena tr).(off + k)))
+              match lanes.(w) with
+              | record :: rest ->
+                lanes.(w) <- rest;
+                coalesce (Array.to_list record)
+              | [] -> invalid_arg "Ref_model.launch: a memory record has no lanes"
             in
             let n = List.length sectors in
             (* LSU acceptance. *)

@@ -274,6 +274,20 @@ let test_fig11_reports_progress () =
         (String.ends_with ~suffix:(" [" ^ tp ^ "]") l))
     !labels
 
+(* Fig. 10's COAL columns differ only in their chunk size; the progress
+   line of every job must still tell it apart from the others. *)
+let test_fig10_labels_distinct () =
+  let labels = ref [] in
+  ignore
+    (E.Sweep.exec ~scale:0.02 ~columns:E.Fig10.columns
+       ~progress:(fun l -> labels := l :: !labels)
+       ());
+  check Alcotest.int "one label per job"
+    (List.length W.Registry.all * List.length E.Fig10.columns)
+    (List.length !labels);
+  check Alcotest.int "labels pairwise distinct" (List.length !labels)
+    (List.length (List.sort_uniq compare !labels))
+
 let test_ablation_prototype_vs_hw () =
   let workloads = List.filter_map W.Registry.find [ "GOL"; "RAY" ] in
   let rows =
@@ -363,6 +377,8 @@ let suite =
     Alcotest.test_case "sweep memo measures each job once" `Quick test_sweep_memo;
     Alcotest.test_case "fig11 reports its own jobs" `Quick
       test_fig11_reports_progress;
+    Alcotest.test_case "fig10 job labels distinct" `Slow
+      test_fig10_labels_distinct;
     Alcotest.test_case "ablation: tag encoding free" `Quick test_ablation_encoding_free;
     Alcotest.test_case "ablation: prototype vs hardware MMU" `Quick
       test_ablation_prototype_vs_hw;

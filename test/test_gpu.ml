@@ -62,8 +62,8 @@ let prop_coalesce_bounds =
       let n = Coalesce.transaction_count (Array.of_list addrs) in
       n >= 1 && n <= List.length addrs)
 
-(* The replay-path scratch-buffer coalescer must agree exactly with the
-   naive reference (sorted distinct sectors) for any lane count, duplicate
+(* The emission-path coalescer must agree exactly with the naive
+   reference (sorted distinct sectors) for any lane count, duplicate
    pattern and ordering, at any arena offset, tag bits included. *)
 let prop_coalesce_scratch_equiv =
   QCheck.Test.make ~name:"scratch coalescer matches naive reference" ~count:500
@@ -83,28 +83,32 @@ let prop_coalesce_scratch_equiv =
       let arena = Array.make (pad + len + 4) 0x7FFF_FFE0 in
       List.iteri (fun i a -> arena.(pad + i) <- a) tagged;
       let buf = Array.make len (-1) in
-      let n = Coalesce.sectors_into_unsafe ~buf arena ~off:pad ~len in
+      let n = Coalesce.sectors_into_unsafe ~buf ~dst:0 arena ~off:pad ~len in
       Array.sub buf 0 n = Coalesce.sectors (Array.of_list addrs))
 
-(* The unchecked coalescer, run on a window of a larger arena, must agree
-   with the bounds-checked [Coalesce.sectors] on that window alone, and
-   must neither write [buf] past its count nor touch the arena. *)
+(* The unchecked coalescer, run on a window of a larger arena into a
+   window of a larger buffer, must agree with the bounds-checked
+   [Coalesce.sectors] on that window alone, and must neither write [buf]
+   outside [dst .. dst + count - 1] nor touch the arena. *)
 let prop_coalesce_unsafe_equiv =
   QCheck.Test.make ~name:"unchecked coalescer matches checked coalescer"
     ~count:500
     QCheck.(
-      pair (list_of_size (Gen.int_range 1 32) (int_bound 100_000)) (int_bound 8))
-    (fun (addrs, pad) ->
+      triple
+        (list_of_size (Gen.int_range 1 32) (int_bound 100_000))
+        (int_bound 8) (int_bound 8))
+    (fun (addrs, pad, dst) ->
       let len = List.length addrs in
       let arena = Array.make (pad + len) 0 in
       List.iteri (fun i a -> arena.(pad + i) <- a) addrs;
       let before = Array.copy arena in
-      let buf = Array.make len (-1) in
-      let n = Coalesce.sectors_into_unsafe ~buf arena ~off:pad ~len in
+      let buf = Array.make (dst + len) (-1) in
+      let n = Coalesce.sectors_into_unsafe ~buf ~dst arena ~off:pad ~len in
       let checked = Coalesce.sectors (Array.sub arena pad len) in
       n = Array.length checked
-      && Array.sub buf 0 n = checked
-      && Array.for_all (fun x -> x = -1) (Array.sub buf n (len - n))
+      && Array.sub buf dst n = checked
+      && Array.for_all (fun x -> x = -1) (Array.sub buf 0 dst)
+      && Array.for_all (fun x -> x = -1) (Array.sub buf (dst + n) (len - n))
       && arena = before)
 
 (* Metamorphic: the coalesced sectors are a set, so permuting the lanes
@@ -126,7 +130,8 @@ let prop_coalesce_lane_permutation =
       let coalesce a =
         let buf = Array.make (Array.length a) (-1) in
         let n =
-          Coalesce.sectors_into_unsafe ~buf a ~off:0 ~len:(Array.length a)
+          Coalesce.sectors_into_unsafe ~buf ~dst:0 a ~off:0
+            ~len:(Array.length a)
         in
         Array.sub buf 0 n
       in
@@ -433,19 +438,21 @@ let test_trace_soa_roundtrip () =
   let tagged = Repro_mem.Vaddr.with_tag 64 ~tag:5 in
   let off = Trace.emit_load t ~label:Label.Body ~blocking:true [| tagged; 128 |] in
   Trace.emit_compute t ~label:Label.Body ~n:3 ~blocking:false ~active:2;
-  (* Emission strips tag bits on the way into the arena. *)
-  check Alcotest.int "arena canonical" 64 (Trace.arena t).(off);
-  check Alcotest.int "arena second lane" 128 (Trace.arena t).(off + 1);
+  (* Emission strips tag bits on the way into the lane arena. *)
+  check Alcotest.int "arena canonical" 64 (Trace.lane_arena t).(off);
+  check Alcotest.int "arena second lane" 128 (Trace.lane_arena t).(off + 1);
   check Alcotest.int "load opcode" Trace.op_load (Trace.op t 0);
   check Alcotest.int "label index" (Label.to_index Label.Body)
     (Trace.label_index t 0);
   check Alcotest.bool "blocking" true (Trace.is_blocking t 0);
   check Alcotest.int "repeat of compute" 3 (Trace.repeat t 1);
   check Alcotest.int "instruction total" 4 (Trace.instruction_total t);
-  (* A memory record's payload is its arena slice; others have none. *)
-  check Alcotest.int "payload offset" off (Trace.addr_off t 0);
+  (* A memory record's payload is its lane slice and its count-prefixed
+     sector list; others have none. *)
   check Alcotest.int "payload width" 2 (Trace.active t 0);
-  check Alcotest.int "compute has no payload" (-1) (Trace.addr_off t 1)
+  check Alcotest.int "lane payload" 2 (Trace.lane_arena_length t);
+  check (Alcotest.array Alcotest.int) "sector payload" [| 2; 2; 4 |]
+    (Array.sub (Trace.sector_arena t) 0 (Trace.sector_arena_length t))
 
 let test_trace_emit_opcodes () =
   let t = Trace.create () in
@@ -481,6 +488,118 @@ let canned_traces ~n_warps ~n_instrs =
         | _ -> Warp_ctx.call_indirect ctx ~label:Label.Call
       done;
       Warp_ctx.trace ctx)
+
+(* --- the sector arena against the naive coalescer ------------------------ *)
+
+(* Each memory record's count-prefixed sector list, walked in record
+   order as replay walks it, and whether the walk ended exactly at the
+   arena's live length. *)
+let sector_lists t =
+  let a = Trace.sector_arena t in
+  let c = ref 0 in
+  let lists =
+    List.filter_map
+      (fun i ->
+        let op = Trace.op t i in
+        if op = Trace.op_load || op = Trace.op_store then begin
+          let n = a.(!c) in
+          let l = Array.sub a (!c + 1) n in
+          c := !c + 1 + n;
+          Some l
+        end
+        else None)
+      (List.init (Trace.length t) Fun.id)
+  in
+  (lists, !c = Trace.sector_arena_length t)
+
+(* Random memory records (1-32 lanes, unsorted, duplicates from a few
+   sectors at small spreads, tag bits on every other lane), emitted as
+   loads, stores and scratch-buffer loads between compute records into a
+   reused scratch trace: every record's sector list must equal the naive
+   [Coalesce.sectors] of the lanes the test generated, straight after
+   emission and in both sealed copies (the pool's first seal and a
+   column hit). *)
+let prop_sector_arena_matches_naive =
+  QCheck.Test.make ~name:"sector arena matches the naive coalescer" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 1 40)
+        (quad (int_bound 3)
+           (list_of_size (Gen.int_range 1 32) (int_bound 1023))
+           (int_bound Repro_mem.Vaddr.max_tag)
+           (oneofl [ 1; 8; 64; 4096 ])))
+    (fun records ->
+      let t = Trace.create ~capacity:1 () in
+      ignore (Trace.emit_load t ~label:Label.Body ~blocking:true [| 4096 |]);
+      Trace.reset t;
+      let lanes =
+        List.filter_map
+          (fun (kind, offsets, tag, spread) ->
+            let addrs =
+              Array.of_list
+                (List.mapi
+                   (fun i a ->
+                     if i mod 2 = 0 then Repro_mem.Vaddr.with_tag (a * spread) ~tag
+                     else a * spread)
+                   offsets)
+            in
+            let n = Array.length addrs in
+            match kind with
+            | 0 ->
+              ignore (Trace.emit_load t ~label:Label.Body ~blocking:true addrs);
+              Some addrs
+            | 1 ->
+              ignore (Trace.emit_store t ~label:Label.Body addrs);
+              Some addrs
+            | 2 ->
+              (* A scratch buffer wider than the warp, stale past [n]. *)
+              let buf = Array.append addrs (Array.make 8 0x7FFF_FFE0) in
+              ignore (Trace.emit_load_n t ~label:Label.Body ~blocking:false buf n);
+              Some addrs
+            | _ ->
+              Trace.emit_compute t ~label:Label.Body ~n:1 ~blocking:false
+                ~active:n;
+              None)
+          records
+      in
+      let expected = List.map Coalesce.sectors lanes in
+      let pool = Trace.Intern.create () in
+      let first = Trace.Intern.seal pool t in
+      let hit = Trace.Intern.seal pool t in
+      Trace.shares_columns first hit
+      && List.for_all
+           (fun tr -> sector_lists tr = (expected, true))
+           [ t; first; hit ]
+      && Trace.lane_arena_length first = 0
+      && Trace.lane_arena_length hit = 0)
+
+(* A sealed trace of [canned_traces] holds one count plus the distinct
+   sectors per memory record, exactly sized, and no lanes: fewer cells
+   than the unsealed trace's lanes. *)
+let test_sealed_trace_holds_sectors () =
+  let pool = Trace.Intern.create () in
+  Array.iter
+    (fun tr ->
+      let sealed = Trace.Intern.seal pool tr in
+      let lanes = Trace.lane_arena tr in
+      let off = ref 0 and cells = ref 0 in
+      for i = 0 to Trace.length tr - 1 do
+        let op = Trace.op tr i in
+        if op = Trace.op_load || op = Trace.op_store then begin
+          let n = Trace.active tr i in
+          cells :=
+            !cells + 1 + Array.length (Coalesce.sectors (Array.sub lanes !off n));
+          off := !off + n
+        end
+      done;
+      check Alcotest.int "1 + distinct sectors per memory record" !cells
+        (Trace.sector_arena_length sealed);
+      check Alcotest.int "sector arena exactly sized"
+        (Trace.sector_arena_length sealed)
+        (Array.length (Trace.sector_arena sealed));
+      check Alcotest.int "no lanes" 0 (Array.length (Trace.lane_arena sealed));
+      check Alcotest.bool "fewer cells than lanes" true
+        (Trace.sector_arena_length sealed < Trace.lane_arena_length tr))
+    (canned_traces ~n_warps:8 ~n_instrs:300)
 
 (* A page table over the low megabyte that [traces_of_ops] and
    [canned_traces] address, with holes left unmapped (every access there
@@ -640,41 +759,60 @@ let test_device_set_vm_in_scope () =
 (* Random warp programs over the full instruction vocabulary — converged
    and per-lane-diverged loads, non-blocking loads, stores, dependent and
    independent compute, ctrl, constant loads, indirect and direct calls —
-   across mixed warp widths (full, partial, single-lane). *)
+   across mixed warp widths (full, partial, single-lane). Returns the
+   unsealed traces and, per warp, the lane addresses of its memory
+   records in record order: what the reference model coalesces itself. *)
 let traces_of_ops ops =
   let heap = Page_store.create () in
   let widths = [| 32; 17; 32; 5 |] in
-  Array.init (Array.length widths) (fun warp_id ->
-      let lanes = Array.init widths.(warp_id) (fun l -> (warp_id * 32) + l) in
-      let ctx = Warp_ctx.create ~heap ~warp_id ~lanes () in
-      let dense base = Array.map (fun l -> base + (8 * (l land 31))) lanes in
-      List.iter
-        (fun (op, r) ->
-          let base = (r * 8) land 0xFFFF8 in
-          match op with
-          | 0 -> ignore (Warp_ctx.load ctx ~label:Label.Body (dense base))
-          | 1 ->
-            (* One sector per lane: the diverged vTable pattern. *)
-            ignore
-              (Warp_ctx.load ctx ~label:Label.Vtable_load
-                 (Array.map
-                    (fun l -> (base + (4096 * (l land 31))) land 0xFFFFF8)
-                    lanes))
-          | 2 ->
-            Warp_ctx.store ctx ~label:Label.Body (dense base)
-              (Array.map (fun l -> l + 1) lanes)
-          | 3 -> Warp_ctx.compute ctx ~n:(1 + (r mod 4)) ~label:Label.Body
-          | 4 -> Warp_ctx.ctrl ctx ~label:Label.Body
-          | 5 -> Warp_ctx.call_indirect ctx ~label:Label.Call
-          | 6 ->
-            ignore (Warp_ctx.load_nonblocking ctx ~label:Label.Body (dense base))
-          | 7 ->
-            Warp_ctx.compute ctx ~n:(1 + (r mod 3)) ~blocking:false
-              ~label:Label.Body
-          | 8 -> Warp_ctx.const_load ctx ~label:Label.Const_indirect
-          | _ -> Warp_ctx.call_direct ctx ~label:Label.Body)
-        ops;
-      Warp_ctx.trace ctx)
+  let logged = Array.make (Array.length widths) [] in
+  let traces =
+    Array.init (Array.length widths) (fun warp_id ->
+        let lanes = Array.init widths.(warp_id) (fun l -> (warp_id * 32) + l) in
+        let ctx = Warp_ctx.create ~heap ~warp_id ~lanes () in
+        let log addrs =
+          logged.(warp_id) <- addrs :: logged.(warp_id);
+          addrs
+        in
+        let dense base =
+          log (Array.map (fun l -> base + (8 * (l land 31))) lanes)
+        in
+        List.iter
+          (fun (op, r) ->
+            let base = (r * 8) land 0xFFFF8 in
+            match op with
+            | 0 -> ignore (Warp_ctx.load ctx ~label:Label.Body (dense base))
+            | 1 ->
+              (* One sector per lane: the diverged vTable pattern. *)
+              ignore
+                (Warp_ctx.load ctx ~label:Label.Vtable_load
+                   (log
+                      (Array.map
+                         (fun l -> (base + (4096 * (l land 31))) land 0xFFFFF8)
+                         lanes)))
+            | 2 ->
+              Warp_ctx.store ctx ~label:Label.Body (dense base)
+                (Array.map (fun l -> l + 1) lanes)
+            | 3 -> Warp_ctx.compute ctx ~n:(1 + (r mod 4)) ~label:Label.Body
+            | 4 -> Warp_ctx.ctrl ctx ~label:Label.Body
+            | 5 -> Warp_ctx.call_indirect ctx ~label:Label.Call
+            | 6 ->
+              ignore
+                (Warp_ctx.load_nonblocking ctx ~label:Label.Body (dense base))
+            | 7 ->
+              Warp_ctx.compute ctx ~n:(1 + (r mod 3)) ~blocking:false
+                ~label:Label.Body
+            | 8 -> Warp_ctx.const_load ctx ~label:Label.Const_indirect
+            | _ -> Warp_ctx.call_direct ctx ~label:Label.Body)
+          ops;
+        Warp_ctx.trace ctx)
+  in
+  (traces, Array.map List.rev logged)
+
+(* A launch's traces sealed through one pool, as [Device.launch] does. *)
+let seal traces =
+  let pool = Trace.Intern.create () in
+  Array.map (Trace.Intern.seal pool) traces
 
 (* Tiny machines where every set, way and SM boundary is exercised: one
    or two SMs, one or two resident warps, 1-2-way L1s of two sets, a
@@ -755,9 +893,9 @@ let replay_ref (cfg, vcfg) ~policy ~ring ~window launches =
   let events = ref [] in
   let per_launch =
     List.map
-      (fun traces ->
+      (fun (traces, lanes) ->
         let cycles, rows, evs =
-          Ref_model.launch m ~window ~base:!base ~stats traces
+          Ref_model.launch m ~window ~base:!base ~stats ~lanes traces
         in
         base := !base +. cycles;
         events := !events @ evs;
@@ -776,8 +914,9 @@ let replay_ref (cfg, vcfg) ~policy ~ring ~window launches =
 (* Two launches (the second starts with flushed L1s and L1 TLBs and the
    first launch's L2 and L2 TLB) on a random machine, with no vm and
    under every page policy (unmapped holes included), with telemetry
-   off, ring-only, sampler-only and both: [Sm.run] must agree with the
-   reference model bit for bit. *)
+   off, ring-only, sampler-only and both: [Sm.run], replaying the sealed
+   traces (sector lists, no lanes), must agree bit for bit with the
+   reference model, which coalesces the generated lanes itself. *)
 let prop_run_matches_reference =
   QCheck.Test.make
     ~name:"Sm.run matches the reference model (cycles, stats, windows, events)"
@@ -789,14 +928,34 @@ let prop_run_matches_reference =
     (fun (mi, ops) ->
       let machine = machines.(mi) in
       let launches = [ traces_of_ops ops; traces_of_ops (List.rev ops) ] in
+      let sealed = List.map (fun (traces, _) -> seal traces) launches in
       List.for_all
         (fun policy ->
           List.for_all
             (fun (ring, window) ->
-              replay_sm machine ~policy ~ring ~window launches
+              replay_sm machine ~policy ~ring ~window sealed
               = replay_ref machine ~policy ~ring ~window launches)
             [ (false, None); (true, None); (false, Some 256); (true, Some 256) ])
         (None :: List.map Option.some Policy.all))
+
+(* Sealing keeps the sector lists and drops the lanes, so the sealed and
+   the unsealed copies of the same launches replay alike: equal cycles,
+   window rows, stats and events, with and without translation. *)
+let prop_sealed_replays_like_unsealed =
+  QCheck.Test.make ~name:"sealed traces replay like unsealed ones" ~count:50
+    QCheck.(
+      list_of_size (Gen.int_range 1 60) (pair (int_bound 9) (int_bound 0xFFFF)))
+    (fun ops ->
+      let unsealed =
+        [ fst (traces_of_ops ops); fst (traces_of_ops (List.rev ops)) ]
+      in
+      let sealed = List.map seal unsealed in
+      List.for_all
+        (fun (policy, ring, window) ->
+          replay_sm machines.(0) ~policy ~ring ~window sealed
+          = replay_sm machines.(0) ~policy ~ring ~window unsealed)
+        [ (None, false, None); (None, true, Some 256);
+          (Some Policy.Coalesce, true, None) ])
 
 (* --- tag bits never move the measurement ------------------------------- *)
 
@@ -928,6 +1087,8 @@ let suite =
     Alcotest.test_case "latency hiding" `Quick test_more_warps_hide_latency;
     Alcotest.test_case "trace SoA roundtrip" `Quick test_trace_soa_roundtrip;
     Alcotest.test_case "trace emit records opcodes" `Quick test_trace_emit_opcodes;
+    Alcotest.test_case "sealed trace holds sectors, not lanes" `Quick
+      test_sealed_trace_holds_sectors;
     Alcotest.test_case "replay allocates nothing per instruction" `Quick
       test_replay_zero_allocation;
     Alcotest.test_case "fused replay allocates nothing per instruction" `Quick
@@ -947,6 +1108,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_coalesce_unsafe_equiv;
     QCheck_alcotest.to_alcotest prop_coalesce_lane_permutation;
     QCheck_alcotest.to_alcotest prop_run_matches_reference;
+    QCheck_alcotest.to_alcotest prop_sealed_replays_like_unsealed;
+    QCheck_alcotest.to_alcotest prop_sector_arena_matches_naive;
     QCheck_alcotest.to_alcotest prop_tags_timing_invisible;
     QCheck_alcotest.to_alcotest prop_cache_hits_bounded;
     QCheck_alcotest.to_alcotest prop_cache_lru_inclusion;

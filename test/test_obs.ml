@@ -405,6 +405,38 @@ let test_trace_dropped_counter () =
     dump.Repro_gpu.Telemetry.dropped
     (Stats.trace_dropped r.W.Harness.stats)
 
+(* The exact bytes [repro trace traf cuda -s 0.01] writes. The ring keeps
+   every sector transaction of this cell (nothing is dropped), in replay
+   order, so the digest pins which sectors each memory record touches and
+   the order they are priced in, not only the totals. *)
+let test_trace_golden_digest () =
+  let job =
+    match
+      Repro_exec.Request.Spec.resolve
+        (Repro_exec.Request.Spec.make ~scale:0.01 ~seed:42 ~workload:"traf"
+           ~technique:"cuda" ())
+    with
+    | Ok job -> job
+    | Error msg -> Alcotest.fail msg
+  in
+  let p =
+    { job.Repro_exec.Job.params with
+      W.Workload.telemetry =
+        Some
+          { Repro_gpu.Telemetry.window = Some Repro_gpu.Telemetry.default_window;
+            trace = true;
+            trace_capacity = Repro_gpu.Telemetry.default_capacity } }
+  in
+  let r = W.Harness.run job.Repro_exec.Job.workload p in
+  let dump = dump_of r in
+  check Alcotest.int "no event dropped" 0 dump.Repro_gpu.Telemetry.dropped;
+  let json =
+    O.Tracer.to_json ~timeline:(timeline_of r) ~workload:r.W.Harness.workload
+      ~technique:(Repro_exec.Job.column_name job) dump
+  in
+  check Alcotest.string "trace JSON digest" "5bfb27f5caf005916110e3b13404584d"
+    (Digest.to_hex (Digest.string (Json.to_string ~pretty:true json)))
+
 (* --- sinks ------------------------------------------------------------- *)
 
 let test_series_json_round_trip () =
@@ -867,6 +899,7 @@ let suite =
     Alcotest.test_case "trace events within kernel spans" `Quick
       test_trace_events_within_kernel_spans;
     Alcotest.test_case "trace dropped counter" `Quick test_trace_dropped_counter;
+    Alcotest.test_case "trace JSON golden digest" `Quick test_trace_golden_digest;
     Alcotest.test_case "series json round trip" `Quick test_series_json_round_trip;
     Alcotest.test_case "series json rejects garbage" `Quick
       test_series_of_json_rejects_garbage;
