@@ -141,9 +141,13 @@ let launch t ~n_threads kernel =
   let traces = Array.make n_warps unsealed in
   let delta = ref None in
   (* Inside a helper scope with a free core, replay is queued before the
-     first warp is emitted and follows emission warp by warp. *)
+     first warp is emitted and follows emission warp by warp. Only a
+     launch with more warps than the resident slots is worth a spawn;
+     once the scope has a helper, every later launch queues behind it,
+     so launches replay in order. *)
+  let spawn = n_warps > t.cfg.Config.n_sms * t.cfg.Config.max_warps_per_sm in
   let feed =
-    match Helper.current () with
+    match Helper.current ~spawn () with
     | None -> None
     | Some h ->
       let feed = Feed.create () in

@@ -12,7 +12,11 @@
     Inside a {!Repro_util.Pool.Helper.scope} with a core to spare, a
     launch queues its replay on the scope's helper domain before its
     first warp is emitted; each sealed warp is then handed over as it is
-    published, and the caller goes on to the next launch. Replays run in
+    published, and the caller goes on to the next launch. The helper is
+    spawned by the scope's first launch with more warps than the
+    resident slots ([n_sms * max_warps_per_sm]), which is the first one
+    whose replay outlasts a spawn; smaller launches before it replay
+    inline, and every launch after it queues on it. Replays run in
     launch order through the same {!Sm.run}, so every counter, timeline,
     window row and ring event is bit-identical to the inline schedule,
     which is what a launch outside a scope (or with no spare core) does.

@@ -1,13 +1,14 @@
 let page_bits = 12
 let page_bytes = 1 lsl page_bits
-let page_words = page_bytes / Vaddr.word_bytes
 
-(* Words are kept as two 32-bit halves so that 4-byte fields round-trip
-   exactly even in the high half of a word (OCaml ints are 63-bit, so a
-   packed 64-bit representation would lose the high field's sign bit).
-   Full 64-bit values are therefore restricted to non-negative ints —
-   pointers, table entries and indices, which is everything the runtime
-   stores at word width.
+(* Each materialized page is [page_bytes] of [Bytes] holding its own
+   little-endian bytes: 4 KB of host memory per simulated 4 KB page, and
+   a block the GC never scans. A word is one 8-byte load. OCaml ints are
+   63-bit, so a width-8 read is the low 63 bits of the word: full 64-bit
+   values are restricted to non-negative ints on store — pointers, table
+   entries and indices, which is everything the runtime stores at word
+   width. Narrower signed data lives in byte-width fields, which
+   zero-extend on read.
 
    This store is the innermost loop of the functional phase (one lookup
    per lane per memory instruction), so a page is found by its number
@@ -28,22 +29,20 @@ let level_mask = level_size - 1
 
 let () = assert (page_bits + (3 * level_bits) = Vaddr.va_bits)
 
-let no_page : int array = [||]
-let no_leaf : int array array = Array.make level_size no_page
-let no_mid : int array array array = Array.make level_size no_leaf
+let no_page : Bytes.t = Bytes.empty
+let no_leaf : Bytes.t array = Array.make level_size no_page
+let no_mid : Bytes.t array array = Array.make level_size no_leaf
 
 type t = {
-  dir : int array array array array;  (* dir.(top).(mid).(leaf) = cells *)
-  mutable pages : int;                (* materialized pages *)
-  mutable last_page : int;            (* memo key; [min_int] = empty *)
-  mutable last_cells : int array;     (* memo value, valid iff key set *)
+  dir : Bytes.t array array array;  (* dir.(top).(mid).(leaf) = page *)
+  mutable pages : int;              (* materialized pages *)
+  mutable last_page : int;          (* memo key; [min_int] = empty *)
+  mutable last_data : Bytes.t;      (* memo value, valid iff key set *)
 }
-
-let half_mask = 0xFFFF_FFFF
 
 let create () =
   { dir = Array.make level_size no_mid; pages = 0; last_page = min_int;
-    last_cells = no_page }
+    last_data = no_page }
 
 let check_canonical addr label =
   if not (Vaddr.is_canonical addr) then
@@ -66,19 +65,19 @@ let leaf_of key = key land level_mask
    Both set the memo, and only ever to a materialized page, so a memo hit
    can skip the directory. The top-level read stays bounds-checked: it is
    the one index a non-canonical key could push out of range. *)
-let remember t key cells =
+let remember t key data =
   t.last_page <- key;
-  t.last_cells <- cells;
-  cells
+  t.last_data <- data;
+  data
 
 let find_page t key =
-  let cells =
+  let data =
     Array.unsafe_get
       (Array.unsafe_get t.dir.(top_of key) (mid_of key))
       (leaf_of key)
   in
-  if cells == no_page then raise_notrace Not_found;
-  remember t key cells
+  if data == no_page then raise_notrace Not_found;
+  remember t key data
 
 let materialize t key =
   let mid =
@@ -99,62 +98,49 @@ let materialize t key =
       l
     end
   in
-  let cells =
+  let data =
     let c = Array.unsafe_get leaf (leaf_of key) in
     if c != no_page then c
     else begin
-      let c = Array.make (page_words * 2) 0 in
+      let c = Bytes.make page_bytes '\000' in
       Array.unsafe_set leaf (leaf_of key) c;
       t.pages <- t.pages + 1;
       c
     end
   in
-  remember t key cells
+  remember t key data
 
-(* Index of the 32-bit half-cell containing byte [addr]; in range of a
-   page's cells by construction (masked with the page mask). *)
-let cell_index addr = (addr land (page_bytes - 1)) lsr 2
+(* The [width]-byte field at [addr] in its page's [data], zero-extended
+   below width 8. [read]/[write] are the only page accesses, shared by
+   every width and by the scalar and batched entry points. The offset is
+   masked into the page and the field is naturally aligned, so it never
+   crosses the page's end. *)
+let[@inline] read data addr width =
+  let i = addr land (page_bytes - 1) in
+  if width = 8 then Int64.to_int (Bytes.get_int64_le data i)
+  else if width = 4 then Int32.to_int (Bytes.get_int32_le data i) land 0xFFFF_FFFF
+  else if width = 2 then Bytes.get_uint16_le data i
+  else Bytes.get_uint8 data i
 
-(* The [width]-byte field at [addr] in its page's [cells], zero-extended.
-   [read]/[write] are the only cell accesses, shared by every width and by
-   the scalar and batched entry points. *)
-let[@inline] read cells addr width =
-  let i = cell_index addr in
-  if width = 8 then
-    (Array.unsafe_get cells (i + 1) lsl 32) lor Array.unsafe_get cells i
-  else begin
-    let half = Array.unsafe_get cells i in
-    if width = 4 then half
-    else (half lsr ((addr land 3) * 8)) land ((1 lsl (width * 8)) - 1)
-  end
-
-let[@inline] write cells addr width v =
-  let i = cell_index addr in
-  if width = 8 then begin
-    Array.unsafe_set cells i (v land half_mask);
-    Array.unsafe_set cells (i + 1) ((v lsr 32) land half_mask)
-  end
-  else if width = 4 then Array.unsafe_set cells i (v land half_mask)
-  else begin
-    let shift = (addr land 3) * 8 in
-    let mask = ((1 lsl (width * 8)) - 1) lsl shift in
-    Array.unsafe_set cells i
-      ((Array.unsafe_get cells i land lnot mask lor ((v lsl shift) land mask))
-       land half_mask)
-  end
+let[@inline] write data addr width v =
+  let i = addr land (page_bytes - 1) in
+  if width = 8 then Bytes.set_int64_le data i (Int64.of_int v)
+  else if width = 4 then Bytes.set_int32_le data i (Int32.of_int v)
+  else if width = 2 then Bytes.set_uint16_le data i v
+  else Bytes.set_uint8 data i v
 
 (* A checked access's page lookup: the memo, then the directory. *)
 let[@inline] load_field t addr width =
   let key = page_of addr in
-  if key = t.last_page then read t.last_cells addr width
+  if key = t.last_page then read t.last_data addr width
   else
     match find_page t key with
     | exception Not_found -> 0
-    | cells -> read cells addr width
+    | data -> read data addr width
 
 let[@inline] store_field t addr width v =
   let key = page_of addr in
-  write (if key = t.last_page then t.last_cells else materialize t key) addr width v
+  write (if key = t.last_page then t.last_data else materialize t key) addr width v
 
 let check_word_value v =
   if v < 0 then invalid_arg "Page_store.store: negative 64-bit stores are unsupported"
@@ -240,14 +226,14 @@ let iter_words t f =
           (fun m leaf ->
             if leaf != no_leaf then
               Array.iteri
-                (fun l cells ->
-                  if cells != no_page then begin
+                (fun l data ->
+                  if data != no_page then begin
                     let key =
                       (((top lsl level_bits) lor m) lsl level_bits) lor l
                     in
                     let base = key * page_bytes in
-                    for w = 0 to page_words - 1 do
-                      let v = read cells (w * Vaddr.word_bytes) 8 in
+                    for w = 0 to (page_bytes / Vaddr.word_bytes) - 1 do
+                      let v = read data (w * Vaddr.word_bytes) 8 in
                       if v <> 0 then f (base + (w * Vaddr.word_bytes)) v
                     done
                   end)

@@ -1,9 +1,10 @@
 (** Sparse backing store for the simulated address space.
 
-    Memory is materialized lazily in 4 KB pages of 64-bit words. Untouched
-    pages cost nothing, so workloads can place objects anywhere in the
-    48-bit space (which SharedOA's region scheme relies on). Loads of
-    never-written words return 0, like zero-fill-on-demand pages.
+    Memory is materialized lazily in 4 KB pages, each held as 4 KB of
+    little-endian bytes. Untouched pages cost nothing, so workloads can
+    place objects anywhere in the 48-bit space (which SharedOA's region
+    scheme relies on). Loads of never-written words return 0, like
+    zero-fill-on-demand pages.
 
     Addresses handed to this module must be canonical (tag bits stripped);
     the MMU model in the [gpu] library is responsible for stripping. *)
@@ -17,8 +18,9 @@ val page_bytes : int
 (** Page size in bytes (4096). *)
 
 val load : t -> int -> int
-(** [load t addr] reads the 64-bit word at word-aligned [addr]. Raises
-    [Invalid_argument] on misaligned or tagged addresses. *)
+(** [load t addr] reads the 64-bit word at word-aligned [addr]: its low
+    63 bits, as an OCaml int. Raises [Invalid_argument] on misaligned or
+    tagged addresses. *)
 
 val store : t -> int -> int -> unit
 (** [store t addr v] writes word [v] at word-aligned [addr]. Word-width
@@ -56,4 +58,5 @@ val footprint_bytes : t -> int
 
 val iter_words : t -> (int -> int -> unit) -> unit
 (** [iter_words t f] calls [f addr value] for every materialized word with
-    a non-zero value, in unspecified order. Used by checksum helpers. *)
+    a non-zero value, in increasing address order. Used by checksum
+    helpers. *)

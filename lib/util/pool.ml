@@ -211,11 +211,11 @@ module Helper = struct
           Option.iter drain sc.helper;
           r)
 
-  let current () =
+  let current ?(spawn = true) () =
     match !(Domain.DLS.get key) with
     | None -> None
     | Some { helper = Some _ as h } -> h
-    | Some _ when live_domains () >= available_workers () -> None
+    | Some _ when (not spawn) || live_domains () >= available_workers () -> None
     | Some sc ->
       let t =
         {

@@ -59,8 +59,9 @@ end
 (** A helper domain bound to a dynamic scope on the calling domain. It
     runs submitted jobs in submission order, one at a time, while the
     caller goes on. It is spawned at the scope's first {!current} that
-    finds the budget open, and joined when the scope exits; no helper
-    outlives its scope, and none idles between scopes. *)
+    asks for one and finds the budget open, and joined when the scope
+    exits; no helper outlives its scope, and none idles between
+    scopes. *)
 module Helper : sig
   type t
 
@@ -71,10 +72,11 @@ module Helper : sig
       and [f]'s exception propagates. A scope inside an open scope uses
       the outer one. *)
 
-  val current : unit -> t option
-  (** The open scope's helper, spawning it if the budget allows. [None]
-      outside a scope, or when the budget is spent: the caller then does
-      the work inline. *)
+  val current : ?spawn:bool -> unit -> t option
+  (** The open scope's helper. A scope that has none yet spawns it when
+      [spawn] holds (the default) and the budget allows. [None] outside a
+      scope, or when no helper is running and none is spawned: the
+      caller then does the work inline. *)
 
   val submit : t -> (unit -> unit) -> unit
   (** Queue a job. Blocks while one job runs and another already waits,

@@ -7,8 +7,9 @@
 
     The iterations, the heap checksum and the workload result run inside
     a {!Repro_util.Pool.Helper.scope}: when the process has a core to
-    spare, each launch replays on a helper domain while the next warps
-    are emitted (see {!Repro_gpu.Device}). The counters are read after
+    spare, each launch from the first one larger than the resident slots
+    on replays on a helper domain while the next warps are emitted (see
+    {!Repro_gpu.Device}). The counters are read after
     the scope has drained and joined its helper, and equal an inline
     run's bit for bit. *)
 

@@ -754,6 +754,42 @@ let test_device_set_vm_in_scope () =
   in
   check Alcotest.bool "overlapped equals inline" true (run true = run false)
 
+(* A launch spawns the scope's helper only when it has more warps than
+   the resident slots; smaller launches before it replay inline, and the
+   ones after it queue on the helper. Either way the stats equal an
+   inline run's. *)
+let test_device_helper_threshold () =
+  let slots = cfg.Config.n_sms * cfg.Config.max_warps_per_sm in
+  let kernel ctx =
+    ignore
+      (Warp_ctx.load ctx ~label:Label.Body
+         (Array.map (fun t -> (t * 72) land 0xFFFF8) (Warp_ctx.tids ctx)))
+  in
+  let run scoped =
+    let device = Device.create ~heap:(Page_store.create ()) () in
+    let live = ref [] in
+    let launch warps =
+      Device.launch device ~n_threads:(32 * warps) kernel;
+      live := Pool.live_domains () :: !live
+    in
+    let go () =
+      launch slots;
+      launch (slots + 1);
+      launch 1;
+      Stats.to_raw (Device.stats device)
+    in
+    let stats = if scoped then Pool.Helper.scope go else go () in
+    (stats, List.rev !live)
+  in
+  let stats, live = run true in
+  let stats', live' = run false in
+  let spare = if Pool.available_workers () > 1 then 2 else 1 in
+  check Alcotest.(list int) "helper from the first launch above the slots"
+    [ 1; spare; spare ] live;
+  check Alcotest.(list int) "no helper outside a scope" [ 1; 1; 1 ] live';
+  check Alcotest.bool "overlapped equals inline" true (stats = stats');
+  check Alcotest.int "helper joined" 1 (Pool.live_domains ())
+
 (* --- the replay loop against the reference model ---------------------- *)
 
 (* Random warp programs over the full instruction vocabulary — converged
@@ -1102,6 +1138,8 @@ let suite =
     Alcotest.test_case "kernel raising in a helper scope" `Quick
       test_device_raise_in_scope;
     Alcotest.test_case "set_vm in a helper scope" `Quick test_device_set_vm_in_scope;
+    Alcotest.test_case "helper only above the resident slots" `Quick
+      test_device_helper_threshold;
     Alcotest.test_case "ring drop-oldest spill" `Quick test_ring_drop_oldest;
     QCheck_alcotest.to_alcotest prop_coalesce_bounds;
     QCheck_alcotest.to_alcotest prop_coalesce_scratch_equiv;

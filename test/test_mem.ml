@@ -77,6 +77,59 @@ let test_page_store_byte_width () =
     (Invalid_argument "Page_store.load_byte_width: misaligned field") (fun () ->
       ignore (Page_store.load_byte_width s 98 ~width:4))
 
+(* Golden values of the width semantics, whatever the page
+   representation: a width-8 read is the low 63 bits of the
+   little-endian word (so the word's top bit is dropped and its bit 62
+   is the OCaml sign bit), narrower reads zero-extend, and narrower
+   stores truncate. *)
+let test_page_store_golden_widths () =
+  let s = Page_store.create () in
+  let w8 a = Page_store.load_byte_width s a ~width:8 in
+  let w4 a = Page_store.load_byte_width s a ~width:4 in
+  (* A negative 4-byte field in a word's high half, read at width 8. *)
+  Page_store.store_byte_width s 0x1000 ~width:4 0x1234_5678;
+  Page_store.store_byte_width s 0x1004 ~width:4 (-1);
+  check Alcotest.int "negative high half, width 4" 0xFFFF_FFFF (w4 0x1004);
+  check Alcotest.int "negative high half, width 8" (-3989547400) (w8 0x1000);
+  check Alcotest.int "negative high half, word load" (-3989547400)
+    (Page_store.load s 0x1000);
+  Page_store.store_byte_width s 0x1004 ~width:4 (-2);
+  check Alcotest.int "-2 in high half, width 8" (-8589934592 + 0x1234_5678)
+    (w8 0x1000);
+  (* Bit 63 is the only bit of 0x8000_0000 in the high half: dropped. *)
+  Page_store.store_byte_width s 0x1004 ~width:4 (-(1 lsl 31));
+  check Alcotest.int "int32 min in high half, width 4" 0x8000_0000 (w4 0x1004);
+  check Alcotest.int "int32 min in high half, width 8" 0x1234_5678 (w8 0x1000);
+  (* 1- and 2-byte stores read back at widths 4 and 8. *)
+  Page_store.store_byte_width s 0x2002 ~width:2 0xBEEF;
+  Page_store.store_byte_width s 0x2005 ~width:1 0xAB;
+  Page_store.store_byte_width s 0x2007 ~width:1 0x7F;
+  Page_store.store_byte_width s 0x2000 ~width:2 0x1_8001;
+  check Alcotest.int "2-byte stores, low width 4" 0xBEEF_8001 (w4 0x2000);
+  check Alcotest.int "1-byte stores, high width 4" 0x7F00_AB00 (w4 0x2004);
+  check Alcotest.int "narrow stores, width 8" (-71869574346211327) (w8 0x2000);
+  check Alcotest.int "2-byte read" 0xBEEF
+    (Page_store.load_byte_width s 0x2002 ~width:2);
+  check Alcotest.int "1-byte read" 0xAB
+    (Page_store.load_byte_width s 0x2005 ~width:1);
+  Page_store.store_byte_width s 0x2007 ~width:1 (-1);
+  check Alcotest.int "top byte 0xFF, width 4" 0xFF00_AB00 (w4 0x2004);
+  check Alcotest.int "top byte 0xFF, width 8" (-71869574346211327) (w8 0x2000);
+  (* The largest non-negative word. *)
+  Page_store.store s 0x3000 max_int;
+  check Alcotest.int "max_int word" max_int (Page_store.load s 0x3000);
+  check Alcotest.int "max_int width 8" 4611686018427387903 (w8 0x3000);
+  check Alcotest.int "max_int low half" 0xFFFF_FFFF (w4 0x3000);
+  check Alcotest.int "max_int high half" 0x3FFF_FFFF (w4 0x3004);
+  check Alcotest.int "max_int top byte" 0x3F
+    (Page_store.load_byte_width s 0x3007 ~width:1);
+  check Alcotest.int "max_int top 2 bytes" 0x3FFF
+    (Page_store.load_byte_width s 0x3006 ~width:2);
+  Alcotest.check_raises "negative word still rejected"
+    (Invalid_argument "Page_store.store: negative 64-bit stores are unsupported")
+    (fun () -> Page_store.store_byte_width s 0x3000 ~width:8 min_int);
+  check Alcotest.int "rejected store wrote nothing" max_int (w8 0x3000)
+
 (* A tagged address must raise at every width, scalar and batched, and
    before the page lookup: the radix directory indexes by the unmasked
    page number, so a masked index would alias the canonical page and an
@@ -115,15 +168,22 @@ let test_page_store_rejects_tagged () =
   check Alcotest.int "canonical field intact" 0xBEEF
     (Page_store.load_byte_width s canonical ~width:4)
 
+(* Words come out in increasing address order: within a page, across
+   pages of one leaf, and across directory subtrees, whatever order they
+   were written in. Zero words are skipped, even on a touched page. *)
 let test_page_store_iter_words () =
   let s = Page_store.create () in
-  Page_store.store s 0 5;
-  Page_store.store s 16 7;
+  let far = (3 lsl 24) * Page_store.page_bytes and mid = (5 lsl 12) * Page_store.page_bytes in
+  let written =
+    [ (far + 8, 11); (16, 7); (mid, 3); (0, 5); (Page_store.page_bytes + 8, 9);
+      (far, 13); (24, 0) ]
+  in
+  List.iter (fun (a, v) -> Page_store.store s a v) written;
   let seen = ref [] in
   Page_store.iter_words s (fun addr v -> seen := (addr, v) :: !seen);
-  check Alcotest.int "two non-zero words" 2 (List.length !seen);
-  check Alcotest.bool "contains both" true
-    (List.mem (0, 5) !seen && List.mem (16, 7) !seen)
+  let want = List.sort compare (List.filter (fun (_, v) -> v <> 0) written) in
+  check Alcotest.(list (pair int int)) "non-zero words in address order" want
+    (List.rev !seen)
 
 let test_address_space_reservations () =
   let space = Address_space.create () in
@@ -296,9 +356,9 @@ let prop_store_batch_equiv =
 (* --- the radix directory against a reference model ---------------------- *)
 
 (* A byte-granular model of the store: a map from byte address to byte.
-   Word values are rebuilt the way the store rebuilds them (two 32-bit
-   halves shifted into an OCaml int), so even a word whose top bits a
-   narrow store set reads back identically. *)
+   A word is rebuilt little-endian by shifting its bytes into an OCaml
+   int, which keeps its low 63 bits as the store's width-8 read does, so
+   even a word whose top bits a narrow store set reads back identically. *)
 module Bytes_model = Map.Make (Int)
 
 let model_store m addr width v =
@@ -397,6 +457,153 @@ let prop_directory_model =
       Page_store.touched_pages t = List.length touched
       && words_of t = model_words model)
 
+(* The batched entry points against the same byte map, with the
+   exceptions spelled out independently of the store: per lane, field
+   alignment first, then canonicality under the word op's name, then (for
+   an 8-byte store) the sign of the value; the lanes before a failing one
+   have taken effect. Columns sit at a nonzero offset in a larger arena,
+   as trace columns do, and mix pages from distinct directory subtrees. *)
+type lane_kind = Aligned | Misaligned | Tagged | Tagged_misaligned
+
+type batch_op = {
+  b_store : bool;
+  b_width : int;
+  b_off : int;
+  lanes : (int * int * lane_kind) list; (* page index, offset, kind *)
+  b_values : int list;
+}
+
+let gen_batch_ops =
+  QCheck.Gen.(
+    let kind =
+      frequency
+        [ (20, return Aligned); (1, return Misaligned); (1, return Tagged);
+          (1, return Tagged_misaligned) ]
+    in
+    list_size (int_range 1 30)
+      (int_range 1 32 >>= fun n ->
+       map
+         (fun (((b_store, wexp), b_off), (lanes, values)) ->
+           let b_width = 1 lsl wexp in
+           let b_values =
+             (* Mostly valid word values, an occasional negative one. *)
+             List.mapi
+               (fun i v -> if b_width = 8 && i mod 17 <> 16 then abs v else v)
+               values
+           in
+           { b_store; b_width; b_off; lanes; b_values })
+         (pair
+            (pair (pair bool (int_bound 3)) (int_bound 3))
+            (pair
+               (list_repeat n (triple (int_bound 5) (int_bound 4095) kind))
+               (list_repeat n int)))))
+
+let lane_addr pages width (page, offset, kind) =
+  let aligned = (pages.(page) * Page_store.page_bytes) + (offset land lnot (width - 1)) in
+  let misaligned = if width = 1 then aligned else aligned lor 1 in
+  match kind with
+  | Aligned -> aligned
+  | Misaligned -> misaligned
+  | Tagged -> Vaddr.with_tag aligned ~tag:(1 + (offset mod Vaddr.max_tag))
+  | Tagged_misaligned -> Vaddr.with_tag misaligned ~tag:3
+
+(* The exception the store must raise for one lane, if any. *)
+let lane_error ~store addr width v =
+  let op = if store then "store" else "load" in
+  if addr land (width - 1) <> 0 then
+    Some (Invalid_argument (Printf.sprintf "Page_store.%s_byte_width: misaligned field" op))
+  else if not (Vaddr.is_canonical addr) then
+    Some (Invalid_argument (Printf.sprintf "Page_store.%s: tagged address reached the store" op))
+  else if store && width = 8 && v < 0 then
+    Some (Invalid_argument "Page_store.store: negative 64-bit stores are unsupported")
+  else None
+
+let print_batch_case (pages, ops) =
+  Printf.sprintf "pages [%s]; %d batches"
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "0x%x") pages)))
+    (List.length ops)
+
+let prop_batch_model =
+  QCheck.Test.make ~name:"page store batches match a byte-map model" ~count:200
+    (QCheck.make ~print:print_batch_case QCheck.Gen.(pair gen_pages gen_batch_ops))
+    (fun (pages, ops) ->
+      let t = Page_store.create () in
+      let model = ref Bytes_model.empty and touched = ref [] in
+      List.iteri
+        (fun bi o ->
+          let width = o.b_width in
+          let addrs = Array.of_list (List.map (lane_addr pages width) o.lanes) in
+          let values = Array.of_list o.b_values in
+          let n = Array.length addrs in
+          let arena = Array.make (o.b_off + n + 2) (-1) in
+          Array.blit addrs 0 arena o.b_off n;
+          (* The model: lanes in order up to the first failing one. *)
+          let want_out = Array.make n 0 in
+          let rec model_lanes k =
+            if k = n then None
+            else
+              match lane_error ~store:o.b_store addrs.(k) width values.(k) with
+              | Some e -> Some e
+              | None ->
+                let a = addrs.(k) in
+                if o.b_store then begin
+                  model := model_store !model a width values.(k);
+                  let page = a / Page_store.page_bytes in
+                  if not (List.mem page !touched) then touched := page :: !touched
+                end
+                else want_out.(k) <- model_load !model a width;
+                model_lanes (k + 1)
+          in
+          let want = model_lanes 0 in
+          let out = Array.make n (-1) in
+          let got =
+            match
+              if o.b_store then Page_store.store_batch t arena ~off:o.b_off ~n ~width values
+              else Page_store.load_batch t arena ~off:o.b_off ~n ~width out
+            with
+            | () -> None
+            | exception e -> Some e
+          in
+          if got <> want then
+            QCheck.Test.fail_reportf "batch %d (%s w%d): exception %s, model %s" bi
+              (if o.b_store then "store" else "load") width
+              (Option.fold ~none:"none" ~some:Printexc.to_string got)
+              (Option.fold ~none:"none" ~some:Printexc.to_string want);
+          if (not o.b_store) && want = None && out <> want_out then
+            QCheck.Test.fail_reportf "batch %d (load w%d): lanes differ from the model"
+              bi width)
+        ops;
+      Page_store.touched_pages t = List.length !touched
+      && words_of t = model_words !model)
+
+(* The store's host footprint: a touched page costs its 4 KB of data and
+   a block header (plus the padding word a byte string of a multiple of 8
+   bytes carries), and the radix directory costs its levels of 4096
+   entries: the top level, one mid and one leaf level per touched
+   subtree, and the two shared empty levels; the store's record adds a
+   few words. *)
+let test_page_store_footprint () =
+  let s = Page_store.create () in
+  let pages_per_subtree = 32 in
+  let subtrees = [ 0x10; (3 lsl 24) lor 0x10 ] in
+  List.iter
+    (fun base ->
+      for p = 0 to pages_per_subtree - 1 do
+        Page_store.store s ((base + p) * Page_store.page_bytes) (p + 1)
+      done)
+    subtrees;
+  let n = Page_store.touched_pages s in
+  check Alcotest.int "pages touched" (pages_per_subtree * List.length subtrees) n;
+  let level_words = 4096 + 1 in
+  let levels = 1 + (2 * List.length subtrees) + 2 in
+  let record_words = 16 in
+  let bound =
+    (n * ((Page_store.page_bytes / 8) + 2)) + (levels * level_words) + record_words
+  in
+  let words = Obj.reachable_words (Obj.repr s) in
+  if words > bound then
+    Alcotest.failf "store reaches %d words; %d pages allow %d" words n bound
+
 (* The functional phase's per-lane path: after warm-up, a 32-lane load
    and store over a column mixing memo hits, memo misses across pages
    (including pages in distinct top- and mid-level subtrees) and, for
@@ -456,8 +663,10 @@ let suite =
     Alcotest.test_case "vaddr sectors" `Quick test_vaddr_sectors;
     Alcotest.test_case "page store roundtrip" `Quick test_page_store_roundtrip;
     Alcotest.test_case "page store byte widths" `Quick test_page_store_byte_width;
+    Alcotest.test_case "page store golden widths" `Quick test_page_store_golden_widths;
     Alcotest.test_case "page store rejects tags" `Quick test_page_store_rejects_tagged;
     Alcotest.test_case "page store iter words" `Quick test_page_store_iter_words;
+    Alcotest.test_case "page store footprint" `Quick test_page_store_footprint;
     Alcotest.test_case "page store batches allocate nothing" `Quick
       test_batch_allocates_nothing;
     Alcotest.test_case "address space reservations" `Quick test_address_space_reservations;
@@ -472,4 +681,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_load_batch_equiv;
     QCheck_alcotest.to_alcotest prop_store_batch_equiv;
     QCheck_alcotest.to_alcotest prop_directory_model;
+    QCheck_alcotest.to_alcotest prop_batch_model;
   ]

@@ -98,6 +98,14 @@ let test_cross_technique_equality_all_workloads () =
 
 (* --- overlapped replay ----------------------------------------------------- *)
 
+(* A launch spawns the replay helper only when it has more warps than the
+   resident slots, which few launches do at these small scales under the
+   default config. One SM of two resident warps is fewer slots than
+   TRAF's largest launch has warps even at scale 0.01, so the helper
+   engages here as it does at scale 1.0. *)
+let few_slots =
+  Some { Repro_gpu.Config.default with Repro_gpu.Config.n_sms = 1; max_warps_per_sm = 2 }
+
 (* Everything replay produces for one run, with sampling and the ring on,
    read inside or outside a helper scope, [first] of the four first (each
    read must wait for replay on its own); plus the most compute domains
@@ -109,7 +117,8 @@ let replay_outputs ?pages ?(first = 0) name ~scoped =
   in
   let inst =
     w.Workload.build
-      { (tiny_params T.Cuda) with Workload.telemetry = Some telemetry; pages }
+      { (tiny_params T.Cuda) with
+        Workload.telemetry = Some telemetry; pages; config = few_slots }
   in
   let rt = inst.Workload.rt in
   R.Runtime.reset_stats rt;
@@ -220,18 +229,8 @@ let test_telemetry_invisible () =
       ("GOL", Some Repro_vm.Policy.Coalesce);
     ]
 
-(* Each run opens and closes its own scope; a helper that outlived one
-   would reach OCaml's domain cap well before the last run. *)
-let test_sequential_runs_join_helpers () =
-  let w = Option.get (W.Registry.find "TRAF") in
-  let p = { (tiny_params ~iterations:1 T.Cuda) with Workload.scale = 0.01 } in
-  for _ = 1 to 150 do
-    ignore (Harness.run w p)
-  done;
-  check Alcotest.int "no live helper" 1 (Pool.live_domains ())
-
-(* Pool workers that fill the budget leave no core for a helper. *)
-let test_no_helper_inside_full_pool () =
+(* TRAF, noting the most compute domains live after any iteration. *)
+let traf_noting_live () =
   let seen = Atomic.make 0 in
   let rec note n =
     let m = Atomic.get seen in
@@ -253,8 +252,28 @@ let test_no_helper_inside_full_pool () =
           });
     }
   in
+  (w, seen)
+
+(* Each run opens and closes its own scope; a helper that outlived one
+   would reach OCaml's domain cap well before the last run. *)
+let test_sequential_runs_join_helpers () =
+  let w, seen = traf_noting_live () in
+  let p =
+    { (tiny_params ~iterations:1 T.Cuda) with Workload.scale = 0.01; config = few_slots }
+  in
+  for _ = 1 to 150 do
+    ignore (Harness.run w p)
+  done;
+  check Alcotest.int "a helper ran" (min 2 (Pool.available_workers ())) (Atomic.get seen);
+  check Alcotest.int "no live helper" 1 (Pool.live_domains ())
+
+(* Pool workers that fill the budget leave no core for a helper. *)
+let test_no_helper_inside_full_pool () =
+  let w, seen = traf_noting_live () in
   let jobs = Pool.available_workers () in
-  let p = { (tiny_params ~iterations:2 T.Cuda) with Workload.scale = 0.01 } in
+  let p =
+    { (tiny_params ~iterations:2 T.Cuda) with Workload.scale = 0.01; config = few_slots }
+  in
   Pool.map ~jobs ~f:(fun () -> ignore (Harness.run w p)) (Array.make (2 * jobs) ())
   |> Array.iter (function Ok () -> () | Error e -> raise e);
   check Alcotest.int "live domains never above the pool" jobs (Atomic.get seen)
