@@ -1,11 +1,13 @@
 module W = Repro_workloads
 
-type outcome = {
+type 'run outcome_of = {
   job : Job.t;
-  result : (W.Harness.run, string) result;
+  result : ('run, string) result;
   wall_s : float;
   cached : bool;
 }
+
+type outcome = W.Harness.run outcome_of
 
 let default_jobs () = Repro_util.Pool.available_workers ()
 
@@ -19,18 +21,19 @@ let measure ?runner ~clock ~cache ~dir job =
     if not cache then ([], None)
     else begin
       let t0 = clock () in
-      let hit = Cache.lookup ~dir job in
+      let hit = Cache.lookup_text ~dir job in
       ([ (Repro_obs.Svc_metrics.Cache_probe, t0, clock () -. t0) ], hit)
     end
   in
   match hit with
-  | Some run -> ({ job; result = Ok run; wall_s = 0.; cached = true }, probe)
+  | Some text -> ({ job; result = Ok text; wall_s = 0.; cached = true }, probe)
   | None ->
     let t0 = clock () in
     let result, wall_s = timed ?runner job in
+    let result = Result.map Run_wire.encode result in
     (if cache then
        match result with
-       | Ok run -> Cache.store ~dir job run
+       | Ok text -> Cache.store_text ~dir job text
        | Error _ -> ());
     ( { job; result; wall_s; cached = false },
       probe @ [ (Repro_obs.Svc_metrics.Run, t0, wall_s) ] )

@@ -18,13 +18,15 @@
     - {b Caching}: with [~cache:true], hits are served from disk and
       fresh results written back ({!Cache}). *)
 
-type outcome = {
+type 'run outcome_of = {
   job : Job.t;
-  result : (Repro_workloads.Harness.run, string) result;
+  result : ('run, string) result;
       (** [Error] carries the exception text of the raising job. *)
   wall_s : float;  (** Wall-clock seconds this job took (0 on a hit). *)
   cached : bool;   (** Served from the on-disk cache. *)
 }
+
+type outcome = Repro_workloads.Harness.run outcome_of
 
 val default_jobs : unit -> int
 (** Worker count used by the CLI when [-j] is not given:
@@ -58,12 +60,17 @@ val measure :
   cache:bool ->
   dir:string ->
   Job.t ->
-  outcome * (Repro_obs.Svc_metrics.stage * float * float) list
+  string outcome_of * (Repro_obs.Svc_metrics.stage * float * float) list
 (** One job through the full cache protocol: serve a hit if [cache],
     else measure it with {!timed} (tests inject [runner] fakes) and
     write the result back. This is the daemon's per-job step; {!run}
     keeps its batch shape (hits served up front, misses pooled) for the
     CLI sweep.
+
+    The outcome carries the run as its {!Run_wire.encode} text, never
+    decoded: a hit's payload as {!Cache.lookup_text} read it, a miss's
+    run encoded once (and stored as that text when [cache]). The daemon
+    splices it into its answer ({!Response.job_done_line}).
 
     Alongside the outcome come the stages it timed, in order, as
     [(stage, t0, dur)]: [Cache_probe] (when [cache]) and [Run] (on a

@@ -67,9 +67,10 @@ let key t =
      | None -> "none"
      | Some policy -> Repro_vm.Policy.name policy)
 
-(* Bump whenever [Harness.run] (or anything Marshal reaches through it)
-   changes shape: old cache entries become unreachable, not corrupt. *)
-let schema_version = "repro-exec-v7"
+(* Bump whenever the cache entry format or the run's wire form
+   ([Run_wire]) changes: old entries become unreachable, not misread. The
+   golden cache entry test fails until this moves. *)
+let schema_version = "repro-exec-v8"
 
 let hash t = Digest.to_hex (Digest.string (schema_version ^ "\n" ^ key t))
 

@@ -36,9 +36,10 @@ val key : t -> string
     identical. *)
 
 val schema_version : string
-(** The result cache's format version. Cache entries are [Marshal]ed
-    {!Repro_workloads.Harness.run}s, so it must change whenever their
-    runtime layout does (a test pins [Stats.t]'s). *)
+(** The result cache's format version. Cache entries hold a run's
+    {!Run_wire} text behind a header that names this version, so it must
+    change whenever the entry format or the wire form does (a golden
+    entry test pins both). *)
 
 val hash : t -> string
 (** Hex digest of {!key} plus {!schema_version}; the on-disk cache file

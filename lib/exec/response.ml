@@ -1,131 +1,22 @@
 module W = Repro_workloads
-module T = Repro_core.Technique
-module G = Repro_gpu
 module J = Repro_obs.Json
 module D = Repro_obs.Json.Decode
 module H = Repro_obs.Hist
 module Svc = Repro_obs.Svc_metrics
 
-(* --- Stats wire form ------------------------------------------------------
-
-   [Stats]' counter table declares the form (see [Json.of_counters]):
-   scalars by wire key, then the two label-indexed families and the
-   violation-kind family as objects keyed by slug with zero entries
-   omitted, so the format survives enum reordering and stays readable.
-   Ints ride as JSON ints and floats in the shortest-exact form, so a
-   decoded snapshot equals the original bit for bit. *)
-
-let stats_to_json (stats : G.Stats.t) =
-  J.of_counters G.Stats.table (stats :> float array)
-
-let stats_decoder j =
-  let s = G.Stats.create () in
-  D.counters G.Stats.table (s :> float array) j;
-  s
-
-(* --- Harness.run wire form ------------------------------------------------ *)
-
-let alloc_stats_to_json (a : Repro_core.Allocator.stats) =
-  J.Obj
-    [
-      ("objects", J.Int a.Repro_core.Allocator.objects);
-      ("live_objects", J.Int a.Repro_core.Allocator.live_objects);
-      ("reserved_bytes", J.Int a.Repro_core.Allocator.reserved_bytes);
-      ("used_bytes", J.Int a.Repro_core.Allocator.used_bytes);
-      ("padded_bytes", J.Int a.Repro_core.Allocator.padded_bytes);
-      ("alloc_cycles", J.Float a.Repro_core.Allocator.alloc_cycles);
-      ("free_cycles", J.Float a.Repro_core.Allocator.free_cycles);
-      ( "bitmap_scan_cycles",
-        J.Float a.Repro_core.Allocator.bitmap_scan_cycles );
-    ]
-
-let alloc_stats_decoder j =
-  let objects = D.field "objects" D.int j in
-  {
-    Repro_core.Allocator.objects;
-    (* The capability counters default for leniency toward pre-alloc-
-       family peers (the envelope version still gates real skew). *)
-    live_objects = D.field_default "live_objects" D.int objects j;
-    reserved_bytes = D.field "reserved_bytes" D.int j;
-    used_bytes = D.field "used_bytes" D.int j;
-    padded_bytes = D.field_default "padded_bytes" D.int 0 j;
-    alloc_cycles = D.field "alloc_cycles" D.float j;
-    free_cycles = D.field_default "free_cycles" D.float 0. j;
-    bitmap_scan_cycles = D.field_default "bitmap_scan_cycles" D.float 0. j;
-  }
-
-let run_to_json (r : W.Harness.run) =
-  J.Obj
-    [
-      ("workload", J.String r.W.Harness.workload);
-      ( "technique",
-        J.String (Request.technique_to_string r.W.Harness.technique) );
-      ( "alloc",
-        J.String (Repro_core.Alloc_family.name r.W.Harness.alloc) );
-      ("cycles", J.Float r.W.Harness.cycles);
-      ("checksum", J.Int r.W.Harness.checksum);
-      ("result", J.Int r.W.Harness.result);
-      ("n_objects", J.Int r.W.Harness.n_objects);
-      ("n_types", J.Int r.W.Harness.n_types);
-      ("n_vfuncs", J.Int r.W.Harness.n_vfuncs);
-      ("vfunc_pki", J.Float r.W.Harness.vfunc_pki);
-      ("warp_vcalls", J.Int r.W.Harness.warp_vcalls);
-      ("alloc_stats", alloc_stats_to_json r.W.Harness.alloc_stats);
-      ("stats", stats_to_json r.W.Harness.stats);
-      ( "kernel_stats",
-        J.List (List.map stats_to_json r.W.Harness.kernel_stats) );
-    ]
-
-let technique_decoder j =
-  let s = D.string j in
-  match Request.technique_of_string s with
-  | Ok t -> t
-  | Error msg -> D.fail msg
-
-let alloc_family_decoder j =
-  let s = D.string j in
-  match Repro_core.Alloc_family.of_string s with
-  | Ok fam -> fam
-  | Error msg -> D.fail msg
-
-let run_decoder j =
-  let technique = D.field "technique" technique_decoder j in
-  {
-    W.Harness.workload = D.field "workload" D.string j;
-    technique;
-    alloc =
-      (match D.field_opt "alloc" alloc_family_decoder j with
-       | Some fam -> fam
-       | None -> Repro_core.Alloc_family.default_for technique);
-    cycles = D.field "cycles" D.float j;
-    stats = D.field "stats" stats_decoder j;
-    kernel_stats = D.field_default "kernel_stats" (D.list stats_decoder) [] j;
-    (* Telemetry never rides the wire: daemon jobs are plain measurement
-       jobs (Job.cacheable), which carry none. *)
-    window = None;
-    kernel_windows = [];
-    trace = None;
-    checksum = D.field "checksum" D.int j;
-    result = D.field "result" D.int j;
-    n_objects = D.field "n_objects" D.int j;
-    n_types = D.field "n_types" D.int j;
-    n_vfuncs = D.field "n_vfuncs" D.int j;
-    vfunc_pki = D.field "vfunc_pki" D.float j;
-    warp_vcalls = D.field "warp_vcalls" D.int j;
-    alloc_stats = D.field "alloc_stats" alloc_stats_decoder j;
-  }
-
 (* --- Outcomes ------------------------------------------------------------- *)
 
-type outcome = {
+type 'run outcome_of = {
   spec : Request.Spec.t;
   cached : bool;
   deduped : bool;
   wall_s : float;
-  result : (W.Harness.run, string) result;
+  result : ('run, string) result;
 }
 
-let outcome_of_executor ?(deduped = false) (o : Executor.outcome) =
+type outcome = W.Harness.run outcome_of
+
+let outcome_of_executor ?(deduped = false) (o : _ Executor.outcome_of) =
   {
     spec = Request.Spec.of_job o.Executor.job;
     cached = o.Executor.cached;
@@ -134,7 +25,10 @@ let outcome_of_executor ?(deduped = false) (o : Executor.outcome) =
     result = o.Executor.result;
   }
 
-let outcome_to_json o =
+(* Every outcome object is built here, whatever form its run is in: [leaf]
+   turns the run into its JSON — [run_to_json] for a decoded run, [J.Raw]
+   for wire text spliced in as is. *)
+let outcome_json leaf o =
   J.Obj
     ([
        ("job", Request.Spec.to_json o.spec);
@@ -144,8 +38,10 @@ let outcome_to_json o =
      ]
     @
     match o.result with
-    | Ok run -> [ ("run", run_to_json run) ]
+    | Ok run -> [ ("run", leaf run) ]
     | Error msg -> [ ("error", J.String msg) ])
+
+let outcome_to_json = outcome_json Run_wire.run_to_json
 
 let outcome_decoder j =
   let error = D.field_opt "error" D.string j in
@@ -157,7 +53,7 @@ let outcome_decoder j =
     result =
       (match error with
        | Some msg -> Error msg
-       | None -> Ok (D.field "run" run_decoder j));
+       | None -> Ok (D.field "run" Run_wire.run_decoder j));
   }
 
 (* --- Responses ------------------------------------------------------------ *)
@@ -213,18 +109,28 @@ let envelope typ fields =
   J.Obj
     (("v", J.Int Request.schema_version) :: ("type", J.String typ) :: fields)
 
+(* The two lines that carry a run, each built by one function for both of
+   its forms (see [outcome_json]). *)
+let job_done_json leaf ~id ~index outcome =
+  envelope "job_done"
+    [
+      ("id", J.String id);
+      ("index", J.Int index);
+      ("outcome", outcome_json leaf outcome);
+    ]
+
+let queried_json leaf ~hit run =
+  envelope "queried"
+    (("hit", J.Bool hit)
+     :: (match run with Some r -> [ ("run", leaf r) ] | None -> []))
+
 let to_json = function
   | Ack { id; jobs } ->
     envelope "ack" [ ("id", J.String id); ("jobs", J.Int jobs) ]
   | Running { id; index } ->
     envelope "running" [ ("id", J.String id); ("index", J.Int index) ]
   | Job_done { id; index; outcome } ->
-    envelope "job_done"
-      [
-        ("id", J.String id);
-        ("index", J.Int index);
-        ("outcome", outcome_to_json outcome);
-      ]
+    job_done_json Run_wire.run_to_json ~id ~index outcome
   | Batch_done { id; jobs; measured; cached; deduped; failed; wall_s } ->
     envelope "batch_done"
       [
@@ -236,11 +142,7 @@ let to_json = function
         ("failed", J.Int failed);
         ("wall_s", J.Float wall_s);
       ]
-  | Queried { hit; run } ->
-    envelope "queried"
-      (("hit", J.Bool hit)
-       ::
-       (match run with Some r -> [ ("run", run_to_json r) ] | None -> []))
+  | Queried { hit; run } -> queried_json Run_wire.run_to_json ~hit run
   | Invalidated { removed } -> envelope "invalidated" [ ("removed", J.Int removed) ]
   | Server_stats s ->
     envelope "server_stats"
@@ -316,7 +218,7 @@ let decoder j =
     Queried
       {
         hit = D.field "hit" D.bool j;
-        run = D.field_opt "run" run_decoder j;
+        run = D.field_opt "run" Run_wire.run_decoder j;
       }
   | "invalidated" -> Invalidated { removed = D.field "removed" D.int j }
   | "server_stats" ->
@@ -361,6 +263,14 @@ let decoder j =
 let of_json j = D.run decoder j
 
 let to_line t = J.to_string (to_json t)
+
+let raw text = J.Raw text
+
+let job_done_line ~id ~index outcome =
+  J.to_string (job_done_json raw ~id ~index outcome)
+
+let queried_line run =
+  J.to_string (queried_json raw ~hit:(Option.is_some run) run)
 
 let of_line line =
   match J.of_string line with

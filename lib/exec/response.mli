@@ -1,26 +1,29 @@
 (** The response side of the serve protocol: everything the daemon says
-    back, including a full-fidelity wire form of a measurement result.
+    back. A measurement result rides in {!Run_wire}'s bit-exact form, so
+    a client that decodes a daemon result holds the same stats, bit for
+    bit, as an in-process run (a test and the CI smoke pin this).
 
-    A {!Repro_workloads.Harness.run} round-trips through {!run_to_json}/
-    {!run_decoder} bit-exactly: integer counters are carried as JSON
-    ints and float counters in {!Repro_obs.Json}'s shortest-round-trip
-    representation, so a client that decodes a daemon result holds the
-    same stats, bit for bit, as an in-process run (a test and the CI
-    smoke pin this). Telemetry payloads (window rows, event rings) are
-    not carried — daemon jobs are plain measurement jobs, which never
-    have them. *)
+    The daemon never decodes a run to answer: a worker hands it the
+    run's wire text — the payload of a cache hit as read from disk, or a
+    fresh run encoded once — and {!job_done_line}/{!queried_line} splice
+    that text into the envelope that {!to_line} would build around the
+    decoded run, byte for byte. *)
 
-type outcome = {
+type 'run outcome_of = {
   spec : Request.Spec.t;  (** Echo of the job's identity. *)
   cached : bool;          (** Served from the on-disk result cache. *)
   deduped : bool;
       (** Attached to another waiter's in-flight execution rather than
           scheduled on its own. *)
   wall_s : float;         (** Execution wall time (0 on a cache hit). *)
-  result : (Repro_workloads.Harness.run, string) result;
+  result : ('run, string) result;
 }
+(** One job's answer, its run either decoded or still in wire text. *)
 
-val outcome_of_executor : ?deduped:bool -> Executor.outcome -> outcome
+type outcome = Repro_workloads.Harness.run outcome_of
+
+val outcome_of_executor :
+  ?deduped:bool -> 'run Executor.outcome_of -> 'run outcome_of
 (** Bridge from the batch executor's outcome record ([deduped] defaults
     to [false] — the in-process executor never dedups). *)
 
@@ -86,11 +89,6 @@ type t =
           the offending field, or an unresolvable job spec. The
           connection stays up. *)
 
-val run_to_json : Repro_workloads.Harness.run -> Repro_obs.Json.t
-
-val run_decoder :
-  Repro_workloads.Harness.run Repro_obs.Json.Decode.decoder
-
 val outcome_to_json : outcome -> Repro_obs.Json.t
 
 val outcome_decoder : outcome Repro_obs.Json.Decode.decoder
@@ -103,5 +101,14 @@ val of_json : Repro_obs.Json.t -> (t, string) result
 
 val to_line : t -> string
 (** Compact one-line JSON, newline {e not} included. *)
+
+val job_done_line : id:string -> index:int -> string outcome_of -> string
+(** [to_line (Job_done {id; index; outcome})] for the outcome whose run
+    is the decoding of the given {!Run_wire.encode} text, without
+    decoding it: the text is copied into the line verbatim. *)
+
+val queried_line : string option -> string
+(** [to_line (Queried {hit; run})] likewise, with [hit] the presence of
+    the run's wire text. *)
 
 val of_line : string -> (t, string) result

@@ -79,7 +79,7 @@ type event =
       stages : (Svc.stage * float * float) list;
           (* queued, cache_probe, run as the worker timed them: stage,
              start on the obs clock, duration *)
-      outcome : Executor.outcome;
+      outcome : string Executor.outcome_of;  (* the run as wire text *)
       busy_s : float;
     }
 
@@ -152,12 +152,13 @@ let finish_request t ~trace ~t0 =
         [ ("trace", Log.Int trace); ("dur_s", Log.Float dur) ]
   end
 
-(* Encode and write one response; the encode stage, response count and
-   bytes out are charged to [cur_trace]. Event thread only. *)
-let send t session response =
+(* Build and write one response line; the encode stage (building the
+   line), response count and bytes out are charged to [cur_trace]. Event
+   thread only. *)
+let send_line t session build =
   if not session.Session.closed then begin
     let t0 = now t in
-    let line = Response.to_line response in
+    let line = build () in
     let dur = now t -. t0 in
     Session.send session line;
     if not session.Session.closed then begin
@@ -166,6 +167,9 @@ let send t session response =
       Svc.add t.metrics Svc.bytes_out (String.length line + 1)
     end
   end
+
+let send t session response =
+  send_line t session (fun () -> Response.to_line response)
 
 (* Fair pick: walk the round-robin list; the first session with a live
    queued entry wins and rotates to the back. Entries cancelled while
@@ -264,9 +268,11 @@ let finish_job t (w : waiter) outcome =
     if w.w_deduped then
       stage t Svc.Dedup_wait ~track:0 ~trace:w.w_batch.Session.trace
         ~t0:w.w_attached_at ~dur:(now t -. w.w_attached_at);
-    send t w.w_session
-      (Response.Job_done
-         { id = w.w_batch.Session.batch_id; index = w.w_index; outcome });
+    (* The run rides as the wire text the worker handed over: spliced,
+       never decoded or re-encoded. *)
+    send_line t w.w_session (fun () ->
+        Response.job_done_line ~id:w.w_batch.Session.batch_id
+          ~index:w.w_index outcome);
     if Session.record_done w.w_session w.w_batch outcome then begin
       send t w.w_session
         (Response.Batch_done
@@ -505,9 +511,10 @@ let handle_request t session ~sessions ~trace ~t0 req =
        | Error message -> send t session (Response.Error { message })
        | Ok job ->
          let run =
-           if t.cfg.cache then Cache.lookup ~dir:t.cfg.cache_dir job else None
+           if t.cfg.cache then Cache.lookup_text ~dir:t.cfg.cache_dir job
+           else None
          in
-         send t session (Response.Queried { hit = run <> None; run }));
+         send_line t session (fun () -> Response.queried_line run));
       true
     | Request.Invalidate (Some spec) ->
       (match Request.Spec.resolve spec with

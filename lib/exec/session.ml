@@ -96,7 +96,7 @@ let begin_batch t ~id ~total =
   Hashtbl.replace t.batches id batch;
   batch
 
-let record_done t batch (outcome : Response.outcome) =
+let record_done t batch (outcome : _ Response.outcome_of) =
   batch.completed <- batch.completed + 1;
   (if outcome.Response.cached then batch.cached <- batch.cached + 1
    else if outcome.Response.deduped then batch.deduped <- batch.deduped + 1

@@ -53,7 +53,7 @@ val send : t -> string -> unit
 
 val begin_batch : t -> id:string -> total:int -> batch
 
-val record_done : t -> batch -> Response.outcome -> bool
+val record_done : t -> batch -> _ Response.outcome_of -> bool
 (** Fold one finished job into the batch tally; [true] when it was the
     batch's last job (the batch is dropped from the table — the caller
     sends [Batch_done] from the returned counters before dropping its

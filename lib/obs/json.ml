@@ -6,6 +6,7 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
 
 (* Shortest decimal string that parses back to exactly [f]; always
    contains '.' or 'e' so the value round-trips as a Float, not an Int. *)
@@ -44,6 +45,7 @@ let to_string ?(pretty = false) t =
         Buffer.add_string buf "null"
       else Buffer.add_string buf (float_repr f)
     | String s -> escape_string buf s
+    | Raw text -> Buffer.add_string buf text
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
       Buffer.add_char buf '[';
@@ -95,7 +97,6 @@ let of_string s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
   let advance () = incr pos in
   let skip_ws () =
     while
@@ -104,10 +105,10 @@ let of_string s =
       advance ()
     done
   in
+  (* Char tests on the cursor, so the hot loops build no option. *)
+  let at c = !pos < n && Char.equal (String.unsafe_get s !pos) c in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
+    if at c then advance () else fail (Printf.sprintf "expected '%c'" c)
   in
   let literal word value =
     let len = String.length word in
@@ -117,53 +118,75 @@ let of_string s =
     end
     else fail ("expected " ^ word)
   in
+  (* The rest of a string whose first backslash is at the cursor, after
+     its escape-free head was copied into [buf]. *)
+  let rec escaped buf =
+    if !pos >= n then fail "unterminated string";
+    let c = s.[!pos] in
+    advance ();
+    match c with
+    | '"' -> Buffer.contents buf
+    | '\\' ->
+      (if !pos >= n then fail "unterminated escape";
+       let e = s.[!pos] in
+       advance ();
+       match e with
+       | '"' -> Buffer.add_char buf '"'
+       | '\\' -> Buffer.add_char buf '\\'
+       | '/' -> Buffer.add_char buf '/'
+       | 'b' -> Buffer.add_char buf '\b'
+       | 'f' -> Buffer.add_char buf '\012'
+       | 'n' -> Buffer.add_char buf '\n'
+       | 'r' -> Buffer.add_char buf '\r'
+       | 't' -> Buffer.add_char buf '\t'
+       | 'u' ->
+         if !pos + 4 > n then fail "truncated \\u escape";
+         let hex = String.sub s !pos 4 in
+         pos := !pos + 4;
+         let code =
+           try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
+         in
+         (* Encode the code point as UTF-8 (surrogates left as-is). *)
+         if code < 0x80 then Buffer.add_char buf (Char.chr code)
+         else if code < 0x800 then begin
+           Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+           Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+         end
+         else begin
+           Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+           Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+           Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+         end
+       | _ -> fail "bad escape");
+      escaped buf
+    | c ->
+      Buffer.add_char buf c;
+      escaped buf
+  in
+  (* An escape-free string — every key and almost every value we write —
+     is one [String.sub]; its first backslash hands the rest to
+     [escaped]. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-        (if !pos >= n then fail "unterminated escape";
-         let e = s.[!pos] in
-         advance ();
-         match e with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'b' -> Buffer.add_char buf '\b'
-         | 'f' -> Buffer.add_char buf '\012'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'u' ->
-           if !pos + 4 > n then fail "truncated \\u escape";
-           let hex = String.sub s !pos 4 in
-           pos := !pos + 4;
-           let code =
-             try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-           in
-           (* Encode the code point as UTF-8 (surrogates left as-is). *)
-           if code < 0x80 then Buffer.add_char buf (Char.chr code)
-           else if code < 0x800 then begin
-             Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-             Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-           end
-           else begin
-             Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-             Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-             Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-           end
-         | _ -> fail "bad escape");
-        loop ()
-      | c ->
-        Buffer.add_char buf c;
-        loop ()
+    let start = !pos in
+    let rec scan i =
+      if i >= n then begin
+        pos := n;
+        fail "unterminated string"
+      end
+      else
+        match String.unsafe_get s i with
+        | '"' ->
+          pos := i + 1;
+          String.sub s start (i - start)
+        | '\\' ->
+          pos := i;
+          let buf = Buffer.create (i - start + 16) in
+          Buffer.add_substring buf s start (i - start);
+          escaped buf
+        | _ -> scan (i + 1)
     in
-    loop ()
+    scan start
   in
   let parse_number () =
     let start = !pos in
@@ -191,23 +214,23 @@ let of_string s =
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some '[' ->
+    if !pos >= n then fail "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '"' -> String (parse_string ())
+    | '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin
+      if at ']' then begin
         advance ();
         List []
       end
       else begin
         let items = ref [ parse_value () ] in
         skip_ws ();
-        while peek () = Some ',' do
+        while at ',' do
           advance ();
           items := parse_value () :: !items;
           skip_ws ()
@@ -215,10 +238,10 @@ let of_string s =
         expect ']';
         List (List.rev !items)
       end
-    | Some '{' ->
+    | '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin
+      if at '}' then begin
         advance ();
         Obj []
       end
@@ -233,7 +256,7 @@ let of_string s =
         in
         let fields = ref [ field () ] in
         skip_ws ();
-        while peek () = Some ',' do
+        while at ',' do
           advance ();
           fields := field () :: !fields;
           skip_ws ()
@@ -241,7 +264,7 @@ let of_string s =
         expect '}';
         Obj (List.rev !fields)
       end
-    | Some _ -> parse_number ()
+    | _ -> parse_number ()
   in
   match
     let v = parse_value () in
@@ -310,6 +333,7 @@ module Decode = struct
     | String _ -> "string"
     | List _ -> "list"
     | Obj _ -> "object"
+    | Raw _ -> "raw JSON text"
 
   let type_error expected j =
     fail (Printf.sprintf "expected %s, got %s" expected (type_name j))

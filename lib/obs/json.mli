@@ -14,6 +14,12 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** Pre-encoded JSON text, emitted verbatim by {!to_string} (also
+          under [~pretty]). {!of_string} never produces it and every
+          decoder rejects it: it exists so a writer can splice bytes it
+          already holds — the result cache's stored run — into a larger
+          document without decoding them. *)
 
 val float_repr : float -> string
 (** Shortest decimal form that parses back to exactly the same double,

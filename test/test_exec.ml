@@ -183,39 +183,109 @@ let test_cache_round_trip () =
            (fun (o : X.Executor.outcome) -> not o.X.Executor.cached)
            after_clear))
 
+let entry_file ~dir job = Filename.concat dir (X.Job.hash job ^ ".job")
+
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+
+let write_file file text =
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc text)
+
+(* A bad entry is a miss for the CLI's decoding lookup and for the
+   daemon's text lookup alike. *)
+let check_misses ~dir job what =
+  check Alcotest.bool (what ^ ": lookup misses") true
+    (X.Cache.lookup ~dir job = None);
+  check Alcotest.bool (what ^ ": lookup_text misses") true
+    (X.Cache.lookup_text ~dir job = None)
+
+let check_hits ~dir job run what =
+  check Alcotest.bool (what ^ ": lookup hits") true
+    (match X.Cache.lookup ~dir job with
+     | Some r -> fingerprint r = fingerprint run
+     | None -> false);
+  check (Alcotest.option Alcotest.string) (what ^ ": lookup_text hits")
+    (Some (X.Run_wire.encode run))
+    (X.Cache.lookup_text ~dir job)
+
+(* [entry] with the last digit of its payload bumped: still JSON that
+   decodes, so only the stored digest can tell. *)
+let flip_payload_digit entry =
+  let b = Bytes.of_string entry in
+  let rec go i =
+    match Bytes.get b i with
+    | '0' .. '8' as c ->
+      Bytes.set b i (Char.chr (Char.code c + 1));
+      Bytes.to_string b
+    | _ -> go (i - 1)
+  in
+  go (Bytes.length b - 2)
+
 let test_cache_ignores_corrupt_entries () =
   with_temp_cache (fun dir ->
-      let job = List.hd (small_matrix ~seed:9 ~scale:0.02) in
-      let file = Filename.concat dir (X.Job.hash job ^ ".job") in
-      let oc = open_out_bin file in
-      output_string oc "not a marshalled entry";
-      close_out oc;
-      check Alcotest.bool "corrupt entry reads as a miss" true
-        (X.Cache.lookup ~dir job = None))
+      let job, other =
+        match small_matrix ~seed:9 ~scale:0.02 with
+        | a :: b :: _ -> (a, b)
+        | _ -> Alcotest.fail "matrix too small"
+      in
+      let run = X.Job.run job in
+      X.Cache.store ~dir job run;
+      let file = entry_file ~dir job in
+      let good = read_file file in
+      X.Cache.store ~dir other (X.Job.run other);
+      let header_end = String.index good '\n' in
+      let header = String.sub good 0 header_end in
+      let v = X.Job.schema_version in
+      let at = Option.get (String.index_from_opt header 0 ' ') + 1 in
+      check Alcotest.string "header names the schema version" v
+        (String.sub header at (String.length v));
+      let random =
+        let st = Random.State.make [| 9 |] in
+        String.init 4096 (fun _ -> Char.chr (Random.State.int st 256))
+      in
+      let corruptions =
+        [
+          ("random bytes", random);
+          ("truncated payload", String.sub good 0 (String.length good - 1));
+          ("payload cut in half", String.sub good 0 (String.length good / 2));
+          ("flipped payload byte", flip_payload_digit good);
+          ( "header names v7",
+            String.sub header 0 at ^ "repro-exec-v7"
+            ^ String.sub good (at + String.length v)
+                (String.length good - at - String.length v) );
+          ("another job's entry", read_file (entry_file ~dir other));
+          ("marshalled v7 layout", Marshal.to_string (X.Job.key job, run) []);
+          ("header only", String.sub good 0 (header_end + 1));
+        ]
+      in
+      List.iteri
+        (fun i (what, bytes) ->
+          check Alcotest.bool (what ^ " differs from the entry") false
+            (String.equal bytes good);
+          write_file file bytes;
+          check_misses ~dir job what;
+          (* The next store overwrites the bad entry, by either path. *)
+          if i mod 2 = 0 then X.Cache.store ~dir job run
+          else X.Cache.store_text ~dir job (X.Run_wire.encode run);
+          check Alcotest.string (what ^ ": overwritten") good (read_file file);
+          check_hits ~dir job run (what ^ " then store"))
+        corruptions)
 
 let test_cache_tolerates_torn_writes () =
   with_temp_cache (fun dir ->
       let job = List.hd (small_matrix ~seed:10 ~scale:0.02) in
       let run = X.Job.run job in
       X.Cache.store ~dir job run;
-      let file = Filename.concat dir (X.Job.hash job ^ ".job") in
+      let file = entry_file ~dir job in
       (* Simulate a writer killed mid-write: truncate the entry. *)
-      let full = In_channel.with_open_bin file In_channel.input_all in
-      Out_channel.with_open_bin file (fun oc ->
-          Out_channel.output_string oc
-            (String.sub full 0 (String.length full / 2)));
-      check Alcotest.bool "truncated entry reads as a miss" true
-        (X.Cache.lookup ~dir job = None);
+      let full = read_file file in
+      write_file file (String.sub full 0 (String.length full / 2));
+      check_misses ~dir job "truncated entry";
       (* An empty file — rename landed, data never made it. *)
-      Out_channel.with_open_bin file (fun _ -> ());
-      check Alcotest.bool "empty entry reads as a miss" true
-        (X.Cache.lookup ~dir job = None);
+      write_file file "";
+      check_misses ~dir job "empty entry";
       (* The miss is recoverable: store again, read back. *)
       X.Cache.store ~dir job run;
-      check Alcotest.bool "re-stored entry hits" true
-        (match X.Cache.lookup ~dir job with
-         | Some r -> fingerprint r = fingerprint run
-         | None -> false))
+      check_hits ~dir job run "re-stored entry")
 
 let test_cache_store_is_atomic () =
   with_temp_cache (fun dir ->

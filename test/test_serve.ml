@@ -230,15 +230,15 @@ let test_response_roundtrip () =
 
 let test_run_wire_fidelity () =
   let run = Lazy.force tiny_run in
-  let text = J.to_string (X.Response.run_to_json run) in
+  let text = J.to_string (X.Run_wire.run_to_json run) in
   match J.of_string text with
   | Error msg -> Alcotest.failf "run JSON does not parse: %s" msg
   | Ok j -> (
-    match J.Decode.run X.Response.run_decoder j with
+    match J.Decode.run X.Run_wire.run_decoder j with
     | Error msg -> Alcotest.failf "run does not decode: %s" msg
     | Ok run' ->
       check Alcotest.string "byte-identical re-encoding" text
-        (J.to_string (X.Response.run_to_json run'));
+        (J.to_string (X.Run_wire.run_to_json run'));
       check Alcotest.bool "cycles survive exactly" true
         (run.W.Harness.cycles = run'.W.Harness.cycles);
       check Alcotest.bool "checksum survives exactly" true
@@ -293,7 +293,7 @@ let edit_stats f = function
   | j -> j
 
 let decode_run j =
-  match J.Decode.run X.Response.run_decoder j with
+  match J.Decode.run X.Run_wire.run_decoder j with
   | Ok run -> run
   | Error msg -> Alcotest.failf "run does not decode: %s" msg
 
@@ -308,7 +308,7 @@ let test_fixture_roundtrip () =
   let run = decode_run (fixture ()) in
   check Alcotest.string "re-encodes to the fixture's bytes"
     (Lazy.force fixture_text)
-    (J.to_string (X.Response.run_to_json run))
+    (J.to_string (X.Run_wire.run_to_json run))
 
 let test_fixture_stats_keys () =
   check (Alcotest.list Alcotest.string) "fixture stats keys" stats_keys
@@ -339,7 +339,7 @@ let test_fixture_pre_translation_peer () =
 
 let test_fixture_rejects_bad_stats () =
   let error j =
-    match J.Decode.run X.Response.run_decoder j with
+    match J.Decode.run X.Run_wire.run_decoder j with
     | Ok _ -> Alcotest.fail "expected a decode error"
     | Error msg -> msg
   in
@@ -363,18 +363,154 @@ let test_fixture_rejects_bad_stats () =
         (contains ~sub:(family ^ ": unknown slug") msg))
     [ "stalls"; "load_transactions_by_label"; "san_violations" ]
 
-(* The result cache stores [Harness.run], which embeds [Stats.t], with
-   [Marshal], keyed by [Job.schema_version]. Reading an entry at a
-   changed layout is undefined behaviour, not an exception, so a layout
-   change must come with a version bump. *)
-let test_stats_layout_pinned () =
-  check Alcotest.string
-    "Stats.t's marshalled layout changed: bump Job.schema_version, then \
-     update this pin"
-    "repro-exec-v7 9f72d388a70fe15ec5958841fce322c8"
-    (X.Job.schema_version ^ " "
-    ^ Digest.to_hex
-        (Digest.string (Marshal.to_string (Repro_gpu.Stats.create ()) [])))
+(* --- wire text: bit-exact runs, spliced lines, the cache entry ---------- *)
+
+let resolve spec =
+  match X.Request.Spec.resolve spec with
+  | Ok job -> job
+  | Error msg -> Alcotest.fail msg
+
+(* Field by field, floats by their bits. The record pattern names every
+   field, so a new [Harness.run] field fails to compile here until the
+   wire form (and this check) carries it. *)
+let check_run_bits what (a : W.Harness.run) (b : W.Harness.run) =
+  let {
+    W.Harness.workload; technique; alloc; cycles; stats; kernel_stats;
+    window; kernel_windows; trace; checksum; result; n_objects; n_types;
+    n_vfuncs; vfunc_pki; warp_vcalls; alloc_stats;
+  } =
+    a
+  in
+  let field name ok = check Alcotest.bool (what ^ ": " ^ name) true ok in
+  let bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let stats_bits (x : Repro_gpu.Stats.t) (y : Repro_gpu.Stats.t) =
+    let x = (x :> float array) and y = (y :> float array) in
+    Array.length x = Array.length y && Array.for_all2 bits x y
+  in
+  field "workload" (String.equal workload b.W.Harness.workload);
+  field "technique" (technique = b.W.Harness.technique);
+  field "alloc" (alloc = b.W.Harness.alloc);
+  field "cycles" (bits cycles b.W.Harness.cycles);
+  field "stats" (stats_bits stats b.W.Harness.stats);
+  field "kernel_stats"
+    (List.length kernel_stats = List.length b.W.Harness.kernel_stats
+    && List.for_all2 stats_bits kernel_stats b.W.Harness.kernel_stats);
+  field "window" (window = None && b.W.Harness.window = None);
+  field "kernel_windows" (kernel_windows = [] && b.W.Harness.kernel_windows = []);
+  field "trace" (trace = None && b.W.Harness.trace = None);
+  field "checksum" (checksum = b.W.Harness.checksum);
+  field "result" (result = b.W.Harness.result);
+  field "n_objects" (n_objects = b.W.Harness.n_objects);
+  field "n_types" (n_types = b.W.Harness.n_types);
+  field "n_vfuncs" (n_vfuncs = b.W.Harness.n_vfuncs);
+  field "vfunc_pki" (bits vfunc_pki b.W.Harness.vfunc_pki);
+  field "warp_vcalls" (warp_vcalls = b.W.Harness.warp_vcalls);
+  let {
+    Repro_core.Allocator.objects; live_objects; reserved_bytes; used_bytes;
+    padded_bytes; alloc_cycles; free_cycles; bitmap_scan_cycles;
+  } =
+    alloc_stats
+  in
+  let b = b.W.Harness.alloc_stats in
+  field "alloc_stats"
+    (objects = b.Repro_core.Allocator.objects
+    && live_objects = b.Repro_core.Allocator.live_objects
+    && reserved_bytes = b.Repro_core.Allocator.reserved_bytes
+    && used_bytes = b.Repro_core.Allocator.used_bytes
+    && padded_bytes = b.Repro_core.Allocator.padded_bytes
+    && bits alloc_cycles b.Repro_core.Allocator.alloc_cycles
+    && bits free_cycles b.Repro_core.Allocator.free_cycles
+    && bits bitmap_scan_cycles b.Repro_core.Allocator.bitmap_scan_cycles)
+
+(* Cacheable runs across the wire form's variety: the five paper
+   techniques, the DynaSOAr allocator, TypePointer on the CUDA allocator,
+   coalesce paging and an iteration override. *)
+let sampled_specs =
+  let mk ?alloc ?iterations ?pages technique =
+    X.Request.Spec.make ?alloc ?iterations ?pages ~scale:0.02 ~workload:"TRAF"
+      ~technique ()
+  in
+  [
+    mk "cuda"; mk "con"; mk "shard"; mk "coal"; mk "tp";
+    mk ~alloc:"dyna" "cuda"; mk "tp/cuda"; mk ~pages:"coalesce" "cuda";
+    mk ~iterations:1 "tp";
+  ]
+
+let test_sampled_runs_splice_exactly () =
+  with_temp_dir (fun dir ->
+      List.iteri
+        (fun i spec ->
+          let job = resolve spec in
+          let what = X.Job.label job in
+          check Alcotest.bool (what ^ " is cacheable") true (X.Job.cacheable job);
+          let run = X.Job.run job in
+          let text = X.Run_wire.encode run in
+          (match X.Run_wire.decode text with
+           | Ok run' -> check_run_bits what run run'
+           | Error msg -> Alcotest.failf "%s does not decode: %s" what msg);
+          (* The daemon splices what the cache hands back. *)
+          X.Cache.store ~dir job run;
+          check (Alcotest.option Alcotest.string) (what ^ ": stored text")
+            (Some text) (X.Cache.lookup_text ~dir job);
+          List.iter
+            (fun (cached, deduped, wall_s) ->
+              let outcome result =
+                { X.Response.spec; cached; deduped; wall_s; result }
+              in
+              check Alcotest.string (what ^ ": job_done line")
+                (X.Response.to_line
+                   (X.Response.Job_done
+                      { id = "b"; index = i; outcome = outcome (Ok run) }))
+                (X.Response.job_done_line ~id:"b" ~index:i
+                   (outcome (Ok text))))
+            [ (true, false, 0.); (false, true, 0.125); (false, false, 1.5e-3) ];
+          check Alcotest.string (what ^ ": queried line")
+            (X.Response.to_line (X.Response.Queried { hit = true; run = Some run }))
+            (X.Response.queried_line (Some text)))
+        sampled_specs;
+      (* Both forms of a failed outcome, from one polymorphic record. *)
+      let failed =
+        { X.Response.spec = List.hd sampled_specs; cached = false;
+          deduped = false; wall_s = 0.5; result = Error "boom" }
+      in
+      check Alcotest.string "failed job_done line"
+        (X.Response.to_line
+           (X.Response.Job_done { id = "b"; index = 0; outcome = failed }))
+        (X.Response.job_done_line ~id:"b" ~index:0 failed);
+      check Alcotest.string "query miss line"
+        (X.Response.to_line (X.Response.Queried { hit = false; run = None }))
+        (X.Response.queried_line None))
+
+(* The cache entry format, pinned: a store of the golden fixture's run
+   writes exactly this header, the job key and the fixture's bytes. A
+   change to the header, the key or the run's wire form fails here; bump
+   [Job.schema_version] with it, so entries written before read as
+   misses, then re-record the header. *)
+let golden_entry_header =
+  "repro-cache repro-exec-v8 20132 735deafc88842a316c35581be02e4482\n\
+   Dynasoar/TRAF|cuda|alloc=default|scale=0.01|seed=42|iters=default|\
+   chunk=default|config=default|san=off|telemetry=off|pages=coalesce\n"
+
+let test_cache_entry_golden () =
+  with_temp_dir (fun dir ->
+      let job =
+        resolve
+          (X.Request.Spec.make ~scale:0.01 ~pages:"coalesce" ~workload:"TRAF"
+             ~technique:"cuda" ())
+      in
+      let payload = Lazy.force fixture_text in
+      X.Cache.store ~dir job (decode_run (fixture ()));
+      let entry =
+        In_channel.with_open_bin
+          (Filename.concat dir (X.Job.hash job ^ ".job"))
+          In_channel.input_all
+      in
+      check Alcotest.string
+        "cache entry format changed: bump Job.schema_version, then \
+         re-record this header"
+        (golden_entry_header ^ payload) entry;
+      check (Alcotest.option Alcotest.string) "golden entry reads back"
+        (Some payload) (X.Cache.lookup_text ~dir job))
 
 let test_decode_errors_name_field () =
   let err =
@@ -706,8 +842,59 @@ let test_daemon_byte_identical () =
       in
       let local = Lazy.force tiny_run in
       check Alcotest.string "identical run JSON"
-        (J.to_string (X.Response.run_to_json local))
-        (J.to_string (X.Response.run_to_json remote)))
+        (J.to_string (X.Run_wire.run_to_json local))
+        (J.to_string (X.Run_wire.run_to_json remote)))
+
+(* A truncated entry in the daemon's cache directory is a miss: the submit
+   is measured and answered with a well-formed line, the entry is
+   rewritten, and the resubmit and the query served from it carry the
+   run's bytes unchanged. *)
+let test_daemon_rewrites_truncated_entry () =
+  let runner, order = counting_runner () in
+  let run = Lazy.force tiny_run in
+  let text = X.Run_wire.encode run in
+  with_temp_dir (fun cache_dir ->
+      let job = resolve spec_traf in
+      X.Cache.store ~dir:cache_dir job run;
+      let file = Filename.concat cache_dir (X.Job.hash job ^ ".job") in
+      let full = In_channel.with_open_bin file In_channel.input_all in
+      Out_channel.with_open_bin file (fun oc ->
+          Out_channel.output_string oc
+            (String.sub full 0 (String.length full - 7)));
+      let cfg =
+        { X.Server.socket_path = temp_socket (); workers = 1; cache = true;
+          cache_dir; obs = X.Server.obs_off }
+      in
+      let handle = X.Server.start ~runner cfg in
+      Fun.protect
+        ~finally:(fun () -> X.Server.stop handle)
+        (fun () ->
+          let c = client cfg.X.Server.socket_path in
+          let answer id =
+            submit c ~id [ spec_traf ];
+            match drain_batch c ~id ~jobs:1 with
+            | [ { X.Response.cached; result = Ok r; _ } ] ->
+              (cached, X.Run_wire.encode r)
+            | _ -> Alcotest.failf "%s: no result" id
+          in
+          let cached, bytes = answer "torn" in
+          check Alcotest.bool "torn entry is a miss" false cached;
+          check Alcotest.string "measured run" text bytes;
+          check Alcotest.int "measured once" 1 (List.length (order ()));
+          check Alcotest.string "entry rewritten" full
+            (In_channel.with_open_bin file In_channel.input_all);
+          let cached, bytes = answer "warm" in
+          check Alcotest.bool "rewritten entry hits" true cached;
+          check Alcotest.string "hit carries the stored bytes" text bytes;
+          X.Server.Client.send c (X.Request.Query spec_traf);
+          (match X.Server.Client.recv c with
+           | Ok (X.Response.Queried { hit = true; run = Some r }) ->
+             check Alcotest.string "query carries the stored bytes" text
+               (X.Run_wire.encode r)
+           | Ok _ -> Alcotest.fail "query missed"
+           | Error msg -> Alcotest.failf "query line: %s" msg);
+          check Alcotest.int "hits ran nothing" 1 (List.length (order ()));
+          X.Server.Client.close c))
 
 let test_batch_error_reporting () =
   with_server ~workers:1 (fun socket ->
@@ -1278,8 +1465,10 @@ let suite =
       test_fixture_pre_translation_peer;
     Alcotest.test_case "stats decode errors name the field" `Quick
       test_fixture_rejects_bad_stats;
-    Alcotest.test_case "stats marshalled layout is pinned" `Quick
-      test_stats_layout_pinned;
+    Alcotest.test_case "cache entry format is pinned" `Quick
+      test_cache_entry_golden;
+    Alcotest.test_case "sampled runs are bit-exact and splice byte for byte"
+      `Quick test_sampled_runs_splice_exactly;
     Alcotest.test_case "schema version checked" `Quick
       test_schema_version_checked;
     Alcotest.test_case "removed intern field is ignored" `Quick
@@ -1297,6 +1486,8 @@ let suite =
       test_fair_queueing;
     Alcotest.test_case "daemon result is byte-identical" `Quick
       test_daemon_byte_identical;
+    Alcotest.test_case "daemon rewrites a truncated cache entry" `Quick
+      test_daemon_rewrites_truncated_entry;
     Alcotest.test_case "batch errors name the job; connection survives" `Quick
       test_batch_error_reporting;
     QCheck_alcotest.to_alcotest prop_feed_chunking;
