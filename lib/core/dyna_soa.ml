@@ -20,7 +20,7 @@ type block = {
 
 type type_state = {
   type_id : int;
-  mutable blocks : block list;      (* every block ever chained, newest first *)
+  mutable chained : int;            (* blocks ever chained for this type *)
   mutable open_blocks : block list; (* blocks with a free slot, newest first *)
 }
 
@@ -30,10 +30,18 @@ type state = {
   block_slots : int;
   hdr_words : int;
   by_type : (int, type_state) Hashtbl.t;
-  mutable all_blocks : block list;
-  mutable sorted : block array;     (* by bbase; rebuilt lazily *)
-  mutable sorted_dirty : bool;
-  mutable last_block : block option; (* one-entry lookup cache *)
+  (* Every block ever chained, in creation order, in [blocks.(0 ..
+     n_blocks - 1)]. Creation order is ascending [bbase] order:
+     [Address_space.reserve] bumps one cursor upward and never hands an
+     address back, so each block's reservation lies above every earlier
+     one (other arenas reserved in between only widen the gaps). The
+     index is therefore sorted by construction and only ever appended
+     to. A plain array rather than a [Repro_util.Vec]: every lookup
+     cache miss binary-searches it, and [Vec.get]'s out-of-line checked
+     read doubled the cost of a miss. *)
+  mutable blocks : block array;
+  mutable n_blocks : int;
+  mutable last_block : block;       (* one-entry lookup cache *)
   mutable objects : int;
   mutable live : int;
   mutable used_bytes : int;
@@ -78,34 +86,43 @@ let addr_in_block (b : block) ~slot ~off =
     + (foff mod fb)
   end
 
-let ensure_sorted st =
-  if st.sorted_dirty then begin
-    let a = Array.of_list st.all_blocks in
-    Array.sort (fun a b -> compare a.bbase b.bbase) a;
-    st.sorted <- a;
-    st.sorted_dirty <- false
-  end
+(* Sentinel for "no block": its empty reservation contains no address,
+   so it also seeds the lookup cache. *)
+let no_block =
+  {
+    bbase = 0;
+    reserved = 0;
+    n_slots = 0;
+    obj_bytes = 0;
+    hdr_words = 0;
+    type_id = -1;
+    bitmap = [||];
+    bused = 0;
+  }
 
-(* Block whose reservation contains the canonical address [a]. *)
+(* Block whose reservation contains the canonical address [a], or
+   [no_block]. Allocates nothing: a cache check, then a binary search
+   for the last block based at or below [a]. *)
 let find_block st a =
-  match st.last_block with
-  | Some b when a >= b.bbase && a < b.bbase + b.reserved -> Some b
-  | _ ->
-    ensure_sorted st;
-    let sorted = st.sorted in
-    let rec go lo hi best =
-      if lo >= hi then best
-      else begin
-        let mid = (lo + hi) / 2 in
-        if sorted.(mid).bbase <= a then go (mid + 1) hi (Some sorted.(mid))
-        else go lo mid best
+  let b = st.last_block in
+  if a >= b.bbase && a < b.bbase + b.reserved then b
+  else begin
+    let blocks = st.blocks in
+    let lo = ref 0 and hi = ref st.n_blocks in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if blocks.(mid).bbase <= a then lo := mid + 1 else hi := mid
+    done;
+    if !lo = 0 then no_block
+    else begin
+      let b = blocks.(!lo - 1) in
+      if a < b.bbase + b.reserved then begin
+        st.last_block <- b;
+        b
       end
-    in
-    (match go 0 (Array.length sorted) None with
-     | Some b when a < b.bbase + b.reserved ->
-       st.last_block <- Some b;
-       Some b
-     | _ -> None)
+      else no_block
+    end
+  end
 
 let slot_of_exn (b : block) a ~what =
   let off = a - b.bbase - meta_bytes in
@@ -125,20 +142,28 @@ let make_bitmap n_slots =
   bm
 
 (* Lowest clear bit, DynaSOAr-style: a warp scans the bitmap one word per
-   step until a word has a free bit. Returns the slot and the number of
-   words examined (the modelled scan cost). *)
+   step until a word has a free bit. The words examined (the modelled
+   scan cost) are the returned slot's word and every word before it. *)
 let find_free_slot (b : block) =
-  let words = Array.length b.bitmap in
-  let rec go w =
-    if w >= words then invalid_arg "Dyna_soa: scan of non-full block failed"
-    else if b.bitmap.(w) <> full_word then begin
-      let x = lnot b.bitmap.(w) land full_word in
-      let rec bit i = if x land (1 lsl i) <> 0 then i else bit (i + 1) in
-      ((w * bits_per_word) + bit 0, w + 1)
-    end
-    else go (w + 1)
-  in
-  go 0
+  let bitmap = b.bitmap in
+  let w = ref 0 in
+  while !w < Array.length bitmap && bitmap.(!w) = full_word do incr w done;
+  if !w >= Array.length bitmap then
+    invalid_arg "Dyna_soa: scan of non-full block failed";
+  let free = lnot bitmap.(!w) land full_word in
+  let bit = ref 0 in
+  while free land (1 lsl !bit) = 0 do incr bit done;
+  (!w * bits_per_word) + !bit
+
+(* First block of [size] bytes per object in an open-block list. *)
+let rec find_open size = function
+  | [] -> no_block
+  | b :: rest -> if b.obj_bytes = size then b else find_open size rest
+
+(* [blocks] without [b] (a block is open at most once). *)
+let rec drop_block b = function
+  | [] -> []
+  | x :: rest -> if x == b then rest else x :: drop_block b rest
 
 let register_shadow st b slot =
   match st.shadow with
@@ -165,7 +190,7 @@ let register_shadow st b slot =
 
 let grow st ts ~obj_bytes =
   let n = st.block_slots in
-  let name = Printf.sprintf "dyna:%d:%d" ts.type_id (List.length ts.blocks) in
+  let name = Printf.sprintf "dyna:%d:%d" ts.type_id ts.chained in
   let arena =
     Repro_mem.Address_space.reserve st.space ~name
       ~size:(meta_bytes + (obj_bytes * n))
@@ -189,10 +214,15 @@ let grow st ts ~obj_bytes =
       bused = 0;
     }
   in
-  ts.blocks <- b :: ts.blocks;
+  ts.chained <- ts.chained + 1;
   ts.open_blocks <- b :: ts.open_blocks;
-  st.all_blocks <- b :: st.all_blocks;
-  st.sorted_dirty <- true;
+  if st.n_blocks = Array.length st.blocks then begin
+    let grown = Array.make (max 16 (2 * st.n_blocks)) no_block in
+    Array.blit st.blocks 0 grown 0 st.n_blocks;
+    st.blocks <- grown
+  end;
+  st.blocks.(st.n_blocks) <- b;
+  st.n_blocks <- st.n_blocks + 1;
   b
 
 let create_with_summary ?shadow ?(block_slots = default_block_slots)
@@ -208,10 +238,9 @@ let create_with_summary ?shadow ?(block_slots = default_block_slots)
       block_slots;
       hdr_words = header_words;
       by_type = Hashtbl.create 16;
-      all_blocks = [];
-      sorted = [||];
-      sorted_dirty = false;
-      last_block = None;
+      blocks = [||];
+      n_blocks = 0;
+      last_block = no_block;
       objects = 0;
       live = 0;
       used_bytes = 0;
@@ -223,10 +252,10 @@ let create_with_summary ?shadow ?(block_slots = default_block_slots)
     }
   in
   let state_of type_id =
-    match Hashtbl.find_opt st.by_type type_id with
-    | Some ts -> ts
-    | None ->
-      let ts = { type_id; blocks = []; open_blocks = [] } in
+    match Hashtbl.find st.by_type type_id with
+    | ts -> ts
+    | exception Not_found ->
+      let ts = { type_id; chained = 0; open_blocks = [] } in
       Hashtbl.add st.by_type type_id ts;
       ts
   in
@@ -241,17 +270,17 @@ let create_with_summary ?shadow ?(block_slots = default_block_slots)
            size_bytes st.hdr_words Object_model.field_bytes);
     let ts = state_of (Registry.type_id typ) in
     let b =
-      match List.find_opt (fun b -> b.obj_bytes = size_bytes) ts.open_blocks with
-      | Some b -> b
-      | None -> grow st ts ~obj_bytes:size_bytes
+      let b = find_open size_bytes ts.open_blocks in
+      if b == no_block then grow st ts ~obj_bytes:size_bytes else b
     in
-    let slot, words_scanned = find_free_slot b in
+    let slot = find_free_slot b in
+    let words_scanned = (slot / bits_per_word) + 1 in
     let scan = cycles_per_scan_word *. float_of_int words_scanned in
     b.bitmap.(slot / bits_per_word) <-
       b.bitmap.(slot / bits_per_word) lor (1 lsl (slot mod bits_per_word));
     b.bused <- b.bused + 1;
     if b.bused = b.n_slots then
-      ts.open_blocks <- List.filter (fun ob -> ob != b) ts.open_blocks;
+      ts.open_blocks <- drop_block b ts.open_blocks;
     st.objects <- st.objects + 1;
     st.live <- st.live + 1;
     st.used_bytes <- st.used_bytes + size_bytes;
@@ -262,9 +291,10 @@ let create_with_summary ?shadow ?(block_slots = default_block_slots)
   in
   let free ~ptr =
     let a = Vaddr.strip ptr in
-    match find_block st a with
-    | None -> invalid_arg "Dyna_soa.free: address outside every block"
-    | Some b ->
+    let b = find_block st a in
+    if b == no_block then
+      invalid_arg "Dyna_soa.free: address outside every block"
+    else begin
       let slot = slot_of_exn b a ~what:"free" in
       let w = slot / bits_per_word and bit = 1 lsl (slot mod bits_per_word) in
       if b.bitmap.(w) land bit = 0 then
@@ -279,30 +309,28 @@ let create_with_summary ?shadow ?(block_slots = default_block_slots)
       st.live <- st.live - 1;
       st.used_bytes <- st.used_bytes - b.obj_bytes;
       st.free_cycles <- st.free_cycles +. cycles_per_free
+    end
   in
   let field_addr ~obj ~off =
-    match find_block st obj with
-    | Some b ->
-      let slot = slot_of_exn b obj ~what:"field_addr" in
-      addr_in_block b ~slot ~off
-    | None -> obj + off
+    let b = find_block st obj in
+    if b == no_block then obj + off
+    else addr_in_block b ~slot:(slot_of_exn b obj ~what:"field_addr") ~off
   in
+  let all_blocks () = Array.to_list (Array.sub st.blocks 0 st.n_blocks) in
   let regions () =
     List.map
       (fun b ->
         Region.make ~base:b.bbase
           ~limit:(b.bbase + meta_bytes + data_bytes b)
           ~type_id:b.type_id)
-      st.all_blocks
-    |> List.sort Region.compare_base
+      (all_blocks ())
   in
   (* Reservation extents merged across flush-adjacent same-type blocks:
      a chain of blocks reserved back-to-back reports one span, which is
      what lets the translation model promote it to large pages. *)
   let contiguity () =
-    ensure_sorted st;
     let spans = ref [] in
-    Array.iter
+    List.iter
       (fun b ->
         let limit = b.bbase + b.reserved in
         match !spans with
@@ -310,7 +338,7 @@ let create_with_summary ?shadow ?(block_slots = default_block_slots)
           when prev_limit = b.bbase && tid = b.type_id ->
           spans := (base, limit, tid) :: rest
         | _ -> spans := (b.bbase, limit, b.type_id) :: !spans)
-      st.sorted;
+      (all_blocks ());
     List.rev_map
       (fun (base, limit, type_id) -> Region.make ~base ~limit ~type_id)
       !spans
@@ -354,7 +382,7 @@ let create_with_summary ?shadow ?(block_slots = default_block_slots)
         live_slots = 0;
         bitmap_live_slots = 0;
       }
-      st.all_blocks
+      (all_blocks ())
   in
   ( {
       Allocator.name = "dyna";

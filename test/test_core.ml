@@ -522,6 +522,210 @@ let prop_dyna_bitmap_consistent =
       && s.Dyna_soa.bitmap_live_slots = s.Dyna_soa.live_slots
       && (alloc.Allocator.stats ()).Allocator.live_objects = Hashtbl.length live)
 
+(* A naive model of the SoA allocator's lookups, read off the address
+   space: every arena named "dyna:..." is one block of [slots] slots,
+   whose object size and type are those of any object placed in it. An
+   address resolves by a linear scan over those arenas; the storage
+   address of a byte of an object's canonical image is the layout of
+   dyna_soa.mli written out again. *)
+type naive_block = { nbase : int; nsize : int; nobj : int; ntype : int }
+
+let naive_find blocks a =
+  List.find_opt (fun b -> a >= b.nbase && a < b.nbase + b.nsize) blocks
+
+let naive_slot ~slots b a =
+  let off = a - b.nbase - Dyna_soa.meta_bytes in
+  if off < 0 || off mod 8 <> 0 || off / 8 >= slots then None else Some (off / 8)
+
+let naive_field_addr ~hdr_words ~slots blocks ~obj ~off =
+  match naive_find blocks obj with
+  | None -> Ok (obj + off)
+  | Some b -> (
+    match naive_slot ~slots b obj with
+    | None -> Error "Dyna_soa.field_addr: not an object base"
+    | Some slot ->
+      let data = b.nbase + Dyna_soa.meta_bytes and hdr = hdr_words * 8 in
+      if off < hdr then Ok (data + (off / 8 * 8 * slots) + (slot * 8) + (off mod 8))
+      else
+        let f = off - hdr in
+        Ok (data + (hdr * slots) + (f / 4 * 4 * slots) + (slot * 4) + (f mod 4)))
+
+let naive_regions ~slots blocks =
+  List.sort compare
+    (List.map
+       (fun b -> (b.nbase, b.nbase + Dyna_soa.meta_bytes + (b.nobj * slots), b.ntype))
+       blocks)
+
+let naive_contiguity blocks =
+  let sorted = List.sort (fun a b -> compare a.nbase b.nbase) blocks in
+  List.rev
+    (List.fold_left
+       (fun spans b ->
+         match spans with
+         | (base, limit, tid) :: rest when limit = b.nbase && tid = b.ntype ->
+           (base, b.nbase + b.nsize, tid) :: rest
+         | _ -> (b.nbase, b.nbase + b.nsize, b.ntype) :: spans)
+       [] sorted)
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+(* Ops: kind 0-5 allocates an object of type [a mod 3] with [b mod 4]
+   fields, 6-8 frees the [a]-th probe address, 9 reserves a foreign
+   arena, so that blocks are not all adjacent. *)
+let prop_dyna_matches_naive_scan =
+  QCheck.Test.make ~name:"DynaSOA lookups match a linear scan of every block"
+    ~count:100
+    QCheck.(
+      pair (pair (int_range 1 2) (int_range 1 40))
+        (list_of_size (Gen.int_range 1 150)
+           (triple (int_bound 9) small_nat small_nat)))
+    (fun ((hdr_words, slots), ops) ->
+      let _, space, reg, t1, t2 = dummy_registry () in
+      let impl = Registry.register_impl reg ~name:"noop3" (fun _ _ -> ()) in
+      let t3 = Registry.define_type reg ~name:"T3" ~field_words:1 ~slots:[| impl |] () in
+      let types = [| t1; t2; t3 |] in
+      let alloc =
+        Dyna_soa.create ~block_slots:slots ~header_words:hdr_words ~space ()
+      in
+      let fa = Option.get alloc.Allocator.field_addr
+      and free = Option.get alloc.Allocator.free in
+      let owner = Hashtbl.create 16 (* arena base -> (obj bytes, type id) *) in
+      let live = Hashtbl.create 64 and placed = ref [] in
+      let blocks () =
+        List.filter_map
+          (fun (a : Address_space.arena) ->
+            if String.starts_with ~prefix:"dyna:" a.name then
+              let nobj, ntype = Hashtbl.find owner a.base in
+              Some { nbase = a.base; nsize = a.size; nobj; ntype }
+            else None)
+          (Address_space.arenas space)
+      in
+      let probes () =
+        let around =
+          List.concat_map
+            (fun (a : Address_space.arena) ->
+              [ a.base - 1; a.base; a.base + 4; a.base + a.size - 1; a.base + a.size ])
+            (Address_space.arenas space)
+        in
+        List.concat_map (fun p -> [ p; p + 4; p + 8 ]) !placed
+        @ around @ [ 0; 0x1000; Vaddr.va_mask - 1 ]
+      in
+      let expect what model real =
+        if model <> real then
+          QCheck.Test.fail_reportf "%s: model and allocator disagree" what
+      in
+      let check_lookups () =
+        let blocks = blocks () in
+        let max_obj = List.fold_left (fun m b -> max m b.nobj) (hdr_words * 8) blocks in
+        List.iter
+          (fun obj ->
+            for off = 0 to max_obj - 1 do
+              expect "field_addr"
+                (naive_field_addr ~hdr_words ~slots blocks ~obj ~off)
+                (outcome (fun () -> fa ~obj ~off))
+            done)
+          (probes ());
+        expect "regions" (naive_regions ~slots blocks)
+          (List.map
+             (fun r -> (r.Region.base, r.Region.limit, r.Region.type_id))
+             (alloc.Allocator.regions ()));
+        expect "contiguity" (naive_contiguity blocks)
+          (List.map
+             (fun r -> (r.Region.base, r.Region.limit, r.Region.type_id))
+             (alloc.Allocator.contiguity ()))
+      in
+      List.iteri
+        (fun i (kind, a, b) ->
+          (if kind <= 5 then begin
+             let typ = types.(a mod 3) in
+             let size = (hdr_words * 8) + (4 * (b mod 4)) in
+             let p = alloc.Allocator.alloc ~typ ~size_bytes:size in
+             let arena =
+               List.find
+                 (fun (r : Address_space.arena) -> p >= r.base && p < r.base + r.size)
+                 (Address_space.arenas space)
+             in
+             let tid = Registry.type_id typ in
+             (match Hashtbl.find_opt owner arena.base with
+              | None -> Hashtbl.add owner arena.base (size, tid)
+              | Some o -> expect "block holds one size and type" o (size, tid));
+             expect "placed on a free slot" false (Hashtbl.mem live p);
+             Hashtbl.replace live p ();
+             placed := p :: !placed
+           end
+           else if kind <= 8 then begin
+             let pool = probes () in
+             let ptr = List.nth pool (a mod List.length pool) in
+             let model =
+               match naive_find (blocks ()) ptr with
+               | None -> Error "Dyna_soa.free: address outside every block"
+               | Some blk -> (
+                 match naive_slot ~slots blk ptr with
+                 | None -> Error "Dyna_soa.free: not an object base"
+                 | Some _ when not (Hashtbl.mem live ptr) ->
+                   Error "Dyna_soa.free: slot is already free (double free)"
+                 | Some _ -> Ok ())
+             in
+             expect "free" model (outcome (fun () -> free ~ptr));
+             if model = Ok () then Hashtbl.remove live ptr
+           end
+           else
+             ignore
+               (Address_space.reserve space ~name:"foreign" ~size:(4096 * (1 + (a mod 2)))));
+          if i mod 10 = 9 then check_lookups ())
+        ops;
+      check_lookups ();
+      expect "live objects" (Hashtbl.length live)
+        (alloc.Allocator.stats ()).Allocator.live_objects;
+      true)
+
+(* Two types interleaved, so lookups alternate between open blocks. *)
+let dyna_interleaved ~n =
+  let _, space, _, t1, t2 = dummy_registry () in
+  let alloc = Dyna_soa.create ~block_slots:4 ~header_words:2 ~space () in
+  let fa = Option.get alloc.Allocator.field_addr in
+  let objs =
+    Array.init n (fun i ->
+        let p = alloc.Allocator.alloc ~typ:(if i land 1 = 0 then t1 else t2)
+            ~size_bytes:(if i land 1 = 0 then 24 else 32) in
+        (* As construction does: write the new object's headers. *)
+        ignore (fa ~obj:p ~off:0 + fa ~obj:p ~off:8);
+        p)
+  in
+  (fa, objs)
+
+let test_dyna_field_addr_allocates_nothing () =
+  let fa, objs = dyna_interleaved ~n:400 in
+  let n = Array.length objs in
+  let sweep () =
+    let acc = ref 0 in
+    (* Strided visits miss the one-entry cache, neighbours hit it, and
+       [0x1000] lies outside every block. *)
+    for i = 0 to n - 1 do
+      let obj = objs.(i * 7 mod n) in
+      acc := !acc + fa ~obj ~off:16 + fa ~obj ~off:20 + fa ~obj:0x1000 ~off:4
+    done;
+    !acc
+  in
+  let expected = sweep () in
+  let w0 = Gc.minor_words () in
+  let got = sweep () in
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "same addresses" expected got;
+  check (Alcotest.float 0.) "minor words of a field_addr sweep" 0. words
+
+let test_dyna_setup_is_linear () =
+  let minor_words n =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (dyna_interleaved ~n));
+    Gc.minor_words () -. w0
+  in
+  let n = 2000 in
+  let small = minor_words n and large = minor_words (4 * n) in
+  if large >= 5. *. small then
+    Alcotest.failf "%d objects cost %.0f minor words, %d cost %.0f (>= 5x)" n small
+      (4 * n) large
+
 (* --- range table ---------------------------------------------------------- *)
 
 let build_range_table regions_spec =
@@ -947,6 +1151,9 @@ let suite =
     Alcotest.test_case "dyna regions typed and sorted" `Quick
       test_dyna_regions_typed_sorted;
     Alcotest.test_case "dyna feeds shadow heap" `Quick test_dyna_feeds_shadow;
+    Alcotest.test_case "dyna field addr allocates nothing" `Quick
+      test_dyna_field_addr_allocates_nothing;
+    Alcotest.test_case "dyna setup is linear" `Quick test_dyna_setup_is_linear;
     Alcotest.test_case "range table host lookup" `Quick test_range_table_host_lookup;
     Alcotest.test_case "range table lookup emit" `Quick test_range_table_lookup_emit;
     Alcotest.test_case "range table stray address" `Quick
@@ -969,6 +1176,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_shared_oa_address_type_consistency;
     QCheck_alcotest.to_alcotest prop_shared_oa_regions_invariant;
     QCheck_alcotest.to_alcotest prop_dyna_bitmap_consistent;
+    QCheck_alcotest.to_alcotest prop_dyna_matches_naive_scan;
     QCheck_alcotest.to_alcotest prop_range_table_matches_linear_scan;
     QCheck_alcotest.to_alcotest prop_random_programs_technique_invariant;
     QCheck_alcotest.to_alcotest prop_diverge_group_count;

@@ -84,6 +84,56 @@ let test_cells_match_digests () =
     W.Registry.all;
   check Alcotest.int "every recorded cell ran" (List.length Cell_digests.cells) !cells
 
+(* The same pinning for the DynaSOA allocator's columns (Dyna_digests):
+   its block index and field remap must keep every address, and so every
+   counter, checksum and allocator statistic, where they were. *)
+let test_dyna_cells_match_digests () =
+  let columns = [ T.Cuda; T.Shared_oa ] in
+  let cells = ref 0 in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun t ->
+          let name = W.Registry.qualified_name w
+          and column = R.Alloc_family.column_name t R.Alloc_family.Dyna_soa in
+          let p =
+            {
+              (W.Workload.default_params t) with
+              W.Workload.scale = 0.02;
+              alloc = Some R.Alloc_family.Dyna_soa;
+            }
+          in
+          let r = W.Harness.run w p in
+          let got =
+            ( r.W.Harness.result,
+              r.W.Harness.checksum,
+              Dyna_digests.render_alloc_stats r.W.Harness.alloc_stats,
+              Digest.to_hex
+                (Digest.string
+                   (Marshal.to_string (Stats.to_raw r.W.Harness.stats)
+                      [ Marshal.No_sharing ])) )
+          in
+          let expected =
+            List.find_map
+              (fun (w', c', res, sum, a, d) ->
+                if w' = name && c' = column then Some (res, sum, a, d) else None)
+              Dyna_digests.cells
+          in
+          (match expected with
+           | Some e ->
+             let row = Alcotest.(pair (pair int int) (pair string string)) in
+             let split (res, sum, a, d) = ((res, sum), (a, d)) in
+             check row (Printf.sprintf "%s %s" name column) (split e) (split got)
+           | None ->
+             let res, sum, a, d = got in
+             Alcotest.failf "%s %s: no recorded row; got (%S, %S, %d, %d, %S, %S)"
+               name column name column res sum a d);
+          incr cells)
+        columns)
+    W.Registry.all;
+  check Alcotest.int "every recorded DYNA cell ran"
+    (List.length Dyna_digests.cells) !cells
+
 let test_harness_rejects_functional_mismatch () =
   match
     E.Sweep.exec ~scale:1.0 ~workloads:[ treacherous_workload ]
@@ -221,6 +271,8 @@ let suite =
       test_harness_rejects_functional_mismatch;
     Alcotest.test_case "paper cells match recorded digests" `Quick
       test_cells_match_digests;
+    Alcotest.test_case "DYNA cells match recorded digests" `Quick
+      test_dyna_cells_match_digests;
     Alcotest.test_case "harness speedup direction" `Quick test_harness_speedup_direction;
     Alcotest.test_case "workload scaled" `Quick test_workload_scaled;
     Alcotest.test_case "residency waves complete" `Quick test_residency_waves_complete;
