@@ -44,14 +44,10 @@ let cli_error fmt =
       exit 2)
     fmt
 
-let technique_names = X.Request.technique_names
-
 let resolve_technique s =
-  match T.of_string s with
+  match X.Request.technique_of_string s with
   | Ok t -> t
-  | Error _ ->
-    cli_error "unknown technique %S; valid techniques: %s" s
-      (String.concat ", " technique_names)
+  | Error msg -> cli_error "%s" msg
 
 let resolve_workload s =
   match W.Registry.find s with
@@ -112,7 +108,8 @@ let scale_arg =
                  EXPERIMENTS.md.")
 
 let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic input seed.")
+  Arg.(value & opt int W.Workload.default_seed & info [ "seed" ] ~docv:"SEED"
+         ~doc:"Deterministic input seed.")
 
 let iterations_arg =
   checked (fun i -> Option.bind i (X.Request.Spec.count_error "iterations"))
@@ -143,9 +140,10 @@ let csv_arg =
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"PATH"
          ~doc:"Also write the data behind the text output as CSV to $(docv).")
 
-(* All job construction funnels through [Request.Spec] — the same
-   plain-data description the serve protocol carries — so the CLI, the
-   daemon and the bench resolve names and defaults identically. *)
+(* A single job is built through [Request.Spec], the plain-data
+   description the serve protocol carries; a job list comes from
+   [Sweep.jobs]. Both build params with [Job.params], so the CLI, the
+   daemon and the experiments resolve names and defaults identically. *)
 
 let canonical_alloc s = A.name (resolve_alloc s)
 
@@ -168,11 +166,6 @@ let spec_term =
 let resolve_spec spec =
   match X.Request.Spec.resolve spec with
   | Ok job -> job
-  | Error msg -> cli_error "%s" msg
-
-let params_of spec =
-  match X.Request.Spec.to_params spec with
-  | Ok p -> p
   | Error msg -> cli_error "%s" msg
 
 (* --timeline / --window, shared by run and profile. *)
@@ -257,24 +250,41 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the eleven workloads of Table 2.")
     Term.(const run $ const ())
 
-(* --- run ----------------------------------------------------------------- *)
+(* --- run / profile / trace --------------------------------------------------- *)
+
+let workload_doc = "Workload name (see $(b,repro list))."
+
+let technique_doc = "cuda | con | shard | coal | tp | tp-hw | tp/cuda."
+
+(* The single-cell commands' one body. The workload and technique resolve
+   to a job when the command line is evaluated, so a typo exits 2 before
+   anything runs; each command then measures the job under the telemetry
+   it asks for and gets back the job, the run and its wall time. *)
+let cell workload technique =
+  let resolve w t spec =
+    let job = resolve_spec (spec ~workload:w ~technique:t) in
+    fun telemetry ->
+      let t0 = Unix.gettimeofday () in
+      let r =
+        W.Harness.run job.X.Job.workload
+          { job.X.Job.params with W.Workload.telemetry }
+      in
+      (job, r, Unix.gettimeofday () -. t0)
+  in
+  Term.(const resolve $ workload $ technique $ spec_term)
+
+(* -w NAME -t TECH, as run and profile take them; trace takes both as
+   positional arguments. *)
+let cell_flags =
+  cell
+    Arg.(required & opt (some string) None & info [ "w"; "workload" ]
+           ~docv:"NAME" ~doc:workload_doc)
+    Arg.(value & opt string "shard" & info [ "t"; "technique" ] ~docv:"TECH"
+           ~doc:technique_doc)
 
 let run_cmd =
-  let workload =
-    Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~docv:"NAME"
-           ~doc:"Workload name (see $(b,repro list)).")
-  in
-  let technique =
-    Arg.(value & opt string "shard" & info [ "t"; "technique" ] ~docv:"TECH"
-           ~doc:"cuda | con | shard | coal | tp | tp-hw | tp/cuda.")
-  in
-  let run w t spec timeline window =
-    let job = resolve_spec (spec ~workload:w ~technique:t) in
-    let p =
-      { job.X.Job.params with
-        W.Workload.telemetry = sampling_config timeline window }
-    in
-    let r = W.Harness.run job.X.Job.workload p in
+  let run measure timeline window =
+    let _, r, _ = measure (sampling_config timeline window) in
     print_run r;
     (* The full registry breakdown (every metric, including per-label
        stall attribution and store transactions). *)
@@ -284,29 +294,11 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under one technique and print its profile.")
-    Term.(const run $ workload $ technique $ spec_term $ timeline_arg
-          $ window_arg)
-
-(* --- profile --------------------------------------------------------------- *)
+    Term.(const run $ cell_flags $ timeline_arg $ window_arg)
 
 let profile_cmd =
-  let workload =
-    Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~docv:"NAME"
-           ~doc:"Workload name (see $(b,repro list)).")
-  in
-  let technique =
-    Arg.(value & opt string "shard" & info [ "t"; "technique" ] ~docv:"TECH"
-           ~doc:"cuda | con | shard | coal | tp | tp-hw | tp/cuda.")
-  in
-  let run w t spec timeline window json csv =
-    let job = resolve_spec (spec ~workload:w ~technique:t) in
-    let p =
-      { job.X.Job.params with
-        W.Workload.telemetry = sampling_config timeline window }
-    in
-    let t0 = Unix.gettimeofday () in
-    let r = W.Harness.run job.X.Job.workload p in
-    let wall_s = Unix.gettimeofday () -. t0 in
+  let run measure timeline window json csv =
+    let _, r, wall_s = measure (sampling_config timeline window) in
     let profile =
       O.Profile.make ~workload:r.W.Harness.workload
         ~technique:(A.column_name r.W.Harness.technique r.W.Harness.alloc)
@@ -376,19 +368,16 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Run one workload under one technique and print its per-kernel \
              counter timeline (the simulator's nvprof).")
-    Term.(const run $ workload $ technique $ spec_term $ timeline_arg
-          $ window_arg $ json_arg $ csv_arg)
-
-(* --- trace ----------------------------------------------------------------- *)
+    Term.(const run $ cell_flags $ timeline_arg $ window_arg $ json_arg
+          $ csv_arg)
 
 let trace_cmd =
-  let workload =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD"
-           ~doc:"Workload name (see $(b,repro list)).")
-  in
-  let technique =
-    Arg.(value & pos 1 string "shard" & info [] ~docv:"TECH"
-           ~doc:"cuda | con | shard | coal | tp | tp-hw | tp/cuda.")
+  let cell =
+    cell
+      Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD"
+             ~doc:workload_doc)
+      Arg.(value & pos 1 string "shard" & info [] ~docv:"TECH"
+             ~doc:technique_doc)
   in
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
@@ -403,19 +392,16 @@ let trace_cmd =
   let sanitize name =
     String.map (fun c -> if c = '/' || c = ' ' then '_' else c) name
   in
-  let run w t spec window capacity out =
-    let job = resolve_spec (spec ~workload:w ~technique:t) in
-    let column = X.Job.column_name job in
+  let run measure window capacity out =
     if capacity <= 0 then cli_error "capacity must be positive, got %d" capacity;
-    let p =
-      { job.X.Job.params with
-        W.Workload.telemetry =
-          Some
-            { Repro_gpu.Telemetry.window = Some (resolve_window window);
-              trace = true;
-              trace_capacity = capacity } }
+    let job, r, _ =
+      measure
+        (Some
+           { Repro_gpu.Telemetry.window = Some (resolve_window window);
+             trace = true;
+             trace_capacity = capacity })
     in
-    let r = W.Harness.run job.X.Job.workload p in
+    let column = X.Job.column_name job in
     let dump =
       match r.W.Harness.trace with
       | Some d -> d
@@ -465,8 +451,7 @@ let trace_cmd =
              and export a Chrome trace-event JSON (Perfetto-loadable): one \
              track per SM (stall intervals, L1), plus L2, DRAM, kernel \
              spans and windowed counter tracks.")
-    Term.(const run $ workload $ technique $ spec_term $ window_arg $ capacity
-          $ out)
+    Term.(const run $ cell $ window_arg $ capacity $ out)
 
 (* --- compare --------------------------------------------------------------- *)
 
@@ -830,7 +815,7 @@ let check_cmd =
         ~technique:"cuda"
     in
     let scale = spec.X.Request.Spec.scale in
-    let params = params_of spec in
+    let params = (resolve_spec spec).X.Job.params in
     let reports = X.Check.run ~jobs:j ?mutation ~techniques ~params workloads in
     List.iter (Format.printf "%a@." X.Check.pp_report) reports;
     let clean = X.Check.all_clean reports in
@@ -890,6 +875,13 @@ let print_outcome_rows rows =
           wall_s "-" msg)
     rows
 
+(* [repro sweep]'s and [submit --all]'s columns: {!E.Sweep.default_columns}
+   (the figures' sweep, so both hit its cache entries), or with --alloc
+   FAMILY every paper technique over that one family. *)
+let matrix_columns = function
+  | None -> E.Sweep.default_columns
+  | Some fam -> List.map (fun t -> E.Sweep.column ~alloc:fam t) T.all_paper
+
 let sweep_cmd =
   let clear =
     Arg.(value & flag & info [ "clear-cache" ]
@@ -901,19 +893,9 @@ let sweep_cmd =
     if clear then
       Printf.eprintf "cleared %d cached result(s) from %s\n%!"
         (X.Cache.clear ~dir) dir;
-    (* Default: the five paper techniques on their own allocators plus
-       the DYNA column, matching [Sweep.default_columns] so figure/table
-       regeneration hits the same cache entries. --alloc FAMILY instead
-       runs every technique over that one family. *)
-    let jobs =
-      List.map resolve_spec
-        (X.Request.Spec.sweep_matrix
-           ~base:
-             (X.Request.Spec.make
-                ?pages:(Option.map canonical_pages pages)
-                ?alloc:(Option.map canonical_alloc alloc)
-                ~scale ~workload:"" ~technique:"" ()))
-    in
+    let columns = matrix_columns (Option.map resolve_alloc alloc) in
+    let pages = Option.bind pages resolve_pages in
+    let jobs = E.Sweep.jobs ~scale ?pages ~columns () in
     let t0 = Unix.gettimeofday () in
     let outcomes = X.Executor.run ~jobs:j ~cache ~cache_dir:dir jobs in
     let elapsed = Unix.gettimeofday () -. t0 in
@@ -1085,31 +1067,34 @@ let submit_cmd =
   in
   let all =
     Arg.(value & flag & info [ "all" ]
-           ~doc:"Submit the full 11x5 matrix ($(b,repro sweep)'s job list).")
+           ~doc:"Submit the full 11x6 matrix ($(b,repro sweep)'s job list).")
   in
-  let run socket ws ts spec all no_cache quiet json =
-    let base = spec ~workload:"" ~technique:"" in
-    let scale = base.X.Request.Spec.scale in
-    let specs =
-      if all then begin
-        if ws <> [] || ts <> [] then
-          cli_error "pass either --all or -w/-t, not both";
-        X.Request.Spec.sweep_matrix ~base
-      end
-      else if ws = [] then
-        cli_error "nothing to submit: pass -w NAME (repeatable) or --all"
-      else
-        let ts =
-          if ts = [] then List.map X.Request.technique_to_string T.all_paper
-          else ts
-        in
-        X.Request.Spec.matrix ~workloads:ws ~techniques:ts ~base
-    in
+  let run socket ws ts alloc pages scale seed iterations all no_cache quiet
+      json =
+    let alloc = Option.map resolve_alloc alloc in
+    let pages = Option.bind pages resolve_pages in
     (* Resolve locally first: a typo fails here with the usual message
        instead of as a daemon-side batch rejection — and the spec goes
        out normalized (qualified workload, canonical technique name), so
        outcomes echo the same names `repro sweep` prints. *)
-    let jobs = List.map resolve_spec specs in
+    let workloads, columns =
+      if all then begin
+        if ws <> [] || ts <> [] then
+          cli_error "pass either --all or -w/-t, not both";
+        (W.Registry.all, matrix_columns alloc)
+      end
+      else if ws = [] then
+        cli_error "nothing to submit: pass -w NAME (repeatable) or --all"
+      else
+        let workloads = List.map resolve_workload ws in
+        let techniques =
+          if ts = [] then T.all_paper else List.map resolve_technique ts
+        in
+        (workloads, List.map (fun t -> E.Sweep.column ?alloc t) techniques)
+    in
+    let jobs =
+      E.Sweep.jobs ~scale ~seed ?iterations ?pages ~workloads ~columns ()
+    in
     let specs = List.map X.Request.Spec.of_job jobs in
     let specs_arr = Array.of_list specs in
     let n = Array.length specs_arr in
@@ -1189,7 +1174,8 @@ let submit_cmd =
              stream per-job progress, and print the sweep-style table. \
              Results are byte-identical to running the same jobs \
              in-process.")
-    Term.(const run $ socket_arg $ workloads $ techniques $ spec_term $ all
+    Term.(const run $ socket_arg $ workloads $ techniques $ alloc_arg
+          $ pages_arg $ scale_arg $ seed_arg $ iterations_arg $ all
           $ no_cache_arg $ quiet_arg $ json_arg)
 
 let ctl_cmd =

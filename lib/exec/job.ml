@@ -10,6 +10,22 @@ type t = {
 let make workload (params : W.Workload.params) =
   { workload; technique = params.W.Workload.technique; params }
 
+let params ~technique ?alloc ?chunk_objs ?pages ?iterations ~scale ~seed () =
+  {
+    (W.Workload.default_params technique) with
+    W.Workload.scale;
+    seed;
+    iterations;
+    chunk_objs;
+    pages;
+    (* Naming the technique's own family is the same run as leaving it
+       out; [None] keeps the key, and so the cache entry, the same. *)
+    alloc =
+      (match alloc with
+       | Some fam when Repro_core.Alloc_family.is_default technique fam -> None
+       | a -> a);
+  }
+
 let workload_name t = W.Registry.qualified_name t.workload
 
 let column_name t =

@@ -15,6 +15,22 @@ type t = private {
 val make : Repro_workloads.Workload.t -> Repro_workloads.Workload.params -> t
 (** The technique is taken from [params.technique]. *)
 
+val params :
+  technique:Repro_core.Technique.t ->
+  ?alloc:Repro_core.Alloc_family.t ->
+  ?chunk_objs:int ->
+  ?pages:Repro_vm.Policy.t ->
+  ?iterations:int ->
+  scale:float ->
+  seed:int ->
+  unit ->
+  Repro_workloads.Workload.params
+(** A measurement cell's params (no GPU config, sanitizer or telemetry):
+    the one builder behind {!Request.Spec.to_params} and the
+    experiments' sweeps. An [alloc] equal to the technique's default
+    family becomes [None], so a cell named with or without its family has
+    one {!key}. *)
+
 val workload_name : t -> string
 (** Qualified ["suite/name"]. *)
 
@@ -31,9 +47,9 @@ val label : t -> string
 val key : t -> string
 (** A stable, human-readable identity: workload, technique (all tag
     modes distinguished), allocator-family override, scale, seed,
-    iteration override, chunk size, and whether a custom GPU config is
-    attached. Equal keys mean the measurement is reproducibly
-    identical. *)
+    iteration override, chunk size, whether a custom GPU config or a
+    sanitizer is attached, the telemetry settings and the page policy.
+    Equal keys mean the measurement is reproducibly identical. *)
 
 val schema_version : string
 (** The result cache's format version. Cache entries hold a run's

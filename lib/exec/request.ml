@@ -49,13 +49,12 @@ module Spec = struct
      now the same job (schema v2; v1 defaulted an absent scale to 1.0
      while `repro sweep` ran 0.25). *)
   let default_scale = W.Workload.default_scale
-  let default_seed = 42
 
-  let make ?alloc ?(scale = default_scale) ?(seed = default_seed) ?iterations
-      ?chunk_objs ?pages ~workload ~technique () =
+  let make ?alloc ?(scale = default_scale) ?(seed = W.Workload.default_seed)
+      ?iterations ?chunk_objs ?pages ~workload ~technique () =
     (* "none" (the CLI's explicit default) and omission are the same run;
-       canonicalize so the job key and cache agree — the [alloc]
-       canonicalization below plays the same trick. *)
+       canonicalize so the job key and cache agree — [Job.params] plays
+       the same trick on [alloc]. *)
     let pages = match pages with Some "none" -> None | p -> p in
     { workload; technique; alloc; scale; seed; iterations; chunk_objs; pages }
 
@@ -71,11 +70,6 @@ module Spec = struct
       chunk_objs = p.W.Workload.chunk_objs;
       pages = Option.map Repro_vm.Policy.name p.W.Workload.pages;
     }
-
-  let alloc_of_string s =
-    match Repro_core.Alloc_family.of_string s with
-    | Ok fam -> Ok fam
-    | Error msg -> Error msg
 
   (* The numbers every job needs in range; a scale of -1, 0 or 1e400
      would otherwise run (under a fresh cache key each) as whatever the
@@ -96,45 +90,22 @@ module Spec = struct
       ]
 
   let to_params t =
-    match (check_ranges t, technique_of_string t.technique) with
-    | Some msg, _ -> Error msg
-    | None, (Error _ as e) -> e
-    | None, Ok technique -> (
-      let alloc =
-        match t.alloc with
-        | None -> Ok None
-        | Some s -> Result.map Option.some (alloc_of_string s)
-      in
-      match alloc with
-      | Error _ as e -> e
-      | Ok alloc -> (
-        (* Naming the technique's own family explicitly is the same run as
-           leaving it out; canonicalize to [None] so the job key (and so
-           the result cache) agrees. *)
-        let alloc =
-          match alloc with
-          | Some fam when Repro_core.Alloc_family.is_default technique fam ->
-            None
-          | a -> a
-        in
-        let pages =
-          match t.pages with
-          | None -> Ok None
-          | Some s -> Repro_vm.Policy.parse s
-        in
-        match pages with
-        | Error _ as e -> e
-        | Ok pages ->
-          Ok
-            {
-              (W.Workload.default_params technique) with
-              W.Workload.alloc;
-              scale = t.scale;
-              seed = t.seed;
-              iterations = t.iterations;
-              chunk_objs = t.chunk_objs;
-              pages;
-            }))
+    let ( let* ) = Result.bind in
+    let* () =
+      match check_ranges t with Some msg -> Error msg | None -> Ok ()
+    in
+    let* technique = technique_of_string t.technique in
+    let* alloc =
+      match t.alloc with
+      | None -> Ok None
+      | Some s -> Result.map Option.some (Repro_core.Alloc_family.of_string s)
+    in
+    let* pages =
+      match t.pages with None -> Ok None | Some s -> Repro_vm.Policy.parse s
+    in
+    Ok
+      (Job.params ~technique ?alloc ?pages ?iterations:t.iterations
+         ?chunk_objs:t.chunk_objs ~scale:t.scale ~seed:t.seed ())
 
   let resolve t =
     match W.Registry.find t.workload with
@@ -147,31 +118,6 @@ module Spec = struct
       match to_params t with
       | Error _ as e -> e
       | Ok params -> Ok (Job.make w params))
-
-  let matrix ~workloads ~techniques ~base =
-    List.concat_map
-      (fun workload ->
-        List.map
-          (fun technique -> { base with workload; technique })
-          techniques)
-      workloads
-
-  let sweep_matrix ~base =
-    let workloads = List.map W.Registry.qualified_name W.Registry.all in
-    let techniques = List.map technique_to_string T.all_paper in
-    match base.alloc with
-    | Some _ -> matrix ~workloads ~techniques ~base
-    | None ->
-      let dyna =
-        { base with
-          technique = technique_to_string T.Cuda;
-          alloc = Some Repro_core.Alloc_family.(name Dyna_soa) }
-      in
-      List.concat_map
-        (fun workload ->
-          List.map (fun technique -> { base with workload; technique }) techniques
-          @ [ { dyna with workload } ])
-        workloads
 
   let to_json t =
     J.Obj
@@ -230,7 +176,7 @@ module Spec = struct
       technique = D.field "technique" D.string j;
       alloc = D.field_opt "alloc" alloc_decoder j;
       scale = D.field_default "scale" D.float default_scale j;
-      seed = D.field_default "seed" D.int default_seed j;
+      seed = D.field_default "seed" D.int W.Workload.default_seed j;
       iterations = D.field_opt "iterations" D.int j;
       chunk_objs = D.field_opt "chunk_objs" D.int j;
       pages =

@@ -1,11 +1,10 @@
-(** The versioned request surface of the serve protocol — and the single
-    place job descriptions are constructed from names and numbers.
+(** The versioned request surface of the serve protocol.
 
-    Every way of asking this repo to measure something — the [repro]
-    subcommands, the serve daemon's clients, the load-test harness —
-    goes through {!Spec}: a plain-data job description (workload and
-    technique by name, scale, seed, overrides) that resolves to a
-    {!Job.t} with a uniform error message for unknown names. The wire
+    A job named by strings — on the wire, or by one of the [repro]
+    single-job commands — is a {!Spec}: a plain-data job description
+    (workload and technique by name, scale, seed, overrides) that
+    resolves to a {!Job.t} with a uniform error message for unknown names
+    and params from {!Job.params}. The wire
     protocol then wraps specs in an explicit envelope carrying
     {!schema_version}; decoding rejects other versions up front, and a
     malformed message reports the offending field by path (see
@@ -69,7 +68,8 @@ module Spec : sig
     technique:string ->
     unit ->
     t
-  (** Defaults: [scale] {!default_scale}, [seed 42], no overrides. *)
+  (** Defaults: [scale] {!default_scale}, [seed]
+      {!Repro_workloads.Workload.default_seed}, no overrides. *)
 
   val of_job : Job.t -> t
   (** The spec that {!resolve}s back to an equal job (same {!Job.key}).
@@ -88,25 +88,14 @@ module Spec : sig
     t -> (Repro_workloads.Workload.params, string) result
   (** Range-check the numbers — [scale] finite and > 0, [iterations]
       and [chunk_objs] >= 1 when given — then resolve the technique and
-      allocator-family names and build measurement params (no sanitizer,
-      no telemetry). [Error] names the bad field. Every spec the CLI or
-      the wire resolves passes through here. *)
+      allocator-family names and build measurement params with
+      {!Job.params} (no sanitizer, no telemetry). [Error] names the bad
+      field. Every spec the CLI or the wire resolves passes through
+      here. *)
 
   val resolve : t -> (Job.t, string) result
   (** Resolve both names. [Error] reads like ["unknown workload \"GOLF\";
       valid workloads: ..."], matching the CLI's wording. *)
-
-  val matrix :
-    workloads:string list -> techniques:string list -> base:t -> t list
-  (** Workload-major cross product, [base] supplying the numbers. *)
-
-  val sweep_matrix : base:t -> t list
-  (** [repro sweep]'s job list over every registered workload, [base]
-      supplying everything but the workload and technique. With
-      [base.alloc] unset: the five paper techniques on their own
-      allocators plus a CUDA column on the DynaSOAr family (66 jobs, the
-      same jobs as the default figure sweep). With it set: every paper
-      technique over that one family (55 jobs). *)
 
   val to_json : t -> Repro_obs.Json.t
 

@@ -52,29 +52,22 @@ let run_memo memo run jobs =
       | None -> { (Hashtbl.find memo (key job)) with X.Executor.job })
     jobs
 
-let exec ?(scale = default_scale) ?iterations ?seed ?(j = 1) ?(cache = false)
-    ?cache_dir ?(progress = fun _ -> ()) ?memo ?(workloads = W.Registry.all)
+let jobs ?(scale = default_scale) ?iterations ?(seed = W.Workload.default_seed)
+    ?(workloads = W.Registry.all) ?(columns = default_columns) ?pages () =
+  List.concat_map
+    (fun w ->
+      List.map
+        (fun c ->
+          X.Job.make w
+            (X.Job.params ~technique:c.technique ~alloc:c.alloc
+               ?chunk_objs:c.chunk_objs ?pages ?iterations ~scale ~seed ()))
+        columns)
+    workloads
+
+let exec ?scale ?iterations ?seed ?(j = 1) ?(cache = false) ?cache_dir
+    ?(progress = fun _ -> ()) ?memo ?(workloads = W.Registry.all)
     ?(columns = default_columns) ?pages () =
-  let params c =
-    let p = W.Workload.default_params c.technique in
-    {
-      p with
-      W.Workload.scale;
-      iterations;
-      seed = Option.value seed ~default:p.W.Workload.seed;
-      chunk_objs = c.chunk_objs;
-      pages;
-      (* Default families stay [None] so the job key (and cache entry) is
-         the same whether the run came from a technique-only or a
-         column-aware surface. *)
-      alloc = (if A.is_default c.technique c.alloc then None else Some c.alloc);
-    }
-  in
-  let jobs =
-    List.concat_map
-      (fun w -> List.map (fun c -> X.Job.make w (params c)) columns)
-      workloads
-  in
+  let jobs = jobs ?scale ?iterations ?seed ~workloads ~columns ?pages () in
   let run =
     X.Executor.run ~jobs:j ~cache ?cache_dir
       ~progress:(fun job -> progress (X.Job.label job))

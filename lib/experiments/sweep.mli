@@ -54,6 +54,20 @@ type memo
 val memo : unit -> memo
 (** An empty memo. *)
 
+val jobs :
+  ?scale:float ->
+  ?iterations:int ->
+  ?seed:int ->
+  ?workloads:Repro_workloads.Workload.t list ->
+  ?columns:column list ->
+  ?pages:Repro_vm.Policy.t ->
+  unit -> Repro_exec.Job.t list
+(** The sweep's job list, workload-major ([w * n_columns + c]), with
+    {!exec}'s defaults; each cell's params come from
+    {!Repro_exec.Job.params}. [repro sweep] and [repro submit] take their
+    jobs from here, so every surface that names a cell names the same
+    job (and cache entry). *)
+
 val exec :
   ?scale:float ->
   ?iterations:int ->

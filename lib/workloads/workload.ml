@@ -18,9 +18,12 @@ type params = {
    keeps the default CI-cheap; pass --scale 1.0 for paper-scale runs. *)
 let default_scale = 0.25
 
+let default_seed = 42
+
 let default_params technique =
   { technique; alloc = None; scale = 1.0; config = None; chunk_objs = None;
-    iterations = None; seed = 42; san = None; telemetry = None; pages = None }
+    iterations = None; seed = default_seed; san = None; telemetry = None;
+    pages = None }
 
 type instance = {
   rt : Repro_core.Runtime.t;

@@ -34,6 +34,10 @@ type params = {
 
 val default_params : Repro_core.Technique.t -> params
 
+val default_seed : int
+(** The input seed of every surface that is given none (42): the CLI's
+    [--seed], the wire's absent [seed] and {!default_params}. *)
+
 val default_scale : float
 (** The repo-wide default sweep scale (0.25), shared by [repro sweep],
     the wire protocol's absent-[scale] default and the CLI help — one

@@ -6,6 +6,7 @@ module E = Repro_experiments
 module W = Repro_workloads
 module T = Repro_core.Technique
 module A = Repro_core.Alloc_family
+module X = Repro_exec
 
 let check = Alcotest.check
 
@@ -220,6 +221,73 @@ let test_cache_keys () =
         (List.mem field (String.split_on_char '|' key)))
     E.Fig10.chunk_sizes
 
+(* [repro sweep]'s and [submit --all]'s job list: 11 workloads x the
+   five paper columns plus DYNA, or x5 over one family with --alloc;
+   every job keeps the base numbers and goes over the wire (as a spec)
+   and back to the same job. *)
+let test_sweep_matrix () =
+  let jobs = E.Sweep.jobs ~scale:0.02 ~seed:7 ~iterations:1 in
+  let default = jobs () in
+  let one_family =
+    jobs
+      ~columns:
+        (List.map (fun t -> E.Sweep.column ~alloc:A.Shared_oa t) T.all_paper)
+      ()
+  in
+  check Alcotest.int "default matrix: 11 x (5 + DYNA)" 66 (List.length default);
+  check Alcotest.int "--alloc matrix: 11 x 5" 55 (List.length one_family);
+  check Alcotest.int "one DYNA column per workload" 11
+    (List.length
+       (List.filter
+          (fun (j : X.Job.t) ->
+            j.X.Job.params.W.Workload.alloc = Some A.Dyna_soa)
+          default));
+  List.iter
+    (fun (j : X.Job.t) ->
+      let p = j.X.Job.params and label = X.Job.label j in
+      check Alcotest.int (label ^ " seed") 7 p.W.Workload.seed;
+      check Alcotest.(option int) (label ^ " iterations") (Some 1)
+        p.W.Workload.iterations;
+      check (Alcotest.float 0.) (label ^ " scale") 0.02 p.W.Workload.scale;
+      match X.Request.Spec.resolve (X.Request.Spec.of_job j) with
+      | Ok back ->
+        check Alcotest.string (label ^ " wire key") (X.Job.key j) (X.Job.key back)
+      | Error msg -> Alcotest.fail msg)
+    (default @ one_family)
+
+(* The cache file names of every job list the CLI and the figures build,
+   recorded before [Sweep.jobs] replaced the wire layer's own sweep
+   matrix: a change to any job's key or hash, or to the lists' order,
+   moves these digests. *)
+let test_job_identity_golden () =
+  let md5 f jobs =
+    Digest.to_hex (Digest.string (String.concat "\n" (List.map f jobs)))
+  in
+  let family fam = List.map (fun t -> E.Sweep.column ~alloc:fam t) T.all_paper in
+  let small ?pages ?columns () = E.Sweep.jobs ~scale:0.02 ?pages ?columns () in
+  let figure columns = E.Sweep.jobs ~scale:0.02 ~iterations:1 ~columns () in
+  List.iter
+    (fun (name, jobs, n, key, hash) ->
+      check Alcotest.int (name ^ " jobs") n (List.length jobs);
+      check Alcotest.string (name ^ " keys") key (md5 X.Job.key jobs);
+      check Alcotest.string (name ^ " hashes") hash (md5 X.Job.hash jobs))
+    [
+      ( "sweep", small (), 66, "131e05be50dba336a1a03e0186a07514",
+        "af3f895b6d01b3448401375bace41c68" );
+      ( "sweep --alloc shared-oa", small ~columns:(family A.Shared_oa) (), 55,
+        "8a504fbd718fca70cf247ae89f91fcd4", "405318e9034dc83a4302431cfef057c8" );
+      ( "sweep --pages coalesce", small ~pages:Repro_vm.Policy.Coalesce (), 66,
+        "b8e1e7a70072b555ee34573ab4c0a0af", "1619d30b79387790460b523a71c8ef70" );
+      ( "fig10", figure E.Fig10.columns, 77, "d23b339b4cb1b108d5bd16c219d4c0f8",
+        "411443705fc4595b73953edeff8b66a8" );
+      ( "fig11", figure E.Fig11.columns, 33, "0433eae0ebcafac2696d4cbddc7f9949",
+        "286b5e07e5e8ff677330511d82471dae" );
+      ( "init", figure E.Init_bench.columns, 33,
+        "ee77f13fd0743d5bbe49749e9413d0b2", "676a202dcfe2e468e5186dd35f4da882" );
+      ( "ablation", figure E.Ablation.tp_columns, 22,
+        "455ce57710e90c43accf9eef5c64f38d", "e1d102590c3a5d896014eb58ecd84635" );
+    ]
+
 (* One memo across sweeps: a job measured once is served to every later
    sweep that names it, and only new jobs run. *)
 let test_sweep_memo () =
@@ -374,6 +442,10 @@ let suite =
     Alcotest.test_case "fig12 shapes" `Slow test_fig12_shapes;
     Alcotest.test_case "init speedup" `Quick test_init_speedup;
     Alcotest.test_case "cache keys pinned" `Quick test_cache_keys;
+    Alcotest.test_case "sweep matrix keeps the base spec" `Quick
+      test_sweep_matrix;
+    Alcotest.test_case "job lists keep their cache file names" `Quick
+      test_job_identity_golden;
     Alcotest.test_case "sweep memo measures each job once" `Quick test_sweep_memo;
     Alcotest.test_case "fig11 reports its own jobs" `Quick
       test_fig11_reports_progress;

@@ -582,35 +582,6 @@ let test_removed_intern_field_ignored () =
     [ {|"intern":false|}; {|"intern":true|}; {|"intra":false|};
       {|"prealloc_mb":64|} ]
 
-(* [repro sweep]'s (and [submit --all]'s) job list: 11 workloads x the
-   five paper techniques plus the DYNA column, or x5 over one family
-   with --alloc; every job keeps the base spec's numbers. *)
-let test_sweep_matrix () =
-  let base =
-    X.Request.Spec.make ~scale:0.02 ~seed:7 ~iterations:1 ~workload:""
-      ~technique:"" ()
-  in
-  let default = X.Request.Spec.sweep_matrix ~base in
-  let one_family =
-    X.Request.Spec.sweep_matrix ~base:{ base with X.Request.Spec.alloc = Some "shared-oa" }
-  in
-  check Alcotest.int "default matrix: 11 x (5 + DYNA)" 66 (List.length default);
-  check Alcotest.int "--alloc matrix: 11 x 5" 55 (List.length one_family);
-  check Alcotest.int "one DYNA column per workload" 11
-    (List.length
-       (List.filter (fun s -> s.X.Request.Spec.alloc = Some "dyna") default));
-  List.iter
-    (fun (s : X.Request.Spec.t) ->
-      check Alcotest.int (X.Request.Spec.label s ^ " seed") 7 s.X.Request.Spec.seed;
-      check Alcotest.(option int) (X.Request.Spec.label s ^ " iterations")
-        (Some 1) s.X.Request.Spec.iterations;
-      check (Alcotest.float 0.) (X.Request.Spec.label s ^ " scale") 0.02
-        s.X.Request.Spec.scale;
-      match X.Request.Spec.resolve s with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.fail msg)
-    (default @ one_family)
-
 (* --- spec resolution ------------------------------------------------------- *)
 
 let test_spec_resolution () =
@@ -1473,8 +1444,6 @@ let suite =
       test_schema_version_checked;
     Alcotest.test_case "removed intern field is ignored" `Quick
       test_removed_intern_field_ignored;
-    Alcotest.test_case "sweep matrix keeps the base spec" `Quick
-      test_sweep_matrix;
     Alcotest.test_case "spec resolution" `Quick test_spec_resolution;
     Alcotest.test_case "dedup: two clients, one execution" `Quick
       test_dedup_single_execution;
