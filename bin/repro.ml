@@ -890,11 +890,13 @@ let sweep_cmd =
   let run alloc pages scale j no_cache cache_dir clear quiet json =
     let cache = not no_cache in
     let dir = Option.value cache_dir ~default:(X.Cache.default_dir ()) in
+    (* Names first: a bad --alloc/--pages exits 2 before the cache is
+       touched. *)
+    let columns = matrix_columns (Option.map resolve_alloc alloc) in
+    let pages = Option.bind pages resolve_pages in
     if clear then
       Printf.eprintf "cleared %d cached result(s) from %s\n%!"
         (X.Cache.clear ~dir) dir;
-    let columns = matrix_columns (Option.map resolve_alloc alloc) in
-    let pages = Option.bind pages resolve_pages in
     let jobs = E.Sweep.jobs ~scale ?pages ~columns () in
     let t0 = Unix.gettimeofday () in
     let outcomes = X.Executor.run ~jobs:j ~cache ~cache_dir:dir jobs in

@@ -12,7 +12,6 @@ type state = {
   mutable objects : int;
   mutable used_bytes : int;
   mutable reserved_bytes : int;
-  mutable alloc_cycles : float;
 }
 
 let create ?shadow ?(slabs = default_slabs) ?(arena_bytes = 1 lsl 30) ~space () =
@@ -44,7 +43,6 @@ let create ?shadow ?(slabs = default_slabs) ?(arena_bytes = 1 lsl 30) ~space () 
       objects = 0;
       used_bytes = 0;
       reserved_bytes = 0;
-      alloc_cycles = 0.;
     }
   in
   let alloc ~typ ~size_bytes =
@@ -59,7 +57,6 @@ let create ?shadow ?(slabs = default_slabs) ?(arena_bytes = 1 lsl 30) ~space () 
     st.objects <- st.objects + 1;
     st.used_bytes <- st.used_bytes + size_bytes;
     st.reserved_bytes <- st.reserved_bytes + padded;
-    st.alloc_cycles <- st.alloc_cycles +. cycles_per_alloc;
     (match shadow with
      | Some sh ->
        (* The granule padding stays outside the registered extent, so a
@@ -73,7 +70,7 @@ let create ?shadow ?(slabs = default_slabs) ?(arena_bytes = 1 lsl 30) ~space () 
     {
       (Allocator.basic_stats ~objects:st.objects
          ~reserved_bytes:st.reserved_bytes ~used_bytes:st.used_bytes
-         ~alloc_cycles:st.alloc_cycles)
+         ~alloc_cycles:(float_of_int st.objects *. cycles_per_alloc))
       with
       (* All of this family's overhead is granule rounding. *)
       Allocator.padded_bytes = st.reserved_bytes - st.used_bytes;

@@ -29,7 +29,9 @@ type state = {
   shadow : Repro_san.Shadow_heap.t option;
   block_slots : int;
   hdr_words : int;
-  by_type : (int, type_state) Hashtbl.t;
+  (* Indexed by type id (registry ids are small and dense); [no_type]
+     marks a type not seen yet. A lookup allocates nothing. *)
+  mutable by_type : type_state array;
   (* Every block ever chained, in creation order, in [blocks.(0 ..
      n_blocks - 1)]. Creation order is ascending [bbase] order:
      [Address_space.reserve] bumps one cursor upward and never hands an
@@ -47,9 +49,9 @@ type state = {
   mutable used_bytes : int;
   mutable reserved_bytes : int;
   mutable padded_bytes : int;
-  mutable alloc_cycles : float;
-  mutable free_cycles : float;
-  mutable bitmap_scan_cycles : float;
+  (* Modelled costs as integer counts, priced in [stats]: bitmap words
+     scanned by every allocation so far (frees are [objects - live]). *)
+  mutable scanned_words : int;
 }
 
 type block_summary = {
@@ -99,6 +101,8 @@ let no_block =
     bitmap = [||];
     bused = 0;
   }
+
+let no_type = { type_id = -1; chained = 0; open_blocks = [] }
 
 (* Block whose reservation contains the canonical address [a], or
    [no_block]. Allocates nothing: a cache check, then a binary search
@@ -190,7 +194,11 @@ let register_shadow st b slot =
 
 let grow st ts ~obj_bytes =
   let n = st.block_slots in
-  let name = Printf.sprintf "dyna:%d:%d" ts.type_id ts.chained in
+  (* One block per [block_slots] objects: [^] rather than [Printf],
+     which would allocate several times more per block. *)
+  let name =
+    "dyna:" ^ string_of_int ts.type_id ^ ":" ^ string_of_int ts.chained
+  in
   let arena =
     Repro_mem.Address_space.reserve st.space ~name
       ~size:(meta_bytes + (obj_bytes * n))
@@ -237,7 +245,7 @@ let create_with_summary ?shadow ?(block_slots = default_block_slots)
       shadow;
       block_slots;
       hdr_words = header_words;
-      by_type = Hashtbl.create 16;
+      by_type = [||];
       blocks = [||];
       n_blocks = 0;
       last_block = no_block;
@@ -246,18 +254,22 @@ let create_with_summary ?shadow ?(block_slots = default_block_slots)
       used_bytes = 0;
       reserved_bytes = 0;
       padded_bytes = 0;
-      alloc_cycles = 0.;
-      free_cycles = 0.;
-      bitmap_scan_cycles = 0.;
+      scanned_words = 0;
     }
   in
   let state_of type_id =
-    match Hashtbl.find st.by_type type_id with
-    | ts -> ts
-    | exception Not_found ->
+    if type_id < Array.length st.by_type && st.by_type.(type_id) != no_type then
+      st.by_type.(type_id)
+    else begin
+      if type_id >= Array.length st.by_type then begin
+        let grown = Array.make (max 16 (2 * type_id)) no_type in
+        Array.blit st.by_type 0 grown 0 (Array.length st.by_type);
+        st.by_type <- grown
+      end;
       let ts = { type_id; chained = 0; open_blocks = [] } in
-      Hashtbl.add st.by_type type_id ts;
+      st.by_type.(type_id) <- ts;
       ts
+    end
   in
   let alloc ~typ ~size_bytes =
     if size_bytes <= 0 then invalid_arg "Dyna_soa.alloc: size must be positive";
@@ -274,8 +286,6 @@ let create_with_summary ?shadow ?(block_slots = default_block_slots)
       if b == no_block then grow st ts ~obj_bytes:size_bytes else b
     in
     let slot = find_free_slot b in
-    let words_scanned = (slot / bits_per_word) + 1 in
-    let scan = cycles_per_scan_word *. float_of_int words_scanned in
     b.bitmap.(slot / bits_per_word) <-
       b.bitmap.(slot / bits_per_word) lor (1 lsl (slot mod bits_per_word));
     b.bused <- b.bused + 1;
@@ -284,8 +294,7 @@ let create_with_summary ?shadow ?(block_slots = default_block_slots)
     st.objects <- st.objects + 1;
     st.live <- st.live + 1;
     st.used_bytes <- st.used_bytes + size_bytes;
-    st.alloc_cycles <- st.alloc_cycles +. cycles_per_alloc +. scan;
-    st.bitmap_scan_cycles <- st.bitmap_scan_cycles +. scan;
+    st.scanned_words <- st.scanned_words + (slot / bits_per_word) + 1;
     register_shadow st b slot;
     slot_base b slot
   in
@@ -307,8 +316,7 @@ let create_with_summary ?shadow ?(block_slots = default_block_slots)
         ts.open_blocks <- b :: ts.open_blocks
       end;
       st.live <- st.live - 1;
-      st.used_bytes <- st.used_bytes - b.obj_bytes;
-      st.free_cycles <- st.free_cycles +. cycles_per_free
+      st.used_bytes <- st.used_bytes - b.obj_bytes
     end
   in
   let field_addr ~obj ~off =
@@ -343,16 +351,19 @@ let create_with_summary ?shadow ?(block_slots = default_block_slots)
       (fun (base, limit, type_id) -> Region.make ~base ~limit ~type_id)
       !spans
   in
+  (* Every per-operation cost is a whole number of cycles, so these
+     products equal the running float sums they replace bit for bit. *)
   let stats () =
+    let scan = cycles_per_scan_word *. float_of_int st.scanned_words in
     {
       Allocator.objects = st.objects;
       live_objects = st.live;
       reserved_bytes = st.reserved_bytes;
       used_bytes = st.used_bytes;
       padded_bytes = st.padded_bytes;
-      alloc_cycles = st.alloc_cycles;
-      free_cycles = st.free_cycles;
-      bitmap_scan_cycles = st.bitmap_scan_cycles;
+      alloc_cycles = (float_of_int st.objects *. cycles_per_alloc) +. scan;
+      free_cycles = float_of_int (st.objects - st.live) *. cycles_per_free;
+      bitmap_scan_cycles = scan;
     }
   in
   let summary () =

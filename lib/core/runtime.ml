@@ -2,7 +2,6 @@ module Page_store = Repro_mem.Page_store
 module Address_space = Repro_mem.Address_space
 module Vaddr = Repro_mem.Vaddr
 module Device = Repro_gpu.Device
-module Vec = Repro_util.Vec
 
 type t = {
   technique : Technique.t;
@@ -17,7 +16,11 @@ type t = {
   range_table : Range_table.t option;
   dispatch : Dispatch.t;
   san : Repro_san.Checker.t option;
-  allocations : (int * Registry.typ) Vec.t;
+  (* Every allocation in program order: pointer at [2i], type id at
+     [2i + 1]. A plain [int array], so recording one neither allocates
+     nor goes through the write barrier a polymorphic [Vec] pays. *)
+  mutable allocs : int array;
+  mutable n_allocs : int;
   mutable regions_dirty : bool;
   pages : Repro_vm.Policy.t option;
   mutable vm_dirty : bool;
@@ -73,7 +76,8 @@ let create ?config ?(chunk_objs = Shared_oa.default_chunk_objs) ?vt_encoding ?sa
     range_table;
     dispatch;
     san;
-    allocations = Vec.create ();
+    allocs = [||];
+    n_allocs = 0;
     regions_dirty = true;
     pages;
     vm_dirty = pages <> None;
@@ -99,21 +103,21 @@ let ensure_materialized t =
   if not (Registry.materialized t.registry) then
     Registry.materialize t.registry ~vtspace:t.vtspace ~space:t.space
 
+(* Through the object model, not raw [addr + word*8]: an SoA allocator
+   stores each header word in a per-block array. *)
+let store_header t addr word v =
+  Page_store.store t.heap (Object_model.header_addr t.om ~ptr:addr ~word) v
+
 let write_headers t typ addr =
-  (* Through the object model, not raw [addr + word*8]: an SoA allocator
-     stores each header word in a per-block array. *)
-  let store word v =
-    Page_store.store t.heap (Object_model.header_addr t.om ~ptr:addr ~word) v
-  in
   match t.technique with
-  | Technique.Concord -> store 0 (Registry.type_id typ + 1)
-  | Technique.Cuda -> store 0 (Registry.gpu_vtable typ)
+  | Technique.Concord -> store_header t addr 0 (Registry.type_id typ + 1)
+  | Technique.Cuda -> store_header t addr 0 (Registry.gpu_vtable typ)
   | Technique.Type_pointer { on_cuda_alloc = true; _ } ->
-    store 0 (Registry.gpu_vtable typ)
+    store_header t addr 0 (Registry.gpu_vtable typ)
   | Technique.Shared_oa | Technique.Coal
   | Technique.Type_pointer { on_cuda_alloc = false; _ } ->
-    store 0 (Registry.cpu_vtable typ);
-    store 1 (Registry.gpu_vtable typ)
+    store_header t addr 0 (Registry.cpu_vtable typ);
+    store_header t addr 1 (Registry.gpu_vtable typ)
 
 (* Rebuild the translation model from the current address-space layout
    and the allocator's reported contiguity. Called lazily from [launch]
@@ -149,6 +153,17 @@ let vm t = Device.vm t.device
 
 let pages t = t.pages
 
+let record_alloc t ptr typ =
+  let i = 2 * t.n_allocs in
+  if i = Array.length t.allocs then begin
+    let grown = Array.make (max 64 (2 * i)) 0 in
+    for j = 0 to i - 1 do grown.(j) <- t.allocs.(j) done;
+    t.allocs <- grown
+  end;
+  t.allocs.(i) <- ptr;
+  t.allocs.(i + 1) <- Registry.type_id typ;
+  t.n_allocs <- t.n_allocs + 1
+
 let new_obj t typ =
   ensure_materialized t;
   let size_bytes =
@@ -171,18 +186,20 @@ let new_obj t typ =
     end
     else addr
   in
-  Vec.push t.allocations (ptr, typ);
+  record_alloc t ptr typ;
   t.regions_dirty <- true;
-  if t.pages <> None then t.vm_dirty <- true;
+  if Option.is_some t.pages then t.vm_dirty <- true;
   ptr
 
 let new_objs t typ n =
   if n < 0 then invalid_arg "Runtime.new_objs: negative count";
   Array.init n (fun _ -> new_obj t typ)
 
-let n_objects t = Vec.length t.allocations
+let n_objects t = t.n_allocs
 
-let allocations t = Vec.to_array t.allocations
+let allocations t =
+  Array.init t.n_allocs (fun i ->
+      (t.allocs.(2 * i), Registry.find_type t.registry t.allocs.((2 * i) + 1)))
 
 let launch t ~n_threads kernel =
   (match t.range_table with
@@ -236,13 +253,13 @@ let mix h v =
   h land max_int
 
 let checksum t =
-  Vec.fold_left
-    (fun acc (ptr, typ) ->
-      let acc = mix acc (Registry.type_id typ) in
-      let rec fold acc field =
-        if field >= Registry.field_words typ then acc
-        else
-          fold (mix acc (Object_model.field_load_host t.om t.heap ~ptr ~field)) (field + 1)
-      in
-      fold acc 0)
-    0 t.allocations
+  let acc = ref 0 in
+  for i = 0 to t.n_allocs - 1 do
+    let ptr = t.allocs.(2 * i) in
+    let typ = Registry.find_type t.registry t.allocs.((2 * i) + 1) in
+    acc := mix !acc (Registry.type_id typ);
+    for field = 0 to Registry.field_words typ - 1 do
+      acc := mix !acc (Object_model.field_load_host t.om t.heap ~ptr ~field)
+    done
+  done;
+  !acc

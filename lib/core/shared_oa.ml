@@ -17,12 +17,15 @@ type type_state = {
 type state = {
   space : Repro_mem.Address_space.t;
   initial_chunk_objs : int;
-  by_type : (int, type_state) Hashtbl.t;
+  (* Indexed by type id (registry ids are small and dense); [no_type]
+     marks a type not seen yet. A lookup allocates nothing. *)
+  mutable by_type : type_state array;
   mutable objects : int;
   mutable used_bytes : int;
   mutable reserved_bytes : int;
-  mutable alloc_cycles : float;
 }
+
+let no_type = { type_id = -1; chunks = []; next_chunk_objs = 0 }
 
 let grow st ~shadow ts ~size_bytes =
   let objs = ts.next_chunk_objs in
@@ -56,21 +59,26 @@ let create ?shadow ?(chunk_objs = default_chunk_objs) ~space () =
     {
       space;
       initial_chunk_objs = chunk_objs;
-      by_type = Hashtbl.create 16;
+      by_type = [||];
       objects = 0;
       used_bytes = 0;
       reserved_bytes = 0;
-      alloc_cycles = 0.;
     }
   in
   let state_of typ =
     let id = Registry.type_id typ in
-    match Hashtbl.find_opt st.by_type id with
-    | Some ts -> ts
-    | None ->
+    if id < Array.length st.by_type && st.by_type.(id) != no_type then
+      st.by_type.(id)
+    else begin
+      if id >= Array.length st.by_type then begin
+        let grown = Array.make (max 16 (2 * id)) no_type in
+        Array.blit st.by_type 0 grown 0 (Array.length st.by_type);
+        st.by_type <- grown
+      end;
       let ts = { type_id = id; chunks = []; next_chunk_objs = st.initial_chunk_objs } in
-      Hashtbl.add st.by_type id ts;
+      st.by_type.(id) <- ts;
       ts
+    end
   in
   let alloc ~typ ~size_bytes =
     if size_bytes <= 0 then invalid_arg "Shared_oa.alloc: size must be positive";
@@ -83,7 +91,6 @@ let create ?shadow ?(chunk_objs = default_chunk_objs) ~space () =
     head.cursor <- head.cursor + size_bytes;
     st.objects <- st.objects + 1;
     st.used_bytes <- st.used_bytes + size_bytes;
-    st.alloc_cycles <- st.alloc_cycles +. cycles_per_alloc;
     (match shadow with
      | Some sh ->
        Repro_san.Shadow_heap.register sh ~base:addr ~size:size_bytes
@@ -91,35 +98,29 @@ let create ?shadow ?(chunk_objs = default_chunk_objs) ~space () =
      | None -> ());
     addr
   in
-  let regions () =
-    Hashtbl.fold
-      (fun _ ts acc ->
+  (* Every chunk as a region ending at [limit chunk], sorted by base.
+     Unseen type ids hold [no_type], which has no chunks. *)
+  let chunk_regions limit =
+    Array.fold_left
+      (fun acc ts ->
         List.fold_left
           (fun acc chunk ->
-            Region.make ~base:chunk.base ~limit:chunk.limit ~type_id:ts.type_id :: acc)
+            Region.make ~base:chunk.base ~limit:(limit chunk) ~type_id:ts.type_id
+            :: acc)
           acc ts.chunks)
-      st.by_type []
+      [] st.by_type
     |> List.sort Region.compare_base
   in
+  let regions () = chunk_regions (fun chunk -> chunk.limit) in
   (* Reservation extents (chunk base to page-rounded end): unlike
      [regions] they tile the oa:* arenas exactly, which is what the
      translation model needs to promote without partial-page overlap.
      [grow] already merges flush-adjacent reservations of one type. *)
-  let contiguity () =
-    Hashtbl.fold
-      (fun _ ts acc ->
-        List.fold_left
-          (fun acc chunk ->
-            Region.make ~base:chunk.base ~limit:chunk.reserved_end
-              ~type_id:ts.type_id
-            :: acc)
-          acc ts.chunks)
-      st.by_type []
-    |> List.sort Region.compare_base
-  in
+  let contiguity () = chunk_regions (fun chunk -> chunk.reserved_end) in
   let stats () =
     Allocator.basic_stats ~objects:st.objects ~reserved_bytes:st.reserved_bytes
-      ~used_bytes:st.used_bytes ~alloc_cycles:st.alloc_cycles
+      ~used_bytes:st.used_bytes
+      ~alloc_cycles:(float_of_int st.objects *. cycles_per_alloc)
   in
   {
     Allocator.name = "shared-oa";

@@ -144,30 +144,28 @@ let build rule ~default_side (p : Workload.params) =
   in
 
   (* Allocation: per position, cell then its two agents — the natural
-     interleaving a loader produces. *)
+     interleaving a loader produces. Each object's fields are set right
+     after it is placed, while its page is the heap's most recent one. *)
   let om = R.Runtime.object_model rt in
   let heap = R.Runtime.heap rt in
+  let store ptr field v = R.Object_model.field_store_host om heap ~ptr ~field v in
   let cell_ptr = Array.make n_pos 0 in
   let alive_ptr = Array.make n_pos 0 in
   let candidate_ptr = Array.make n_pos 0 in
-  for i = 0 to n_pos - 1 do
-    cell_ptr.(i) <- R.Runtime.new_obj rt cell_t;
-    alive_ptr.(i) <- R.Runtime.new_obj rt alive_t;
-    candidate_ptr.(i) <- R.Runtime.new_obj rt candidate_t
-  done;
   let rng = Rng.create ~seed:p.Workload.seed in
-  Array.iter
-    (fun ptr ->
-      let state = if Rng.int rng 100 < 35 then 1 else 0 in
-      R.Object_model.field_store_host om heap ~ptr ~field:cell_state state;
-      R.Object_model.field_store_host om heap ~ptr ~field:cell_next state)
-    cell_ptr;
-  Array.iteri
-    (fun i ptr -> R.Object_model.field_store_host om heap ~ptr ~field:agent_cell i)
-    alive_ptr;
-  Array.iteri
-    (fun i ptr -> R.Object_model.field_store_host om heap ~ptr ~field:agent_cell i)
-    candidate_ptr;
+  for i = 0 to n_pos - 1 do
+    let cell = R.Runtime.new_obj rt cell_t in
+    cell_ptr.(i) <- cell;
+    let state = if Rng.int rng 100 < 35 then 1 else 0 in
+    store cell cell_state state;
+    store cell cell_next state;
+    let alive = R.Runtime.new_obj rt alive_t in
+    alive_ptr.(i) <- alive;
+    store alive agent_cell i;
+    let candidate = R.Runtime.new_obj rt candidate_t in
+    candidate_ptr.(i) <- candidate;
+    store candidate agent_cell i
+  done;
   cells := Some (Common.garray_of_ptrs rt ~name:"cells" cell_ptr);
   let alive_table = Common.garray_of_ptrs rt ~name:"alive" alive_ptr in
   let candidate_table = Common.garray_of_ptrs rt ~name:"candidates" candidate_ptr in

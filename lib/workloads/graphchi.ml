@@ -158,40 +158,36 @@ let build ~virtual_vertices algorithm (p : Workload.params) =
   in
 
   (* --- allocation (loader order: vertex, then its out-edges) --------- *)
+  (* A walk of the graph's CSR arrays in order. Each object's fields are
+     set right after it is placed, while its page is the heap's most
+     recent one. *)
   let om = R.Runtime.object_model rt in
   let heap = R.Runtime.heap rt in
-  let by_src = Array.make n_vertices [] in
-  Array.iteri
-    (fun e (src, _) -> by_src.(src) <- e :: by_src.(src))
-    graph.Graph.edges;
-  let vertex_ptr = Array.make n_vertices 0 in
-  let edge_ptr = Array.make n_edges 0 in
-  for v = 0 to n_vertices - 1 do
-    vertex_ptr.(v) <- R.Runtime.new_obj rt vertex_t;
-    List.iter
-      (fun e -> edge_ptr.(e) <- R.Runtime.new_obj rt edge_t)
-      (List.rev by_src.(v))
-  done;
+  let store ptr field v = R.Object_model.field_store_host om heap ~ptr ~field v in
   let init_value =
     match algorithm with
     | Bfs -> fun v -> if v = 0 then 0 else infinity_level
     | Cc -> fun v -> v
     | Pagerank -> fun _ -> pr_scale
   in
-  Array.iteri
-    (fun v ptr ->
-      R.Object_model.field_store_host om heap ~ptr ~field:v_value (init_value v);
-      R.Object_model.field_store_host om heap ~ptr ~field:v_next 0;
-      R.Object_model.field_store_host om heap ~ptr ~field:v_degree
-        graph.Graph.out_degree.(v))
-    vertex_ptr;
-  Array.iteri
-    (fun e ptr ->
-      let src, dst = graph.Graph.edges.(e) in
-      R.Object_model.field_store_host om heap ~ptr ~field:e_src src;
-      R.Object_model.field_store_host om heap ~ptr ~field:e_dst dst;
-      R.Object_model.field_store_host om heap ~ptr ~field:e_scratch 0)
-    edge_ptr;
+  let { Graph.out_start; out_edges; out_dst; _ } = graph in
+  let vertex_ptr = Array.make n_vertices 0 in
+  let edge_ptr = Array.make n_edges 0 in
+  for v = 0 to n_vertices - 1 do
+    let ptr = R.Runtime.new_obj rt vertex_t in
+    vertex_ptr.(v) <- ptr;
+    store ptr v_value (init_value v);
+    store ptr v_next 0;
+    store ptr v_degree (Graph.out_degree graph v);
+    for k = out_start.(v) to out_start.(v + 1) - 1 do
+      let e = out_edges.(k) in
+      let ptr = R.Runtime.new_obj rt edge_t in
+      edge_ptr.(e) <- ptr;
+      store ptr e_src v;
+      store ptr e_dst out_dst.(k);
+      store ptr e_scratch 0
+    done
+  done;
   let vptr_table = Common.garray_of_ptrs rt ~name:"vptrs" vertex_ptr in
   vptrs := Some vptr_table;
   let eptr_table = Common.garray_of_ptrs rt ~name:"eptrs" edge_ptr in

@@ -211,8 +211,12 @@ let build (p : Workload.params) =
   in
 
   (* --- allocation: street-construction order interleaves the types --- *)
+  (* Host-side field initialization (untimed, like the paper's init):
+     each object's fields are set right after it is placed, while its
+     page is the heap's most recent one. *)
   let om = R.Runtime.object_model rt in
   let heap = R.Runtime.heap rt in
+  let store ptr field v = R.Object_model.field_store_host om heap ~ptr ~field v in
   let cell_ptr = Array.make n_cells 0 in
   let car_ptr = Array.make n_cars 0 in
   let light_ptr = Array.make n_lights 0 in
@@ -220,56 +224,40 @@ let build (p : Workload.params) =
   let monitor_ptr = Array.make n_monitors 0 in
   let cars_done = ref 0 and lights_done = ref 0 in
   let groups_done = ref 0 and monitors_done = ref 0 in
+  (* Place the next object of a kind: [init ptr i] sets the fields of
+     the kind's [i]-th object. *)
+  let place typ ptrs n_done init =
+    let i = !n_done in
+    let ptr = R.Runtime.new_obj rt typ in
+    ptrs.(i) <- ptr;
+    init ptr i;
+    incr n_done
+  in
+  let init_car ptr i =
+    store ptr car_cell (i * 4 mod n_cells);
+    store ptr car_active (i land 1)
+  in
   for c = 0 to n_cells - 1 do
     let is_producer = c mod 20 = 10 in
-    cell_ptr.(c) <- R.Runtime.new_obj rt (if is_producer then producer_t else cell_t);
-    if c mod 4 = 1 && !cars_done < n_cars then begin
-      car_ptr.(!cars_done) <- R.Runtime.new_obj rt car_t;
-      incr cars_done
-    end;
-    if c mod 40 = 20 && !lights_done < n_lights then begin
-      light_ptr.(!lights_done) <- R.Runtime.new_obj rt light_t;
-      incr lights_done
-    end;
-    if c mod (40 * lights_per_group) = 0 && !groups_done < n_groups then begin
-      group_ptr.(!groups_done) <- R.Runtime.new_obj rt group_t;
-      incr groups_done
-    end;
-    if c mod 160 = 80 && !monitors_done < n_monitors then begin
-      monitor_ptr.(!monitors_done) <- R.Runtime.new_obj rt monitor_t;
-      incr monitors_done
-    end
+    let cell = R.Runtime.new_obj rt (if is_producer then producer_t else cell_t) in
+    cell_ptr.(c) <- cell;
+    store cell c_gate 1;
+    store cell c_index c;
+    if c mod 4 = 1 && !cars_done < n_cars then place car_t car_ptr cars_done init_car;
+    if c mod 40 = 20 && !lights_done < n_lights then
+      place light_t light_ptr lights_done (fun ptr i ->
+          store ptr l_first_cell (i * cells_per_light * 5 mod n_cells));
+    if c mod (40 * lights_per_group) = 0 && !groups_done < n_groups then
+      place group_t group_ptr groups_done (fun ptr i ->
+          store ptr g_first_light (i * lights_per_group mod n_lights));
+    if c mod 160 = 80 && !monitors_done < n_monitors then
+      place monitor_t monitor_ptr monitors_done (fun ptr i ->
+          store ptr m_first_cell (i * 160 mod n_cells);
+          store ptr m_stride 7)
   done;
   while !cars_done < n_cars do
-    car_ptr.(!cars_done) <- R.Runtime.new_obj rt car_t;
-    incr cars_done
+    place car_t car_ptr cars_done init_car
   done;
-  (* Host-side field initialization (untimed, like the paper's init). *)
-  Array.iteri
-    (fun c ptr ->
-      R.Object_model.field_store_host om heap ~ptr ~field:c_gate 1;
-      R.Object_model.field_store_host om heap ~ptr ~field:c_index c)
-    cell_ptr;
-  Array.iteri
-    (fun i ptr ->
-      R.Object_model.field_store_host om heap ~ptr ~field:car_cell (i * 4 mod n_cells);
-      R.Object_model.field_store_host om heap ~ptr ~field:car_active (i land 1))
-    car_ptr;
-  Array.iteri
-    (fun i ptr ->
-      R.Object_model.field_store_host om heap ~ptr ~field:l_first_cell
-        (i * cells_per_light * 5 mod n_cells))
-    light_ptr;
-  Array.iteri
-    (fun i ptr ->
-      R.Object_model.field_store_host om heap ~ptr ~field:g_first_light
-        (i * lights_per_group mod n_lights))
-    group_ptr;
-  Array.iteri
-    (fun i ptr ->
-      R.Object_model.field_store_host om heap ~ptr ~field:m_first_cell (i * 160 mod n_cells);
-      R.Object_model.field_store_host om heap ~ptr ~field:m_stride 7)
-    monitor_ptr;
   cells := Some (Common.garray_of_ptrs rt ~name:"cells" cell_ptr);
   cars := Some (Common.garray_of_ptrs rt ~name:"cars" car_ptr);
   lights := Some (Common.garray_of_ptrs rt ~name:"lights" light_ptr);

@@ -995,6 +995,38 @@ let test_runtime_checksum_reflects_state () =
     ~field:0 99;
   check Alcotest.bool "checksum moves with state" true (before <> Runtime.checksum rt)
 
+(* Constructing an object — placement, headers, tag, the allocation
+   record and the allocator's cost counters — allocates nothing. Any
+   per-object allocation is at least two words (a boxed float, an
+   option, a tuple), so fewer than one minor word per object means none
+   happened; what remains is amortized set-up: SharedOA's doubling
+   chunks and DynaSOA's one block per 64 objects. *)
+let test_new_obj_allocates_nothing () =
+  List.iter
+    (fun technique ->
+      List.iter
+        (fun alloc ->
+          let rt = Runtime.create ~alloc ~technique () in
+          let impl = Runtime.register_impl rt ~name:"f" (fun _ _ -> ()) in
+          let ta = Runtime.define_type rt ~name:"A" ~field_words:3 ~slots:[| impl |] () in
+          let tb = Runtime.define_type rt ~name:"B" ~field_words:2 ~slots:[| impl |] () in
+          (* GraphChi's loader order: one A, then a run of B's. *)
+          let build n =
+            for i = 1 to n do
+              ignore (Runtime.new_obj rt (if i land 7 = 0 then ta else tb))
+            done
+          in
+          build 2_000;
+          let n = 12_000 in
+          let w0 = Gc.minor_words () in
+          build n;
+          let per_obj = (Gc.minor_words () -. w0) /. float_of_int n in
+          if per_obj >= 1. then
+            Alcotest.failf "%s on %s: %.2f minor words per new_obj" (T.name technique)
+              (Alloc_family.name alloc) per_obj)
+        Alloc_family.all)
+    T.all_paper
+
 let test_cross_technique_functional_equality () =
   (* The paper's functional validation: the same program must produce the
      same heap contents under every technique. *)
@@ -1170,6 +1202,7 @@ let suite =
     Alcotest.test_case "runtime concord tag" `Quick test_runtime_concord_tag_header;
     Alcotest.test_case "runtime counts vcalls" `Quick test_runtime_counts_vcalls;
     Alcotest.test_case "runtime checksum" `Quick test_runtime_checksum_reflects_state;
+    Alcotest.test_case "new_obj allocates nothing" `Quick test_new_obj_allocates_nothing;
     Alcotest.test_case "cross-technique equality" `Quick
       test_cross_technique_functional_equality;
     Alcotest.test_case "garray" `Quick test_garray;

@@ -252,6 +252,95 @@ let test_tagged_pointers_never_reach_memory () =
   let r = W.Harness.run w { (tiny 0.05) with W.Workload.technique = T.type_pointer } in
   check Alcotest.bool "ran" true (r.W.Harness.cycles > 0.)
 
+(* --- layout families ------------------------------------------------------ *)
+
+(* Digest of a cell's launches, warp by warp, at scale 0.02: per record
+   its opcode, active lanes, repeat count, blocking flag and, for loads
+   and stores, its sectors. [dispatch:false] drops every record whose
+   label is not [Body]; [dispatch:true] keeps them all. *)
+let stream_digests name technique =
+  let w = Option.get (W.Registry.find name) in
+  let inst =
+    w.W.Workload.build
+      { (W.Workload.default_params technique) with W.Workload.scale = 0.02 }
+  in
+  let rt = inst.W.Workload.rt in
+  let dev = R.Runtime.device rt in
+  R.Runtime.reset_stats rt;
+  Device.retain_traces dev true;
+  for i = 0 to inst.W.Workload.iterations - 1 do
+    inst.W.Workload.run_iteration i
+  done;
+  let module Trace = Repro_gpu.Trace in
+  let body = Label.to_index Label.Body in
+  let digest ~dispatch =
+    let b = Buffer.create 4096 in
+    let add v = Buffer.add_int64_le b (Int64.of_int v) in
+    List.iter
+      (Array.iter (fun t ->
+           let secs = Trace.sector_arena t in
+           let cur = ref 0 in
+           for i = 0 to Trace.length t - 1 do
+             let op = Trace.op t i in
+             let keep = dispatch || Trace.label_index t i = body in
+             if keep then begin
+               add op;
+               add (Trace.active t i);
+               add (Trace.repeat t i);
+               add (if Trace.is_blocking t i then 1 else 0)
+             end;
+             if op = Trace.op_load || op = Trace.op_store then begin
+               let n = secs.(!cur) in
+               if keep then for k = 0 to n do add secs.(!cur + k) done;
+               cur := !cur + 1 + n
+             end
+           done;
+           add (-1)))
+      (Device.retained_traces dev);
+    Digest.string (Buffer.contents b)
+  in
+  (digest ~dispatch:false, digest ~dispatch:true)
+
+(* Whether, within each layout family ({CUDA, Concord} on the CUDA
+   heap with one header word; {SharedOA, COAL, TypePointer} on the
+   SharedOA heap with two), every technique emits the same body stream
+   once dispatch records are dropped. Observed: all of them do. A
+   technique that emitted its own body stream (a different target
+   serialization order, a strip merged into a body record, a tag bit
+   reaching an address) would flip its row. *)
+let family_verdicts =
+  [
+    ("Dynasoar/TRAF", true, true);
+    ("Dynasoar/GOL", true, true);
+    ("Dynasoar/STUT", true, true);
+    ("Dynasoar/GEN", true, true);
+    ("GraphChi-vE/BFS", true, true);
+    ("GraphChi-vE/CC", true, true);
+    ("GraphChi-vE/PR", true, true);
+    ("GraphChi-vEN/BFS", true, true);
+    ("GraphChi-vEN/CC", true, true);
+    ("GraphChi-vEN/PR", true, true);
+    ("RAY/RAY", true, true);
+  ]
+
+let test_family_body_streams () =
+  let verdict name family =
+    let digests = List.map (stream_digests name) family in
+    let all_equal l = List.for_all (( = ) (List.hd l)) l in
+    (* Whole streams always differ inside a family, so an agreement
+       below comes from dropping dispatch, not from identical cells. *)
+    if all_equal (List.map snd digests) then
+      Alcotest.failf "%s: whole streams already agree" name;
+    all_equal (List.map fst digests)
+  in
+  List.iter
+    (fun (name, cuda, shared) ->
+      check Alcotest.bool (name ^ " CUDA family") cuda
+        (verdict name [ T.Cuda; T.Concord ]);
+      check Alcotest.bool (name ^ " SharedOA family") shared
+        (verdict name [ T.Shared_oa; T.Coal; T.type_pointer ]))
+    family_verdicts
+
 let test_v100_like_config_runs () =
   let heap = Page_store.create () in
   let device = Device.create ~config:Config.v100_like ~heap () in
@@ -282,6 +371,8 @@ let suite =
     Alcotest.test_case "allocator footprints" `Quick test_footprints_reflect_allocators;
     Alcotest.test_case "tagged pointers stripped end-to-end" `Quick
       test_tagged_pointers_never_reach_memory;
+    Alcotest.test_case "dispatch-free streams agree within a family" `Quick
+      test_family_body_streams;
     Alcotest.test_case "v100-like config" `Quick test_v100_like_config_runs;
     Alcotest.test_case "config validation" `Quick test_config_validation;
   ]

@@ -18,33 +18,72 @@ let tiny_params ?iterations technique =
 
 (* --- graph generator --------------------------------------------------- *)
 
+(* Every edge as (source, destination), by edge number. *)
+let edge_list g =
+  let edges = Array.make (Graph.n_edges g) (-1, -1) in
+  for v = 0 to g.Graph.n_vertices - 1 do
+    for k = g.Graph.out_start.(v) to g.Graph.out_start.(v + 1) - 1 do
+      edges.(g.Graph.out_edges.(k)) <- (v, g.Graph.out_dst.(k))
+    done
+  done;
+  edges
+
 let test_graph_deterministic () =
+  (* [generate] memoizes its last key, so two calls in a row would
+     compare one graph with itself: the second seed evicts the first,
+     and the third call regenerates it from scratch. *)
   let a = Graph.generate ~seed:11 ~n_vertices:100 ~n_edges:400 () in
-  let b = Graph.generate ~seed:11 ~n_vertices:100 ~n_edges:400 () in
-  check Alcotest.bool "same edges" true (a.Graph.edges = b.Graph.edges);
   let c = Graph.generate ~seed:12 ~n_vertices:100 ~n_edges:400 () in
-  check Alcotest.bool "different seed differs" true (a.Graph.edges <> c.Graph.edges)
+  check Alcotest.bool "different seed differs" true (edge_list a <> edge_list c);
+  let b = Graph.generate ~seed:11 ~n_vertices:100 ~n_edges:400 () in
+  check Alcotest.bool "regenerated, not the memo entry" true (a != b);
+  check Alcotest.bool "same graph" true (a = b)
+
+let test_graph_memo_shares () =
+  let a = Graph.generate ~seed:21 ~n_vertices:80 ~n_edges:300 () in
+  let b = Graph.generate ~seed:21 ~n_vertices:80 ~n_edges:300 () in
+  check Alcotest.bool "a repeated key returns the same graph" true (a == b);
+  (* Any field of the key is part of it. *)
+  let c = Graph.generate ~seed:21 ~n_vertices:80 ~n_edges:301 () in
+  check Alcotest.int "edge count follows the key" 301 (Graph.n_edges c);
+  let d = Graph.generate ~seed:21 ~n_vertices:81 ~n_edges:301 () in
+  check Alcotest.int "vertex count follows the key" 81 d.Graph.n_vertices
 
 let test_graph_shape () =
   let g = Graph.generate ~seed:3 ~n_vertices:50 ~n_edges:300 () in
-  check Alcotest.int "edge count" 300 (Array.length g.Graph.edges);
+  let edges = edge_list g in
+  check Alcotest.int "edge count" 300 (Array.length edges);
   Array.iter
     (fun (s, d) ->
       check Alcotest.bool "in range" true (s >= 0 && s < 50 && d >= 0 && d < 50);
       check Alcotest.bool "no self loop" true (s <> d))
-    g.Graph.edges;
+    edges;
   check Alcotest.int "degrees sum to edges" 300
-    (Array.fold_left ( + ) 0 g.Graph.out_degree);
-  check Alcotest.bool "source has out edges" true (g.Graph.out_degree.(0) > 0)
+    (List.fold_left ( + ) 0 (List.init 50 (Graph.out_degree g)));
+  check Alcotest.bool "source has out edges" true (Graph.out_degree g 0 > 0);
+  (* CSR order: [edge_list] filled every edge number exactly once (no
+     (-1, -1) left above), and each source's edges ascend. *)
+  check Alcotest.(list int) "every edge once" (List.init 300 Fun.id)
+    (List.sort compare (Array.to_list g.Graph.out_edges));
+  for v = 0 to 49 do
+    for k = g.Graph.out_start.(v) + 1 to g.Graph.out_start.(v + 1) - 1 do
+      check Alcotest.bool "ascending within a source" true
+        (g.Graph.out_edges.(k - 1) < g.Graph.out_edges.(k))
+    done
+  done
 
 let test_graph_reachability () =
   let g = Graph.generate ~seed:5 ~n_vertices:30 ~n_edges:100 () in
-  let r1 = Graph.reachable_within g ~source:0 ~hops:1 in
-  let r5 = Graph.reachable_within g ~source:0 ~hops:5 in
-  check Alcotest.bool "source reachable" true r1.(0);
-  Array.iteri
-    (fun v reached -> if reached then check Alcotest.bool "monotone" true r5.(v))
-    r1
+  let reach hops = Graph.reachable_within g ~source:0 ~hops in
+  check Alcotest.bool "source reachable" true (reach 1).(0);
+  (* Round by round: within h + 1 hops is within h hops plus their
+     out-neighbours. *)
+  let edges = edge_list g in
+  for h = 0 to 4 do
+    let expected = Array.copy (reach h) in
+    Array.iter (fun (s, d) -> if (reach h).(s) then expected.(d) <- true) edges;
+    check Alcotest.(array bool) (Printf.sprintf "hop %d" (h + 1)) expected (reach (h + 1))
+  done
 
 (* --- registry ----------------------------------------------------------- *)
 
@@ -277,6 +316,57 @@ let test_no_helper_inside_full_pool () =
   Pool.map ~jobs ~f:(fun () -> ignore (Harness.run w p)) (Array.make (2 * jobs) ())
   |> Array.iter (function Ok () -> () | Error e -> raise e);
   check Alcotest.int "live domains never above the pool" jobs (Atomic.get seen)
+
+(* What a GraphChi build leaves behind: its placement, heap checksum and
+   result after two iterations. *)
+let graphchi_cell (name, technique, seed, scale) =
+  let w = Option.get (W.Registry.find name) in
+  let inst =
+    w.Workload.build
+      { (tiny_params ~iterations:2 technique) with Workload.seed; scale }
+  in
+  for i = 0 to inst.Workload.iterations - 1 do
+    inst.Workload.run_iteration i
+  done;
+  let rt = inst.Workload.rt in
+  ( Array.map
+      (fun (ptr, typ) -> (ptr, R.Registry.type_id typ))
+      (R.Runtime.allocations rt),
+    R.Runtime.checksum rt,
+    inst.Workload.result () )
+
+let test_graphchi_memo_reuse () =
+  let cell = ("GraphChi-vE/PR", T.type_pointer, 42, 0.03) in
+  let first = graphchi_cell cell in
+  let same label = check Alcotest.bool label true (graphchi_cell cell = first) in
+  same "built twice";
+  ignore (graphchi_cell ("GraphChi-vE/PR", T.type_pointer, 7, 0.03));
+  same "after another seed";
+  ignore (graphchi_cell ("GraphChi-vEN/BFS", T.Cuda, 42, 0.05));
+  same "after another scale"
+
+let test_graphchi_parallel_builds () =
+  (* Alternating keys, so the two domains keep replacing each other's
+     memo entry while they build. *)
+  let cells =
+    [|
+      ("GraphChi-vE/BFS", T.Cuda, 42, 0.03);
+      ("GraphChi-vEN/CC", T.Shared_oa, 9, 0.03);
+      ("GraphChi-vE/PR", T.Coal, 42, 0.04);
+      ("GraphChi-vEN/PR", T.type_pointer, 9, 0.03);
+      ("GraphChi-vE/CC", T.Concord, 42, 0.03);
+      ("GraphChi-vEN/BFS", T.Shared_oa, 42, 0.04);
+    |]
+  in
+  let sequential = Array.map graphchi_cell cells in
+  Pool.map ~jobs:2 ~f:graphchi_cell cells
+  |> Array.iteri (fun i r ->
+         match r with
+         | Ok got ->
+           check Alcotest.bool
+             (Printf.sprintf "cell %d agrees with its sequential build" i)
+             true (got = sequential.(i))
+         | Error e -> raise e)
 
 let test_bfs_invariants () =
   let inst = instance_of "GraphChi-vE/BFS" T.Shared_oa in
@@ -515,6 +605,7 @@ let test_harness_find_keyed_runs () =
 let suite =
   [
     Alcotest.test_case "graph deterministic" `Quick test_graph_deterministic;
+    Alcotest.test_case "graph memo shares" `Quick test_graph_memo_shares;
     Alcotest.test_case "harness normalization" `Quick test_harness_normalization;
     Alcotest.test_case "harness keyed runs" `Quick test_harness_find_keyed_runs;
     Alcotest.test_case "graph shape" `Quick test_graph_shape;
@@ -531,6 +622,9 @@ let suite =
       test_sequential_runs_join_helpers;
     Alcotest.test_case "no helper inside a full pool" `Quick
       test_no_helper_inside_full_pool;
+    Alcotest.test_case "graphchi cells reuse the graph" `Quick test_graphchi_memo_reuse;
+    Alcotest.test_case "graphchi builds on two domains" `Quick
+      test_graphchi_parallel_builds;
     Alcotest.test_case "bfs invariants" `Quick test_bfs_invariants;
     Alcotest.test_case "cc invariants" `Quick test_cc_invariants;
     Alcotest.test_case "pr invariants" `Quick test_pr_invariants;
