@@ -83,22 +83,14 @@ let client_thread client_id =
   X.Server.Client.set_timeout c 120.;
   let latencies = ref [] in
   let failures = ref 0 in
-  let expect_batch id =
-    let rec drain () =
-      match X.Server.Client.recv c with
-      | Ok (X.Response.Batch_done { id = bid; _ }) when bid = id -> ()
-      | Ok (X.Response.Error _) | Error _ -> incr failures
-      | Ok _ -> drain ()
-    in
-    drain ()
-  in
   for i = 0 to reqs_per_client - 1 do
     let t0 = Unix.gettimeofday () in
     (match op_of client_id i with
-     | Submit specs ->
+     | Submit specs -> (
        let id = Printf.sprintf "c%d-%d" client_id i in
-       X.Server.Client.send c (X.Request.Submit { id; cache = true; specs });
-       expect_batch id
+       match X.Server.Client.submit c ~id specs with
+       | Ok _ -> ()
+       | Error _ -> incr failures)
      | Query spec -> (
        X.Server.Client.send c (X.Request.Query spec);
        match X.Server.Client.recv c with

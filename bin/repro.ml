@@ -530,13 +530,13 @@ let sweep_of ?alloc ?pages ?memo scale j cache cache_dir =
     E.Sweep.exec ~columns:(sweep_columns alloc) ?pages ~scale ~j ~cache
       ?cache_dir ~progress ?memo ()
   in
-  let outcomes = E.Sweep.outcomes sweep in
-  let cached = List.length (List.filter (fun o -> o.X.Executor.cached) outcomes) in
+  let s =
+    List.fold_left
+      (fun s o -> X.Response.count s (X.Response.outcome_of_executor o))
+      X.Response.no_jobs (E.Sweep.outcomes sweep)
+  in
   Printf.eprintf "sweep: %d jobs (%d measured, %d cached), job time %.2fs\n%!"
-    (List.length outcomes)
-    (List.length outcomes - cached)
-    cached
-    (X.Executor.total_wall_s outcomes);
+    s.jobs s.measured s.cached s.wall_s;
   sweep
 
 let figure_cmd =
@@ -839,41 +839,58 @@ let check_cmd =
 
 (* --- sweep ----------------------------------------------------------------- *)
 
-(* Outcomes are exported in the serve protocol's encoding ({!X.Response}):
-   the "run" object round-trips the full stats bit-exactly, so a sweep
-   written here and a batch fetched from the daemon compare byte for
-   byte. *)
-let outcome_json (o : X.Executor.outcome) =
-  X.Response.outcome_to_json (X.Response.outcome_of_executor o)
-
 let quiet_arg =
   Arg.(value & flag & info [ "q"; "quiet" ]
          ~doc:"Print only the final summary line; job tables and progress \
                go away (pair with $(b,--json) for machine-readable output).")
 
-(* The per-job table shared by sweep and submit. *)
-let print_outcome_rows rows =
-  Printf.printf "%-22s %-8s %-8s %9s %14s %8s %9s\n" "workload" "tech"
-    "status" "wall(s)" "cycles" "Mcyc/s" "Minstr/s";
-  List.iter
-    (fun (name, tech, status, wall_s, result) ->
-      match result with
-      | Ok (r : W.Harness.run) ->
-        let mcyc, minstr =
-          if wall_s > 0. then
-            ( Printf.sprintf "%8.2f" (r.W.Harness.cycles /. wall_s /. 1e6),
-              Printf.sprintf "%9.2f"
-                (float_of_int
-                   (Repro_gpu.Stats.total_instructions r.W.Harness.stats)
-                 /. wall_s /. 1e6) )
-          else (Printf.sprintf "%8s" "-", Printf.sprintf "%9s" "-")
-        in
-        Printf.printf "%-22s %-8s %-8s %9.3f %14.0f %s %s\n" name tech status
-          wall_s r.W.Harness.cycles mcyc minstr
-      | Error msg ->
-        Printf.printf "%-22s %-8s %-8s %9.3f %14s  %s\n" name tech "ERROR"
-          wall_s "-" msg)
-    rows
+(* The one report of a batch, whichever front end answered it: the
+   per-job table, the summary line, the --json document ({!X.Response}'s
+   encoding, so a sweep and a daemon batch compare byte for byte) and
+   the exit status. [answer] returns the summary and the outcomes, which
+   line up with [jobs]; its wall time is the report's [wall_s]. *)
+let report ~where ~scale ~quiet ~json jobs answer =
+  let t0 = Unix.gettimeofday () in
+  let (s : X.Response.summary), outcomes = answer () in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  if not quiet then begin
+    Printf.printf "%-22s %-8s %-8s %9s %14s %8s %9s\n" "workload" "tech"
+      "status" "wall(s)" "cycles" "Mcyc/s" "Minstr/s";
+    List.iter2
+      (fun job (o : X.Response.outcome) ->
+        let name = X.Job.workload_name job and tech = X.Job.column_name job in
+        let wall_s = o.X.Response.wall_s in
+        match o.X.Response.result with
+        | Ok (r : W.Harness.run) ->
+          let mcyc, minstr =
+            if wall_s > 0. then
+              ( Printf.sprintf "%8.2f" (r.W.Harness.cycles /. wall_s /. 1e6),
+                Printf.sprintf "%9.2f"
+                  (float_of_int
+                     (Repro_gpu.Stats.total_instructions r.W.Harness.stats)
+                   /. wall_s /. 1e6) )
+            else (Printf.sprintf "%8s" "-", Printf.sprintf "%9s" "-")
+          in
+          Printf.printf "%-22s %-8s %-8s %9.3f %14.0f %s %s\n" name tech
+            (match X.Response.status o with
+             | Cached -> "cached"
+             | Deduped -> "dedup"
+             | Measured -> "ran")
+            wall_s r.W.Harness.cycles mcyc minstr
+        | Error msg ->
+          Printf.printf "%-22s %-8s %-8s %9.3f %14s  %s\n" name tech "ERROR"
+            wall_s "-" msg)
+      jobs outcomes
+  end;
+  Printf.printf
+    "%d jobs %s: %d measured, %d cached, %d deduped, %d failed; job time \
+     %.2fs, wall %.2fs\n"
+    s.jobs where s.measured s.cached s.deduped s.failed s.wall_s wall_s;
+  Option.iter
+    (fun path ->
+      write_json path (X.Response.report_json ~scale ~wall_s s outcomes))
+    json;
+  if s.failed > 0 then exit 1
 
 (* [repro sweep]'s and [submit --all]'s columns: {!E.Sweep.default_columns}
    (the figures' sweep, so both hit its cache entries), or with --alloc
@@ -898,47 +915,13 @@ let sweep_cmd =
       Printf.eprintf "cleared %d cached result(s) from %s\n%!"
         (X.Cache.clear ~dir) dir;
     let jobs = E.Sweep.jobs ~scale ?pages ~columns () in
-    let t0 = Unix.gettimeofday () in
-    let outcomes = X.Executor.run ~jobs:j ~cache ~cache_dir:dir jobs in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    if not quiet then
-      print_outcome_rows
-        (List.map
-           (fun (o : X.Executor.outcome) ->
-             ( X.Job.workload_name o.X.Executor.job,
-               X.Job.column_name o.X.Executor.job,
-               (if o.X.Executor.cached then "cached" else "ran"),
-               o.X.Executor.wall_s,
-               o.X.Executor.result ))
-           outcomes);
-    let cached =
-      List.length (List.filter (fun o -> o.X.Executor.cached) outcomes)
-    in
-    let failed = List.length (X.Executor.errors outcomes) in
-    Printf.printf
-      "%d jobs on %d worker(s): %d measured, %d cached, %d failed; \
-       job time %.2fs, wall %.2fs\n"
-      (List.length outcomes) j
-      (List.length outcomes - cached)
-      cached failed
-      (X.Executor.total_wall_s outcomes)
-      elapsed;
-    Option.iter
-      (fun path ->
-        write_json path
-          (O.Json.Obj
-             [
-               ("scale", O.Json.Float scale);
-               ("jobs", O.Json.Int (List.length outcomes));
-               ("measured", O.Json.Int (List.length outcomes - cached));
-               ("cached", O.Json.Int cached);
-               ("failed", O.Json.Int failed);
-               ("job_time_s", O.Json.Float (X.Executor.total_wall_s outcomes));
-               ("wall_s", O.Json.Float elapsed);
-               ("outcomes", O.Json.List (List.map outcome_json outcomes));
-             ]))
-      json;
-    if failed > 0 then exit 1
+    report ~where:(Printf.sprintf "on %d worker(s)" j) ~scale ~quiet ~json jobs
+      (fun () ->
+        let outcomes =
+          X.Executor.run ~jobs:j ~cache ~cache_dir:dir jobs
+          |> List.map X.Response.outcome_of_executor
+        in
+        (List.fold_left X.Response.count X.Response.no_jobs outcomes, outcomes))
   in
   let sweep_alloc =
     Arg.(value & opt (some string) None & info [ "alloc" ] ~docv:"FAMILY"
@@ -1097,78 +1080,23 @@ let submit_cmd =
     let jobs =
       E.Sweep.jobs ~scale ~seed ?iterations ?pages ~workloads ~columns ()
     in
-    let specs = List.map X.Request.Spec.of_job jobs in
-    let specs_arr = Array.of_list specs in
-    let n = Array.length specs_arr in
+    let n = List.length jobs in
+    let on_running index spec =
+      if not quiet then
+        Printf.eprintf "  [%d/%d] %s...\n%!" (index + 1) n
+          (X.Request.Spec.label spec)
+    in
     let client = connect socket in
-    let id = Printf.sprintf "cli-%d" (Unix.getpid ()) in
-    X.Server.Client.send client
-      (X.Request.Submit { id; cache = not no_cache; specs });
-    let outcomes = Array.make n None in
-    let summary = ref None in
-    let rec loop () =
-      match X.Server.Client.recv client with
-      | Stdlib.Error msg -> cli_error "server connection lost: %s" msg
-      | Ok (X.Response.Error { message }) ->
-        cli_error "server rejected the batch: %s" message
-      | Ok (X.Response.Ack _) -> loop ()
-      | Ok (X.Response.Running { index; _ }) ->
-        if (not quiet) && index >= 0 && index < n then
-          Printf.eprintf "  [%d/%d] %s...\n%!" (index + 1) n
-            (X.Request.Spec.label specs_arr.(index));
-        loop ()
-      | Ok (X.Response.Job_done { index; outcome; _ }) ->
-        if index >= 0 && index < n then outcomes.(index) <- Some outcome;
-        loop ()
-      | Ok (X.Response.Batch_done
-              { jobs; measured; cached; deduped; failed; wall_s; _ }) ->
-        summary := Some (jobs, measured, cached, deduped, failed, wall_s)
-      | Ok _ -> loop ()
-    in
-    loop ();
-    X.Server.Client.close client;
-    let collected =
-      Array.to_list outcomes |> List.filter_map (fun o -> o)
-    in
-    if List.length collected < n then
-      cli_error "server sent %d of %d results" (List.length collected) n;
-    if not quiet then
-      (* [collected] is in batch-index order, so it lines up with [jobs]. *)
-      print_outcome_rows
-        (List.map2
-           (fun job (o : X.Response.outcome) ->
-             ( o.X.Response.spec.X.Request.Spec.workload,
-               X.Job.column_name job,
-               (if o.X.Response.cached then "cached"
-                else if o.X.Response.deduped then "dedup"
-                else "ran"),
-               o.X.Response.wall_s,
-               o.X.Response.result ))
-           jobs collected);
-    let jobs, measured, cached, deduped, failed, wall_s =
-      match !summary with Some s -> s | None -> assert false
-    in
-    Printf.printf
-      "%d jobs via %s: %d measured, %d cached, %d deduped, %d failed; \
-       job time %.2fs\n"
-      jobs socket measured cached deduped failed wall_s;
-    Option.iter
-      (fun path ->
-        write_json path
-          (O.Json.Obj
-             [
-               ("scale", O.Json.Float scale);
-               ("jobs", O.Json.Int jobs);
-               ("measured", O.Json.Int measured);
-               ("cached", O.Json.Int cached);
-               ("deduped", O.Json.Int deduped);
-               ("failed", O.Json.Int failed);
-               ("job_time_s", O.Json.Float wall_s);
-               ( "outcomes",
-                 O.Json.List (List.map X.Response.outcome_to_json collected) );
-             ]))
-      json;
-    if failed > 0 then exit 1
+    report ~where:("via " ^ socket) ~scale ~quiet ~json jobs (fun () ->
+        match
+          X.Server.Client.submit client ~on_running ~cache:(not no_cache)
+            ~id:(Printf.sprintf "cli-%d" (Unix.getpid ()))
+            (List.map X.Request.Spec.of_job jobs)
+        with
+        | Error msg -> cli_error "%s" msg
+        | Ok (outcomes, summary) ->
+          X.Server.Client.close client;
+          (summary, outcomes))
   in
   Cmd.v
     (Cmd.info "submit"

@@ -43,63 +43,35 @@ let run ?(jobs = 1) ?(cache = false) ?cache_dir ?(progress = fun _ -> ())
   let dir =
     match cache_dir with Some d -> d | None -> Cache.default_dir ()
   in
-  let all = Array.of_list job_list in
-  (* Serve hits up front (cheap, serial), then pool only the misses. *)
-  let hits =
-    Array.map
-      (fun job -> if cache then Cache.lookup ~dir job else None)
-      all
+  (* One step per job, on whichever domain the pool hands it to. *)
+  let step job =
+    match if cache then Cache.lookup ~dir job else None with
+    | Some run -> { job; result = Ok run; wall_s = 0.; cached = true }
+    | None ->
+      progress job;
+      let result, wall_s = timed job in
+      (match result with
+       | Ok run when cache -> Cache.store ~dir job run
+       | Ok _ | Error _ -> ());
+      { job; result; wall_s; cached = false }
   in
-  let miss_idx =
-    Array.to_list all
-    |> List.mapi (fun i _ -> i)
-    |> List.filter (fun i -> hits.(i) = None)
-    |> Array.of_list
-  in
-  let measure i =
-    let job = all.(i) in
-    progress job;
-    timed job
-  in
-  let measured = Repro_util.Pool.map ~jobs ~f:measure miss_idx in
-  let fresh = Hashtbl.create (Array.length miss_idx) in
-  Array.iteri
-    (fun k i ->
-      let result, wall_s =
-        match measured.(k) with
-        | Ok rw -> rw
-        (* [measure] already catches; this arm only fires if the pool
-           machinery itself failed. *)
-        | Error e -> (Error (Printexc.to_string e), 0.)
-      in
-      Hashtbl.replace fresh i (result, wall_s))
-    miss_idx;
-  (* Write-back serially from the calling domain. *)
-  if cache then
-    Hashtbl.iter
-      (fun i (result, _) ->
-        match result with
-        | Ok run -> Cache.store ~dir all.(i) run
-        | Error _ -> ())
-      fresh;
-  Array.to_list
-    (Array.mapi
-       (fun i job ->
-         match hits.(i) with
-         | Some run -> { job; result = Ok run; wall_s = 0.; cached = true }
-         | None ->
-           let result, wall_s = Hashtbl.find fresh i in
-           { job; result; wall_s; cached = false })
-       all)
+  Repro_util.Pool.map ~jobs ~f:step (Array.of_list job_list)
+  |> Array.to_list
+  |> List.map2
+       (fun job -> function
+         | Ok outcome -> outcome
+         (* [step] catches the job's exceptions; this arm only fires if
+            the pool machinery itself failed. *)
+         | Error e ->
+           { job; result = Error (Printexc.to_string e); wall_s = 0.;
+             cached = false })
+       job_list
 
 let ok_exn o =
   match o.result with
   | Ok run -> run
   | Error msg ->
     failwith (Printf.sprintf "job %s failed: %s" (Job.label o.job) msg)
-
-let total_wall_s outcomes =
-  List.fold_left (fun acc o -> acc +. o.wall_s) 0. outcomes
 
 let errors outcomes =
   List.filter_map

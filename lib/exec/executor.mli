@@ -15,8 +15,11 @@
       which changes no result.
     - {b Failure isolation}: a raising job becomes [Error] in its own
       outcome; siblings are unaffected.
-    - {b Caching}: with [~cache:true], hits are served from disk and
-      fresh results written back ({!Cache}). *)
+    - {b Caching}: with [~cache:true], each job is looked up, and on a
+      miss measured and written back, in one step on the domain that
+      runs it ({!Cache}'s atomic rename makes concurrent stores safe).
+      So a list that repeats a cacheable key serves the repeat as a hit
+      at [~jobs:1]. *)
 
 type 'run outcome_of = {
   job : Job.t;
@@ -63,9 +66,9 @@ val measure :
   string outcome_of * (Repro_obs.Svc_metrics.stage * float * float) list
 (** One job through the full cache protocol: serve a hit if [cache],
     else measure it with {!timed} (tests inject [runner] fakes) and
-    write the result back. This is the daemon's per-job step; {!run}
-    keeps its batch shape (hits served up front, misses pooled) for the
-    CLI sweep.
+    write the result back. This is the daemon's per-job step: {!run}'s
+    step in text form ({!run} keeps the decoded run, so an uncached
+    cell is never encoded).
 
     The outcome carries the run as its {!Run_wire.encode} text, never
     decoded: a hit's payload as {!Cache.lookup_text} read it, a miss's
@@ -81,7 +84,5 @@ val measure :
 
 val ok_exn : outcome -> Repro_workloads.Harness.run
 (** The run, or [Failure] with the job label and captured error. *)
-
-val total_wall_s : outcome list -> float
 
 val errors : outcome list -> (Job.t * string) list

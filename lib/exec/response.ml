@@ -6,6 +6,15 @@ module Svc = Repro_obs.Svc_metrics
 
 (* --- Outcomes ------------------------------------------------------------- *)
 
+type summary = {
+  jobs : int;
+  measured : int;
+  cached : int;
+  deduped : int;
+  failed : int;
+  wall_s : float;
+}
+
 type 'run outcome_of = {
   spec : Request.Spec.t;
   cached : bool;
@@ -42,6 +51,39 @@ let outcome_json leaf o =
     | Error msg -> [ ("error", J.String msg) ])
 
 let outcome_to_json = outcome_json Run_wire.run_to_json
+
+type status = Cached | Deduped | Measured
+
+let status (o : _ outcome_of) =
+  if o.cached then Cached else if o.deduped then Deduped else Measured
+
+let no_jobs =
+  { jobs = 0; measured = 0; cached = 0; deduped = 0; failed = 0; wall_s = 0. }
+
+let count (s : summary) (o : _ outcome_of) =
+  let add n st = if status o = st then n + 1 else n in
+  {
+    jobs = s.jobs + 1;
+    measured = add s.measured Measured;
+    cached = add s.cached Cached;
+    deduped = add s.deduped Deduped;
+    failed = (if Result.is_error o.result then s.failed + 1 else s.failed);
+    wall_s = s.wall_s +. o.wall_s;
+  }
+
+let report_json ~scale ~wall_s (s : summary) outcomes =
+  J.Obj
+    [
+      ("scale", J.Float scale);
+      ("jobs", J.Int s.jobs);
+      ("measured", J.Int s.measured);
+      ("cached", J.Int s.cached);
+      ("deduped", J.Int s.deduped);
+      ("failed", J.Int s.failed);
+      ("job_time_s", J.Float s.wall_s);
+      ("wall_s", J.Float wall_s);
+      ("outcomes", J.List (List.map outcome_to_json outcomes));
+    ]
 
 let outcome_decoder j =
   let error = D.field_opt "error" D.string j in
@@ -104,6 +146,18 @@ type t =
   | Pong
   | Bye
   | Error of { message : string }
+
+let batch_done ~id (s : summary) =
+  Batch_done
+    {
+      id;
+      jobs = s.jobs;
+      measured = s.measured;
+      cached = s.cached;
+      deduped = s.deduped;
+      failed = s.failed;
+      wall_s = s.wall_s;
+    }
 
 let envelope typ fields =
   J.Obj

@@ -9,6 +9,16 @@
     that text into the envelope that {!to_line} would build around the
     decoded run, byte for byte. *)
 
+type summary = {
+  jobs : int;
+  measured : int;
+  cached : int;
+  deduped : int;
+  failed : int;
+  wall_s : float;  (** Sum of per-job execution wall times. *)
+}
+(** A batch's tally, as [Batch_done] carries it. *)
+
 type 'run outcome_of = {
   spec : Request.Spec.t;  (** Echo of the job's identity. *)
   cached : bool;          (** Served from the on-disk result cache. *)
@@ -26,6 +36,27 @@ val outcome_of_executor :
   ?deduped:bool -> 'run Executor.outcome_of -> 'run outcome_of
 (** Bridge from the batch executor's outcome record ([deduped] defaults
     to [false] — the in-process executor never dedups). *)
+
+type status = Cached | Deduped | Measured
+
+val status : _ outcome_of -> status
+(** How a job was answered: [Cached] if served from the cache, else
+    [Deduped] if attached to another execution, else [Measured]. This one
+    rule feeds the table's status column, the {!summary} counts and the
+    daemon's batch tally. *)
+
+val no_jobs : summary
+
+val count : summary -> _ outcome_of -> summary
+(** Fold one outcome in: its {!status} count, [failed] when its result
+    is an [Error], and its wall time. *)
+
+val report_json :
+  scale:float -> wall_s:float -> summary -> outcome list -> Repro_obs.Json.t
+(** The [--json] document of [repro sweep] and [repro submit]: the
+    summary's fields ([job_time_s] is its [wall_s]), the client's own
+    wall time as [wall_s], then every outcome in {!outcome_to_json}
+    form. *)
 
 type server_stats = {
   sessions : int;        (** Connected clients. *)
@@ -89,9 +120,9 @@ type t =
           the offending field, or an unresolvable job spec. The
           connection stays up. *)
 
-val outcome_to_json : outcome -> Repro_obs.Json.t
+val batch_done : id:string -> summary -> t
 
-val outcome_decoder : outcome Repro_obs.Json.Decode.decoder
+val outcome_to_json : outcome -> Repro_obs.Json.t
 
 val to_json : t -> Repro_obs.Json.t
 

@@ -275,16 +275,8 @@ let finish_job t (w : waiter) outcome =
           ~index:w.w_index outcome);
     if Session.record_done w.w_session w.w_batch outcome then begin
       send t w.w_session
-        (Response.Batch_done
-           {
-             id = w.w_batch.Session.batch_id;
-             jobs = w.w_batch.Session.total;
-             measured = w.w_batch.Session.measured;
-             cached = w.w_batch.Session.cached;
-             deduped = w.w_batch.Session.deduped;
-             failed = w.w_batch.Session.failed;
-             wall_s = w.w_batch.Session.wall_s;
-           });
+        (Response.batch_done ~id:w.w_batch.Session.batch_id
+           w.w_batch.Session.summary);
       finish_request t ~trace:w.w_batch.Session.trace
         ~t0:w.w_batch.Session.started_at
     end
@@ -388,17 +380,7 @@ let handle_submit t session ~trace ~t0 ~id ~cache ~specs =
     let total = List.length jobs in
     send t session (Response.Ack { id; jobs = total });
     if total = 0 then begin
-      send t session
-        (Response.Batch_done
-           {
-             id;
-             jobs = 0;
-             measured = 0;
-             cached = 0;
-             deduped = 0;
-             failed = 0;
-             wall_s = 0.;
-           });
+      send t session (Response.batch_done ~id Response.no_jobs);
       true
     end
     else begin
@@ -800,6 +782,36 @@ module Client = struct
     | line -> Response.of_line line
     | exception End_of_file -> Error "connection closed"
     | exception Sys_error msg -> Error ("read failed: " ^ msg)
+
+  let submit ?(on_running = fun _ _ -> ()) ?(cache = true) t ~id specs =
+    let by_index = Array.of_list specs in
+    let n = Array.length by_index in
+    let outcomes = Array.make n None in
+    let mine bid index = bid = id && 0 <= index && index < n in
+    let rec loop () =
+      match recv t with
+      | Error msg -> Error ("server connection lost: " ^ msg)
+      | Ok (Response.Error { message }) ->
+        Error ("server rejected the batch: " ^ message)
+      | Ok (Running { id = bid; index }) when mine bid index ->
+        on_running index by_index.(index);
+        loop ()
+      | Ok (Job_done { id = bid; index; outcome }) when mine bid index ->
+        outcomes.(index) <- Some outcome;
+        loop ()
+      | Ok (Batch_done { id = bid; jobs; measured; cached; deduped; failed;
+                         wall_s }) when bid = id ->
+        let got = List.filter_map Fun.id (Array.to_list outcomes) in
+        if List.length got = n then
+          Ok (got, { Response.jobs; measured; cached; deduped; failed; wall_s })
+        else
+          Error
+            (Printf.sprintf "server sent %d of %d results" (List.length got) n)
+      | Ok _ -> loop ()
+    in
+    match send t (Request.Submit { id; cache; specs }) with
+    | () -> loop ()
+    | exception Sys_error msg -> Error ("server connection lost: " ^ msg)
 
   let close t =
     if not t.closed then begin

@@ -117,5 +117,20 @@ module Client : sig
   (** Next response line; [Error] on EOF, timeout, or a line that does
       not decode. *)
 
+  val submit :
+    ?on_running:(int -> Request.Spec.t -> unit) ->
+    ?cache:bool ->
+    t ->
+    id:string ->
+    Request.Spec.t list ->
+    (Response.outcome list * Response.summary, string) result
+  (** Send one [Submit] batch ([cache] defaults to [true]) and read
+      responses until its [Batch_done]: the outcomes in batch-index
+      order, with the daemon's summary. [on_running index spec] fires
+      on each of the batch's [Running] lines; responses to other batch
+      ids are skipped. [Error] when the connection is lost, the batch
+      is rejected (the connection stays usable), or [Batch_done]
+      arrives before every result. *)
+
   val close : t -> unit
 end

@@ -1,12 +1,7 @@
 type batch = {
   batch_id : string;
   total : int;
-  mutable completed : int;
-  mutable measured : int;
-  mutable cached : int;
-  mutable deduped : int;
-  mutable failed : int;
-  mutable wall_s : float;
+  mutable summary : Response.summary;
   mutable trace : int;
   mutable started_at : float;
 }
@@ -83,12 +78,7 @@ let begin_batch t ~id ~total =
     {
       batch_id = id;
       total;
-      completed = 0;
-      measured = 0;
-      cached = 0;
-      deduped = 0;
-      failed = 0;
-      wall_s = 0.;
+      summary = Response.no_jobs;
       trace = 0;
       started_at = 0.;
     }
@@ -96,16 +86,9 @@ let begin_batch t ~id ~total =
   Hashtbl.replace t.batches id batch;
   batch
 
-let record_done t batch (outcome : _ Response.outcome_of) =
-  batch.completed <- batch.completed + 1;
-  (if outcome.Response.cached then batch.cached <- batch.cached + 1
-   else if outcome.Response.deduped then batch.deduped <- batch.deduped + 1
-   else batch.measured <- batch.measured + 1);
-  (match outcome.Response.result with
-   | Error _ -> batch.failed <- batch.failed + 1
-   | Ok _ -> ());
-  batch.wall_s <- batch.wall_s +. outcome.Response.wall_s;
-  let complete = batch.completed >= batch.total in
+let record_done t batch outcome =
+  batch.summary <- Response.count batch.summary outcome;
+  let complete = batch.summary.Response.jobs >= batch.total in
   if complete then Hashtbl.remove t.batches batch.batch_id;
   complete
 

@@ -9,12 +9,8 @@
 type batch = {
   batch_id : string;
   total : int;
-  mutable completed : int;
-  mutable measured : int;
-  mutable cached : int;
-  mutable deduped : int;
-  mutable failed : int;
-  mutable wall_s : float;
+  mutable summary : Response.summary;
+      (** The finished jobs so far, tallied by {!Response.count}. *)
   mutable trace : int;
       (** Trace id of the submit request that opened the batch. *)
   mutable started_at : float;
@@ -54,9 +50,9 @@ val send : t -> string -> unit
 val begin_batch : t -> id:string -> total:int -> batch
 
 val record_done : t -> batch -> _ Response.outcome_of -> bool
-(** Fold one finished job into the batch tally; [true] when it was the
-    batch's last job (the batch is dropped from the table — the caller
-    sends [Batch_done] from the returned counters before dropping its
+(** Fold one finished job into the batch's [summary]; [true] when it was
+    the batch's last job (the batch is dropped from the table — the
+    caller sends [Batch_done] from the summary before dropping its
     reference). *)
 
 val close : t -> unit

@@ -299,6 +299,72 @@ let test_cache_store_is_atomic () =
       check Alcotest.bool "entry reads back" true
         (X.Cache.lookup ~dir job <> None))
 
+(* [Executor.run] stores from its worker domains, so two sweeps over one
+   directory write the same entries at once: a reader polling meanwhile
+   sees each entry whole or not at all, and no temp file outlives the
+   writers. *)
+let test_concurrent_writers_one_dir () =
+  with_temp_cache (fun dir ->
+      let jobs = small_matrix ~seed:13 ~scale:0.02 in
+      let texts =
+        List.map
+          (fun o -> X.Run_wire.encode (X.Executor.ok_exn o))
+          (X.Executor.run jobs)
+      in
+      let writing = Atomic.make true in
+      let reads = Atomic.make 0 and torn = Atomic.make 0 in
+      let reader =
+        Domain.spawn (fun () ->
+            while Atomic.get writing do
+              List.iter2
+                (fun job text ->
+                  match X.Cache.lookup_text ~dir job with
+                  | None -> ()
+                  | Some got ->
+                    Atomic.incr reads;
+                    if got <> text then Atomic.incr torn)
+                jobs texts
+            done)
+      in
+      let writer () =
+        Domain.spawn (fun () ->
+            X.Executor.run ~jobs:2 ~cache:true ~cache_dir:dir jobs)
+      in
+      let w1 = writer () and w2 = writer () in
+      let passes = [ Domain.join w1; Domain.join w2 ] in
+      Atomic.set writing false;
+      Domain.join reader;
+      check Alcotest.bool "both passes succeed" true
+        (List.for_all
+           (fun outcomes -> X.Executor.errors outcomes = [])
+           passes);
+      check Alcotest.int "every read is None or the whole entry" 0
+        (Atomic.get torn);
+      Printf.printf "%d entry reads during the writes\n" (Atomic.get reads);
+      check Alcotest.bool "no temp files left behind" true
+        (Array.for_all
+           (fun f -> not (Filename.check_suffix f ".tmp"))
+           (Sys.readdir dir));
+      check Alcotest.bool "every job hits afterwards" true
+        (List.for_all
+           (fun (o : X.Executor.outcome) -> o.X.Executor.cached)
+           (X.Executor.run ~cache:true ~cache_dir:dir jobs)))
+
+(* Lookup, run and store are one step per job, so at [~jobs:1] a
+   repeated key is served from the entry its first occurrence wrote. *)
+let test_repeated_key_hits_serially () =
+  with_temp_cache (fun dir ->
+      let job = List.hd (small_matrix ~seed:14 ~scale:0.02) in
+      match X.Executor.run ~cache:true ~cache_dir:dir [ job; job ] with
+      | [ first; repeat ] ->
+        check Alcotest.bool "first occurrence measures" false
+          first.X.Executor.cached;
+        check Alcotest.bool "repeat hits" true repeat.X.Executor.cached;
+        check Alcotest.bool "same run" true
+          (fingerprint (X.Executor.ok_exn first)
+           = fingerprint (X.Executor.ok_exn repeat))
+      | _ -> Alcotest.fail "expected two outcomes")
+
 let test_cache_invalidate () =
   with_temp_cache (fun dir ->
       let job = List.hd (small_matrix ~seed:12 ~scale:0.02) in
@@ -349,6 +415,10 @@ let suite =
     Alcotest.test_case "cache tolerates torn writes" `Quick
       test_cache_tolerates_torn_writes;
     Alcotest.test_case "cache store is atomic" `Quick test_cache_store_is_atomic;
+    Alcotest.test_case "concurrent writers on one cache directory" `Quick
+      test_concurrent_writers_one_dir;
+    Alcotest.test_case "a repeated key hits at -j 1" `Quick
+      test_repeated_key_hits_serially;
     Alcotest.test_case "cache invalidate" `Quick test_cache_invalidate;
     Alcotest.test_case "sweep: parallel == serial" `Slow
       test_sweep_exec_parallel_matches_serial;

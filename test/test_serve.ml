@@ -655,21 +655,23 @@ let client socket =
 let submit c ~id specs =
   X.Server.Client.send c (X.Request.Submit { id; cache = true; specs })
 
-(* Read until this batch completes; collect its outcomes by index. *)
-let drain_batch c ~id ~jobs =
-  let outcomes = Array.make (max jobs 1) None in
-  let rec go () =
-    match X.Server.Client.recv c with
-    | Error msg -> Alcotest.failf "recv failed: %s" msg
-    | Ok (X.Response.Error { message }) -> Alcotest.failf "server: %s" message
-    | Ok (X.Response.Job_done { id = bid; index; outcome }) ->
-      if bid = id then outcomes.(index) <- Some outcome;
-      go ()
-    | Ok (X.Response.Batch_done { id = bid; _ }) when bid = id ->
-      Array.to_list outcomes |> List.filter_map Fun.id
-    | Ok _ -> go ()
+(* [Client.submit]'s outcomes, or the test's failure. *)
+let outcomes_of id = function
+  | Ok (outcomes, _) -> outcomes
+  | Error msg -> Alcotest.failf "batch %s: %s" id msg
+
+let submit_wait c ~id specs = outcomes_of id (X.Server.Client.submit c ~id specs)
+
+(* [Client.submit] on its own thread, for clients that must be in flight
+   together; the returned thunk joins it. *)
+let submit_async c ~id specs =
+  let answer = ref (Error "no answer") in
+  let th =
+    Thread.create (fun () -> answer := X.Server.Client.submit c ~id specs) ()
   in
-  go ()
+  fun () ->
+    Thread.join th;
+    outcomes_of id !answer
 
 let spec_traf = X.Request.Spec.make ~scale:0.02 ~workload:"TRAF" ~technique:"tp" ()
 let spec_n seed =
@@ -690,10 +692,10 @@ let test_dedup_single_execution () =
   let runner, order = counting_runner ~delay:0.3 () in
   with_server ~runner ~workers:2 ~cache:true (fun socket ->
       let c1 = client socket and c2 = client socket in
-      submit c1 ~id:"a" [ spec_traf ];
-      submit c2 ~id:"b" [ spec_traf ];
-      let o1 = drain_batch c1 ~id:"a" ~jobs:1 in
-      let o2 = drain_batch c2 ~id:"b" ~jobs:1 in
+      let a = submit_async c1 ~id:"a" [ spec_traf ] in
+      let b = submit_async c2 ~id:"b" [ spec_traf ] in
+      let o1 = a () in
+      let o2 = b () in
       check Alcotest.int "one execution for two submissions" 1
         (List.length (order ()));
       let ok o =
@@ -720,16 +722,12 @@ let test_cache_stampede_protection () =
   let runner, order = counting_runner ~delay:0.3 () in
   with_server ~runner ~workers:4 ~cache:true (fun socket ->
       let cs = List.init 3 (fun _ -> client socket) in
-      List.iteri (fun i c -> submit c ~id:(string_of_int i) [ spec_traf ]) cs;
-      List.iteri
-        (fun i c ->
-          ignore (drain_batch c ~id:(string_of_int i) ~jobs:1);
-          X.Server.Client.close c)
-        cs;
+      List.mapi (fun i c -> submit_async c ~id:(string_of_int i) [ spec_traf ]) cs
+      |> List.iter (fun wait -> ignore (wait ()));
+      List.iter X.Server.Client.close cs;
       check Alcotest.int "stampede ran once" 1 (List.length (order ()));
       let c = client socket in
-      submit c ~id:"late" [ spec_traf ];
-      let late = drain_batch c ~id:"late" ~jobs:1 in
+      let late = submit_wait c ~id:"late" [ spec_traf ] in
       X.Server.Client.close c;
       check Alcotest.bool "late request served from cache" true
         (match late with [ o ] -> o.X.Response.cached | _ -> false);
@@ -742,10 +740,10 @@ let test_disconnect_cancels_queued_only () =
       (* A's first job occupies the only worker; its second is queued. *)
       submit a ~id:"a" [ spec_n 1; spec_n 2 ];
       Thread.delay 0.1;
-      submit b ~id:"b" [ spec_n 3 ];
+      let b_done = submit_async b ~id:"b" [ spec_n 3 ] in
       Thread.delay 0.05;
       X.Server.Client.close a;
-      let ob = drain_batch b ~id:"b" ~jobs:1 in
+      let ob = b_done () in
       check Alcotest.bool "B's job completed" true
         (match ob with
          | [ o ] -> Result.is_ok o.X.Response.result
@@ -769,12 +767,13 @@ let test_fair_queueing () =
   let runner, order = counting_runner ~delay:0.15 () in
   with_server ~runner ~workers:1 ~cache:false (fun socket ->
       let greedy = client socket and polite = client socket in
-      submit greedy ~id:"g" (List.init 6 (fun i -> spec_n (10 + i)));
+      let greedy_done =
+        submit_async greedy ~id:"g" (List.init 6 (fun i -> spec_n (10 + i)))
+      in
       Thread.delay 0.05;
       (* Arrives while the greedy batch monopolizes the queue... *)
-      submit polite ~id:"p" [ spec_n 99 ];
-      ignore (drain_batch polite ~id:"p" ~jobs:1);
-      ignore (drain_batch greedy ~id:"g" ~jobs:6);
+      ignore (submit_wait polite ~id:"p" [ spec_n 99 ]);
+      ignore (greedy_done ());
       let keys = order () in
       let polite_key =
         match X.Request.Spec.resolve (spec_n 99) with
@@ -803,8 +802,7 @@ let test_daemon_byte_identical () =
   with_server ~workers:1 ~cache:false (fun socket ->
       let c = client socket in
       X.Server.Client.set_timeout c 120.;
-      submit c ~id:"real" [ spec_traf ];
-      let outcomes = drain_batch c ~id:"real" ~jobs:1 in
+      let outcomes = submit_wait c ~id:"real" [ spec_traf ] in
       X.Server.Client.close c;
       let remote =
         match outcomes with
@@ -842,8 +840,7 @@ let test_daemon_rewrites_truncated_entry () =
         (fun () ->
           let c = client cfg.X.Server.socket_path in
           let answer id =
-            submit c ~id [ spec_traf ];
-            match drain_batch c ~id ~jobs:1 with
+            match submit_wait c ~id [ spec_traf ] with
             | [ { X.Response.cached; result = Ok r; _ } ] ->
               (cached, X.Run_wire.encode r)
             | _ -> Alcotest.failf "%s: no result" id
@@ -921,6 +918,143 @@ let test_batch_error_reporting () =
       check Alcotest.int "nothing was submitted" 0
         (server_stats socket).X.Response.submitted;
       X.Server.Client.close c)
+
+(* [Client.submit]'s failures are values: a rejected batch names the bad
+   job and leaves the connection answering, and a daemon that stops
+   mid-batch is a lost connection, not a hang or an exception. *)
+let test_client_submit_errors () =
+  with_server ~workers:1 (fun socket ->
+      let c = client socket in
+      (match
+         X.Server.Client.submit c ~id:"bad"
+           [ spec_traf; X.Request.Spec.make ~workload:"NOPE" ~technique:"tp" () ]
+       with
+       | Error msg ->
+         check Alcotest.bool ("names the workload: " ^ msg) true
+           (contains ~sub:{|unknown workload "NOPE"|} msg)
+       | Ok _ -> Alcotest.fail "bad batch was accepted");
+      X.Server.Client.send c X.Request.Ping;
+      (match X.Server.Client.recv c with
+       | Ok X.Response.Pong -> ()
+       | _ -> Alcotest.fail "connection died after a rejected batch");
+      X.Server.Client.close c);
+  let runner, _ = counting_runner ~delay:0.2 () in
+  with_temp_dir (fun cache_dir ->
+      let cfg =
+        { X.Server.socket_path = temp_socket (); workers = 1; cache = false;
+          cache_dir; obs = X.Server.obs_off }
+      in
+      let handle = X.Server.start ~runner cfg in
+      let c = client cfg.X.Server.socket_path in
+      let answer = ref (Ok ([], X.Response.no_jobs)) in
+      let t0 = Unix.gettimeofday () in
+      let th =
+        Thread.create
+          (fun () ->
+            answer :=
+              X.Server.Client.submit c ~id:"cut" (List.init 4 spec_n))
+          ()
+      in
+      Thread.delay 0.1;
+      X.Server.stop handle;
+      Thread.join th;
+      X.Server.Client.close c;
+      match !answer with
+      | Error msg ->
+        check Alcotest.bool ("connection lost: " ^ msg) true
+          (contains ~sub:"server connection lost" msg);
+        check Alcotest.bool "answered before the receive timeout" true
+          (Unix.gettimeofday () -. t0 < 10.)
+      | Ok _ -> Alcotest.fail "a cut batch completed")
+
+(* A submit line trickled one byte per write holds up no one: another
+   client's batch completes in between, and the trickled batch is
+   answered once its newline lands. *)
+let test_byte_at_a_time_submitter () =
+  let runner, _ = counting_runner () in
+  with_server ~runner ~workers:1 (fun socket ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+      let line =
+        X.Request.to_line
+          (X.Request.Submit { id = "slow"; cache = true; specs = [ spec_n 1 ] })
+        ^ "\n"
+      in
+      let trickle lo hi =
+        for i = lo to hi - 1 do
+          ignore (Unix.write_substring fd line i 1);
+          Thread.delay 0.001
+        done
+      in
+      let half = String.length line / 2 in
+      trickle 0 half;
+      let c = client socket in
+      (match submit_wait c ~id:"fast" [ spec_n 2 ] with
+       | [ { X.Response.result = Ok _; _ } ] -> ()
+       | _ -> Alcotest.fail "the other client's batch failed");
+      X.Server.Client.close c;
+      trickle half (String.length line);
+      let ic = Unix.in_channel_of_descr fd in
+      let rec answers acc =
+        match X.Response.of_line (input_line ic) with
+        | Ok (X.Response.Batch_done { id = "slow"; jobs; failed; _ }) ->
+          (List.rev acc, jobs, failed)
+        | Ok r -> answers (r :: acc)
+        | Error msg -> Alcotest.failf "undecodable reply: %s" msg
+      in
+      let replies, jobs, failed = answers [] in
+      close_in ic;
+      check Alcotest.int "trickled batch answered" 1 jobs;
+      check Alcotest.int "and succeeded" 0 failed;
+      check Alcotest.bool "with its job's result" true
+        (List.exists
+           (function
+             | X.Response.Job_done { id = "slow"; index = 0; _ } -> true
+             | _ -> false)
+           replies))
+
+(* The in-process twin of CI's serve smoke: the same jobs through a live
+   daemon and through [Executor.run] give byte-identical runs, the same
+   cells and one report document. *)
+let test_submit_matches_executor () =
+  let specs =
+    [ spec_traf;
+      X.Request.Spec.make ~scale:0.02 ~workload:"GOL" ~technique:"cuda" () ]
+  in
+  let jobs = List.map resolve specs in
+  let local =
+    List.map X.Response.outcome_of_executor (X.Executor.run jobs)
+  in
+  with_server ~workers:1 (fun socket ->
+      let c = client socket in
+      X.Server.Client.set_timeout c 120.;
+      let remote, summary =
+        match X.Server.Client.submit c ~id:"twin" specs with
+        | Ok answer -> answer
+        | Error msg -> Alcotest.fail msg
+      in
+      X.Server.Client.close c;
+      let field key o =
+        match X.Response.outcome_to_json o with
+        | J.Obj fields -> J.to_string (List.assoc key fields)
+        | _ -> Alcotest.fail "outcome is not an object"
+      in
+      check (Alcotest.list Alcotest.string) "same cells"
+        (List.map (field "job") local) (List.map (field "job") remote);
+      check (Alcotest.list Alcotest.string) "byte-identical runs"
+        (List.map (field "run") local) (List.map (field "run") remote);
+      let keys summary outcomes =
+        match
+          X.Response.report_json ~scale:0.02 ~wall_s:0. summary outcomes
+        with
+        | J.Obj fields -> List.map fst fields
+        | _ -> Alcotest.fail "report is not an object"
+      in
+      check (Alcotest.list Alcotest.string) "same document keys"
+        (keys (List.fold_left X.Response.count X.Response.no_jobs local) local)
+        (keys summary remote);
+      check Alcotest.int "daemon measured both" 2 summary.X.Response.measured)
 
 (* --- line framing ------------------------------------------------------------ *)
 
@@ -1138,8 +1272,7 @@ let test_request_histogram_counts_requests () =
            (fun n -> List.mem_assoc n s.X.Response.stages)
            O.Svc_metrics.stage_names);
       (* A submit rides the same accounting: one more request, one run. *)
-      submit c ~id:"x" [ spec_traf ];
-      ignore (drain_batch c ~id:"x" ~jobs:1);
+      ignore (submit_wait c ~id:"x" [ spec_traf ]);
       X.Server.Client.send c X.Request.Stats;
       let s' =
         match X.Server.Client.recv c with
@@ -1168,8 +1301,7 @@ let test_trace_dump_live () =
   let runner, _ = counting_runner () in
   with_server ~runner ~obs:(X.Server.obs_default ()) (fun socket ->
       let c = client socket in
-      submit c ~id:"t" [ spec_traf ];
-      ignore (drain_batch c ~id:"t" ~jobs:1);
+      ignore (submit_wait c ~id:"t" [ spec_traf ]);
       X.Server.Client.send c X.Request.Trace_dump;
       (match X.Server.Client.recv c with
        | Ok (X.Response.Trace_dump { spans; dropped; trace }) ->
@@ -1355,25 +1487,15 @@ let test_raising_runner () =
     (fun (label, obs) ->
       with_server ~runner ~obs (fun socket ->
           let c = client socket in
-          submit c ~id:"boom" [ spec_traf ];
-          let answers = recv_through c is_batch_done in
-          (match
-             List.find_map
-               (function
-                 | X.Response.Job_done { outcome; _ } -> Some outcome
-                 | _ -> None)
-               answers
-           with
-           | Some { X.Response.result = Error msg; _ } ->
+          (match X.Server.Client.submit c ~id:"boom" [ spec_traf ] with
+           | Ok ([ { X.Response.result = Error msg; _ } ], summary) ->
              check Alcotest.bool (label ^ ": error names the exception: " ^ msg)
                true
-               (contains ~sub:"runner exploded" msg)
-           | Some _ -> Alcotest.failf "%s: a raising runner succeeded" label
-           | None -> Alcotest.failf "%s: no job_done" label);
-          (match List.rev answers with
-           | X.Response.Batch_done { failed; _ } :: _ ->
-             check Alcotest.int (label ^ ": batch counts the failure") 1 failed
-           | _ -> Alcotest.failf "%s: no batch_done" label);
+               (contains ~sub:"runner exploded" msg);
+             check Alcotest.int (label ^ ": batch counts the failure") 1
+               summary.X.Response.failed
+           | Ok _ -> Alcotest.failf "%s: a raising runner succeeded" label
+           | Error msg -> Alcotest.failf "%s: %s" label msg);
           X.Server.Client.send c X.Request.Ping;
           (match X.Server.Client.recv c with
            | Ok X.Response.Pong -> ()
@@ -1459,6 +1581,12 @@ let suite =
       test_daemon_rewrites_truncated_entry;
     Alcotest.test_case "batch errors name the job; connection survives" `Quick
       test_batch_error_reporting;
+    Alcotest.test_case "Client.submit: rejection and a stopped daemon are errors"
+      `Quick test_client_submit_errors;
+    Alcotest.test_case "a byte-at-a-time submitter blocks no one" `Quick
+      test_byte_at_a_time_submitter;
+    Alcotest.test_case "Client.submit matches Executor.run" `Quick
+      test_submit_matches_executor;
     QCheck_alcotest.to_alcotest prop_feed_chunking;
     QCheck_alcotest.to_alcotest prop_of_line_bytes;
     QCheck_alcotest.to_alcotest prop_of_line_mutations;
