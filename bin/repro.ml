@@ -5,20 +5,19 @@
      repro profile -w TRAF -t tp        per-kernel counter timeline
      repro trace TRAF tp                Chrome-trace export (Perfetto)
      repro compare -w GOL               one workload under all techniques
-     repro figure 6 9                   regenerate figures (1b, 6..12b, dram, tlb)
-     repro table 2                      regenerate a table (1 or 2)
+     repro figure 6 table2              regenerate paper artifacts (1b, table1,
+                                        table2, 6..12b, init, ablation) or the
+                                        companion series (dram, tlb)
      repro sweep                        the full job matrix, with timings
      repro check --all                  sanitizer + cross-technique dispatch oracle
-     repro init                         the Sec. 8.2 allocation comparison
-     repro ablation                     TypePointer mode and encoding ablations
      repro serve                        the sweep daemon (PROTOCOL.md)
      repro submit -w TRAF               send a job batch to the daemon
      repro ctl stats                    poke the daemon (ping, stats, query, ...)
 
    Measurement commands take -j N (parallel sweep over N domains; the
    output is byte-identical at any N) and cache results on disk so that
-   consecutive figure/table regenerations measure once; --no-cache
-   forces re-measurement. figure/table/sweep/compare/profile take
+   consecutive figure regenerations measure once; --no-cache
+   forces re-measurement. figure/sweep/compare/profile take
    --json PATH (and profile/figure also --csv PATH) to export the exact
    data behind the text rendering. *)
 
@@ -98,6 +97,10 @@ let pages_arg =
 let checked error arg =
   Term.(const (fun v -> Option.iter (cli_error "%s") (error v); v) $ arg)
 
+let at_least lo name n =
+  if n < lo then Some (Printf.sprintf "%s must be >= %d, got %d" name lo n)
+  else None
+
 let scale_arg =
   checked X.Request.Spec.scale_error
     Arg.(value & opt float E.Sweep.default_scale & info [ "s"; "scale" ] ~docv:"SCALE"
@@ -117,10 +120,12 @@ let iterations_arg =
            ~doc:"Override the workload's compute-iteration count.")
 
 let jobs_arg =
-  Arg.(value & opt int (X.Executor.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Measure on $(docv) worker domains (default: the number of \
-               cores). Results and output are byte-identical at any N; \
-               1 reproduces the serial sweep.")
+  checked (at_least 1 "jobs")
+    Arg.(value & opt int (X.Executor.default_jobs ()) & info [ "j"; "jobs" ]
+           ~docv:"N"
+           ~doc:"Measure on $(docv) worker domains (default: the number of \
+                 cores). Results and output are byte-identical at any N; \
+                 1 reproduces the serial sweep.")
 
 let no_cache_arg =
   Arg.(value & flag & info [ "no-cache" ]
@@ -177,15 +182,12 @@ let timeline_arg =
                reproduce the run totals bit-for-bit).")
 
 let window_arg =
-  Arg.(value & opt (some int) None & info [ "window" ] ~docv:"N"
-         ~doc:"Sampling window in cycles (implies $(b,--timeline); \
-               default 1024).")
+  checked (fun w -> Option.bind w (at_least 1 "window"))
+    Arg.(value & opt (some int) None & info [ "window" ] ~docv:"N"
+           ~doc:"Sampling window in cycles (implies $(b,--timeline); \
+                 default 1024).")
 
-let resolve_window window =
-  match window with
-  | Some n when n <= 0 -> cli_error "window must be positive, got %d" n
-  | Some n -> n
-  | None -> Repro_gpu.Telemetry.default_window
+let resolve_window = Option.value ~default:Repro_gpu.Telemetry.default_window
 
 (* [None] when neither flag was given, so the measurement stays on the
    zero-allocation replay path. *)
@@ -384,16 +386,16 @@ let trace_cmd =
            ~doc:"Output path (default: trace_<workload>_<technique>.json).")
   in
   let capacity =
-    Arg.(value & opt int Repro_gpu.Telemetry.default_capacity
-         & info [ "capacity" ] ~docv:"N"
-             ~doc:"Event-ring size; when the run emits more events the \
-                   oldest are dropped (reported as trace.dropped).")
+    checked (at_least 1 "capacity")
+      Arg.(value & opt int Repro_gpu.Telemetry.default_capacity
+           & info [ "capacity" ] ~docv:"N"
+               ~doc:"Event-ring size; when the run emits more events the \
+                     oldest are dropped (reported as trace.dropped).")
   in
   let sanitize name =
     String.map (fun c -> if c = '/' || c = ' ' then '_' else c) name
   in
   let run measure window capacity out =
-    if capacity <= 0 then cli_error "capacity must be positive, got %d" capacity;
     let job, r, _ =
       measure
         (Some
@@ -508,9 +510,9 @@ let compare_cmd =
        ~doc:"Run one workload under all five techniques (validating results agree).")
     Term.(const run $ workload $ scale_arg $ seed_arg $ iterations_arg $ json_arg)
 
-(* --- figure / table --------------------------------------------------------- *)
+(* --- figure ------------------------------------------------------------------ *)
 
-(* The figure/table sweep. --alloc picks the family of the extra
+(* The figures' shared sweep. --alloc picks the family of the extra
    CUDA-dispatch comparison column appended to the five paper techniques
    (default: dyna); naming the device heap's own family drops the extra
    column and reproduces the paper's original five. *)
@@ -523,21 +525,6 @@ let sweep_columns alloc =
     else E.Sweep.paper_columns @ [ E.Sweep.column ~alloc:fam T.Cuda ]
 
 let progress label = Printf.eprintf "  %s...\n%!" label
-
-let sweep_of ?alloc ?pages ?memo scale j cache cache_dir =
-  let pages = Option.bind pages resolve_pages in
-  let sweep =
-    E.Sweep.exec ~columns:(sweep_columns alloc) ?pages ~scale ~j ~cache
-      ?cache_dir ~progress ?memo ()
-  in
-  let s =
-    List.fold_left
-      (fun s o -> X.Response.count s (X.Response.outcome_of_executor o))
-      X.Response.no_jobs (E.Sweep.outcomes sweep)
-  in
-  Printf.eprintf "sweep: %d jobs (%d measured, %d cached), job time %.2fs\n%!"
-    s.jobs s.measured s.cached s.wall_s;
-  sweep
 
 let figure_cmd =
   let ids =
@@ -569,124 +556,53 @@ let figure_cmd =
       ids;
     let cache = not no_cache in
     let memo = E.Sweep.memo () in
+    let columns = sweep_columns alloc in
+    let pages = Option.bind pages resolve_pages in
+    let sweep () =
+      let sweep =
+        E.Sweep.exec ~columns ?pages ~scale ~j ~cache ?cache_dir ~progress ~memo ()
+      in
+      let s =
+        List.fold_left
+          (fun s o -> X.Response.count s (X.Response.outcome_of_executor o))
+          X.Response.no_jobs (E.Sweep.outcomes sweep)
+      in
+      Printf.eprintf "sweep: %d jobs (%d measured, %d cached), job time %.2fs\n%!"
+        s.jobs s.measured s.cached s.wall_s;
+      sweep
+    in
     let source =
-      { E.Figures.scale; j; cache; cache_dir; progress; memo;
-        columns = sweep_columns alloc;
-        sweep = lazy (sweep_of ?alloc ?pages ~memo scale j cache cache_dir) }
+      { E.Figures.scale; j; cache; cache_dir; progress; memo; columns;
+        sweep = lazy (sweep ()) }
     in
     let results =
       List.filter_map
         (fun f ->
-          if List.mem f.E.Figures.id ids then Some (f, f.E.Figures.series source)
+          if List.mem f.E.Figures.id ids then Some (f, f.E.Figures.measure source)
           else None)
         E.Figures.all
     in
+    let outputs = List.map snd results in
     print_string
-      (String.concat "\n"
-         (List.map (fun (f, series) -> E.Figures.text f source series) results));
+      (String.concat "\n" (List.map (fun o -> o.E.Figures.text) outputs));
     Option.iter
       (fun path -> write_json path (E.Figures.trajectory ~scale results))
       json;
     Option.iter
-      (fun path -> write_csv path (series_csv (List.concat_map snd results)))
+      (fun path ->
+        write_csv path
+          (series_csv (List.concat_map (fun o -> o.E.Figures.series) outputs)))
       csv
   in
   Cmd.v
     (Cmd.info "figure"
-       ~doc:"Regenerate the paper's figures, or the repo's companion \
-             series: $(b,dram), DRAM sectors per run, and $(b,tlb), \
-             page-walk overhead across page-size policies.")
+       ~doc:"Regenerate the paper's artifacts -- Figs. 1b and 6-12, \
+             $(b,table1) and $(b,table2), the Sec. 8.2 initialization \
+             comparison $(b,init) and the TypePointer $(b,ablation)s -- or \
+             the repo's companion series: $(b,dram), DRAM sectors per run, \
+             and $(b,tlb), page-walk overhead across page-size policies.")
     Term.(const run $ ids $ figure_alloc $ pages_arg $ scale_arg $ jobs_arg
           $ no_cache_arg $ cache_dir_arg $ json_arg $ csv_arg)
-
-let table1_json sweep =
-  O.Json.Obj
-    [
-      ("table", O.Json.String "1");
-      ( "measured",
-        O.Json.List
-          (List.map
-             (fun (m : E.Table1.measured) ->
-               O.Json.Obj
-                 [
-                   ("technique", O.Json.String m.E.Table1.technique);
-                   ( "get_vtable_per_kcall",
-                     O.Json.Float m.E.Table1.get_vtable_per_kcall );
-                   ( "get_vfunc_per_kcall",
-                     O.Json.Float m.E.Table1.get_vfunc_per_kcall );
-                 ])
-             (E.Table1.measure sweep)) );
-    ]
-
-let table2_json sweep =
-  O.Json.Obj
-    [
-      ("table", O.Json.String "2");
-      ( "rows",
-        O.Json.List
-          (List.map
-             (fun (r : E.Table2.row) ->
-               O.Json.Obj
-                 [
-                   ("suite", O.Json.String r.E.Table2.suite);
-                   ("workload", O.Json.String r.E.Table2.workload);
-                   ("objects", O.Json.Int r.E.Table2.objects);
-                   ("paper_objects", O.Json.Int r.E.Table2.paper_objects);
-                   ("types", O.Json.Int r.E.Table2.types);
-                   ("vfuncs", O.Json.Int r.E.Table2.vfuncs);
-                   ("vfunc_pki", O.Json.Float r.E.Table2.vfunc_pki);
-                 ])
-             (E.Table2.rows sweep)) );
-    ]
-
-let table_cmd =
-  let which = Arg.(required & pos 0 (some string) None & info [] ~docv:"TABLE") in
-  let run which scale j no_cache cache_dir json =
-    let text, table_json =
-      match which with
-      | "1" ->
-        let s = sweep_of scale j (not no_cache) cache_dir in
-        (E.Table1.render s, table1_json s)
-      | "2" ->
-        let s = sweep_of scale j (not no_cache) cache_dir in
-        (E.Table2.render s, table2_json s)
-      | other -> cli_error "unknown table %S; valid tables: 1, 2" other
-    in
-    print_string text;
-    Option.iter (fun path -> write_json path table_json) json
-  in
-  Cmd.v (Cmd.info "table" ~doc:"Regenerate Table 1 or Table 2.")
-    Term.(const run $ which $ scale_arg $ jobs_arg $ no_cache_arg $ cache_dir_arg
-          $ json_arg)
-
-let ablation_cmd =
-  let run scale j no_cache cache_dir =
-    let sweep =
-      E.Sweep.exec ~columns:E.Ablation.tp_columns ~scale ~j
-        ~cache:(not no_cache) ?cache_dir ()
-    in
-    print_string
-      (E.Ablation.render
-         ~title:"TypePointer: silicon prototype vs hardware MMU"
-         (E.Ablation.tp_prototype_vs_hw sweep));
-    print_string
-      (E.Ablation.render ~title:"TypePointer: tag encodings (Sec. 6.2)"
-         [ E.Ablation.tp_encoding () ])
-  in
-  Cmd.v (Cmd.info "ablation" ~doc:"Design-choice ablations (TypePointer modes and encodings).")
-    Term.(const run $ scale_arg $ jobs_arg $ no_cache_arg $ cache_dir_arg)
-
-let init_cmd =
-  let run scale j no_cache cache_dir =
-    let sweep =
-      E.Sweep.exec ~columns:E.Init_bench.columns ~scale ~j
-        ~cache:(not no_cache) ?cache_dir ()
-    in
-    print_string (E.Init_bench.render (E.Init_bench.rows sweep))
-  in
-  Cmd.v
-    (Cmd.info "init" ~doc:"The Sec. 8.2 initialization-cost comparison (SharedOA vs device new).")
-    Term.(const run $ scale_arg $ jobs_arg $ no_cache_arg $ cache_dir_arg)
 
 (* --- check ----------------------------------------------------------------- *)
 
@@ -968,21 +884,20 @@ let serve_cmd =
                  $(b,--log-file), logs go to stderr.")
   in
   let slow_ms =
-    Arg.(value & opt int 250 & info [ "slow-ms" ] ~docv:"MS"
-           ~doc:"Log requests slower than $(docv) milliseconds at warn \
-                 level and count them in requests.slow.")
+    checked (at_least 0 "slow-ms")
+      Arg.(value & opt int 250 & info [ "slow-ms" ] ~docv:"MS"
+             ~doc:"Log requests slower than $(docv) milliseconds at warn \
+                   level and count them in requests.slow.")
   in
   let trace_capacity =
-    Arg.(value & opt int 4096 & info [ "trace-capacity" ] ~docv:"N"
-           ~doc:"Event-ring capacity for $(b,repro ctl trace-dump), in \
-                 spans (drop-oldest; 0 disables tracing) — the same ring \
-                 $(b,repro trace --capacity) sizes.")
+    checked (at_least 0 "trace-capacity")
+      Arg.(value & opt int 4096 & info [ "trace-capacity" ] ~docv:"N"
+             ~doc:"Event-ring capacity for $(b,repro ctl trace-dump), in \
+                   spans (drop-oldest; 0 disables tracing) — the same ring \
+                   $(b,repro trace --capacity) sizes.")
   in
   let run socket j no_cache cache_dir no_obs log_file log_level slow_ms
       trace_capacity =
-    if trace_capacity < 0 then
-      cli_error "trace-capacity must be >= 0 (0 disables tracing), got %d"
-        trace_capacity;
     let obs =
       if no_obs then begin
         if log_file <> None || log_level <> None then
@@ -1010,7 +925,7 @@ let serve_cmd =
           | None, None -> O.Log.null
         in
         X.Server.obs_default ~log
-          ~slow_s:(float_of_int (max 0 slow_ms) /. 1000.)
+          ~slow_s:(float_of_int slow_ms /. 1000.)
           ~trace_capacity ()
       end
     in
@@ -1261,5 +1176,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; run_cmd; profile_cmd; trace_cmd; compare_cmd; check_cmd;
-            figure_cmd; table_cmd; sweep_cmd; init_cmd; ablation_cmd;
-            serve_cmd; submit_cmd; ctl_cmd ]))
+            figure_cmd; sweep_cmd; serve_cmd; submit_cmd; ctl_cmd ]))

@@ -2,6 +2,7 @@ module W = Repro_workloads
 module T = Repro_core.Technique
 module R = Repro_core
 module Table = Repro_report.Table
+module Series = Repro_report.Series
 
 type row = {
   name : string;
@@ -64,7 +65,24 @@ let tp_encoding ?(n_objects = 65_536) ?(n_types = 8) () =
   let padded = run (Repro_core.Vtable_space.Padded_index { padded_slots = 4 }) in
   make_row "byte-offset -> padded-index tags" byte_offset padded
 
-let render ~title rows =
+type study = { name : string; title : string; rows : row list }
+
+let studies sweep =
+  [ { name = "ablation.mmu"; title = "TypePointer: silicon prototype vs hardware MMU";
+      rows = tp_prototype_vs_hw sweep };
+    { name = "ablation.encoding"; title = "TypePointer: tag encodings (Sec. 6.2)";
+      rows = [ tp_encoding () ] } ]
+
+let series s =
+  Series.make ~name:s.name ~title:s.title ~group_label:"case"
+    (List.concat_map
+       (fun (r : row) ->
+         [ { Series.group = r.name; series = "baseline"; value = r.baseline_cycles };
+           { Series.group = r.name; series = "variant"; value = r.variant_cycles };
+           { Series.group = r.name; series = "overhead"; value = r.delta } ])
+       s.rows)
+
+let render s =
   let table =
     Table.create
       ~columns:
@@ -72,10 +90,10 @@ let render ~title rows =
           ("variant cycles", Table.Right); ("overhead", Table.Right) ]
   in
   List.iter
-    (fun r ->
+    (fun (r : row) ->
       Table.add_row table
         [ r.name; Table.cell_f ~digits:0 r.baseline_cycles;
           Table.cell_f ~digits:0 r.variant_cycles;
           Printf.sprintf "%+.1f%%" (100. *. r.delta) ])
-    rows;
-  title ^ "\n" ^ Table.render table
+    s.rows;
+  s.title ^ "\n" ^ Table.render table

@@ -26,4 +26,15 @@ val tp_prototype_vs_hw : Sweep.t -> row list
 val tp_encoding : ?n_objects:int -> ?n_types:int -> unit -> row
 (** Microbenchmark: byte-offset vs padded-index tags. *)
 
-val render : title:string -> row list -> string
+type study = { name : string; title : string; rows : row list }
+
+val studies : Sweep.t -> study list
+(** [ablation.mmu], {!tp_prototype_vs_hw} over a sweep of
+    {!tp_columns}, then [ablation.encoding], one {!tp_encoding} run. *)
+
+val series : study -> Repro_report.Series.t
+(** Per row, its ["baseline"] and ["variant"] cycles and its
+    ["overhead"] ({!row.delta}). *)
+
+val render : study -> string
+(** The study's title, then one table row per {!row}. *)

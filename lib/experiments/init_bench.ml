@@ -2,6 +2,7 @@ module W = Repro_workloads
 module T = Repro_core.Technique
 module A = Repro_core.Alloc_family
 module Table = Repro_report.Table
+module Series = Repro_report.Series
 
 type row = {
   workload : string;
@@ -40,6 +41,17 @@ let geomean_speedup rows = Repro_util.Mathx.geomean (List.map (fun r -> r.speedu
 
 let geomean_dyna_speedup rows =
   Repro_util.Mathx.geomean (List.map (fun r -> r.dyna_speedup) rows)
+
+let series rows =
+  Series.make ~name:"init"
+    ~title:"Initialization (Sec. 8.2): allocation-phase speedup over device-side new"
+    ~aggregate:"GM"
+    (List.concat_map
+       (fun r ->
+         [ { Series.group = r.workload; series = "SHARD"; value = r.speedup };
+           { Series.group = r.workload; series = "DYNA"; value = r.dyna_speedup } ])
+       rows
+     |> Series.geomean_row ~label:"GM")
 
 let render rows =
   let table =

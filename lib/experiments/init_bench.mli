@@ -25,6 +25,7 @@ val rows : Sweep.t -> row list
 
 val geomean_speedup : row list -> float
 
-val geomean_dyna_speedup : row list -> float
+val series : row list -> Repro_report.Series.t
+(** The ["SHARD"] and ["DYNA"] speedups, with a ["GM"] row. *)
 
 val render : row list -> string

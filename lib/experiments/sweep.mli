@@ -1,7 +1,7 @@
 (** The one job matrix of the experiments: every workload under every
     column, run once, checked once, and read by the figures as views.
     Figs. 1b and 6–9, the tables, [dram] and [tlb] read the default
-    sweep; Figs. 10 and 11, [repro init], the prototype-vs-MMU ablation
+    sweep; Figs. 10 and 11, [init], the prototype-vs-MMU ablation
     and [repro compare] each run their own column list through {!exec}.
     Cross-column functional equality ({!Repro_workloads.Harness.validate_equal})
     is asserted per workload after sweeping.

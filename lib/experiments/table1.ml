@@ -3,6 +3,7 @@ module Metric = Repro_obs.Metric
 module Label = Repro_gpu.Label
 module T = Repro_core.Technique
 module Table = Repro_report.Table
+module Series = Repro_report.Series
 
 let analytic =
   String.concat "\n"
@@ -51,6 +52,18 @@ let measure sweep =
         get_vfunc_per_kcall = per_kcall Label.Vfunc_load;
       })
     (Sweep.columns sweep)
+
+let series sweep =
+  Series.make ~name:"table1"
+    ~title:"Table 1: global load transactions per 1000 warp-level virtual calls"
+    ~group_label:"technique"
+    (List.concat_map
+       (fun m ->
+         [ { Series.group = m.technique; series = "vTable";
+             value = m.get_vtable_per_kcall };
+           { Series.group = m.technique; series = "vFunc";
+             value = m.get_vfunc_per_kcall } ])
+       (measure sweep))
 
 let render sweep =
   let table =

@@ -19,4 +19,7 @@ type measured = {
 val measure : Sweep.t -> measured list
 (** Averaged over the sweep's workloads. *)
 
+val series : Sweep.t -> Repro_report.Series.t
+(** {!measure}: ["vTable"] (step A) and ["vFunc"] (step B) per technique. *)
+
 val render : Sweep.t -> string

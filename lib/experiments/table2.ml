@@ -1,5 +1,6 @@
 module W = Repro_workloads
 module Table = Repro_report.Table
+module Series = Repro_report.Series
 
 type row = {
   workload : string;
@@ -31,6 +32,20 @@ let rows sweep =
             vfunc_pki = r.W.Harness.vfunc_pki;
           })
     (Sweep.workload_names sweep)
+
+let series sweep =
+  Series.make ~name:"table2"
+    ~title:"Table 2: workload characteristics (measured at the current scale)"
+    (List.concat_map
+       (fun r ->
+         let group = Figview.short_group (r.suite ^ "/" ^ r.workload) in
+         List.map
+           (fun (series, value) -> { Series.group; series; value })
+           [ ("objects", float_of_int r.objects);
+             ("paper_objects", float_of_int r.paper_objects);
+             ("types", float_of_int r.types); ("vfuncs", float_of_int r.vfuncs);
+             ("vfunc_pki", r.vfunc_pki) ])
+       (rows sweep))
 
 let render sweep =
   let table =

@@ -16,4 +16,7 @@ type row = {
 
 val rows : Sweep.t -> row list
 
+val series : Sweep.t -> Repro_report.Series.t
+(** {!rows}: objects, paper objects, types, vfuncs and vFuncPKI. *)
+
 val render : Sweep.t -> string

@@ -161,11 +161,6 @@ let series t =
     (fun (name, title, extract) -> series_of t ~name ~title extract)
     (derived_quantities t)
 
-let counter_series t ~metric =
-  series_of t ~name:(Metric.name metric)
-    ~title:(Metric.name metric ^ " [" ^ Metric.units metric ^ "]")
-    (Metric.to_float metric)
-
 let to_json t =
   Json.Obj
     [

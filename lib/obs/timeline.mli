@@ -54,9 +54,6 @@ val series : t -> Repro_report.Series.t list
     window's absolute start cycle, so the existing Sink JSON/CSV path
     exports them unchanged. *)
 
-val counter_series : t -> metric:Metric.t -> Repro_report.Series.t
-(** Raw per-window values of one registry counter. *)
-
 val to_json : t -> Json.t
 (** [{workload, technique, window, kernels: [{launch, start, windows:
     [{start, cycles, metrics}]}]}] with the additive

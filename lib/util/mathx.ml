@@ -22,10 +22,6 @@ let percent part whole = if whole = 0. then 0. else 100. *. part /. whole
 
 let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 
-let round_to digits x =
-  let scale = 10. ** float_of_int digits in
-  Float.round (x *. scale) /. scale
-
 let ilog2 n =
   if n < 1 then invalid_arg "Mathx.ilog2: n must be >= 1";
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in

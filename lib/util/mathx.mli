@@ -18,9 +18,6 @@ val percent : float -> float -> float
 val clamp : lo:float -> hi:float -> float -> float
 (** Clamp a value into [\[lo, hi\]]. *)
 
-val round_to : int -> float -> float
-(** [round_to digits x] rounds [x] to [digits] decimal places. *)
-
 val ilog2 : int -> int
 (** [ilog2 n] is the floor of log2 [n] for [n >= 1]. *)
 

@@ -29,11 +29,6 @@ let launch rt ~n kernel = R.Runtime.launch rt ~n_threads:n kernel
 
 let lane_tids (env : R.Env.t) = Warp_ctx.tids env.R.Env.ctx
 
-let map_lanes tids f = Array.map f tids
-
-let const_lanes (env : R.Env.t) v =
-  Array.make (Warp_ctx.n_active env.R.Env.ctx) v
-
 let vcall_all ?(converged = false) rt ~ptrs ~n ~slot =
   launch rt ~n (fun env ->
       let tids = lane_tids env in

@@ -22,7 +22,3 @@ val vcall_all :
 val launch : R.Runtime.t -> n:int -> (R.Env.t -> unit) -> unit
 
 val lane_tids : R.Env.t -> int array
-
-val map_lanes : int array -> (int -> int) -> int array
-
-val const_lanes : R.Env.t -> int -> int array

@@ -184,7 +184,8 @@ let test_fig12_shapes () =
 
 let test_init_speedup () =
   let rows = E.Init_bench.rows (Lazy.force init_gol) in
-  check (Alcotest.float 1e-6) "the 80x initialization gap" 80.
+  check (Alcotest.float 1e-6) "the 80x initialization gap"
+    E.Expectations.init_speedup
     (E.Init_bench.geomean_speedup rows)
 
 (* A figure's cells are cached under the same keys as the default
@@ -314,9 +315,10 @@ let test_sweep_memo () =
 
 (* A figure that runs its own jobs reports them through the command's
    progress sink like the shared sweep does. With the shared sweep
-   forced first, Fig. 11's CUDA and DYNA cells are memo hits and only
-   its TP-on-CUDA cells start measuring. *)
-let test_fig11_reports_progress () =
+   forced first, a fixed figure's default-sweep cells are memo hits and
+   only its own columns start measuring: TP-on-CUDA for Fig. 11, TP-HW
+   for the ablation, nothing at all for init. *)
+let labels_after_shared_sweep =
   let memo = E.Sweep.memo () in
   let labels = ref [] in
   let source =
@@ -329,18 +331,29 @@ let test_fig11_reports_progress () =
           (E.Sweep.exec ~scale:0.02 ~memo ~columns:E.Sweep.default_columns ())
     }
   in
-  ignore (Lazy.force source.E.Figures.sweep);
-  labels := [];
-  let fig11 = Option.get (E.Figures.find "11") in
-  ignore (fig11.E.Figures.series source);
-  let tp = E.Sweep.column_name (E.Sweep.column T.type_pointer_on_cuda) in
-  check Alcotest.int "one label per TP-on-CUDA cell"
-    (List.length W.Registry.all) (List.length !labels);
+  fun id ->
+    ignore (Lazy.force source.E.Figures.sweep);
+    labels := [];
+    ignore ((Option.get (E.Figures.find id)).E.Figures.measure source);
+    !labels
+
+let check_own_cells technique labels =
+  let name = E.Sweep.column_name (E.Sweep.column technique) in
+  check Alcotest.int ("one label per " ^ name ^ " cell")
+    (List.length W.Registry.all) (List.length labels);
   List.iter
     (fun l ->
-      check Alcotest.bool (l ^ " is a TP-on-CUDA cell") true
-        (String.ends_with ~suffix:(" [" ^ tp ^ "]") l))
-    !labels
+      check Alcotest.bool (l ^ " is a " ^ name ^ " cell") true
+        (String.ends_with ~suffix:(" [" ^ name ^ "]") l))
+    labels
+
+let test_fig11_reports_progress () =
+  check_own_cells T.type_pointer_on_cuda (labels_after_shared_sweep "11")
+
+let test_init_ablation_progress () =
+  check Alcotest.(list string) "init measures nothing new" []
+    (labels_after_shared_sweep "init");
+  check_own_cells T.type_pointer_hw (labels_after_shared_sweep "ablation")
 
 (* Fig. 10's COAL columns differ only in their chunk size; the progress
    line of every job must still tell it apart from the others. *)
@@ -404,15 +417,26 @@ let test_figure_table () =
            (List.mem k keys))
        entries
    | _ -> Alcotest.fail "BENCH_main.json has no entries object");
+  (* The sweep views read the shared test sweep; init and the ablation
+     run their own columns, at a smaller scale. *)
   let source =
-    { E.Figures.scale = 0.08; j = 1; cache = false; cache_dir = None;
+    { E.Figures.scale = 0.02; j = 1; cache = false; cache_dir = None;
       columns = E.Sweep.default_columns; progress = ignore;
       memo = E.Sweep.memo (); sweep }
   in
-  let sweep_fed = List.filter (fun f -> f.E.Figures.pages) E.Figures.all in
+  let figs =
+    List.filter
+      (fun f -> f.E.Figures.pages || List.mem f.E.Figures.id [ "init"; "ablation" ])
+      E.Figures.all
+  in
+  List.iter
+    (fun id ->
+      check Alcotest.bool ("round trip covers " ^ id) true
+        (List.exists (fun f -> f.E.Figures.id = id) figs))
+    [ "table1"; "table2"; "init"; "ablation" ];
   let json =
-    E.Figures.trajectory ~scale:0.08
-      (List.map (fun f -> (f, f.E.Figures.series source)) sweep_fed)
+    E.Figures.trajectory ~scale:0.02
+      (List.map (fun f -> (f, f.E.Figures.measure source)) figs)
   in
   match J.of_string (J.to_string ~pretty:true json) with
   | Error msg -> Alcotest.failf "trajectory does not parse: %s" msg
@@ -423,7 +447,7 @@ let test_figure_table () =
        check
          Alcotest.(list string)
          "entries keyed as requested"
-         (List.map (fun f -> f.E.Figures.key) sweep_fed)
+         (List.map (fun f -> f.E.Figures.key) figs)
          (List.map fst entries)
      | _ -> Alcotest.fail "trajectory has no entries object")
 
@@ -449,6 +473,8 @@ let suite =
     Alcotest.test_case "sweep memo measures each job once" `Quick test_sweep_memo;
     Alcotest.test_case "fig11 reports its own jobs" `Quick
       test_fig11_reports_progress;
+    Alcotest.test_case "init and ablation report only their own jobs" `Quick
+      test_init_ablation_progress;
     Alcotest.test_case "fig10 job labels distinct" `Slow
       test_fig10_labels_distinct;
     Alcotest.test_case "ablation: tag encoding free" `Quick test_ablation_encoding_free;
