@@ -1169,11 +1169,46 @@ let ctl_cmd =
     Term.(const run $ socket_arg $ action $ workload $ technique $ spec_term
           $ all $ as_json $ out)
 
+(* Client commands ignore SIGPIPE for their socket ([Server.Client.connect]
+   sets it process-wide), so a reader that closes stdout early, as in
+   [repro ctl stats | head -1], surfaces as EPIPE from a write or from
+   exit's flush. Such a command ends as a SIGPIPE death would: quietly,
+   with the status 141 a shell reports for one. Any other exception,
+   including EPIPE from a daemon's socket, is an internal error, reported
+   as cmdliner's [~catch] would. *)
+let broken_pipe = function
+  | Sys_error msg -> msg = Unix.error_message Unix.EPIPE
+  | _ -> false
+
+(* A failed flush keeps the unwritten bytes, so when stdout's reader is
+   gone, flushing again fails again. *)
+let stdout_closed () =
+  match flush stdout with () -> false | exception e -> broken_pipe e
+
+let eval cmd =
+  match
+    let code = Cmd.eval ~catch:false cmd in
+    flush stdout;
+    code
+  with
+  | code -> code
+  | exception e when broken_pipe e && stdout_closed () ->
+    (* [exit] flushes stdout again: let the unwritten rest go nowhere. *)
+    Unix.dup2 (Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0) Unix.stdout;
+    141
+  | exception e ->
+    let lines = String.split_on_char '\n' (Printexc.get_backtrace ()) in
+    Format.eprintf "repro: @[internal error, uncaught exception:@\n%s@\n%a@]@."
+      (Printexc.to_string e)
+      Format.(pp_print_list ~pp_sep:pp_force_newline pp_print_string)
+      lines;
+    Cmd.Exit.internal_error
+
 let () =
   let doc = "Reproduction of 'Judging a Type by Its Pointer' (ASPLOS '21)." in
   let info = Cmd.info "repro" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval
+    (eval
        (Cmd.group info
           [ list_cmd; run_cmd; profile_cmd; trace_cmd; compare_cmd; check_cmd;
             figure_cmd; sweep_cmd; serve_cmd; submit_cmd; ctl_cmd ]))

@@ -16,5 +16,3 @@ let field_store t ~objs ~field values =
   Object_model.field_store t.om t.ctx ~objs ~field values
 
 let compute ?n t = Warp_ctx.compute ?n t.ctx ~label:Label.Body
-
-let compute_blocking ?n t = Warp_ctx.compute ?n ~blocking:true t.ctx ~label:Label.Body

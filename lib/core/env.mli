@@ -28,5 +28,3 @@ val field_store : t -> objs:int array -> field:int -> int array -> unit
 
 val compute : ?n:int -> t -> unit
 (** Workload-body ALU work. *)
-
-val compute_blocking : ?n:int -> t -> unit

@@ -18,7 +18,6 @@ type t = {
   heap : Page_store.t;
   types : typ Vec.t;
   impls : impl Vec.t;
-  impl_names : string Vec.t;
   mutable is_materialized : bool;
 }
 
@@ -27,14 +26,12 @@ let create ~heap =
     heap;
     types = Vec.create ();
     impls = Vec.create ();
-    impl_names = Vec.create ();
     is_materialized = false;
   }
 
-let register_impl t ~name impl =
+let register_impl t ~name:_ impl =
   let id = Vec.length t.impls in
   Vec.push t.impls impl;
-  Vec.push t.impl_names name;
   id
 
 let impl_count t = Vec.length t.impls
@@ -133,9 +130,5 @@ let cpu_vtable typ =
 let impl t id =
   if id < 0 || id >= impl_count t then invalid_arg "Registry.impl: unknown id";
   Vec.get t.impls id
-
-let impl_name t id =
-  if id < 0 || id >= impl_count t then invalid_arg "Registry.impl_name: unknown id";
-  Vec.get t.impl_names id
 
 let total_vfunc_slots t = Vec.fold_left (fun acc typ -> acc + Array.length typ.slots) 0 t.types

@@ -22,8 +22,8 @@ type t
 val create : heap:Repro_mem.Page_store.t -> t
 
 val register_impl : t -> name:string -> impl -> int
-(** Returns the implementation id. Names are for diagnostics and need not
-    be unique. *)
+(** Returns the implementation id. [name] labels the call site with the
+    method the implementation models; the registry does not keep it. *)
 
 val impl_count : t -> int
 
@@ -70,8 +70,6 @@ val decode_impl_id : int -> int
     bug in the runtime). *)
 
 val impl : t -> int -> impl
-
-val impl_name : t -> int -> string
 
 val total_vfunc_slots : t -> int
 (** Sum of slot counts over all types (the Table 2 "vFuncs" column). *)

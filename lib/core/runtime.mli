@@ -64,12 +64,6 @@ val vm : t -> Repro_vm.Vm.t option
 (** The translation model currently attached to the device ([None]
     before the first launch, or when [pages] was omitted). *)
 
-val build_vm : t -> unit
-(** Force the lazy rebuild {!launch} performs when the heap layout
-    changed. No-op without [pages]. Exposed for offline replay
-    ([bench/sim_bench.exe]), which re-times retained traces without
-    launching. *)
-
 val register_impl : t -> name:string -> Registry.impl -> int
 
 val define_type :

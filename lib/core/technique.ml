@@ -39,16 +39,6 @@ let name = function
   | Type_pointer { mode = Hw_mmu; _ } -> "TP-HW"
   | Type_pointer { mode = Prototype; _ } -> "TP"
 
-let long_name = function
-  | Cuda -> "contemporary CUDA virtual functions"
-  | Concord -> "Concord type-tag switches"
-  | Shared_oa -> "SharedOA type-based allocator"
-  | Coal -> "COAL (coordinated allocation and lookup)"
-  | Type_pointer { on_cuda_alloc = true; _ } ->
-    "TypePointer over the default CUDA allocator (hardware MMU)"
-  | Type_pointer { mode = Hw_mmu; _ } -> "TypePointer with hardware MMU support"
-  | Type_pointer { mode = Prototype; _ } -> "TypePointer silicon prototype"
-
 let of_string s =
   match String.lowercase_ascii s with
   | "cuda" -> Ok Cuda

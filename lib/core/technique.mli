@@ -43,8 +43,6 @@ val strips_in_software : t -> bool
 val name : t -> string
 (** Short display name ("CUDA", "CON", "SHARD", "COAL", "TP", "TP/CUDA"). *)
 
-val long_name : t -> string
-
 val of_string : string -> (t, string) result
 (** Parses the short names (case-insensitive); used by the CLI. *)
 

@@ -49,8 +49,6 @@ let alloc t ~n_slots =
   t.tables <- t.tables + 1;
   addr
 
-let used_slots t = t.cursor / Vaddr.word_bytes
-
 let tag_of_vtable t ~vtable =
   let off = vtable - t.base in
   if off < 0 || off >= t.size_bytes then

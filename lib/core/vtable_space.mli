@@ -42,8 +42,6 @@ val alloc : t -> n_slots:int -> int
     address. Raises [Failure] when the arena (or the padded size) is
     exceeded — the condition under which the paper falls back to COAL. *)
 
-val used_slots : t -> int
-
 val tag_of_vtable : t -> vtable:int -> int
 (** The 15-bit tag encoding this vTable's location. *)
 

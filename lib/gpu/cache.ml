@@ -24,7 +24,6 @@ let log2 n =
   go 0 n
 
 type t = {
-  geom : geometry;
   ways : int;
   (* Sector -> (line, sector-in-line) is a shift/mask pair: geometry
      validation forces the sector count per line (and the set count) to a
@@ -46,7 +45,6 @@ let create geom =
   let slots = sets * geom.ways in
   let sectors_per_line = geom.line_bytes / Repro_mem.Vaddr.sector_bytes in
   {
-    geom;
     ways = geom.ways;
     sector_shift = log2 sectors_per_line;
     sector_mask = sectors_per_line - 1;
@@ -56,8 +54,6 @@ let create geom =
     stamps = Array.make slots 0;
     clock = 0;
   }
-
-let geometry_of t = t.geom
 
 (* Slot holding [line] in the set starting at [base]; -1 when absent.
    Returning an int rather than an option keeps the lookup

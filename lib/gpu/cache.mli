@@ -33,5 +33,3 @@ val probe : t -> sector:int -> bool
 
 val flush : t -> unit
 (** Invalidate everything (kernel-launch boundary for the L1). *)
-
-val geometry_of : t -> geometry

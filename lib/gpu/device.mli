@@ -113,10 +113,10 @@ val launches : t -> int
 
 val retain_traces : t -> bool -> unit
 (** When enabled, every subsequent launch's per-warp traces are kept (in
-    launch order) for offline replay — the hook [bench/sim_bench.exe],
-    [bench/perf] and the integration tests use to re-time real workload
-    traces without re-running the functional phase. Disabling drops anything retained. Off by
-    default; retention costs memory proportional to the traces. *)
+    launch order) for offline replay — the hook [bench/perf] and the
+    integration tests use to re-time real workload traces without
+    re-running the functional phase. Disabling drops anything retained.
+    Off by default; retention costs memory proportional to the traces. *)
 
 val retained_traces : t -> Trace.t array list
 (** Retained launches in launch order (empty unless {!retain_traces} is

@@ -220,13 +220,6 @@ module Raw = struct
   let levels (t : t) = t.levels
 end
 
-let span_info (t : t) i =
-  if i < 0 || i >= Array.length t.sbase then
-    invalid_arg "Page_table.span_info: span index out of range";
-  ( t.sbase.(i) lsl Vaddr.sector_shift,
-    t.slimit.(i) lsl Vaddr.sector_shift,
-    t.owner.(i) )
-
 let translate (t : t) ~addr =
   let addr = Vaddr.strip addr in
   let i = find t (addr lsr Vaddr.sector_shift) in

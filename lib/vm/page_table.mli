@@ -79,9 +79,6 @@ end
 val span_key_shift : int
 (** Bits reserved for the in-span page offset in a {!page_key}. *)
 
-val span_info : t -> int -> int * int * int
-(** [(base, limit, owner)] of a span, in bytes. *)
-
 val translate : t -> addr:int -> page option
 (** Full translation of a (possibly tagged) virtual address; [None] when
     no mapping covers it. For tests and the sanitizer — the replay path

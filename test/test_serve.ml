@@ -1234,9 +1234,18 @@ let test_health_roundtrip_live () =
        | Error msg -> Alcotest.failf "recv failed: %s" msg);
       X.Server.Client.close c)
 
+(* Nearest-rank percentile of a sorted array: the same rank as
+   [Hist.quantile]. *)
+let percentile sorted p =
+  sorted.(max 0 (int_of_float (ceil (p *. float_of_int (Array.length sorted))) - 1))
+
 (* With metrics on, the end-to-end "request" histogram counts exactly
    the request lines answered — each stats probe snapshots before its
-   own completion, so it never counts itself. *)
+   own completion, so it never counts itself. Under concurrent load the
+   server's timings also agree with its clients': each server-side
+   "request" record lies inside the client-timed latency of the same
+   request, so each server percentile's lower bound is at most the
+   client-side percentile (element-wise domination survives sorting). *)
 let test_request_histogram_counts_requests () =
   let runner, _ = counting_runner () in
   with_server ~runner ~obs:(X.Server.obs_default ()) (fun socket ->
@@ -1293,7 +1302,74 @@ let test_request_histogram_counts_requests () =
          recorded its own decode — one ahead of the completed count. *)
       check Alcotest.int "decode timed for every request line" 6
         (O.Hist.count (hist' "decode"));
-      X.Server.Client.close c)
+      X.Server.Client.close c);
+  (* 4 clients x 25 mixed requests: one- and two-job submits over a pool
+     of 4 specs (so dedup and the cache both answer), queries and pings. *)
+  let pool =
+    [| ("TRAF", 42); ("TRAF", 43); ("GOL", 42); ("GOL", 43) |]
+    |> Array.map (fun (workload, seed) ->
+           X.Request.Spec.make ~scale:0.02 ~seed ~workload ~technique:"tp" ())
+  in
+  let clients = 4 and per_client = 25 in
+  let load socket i =
+    let c = client socket in
+    let pick k = pool.((i + k) mod Array.length pool) in
+    let submitted specs id =
+      match X.Server.Client.submit c ~id specs with
+      | Ok (_, summary) -> summary.X.Response.failed = 0
+      | Error _ -> false
+    in
+    let answered req ok =
+      X.Server.Client.send c req;
+      match X.Server.Client.recv c with Ok resp -> ok resp | Error _ -> false
+    in
+    let latencies = Array.make per_client 0. and failures = ref 0 in
+    for k = 0 to per_client - 1 do
+      let id = Printf.sprintf "c%d-%d" i k in
+      let t0 = Unix.gettimeofday () in
+      let ok =
+        match (i + k) mod 5 with
+        | 0 | 1 -> submitted [ pick k ] id
+        | 2 -> submitted [ pick k; pick (k + 1) ] id
+        | 3 ->
+          answered (X.Request.Query (pick k)) (function
+            | X.Response.Queried _ -> true | _ -> false)
+        | _ ->
+          answered X.Request.Ping (function
+            | X.Response.Pong -> true | _ -> false)
+      in
+      latencies.(k) <- Unix.gettimeofday () -. t0;
+      if not ok then incr failures
+    done;
+    X.Server.Client.close c;
+    (latencies, !failures)
+  in
+  let runner, _ = counting_runner () in
+  with_server ~runner ~workers:2 ~cache:true ~obs:(X.Server.obs_default ())
+    (fun socket ->
+      let results = Array.make clients ([||], 0) in
+      List.init clients (fun i ->
+          Thread.create (fun () -> results.(i) <- load socket i) ())
+      |> List.iter Thread.join;
+      check Alcotest.int "no request fails" 0
+        (Array.fold_left (fun n (_, f) -> n + f) 0 results);
+      let client_side = Array.concat (List.map fst (Array.to_list results)) in
+      Array.sort compare client_side;
+      let request = List.assoc "request" (server_stats socket).X.Response.stages in
+      check Alcotest.int "the final probe counts every request sent"
+        (clients * per_client) (O.Hist.count request);
+      List.iter
+        (fun p ->
+          let server_lo =
+            match O.Hist.quantile request p with
+            | Some (lo, _) -> lo
+            | None -> Alcotest.fail "empty request histogram"
+          in
+          let client = percentile client_side p in
+          if server_lo > client +. 1e-9 then
+            Alcotest.failf "server p%g >= %.3fms exceeds client-side %.3fms"
+              (p *. 100.) (server_lo *. 1e3) (client *. 1e3))
+        [ 0.50; 0.95; 0.99 ])
 
 (* trace-dump returns a structurally valid Chrome trace document
    covering the request's own stages. *)
