@@ -1059,9 +1059,8 @@ let ctl_cmd =
     in
     let client = connect socket in
     let rpc req =
-      X.Server.Client.send client req;
-      match X.Server.Client.recv client with
-      | Stdlib.Error msg -> cli_error "server connection lost: %s" msg
+      match X.Server.Client.call client req with
+      | Stdlib.Error msg -> cli_error "%s" msg
       | Ok (X.Response.Error { message }) -> cli_error "%s" message
       | Ok resp -> resp
     in

@@ -783,6 +783,15 @@ module Client = struct
     | exception End_of_file -> Error "connection closed"
     | exception Sys_error msg -> Error ("read failed: " ^ msg)
 
+  let lost msg = Error ("server connection lost: " ^ msg)
+
+  (* A daemon that dropped the connection fails the write (EPIPE, as
+     [connect] ignores SIGPIPE) or the read that follows it. *)
+  let call t req =
+    match send t req with
+    | () -> ( match recv t with Error msg -> lost msg | reply -> reply)
+    | exception Sys_error msg -> lost msg
+
   let submit ?(on_running = fun _ _ -> ()) ?(cache = true) t ~id specs =
     let by_index = Array.of_list specs in
     let n = Array.length by_index in
@@ -790,7 +799,7 @@ module Client = struct
     let mine bid index = bid = id && 0 <= index && index < n in
     let rec loop () =
       match recv t with
-      | Error msg -> Error ("server connection lost: " ^ msg)
+      | Error msg -> lost msg
       | Ok (Response.Error { message }) ->
         Error ("server rejected the batch: " ^ message)
       | Ok (Running { id = bid; index }) when mine bid index ->
@@ -811,7 +820,7 @@ module Client = struct
     in
     match send t (Request.Submit { id; cache; specs }) with
     | () -> loop ()
-    | exception Sys_error msg -> Error ("server connection lost: " ^ msg)
+    | exception Sys_error msg -> lost msg
 
   let close t =
     if not t.closed then begin

@@ -112,10 +112,16 @@ module Client : sig
       blocking forever — the tests' safety net). *)
 
   val send : t -> Request.t -> unit
+  (** Raises [Sys_error] when the daemon has closed the connection. *)
 
   val recv : t -> (Response.t, string) result
   (** Next response line; [Error] on EOF, timeout, or a line that does
       not decode. *)
+
+  val call : t -> Request.t -> (Response.t, string) result
+  (** {!send} then {!recv}: the next response line. [Error] (["server
+      connection lost: ..."]) when the daemon has dropped the
+      connection, whether the write or the read finds out. *)
 
   val submit :
     ?on_running:(int -> Request.Spec.t -> unit) ->

@@ -8,28 +8,74 @@ type t =
   | Obj of (string * t) list
   | Raw of string
 
-(* Shortest decimal string that parses back to exactly [f]; always
-   contains '.' or 'e' so the value round-trips as a Float, not an Int. *)
-let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
-  else
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+(* The C primitive behind [Printf]'s [%g]: the same bytes without the
+   format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
 
+(* The decimal digits of [n <= 0], without its sign: a negative
+   accumulator reaches [min_int], which has no positive twin. *)
+let rec add_neg_digits buf n =
+  if n <= -10 then add_neg_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf i
+  end
+  else add_neg_digits buf (-i)
+
+(* The shortest decimal string that parses back to exactly [f]; always
+   contains '.' or 'e' so the value round-trips as a Float, not an Int.
+   An integral float below 1e16 is its digits and ".0" (what "%.1f"
+   prints, "-0.0" included); any other is "%.12g" if that reads back as
+   [f], else "%.17g". *)
+let add_float buf f =
+  if Float.is_integer f && Float.abs f < 1e16 then begin
+    if Float.sign_bit f then Buffer.add_char buf '-';
+    add_neg_digits buf (- Int.abs (int_of_float f));
+    Buffer.add_string buf ".0"
+  end
+  else
+    let s = format_float "%.12g" f in
+    Buffer.add_string buf
+      (if float_of_string s = f then s else format_float "%.17g" f)
+
+let float_repr f =
+  let buf = Buffer.create 24 in
+  add_float buf f;
+  Buffer.contents buf
+
+let escape_char buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c when Char.code c < 0x20 ->
+    Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+  | c -> Buffer.add_char buf c
+
+(* Every key and almost every value we write needs no escape: its bytes
+   go in as one run, up to the first byte that does. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let n = String.length s in
+  let rec plain i =
+    if i = n then Buffer.add_string buf s
+    else
+      match String.unsafe_get s i with
+      | '"' | '\\' -> escaped i
+      | c when Char.code c < 0x20 -> escaped i
+      | _ -> plain (i + 1)
+  and escaped i =
+    Buffer.add_substring buf s 0 i;
+    for j = i to n - 1 do
+      escape_char buf (String.unsafe_get s j)
+    done
+  in
+  plain 0;
   Buffer.add_char buf '"'
 
 let to_string ?(pretty = false) t =
@@ -38,12 +84,12 @@ let to_string ?(pretty = false) t =
   let rec emit depth = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Int i -> add_int buf i
     | Float f ->
       (* JSON has no NaN/Infinity tokens. *)
       if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then
         Buffer.add_string buf "null"
-      else Buffer.add_string buf (float_repr f)
+      else add_float buf f
     | String s -> escape_string buf s
     | Raw text -> Buffer.add_string buf text
     | List [] -> Buffer.add_string buf "[]"
@@ -112,8 +158,14 @@ let of_string s =
   in
   let literal word value =
     let len = String.length word in
-    if !pos + len <= n && String.sub s !pos len = word then begin
-      pos := !pos + len;
+    let p = !pos in
+    let rec matches i =
+      i = len
+      || Char.equal (String.unsafe_get s (p + i)) (String.unsafe_get word i)
+         && matches (i + 1)
+    in
+    if p + len <= n && matches 0 then begin
+      pos := p + len;
       value
     end
     else fail ("expected " ^ word)
@@ -188,29 +240,56 @@ let of_string s =
     in
     scan start
   in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
+  let is_num_char c =
+    match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+  in
+  (* The general token: the longest run of number characters, read by
+     [int_of_string_opt] unless it has a fraction or an exponent, and by
+     [float_of_string_opt] if that fails. *)
+  let number_token start =
+    let fractional = ref false in
+    while !pos < n && is_num_char (String.unsafe_get s !pos) do
+      (match String.unsafe_get s !pos with
+       | '.' | 'e' | 'E' -> fractional := true
+       | _ -> ());
       advance ()
     done;
     let tok = String.sub s start (!pos - start) in
-    if String.contains tok '.' || String.contains tok 'e' || String.contains tok 'E'
-    then
+    let as_float () =
       match float_of_string_opt tok with
       | Some f -> Float f
       | None -> fail "bad number"
-    else
-      match int_of_string_opt tok with
-      | Some i -> Int i
-      | None -> (
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None -> fail "bad number")
+    in
+    if !fractional then as_float ()
+    else match int_of_string_opt tok with Some i -> Int i | None -> as_float ()
+  in
+  (* Almost every number we write is an int of at most 18 digits: an
+     optional '-' and digits that no other number character follows. Its
+     value is built from the digits in place, and cannot overflow; every
+     other token goes through [number_token]. *)
+  let parse_number () =
+    let start = !pos in
+    let first = if at '-' then start + 1 else start in
+    let i = ref first and acc = ref 0 in
+    while
+      !i < n
+      && !i - first < 19
+      &&
+      match String.unsafe_get s !i with
+      | '0' .. '9' as c ->
+        acc := (10 * !acc) + (Char.code c - 48);
+        true
+      | _ -> false
+    do
+      incr i
+    done;
+    let digits = !i - first in
+    if digits > 0 && digits <= 18 && not (!i < n && is_num_char (String.unsafe_get s !i))
+    then begin
+      pos := !i;
+      Int (if first > start then - !acc else !acc)
+    end
+    else number_token start
   in
   let rec parse_value () =
     skip_ws ();
@@ -349,21 +428,22 @@ module Decode = struct
     | Int i -> float_of_int i
     | j -> type_error "a number" j
 
-  let nest segment f =
-    try f () with Error_at (path, msg) -> raise (Error_at (segment :: path, msg))
+  (* [d v], its failure's path under [segment]. *)
+  let nest segment d v =
+    try d v with Error_at (path, msg) -> raise (Error_at (segment :: path, msg))
 
   let field name d = function
     | Obj fields -> (
       match List.assoc_opt name fields with
-      | Some v -> nest name (fun () -> d v)
-      | None -> nest name (fun () -> fail "missing required field"))
+      | Some v -> nest name d v
+      | None -> nest name fail "missing required field")
     | j -> type_error "an object" j
 
   let field_opt name d = function
     | Obj fields -> (
       match List.assoc_opt name fields with
       | None | Some Null -> None
-      | Some v -> nest name (fun () -> Some (d v)))
+      | Some v -> Some (nest name d v))
     | j -> type_error "an object" j
 
   let field_default name d default j =
@@ -371,12 +451,16 @@ module Decode = struct
 
   let list d = function
     | List items ->
-      List.mapi (fun i v -> nest (Printf.sprintf "[%d]" i) (fun () -> d v)) items
+      List.mapi
+        (fun i v ->
+          try d v
+          with Error_at (path, msg) ->
+            raise (Error_at (Printf.sprintf "[%d]" i :: path, msg)))
+        items
     | j -> type_error "a list" j
 
   let obj d = function
-    | Obj fields ->
-      List.map (fun (k, v) -> (k, nest k (fun () -> d v))) fields
+    | Obj fields -> List.map (fun (k, v) -> (k, nest k d v)) fields
     | j -> type_error "an object" j
 
   let map f d j = f (d j)
@@ -385,27 +469,51 @@ module Decode = struct
 
   let value j = j
 
+  let int_as_float j = float_of_int (int j)
+
+  (* One pass over the object's fields files each under its table
+     position (the first of duplicate keys wins, unknown keys are
+     skipped); a second pass over the table, in declaration order,
+     decodes them, so the first fault reported is the first in
+     declaration order. A family's members are read in wire order. *)
   let counters table (v : float array) j =
     let module C = Repro_util.Counter_table in
-    let num (e : C.entry) = if e.float then float else map float_of_int int in
-    List.iter
-      (function
-        | C.Scalar e ->
-          v.(e.slot) <-
-            (if e.strict then field e.key (num e) j
-             else field_default e.key (num e) 0. j)
-        | C.Family f ->
-          let members = field_default f.family_key (obj value) [] j in
-          nest f.family_key (fun () ->
-              List.iter
-                (fun (slug, x) ->
-                  match
-                    Array.find_opt (fun (e : C.entry) -> e.key = slug) f.members
-                  with
-                  | Some e -> v.(e.slot) <- nest slug (fun () -> num e x)
-                  | None -> fail (Printf.sprintf "unknown slug %S" slug))
-                members))
-      (C.fields table)
+    let num (e : C.entry) = if e.float then float else int_as_float in
+    match j with
+    | Obj kvs ->
+      let fields = C.positions table in
+      let found = Array.make (Array.length fields) None in
+      let hint = ref 0 in
+      List.iter
+        (fun (k, x) ->
+          let i = C.position table ~hint:!hint k in
+          hint := i + 1;
+          if i >= 0 && Option.is_none found.(i) then found.(i) <- Some x)
+        kvs;
+      Array.iteri
+        (fun i field ->
+          match (field, found.(i)) with
+          | C.Scalar e, None ->
+            if e.strict then nest e.key fail "missing required field"
+            else v.(e.slot) <- 0.
+          | C.Scalar e, Some Null when not e.strict -> v.(e.slot) <- 0.
+          | C.Scalar e, Some x -> v.(e.slot) <- nest e.key (num e) x
+          | C.Family _, (None | Some Null) -> ()
+          | C.Family f, Some (Obj members) ->
+            let hint = ref 0 in
+            List.iter
+              (fun (slug, x) ->
+                match C.member_position f ~hint:!hint slug with
+                | -1 ->
+                  nest f.family_key fail (Printf.sprintf "unknown slug %S" slug)
+                | m ->
+                  hint := m + 1;
+                  let e = f.members.(m) in
+                  v.(e.slot) <- nest f.family_key (nest slug (num e)) x)
+              members
+          | C.Family f, Some x -> nest f.family_key (type_error "an object") x)
+        fields
+    | j -> type_error "an object" j
 
   let render_path = function
     | [] -> "$"

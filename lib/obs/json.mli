@@ -108,5 +108,7 @@ module Decode : sig
   (** Read {!of_counters}' form into the given value array. A strict
       scalar must be present; any other absent key leaves its slots at
       zero. A slug outside its family fails with the family's key in
-      the path. *)
+      the path. Of duplicate keys the first is read, unknown keys are
+      skipped, and of several faults the first in the table's
+      declaration order is reported. *)
 end

@@ -32,6 +32,7 @@ type family = private {
   family_key : string;  (** The JSON field holding the slug-keyed object. *)
   first : int;  (** Slot of member 0; member [i] is at [first + i]. *)
   members : entry array;
+  slugs : int Hashtbl.Make(String).t;  (** Slug -> member position. *)
 }
 
 type field = Scalar of entry | Family of family
@@ -44,13 +45,15 @@ val declare :
   t -> ?key:string -> ?float:bool -> ?strict:bool -> kind -> string -> string ->
   entry
 (** [declare t kind id units] takes the next slot. [key] defaults to
-    [id]; [float] and [strict] to [false]. *)
+    [id]; [float] and [strict] to [false]. A key that another field of
+    [t] already has raises [Invalid_argument]. *)
 
 val family :
   t -> ?key:string -> ?float:bool -> string -> string -> string list -> family
 (** [family t id units slugs] takes one slot per slug, in order; member
     [i] has id [id ^ "." ^ slug] and key [slug], and is never strict.
-    [key] defaults to [id]. *)
+    [key] defaults to [id]. A repeated slug, or a key that another field
+    of [t] already has, raises [Invalid_argument]. *)
 
 val computed : ?float:bool -> string -> string -> (float array -> float) -> entry
 (** A value derived from a table's slots. It has no slot of its own and
@@ -58,6 +61,21 @@ val computed : ?float:bool -> string -> string -> (float array -> float) -> entr
 
 val fields : t -> field list
 (** Declaration order: the order of the wire object's keys. *)
+
+val positions : t -> field array
+(** {!fields} as an array: a field's position is its index here. *)
+
+val position : t -> hint:int -> string -> int
+(** The position of the field with the given wire key (a scalar's
+    [key], a family's [family_key]); [-1] if none.
+    A reader passes the position after the previous key's as [hint]:
+    {!Repro_obs.Json.of_counters} writes declaration order, so the hint
+    is usually right and costs one string compare; otherwise the key
+    index, built as fields are declared, answers with one hash. *)
+
+val member_position : family -> hint:int -> string -> int
+(** The index in [members] of the member with the given slug, [-1] if
+    none; [hint] as for {!position}. *)
 
 val entries : t -> entry list
 (** Every stored entry, family members expanded, in slot order. *)

@@ -73,6 +73,104 @@ let test_json_accessors () =
   check Alcotest.bool "string_opt rejects int" true
     (Json.string_opt (Json.Int 3) = None)
 
+(* The printer [Json.float_repr] replaced, kept as its oracle. *)
+let float_repr_reference f =
+  if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+  else
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let float_cases =
+  let open QCheck.Gen in
+  let bits = map Int64.float_of_bits ui64 in
+  let signed g = map2 (fun neg f -> if neg then -.f else f) bool g in
+  let integral bound = map Float.of_int (int_range (-bound) bound) in
+  oneof
+    [
+      (* Every bit pattern: normals, subnormals, NaNs and infinities. *)
+      bits;
+      (* Integral values on both sides of the 1e16 cut. *)
+      integral 10_000;
+      integral 20_000_000_000_000_000;
+      signed (map (fun k -> 1e16 +. Float.of_int k) (int_range (-64) 64));
+      signed (map (fun k -> Float.pred 1e16 -. Float.of_int k) (int_range 0 64));
+      oneofl [ 0.; -0.; 1e16; -1e16; Float.pred 1e16; Float.succ 1e16 ];
+      (* Subnormals. *)
+      signed (map (fun m -> Int64.float_of_bits (Int64.of_int m)) (int_range 1 (1 lsl 52)));
+      (* 1e+-300, and ratios that need all 17 digits. *)
+      signed (map (fun k -> 1e300 *. Float.of_int k) (int_range 1 1000));
+      signed (map (fun k -> 1e-300 *. Float.of_int k) (int_range 1 1000));
+      map2 (fun a b -> Float.of_int a /. Float.of_int b) (int_range 1 1_000_000)
+        (int_range 1 1_000_000);
+      signed (float_bound_exclusive 1.);
+    ]
+
+let prop_float_repr_reference =
+  QCheck.Test.make ~count:5000 ~name:"float_repr is byte-equal to the Printf reference"
+    (QCheck.make ~print:(Printf.sprintf "%h") float_cases)
+    (fun f -> String.equal (Json.float_repr f) (float_repr_reference f))
+
+(* Ints at the edges of the range, through the writer and back. *)
+let prop_int_round_trip =
+  QCheck.Test.make ~count:2000 ~name:"ints near max_int and min_int round-trip"
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(
+         oneof
+           [
+             map (fun k -> max_int - k) (int_range 0 1000);
+             map (fun k -> min_int + k) (int_range 0 1000);
+             int;
+             int_range (-1000) 1000;
+           ]))
+    (fun i ->
+      let text = Json.to_string (Json.Int i) in
+      String.equal text (string_of_int i) && Json.of_string text = Ok (Json.Int i))
+
+(* How a number token read before the in-place int scan: [int_of_string_opt]
+   unless it has a fraction or exponent, then [float_of_string_opt]. *)
+let number_reference tok =
+  let as_float () = Option.map (fun f -> Json.Float f) (float_of_string_opt tok) in
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok then as_float ()
+  else
+    match int_of_string_opt tok with Some i -> Some (Json.Int i) | None -> as_float ()
+
+let same_number a b =
+  match (a, b) with
+  | Some (Json.Int x), Some (Json.Int y) -> x = y
+  | Some (Json.Float x), Some (Json.Float y) ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | None, None -> true
+  | _ -> false
+
+(* 18-digit tokens take the in-place scan, 19-digit ones (which may pass
+   max_int and read as floats) the general path; both must read each
+   token, bare or inside a list, as the reference does. *)
+let prop_number_tokens =
+  let digits n = QCheck.Gen.(string_size ~gen:numeral (return n)) in
+  QCheck.Test.make ~count:3000 ~name:"number tokens read as int_of_string/float_of_string do"
+    (QCheck.make ~print:Fun.id
+       QCheck.Gen.(
+         let* sign = oneofl [ ""; "-"; "+" ] in
+         let* body =
+           oneof
+             [
+               digits 18; digits 19; digits 17; digits 20;
+               map2 ( ^ ) (digits 1) (digits 18);
+               string_size ~gen:(oneofl [ '0'; '1'; '9'; '-'; '+'; '.'; 'e'; 'E' ])
+                 (int_range 1 24);
+             ]
+         in
+         return (sign ^ body)))
+    (fun tok ->
+      let parsed = Result.to_option (Json.of_string tok) in
+      let listed =
+        match Json.of_string ("[" ^ tok ^ ",7]") with
+        | Ok (Json.List [ v; Json.Int 7 ]) -> Some v
+        | _ -> None
+      in
+      let want = number_reference tok in
+      same_number parsed want && same_number listed want)
+
 (* --- metric registry --------------------------------------------------- *)
 
 let test_registry_covers_stats () =
@@ -877,6 +975,9 @@ let suite =
     Alcotest.test_case "json float exactness" `Quick test_json_float_exactness;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
+    QCheck_alcotest.to_alcotest prop_float_repr_reference;
+    QCheck_alcotest.to_alcotest prop_int_round_trip;
+    QCheck_alcotest.to_alcotest prop_number_tokens;
     Alcotest.test_case "registry covers every Stats field" `Quick
       test_registry_covers_stats;
     Alcotest.test_case "registry names unique" `Quick test_registry_names_unique;

@@ -337,31 +337,94 @@ let test_fixture_pre_translation_peer () =
   check (Alcotest.float 0.) "tlb_walk_cycles" 0. (S.tlb_walk_cycles old);
   check Alcotest.int "other counters intact" (S.l1_hits full) (S.l1_hits old)
 
+(* What the stats decoder answers for malformed and edge-case stats
+   objects, recorded before it read a stats object through the counter
+   table's key index: the message of each error, or, for what decodes,
+   the value the counter took. Duplicate keys keep the first; duplicate
+   slugs within a family keep the last; the first fault in declaration
+   order is the one reported. *)
+let stats_decode_cases =
+  let set k v s = List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) s in
+  let label_loads v = set "load_transactions_by_label" v in
+  let l1 = Ok ("l1_hits", 10072) and body n = Ok ("body", n) in
+  [
+    ("missing strict key", List.remove_assoc "l1_hits",
+     Error "stats.l1_hits: missing required field");
+    ("float in an int slot", set "l1_hits" (J.Float 1.5),
+     Error "stats.l1_hits: expected an int, got float");
+    (* A slug outside a family is the one way the wire can miss the
+       family's index space. *)
+    ("unknown stalls slug", set "stalls" (J.Obj [ ("no_such_slug", J.Float 1.) ]),
+     Error "stats.stalls: unknown slug \"no_such_slug\"");
+    ("unknown load slug", label_loads (J.Obj [ ("no_such_slug", J.Int 1) ]),
+     Error "stats.load_transactions_by_label: unknown slug \"no_such_slug\"");
+    ("unknown violation slug", set "san_violations" (J.Obj [ ("no_such_slug", J.Int 1) ]),
+     Error "stats.san_violations: unknown slug \"no_such_slug\"");
+    ("duplicate key, first bad", (fun s -> ("l1_hits", J.String "x") :: s),
+     Error "stats.l1_hits: expected an int, got string");
+    ("duplicate key, second bad", (fun s -> s @ [ ("l1_hits", J.String "x") ]), l1);
+    ("duplicate family, first bad", (fun s -> ("stalls", J.List []) :: s),
+     Error "stats.stalls: expected an object, got list");
+    ("duplicate family, second bad", (fun s -> s @ [ ("stalls", J.List []) ]), l1);
+    ("duplicate slug", label_loads (J.Obj [ ("body", J.Int 1); ("body", J.Int 2) ]),
+     body 2);
+    ("duplicate slug, first bad",
+     label_loads (J.Obj [ ("body", J.Float 1.5); ("body", J.Int 2) ]),
+     Error "stats.load_transactions_by_label.body: expected an int, got float");
+    ("duplicate slug, second bad",
+     label_loads (J.Obj [ ("body", J.Int 1); ("body", J.Float 2.5) ]),
+     Error "stats.load_transactions_by_label.body: expected an int, got float");
+    ("non-object family", label_loads (J.List [ J.Int 1; J.Int 2 ]),
+     Error "stats.load_transactions_by_label: expected an object, got list");
+    ("null family", label_loads J.Null, body 0);
+    ("null strict key", set "cycles" J.Null,
+     Error "stats.cycles: expected a number, got null");
+    ("null lenient key", set "tlb_walks" J.Null, Ok ("tlb_walks", 0));
+    ("missing lenient key", List.remove_assoc "tlb_walks", Ok ("tlb_walks", 0));
+    ("two faults, reported in declaration order",
+     (fun s -> List.rev (set "l1_hits" (J.Float 1.5) (set "mem_instrs" (J.String "x") s))),
+     Error "stats.mem_instrs: expected an int, got string");
+    ("unknown top-level key", (fun s -> ("no_such_key", J.List []) :: s), l1);
+    ("string in a float slot", set "tlb_walk_cycles" (J.String "x"),
+     Error "stats.tlb_walk_cycles: expected a number, got string");
+  ]
+
 let test_fixture_rejects_bad_stats () =
-  let error j =
-    match J.Decode.run X.Run_wire.run_decoder j with
-    | Ok _ -> Alcotest.fail "expected a decode error"
-    | Error msg -> msg
-  in
-  let msg = error (edit_stats (List.remove_assoc "l1_hits") (fixture ())) in
-  check Alcotest.bool ("names l1_hits: " ^ msg) true (contains ~sub:"l1_hits" msg);
-  (* A slug outside a family is the one way the wire can miss the
-     family's index space. *)
-  List.iter
-    (fun family ->
-      let msg =
-        error
-          (edit_stats
-             (List.map (fun (k, v) ->
-                  if k = family then (k, J.Obj [ ("no_such_slug", J.Int 1) ])
-                  else (k, v)))
-             (fixture ()))
+  let module S = Repro_gpu.Stats in
+  let counter (stats : S.t) = function
+    | "l1_hits" -> S.l1_hits stats
+    | "tlb_walks" -> S.tlb_walks stats
+    | "body" ->
+      let e =
+        S.Counter.load_transactions_by_label.Repro_util.Counter_table.members.(
+          Repro_gpu.Label.(to_index Body))
       in
-      check Alcotest.bool
-        (Printf.sprintf "names %s: %s" family msg)
-        true
-        (contains ~sub:(family ^ ": unknown slug") msg))
-    [ "stalls"; "load_transactions_by_label"; "san_violations" ]
+      int_of_float (stats :> float array).(e.slot)
+    | k -> Alcotest.failf "no reader for %s" k
+  in
+  List.iter
+    (fun (what, edit, want) ->
+      let got =
+        match J.Decode.run X.Run_wire.run_decoder (edit_stats edit (fixture ())) with
+        | Error msg -> Error msg
+        | Ok run ->
+          let key = match want with Ok (k, _) -> k | Error _ -> "l1_hits" in
+          Ok (key, counter run.W.Harness.stats key)
+      in
+      check
+        Alcotest.(result (pair string int) string)
+        what want got)
+    stats_decode_cases;
+  match
+    J.Decode.run X.Run_wire.run_decoder
+      (match fixture () with
+       | J.Obj kvs ->
+         J.Obj (List.map (fun (k, v) -> if k = "stats" then (k, J.List []) else (k, v)) kvs)
+       | j -> j)
+  with
+  | Error msg ->
+    check Alcotest.string "stats as a list" "stats: expected an object, got list" msg
+  | Ok _ -> Alcotest.fail "a list decoded as stats"
 
 (* --- wire text: bit-exact runs, spliced lines, the cache entry ---------- *)
 
@@ -582,6 +645,44 @@ let test_removed_intern_field_ignored () =
     [ {|"intern":false|}; {|"intern":true|}; {|"intra":false|};
       {|"prealloc_mb":64|} ]
 
+(* --- golden cells: wire bytes recorded before the fast codec ------------ *)
+
+(* [Run_wire.encode] of four scale-0.02 cells, written by the writer that
+   printed every float through [Printf] and read back by the reader that
+   read every number through [String.sub]: their bytes pin both. *)
+let golden_cells =
+  [
+    ("run_traf_cuda.json", None, "TRAF", "cuda");
+    ("run_gol_con.json", None, "GOL", "concord");
+    ("run_ray_tp.json", None, "RAY", "tp");
+    ("run_gen_dyna.json", Some "dyna", "GEN", "cuda");
+  ]
+
+let test_golden_cells () =
+  let raw (stats : Repro_gpu.Stats.t) =
+    Marshal.to_string (Repro_gpu.Stats.to_raw stats) []
+  in
+  List.iter
+    (fun (file, alloc, workload, technique) ->
+      let text =
+        In_channel.with_open_bin (Filename.concat "fixtures" file) In_channel.input_all
+      in
+      let decoded =
+        match X.Run_wire.decode text with
+        | Ok run -> run
+        | Error msg -> Alcotest.failf "%s does not decode: %s" file msg
+      in
+      check Alcotest.string (file ^ ": decode then encode") text
+        (X.Run_wire.encode decoded);
+      let run =
+        X.Job.run
+          (resolve (X.Request.Spec.make ?alloc ~scale:0.02 ~workload ~technique ()))
+      in
+      check Alcotest.string (file ^ ": Stats.to_raw of the decoded run")
+        (raw run.W.Harness.stats) (raw decoded.W.Harness.stats);
+      check_run_bits file run decoded)
+    golden_cells
+
 (* --- spec resolution ------------------------------------------------------- *)
 
 let test_spec_resolution () =
@@ -687,6 +788,32 @@ let server_stats socket =
   in
   X.Server.Client.close c;
   s
+
+(* A daemon that accepts each connection and closes it at once: the
+   write of the next request fails (EPIPE), and [Client.call] must report
+   that as a lost connection, not raise. *)
+let test_call_on_dropped_connection () =
+  let path = temp_socket () in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 4;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun req ->
+          let c = client path in
+          let fd, _ = Unix.accept listener in
+          Unix.close fd;
+          (match X.Server.Client.call c req with
+           | Error msg ->
+             check Alcotest.bool ("connection lost: " ^ msg) true
+               (String.starts_with ~prefix:"server connection lost: " msg)
+           | Ok _ -> Alcotest.fail "a closed connection answered");
+          X.Server.Client.close c)
+        [ X.Request.Ping; X.Request.Stats ])
 
 let test_dedup_single_execution () =
   let runner, order = counting_runner ~delay:0.3 () in
@@ -1634,6 +1761,8 @@ let suite =
       test_fixture_pre_translation_peer;
     Alcotest.test_case "stats decode errors name the field" `Quick
       test_fixture_rejects_bad_stats;
+    Alcotest.test_case "golden cells round-trip byte for byte and bit for bit"
+      `Quick test_golden_cells;
     Alcotest.test_case "cache entry format is pinned" `Quick
       test_cache_entry_golden;
     Alcotest.test_case "sampled runs are bit-exact and splice byte for byte"
@@ -1659,6 +1788,8 @@ let suite =
       test_batch_error_reporting;
     Alcotest.test_case "Client.submit: rejection and a stopped daemon are errors"
       `Quick test_client_submit_errors;
+    Alcotest.test_case "Client.call: a dropped connection is an error" `Quick
+      test_call_on_dropped_connection;
     Alcotest.test_case "a byte-at-a-time submitter blocks no one" `Quick
       test_byte_at_a_time_submitter;
     Alcotest.test_case "Client.submit matches Executor.run" `Quick
