@@ -1,8 +1,9 @@
 module Vaddr = Repro_mem.Vaddr
 
 let granule_bytes = 128
-let default_slabs = 64
 let cycles_per_alloc = 2000.
+let slabs = 64
+let arena_bytes = 1 lsl 30
 
 type state = {
   slab_base : int array;
@@ -14,8 +15,7 @@ type state = {
   mutable reserved_bytes : int;
 }
 
-let create ?shadow ?(slabs = default_slabs) ?(arena_bytes = 1 lsl 30) ~space () =
-  if slabs <= 0 then invalid_arg "Cuda_alloc.create: slabs must be positive";
+let create ?shadow ~space () =
   let arena = Repro_mem.Address_space.reserve space ~name:"cuda-heap" ~size:arena_bytes in
   (match shadow with
    | Some sh ->
@@ -32,7 +32,6 @@ let create ?shadow ?(slabs = default_slabs) ?(arena_bytes = 1 lsl 30) ~space () 
   let stagger = 231 * 128 in
   let step = (arena.Repro_mem.Address_space.size / slabs) - stagger in
   let slab_bytes = step - stagger in
-  if slab_bytes <= 0 then invalid_arg "Cuda_alloc.create: arena too small for slab count";
   let st =
     {
       slab_base =
@@ -51,7 +50,7 @@ let create ?shadow ?(slabs = default_slabs) ?(arena_bytes = 1 lsl 30) ~space () 
     let slab = st.next_slab in
     st.next_slab <- (st.next_slab + 1) mod slabs;
     if st.slab_cursor.(slab) + padded > st.slab_bytes then
-      failwith "Cuda_alloc.alloc: device heap slab exhausted (raise arena_bytes)";
+      failwith "Cuda_alloc.alloc: device heap slab exhausted";
     let addr = st.slab_base.(slab) + st.slab_cursor.(slab) in
     st.slab_cursor.(slab) <- st.slab_cursor.(slab) + padded;
     st.objects <- st.objects + 1;

@@ -17,19 +17,14 @@
 val granule_bytes : int
 (** Placement granularity (128). *)
 
-val default_slabs : int
-(** Number of scatter slabs (64). *)
-
 val cycles_per_alloc : float
 (** Modelled device-side allocation cost per object. *)
 
 val create :
   ?shadow:Repro_san.Shadow_heap.t ->
-  ?slabs:int ->
-  ?arena_bytes:int ->
   space:Repro_mem.Address_space.t ->
   unit -> Allocator.t
-(** [arena_bytes] defaults to 1 GB of (lazily materialized) address
-    space. Raises [Failure] when a slab overflows. When [shadow] is
-    given, the arena is declared a heap range and every placement (true
+(** Reserves 1 GB of (lazily materialized) address space, scattered
+    over 64 slabs. Raises [Failure] when a slab overflows. When [shadow]
+    is given, the arena is declared a heap range and every placement (true
     size, excluding granule padding) registered in the shadow map. *)

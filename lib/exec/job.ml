@@ -86,7 +86,7 @@ let key t =
 (* Bump whenever the cache entry format or the run's wire form
    ([Run_wire]) changes: old entries become unreachable, not misread. The
    golden cache entry test fails until this moves. *)
-let schema_version = "repro-exec-v8"
+let schema_version = "repro-exec-v9"
 
 let hash t = Digest.to_hex (Digest.string (schema_version ^ "\n" ^ key t))
 

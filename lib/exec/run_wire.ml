@@ -69,8 +69,6 @@ let run_to_json (r : W.Harness.run) =
       ("warp_vcalls", J.Int r.W.Harness.warp_vcalls);
       ("alloc_stats", alloc_stats_to_json r.W.Harness.alloc_stats);
       ("stats", stats_to_json r.W.Harness.stats);
-      ( "kernel_stats",
-        J.List (List.map stats_to_json r.W.Harness.kernel_stats) );
     ]
 
 let technique_decoder j =
@@ -96,9 +94,10 @@ let run_decoder j =
        | None -> Repro_core.Alloc_family.default_for technique);
     cycles = D.field "cycles" D.float j;
     stats = D.field "stats" stats_decoder j;
-    kernel_stats = D.field_default "kernel_stats" (D.list stats_decoder) [] j;
-    (* Telemetry never rides the wire: daemon jobs are plain measurement
-       jobs (Job.cacheable), which carry none. *)
+    (* Only totals ride the wire; an older peer's [kernel_stats] key is
+       skipped like any unknown key. Daemon jobs are plain measurement
+       jobs (Job.cacheable), which carry no telemetry. *)
+    kernel_stats = [];
     window = None;
     kernel_windows = [];
     trace = None;

@@ -9,13 +9,10 @@ type t = {
   mutable reservations : arena list; (* newest first *)
 }
 
-let default_first_base = 0x1000_0000
+(* Non-zero, so the null pointer is never handed out; page-aligned. *)
+let first_base = 0x1000_0000
 
-let create ?(first_base = default_first_base) () =
-  if first_base <= 0 || not (Vaddr.is_canonical first_base) then
-    invalid_arg "Address_space.create: first_base must be a positive canonical address";
-  let first_base = Vaddr.align_up first_base ~alignment:Page_store.page_bytes in
-  { cursor = first_base; reservations = [] }
+let create () = { cursor = first_base; reservations = [] }
 
 let reserve t ~name ~size =
   if size <= 0 then invalid_arg "Address_space.reserve: size must be positive";

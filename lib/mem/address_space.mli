@@ -13,10 +13,10 @@ type arena = private {
   size : int;   (** Extent in bytes. *)
 }
 
-val create : ?first_base:int -> unit -> t
-(** A fresh address space. [first_base] defaults to a non-zero, page- and
-    sector-aligned address so that address 0 (the null pointer) is never
-    handed out. *)
+val create : unit -> t
+(** A fresh address space. Its first reservation starts at a non-zero,
+    page- and sector-aligned address, so address 0 (the null pointer) is
+    never handed out. *)
 
 val reserve : t -> name:string -> size:int -> arena
 (** Reserve [size] bytes (rounded up to a page). Raises [Invalid_argument]

@@ -7,19 +7,20 @@ type t = {
   shadow : Shadow_heap.t;
   oracle : Oracle.t;
   tags_expected : bool;
-  max_samples : int;
   counts : int array;         (* cumulative, per Violation.kind_index *)
   kernel_counts : int array;  (* since the last take_kernel_delta *)
   samples : Violation.t Vec.t;
   mutable page_table : Repro_vm.Page_table.t option;
 }
 
-let create ?mutation ?capture ?(max_samples = 32) ~tags_expected () =
+(* Violation contexts retained; counting is unbounded. *)
+let max_samples = 32
+
+let create ?mutation ?capture ~tags_expected () =
   {
     shadow = Shadow_heap.create ?mutation ();
     oracle = Oracle.create ?capture ();
     tags_expected;
-    max_samples;
     counts = Array.make Violation.kind_count 0;
     kernel_counts = Array.make Violation.kind_count 0;
     samples = Vec.create ();
@@ -37,7 +38,7 @@ let report t ~kind ~warp ~lane ~addr ~what ~detail =
   let i = Violation.kind_index kind in
   t.counts.(i) <- t.counts.(i) + 1;
   t.kernel_counts.(i) <- t.kernel_counts.(i) + 1;
-  if Vec.length t.samples < t.max_samples then
+  if Vec.length t.samples < max_samples then
     Vec.push t.samples
       { Violation.kind; warp; lane; addr; access = what; detail }
 

@@ -17,14 +17,13 @@ type t
 val create :
   ?mutation:Mutation.t ->
   ?capture:int ->
-  ?max_samples:int ->
   tags_expected:bool ->
   unit -> t
 (** [tags_expected] is true when the technique issues tagged pointers
     (TypePointer): tag bits at the MMU are then legal and cross-checked
     against the shadow map instead of being flagged as non-canonical.
-    [capture] is forwarded to the {!Oracle}; [max_samples] bounds the
-    retained violation contexts (default 32; counting is unbounded). *)
+    [capture] is forwarded to the {!Oracle}. The first 32 violations
+    are retained with full context; counting is unbounded. *)
 
 val shadow : t -> Shadow_heap.t
 

@@ -32,7 +32,8 @@ let small_levels = 4
 let large_levels = 3
 let max_levels = 4
 
-let default_promote_min_bytes = 65536
+(* Minimum merged-span size [Coalesce] promotes to large pages. *)
+let promote_min_bytes = 65536
 
 (* Page offsets within a span stay below 2^span_key_shift (a span would
    need 2^40 sectors — 32 TB — to overflow), so span index and offset
@@ -89,8 +90,7 @@ let subtract (base, limit) cuts =
   in
   List.rev (go base [] cuts)
 
-let build ?(promote_min_bytes = default_promote_min_bytes) ~policy ~arenas
-    ~promoted () =
+let build ~policy ~arenas ~promoted () =
   (* Arena reservations, merged into maximal contiguous intervals. *)
   let arena_intervals =
     merge_adjacent (List.map (fun (base, size) -> (base, base + size, -1)) arenas)

@@ -26,11 +26,7 @@ val large_levels : int
 val max_levels : int
 (** Walk depth charged for an unmapped address (= {!small_levels}). *)
 
-val default_promote_min_bytes : int
-(** Minimum merged-span size [Coalesce] promotes to large pages (64 KB). *)
-
 val build :
-  ?promote_min_bytes:int ->
   policy:Policy.t ->
   arenas:(int * int) list ->
   promoted:(int * int * int) list ->
@@ -40,8 +36,8 @@ val build :
     reservation. Under [Coalesce], [promoted] — the allocator-reported
     [(base, limit, type_id)] contiguity spans, reservation-extent so they
     tile arenas exactly — is merged (adjacent same-type spans coalesce),
-    filtered by [promote_min_bytes], and backed by large pages; the rest
-    of each arena gets base pages. [Flat_4k]/[Flat_2m] ignore
+    filtered to spans of at least 64 KB, and backed by large pages; the
+    rest of each arena gets base pages. [Flat_4k]/[Flat_2m] ignore
     [promoted]. Bases must be sector-aligned (reservations are
     page-rounded, so they are). *)
 

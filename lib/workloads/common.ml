@@ -29,9 +29,8 @@ let launch rt ~n kernel = R.Runtime.launch rt ~n_threads:n kernel
 
 let lane_tids (env : R.Env.t) = Warp_ctx.tids env.R.Env.ctx
 
-let vcall_all ?(converged = false) rt ~ptrs ~n ~slot =
+let vcall_all rt ~ptrs ~n ~slot =
   launch rt ~n (fun env ->
       let tids = lane_tids env in
       let objs = R.Garray.load ptrs env.R.Env.ctx ~idxs:tids in
-      if converged then env.R.Env.vcall_converged env ~objs ~slot
-      else env.R.Env.vcall env ~objs ~slot)
+      env.R.Env.vcall env ~objs ~slot)

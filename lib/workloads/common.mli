@@ -14,8 +14,7 @@ val fill : R.Runtime.t -> R.Garray.t -> (int -> int) -> unit
 
 val to_array : R.Runtime.t -> R.Garray.t -> int array
 
-val vcall_all :
-  ?converged:bool -> R.Runtime.t -> ptrs:R.Garray.t -> n:int -> slot:int -> unit
+val vcall_all : R.Runtime.t -> ptrs:R.Garray.t -> n:int -> slot:int -> unit
 (** The canonical "do-all" kernel: one thread per object; each thread
     loads its receiver pointer from [ptrs] and makes the virtual call. *)
 

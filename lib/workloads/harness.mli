@@ -25,7 +25,9 @@ type run = {
   (** Per-kernel-launch counter deltas inside the measured region, in
       launch order. Accumulating them with [Stats.add] into a fresh
       [Stats.t] reproduces [stats] exactly (float fields bit-for-bit),
-      which [Repro_obs.Profile.consistent] checks. *)
+      which [Repro_obs.Profile.consistent] checks. In-process runs only:
+      a run read from the wire or the result cache
+      ([Repro_exec.Run_wire]) carries its totals and has [[]] here. *)
   window : int option;
   (** Sampling window in cycles when the run's params enabled it. *)
   kernel_windows : Repro_gpu.Stats.t array list;

@@ -242,6 +242,17 @@ let test_cache_ignores_corrupt_entries () =
         let st = Random.State.make [| 9 |] in
         String.init 4096 (fun _ -> Char.chr (Random.State.int st 256))
       in
+      (* An entry the previous format version wrote: a v8 header over a
+         committed run line that still carries [kernel_stats], with that
+         payload's true length and MD5. *)
+      let v8_entry =
+        let payload =
+          In_channel.with_open_bin "fixtures/run_traf_cuda.json" In_channel.input_all
+        in
+        Printf.sprintf "repro-cache repro-exec-v8 %d %s\n%s\n%s"
+          (String.length payload) (Digest.to_hex (Digest.string payload))
+          (X.Job.key job) payload
+      in
       let corruptions =
         [
           ("random bytes", random);
@@ -255,6 +266,7 @@ let test_cache_ignores_corrupt_entries () =
           ("another job's entry", read_file (entry_file ~dir other));
           ("marshalled v7 layout", Marshal.to_string (X.Job.key job, run) []);
           ("header only", String.sub good 0 (header_end + 1));
+          ("v8 entry with kernel_stats", v8_entry);
         ]
       in
       List.iteri

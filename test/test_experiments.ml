@@ -274,19 +274,19 @@ let test_job_identity_golden () =
       check Alcotest.string (name ^ " hashes") hash (md5 X.Job.hash jobs))
     [
       ( "sweep", small (), 66, "131e05be50dba336a1a03e0186a07514",
-        "af3f895b6d01b3448401375bace41c68" );
+        "1184170e6c980a209183a97365d93e30" );
       ( "sweep --alloc shared-oa", small ~columns:(family A.Shared_oa) (), 55,
-        "8a504fbd718fca70cf247ae89f91fcd4", "405318e9034dc83a4302431cfef057c8" );
+        "8a504fbd718fca70cf247ae89f91fcd4", "f9ca02353cbfbf70bc4bf9804b4d26bd" );
       ( "sweep --pages coalesce", small ~pages:Repro_vm.Policy.Coalesce (), 66,
-        "b8e1e7a70072b555ee34573ab4c0a0af", "1619d30b79387790460b523a71c8ef70" );
+        "b8e1e7a70072b555ee34573ab4c0a0af", "22a91d9c37d8659a4207d1d8c7c71858" );
       ( "fig10", figure E.Fig10.columns, 77, "d23b339b4cb1b108d5bd16c219d4c0f8",
-        "411443705fc4595b73953edeff8b66a8" );
+        "030ddf54f6b971c39fba3d68769d95d9" );
       ( "fig11", figure E.Fig11.columns, 33, "0433eae0ebcafac2696d4cbddc7f9949",
-        "286b5e07e5e8ff677330511d82471dae" );
+        "3f7ad9d32b1b1f9ff5eb5dad635be249" );
       ( "init", figure E.Init_bench.columns, 33,
-        "ee77f13fd0743d5bbe49749e9413d0b2", "676a202dcfe2e468e5186dd35f4da882" );
+        "ee77f13fd0743d5bbe49749e9413d0b2", "126a72b320ed915c4196f61d225ae820" );
       ( "ablation", figure E.Ablation.tp_columns, 22,
-        "455ce57710e90c43accf9eef5c64f38d", "e1d102590c3a5d896014eb58ecd84635" );
+        "455ce57710e90c43accf9eef5c64f38d", "e6c00e7341ea78d55f1d26a3b2d40ab1" );
     ]
 
 (* One memo across sweeps: a job measured once is served to every later
