@@ -5,10 +5,10 @@
    distinct ascending 32 B sectors go to the sector arena ([secs]) as a
    count-prefixed list, [n] then the [n] sectors, in record order. Its
    canonical per-lane addresses go to the lane arena ([addrs]), which only
-   the functional access reads back; sealing drops it. The functional
-   phase grows the arrays (amortized doubling); the timing phase replays
-   by index, walking each warp's sector arena with a cursor, without
-   allocating. *)
+   the functional access reads back; sealing drops it. A warp-uniform
+   load writes one sector and no lanes. The functional phase grows the
+   arrays (amortized doubling); the timing phase replays by index,
+   walking each warp's sector arena with a cursor, without allocating. *)
 
 let op_load = 0
 let op_store = 1
@@ -117,17 +117,25 @@ let emit_mem_n t ~op ~label ~blocking addrs n =
   push t ~op ~label ~active:n ~rep:1 ~blocking;
   off
 
-let emit_mem t ~op ~label ~blocking addrs =
-  emit_mem_n t ~op ~label ~blocking addrs (Array.length addrs)
-
-let emit_load t ~label ~blocking addrs =
-  emit_mem t ~op:op_load ~label ~blocking addrs
+(* A load whose [n] active lanes all name [addr]: the record
+   [emit_mem_n] would write (its lanes coalesce to one sector) without
+   the lane-arena copy or the sort. Returns the stripped address. *)
+let emit_load_uniform t ~label ~blocking ~n addr =
+  if n = 0 then invalid_arg "Trace.emit_mem: no active lanes";
+  let a = addr land Repro_mem.Vaddr.va_mask in
+  let soff = t.secs_len in
+  if soff + 2 > Array.length t.secs then t.secs <- grown t.secs soff (soff + 2);
+  t.secs.(soff) <- 1;
+  t.secs.(soff + 1) <- a lsr Repro_mem.Vaddr.sector_shift;
+  t.secs_len <- soff + 2;
+  push t ~op:op_load ~label ~active:n ~rep:1 ~blocking;
+  a
 
 let emit_load_n t ~label ~blocking addrs n =
   emit_mem_n t ~op:op_load ~label ~blocking addrs n
 
 let emit_store t ~label addrs =
-  emit_mem t ~op:op_store ~label ~blocking:false addrs
+  emit_mem_n t ~op:op_store ~label ~blocking:false addrs (Array.length addrs)
 
 let emit_store_n t ~label addrs n =
   emit_mem_n t ~op:op_store ~label ~blocking:false addrs n

@@ -6,8 +6,9 @@
     the {e sector arena} holds, for every memory record in record order,
     its count of distinct 32 B sectors [n] followed by those [n] sector
     ids in ascending order. The {e lane arena} holds the record's
-    canonical per-lane byte addresses back to back; only the functional
-    access reads them back, and {!Intern.seal} drops them. The functional
+    canonical per-lane byte addresses back to back (a warp-uniform load,
+    {!emit_load_uniform}, puts none there); only the functional access
+    reads them back, and {!Intern.seal} drops them. The functional
     phase appends through the [emit_*] functions (amortized-doubling
     growth, tag bits stripped as addresses enter the lane arena); the
     timing phase replays by index through the int-returning accessors and
@@ -43,18 +44,21 @@ val op_call_direct : int
 
 (** {1 Emission (functional phase)} *)
 
-val emit_load : t -> label:Label.t -> blocking:bool -> int array -> int
-(** [emit_load t ~label ~blocking addrs] records one global-load
-    instruction, stripping each address's tag bits as it is copied into the
-    lane arena and appending its coalesced sectors to the sector arena,
-    and returns the lane-arena offset of the first lane ([Array.length
-    addrs] consecutive entries). Raises [Invalid_argument] on an empty
-    lane set. *)
-
 val emit_load_n : t -> label:Label.t -> blocking:bool -> int array -> int -> int
-(** [emit_load_n t ~label ~blocking buf n] is {!emit_load} over
-    [buf.(0 .. n-1)] — the scratch-buffer form used by [Warp_ctx.load_into],
-    where [buf] may be wider than the warp. *)
+(** [emit_load_n t ~label ~blocking buf n] records one global-load
+    instruction over the lanes [buf.(0 .. n-1)] ([buf] may be wider than
+    the warp), stripping each address's tag bits as it is copied into
+    the lane arena and appending its coalesced sectors to the sector
+    arena, and returns the lane-arena offset of the first lane ([n]
+    consecutive entries). Raises [Invalid_argument] on an empty lane
+    set. *)
+
+val emit_load_uniform : t -> label:Label.t -> blocking:bool -> n:int -> int -> int
+(** [emit_load_uniform t ~label ~blocking ~n addr] records the load
+    {!emit_load_n} would record for [n] lanes that all name [addr] — [n]
+    active lanes, one sector — with nothing in the lane arena, and
+    returns [addr] with its tag bits stripped. The warp-uniform path of
+    [Warp_ctx]'s loads. *)
 
 val emit_store : t -> label:Label.t -> int array -> int
 (** Same for a (non-blocking) global store. *)
@@ -82,8 +86,8 @@ val label_index : t -> int -> int
 (** The record's {!Label.to_index}. *)
 
 val active : t -> int -> int
-(** Active lane count; for memory records this is also the record's
-    lane-arena slice length. *)
+(** Active lane count; for a memory record emitted with its lanes this
+    is also the record's lane-arena slice length. *)
 
 val repeat : t -> int -> int
 (** The record's {!Instr.instruction_count}. *)

@@ -62,42 +62,56 @@ let sanitize t ~label ~width addrs =
       ~access:(san_access_of_label label) ~what:(Label.slug label) ~width
       ~addrs
 
-(* Tag stripping is fused into lane-arena emission ([Trace.emit_mem]);
-   the functional access reads the canonical addresses back from the
-   lane-arena slice just written, so no intermediate stripped array is
-   built. *)
-let do_load t ~width ~blocking ~label addrs =
-  check_width t addrs "load";
-  sanitize t ~label ~width addrs;
-  let off = Trace.emit_load t.trace ~label ~blocking addrs in
-  let arena = Trace.lane_arena t.trace in
-  Array.init (Array.length addrs) (fun i ->
-      Page_store.load_byte_width t.heap arena.(off + i) ~width)
-
-let load ?(width = 8) t ~label addrs = do_load t ~width ~blocking:true ~label addrs
-
-let load_nonblocking ?(width = 8) t ~label addrs =
-  do_load t ~width ~blocking:false ~label addrs
-
 (* Scratch-buffer entry points: the caller (the object model's field
    path, Garray, Dispatch) computes canonical per-lane addresses into a
    reusable buffer that may be wider than the warp, so only the returned
    value array is allocated. The sanitizer needs an exact-width array;
-   that copy only happens on sanitized runs. *)
+   that copy only happens on sanitized runs with a wider buffer. *)
 let sanitize_buf t ~label ~width addrs n =
   match t.san with
   | None -> ()
-  | Some _ -> sanitize t ~label ~width (Array.sub addrs 0 n)
+  | Some _ ->
+    sanitize t ~label ~width
+      (if Array.length addrs = n then addrs else Array.sub addrs 0 n)
+
+(* The one load body. Tag stripping is fused into emission
+   ([Trace.emit_mem_n]); the functional access reads the canonical
+   addresses back from the lane-arena slice just written, so no
+   intermediate stripped array is built. A warp-uniform load — every
+   lane naming one address, as at a converged call site — skips the lane
+   arena, the coalescer's sort and the per-lane lookups: it emits the
+   same record with its one sector ([Trace.emit_load_uniform]) and reads
+   the page once, through the same checks and exceptions. *)
+let load_n t ~width ~label ~blocking addrs n =
+  sanitize_buf t ~label ~width addrs n;
+  let a0 = addrs.(0) in
+  let k = ref 1 in
+  while !k < n && addrs.(!k) = a0 do
+    incr k
+  done;
+  if !k = n then begin
+    let a = Trace.emit_load_uniform t.trace ~label ~blocking ~n a0 in
+    Array.make n (Page_store.load_byte_width t.heap a ~width)
+  end
+  else begin
+    let off = Trace.emit_load_n t.trace ~label ~blocking addrs n in
+    let out = Array.make n 0 in
+    Page_store.load_batch t.heap (Trace.lane_arena t.trace) ~off ~n ~width out;
+    out
+  end
+
+let load ?(width = 8) t ~label addrs =
+  check_width t addrs "load";
+  load_n t ~width ~label ~blocking:true addrs (Array.length addrs)
+
+let load_nonblocking ?(width = 8) t ~label addrs =
+  check_width t addrs "load";
+  load_n t ~width ~label ~blocking:false addrs (Array.length addrs)
 
 let load_into ?(width = 8) t ~label ~blocking ~addrs ~n =
   if n <> n_active t then
     invalid_arg "Warp_ctx.load_into: per-lane buffer width mismatch";
-  sanitize_buf t ~label ~width addrs n;
-  let off = Trace.emit_load_n t.trace ~label ~blocking addrs n in
-  let arena = Trace.lane_arena t.trace in
-  let out = Array.make n 0 in
-  Page_store.load_batch t.heap arena ~off ~n ~width out;
-  out
+  load_n t ~width ~label ~blocking addrs n
 
 let store_from ?(width = 8) t ~label ~addrs ~n values =
   if n <> n_active t || Array.length values <> n then

@@ -47,7 +47,9 @@ val load : ?width:int -> t -> label:Label.t -> int array -> int array
     returns the loaded words, zero-extended. [addrs] is per-active-lane;
     [width] is the access size in bytes (1, 2, 4 or 8; default 8) —
     narrower fields are how real object layouts pack, and the coalescer
-    sees the true byte addresses. *)
+    sees the true byte addresses. When every lane names one address (a
+    converged call site) the same record is emitted with its one sector
+    and the page is read once: same values, same exceptions. *)
 
 val load_nonblocking : ?width:int -> t -> label:Label.t -> int array -> int array
 (** Same, but the warp does not stall on the result (prefetch-like). *)

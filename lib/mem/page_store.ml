@@ -17,8 +17,11 @@ let page_bytes = 1 lsl page_bits
    array reads and no hashing. Absent levels all point at one shared
    empty level ([no_mid], [no_leaf], [no_page]), so a lookup never
    branches on absence until it reaches the page, and an untouched page
-   costs nothing. A one-entry page memo short-circuits the directory for
-   the common case of consecutive lanes landing on the same 4 KB page.
+   costs nothing. A direct-mapped memo of [memo_slots] pages, indexed by
+   the page number's low bits, short-circuits the directory: consecutive
+   lanes on one page hit it, and so do the CUDA heap's accesses
+   round-robin over its 64 slabs, which one entry could not hold. Its
+   two arrays are the store's only fixed footprint beyond the directory.
 
    The page number indexes the directory unmasked, so a tagged address
    must never reach it: masking would alias it onto the canonical page.
@@ -33,16 +36,19 @@ let no_page : Bytes.t = Bytes.empty
 let no_leaf : Bytes.t array = Array.make level_size no_page
 let no_mid : Bytes.t array array = Array.make level_size no_leaf
 
+let memo_slots = 256
+
 type t = {
   dir : Bytes.t array array array;  (* dir.(top).(mid).(leaf) = page *)
   mutable pages : int;              (* materialized pages *)
-  mutable last_page : int;          (* memo key; [min_int] = empty *)
-  mutable last_data : Bytes.t;      (* memo value, valid iff key set *)
+  memo_key : int array;             (* page number per slot; -1 = empty *)
+  memo_data : Bytes.t array;        (* its page, valid iff the key is set *)
 }
 
 let create () =
-  { dir = Array.make level_size no_mid; pages = 0; last_page = min_int;
-    last_data = no_page }
+  { dir = Array.make level_size no_mid; pages = 0;
+    memo_key = Array.make memo_slots (-1);
+    memo_data = Array.make memo_slots no_page }
 
 let check_canonical addr label =
   if not (Vaddr.is_canonical addr) then
@@ -59,15 +65,21 @@ let top_of key = key lsr (2 * level_bits)
 let mid_of key = (key lsr level_bits) land level_mask
 let leaf_of key = key land level_mask
 
+(* A page's memo slot. Canonical page numbers are non-negative, so no
+   key matches an empty slot's -1. *)
+let[@inline] slot key = key land (memo_slots - 1)
+
 (* The directory walk behind a memo miss. [find_page] raises
    [Not_found] on an untouched page (the zero-fill case), which loads
    turn into 0; [materialize] allocates whatever levels the page lacks.
-   Both set the memo, and only ever to a materialized page, so a memo hit
-   can skip the directory. The top-level read stays bounds-checked: it is
-   the one index a non-canonical key could push out of range. *)
+   Both fill the key's slot, and only ever with a materialized page, so a
+   memo hit can skip the directory. The top-level read stays
+   bounds-checked: it is the one index a non-canonical key could push out
+   of range. *)
 let remember t key data =
-  t.last_page <- key;
-  t.last_data <- data;
+  let s = slot key in
+  Array.unsafe_set t.memo_key s key;
+  Array.unsafe_set t.memo_data s data;
   data
 
 let find_page t key =
@@ -132,7 +144,9 @@ let[@inline] write data addr width v =
 (* A checked access's page lookup: the memo, then the directory. *)
 let[@inline] load_field t addr width =
   let key = page_of addr in
-  if key = t.last_page then read t.last_data addr width
+  let s = slot key in
+  if Array.unsafe_get t.memo_key s = key then
+    read (Array.unsafe_get t.memo_data s) addr width
   else
     match find_page t key with
     | exception Not_found -> 0
@@ -140,7 +154,11 @@ let[@inline] load_field t addr width =
 
 let[@inline] store_field t addr width v =
   let key = page_of addr in
-  write (if key = t.last_page then t.last_data else materialize t key) addr width v
+  let s = slot key in
+  write
+    (if Array.unsafe_get t.memo_key s = key then Array.unsafe_get t.memo_data s
+     else materialize t key)
+    addr width v
 
 let check_word_value v =
   if v < 0 then invalid_arg "Page_store.store: negative 64-bit stores are unsupported"

@@ -17,6 +17,10 @@ val create : unit -> t
 val page_bytes : int
 (** Page size in bytes (4096). *)
 
+val memo_slots : int
+(** Entries of the store's direct-mapped page memo (256), a fixed part of
+    its host footprint: two arrays of this many words. *)
+
 val load : t -> int -> int
 (** [load t addr] reads the 64-bit word at word-aligned [addr]: its low
     63 bits, as an OCaml int. Raises [Invalid_argument] on misaligned or

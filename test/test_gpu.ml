@@ -224,7 +224,7 @@ let run_loads mp ~stats loads =
         let t = Trace.create () in
         List.iter
           (fun addrs ->
-            ignore (Trace.emit_load t ~label:Label.Body ~blocking:true addrs))
+            ignore (Trace.emit_load_n t ~label:Label.Body ~blocking:true addrs (Array.length addrs)))
           addrs_list;
         t)
       loads
@@ -436,7 +436,7 @@ let test_more_warps_hide_latency () =
 let test_trace_soa_roundtrip () =
   let t = Trace.create () in
   let tagged = Repro_mem.Vaddr.with_tag 64 ~tag:5 in
-  let off = Trace.emit_load t ~label:Label.Body ~blocking:true [| tagged; 128 |] in
+  let off = Trace.emit_load_n t ~label:Label.Body ~blocking:true [| tagged; 128 |] 2 in
   Trace.emit_compute t ~label:Label.Body ~n:3 ~blocking:false ~active:2;
   (* Emission strips tag bits on the way into the lane arena. *)
   check Alcotest.int "arena canonical" 64 (Trace.lane_arena t).(off);
@@ -456,7 +456,7 @@ let test_trace_soa_roundtrip () =
 
 let test_trace_emit_opcodes () =
   let t = Trace.create () in
-  ignore (Trace.emit_load t ~label:Label.Vtable_load ~blocking:true [| 256 |]);
+  ignore (Trace.emit_load_n t ~label:Label.Vtable_load ~blocking:true [| 256 |] 1);
   Trace.emit_ctrl t ~label:Label.Body ~n:2 ~active:7;
   check Alcotest.int "length" 2 (Trace.length t);
   check (Alcotest.list Alcotest.int) "opcodes preserved"
@@ -529,7 +529,7 @@ let prop_sector_arena_matches_naive =
            (oneofl [ 1; 8; 64; 4096 ])))
     (fun records ->
       let t = Trace.create ~capacity:1 () in
-      ignore (Trace.emit_load t ~label:Label.Body ~blocking:true [| 4096 |]);
+      ignore (Trace.emit_load_n t ~label:Label.Body ~blocking:true [| 4096 |] 1);
       Trace.reset t;
       let lanes =
         List.filter_map
@@ -545,7 +545,7 @@ let prop_sector_arena_matches_naive =
             let n = Array.length addrs in
             match kind with
             | 0 ->
-              ignore (Trace.emit_load t ~label:Label.Body ~blocking:true addrs);
+              ignore (Trace.emit_load_n t ~label:Label.Body ~blocking:true addrs n);
               Some addrs
             | 1 ->
               ignore (Trace.emit_store t ~label:Label.Body addrs);
@@ -571,6 +571,172 @@ let prop_sector_arena_matches_naive =
            [ t; first; hit ]
       && Trace.lane_arena_length first = 0
       && Trace.lane_arena_length hit = 0)
+
+(* [Warp_ctx]'s one load body takes a warp-uniform shortcut when every
+   lane names one address. Against a twin store and trace driven lane by
+   lane — [Trace.emit_load_n], then [Page_store.load_byte_width] of each
+   stripped lane, the first failing lane's exception winning — [load],
+   [load_nonblocking] and [load_into] (from a wider, stale scratch
+   buffer) must return the same values or raise the same exception, and
+   emit the same records, each with the naive [Coalesce.sectors] of its
+   stripped lanes. Lane vectors are mostly uniform: all equal, all but
+   one equal, one address under different tags, or random; addresses are
+   aligned, misaligned, tagged or on an untouched page, over two pages
+   that share a page-memo slot and one in another directory subtree. *)
+type uniform_lane = { page : int; word : int; misalign : bool; tag : int }
+
+type uniform_op = {
+  u_width : int;
+  u_into : bool;
+  u_blocking : bool;
+  u_label : int;
+  u_lanes : uniform_lane array;
+}
+
+let uniform_pages =
+  [| 0x10; 0x10 + Page_store.memo_slots; (3 lsl 24) lor 0x10; 0x7_0000 |]
+
+let uniform_labels = [| Label.Body; Label.Vtable_load; Label.Vfunc_load |]
+
+let uniform_addr width l =
+  let a =
+    (uniform_pages.(l.page) * Page_store.page_bytes)
+    + ((l.word * 4) land lnot (width - 1))
+    + if l.misalign then width / 2 else 0
+  in
+  if l.tag = 0 then a else Repro_mem.Vaddr.with_tag a ~tag:l.tag
+
+let gen_uniform_op =
+  QCheck.Gen.(
+    let lane =
+      map
+        (fun ((page, word), (misalign, tagged, tag)) ->
+          { page; word; misalign; tag = (if tagged then 1 + tag else 0) })
+        (pair
+           (pair (int_bound 3) (int_bound 1023))
+           (triple (frequency [ (6, return false); (1, return true) ])
+              (frequency [ (3, return false); (1, return true) ])
+              (int_bound (Repro_mem.Vaddr.max_tag - 1))))
+    in
+    int_range 1 32 >>= fun n ->
+    map
+      (fun (((u_width, u_into), (u_blocking, u_label)), (shape, (a, b, j), tags, rnd)) ->
+        let u_lanes =
+          match shape with
+          | 0 -> Array.make n a
+          | 1 -> Array.init n (fun i -> if i = j mod n then b else a)
+          | 2 -> Array.init n (fun i -> { a with tag = tags.(i) })
+          | _ -> rnd
+        in
+        { u_width; u_into; u_blocking; u_label; u_lanes })
+      (pair
+         (pair (pair (oneofl [ 4; 8 ]) bool) (pair bool (int_bound 2)))
+         (quad
+            (frequency [ (4, return 0); (2, return 1); (1, return 2); (1, return 3) ])
+            (triple lane lane (int_bound 31))
+            (array_repeat n (int_bound 3))
+            (array_repeat n lane))))
+
+let print_uniform_ops ops =
+  String.concat "\n"
+    (List.map
+       (fun o ->
+         Printf.sprintf "%s w%d%s: [%s]"
+           (if o.u_into then "load_into" else "load")
+           o.u_width
+           (if o.u_blocking then "" else " nonblocking")
+           (String.concat "; "
+              (Array.to_list (Array.map (fun l -> Printf.sprintf "0x%x" (uniform_addr o.u_width l)) o.u_lanes))))
+       ops)
+
+let prop_uniform_loads_invisible =
+  QCheck.Test.make ~name:"warp-uniform loads match the per-lane reference" ~count:200
+    (QCheck.make ~print:print_uniform_ops
+       QCheck.Gen.(list_size (int_range 1 30) gen_uniform_op))
+    (fun ops ->
+      let heap = Page_store.create () and ref_heap = Page_store.create () in
+      for p = 0 to 2 do
+        for w = 0 to 511 do
+          let a = (uniform_pages.(p) * Page_store.page_bytes) + (w * 8) in
+          let v = ((p + 1) * 0x9E37_79B9 * (w + 1)) land 0x3FFF_FFFF_FFFF_FFFF in
+          Page_store.store heap a v;
+          Page_store.store ref_heap a v
+        done
+      done;
+      let trace = Trace.create ~capacity:1 () and ref_trace = Trace.create ~capacity:1 () in
+      let expected =
+        List.map
+          (fun o ->
+            let width = o.u_width and label = uniform_labels.(o.u_label) in
+            let addrs = Array.map (uniform_addr width) o.u_lanes in
+            let n = Array.length addrs in
+            let stripped = Array.map Repro_mem.Vaddr.strip addrs in
+            ignore (Trace.emit_load_n ref_trace ~label ~blocking:o.u_blocking addrs n);
+            let want =
+              match Array.map (fun a -> Page_store.load_byte_width ref_heap a ~width) stripped with
+              | v -> Ok v
+              | exception e -> Error e
+            in
+            let ctx =
+              Warp_ctx.create ~heap ~trace ~warp_id:0 ~lanes:(Array.init n Fun.id) ()
+            in
+            let got =
+              match
+                if o.u_into then
+                  let buf = Array.append addrs (Array.make 5 0x7FFF_FFE0) in
+                  Warp_ctx.load_into ~width ctx ~label ~blocking:o.u_blocking ~addrs:buf ~n
+                else if o.u_blocking then Warp_ctx.load ~width ctx ~label addrs
+                else Warp_ctx.load_nonblocking ~width ctx ~label addrs
+              with
+              | v -> Ok v
+              | exception e -> Error e
+            in
+            if got <> want then
+              QCheck.Test.fail_reportf "values or exception differ: %s, reference %s"
+                (match got with Ok _ -> "values" | Error e -> Printexc.to_string e)
+                (match want with Ok _ -> "values" | Error e -> Printexc.to_string e);
+            Coalesce.sectors stripped)
+          ops
+      in
+      let columns t =
+        List.init (Trace.length t) (fun i ->
+            (Trace.op t i, Trace.label_index t i, Trace.active t i, Trace.repeat t i,
+             Trace.is_blocking t i))
+      in
+      columns trace = columns ref_trace
+      && Trace.instruction_total trace = Trace.instruction_total ref_trace
+      && sector_lists trace = (expected, true)
+      && sector_lists ref_trace = (expected, true)
+      && Page_store.touched_pages heap = Page_store.touched_pages ref_heap)
+
+(* A converged 32-lane load, tagged, through [load_into] and [load]:
+   after warm-up each allocates its value array (32 words and a header)
+   and nothing else. *)
+let test_uniform_load_allocation () =
+  let heap = Page_store.create () in
+  Page_store.store heap 4096 7;
+  let trace = Trace.create () in
+  let ctx = Warp_ctx.create ~heap ~trace ~warp_id:0 ~lanes:(Array.init 32 Fun.id) () in
+  let addr = Repro_mem.Vaddr.with_tag 4096 ~tag:3 in
+  let exact = Array.make 32 addr in
+  let buf = Warp_ctx.addr_scratch ctx 32 in
+  Array.fill buf 0 32 addr;
+  let round () =
+    Trace.reset trace;
+    for _ = 1 to 10 do
+      ignore (Warp_ctx.load_into ctx ~label:Label.Vtable_load ~blocking:true ~addrs:buf ~n:32);
+      ignore (Warp_ctx.load ctx ~label:Label.Vtable_load exact)
+    done
+  in
+  round ();
+  check (Alcotest.array Alcotest.int) "the word, once per lane" (Array.make 32 7)
+    (Warp_ctx.load ctx ~label:Label.Body exact);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    round ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check (Alcotest.float 0.) "minor words of 2000 uniform loads" (2000. *. 33.) words
 
 (* A sealed trace of [canned_traces] holds one count plus the distinct
    sectors per memory record, exactly sized, and no lanes: fewer cells
@@ -1141,6 +1307,8 @@ let suite =
     Alcotest.test_case "helper only above the resident slots" `Quick
       test_device_helper_threshold;
     Alcotest.test_case "ring drop-oldest spill" `Quick test_ring_drop_oldest;
+    Alcotest.test_case "warp-uniform load allocates only its values" `Quick
+      test_uniform_load_allocation;
     QCheck_alcotest.to_alcotest prop_coalesce_bounds;
     QCheck_alcotest.to_alcotest prop_coalesce_scratch_equiv;
     QCheck_alcotest.to_alcotest prop_coalesce_unsafe_equiv;
@@ -1148,6 +1316,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_run_matches_reference;
     QCheck_alcotest.to_alcotest prop_sealed_replays_like_unsealed;
     QCheck_alcotest.to_alcotest prop_sector_arena_matches_naive;
+    QCheck_alcotest.to_alcotest prop_uniform_loads_invisible;
     QCheck_alcotest.to_alcotest prop_tags_timing_invisible;
     QCheck_alcotest.to_alcotest prop_cache_hits_bounded;
     QCheck_alcotest.to_alcotest prop_cache_lru_inclusion;

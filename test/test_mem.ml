@@ -392,18 +392,31 @@ let last_canonical_page = (1 lsl page_number_bits) - 1
 
 (* Pages that stress the directory: page 0, the last canonical page,
    two pages differing only in their top-level index, two differing only
-   in their mid-level index, and a random canonical page. *)
+   in their mid-level index, and a random canonical page. The last two
+   stress the page memo: another leaf of the third page's level and
+   another page than the random one, each in its partner's memo slot
+   (page numbers equal modulo [memo_slots]). *)
 let gen_pages =
   QCheck.Gen.(
     map
       (fun ((t1, t2), (m1, m2), (leaf, r)) ->
         let page t m = (t lsl 24) lor (m lsl 12) lor leaf in
+        let slot_mate p = p lxor Page_store.memo_slots in
         [| 0; last_canonical_page; page t1 m1; page t2 m1; page t1 m2;
-           r |])
+           r; slot_mate (page t1 m1); slot_mate r |])
       (triple
          (pair (int_bound 4095) (int_bound 4095))
          (pair (int_bound 4095) (int_bound 4095))
          (pair (int_bound 4095) (int_bound last_canonical_page))))
+
+(* Page indices into [gen_pages]: half the time one of the two memo
+   collisions, alternating between the partners. *)
+let gen_page_index =
+  QCheck.Gen.(
+    frequency
+      [ (1, int_bound 7);
+        (1, map (fun (b, pair) -> [| 2; 6; 5; 7 |].((2 * pair) + Bool.to_int b))
+             (pair bool (int_bound 1))) ])
 
 type dir_op = { is_store : bool; page : int; offset : int; width : int; value : int }
 
@@ -415,7 +428,7 @@ let gen_dir_ops =
            let width = 1 lsl wexp in
            { is_store; page; offset = offset land lnot (width - 1); width;
              value = (if width = 8 then abs value else value) })
-         (triple (pair bool (int_bound 5)) (pair (int_bound 4095) (int_bound 3))
+         (triple (pair bool gen_page_index) (pair (int_bound 4095) (int_bound 3))
             int)))
 
 let print_dir_case (pages, ops) =
@@ -581,7 +594,7 @@ let prop_batch_model =
    bytes carries), and the radix directory costs its levels of 4096
    entries: the top level, one mid and one leaf level per touched
    subtree, and the two shared empty levels; the store's record adds a
-   few words. *)
+   few words, and its page memo two fixed arrays of [memo_slots]. *)
 let test_page_store_footprint () =
   let s = Page_store.create () in
   let pages_per_subtree = 32 in
@@ -596,7 +609,7 @@ let test_page_store_footprint () =
   check Alcotest.int "pages touched" (pages_per_subtree * List.length subtrees) n;
   let level_words = 4096 + 1 in
   let levels = 1 + (2 * List.length subtrees) + 2 in
-  let record_words = 16 in
+  let record_words = 16 + (2 * (Page_store.memo_slots + 1)) in
   let bound =
     (n * ((Page_store.page_bytes / 8) + 2)) + (levels * level_words) + record_words
   in
@@ -607,10 +620,13 @@ let test_page_store_footprint () =
 (* The functional phase's per-lane path: after warm-up, a 32-lane load
    and store over a column mixing memo hits, memo misses across pages
    (including pages in distinct top- and mid-level subtrees) and, for
-   loads, never-touched pages must allocate nothing. *)
+   loads, never-touched pages must allocate nothing; so must a column
+   alternating lane by lane between two pages in one memo slot, each
+   lane evicting the other's page. *)
 let test_batch_allocates_nothing () =
   let t = Page_store.create () in
   let page_a = 0x10 and page_b = (3 lsl 24) lor 0x10 and page_c = 5 lsl 12 in
+  let page_d = page_a + Page_store.memo_slots in
   let untouched = 0x7_0000 in
   let addr page lane = (page * Page_store.page_bytes) + (lane * 8) in
   let stored =
@@ -632,7 +648,11 @@ let test_batch_allocates_nothing () =
     Array.blit a 0 arena off 32;
     arena
   in
+  let conflict =
+    Array.init 32 (fun lane -> addr (if lane land 1 = 0 then page_a else page_d) lane)
+  in
   let stored = column stored and loaded = column loaded in
+  let conflict = column conflict in
   let values = Array.init 32 (fun i -> (i * 2654435761) land 0xFFFF_FFFF) in
   let out = Array.make 32 0 in
   let widths = [| 8; 4; 2; 1 |] in
@@ -640,7 +660,9 @@ let test_batch_allocates_nothing () =
     for i = 0 to Array.length widths - 1 do
       let width = widths.(i) in
       Page_store.store_batch t stored ~off ~n:32 ~width values;
-      Page_store.load_batch t loaded ~off ~n:32 ~width out
+      Page_store.load_batch t loaded ~off ~n:32 ~width out;
+      Page_store.store_batch t conflict ~off ~n:32 ~width values;
+      Page_store.load_batch t conflict ~off ~n:32 ~width out
     done
   in
   run ();
@@ -650,7 +672,9 @@ let test_batch_allocates_nothing () =
     run ()
   done;
   let words = Gc.minor_words () -. w0 in
-  check Alcotest.int "warm-up touched every stored page" 3 pages;
+  check Alcotest.int "warm-up touched every stored page" 4 pages;
+  check Alcotest.int "conflicting lanes read their own page" (values.(31) land 0xFF)
+    (Page_store.load_byte_width t (addr page_d 31) ~width:1);
   check Alcotest.int "no page materialized after warm-up" pages
     (Page_store.touched_pages t);
   check (Alcotest.float 0.) "minor words of 1000 batch rounds" 0. words
