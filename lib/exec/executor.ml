@@ -16,17 +16,19 @@ let timed ?(runner = fun job -> Ok (Job.run job)) job =
   let result = try runner job with e -> Error (Printexc.to_string e) in
   (result, Unix.gettimeofday () -. t0)
 
+let hit job run = { job; result = Ok run; wall_s = 0.; cached = true }
+
 let measure ?runner ~clock ~cache ~dir job =
-  let probe, hit =
+  let probe, stored =
     if not cache then ([], None)
     else begin
       let t0 = clock () in
-      let hit = Cache.lookup_text ~dir job in
-      ([ (Repro_obs.Svc_metrics.Cache_probe, t0, clock () -. t0) ], hit)
+      let stored = Cache.lookup_text ~dir job in
+      ([ (Repro_obs.Svc_metrics.Cache_probe, t0, clock () -. t0) ], stored)
     end
   in
-  match hit with
-  | Some text -> ({ job; result = Ok text; wall_s = 0.; cached = true }, probe)
+  match stored with
+  | Some text -> (hit job text, probe)
   | None ->
     let t0 = clock () in
     let result, wall_s = timed ?runner job in
@@ -46,7 +48,7 @@ let run ?(jobs = 1) ?(cache = false) ?cache_dir ?(progress = fun _ -> ())
   (* One step per job, on whichever domain the pool hands it to. *)
   let step job =
     match if cache then Cache.lookup ~dir job else None with
-    | Some run -> { job; result = Ok run; wall_s = 0.; cached = true }
+    | Some run -> hit job run
     | None ->
       progress job;
       let result, wall_s = timed job in

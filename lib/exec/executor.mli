@@ -57,6 +57,11 @@ val timed :
     — the single measurement step both {!run} and the serve daemon's
     workers ({!Server}) are built on. *)
 
+val hit : Job.t -> 'run -> 'run outcome_of
+(** The outcome of a job served from the cache: [Ok run], no wall time,
+    [cached]. {!run}, {!measure} and the daemon's event-thread hit path
+    ({!Server}) all answer a hit with it. *)
+
 val measure :
   ?runner:(Job.t -> (Repro_workloads.Harness.run, string) result) ->
   clock:(unit -> float) ->

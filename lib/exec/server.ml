@@ -204,6 +204,16 @@ let pick_next t =
   in
   walk [] t.rr
 
+let log_job_done t ~trace (o : _ Executor.outcome_of) =
+  if Log.enabled t.cfg.obs.log Info then
+    Log.log t.cfg.obs.log Info "job.done"
+      [
+        ("trace", Log.Int trace);
+        ("job", Log.Str (Job.label o.Executor.job));
+        ("wall_s", Log.Float o.Executor.wall_s);
+        ("cached", Log.Bool o.Executor.cached);
+      ]
+
 let worker_loop t widx () =
   let track = widx + 1 in  (* span track 0 is the event thread *)
   let rec next () =
@@ -230,14 +240,7 @@ let worker_loop t widx () =
         Executor.measure ?runner:t.runner ~clock:t.cfg.obs.clock
           ~cache:e.e_cache ~dir:t.cfg.cache_dir e.e_job
       in
-      if Log.enabled t.cfg.obs.log Info then
-        Log.log t.cfg.obs.log Info "job.done"
-          [
-            ("trace", Log.Int e.e_trace);
-            ("job", Log.Str (Job.label e.e_job));
-            ("wall_s", Log.Float outcome.Executor.wall_s);
-            ("cached", Log.Bool outcome.Executor.cached);
-          ];
+      log_job_done t ~trace:e.e_trace outcome;
       let busy_s = now t -. m0 in
       Mutex.lock t.mutex;
       e.e_state <- `Done;
@@ -387,13 +390,41 @@ let handle_submit t session ~trace ~t0 ~id ~cache ~specs =
       let batch = Session.begin_batch session ~id ~total in
       batch.Session.trace <- trace;
       batch.Session.started_at <- t0;
+      Svc.add t.metrics Svc.jobs_submitted total;
+      (* Hits are answered here, in the turn that reads them: no queue,
+         no worker, no [running] line. Only misses go on to the
+         scheduler. The worker probes again ({!Executor.measure}): another
+         daemon or a sweep sharing the directory may store the entry
+         before the job starts. *)
+      let probe = t.cfg.cache && cache in
+      let answered (index, job) =
+        probe
+        &&
+        let p0 = now t in
+        let stored = Cache.lookup_text ~dir:t.cfg.cache_dir job in
+        stage t Svc.Cache_probe ~track:0 ~trace ~t0:p0 ~dur:(now t -. p0);
+        match stored with
+        | None -> false
+        | Some text ->
+          let outcome = Executor.hit job text in
+          Svc.incr t.metrics Svc.cache_hits;
+          log_job_done t ~trace outcome;
+          finish_job t
+            { w_session = session; w_batch = batch; w_index = index;
+              w_deduped = false; w_attached_at = p0 }
+            (Response.outcome_of_executor outcome);
+          true
+      in
+      let misses =
+        List.mapi (fun index job -> (index, job)) jobs
+        |> List.filter (fun ij -> not (answered ij))
+      in
       let enq = now t in
       let announce_running = ref [] in
       Mutex.lock t.mutex;
-      List.iteri
-        (fun index job ->
+      List.iter
+        (fun (index, job) ->
           let key = Job.key job in
-          Svc.incr t.metrics Svc.jobs_submitted;
           match Hashtbl.find_opt t.inflight key with
           | Some e when e.e_state = `Queued || e.e_state = `Running ->
             let w =
@@ -413,7 +444,7 @@ let handle_submit t session ~trace ~t0 ~id ~cache ~specs =
               {
                 e_key = key;
                 e_job = job;
-                e_cache = t.cfg.cache && cache;
+                e_cache = probe;
                 e_trace = trace;
                 e_enqueued_at = enq;
                 e_state = `Queued;
@@ -425,7 +456,7 @@ let handle_submit t session ~trace ~t0 ~id ~cache ~specs =
             Hashtbl.replace t.inflight key e;
             Queue.push e (queue_for t session.Session.id);
             Condition.signal t.cond)
-        jobs;
+        misses;
       Mutex.unlock t.mutex;
       (* Late joiners to an already-running execution get their Running
          notice immediately (the Started event fired before they attached). *)

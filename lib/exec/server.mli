@@ -12,11 +12,16 @@
       that is queued or running to a single execution; identical
       submissions — from the same or different clients — attach as
       waiters and all receive the result of the one run.
-    - {b Cache-stampede protection}: the in-flight entry is created
-      before the cache is consulted and removed only after the result
-      is stored, so a cold cache plus N identical concurrent requests
-      runs the job exactly once — the other N-1 wait on the entry
-      rather than racing to measure.
+    - {b Hits on the event thread}: when both the daemon and the batch
+      cache, the event thread probes the cache as it reads the submit
+      and answers each hit in the same turn — never queued, never
+      [running], no worker woken. Only misses reach the scheduler.
+    - {b Cache-stampede protection}: only the event thread creates
+      in-flight entries, one submit at a time; the worker probes the
+      cache again once the entry exists, and the entry is removed only
+      after the result is stored, so a cold cache plus N identical
+      concurrent requests runs the job exactly once — the other N-1
+      wait on the entry rather than racing to measure.
     - {b Cancellation}: a client disconnecting cancels its queued jobs
       (running jobs finish; entries other sessions also wait on are
       re-homed, not cancelled).
@@ -133,7 +138,8 @@ module Client : sig
   (** Send one [Submit] batch ([cache] defaults to [true]) and read
       responses until its [Batch_done]: the outcomes in batch-index
       order, with the daemon's summary. [on_running index spec] fires
-      on each of the batch's [Running] lines; responses to other batch
+      on each of the batch's [Running] lines (never for a cache hit the
+      daemon answered as it read the batch); responses to other batch
       ids are skipped. [Error] when the connection is lost, the batch
       is rejected (the connection stays usable), or [Batch_done]
       arrives before every result. *)

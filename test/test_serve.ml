@@ -754,9 +754,15 @@ let counting_runner ?(delay = 0.) () =
   in
   (runner, order)
 
+(* A daemon on a fresh cache directory, which already holds an entry for
+   each spec of [warm]. *)
 let with_server ?runner ?(workers = 1) ?(cache = false)
-    ?(obs = X.Server.obs_off) f =
+    ?(obs = X.Server.obs_off) ?(warm = []) f =
   with_temp_dir (fun cache_dir ->
+      List.iter
+        (fun spec ->
+          X.Cache.store ~dir:cache_dir (resolve spec) (Lazy.force tiny_run))
+        warm;
       let cfg =
         { X.Server.socket_path = temp_socket (); workers; cache; cache_dir;
           obs }
@@ -1538,7 +1544,9 @@ let test_trace_dump_live () =
 (* Overlapping jobs on two workers: every span in the dump names its
    stage and sits on the right track — the worker stages of each request
    on the track of the worker that ran its job, everything else on the
-   event thread's — and the stage histograms count exactly the spans. *)
+   event thread's — and the stage histograms count exactly the spans. A
+   miss is probed twice, on the event thread and then by its worker; a
+   hit never leaves the event thread and is never queued. *)
 let test_trace_dump_tracks_workers () =
   let lock = Mutex.create () in
   let ran = Hashtbl.create 8 in  (* job key -> domain that ran it *)
@@ -1567,6 +1575,10 @@ let test_trace_dump_tracks_workers () =
           | Error msg -> Alcotest.failf "recv failed: %s" msg
       in
       await jobs;
+      (* Request line [jobs + 1] resubmits job 1: a cache hit. *)
+      let hit = jobs + 1 in
+      submit c ~id:(string_of_int hit) [ spec_n 1 ];
+      await 1;
       X.Server.Client.send c X.Request.Stats;
       let stages =
         match X.Server.Client.recv c with
@@ -1595,9 +1607,7 @@ let test_trace_dump_tracks_workers () =
                  Some (name, tid, trace)
                | _ -> None)
       in
-      let worker_stage name =
-        List.mem name [ "queued"; "cache_probe"; "run" ]
-      in
+      let worker_stage name = List.mem name [ "queued"; "run" ] in
       List.iter
         (fun (name, tid, trace) ->
           check Alcotest.bool (name ^ " is a stage") true
@@ -1607,16 +1617,16 @@ let test_trace_dump_tracks_workers () =
               (Printf.sprintf "%s of trace %d on a worker track" name trace)
               true
               (tid = 1 || tid = 2)
-          else check Alcotest.int (name ^ " on the event thread") 0 tid)
+          else if name <> "cache_probe" then
+            check Alcotest.int (name ^ " on the event thread") 0 tid)
         spans;
-      (* The track of each job: all its worker stages agree on it, and
-         two jobs share a track exactly when one domain ran both. *)
+      (* The track of each job: all its worker-side spans agree on it,
+         and two jobs share a track exactly when one domain ran both. *)
       let track_of trace =
         match
           List.sort_uniq compare
             (List.filter_map
-               (fun (name, tid, t) ->
-                 if t = trace && worker_stage name then Some tid else None)
+               (fun (_, tid, t) -> if t = trace && tid > 0 then Some tid else None)
                spans)
         with
         | [ tid ] -> tid
@@ -1629,15 +1639,22 @@ let test_trace_dump_tracks_workers () =
         | Ok job -> Hashtbl.find ran (X.Job.key job)
         | Error msg -> Alcotest.fail msg
       in
+      let count i stage ~worker =
+        List.length
+          (List.filter
+             (fun (n, tid, t) -> n = stage && t = i && (tid > 0) = worker)
+             spans)
+      in
       for i = 1 to jobs do
         List.iter
           (fun stage ->
             check Alcotest.int
               (Printf.sprintf "trace %d has one %s span" i stage)
-              1
-              (List.length
-                 (List.filter (fun (n, _, t) -> n = stage && t = i) spans)))
+              1 (count i stage ~worker:true))
           [ "queued"; "cache_probe"; "run" ];
+        check Alcotest.int
+          (Printf.sprintf "trace %d was probed on the event thread" i)
+          1 (count i "cache_probe" ~worker:false);
         for j = 1 to jobs do
           check Alcotest.bool
             (Printf.sprintf "jobs %d and %d: same track iff same worker" i j)
@@ -1645,6 +1662,15 @@ let test_trace_dump_tracks_workers () =
             (track_of i = track_of j)
         done
       done;
+      check (Alcotest.list Alcotest.string)
+        "a hit's stages, all on the event thread"
+        [ "cache_probe"; "decode"; "encode"; "request" ]
+        (List.sort_uniq compare
+           (List.filter_map
+              (fun (n, tid, t) ->
+                if t = hit then Some (if tid = 0 then n else "worker " ^ n)
+                else None)
+              spans));
       check Alcotest.bool "both workers ran jobs" true
         (List.exists (fun i -> track_of i = 1) (List.init jobs succ)
          && List.exists (fun i -> track_of i = 2) (List.init jobs succ));
@@ -1747,6 +1773,9 @@ let test_obs_on_off_same_answers () =
           @ ask
               (X.Request.Submit { id = "s"; cache = true; specs = [ spec_traf ] })
               is_batch_done
+          @ ask
+              (X.Request.Submit { id = "w"; cache = true; specs = [ spec_traf ] })
+              is_batch_done
           @ ask (X.Request.Query spec_traf) (fun _ -> true)
           @ ask (X.Request.Invalidate (Some spec_traf)) (fun _ -> true)
         in
@@ -1755,10 +1784,157 @@ let test_obs_on_off_same_answers () =
   in
   match List.map script (both_obs ()) with
   | [ off; on ] ->
-    check Alcotest.int "pong, ack, running, job_done, batch_done, queried, \
-                        invalidated" 7 (List.length off);
+    check Alcotest.int "pong, ack, running, job_done, batch_done, then the \
+                        warm ack, job_done, batch_done, queried, invalidated"
+      10 (List.length off);
     check (Alcotest.list Alcotest.string) "same answers" off on
   | _ -> assert false
+
+(* --- the hit path ------------------------------------------------------------ *)
+
+(* The answers, each cut to its head, for a failure message. *)
+let lines answers =
+  List.map
+    (fun r ->
+      let l = X.Response.to_line r in
+      if String.length l <= 72 then l else String.sub l 0 72 ^ "...")
+    answers
+  |> String.concat " | "
+
+(* A warm submit is answered in the turn that reads it: ack, job_done and
+   batch_done, never a running line, and no worker time. *)
+let test_hit_answered_without_running () =
+  let runner, order = counting_runner () in
+  with_server ~runner ~cache:true ~obs:(X.Server.obs_default ())
+    ~warm:[ spec_traf ] (fun socket ->
+      let c = client socket in
+      submit c ~id:"w" [ spec_traf ];
+      (match recv_through c is_batch_done with
+       | [
+           X.Response.Ack { id = "w"; jobs = 1 };
+           X.Response.Job_done
+             { id = "w"; index = 0;
+               outcome = { cached = true; deduped = false; wall_s; result = Ok _; _ } };
+           X.Response.Batch_done
+             { id = "w"; jobs = 1; cached = 1; measured = 0; deduped = 0;
+               failed = 0; _ };
+         ] ->
+         check (Alcotest.float 0.) "a hit's wall time" 0. wall_s
+       | answers -> Alcotest.failf "warm submit answered: %s" (lines answers));
+      let running = ref 0 in
+      for i = 1 to 2 do
+        ignore
+          (outcomes_of "again"
+             (X.Server.Client.submit c
+                ~on_running:(fun _ _ -> incr running)
+                ~id:(string_of_int i) [ spec_traf ]))
+      done;
+      check Alcotest.int "on_running never called" 0 !running;
+      X.Server.Client.close c;
+      let s = server_stats socket in
+      check Alcotest.int "cache_hits" 3 s.X.Response.cache_hits;
+      check Alcotest.int "executed" 0 s.X.Response.executed;
+      check Alcotest.int "submitted" 3 s.X.Response.submitted;
+      (match s.X.Response.svc with
+       | Some svc ->
+         check Alcotest.bool "worker_busy_s did not grow" true
+           (O.Svc_metrics.value O.Svc_metrics.worker_busy_s svc
+            = O.Svc_metrics.Float 0.)
+       | None -> Alcotest.fail "metrics on but no svc snapshot");
+      let count stage = O.Hist.count (List.assoc stage s.X.Response.stages) in
+      check Alcotest.int "three probes" 3 (count "cache_probe");
+      check Alcotest.int "nothing queued" 0 (count "queued");
+      check Alcotest.int "nothing run" 0 (count "run");
+      check Alcotest.int "no runner call" 0 (List.length (order ())))
+
+(* One hit and one miss in a batch: the hit is answered, never running,
+   before the miss starts running, and the batch tallies one of each. *)
+let test_mixed_batch_answers_hit_first () =
+  let runner, order = counting_runner () in
+  with_server ~runner ~cache:true ~warm:[ spec_traf ] (fun socket ->
+      let c = client socket in
+      submit c ~id:"m" [ spec_traf; spec_n 5 ];
+      let answers = recv_through c is_batch_done in
+      X.Server.Client.close c;
+      (match answers with
+       | [
+           X.Response.Ack { jobs = 2; _ };
+           X.Response.Job_done { index = 0; outcome = { cached = true; _ }; _ };
+           X.Response.Running { index = 1; _ };
+           X.Response.Job_done { index = 1; outcome = { cached = false; _ }; _ };
+           X.Response.Batch_done { jobs = 2; cached = 1; measured = 1; _ };
+         ] -> ()
+       | _ -> Alcotest.failf "mixed batch answered: %s" (lines answers));
+      check Alcotest.int "the miss ran once" 1 (List.length (order ())))
+
+(* A warm submit from B is answered while the only worker is held by A's
+   job: the hit never waits for a worker. The runner holds A's job until
+   the test releases it, so a hit that queued would time out. *)
+let test_hit_not_behind_busy_worker () =
+  let started = Atomic.make false and release = Atomic.make false in
+  let run = Lazy.force tiny_run in
+  let runner _ =
+    Atomic.set started true;
+    let deadline = Unix.gettimeofday () +. 10. in
+    while (not (Atomic.get release)) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.01
+    done;
+    Ok run
+  in
+  with_server ~runner ~workers:1 ~cache:true ~warm:[ spec_traf ]
+    (fun socket ->
+      let a = client socket and b = client socket in
+      let a_done = submit_async a ~id:"a" [ spec_n 1 ] in
+      while not (Atomic.get started) do
+        Thread.delay 0.01
+      done;
+      X.Server.Client.set_timeout b 3.;
+      let ob = X.Server.Client.submit b ~id:"b" [ spec_traf ] in
+      let held = not (Atomic.get release) in
+      Atomic.set release true;
+      let oa = a_done () in
+      check Alcotest.bool "A's job was still running" true held;
+      (match ob with
+       | Ok ([ o ], _) ->
+         check Alcotest.bool "B served from the cache" true o.X.Response.cached
+       | Ok _ -> Alcotest.fail "B: wrong outcome count"
+       | Error msg -> Alcotest.failf "B waited for the worker: %s" msg);
+      check Alcotest.bool "A measured" false
+        (match oa with [ o ] -> o.X.Response.cached | _ -> true);
+      X.Server.Client.close a;
+      X.Server.Client.close b)
+
+(* The event thread probes only when both the daemon and the batch cache:
+   a [cache: false] batch on a warm cache is measured without a probe,
+   and a daemon started with the cache off never reads a planted entry. *)
+let test_uncached_paths_never_probe () =
+  let runner, order = counting_runner () in
+  with_server ~runner ~cache:true ~obs:(X.Server.obs_default ())
+    ~warm:[ spec_traf ] (fun socket ->
+      let c = client socket in
+      (match X.Server.Client.submit ~cache:false c ~id:"nc" [ spec_traf ] with
+       | Ok ([ o ], summary) ->
+         check Alcotest.bool "cache: false is measured" false
+           o.X.Response.cached;
+         check Alcotest.int "tallied measured" 1 summary.X.Response.measured
+       | Ok _ | Error _ -> Alcotest.fail "cache: false batch failed");
+      X.Server.Client.close c;
+      let s = server_stats socket in
+      check Alcotest.int "no probe" 0
+        (O.Hist.count (List.assoc "cache_probe" s.X.Response.stages));
+      check Alcotest.int "ran once" 1 (List.length (order ())));
+  let runner, order = counting_runner () in
+  with_server ~runner ~cache:false ~warm:[ spec_traf ] (fun socket ->
+      let c = client socket in
+      (match submit_wait c ~id:"off" [ spec_traf ] with
+       | [ o ] ->
+         check Alcotest.bool "cache-off daemon measures" false
+           o.X.Response.cached
+       | _ -> Alcotest.fail "wrong outcome count");
+      X.Server.Client.close c;
+      check Alcotest.int "cache-off daemon ran it" 1 (List.length (order ()));
+      check Alcotest.int "no cache hit counted" 0
+        (server_stats socket).X.Response.cache_hits)
 
 let suite =
   [
@@ -1837,4 +2013,12 @@ let suite =
       test_raising_runner;
     Alcotest.test_case "obs on and off answer a request script identically"
       `Quick test_obs_on_off_same_answers;
+    Alcotest.test_case "a cache hit is answered without running" `Quick
+      test_hit_answered_without_running;
+    Alcotest.test_case "a mixed batch answers its hit before the miss runs"
+      `Quick test_mixed_batch_answers_hit_first;
+    Alcotest.test_case "a hit is not stuck behind a busy worker" `Quick
+      test_hit_not_behind_busy_worker;
+    Alcotest.test_case "cache: false and a cache-off daemon never probe"
+      `Quick test_uncached_paths_never_probe;
   ]
