@@ -7,10 +7,14 @@
    columns and, for a memory instruction, the sector list at the warp's
    sector cursor (coalesced when the trace was emitted), and walks the
    hierarchy through [Cache.access] (and, when translating, through
-   [Vm.lookup]). Nothing on the per-instruction path builds a record,
-   option, closure or boxed float: the allocations are per launch
-   (column views, sector cursors, the event heap, activation lists) or,
-   with sampling, per window, so they do not grow with trace length.
+   [Vm.lookup]). A record's sectors are ascending, so consecutive ones
+   mostly share a line; [Cache.access] answers a sector of the line it
+   touched last without a set scan, and a scan runs in recency order
+   with no victim scan after it. Nothing on the per-instruction path
+   builds a record, option, closure or boxed float: the allocations are
+   per launch (column views, sector cursors, the event heap, activation
+   lists) or, with sampling, per window, so they do not grow with trace
+   length.
 
    The hooks are specialised once per launch:
    - the sampler's boundary cell holds infinity when sampling is off, so
@@ -353,7 +357,10 @@ let run ?telemetry ?await (cfg : Config.t) mem_path ~stats ~traces =
                   | `Miss ->
                     (* DRAM is read at 64 B granularity (Volta's L2 fill
                        size): the missing sector and its pair are both
-                       fetched and installed. *)
+                       fetched and installed. With lines of two or more
+                       sectors the pair is in the line just touched, so
+                       this access only marks its slot; 32 B lines take a
+                       full access. *)
                     bump counters K.l2_misses 1;
                     bump counters K.dram_sectors 2;
                     ignore (Cache.access l2 ~sector:(sector lxor 1));

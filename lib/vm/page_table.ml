@@ -47,7 +47,6 @@ type t = {
   levels : int array; (* walk depth charged on a full miss *)
   owner : int array;  (* promoted spans: owning type_id; -1 otherwise *)
   phys : int array;   (* modelled physical base address (bytes) *)
-  last : int array;  (* last.(0): one-entry lookup cache *)
   total_pages : int;
   large_spans : int;
 }
@@ -158,7 +157,6 @@ let build ~policy ~arenas ~promoted () =
     levels;
     owner;
     phys;
-    last = Array.make 1 0;
     total_pages = !total_pages;
     large_spans = !large_spans;
   }
@@ -167,27 +165,25 @@ let spans t = Array.length t.sbase
 let pages t = t.total_pages
 let large_spans t = t.large_spans
 
-(* Span containing [sector], or -1. Replay-hot: the one-entry cache
-   catches the streaming case, the binary search everything else;
-   neither allocates. *)
 let key t i sector =
   (i lsl span_key_shift)
   lor ((sector - Array.unsafe_get t.sbase i) lsr Array.unsafe_get t.shift i)
 
-(* The one span search: the one-entry hint, then a binary search. A loop
-   rather than a local [let rec], which would capture [sector] and
-   allocate a closure per hint miss on the replay path; it returns the
-   page key directly so a translation costs one call here. *)
-let page_key t sector =
+(* The one span search: the caller's hint, then a binary search. The
+   hint lives with the caller, so a built table is never written and
+   two domains may search it at once. A loop rather than a local
+   [let rec], which would capture [sector] and allocate a closure per
+   hint miss on the replay path; it returns the page key directly so a
+   translation costs one call here. *)
+let page_key t ~hint sector =
   let sbase = t.sbase and slimit = t.slimit in
   let n = Array.length sbase in
-  let last = t.last.(0) in
   let i =
     if
-      last < n
-      && sector >= Array.unsafe_get sbase last
-      && sector < Array.unsafe_get slimit last
-    then last
+      hint < n
+      && sector >= Array.unsafe_get sbase hint
+      && sector < Array.unsafe_get slimit hint
+    then hint
     else begin
       let lo = ref 0 and hi = ref n and found = ref (-1) in
       while !lo < !hi do
@@ -199,7 +195,6 @@ let page_key t sector =
           lo := !hi
         end
       done;
-      if !found >= 0 then t.last.(0) <- !found;
       !found
     end
   in
@@ -208,7 +203,7 @@ let page_key t sector =
 let span_of_key k = k lsr span_key_shift
 
 let find t sector =
-  let k = page_key t sector in
+  let k = page_key t ~hint:0 sector in
   if k < 0 then -1 else span_of_key k
 
 let levels_of (t : t) i = Array.unsafe_get t.levels i

@@ -47,13 +47,16 @@ val large_spans : t -> int
 
 val find : t -> int -> int
 (** Span index containing the given {e sector}, or -1 when unmapped.
-    Allocation-free (one-entry cache + binary search). *)
+    Allocation-free (binary search). *)
 
-val page_key : t -> int -> int
-(** [page_key t sector]: the page identity used as TLB tag,
+val page_key : t -> hint:int -> int -> int
+(** [page_key t ~hint sector]: the page identity used as TLB tag,
     [(find t sector lsl span_key_shift) lor page_offset], or -1 when the
     sector is unmapped — the replay path's one call per translation.
-    Allocation-free. *)
+    [hint] is a non-negative guess at the span (the caller's previous
+    span, {!span_of_key} of its last key); a right guess skips the
+    binary search, and the result never depends on it. The table keeps
+    no lookup state, so it is immutable once built. Allocation-free. *)
 
 val span_of_key : int -> int
 (** The span index a {!page_key} was built from. *)

@@ -50,6 +50,9 @@ type t = {
   table : Page_table.t;
   l1s : Tlb.t array;
   l2 : Tlb.t;
+  (* The span of the last mapped lookup: [Page_table.page_key]'s hint,
+     kept here so the table itself is never written. *)
+  mutable hint : int;
 }
 
 let create ?(config = default_config) ~n_sms ~table () =
@@ -62,6 +65,7 @@ let create ?(config = default_config) ~n_sms ~table () =
       Array.init n_sms (fun _ ->
           Tlb.create ~sets:config.l1_sets ~ways:config.l1_ways);
     l2 = Tlb.create ~sets:config.l2_sets ~ways:config.l2_ways;
+    hint = 0;
   }
 
 let hit_l1 = 0
@@ -70,12 +74,15 @@ let walk_base = 2
 let max_code = walk_base + Page_table.max_levels
 
 let lookup t ~sm ~sector =
-  let key = Page_table.page_key t.table sector in
+  let key = Page_table.page_key t.table ~hint:t.hint sector in
   if key < 0 then walk_base + Page_table.max_levels
-  else if Tlb.access (Array.unsafe_get t.l1s sm) ~key then hit_l1
-  else if Tlb.access t.l2 ~key then hit_l2
-  else
-    walk_base + Page_table.levels_of t.table (Page_table.span_of_key key)
+  else begin
+    let span = key lsr Page_table.span_key_shift in
+    t.hint <- span;
+    if Tlb.access (Array.unsafe_get t.l1s sm) ~key then hit_l1
+    else if Tlb.access t.l2 ~key then hit_l2
+    else walk_base + Page_table.levels_of t.table span
+  end
 
 let latency_of_code t code =
   if code <= hit_l1 then 0.

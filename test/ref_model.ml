@@ -66,6 +66,12 @@ let cache_access c sector =
     c.sets.(set) <- take c.ways ((line, [ sector ]) :: lines);
     false
 
+let cache_probe c sector =
+  let line = sector / c.sectors_per_line in
+  match List.assoc_opt line c.sets.(line mod Array.length c.sets) with
+  | Some valid -> List.mem sector valid
+  | None -> false
+
 let cache_flush c = Array.fill c.sets 0 (Array.length c.sets) []
 
 (* A TLB level: per set, the resident page keys most-recent first. *)
@@ -81,6 +87,8 @@ let tlb_access t key =
     (if hit then key :: List.filter (fun k -> k <> key) keys
      else take t.tways (key :: keys));
   hit
+
+let tlb_probe t key = List.mem key t.tsets.(key mod Array.length t.tsets)
 
 let tlb_flush t = Array.fill t.tsets 0 (Array.length t.tsets) []
 

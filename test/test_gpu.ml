@@ -211,6 +211,72 @@ let prop_cache_lru_inclusion =
           n = `Miss || w = `Hit)
         sectors)
 
+(* Direct differential checks of the two recency-order LRU models
+   against the reference model's MRU-first lists. Ops are [(k, x)]:
+   [k = 0] flushes, [k <= 3] probes [x], anything else accesses [x]; [x]
+   ranges over one line (or key) more per set than a set holds, so sets
+   fill, hit at every recency position and evict. Associativities cover
+   1-4 ways, 16 and 24 (not a power of two, as in [Config.v100_like]);
+   caches have 32 B and 128 B lines. *)
+let lru_ways = [| 1; 2; 3; 4; 16; 24 |]
+
+let gen_lru_ops =
+  QCheck.(
+    pair (int_bound (Array.length lru_ways - 1))
+      (list_of_size (Gen.int_range 1 600) (pair (int_bound 99) (int_bound 0xFFFF))))
+
+let prop_cache_matches_reference =
+  QCheck.Test.make
+    ~name:"Cache matches the reference LRU (access, probe, resident set)"
+    ~count:300
+    QCheck.(pair bool gen_lru_ops)
+    (fun (wide, (wi, ops)) ->
+      let ways = lru_ways.(wi) and line_bytes = if wide then 128 else 32 in
+      let size_bytes = 2 * ways * line_bytes in
+      let c = Cache.create (Cache.geometry ~size_bytes ~line_bytes ~ways) in
+      let r = Ref_model.cache ~size_bytes ~line_bytes ~ways in
+      let sectors = 2 * (ways + 1) * (line_bytes / 32) in
+      List.for_all
+        (fun (k, x) ->
+          let sector = x mod sectors in
+          if k = 0 then begin
+            Cache.flush c;
+            Ref_model.cache_flush r;
+            true
+          end
+          else if k <= 3 then
+            Cache.probe c ~sector = Ref_model.cache_probe r sector
+          else
+            (Cache.access c ~sector = `Hit) = Ref_model.cache_access r sector)
+        ops
+      && List.for_all
+           (fun sector -> Cache.probe c ~sector = Ref_model.cache_probe r sector)
+           (List.init sectors Fun.id))
+
+let prop_tlb_matches_reference =
+  QCheck.Test.make
+    ~name:"Tlb matches the reference LRU (access, probe, resident set)"
+    ~count:300 gen_lru_ops
+    (fun (wi, ops) ->
+      let ways = lru_ways.(wi) in
+      let t = Repro_vm.Tlb.create ~sets:2 ~ways in
+      let r = Ref_model.tlb ~sets:2 ~ways in
+      let keys = 2 * (ways + 1) in
+      List.for_all
+        (fun (k, x) ->
+          let key = x mod keys in
+          if k = 0 then begin
+            Repro_vm.Tlb.flush t;
+            Ref_model.tlb_flush r;
+            true
+          end
+          else if k <= 3 then Repro_vm.Tlb.probe t ~key = Ref_model.tlb_probe r key
+          else Repro_vm.Tlb.access t ~key = Ref_model.tlb_access r key)
+        ops
+      && List.for_all
+           (fun key -> Repro_vm.Tlb.probe t ~key = Ref_model.tlb_probe r key)
+           (List.init keys Fun.id))
+
 (* --- mem path --------------------------------------------------------- *)
 
 let cfg = Config.default
@@ -1017,9 +1083,9 @@ let seal traces =
   Array.map (Trace.Intern.seal pool) traces
 
 (* Tiny machines where every set, way and SM boundary is exercised: one
-   or two SMs, one or two resident warps, 1-2-way L1s of two sets, a
-   1-2-way L2 of four sets, and TLBs of two sets. *)
-let tiny_cfg ~n_sms ~warps ~l1_ways ~l2_ways =
+   or two SMs, one or two resident warps, 1-2-way L1s of two sets, an L2
+   of four sets, and TLBs of two sets. *)
+let tiny_cfg ?(l2_line = 128) ~n_sms ~warps ~l1_ways ~l2_ways () =
   {
     cfg with
     Config.n_sms;
@@ -1027,19 +1093,27 @@ let tiny_cfg ~n_sms ~warps ~l1_ways ~l2_ways =
     l1_geometry =
       Cache.geometry ~size_bytes:(256 * l1_ways) ~line_bytes:128 ~ways:l1_ways;
     l2_geometry =
-      Cache.geometry ~size_bytes:(512 * l2_ways) ~line_bytes:128 ~ways:l2_ways;
+      Cache.geometry ~size_bytes:(4 * l2_line * l2_ways) ~line_bytes:l2_line
+        ~ways:l2_ways;
   }
 
 let tiny_vm_config =
   { Vm.default_config with l1_sets = 2; l1_ways = 1; l2_sets = 2; l2_ways = 2 }
 
+(* Beyond the tiny ones: a 32 B-line L2, whose DRAM pair sector lies in
+   another line; a 4-way L2, where a hit on a middle way moves it to the
+   front; and [Config.v100_like], with its 24-way L2. *)
 let machines =
   [|
     (cfg, Vm.default_config);
-    (tiny_cfg ~n_sms:1 ~warps:1 ~l1_ways:1 ~l2_ways:1, tiny_vm_config);
-    (tiny_cfg ~n_sms:1 ~warps:2 ~l1_ways:2 ~l2_ways:1, tiny_vm_config);
-    (tiny_cfg ~n_sms:2 ~warps:1 ~l1_ways:1 ~l2_ways:2, tiny_vm_config);
-    (tiny_cfg ~n_sms:2 ~warps:2 ~l1_ways:2 ~l2_ways:2, tiny_vm_config);
+    (tiny_cfg ~n_sms:1 ~warps:1 ~l1_ways:1 ~l2_ways:1 (), tiny_vm_config);
+    (tiny_cfg ~n_sms:1 ~warps:2 ~l1_ways:2 ~l2_ways:1 (), tiny_vm_config);
+    (tiny_cfg ~n_sms:2 ~warps:1 ~l1_ways:1 ~l2_ways:2 (), tiny_vm_config);
+    (tiny_cfg ~n_sms:2 ~warps:2 ~l1_ways:2 ~l2_ways:2 (), tiny_vm_config);
+    ( tiny_cfg ~l2_line:32 ~n_sms:2 ~warps:2 ~l1_ways:2 ~l2_ways:2 (),
+      tiny_vm_config );
+    (tiny_cfg ~n_sms:1 ~warps:2 ~l1_ways:1 ~l2_ways:4 (), tiny_vm_config);
+    (Config.v100_like, Vm.default_config);
   |]
 
 (* Everything a replay produces, marshalled so floats compare bit for
@@ -1122,7 +1196,7 @@ let replay_ref (cfg, vcfg) ~policy ~ring ~window launches =
 let prop_run_matches_reference =
   QCheck.Test.make
     ~name:"Sm.run matches the reference model (cycles, stats, windows, events)"
-    ~count:100
+    ~count:160
     QCheck.(
       pair
         (int_bound (Array.length machines - 1))
@@ -1158,6 +1232,116 @@ let prop_sealed_replays_like_unsealed =
           = replay_sm machines.(0) ~policy ~ring ~window unsealed)
         [ (None, false, None); (None, true, Some 256);
           (Some Policy.Coalesce, true, None) ])
+
+(* --- exhaustive replay check ------------------------------------------ *)
+
+(* Every program up to [exhaustive_k] instructions over an eight-symbol
+   alphabet — a load and a store to each of three sectors, one compute,
+   one ctrl — as one warp, or split between two, replayed twice (cold,
+   then with warm L2 and L2 TLB) on one SM, against the reference model.
+   Sectors 0 and 1 share a line and are each other's DRAM pair; the third
+   sits at 0x40000, in another line of the same L1 and L2 set and in
+   another span of the page table: a base page beside the first two
+   under [Flat_4k], a large page of its own under [Flat_2m] and
+   [Coalesce]. The machines are every combination of 1-2-way L1 and L2
+   and, with two warps, one or two resident warps; each runs with no vm
+   and under every policy, so 1-way caches and the 1-way L1 TLB evict
+   on every switch between the lines. *)
+let exhaustive_k = 4
+
+let exhaustive_addrs = [| 0; 32; 0x40000 |]
+
+let exhaustive_launch heap programs =
+  let logged = Array.make (Array.length programs) [] in
+  let traces =
+    Array.mapi
+      (fun warp_id program ->
+        let ctx = Warp_ctx.create ~heap ~warp_id ~lanes:[| warp_id * 32 |] () in
+        List.iter
+          (fun sym ->
+            let addrs = [| exhaustive_addrs.(sym mod 3) |] in
+            if sym < 3 then begin
+              logged.(warp_id) <- addrs :: logged.(warp_id);
+              ignore (Warp_ctx.load ctx ~label:Label.Body addrs)
+            end
+            else if sym < 6 then begin
+              logged.(warp_id) <- addrs :: logged.(warp_id);
+              Warp_ctx.store ctx ~label:Label.Body addrs [| sym |]
+            end
+            else if sym = 6 then Warp_ctx.compute ctx ~label:Label.Body
+            else Warp_ctx.ctrl ctx ~label:Label.Body)
+          program;
+        Warp_ctx.trace ctx)
+      programs
+  in
+  (traces, Array.map List.rev logged)
+
+(* Every list of [n] symbols in [0, 8). *)
+let rec programs_of_length n =
+  if n = 0 then [ [] ]
+  else
+    List.concat_map
+      (fun rest -> List.init 8 (fun sym -> sym :: rest))
+      (programs_of_length (n - 1))
+
+let test_exhaustive_replay () =
+  let heap = Page_store.create () in
+  let one_warp =
+    List.concat_map
+      (fun n -> List.map (fun p -> [| p |]) (programs_of_length n))
+      (List.init exhaustive_k (( + ) 1))
+  in
+  let two_warps =
+    List.concat_map
+      (fun n ->
+        List.concat_map
+          (fun n0 ->
+            List.concat_map
+              (fun p0 ->
+                List.map (fun p1 -> [| p0; p1 |]) (programs_of_length (n - n0)))
+              (programs_of_length n0))
+          (List.init (n - 1) (( + ) 1)))
+      (List.init (exhaustive_k - 1) (( + ) 2))
+  in
+  let caches = [ (1, 1); (1, 2); (2, 1); (2, 2) ] in
+  let machines warps =
+    List.concat_map
+      (fun (l1_ways, l2_ways) ->
+        List.map
+          (fun resident ->
+            ( tiny_cfg ~n_sms:1 ~warps:resident ~l1_ways ~l2_ways (),
+              tiny_vm_config ))
+          (if warps = 1 then [ 1 ] else [ 1; 2 ]))
+      caches
+  in
+  let policies = None :: List.map Option.some Policy.all in
+  let programs = one_warp @ two_warps in
+  (* sum 8^n for n = 1..4, and sum (n - 1) 8^n for n = 2..4. *)
+  check Alcotest.int "programs enumerated" (4680 + 13376) (List.length programs);
+  List.iter
+    (fun programs ->
+      let launch = exhaustive_launch heap programs in
+      let sealed = seal (fst launch) in
+      List.iter
+        (fun machine ->
+          List.iter
+            (fun policy ->
+              let replay f launches =
+                f machine ~policy ~ring:false ~window:None launches
+              in
+              if
+                replay replay_sm [ sealed; sealed ]
+                <> replay replay_ref [ launch; launch ]
+              then
+                Alcotest.failf "Sm.run and the reference differ on %s"
+                  (String.concat " | "
+                     (Array.to_list
+                        (Array.map
+                           (fun p -> String.concat " " (List.map string_of_int p))
+                           programs))))
+            policies)
+        (machines (Array.length programs)))
+    programs
 
 (* --- tag bits never move the measurement ------------------------------- *)
 
@@ -1315,9 +1499,13 @@ let suite =
     QCheck_alcotest.to_alcotest prop_coalesce_lane_permutation;
     QCheck_alcotest.to_alcotest prop_run_matches_reference;
     QCheck_alcotest.to_alcotest prop_sealed_replays_like_unsealed;
+    Alcotest.test_case "exhaustive replay against the reference" `Slow
+      test_exhaustive_replay;
     QCheck_alcotest.to_alcotest prop_sector_arena_matches_naive;
     QCheck_alcotest.to_alcotest prop_uniform_loads_invisible;
     QCheck_alcotest.to_alcotest prop_tags_timing_invisible;
     QCheck_alcotest.to_alcotest prop_cache_hits_bounded;
     QCheck_alcotest.to_alcotest prop_cache_lru_inclusion;
+    QCheck_alcotest.to_alcotest prop_cache_matches_reference;
+    QCheck_alcotest.to_alcotest prop_tlb_matches_reference;
   ]

@@ -94,6 +94,30 @@ let prop_phys_offsets_within_page =
         p1.Page_table.phys_addr - p0.Page_table.phys_addr = a - page_base
       | _ -> false)
 
+(* The span hint only skips the binary search: every hint, right or
+   wrong, gives the same page key, on a table with base-page, large-page
+   and unmapped stretches. *)
+let prop_page_key_ignores_hint =
+  QCheck.Test.make ~name:"page table: page_key ignores its hint" ~count:300
+    QCheck.(pair (int_bound ((2 * mb / 32) - 1)) (int_bound 8))
+    (fun (sector, hint) ->
+      let t =
+        Page_table.build ~policy:Policy.Coalesce
+          ~arenas:[ (0, mb); (mb + (256 * kb), 256 * kb) ]
+          ~promoted:[ (0, 256 * kb, 3); (512 * kb, 640 * kb, 7) ]
+          ()
+      in
+      let sbase = Page_table.Raw.sbase t and slimit = Page_table.Raw.slimit t in
+      let expected = ref (-1) in
+      Array.iteri
+        (fun i b ->
+          if sector >= b && sector < slimit.(i) then
+            expected :=
+              (i lsl Page_table.span_key_shift)
+              lor ((sector - b) lsr (Page_table.Raw.shift t).(i)))
+        sbase;
+      Page_table.page_key t ~hint sector = !expected)
+
 let translate_exn t addr =
   match Page_table.translate t ~addr with
   | Some page -> page
@@ -319,6 +343,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_translate_roundtrip;
     QCheck_alcotest.to_alcotest prop_translate_ignores_tag;
     QCheck_alcotest.to_alcotest prop_phys_offsets_within_page;
+    QCheck_alcotest.to_alcotest prop_page_key_ignores_hint;
     Alcotest.test_case "flat-2m backs arenas with large pages" `Quick
       test_flat_2m;
     Alcotest.test_case "coalesce merges and promotes contiguity spans" `Quick
