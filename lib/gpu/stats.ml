@@ -127,9 +127,9 @@ let san_violations_for t kind =
 let total_san_violations t =
   int_of_float (Counter.sum (Array.to_list Counter.san_violations.members) t)
 
-(* The digest layout: every counter as a plain field. The cell digests
-   in the tests and the benchmark hash its marshalled bytes, so its
-   fields, their order and their types are frozen. *)
+(* The digest layout: every counter as a plain field. [digest] and the
+   benchmark hash its marshalled bytes, so its fields, their order and
+   their types are frozen. *)
 type raw = {
   cycles : float;
   mem_instrs : int;
@@ -177,3 +177,6 @@ let to_raw t =
     load_transactions_by_label = ints K.load_transactions_by_label;
     san_violations = ints K.san_violations;
   }
+
+let digest t =
+  Digest.to_hex (Digest.string (Marshal.to_string (to_raw t) [ Marshal.No_sharing ]))

@@ -126,8 +126,13 @@ val total_san_violations : t -> int
 (** {2 Digest layout} *)
 
 type raw
-(** Every counter as a plain record field, arrays per family. Tests and
-    the benchmark hash [Marshal.to_string (to_raw s)], so this layout
-    is frozen; compare two snapshots with [=] on it. *)
+(** Every counter as a plain record field, arrays per family. {!digest}
+    hashes its marshalled bytes, and [bench/perf] hashes them the same
+    way, so this layout is frozen; compare two snapshots with [=] on
+    it. *)
 
 val to_raw : t -> raw
+
+val digest : t -> string
+(** Hex MD5 of [Marshal.to_string (to_raw s) [No_sharing]]: every
+    field, floats bit for bit. The test ledger pins one per cell. *)

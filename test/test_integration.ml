@@ -134,6 +134,94 @@ let test_dyna_cells_match_digests () =
   check Alcotest.int "every recorded DYNA cell ran"
     (List.length Dyna_digests.cells) !cells
 
+(* --- the digest ledger ---------------------------------------------------- *)
+
+let render_alloc_stats (s : R.Allocator.stats) =
+  Printf.sprintf "objects=%d live=%d reserved=%d used=%d padded=%d alloc=%h free=%h scan=%h"
+    s.objects s.live_objects s.reserved_bytes s.used_bytes s.padded_bytes
+    s.alloc_cycles s.free_cycles s.bitmap_scan_cycles
+
+(* One row in [Ledger]'s syntax, so a reported line can be pasted. *)
+let render_row (r : Ledger.row) =
+  Printf.sprintf
+    "{ key = %S; result = %d; checksum = %d; alloc = %S; digest = %S; instructions = %d; cycles = %s };"
+    r.key r.result r.checksum r.alloc r.digest r.instructions
+    (Repro_obs.Json.float_repr r.cycles)
+
+(* The ledger's three job lists: the paper cells, which also run
+   sanitized, then the DynaSOA and the translated cells. *)
+let ledger_jobs () =
+  let jobs = E.Sweep.jobs ~scale:0.02 ~seed:42 in
+  let col = E.Sweep.column and dyna = R.Alloc_family.Dyna_soa in
+  ( jobs ~columns:E.Sweep.paper_columns (),
+    jobs ~columns:[ col ~alloc:dyna T.Cuda; col ~alloc:dyna T.Shared_oa ] ()
+    @ jobs ~pages:Repro_vm.Policy.Coalesce
+        ~columns:[ col T.Cuda; col T.Shared_oa; col ~alloc:dyna T.Cuda ] () )
+
+(* Measures every job through [Harness.run] and reports, in one
+   failure, every row that changed, is missing or names no job, every
+   sanitized run that moved its cell, duplicate keys, and every job
+   whose key does not survive the wire spec. *)
+let test_cells_match_ledger () =
+  let module X = Repro_exec in
+  let report = Buffer.create 1024 in
+  let line s = Buffer.add_string report (s ^ "\n") in
+  let recorded = Hashtbl.create 128 in
+  List.iter
+    (fun (r : Ledger.row) ->
+      if Hashtbl.mem recorded r.key then line ("duplicate key: " ^ r.key)
+      else Hashtbl.add recorded r.key r)
+    Ledger.rows;
+  let measure (job : X.Job.t) params =
+    let r = W.Harness.run job.workload params in
+    {
+      Ledger.key = X.Job.key job;
+      result = r.result;
+      checksum = r.checksum;
+      alloc = render_alloc_stats r.alloc_stats;
+      digest = Stats.digest r.stats;
+      instructions = Stats.total_instructions r.stats;
+      cycles = r.cycles;
+    }
+  in
+  let check_job ~san (job : X.Job.t) =
+    let key = X.Job.key job in
+    (match X.Request.Spec.resolve (X.Request.Spec.of_job job) with
+     | Ok j when X.Job.key j = key -> ()
+     | Ok j -> line (Printf.sprintf "spec round trip: %s became %s" key (X.Job.key j))
+     | Error e -> line (Printf.sprintf "spec round trip: %s: %s" key e));
+    let got = measure job job.params in
+    (match Hashtbl.find_opt recorded key with
+     | Some old when old = got -> ()
+     | Some old ->
+       line ("old: " ^ render_row old);
+       line ("new: " ^ render_row got)
+     | None -> line ("new: " ^ render_row got));
+    Hashtbl.remove recorded key;
+    if san then begin
+      let checker =
+        Repro_san.Checker.create ~tags_expected:(T.tags_pointers job.technique) ()
+      in
+      let sanitized = measure job { job.params with W.Workload.san = Some checker } in
+      if sanitized <> got then begin
+        line ("sanitized run differs: " ^ key);
+        line ("old: " ^ render_row got);
+        line ("new: " ^ render_row sanitized)
+      end
+    end
+  in
+  let paper, others = ledger_jobs () in
+  List.iter (check_job ~san:true) paper;
+  List.iter (check_job ~san:false) others;
+  List.iter
+    (fun (r : Ledger.row) ->
+      if Hashtbl.mem recorded r.key then line ("old: " ^ render_row r))
+    Ledger.rows;
+  if Buffer.length report > 0 then begin
+    print_string (Buffer.contents report);
+    Alcotest.fail "cells differ from test/ledger.ml (lines above)"
+  end
+
 let test_harness_rejects_functional_mismatch () =
   match
     E.Sweep.exec ~scale:1.0 ~workloads:[ treacherous_workload ]
@@ -362,6 +450,7 @@ let suite =
       test_cells_match_digests;
     Alcotest.test_case "DYNA cells match recorded digests" `Quick
       test_dyna_cells_match_digests;
+    Alcotest.test_case "cells match the ledger" `Quick test_cells_match_ledger;
     Alcotest.test_case "harness speedup direction" `Quick test_harness_speedup_direction;
     Alcotest.test_case "workload scaled" `Quick test_workload_scaled;
     Alcotest.test_case "residency waves complete" `Quick test_residency_waves_complete;
