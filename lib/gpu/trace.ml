@@ -134,9 +134,6 @@ let emit_load_uniform t ~label ~blocking ~n addr =
 let emit_load_n t ~label ~blocking addrs n =
   emit_mem_n t ~op:op_load ~label ~blocking addrs n
 
-let emit_store t ~label addrs =
-  emit_mem_n t ~op:op_store ~label ~blocking:false addrs (Array.length addrs)
-
 let emit_store_n t ~label addrs n =
   emit_mem_n t ~op:op_store ~label ~blocking:false addrs n
 

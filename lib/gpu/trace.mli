@@ -60,11 +60,8 @@ val emit_load_uniform : t -> label:Label.t -> blocking:bool -> n:int -> int -> i
     returns [addr] with its tag bits stripped. The warp-uniform path of
     [Warp_ctx]'s loads. *)
 
-val emit_store : t -> label:Label.t -> int array -> int
-(** Same for a (non-blocking) global store. *)
-
 val emit_store_n : t -> label:Label.t -> int array -> int -> int
-(** Scratch-buffer form of {!emit_store}. *)
+(** {!emit_load_n} for a (non-blocking) global store. *)
 
 val emit_compute : t -> label:Label.t -> n:int -> blocking:bool -> active:int -> unit
 

@@ -54,25 +54,19 @@ let san_access_of_label label =
   | Label.Vfunc_load -> Repro_san.Checker.Vfunc
   | _ -> Repro_san.Checker.Other
 
-let sanitize t ~label ~width addrs =
+(* The sanitizer's view of one access. Loads and stores take a per-lane
+   buffer that may be wider than the warp (the object model's field
+   path, Garray and Dispatch fill a reusable one), so only the returned
+   value array is allocated. The sanitizer needs an exact-width array;
+   that copy only happens on sanitized runs with a wider buffer. *)
+let sanitize t ~label ~width addrs n =
   match t.san with
   | None -> ()
   | Some san ->
+    let addrs = if Array.length addrs = n then addrs else Array.sub addrs 0 n in
     Repro_san.Checker.check_access san ~warp:t.warp_id ~tids:t.lanes
       ~access:(san_access_of_label label) ~what:(Label.slug label) ~width
       ~addrs
-
-(* Scratch-buffer entry points: the caller (the object model's field
-   path, Garray, Dispatch) computes canonical per-lane addresses into a
-   reusable buffer that may be wider than the warp, so only the returned
-   value array is allocated. The sanitizer needs an exact-width array;
-   that copy only happens on sanitized runs with a wider buffer. *)
-let sanitize_buf t ~label ~width addrs n =
-  match t.san with
-  | None -> ()
-  | Some _ ->
-    sanitize t ~label ~width
-      (if Array.length addrs = n then addrs else Array.sub addrs 0 n)
 
 (* The one load body. Tag stripping is fused into emission
    ([Trace.emit_mem_n]); the functional access reads the canonical
@@ -83,7 +77,7 @@ let sanitize_buf t ~label ~width addrs n =
    same record with its one sector ([Trace.emit_load_uniform]) and reads
    the page once, through the same checks and exceptions. *)
 let load_n t ~width ~label ~blocking addrs n =
-  sanitize_buf t ~label ~width addrs n;
+  sanitize t ~label ~width addrs n;
   let a0 = addrs.(0) in
   let k = ref 1 in
   while !k < n && addrs.(!k) = a0 do
@@ -116,7 +110,7 @@ let load_into ?(width = 8) t ~label ~blocking ~addrs ~n =
 let store_from ?(width = 8) t ~label ~addrs ~n values =
   if n <> n_active t || Array.length values <> n then
     invalid_arg "Warp_ctx.store_from: per-lane buffer width mismatch";
-  sanitize_buf t ~label ~width addrs n;
+  sanitize t ~label ~width addrs n;
   let off = Trace.emit_store_n t.trace ~label addrs n in
   let arena = Trace.lane_arena t.trace in
   Page_store.store_batch t.heap arena ~off ~n ~width values
@@ -124,12 +118,7 @@ let store_from ?(width = 8) t ~label ~addrs ~n values =
 let store ?(width = 8) t ~label addrs values =
   check_width t addrs "store";
   check_width t values "store";
-  sanitize t ~label ~width addrs;
-  let off = Trace.emit_store t.trace ~label addrs in
-  let arena = Trace.lane_arena t.trace in
-  Array.iteri
-    (fun i v -> Page_store.store_byte_width t.heap arena.(off + i) ~width v)
-    values
+  store_from ~width t ~label ~addrs ~n:(Array.length addrs) values
 
 let compute ?(n = 1) ?(blocking = false) t ~label =
   Trace.emit_compute t.trace ~label ~n ~blocking ~active:(n_active t)

@@ -92,6 +92,14 @@ let dram_per_cycle row =
   let c = Stats.cycles row in
   if c <= 0. then 0. else float_of_int (Stats.dram_sectors row) /. c
 
+let rates =
+  [
+    ("ipc", "warp instructions per cycle", ipc);
+    ("l1.hit_rate", "L1 hit rate", Stats.l1_hit_rate);
+    ("l2.hit_rate", "L2 hit rate", Stats.l2_hit_rate);
+    ("dram.sectors_per_cycle", "DRAM sectors per cycle", dram_per_cycle);
+  ]
+
 let stall_share label row =
   let total = Stats.total_stall_cycles row in
   if total <= 0. then 0. else Stats.stall_cycles row label /. total
@@ -130,12 +138,7 @@ let derived_quantities t =
       ]
     else []
   in
-  [
-    ("ipc", "warp instructions per cycle", ipc);
-    ("l1.hit_rate", "L1 hit rate", Stats.l1_hit_rate);
-    ("l2.hit_rate", "L2 hit rate", Stats.l2_hit_rate);
-    ("dram.sectors_per_cycle", "DRAM sectors per cycle", dram_per_cycle);
-  ]
+  rates
   @ tlb_rows
   @ List.map
       (fun label ->

@@ -47,6 +47,11 @@ val windows : t -> (float * Repro_gpu.Stats.t) list
 (** Every window across all kernels in time order, with its absolute
     start cycle. *)
 
+val rates : (string * string * (Repro_gpu.Stats.t -> float)) list
+(** The four rates derived for every window, as (id, description, value
+    of a row): IPC, L1 and L2 hit rate, DRAM sectors per cycle. Both
+    {!series} and the counter tracks of [Tracer.to_json] read them. *)
+
 val series : t -> Repro_report.Series.t list
 (** Derived per-window rates, one series per quantity: IPC, L1/L2 hit
     rate, DRAM sectors per cycle, and the stall share of every label

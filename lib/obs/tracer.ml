@@ -79,26 +79,13 @@ let gpu_event n_sms (e : Event_ring.event) =
       [ ("sectors", Json.Int e.arg_a); ("sm", Json.Int e.track) ] )
 
 let counter_events timeline =
-  let quantities =
-    [
-      ("ipc", fun row ->
-          let c = Stats.cycles row in
-          if c <= 0. then 0.
-          else float_of_int (Stats.total_instructions row) /. c);
-      ("l1.hit_rate", Stats.l1_hit_rate);
-      ("l2.hit_rate", Stats.l2_hit_rate);
-      ("dram.sectors_per_cycle", fun row ->
-          let c = Stats.cycles row in
-          if c <= 0. then 0. else float_of_int (Stats.dram_sectors row) /. c);
-    ]
-  in
   List.concat_map
     (fun (start, row) ->
       List.map
-        (fun (name, extract) ->
+        (fun (name, _, extract) ->
           event ~ph:"C" ~name ~tid:0 ~ts:start
             [ ("value", Json.Float (extract row)) ])
-        quantities)
+        Timeline.rates)
     (Timeline.windows timeline)
 
 let to_json ?timeline ~workload ~technique (dump : Telemetry.dump) =

@@ -614,7 +614,7 @@ let prop_sector_arena_matches_naive =
               ignore (Trace.emit_load_n t ~label:Label.Body ~blocking:true addrs n);
               Some addrs
             | 1 ->
-              ignore (Trace.emit_store t ~label:Label.Body addrs);
+              ignore (Trace.emit_store_n t ~label:Label.Body addrs n);
               Some addrs
             | 2 ->
               (* A scratch buffer wider than the warp, stale past [n]. *)

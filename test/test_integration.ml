@@ -41,99 +41,6 @@ let treacherous_workload =
     build;
   }
 
-(* The emission and replay paths have no live oracle to diff against, so
-   every paper cell is pinned to a recorded (result, stats digest) pair
-   (Cell_digests). Each cell runs twice: plain, and with the sanitizer
-   attached, which must check without perturbing timing. *)
-let test_cells_match_digests () =
-  let run w t ~san =
-    let san =
-      if san then Some (Repro_san.Checker.create ~tags_expected:(T.tags_pointers t) ())
-      else None
-    in
-    let p = { (W.Workload.default_params t) with W.Workload.scale = 0.02; san } in
-    let inst = w.W.Workload.build p in
-    for i = 0 to inst.W.Workload.iterations - 1 do
-      inst.W.Workload.run_iteration i
-    done;
-    let raw = Stats.to_raw (Device.stats (R.Runtime.device inst.W.Workload.rt)) in
-    ( inst.W.Workload.result (),
-      Digest.to_hex (Digest.string (Marshal.to_string raw [ Marshal.No_sharing ])) )
-  in
-  let cells = ref 0 in
-  List.iter
-    (fun w ->
-      List.iter
-        (fun t ->
-          let name = W.Registry.qualified_name w and tech = T.name t in
-          let expected =
-            List.find_map
-              (fun (w', t', r, d) -> if w' = name && t' = tech then Some (r, d) else None)
-              Cell_digests.cells
-          in
-          let expected =
-            match expected with
-            | Some e -> e
-            | None -> Alcotest.failf "%s %s: no recorded digest" name tech
-          in
-          let pair = Alcotest.(pair int string) in
-          check pair (Printf.sprintf "%s %s" name tech) expected (run w t ~san:false);
-          check pair (Printf.sprintf "%s %s sanitized" name tech) expected (run w t ~san:true);
-          incr cells)
-        T.all_paper)
-    W.Registry.all;
-  check Alcotest.int "every recorded cell ran" (List.length Cell_digests.cells) !cells
-
-(* The same pinning for the DynaSOA allocator's columns (Dyna_digests):
-   its block index and field remap must keep every address, and so every
-   counter, checksum and allocator statistic, where they were. *)
-let test_dyna_cells_match_digests () =
-  let columns = [ T.Cuda; T.Shared_oa ] in
-  let cells = ref 0 in
-  List.iter
-    (fun w ->
-      List.iter
-        (fun t ->
-          let name = W.Registry.qualified_name w
-          and column = R.Alloc_family.column_name t R.Alloc_family.Dyna_soa in
-          let p =
-            {
-              (W.Workload.default_params t) with
-              W.Workload.scale = 0.02;
-              alloc = Some R.Alloc_family.Dyna_soa;
-            }
-          in
-          let r = W.Harness.run w p in
-          let got =
-            ( r.W.Harness.result,
-              r.W.Harness.checksum,
-              Dyna_digests.render_alloc_stats r.W.Harness.alloc_stats,
-              Digest.to_hex
-                (Digest.string
-                   (Marshal.to_string (Stats.to_raw r.W.Harness.stats)
-                      [ Marshal.No_sharing ])) )
-          in
-          let expected =
-            List.find_map
-              (fun (w', c', res, sum, a, d) ->
-                if w' = name && c' = column then Some (res, sum, a, d) else None)
-              Dyna_digests.cells
-          in
-          (match expected with
-           | Some e ->
-             let row = Alcotest.(pair (pair int int) (pair string string)) in
-             let split (res, sum, a, d) = ((res, sum), (a, d)) in
-             check row (Printf.sprintf "%s %s" name column) (split e) (split got)
-           | None ->
-             let res, sum, a, d = got in
-             Alcotest.failf "%s %s: no recorded row; got (%S, %S, %d, %d, %S, %S)"
-               name column name column res sum a d);
-          incr cells)
-        columns)
-    W.Registry.all;
-  check Alcotest.int "every recorded DYNA cell ran"
-    (List.length Dyna_digests.cells) !cells
-
 (* --- the digest ledger ---------------------------------------------------- *)
 
 let render_alloc_stats (s : R.Allocator.stats) =
@@ -148,24 +55,15 @@ let render_row (r : Ledger.row) =
     r.key r.result r.checksum r.alloc r.digest r.instructions
     (Repro_obs.Json.float_repr r.cycles)
 
-(* The ledger's three job lists: the paper cells, which also run
-   sanitized, then the DynaSOA and the translated cells. *)
-let ledger_jobs () =
-  let jobs = E.Sweep.jobs ~scale:0.02 ~seed:42 in
-  let col = E.Sweep.column and dyna = R.Alloc_family.Dyna_soa in
-  ( jobs ~columns:E.Sweep.paper_columns (),
-    jobs ~columns:[ col ~alloc:dyna T.Cuda; col ~alloc:dyna T.Shared_oa ] ()
-    @ jobs ~pages:Repro_vm.Policy.Coalesce
-        ~columns:[ col T.Cuda; col T.Shared_oa; col ~alloc:dyna T.Cuda ] () )
-
-(* Measures every job through [Harness.run] and reports, in one
-   failure, every row that changed, is missing or names no job, every
+(* Measures every job of the ledger's three lists through
+   [Harness.run] (each paper cell also sanitized) and fails once,
+   printing every row that changed, is missing or names no job, every
    sanitized run that moved its cell, duplicate keys, and every job
    whose key does not survive the wire spec. *)
 let test_cells_match_ledger () =
   let module X = Repro_exec in
-  let report = Buffer.create 1024 in
-  let line s = Buffer.add_string report (s ^ "\n") in
+  let bad = ref 0 in
+  let line s = incr bad; print_endline s in
   let recorded = Hashtbl.create 128 in
   List.iter
     (fun (r : Ledger.row) ->
@@ -210,17 +108,19 @@ let test_cells_match_ledger () =
       end
     end
   in
-  let paper, others = ledger_jobs () in
-  List.iter (check_job ~san:true) paper;
-  List.iter (check_job ~san:false) others;
+  let jobs = E.Sweep.jobs ~scale:0.02 ~seed:42 in
+  let col = E.Sweep.column and dyna = R.Alloc_family.Dyna_soa in
+  List.iter (check_job ~san:true) (jobs ~columns:E.Sweep.paper_columns ());
+  List.iter (check_job ~san:false)
+    (jobs ~columns:[ col ~alloc:dyna T.Cuda; col ~alloc:dyna T.Shared_oa ] ()
+     @ jobs ~pages:Repro_vm.Policy.Coalesce
+         ~columns:[ col T.Cuda; col T.Shared_oa; col ~alloc:dyna T.Cuda ] ());
   List.iter
     (fun (r : Ledger.row) ->
       if Hashtbl.mem recorded r.key then line ("old: " ^ render_row r))
     Ledger.rows;
-  if Buffer.length report > 0 then begin
-    print_string (Buffer.contents report);
-    Alcotest.fail "cells differ from test/ledger.ml (lines above)"
-  end
+  if !bad > 0 then
+    Alcotest.failf "%d line(s) above differ from test/ledger.ml" !bad
 
 let test_harness_rejects_functional_mismatch () =
   match
@@ -446,10 +346,6 @@ let suite =
   [
     Alcotest.test_case "harness rejects mismatch" `Quick
       test_harness_rejects_functional_mismatch;
-    Alcotest.test_case "paper cells match recorded digests" `Quick
-      test_cells_match_digests;
-    Alcotest.test_case "DYNA cells match recorded digests" `Quick
-      test_dyna_cells_match_digests;
     Alcotest.test_case "cells match the ledger" `Quick test_cells_match_ledger;
     Alcotest.test_case "harness speedup direction" `Quick test_harness_speedup_direction;
     Alcotest.test_case "workload scaled" `Quick test_workload_scaled;
